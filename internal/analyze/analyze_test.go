@@ -2,6 +2,8 @@ package analyze_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,127 +16,21 @@ import (
 )
 
 // hazard16 is a 3-stage machine built to emit every hazard class the
-// attribution engine classifies:
-//
-//   - LD raises mem_wait, and the mem_wait-guarded stalls are data hazards
-//     on that resource;
-//   - BR raises redirect, and the redirect-guarded whole-pipe flush is a
-//     control hazard (with a fetch bubble in the branch shadow);
-//   - HOLD stalls fetch unconditionally from its ACTIVATION (structural)
-//     and raises busy, so the following fetch bubbles trail its cause;
-//   - ESC does the same from its BEHAVIOR (explicit).
-//
-// busy gates fetch without emitting events of its own: the bubble steps it
-// inserts carry no hazard event, exercising the analyzer's sticky
-// last-cause attribution (bubbles trail the hazard that made them).
-const hazard16 = `
-RESOURCE {
-  PROGRAM_COUNTER int pc LATCH;
-  CONTROL_REGISTER bit[16] ir;
-  REGISTER int R[8];
-  REGISTER bit halt;
-  REGISTER int mem_wait;
-  REGISTER int busy;
-  REGISTER bit redirect;
-  PROGRAM_MEMORY bit[16] pmem[64];
-  DATA_MEMORY int dmem[64];
-  PIPELINE pipe = { FE; EX; WB };
+// attribution engine classifies, and hazardProg a program that trips each
+// of them; both live in internal/models/testdata, shared with the
+// simulator's snapshot tests.
+var (
+	hazard16   = readFixture("hazard16.lisa")
+	hazardProg = readFixture("hazard16.s")
+)
+
+func readFixture(name string) string {
+	b, err := os.ReadFile(filepath.Join("..", "models", "testdata", name))
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
 }
-
-OPERATION main {
-  ACTIVATION {
-    if (!halt && mem_wait == 0 && busy == 0 && !redirect) { fetch },
-    if (mem_wait > 0) { pipe.EX.stall(), pipe.FE.stall(), tick },
-    if (busy > 0) { tickb },
-    if (redirect) { pipe.flush(), retarget },
-    pipe.shift()
-  }
-}
-
-OPERATION tick { BEHAVIOR { mem_wait = mem_wait - 1; } }
-OPERATION tickb { BEHAVIOR { busy = busy - 1; } }
-OPERATION retarget { BEHAVIOR { redirect = 0; } }
-
-OPERATION fetch IN pipe.FE {
-  BEHAVIOR {
-    ir = pmem[pc];
-    pc = pc + 1;
-    decode();
-  }
-}
-
-OPERATION decode {
-  DECLARE { GROUP Insn = { nop; addi; ld; br; hold; esc; halt_op }; }
-  CODING { ir == Insn }
-  ACTIVATION { Insn }
-}
-
-OPERATION nop {
-  CODING { 0b0000 0bx[12] }
-  SYNTAX { "NOP" }
-}
-
-OPERATION addi IN pipe.EX {
-  DECLARE { LABEL rd, imm; }
-  CODING { 0b0001 rd:0bx[3] imm:0bx[9] }
-  SYNTAX { "ADDI" rd:#u "," imm:#u }
-  BEHAVIOR { R[rd] = R[rd] + imm; }
-}
-
-OPERATION ld IN pipe.EX {
-  DECLARE { LABEL rd, addr; }
-  CODING { 0b0010 rd:0bx[3] addr:0bx[9] }
-  SYNTAX { "LD" rd:#u "," addr:#u }
-  BEHAVIOR { R[rd] = dmem[addr]; mem_wait = 2; }
-}
-
-OPERATION br IN pipe.EX {
-  DECLARE { LABEL target; }
-  CODING { 0b0011 target:0bx[12] }
-  SYNTAX { "BR" target:#u }
-  BEHAVIOR { pc = target; redirect = 1; }
-}
-
-OPERATION hold IN pipe.EX {
-  DECLARE { LABEL rd, imm; }
-  CODING { 0b0100 rd:0bx[3] imm:0bx[9] }
-  SYNTAX { "HOLD" rd:#u "," imm:#u }
-  BEHAVIOR { R[rd] = R[rd] + imm; busy = 2; }
-  ACTIVATION { pipe.FE.stall() }
-}
-
-OPERATION esc IN pipe.EX {
-  CODING { 0b0101 0bx[12] }
-  SYNTAX { "ESC" }
-  BEHAVIOR { pipe.FE.stall(); busy = 2; }
-}
-
-OPERATION halt_op IN pipe.EX {
-  CODING { 0b1111 0bx[12] }
-  SYNTAX { "HALT" }
-  BEHAVIOR { halt = 1; }
-}
-`
-
-// hazardProg trips every hazard class, with NOP spacing so each hazard's
-// bubbles drain before the next hazard op reaches execute.
-const hazardProg = `
-    ADDI 1, 5
-    LD   2, 3
-    NOP
-    NOP
-    HOLD 3, 2
-    NOP
-    NOP
-    ESC
-    NOP
-    NOP
-    BR   after
-    NOP            ; wrong path, flushed
-after:
-    ADDI 4, 2
-    HALT
-`
 
 func runHazard(t *testing.T, mode sim.Mode, extra ...trace.Observer) (*sim.Simulator, uint64) {
 	t.Helper()

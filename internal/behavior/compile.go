@@ -17,10 +17,12 @@ import (
 // lookup and no AST walk, which is the Go analog of the paper's compiled
 // simulation technique (translating the program to host code).
 
-// compiledBehavior is the executable form of one instance's behavior.
+// compiledBehavior is the executable form of one bound instance: its
+// behavior closure (nil when it has no behavior) and its activation plan.
 type compiledBehavior struct {
 	body   cstmt
 	nslots int
+	plan   []ActStep
 }
 
 // cstate is the per-execution state of compiled code.
@@ -40,111 +42,86 @@ type cref struct {
 }
 
 // RunCompiled executes the instance's behavior through its compiled closure,
-// compiling on first use. The compiled form is cached on the instance's
-// variant keyed by instance identity (instances are immutable once bound).
-func RunCompiled(x *Exec, in *model.Instance) error {
+// compiling on first use, and returns the instance's bound activation plan.
+// The compiled form is cached keyed by instance identity (instances are
+// immutable once bound). Like Exec.Run, every call gets a fresh statement
+// budget. Frames are reused from a stack indexed by call depth (behavior
+// calls re-enter through Context.CallOp/CallInstance), so a run allocates
+// nothing once warm.
+func RunCompiled(x *Exec, in *model.Instance) ([]ActStep, error) {
 	if in.Variant == nil {
 		if err := in.ResolveVariant(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	cb, err := compiledFor(x, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if cb == nil {
-		return nil // no behavior
+	if cb.body == nil {
+		return cb.plan, nil
 	}
-	st := &cstate{x: x, locals: make([]bitvec.Value, cb.nslots)}
+	if x.depth == len(x.frames) {
+		x.frames = append(x.frames, &cstate{x: x})
+	}
+	st := x.frames[x.depth]
+	if cap(st.locals) < cb.nslots {
+		st.locals = make([]bitvec.Value, cb.nslots)
+	}
+	st.locals = st.locals[:cb.nslots]
+	clear(st.locals)
+	x.steps = 0
+	x.depth++
 	err = cb.body(st)
+	x.depth--
 	if sig, ok := err.(ctrlSignal); ok && sig == ctrlReturn {
-		return nil
+		err = nil
 	}
-	return err
+	return cb.plan, err
 }
 
-// condKey identifies a compiled activation condition: the expression node
-// within the context of one bound instance.
-type condKey struct {
-	in *model.Instance
-	e  ast.Expr
-}
-
-// EvalCondCompiled evaluates a behavior expression as a boolean using a
-// cached compiled closure (prebound-mode activation conditions).
-func (x *Exec) EvalCondCompiled(in *model.Instance, e ast.Expr) (bool, error) {
-	v, err := x.evalCompiledExpr(in, e)
-	if err != nil {
-		return false, err
-	}
-	return v.bool(), nil
-}
-
-// EvalValueCompiled evaluates a behavior expression to a value using a
-// cached compiled closure (prebound-mode activation switch tags).
-func (x *Exec) EvalValueCompiled(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
-	v, err := x.evalCompiledExpr(in, e)
-	if err != nil {
-		return bitvec.Value{}, err
-	}
-	return v.v, nil
-}
-
-func (x *Exec) evalCompiledExpr(in *model.Instance, e ast.Expr) (val, error) {
-	key := condKey{in, e}
-	if x.Shared != nil {
-		if ce, ok := x.Shared.lookupCond(key); ok {
-			st := &cstate{x: x}
-			return ce(st)
-		}
-	}
-	if x.conds == nil {
-		x.conds = map[condKey]cexpr{}
-	}
-	ce, ok := x.conds[key]
-	if !ok {
-		c := &compiler{x: x, in: in}
-		c.push()
-		var err error
-		ce, err = c.compileExpr(e)
-		if err != nil {
-			return val{}, err
-		}
-		x.conds[key] = ce
-		x.Compiles++
-	}
-	st := &cstate{x: x}
-	return ce(st)
-}
-
-// compileCache lives on the Exec; instances are shared across executions in
-// compiled mode, so this is a decode-once/compile-once cache. When a shared
-// pre-compiled set is attached it is consulted first (and never written),
-// keeping engines that share one artifact race-free.
+// compiledFor returns the compiled form of in. When a shared pre-compiled
+// set is attached it is consulted first (and never written), keeping
+// engines that share one artifact race-free; misses compile into the
+// engine's private cache.
 func compiledFor(x *Exec, in *model.Instance) (*compiledBehavior, error) {
 	if x.Shared != nil {
-		if cb, ok := x.Shared.lookupBehavior(in); ok {
+		if cb, ok := x.Shared.behaviors[in]; ok {
 			return cb, nil
 		}
-	}
-	if x.compiled == nil {
-		x.compiled = map[*model.Instance]*compiledBehavior{}
 	}
 	if cb, ok := x.compiled[in]; ok {
 		return cb, nil
 	}
-	var cb *compiledBehavior
-	if in.Variant.Behavior != nil {
-		c := &compiler{x: x, in: in}
-		body, err := c.compileBlock(in.Variant.Behavior.Body)
-		if err != nil {
-			return nil, err
-		}
-		cb = &compiledBehavior{body: body, nslots: c.maxSlots}
+	cb, n, err := compileInstance(x, in)
+	if err != nil {
+		return nil, err
+	}
+	if x.compiled == nil {
+		x.compiled = map[*model.Instance]*compiledBehavior{}
 	}
 	x.compiled[in] = cb
-	x.Compiles++
+	x.Compiles += n
 	return cb, nil
+}
+
+// compileInstance compiles in's behavior and binds its activation plan. n
+// counts the closures compiled: the behavior plus every activation
+// condition, switch tag and case value.
+func compileInstance(x *Exec, in *model.Instance) (cb *compiledBehavior, n uint64, err error) {
+	c := &compiler{x: x, in: in}
+	cb = &compiledBehavior{}
+	if in.Variant.Behavior != nil {
+		if cb.body, err = c.compileBlock(in.Variant.Behavior.Body); err != nil {
+			return nil, 0, err
+		}
+		cb.nslots = c.maxSlots
+	}
+	if in.Variant.Activation != nil {
+		c.push()
+		cb.plan = bindActs(x, in, in.Variant.Activation.Items, c)
+	}
+	return cb, 1 + c.acts, nil
 }
 
 // compiler tracks compile-time scope for one behavior body.
@@ -155,6 +132,7 @@ type compiler struct {
 	scopes   []map[string]compLocal
 	nextSlot int
 	maxSlots int
+	acts     uint64 // activation expressions compiled
 }
 
 type compLocal struct {
@@ -562,18 +540,16 @@ func (c *compiler) compileAssign(st *ast.AssignStmt) (cstmt, error) {
 			return nil
 		}, nil
 	}
-	op := st.Op[:len(st.Op)-1]
+	op, err := binopFor(st.Op[:len(st.Op)-1])
+	if err != nil {
+		return nil, err
+	}
 	return func(cs *cstate) error {
 		v, err := rhs(cs)
 		if err != nil {
 			return err
 		}
-		cur := ref.get(cs)
-		res, err := binop(op, cur, v)
-		if err != nil {
-			return err
-		}
-		ref.set(cs, res.v)
+		ref.set(cs, op(ref.get(cs), v).v)
 		return nil
 	}, nil
 }

@@ -7,6 +7,7 @@ import (
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
+	"golisa/internal/pipeline"
 )
 
 // --- compiled expressions -------------------------------------------------------
@@ -37,13 +38,16 @@ func (c *compiler) compileExpr(e ast.Expr) (cexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		op := ex.Op
+		op, err := unopFor(ex.Op)
+		if err != nil {
+			return nil, err
+		}
 		return func(cs *cstate) (val, error) {
 			v, err := x(cs)
 			if err != nil {
 				return val{}, err
 			}
-			return unop(op, v)
+			return op(v), nil
 		}, nil
 	case *ast.BinaryExpr:
 		l, err := c.compileExpr(ex.L)
@@ -72,6 +76,10 @@ func (c *compiler) compileExpr(e ast.Expr) (cexpr, error) {
 				return val{bitvec.FromBool(rv.bool()), false}, nil
 			}, nil
 		}
+		f, err := binopFor(op)
+		if err != nil {
+			return nil, err
+		}
 		return func(cs *cstate) (val, error) {
 			lv, err := l(cs)
 			if err != nil {
@@ -81,7 +89,7 @@ func (c *compiler) compileExpr(e ast.Expr) (cexpr, error) {
 			if err != nil {
 				return val{}, err
 			}
-			return binop(op, lv, rv)
+			return f(lv, rv), nil
 		}, nil
 	case *ast.CondExpr:
 		cc, err := c.compileExpr(ex.C)
@@ -416,12 +424,11 @@ func (c *compiler) compilePipeCall(call *ast.CallExpr) (cexpr, error) {
 	} else if len(parts) != 2 {
 		return nil, fmt.Errorf("%s: malformed pipeline call %s", call.Pos, call.Name)
 	}
-	switch op {
-	case "shift", "stall", "flush":
-	default:
+	o, ok := pipeline.ParseOp(op)
+	if !ok {
 		return nil, fmt.Errorf("%s: unknown pipeline operation %s", call.Pos, op)
 	}
-	pd, st, o := p, stage, op
+	pd, st := p, stage
 	return func(cs *cstate) (val, error) {
 		if cs.x.Ctx == nil {
 			return val{}, fmt.Errorf("pipeline operation %s outside simulation context", call.Name)
@@ -467,38 +474,36 @@ func (c *compiler) compileBuiltin(call *ast.CallExpr) (cexpr, error) {
 		}
 		args[i] = ce
 	}
-	evalArgs := func(cs *cstate) ([]val, error) {
-		out := make([]val, len(args))
+	// Non-print builtins take at most three arguments (need checks the
+	// count before a closure is built), so they evaluate into an array.
+	evalArgs := func(cs *cstate) (argv [3]val, err error) {
 		for i, a := range args {
-			if a == nil {
-				continue
+			if argv[i], err = a(cs); err != nil {
+				return argv, err
 			}
-			v, err := a(cs)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
 		}
-		return out, nil
+		return argv, nil
 	}
 	switch name {
 	case "print":
 		return func(cs *cstate) (val, error) {
-			argv, err := evalArgs(cs)
-			if err != nil {
-				return val{}, err
+			parts := make([]string, len(args))
+			for i, a := range args {
+				if isStr[i] {
+					parts[i] = strs[i]
+					continue
+				}
+				v, err := a(cs)
+				if err != nil {
+					return val{}, err
+				}
+				if v.signed {
+					parts[i] = fmt.Sprintf("%d", v.v.Int())
+				} else {
+					parts[i] = fmt.Sprintf("%d", v.v.Uint())
+				}
 			}
 			if cs.x.Ctx != nil {
-				parts := make([]string, len(argv))
-				for i := range argv {
-					if isStr[i] {
-						parts[i] = strs[i]
-					} else if argv[i].signed {
-						parts[i] = fmt.Sprintf("%d", argv[i].v.Int())
-					} else {
-						parts[i] = fmt.Sprintf("%d", argv[i].v.Uint())
-					}
-				}
 				cs.x.Ctx.Print(strings.Join(parts, " "))
 			}
 			return val{}, nil

@@ -30,7 +30,7 @@ func runBoth(t *testing.T, src, opName string) {
 	in1 := model.NewInstance(m.Ops[opName])
 	in2 := model.NewInstance(m.Ops[opName])
 	errI := xi.Run(in1)
-	errC := RunCompiled(xc, in2)
+	_, errC := RunCompiled(xc, in2)
 	if (errI == nil) != (errC == nil) {
 		t.Fatalf("error divergence: interp=%v compiled=%v", errI, errC)
 	}
@@ -163,7 +163,7 @@ OPERATION use {
 	if err := (&Exec{M: m, S: s1}).Run(mk()); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunCompiled(&Exec{M: m, S: s2}, mk()); err != nil {
+	if _, err := RunCompiled(&Exec{M: m, S: s2}, mk()); err != nil {
 		t.Fatal(err)
 	}
 	if eq, diff := s1.Equal(s2); !eq {
@@ -179,27 +179,72 @@ OPERATION use {
 	}
 }
 
+// TestCompiledCondCache checks that activation conditions are compiled
+// once, together with the behavior, into the instance's bound plan, and
+// that every later execution reuses that plan.
 func TestCompiledCondCache(t *testing.T) {
-	d, _ := parser.Parse(compileRegs+`OPERATION op { BEHAVIOR { ; } }`, "t")
+	d, _ := parser.Parse(compileRegs+`
+OPERATION other { BEHAVIOR { ; } }
+OPERATION op {
+  BEHAVIOR { r1 = r0; }
+  ACTIVATION {
+    if (r0 + 1 > 0) { other },
+    switch (r0) { case 0, 1: { other } default: { } }
+  }
+}`, "t")
 	m, errs := sema.Build("t", d)
 	if len(errs) > 0 {
 		t.Fatal(errs[0])
 	}
 	x := &Exec{M: m, S: model.NewState(m)}
 	in := model.NewInstance(m.Ops["op"])
-	cond := mustExpr(t, "r0 + 1 > 0")
+	var first []ActStep
 	for i := 0; i < 3; i++ {
-		got, err := x.EvalCondCompiled(in, cond)
+		plan, err := RunCompiled(x, in)
+		if err != nil || len(plan) != 2 {
+			t.Fatalf("RunCompiled: plan %v, err %v", plan, err)
+		}
+		if i == 0 {
+			first = plan
+		} else if &plan[0] != &first[0] {
+			t.Fatal("plan re-bound on a later execution")
+		}
+		got, err := x.ActCond(in, &plan[0])
 		if err != nil || !got {
-			t.Fatalf("EvalCondCompiled: %v %v", got, err)
+			t.Fatalf("ActCond: %v %v", got, err)
+		}
+		if plan[0].Then[0].Kind != ActRun || plan[0].Then[0].Target != nil || plan[0].Then[0].Op != m.Ops["other"] {
+			t.Fatalf("activation target not bound: %+v", plan[0].Then[0])
+		}
+		chosen, err := x.ActChoose(in, &plan[1])
+		if err != nil || len(chosen) != 1 {
+			t.Fatalf("ActChoose: %v %v", chosen, err)
 		}
 	}
-	if len(x.conds) != 1 {
-		t.Errorf("condition cache has %d entries, want 1", len(x.conds))
+	// One behavior closure, one condition, one switch tag, two case values.
+	if x.Compiles != 5 {
+		t.Errorf("compiled %d closures, want 5", x.Compiles)
 	}
-	v, err := x.EvalValueCompiled(in, cond)
-	if err != nil || v.Uint() != 1 {
-		t.Errorf("EvalValueCompiled: %v %v", v, err)
+}
+
+// TestCompiledBudgetPerCall runs a looping behavior far more often than
+// its statement budget allows in total: the budget applies to each call,
+// as it does in the interpreter, not to the engine's lifetime.
+func TestCompiledBudgetPerCall(t *testing.T) {
+	d, _ := parser.Parse(compileRegs+`OPERATION op { BEHAVIOR { int i; for (i = 0; i < 10; i++) { r0 += i; } } }`, "t")
+	m, errs := sema.Build("t", d)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	x := &Exec{M: m, S: model.NewState(m), Budget: 50}
+	in := model.NewInstance(m.Ops["op"])
+	for i := 0; i < 100; i++ {
+		if _, err := RunCompiled(x, in); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if err := x.Run(in); err != nil {
+			t.Fatalf("interpreted call %d: %v", i, err)
+		}
 	}
 }
 
@@ -219,7 +264,7 @@ func TestCompiledErrors(t *testing.T) {
 			t.Fatal(errs[0])
 		}
 		x := &Exec{M: m, S: model.NewState(m)}
-		if err := RunCompiled(x, model.NewInstance(m.Ops["op"])); err == nil {
+		if _, err := RunCompiled(x, model.NewInstance(m.Ops["op"])); err == nil {
 			t.Errorf("compile of %q should fail", body)
 		}
 	}
@@ -232,7 +277,7 @@ func TestCompiledRunawayBudget(t *testing.T) {
 		t.Fatal(errs[0])
 	}
 	x := &Exec{M: m, S: model.NewState(m), Budget: 500}
-	if err := RunCompiled(x, model.NewInstance(m.Ops["op"])); err == nil {
+	if _, err := RunCompiled(x, model.NewInstance(m.Ops["op"])); err == nil {
 		t.Error("runaway loop not caught in compiled mode")
 	}
 }

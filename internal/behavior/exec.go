@@ -15,6 +15,7 @@ import (
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
+	"golisa/internal/pipeline"
 	"golisa/internal/trace"
 )
 
@@ -22,9 +23,9 @@ import (
 // Implementations live in internal/sim; a nil Context rejects pipeline
 // operations and discards prints.
 type Context interface {
-	// PipeOp performs a pipeline built-in: op is "shift", "stall" or
-	// "flush"; stage is -1 for whole-pipeline operations.
-	PipeOp(p *model.Pipeline, stage int, op string) error
+	// PipeOp performs a pipeline built-in; stage is -1 for whole-pipeline
+	// operations.
+	PipeOp(p *model.Pipeline, stage int, op pipeline.Op) error
 	// Print emits model output (the print(...) builtin).
 	Print(s string)
 	// CallOp executes a named operation called from behavior code. The
@@ -73,10 +74,19 @@ type Exec struct {
 	// fleet's zero-recompilation assertion checks.
 	Compiles uint64
 
+	// Static, when non-nil, returns the unbound instance of an operation;
+	// activation plans bind named (non-operand) targets through it.
+	Static func(*model.Operation) *model.Instance
+
 	steps    int
 	stmts    uint64 // monotonically increasing statement counter (tracing)
 	compiled map[*model.Instance]*compiledBehavior
-	conds    map[condKey]cexpr
+
+	// Reused compiled-code frames: one per behavior call depth, plus the
+	// one activation expressions evaluate in.
+	frames   []*cstate
+	depth    int
+	actFrame cstate
 
 	// guards is the stack of condition expressions enclosing the statement
 	// currently executing (if conditions, switch tags), maintained only

@@ -8,6 +8,7 @@ import (
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
 	"golisa/internal/parser"
+	"golisa/internal/pipeline"
 	"golisa/internal/sema"
 )
 
@@ -415,8 +416,8 @@ type testCtx struct {
 	pipeOps []string
 }
 
-func (c *testCtx) PipeOp(p *model.Pipeline, stage int, op string) error {
-	c.pipeOps = append(c.pipeOps, p.Name+"/"+op)
+func (c *testCtx) PipeOp(p *model.Pipeline, stage int, op pipeline.Op) error {
+	c.pipeOps = append(c.pipeOps, p.Name+"/"+op.String())
 	return nil
 }
 func (c *testCtx) Print(s string) { c.prints = append(c.prints, s) }
@@ -455,9 +456,9 @@ OPERATION op { BEHAVIOR { ; } }`)
 	}
 	// reuse the parsed expression r0 + 4
 	_ = d
-	cond, err := x.EvalCond(in, mustExpr(t, "r0 == 3"))
-	if err != nil || !cond {
-		t.Errorf("EvalCond: %v %v", cond, err)
+	cond, err := x.EvalValue(in, mustExpr(t, "r0 == 3"))
+	if err != nil || !cond.Bool() {
+		t.Errorf("EvalValue(r0 == 3): %v %v", cond, err)
 	}
 	v, err := x.EvalValue(in, mustExpr(t, "r0 * 10"))
 	if err != nil || v.Int() != 30 {

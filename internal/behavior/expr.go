@@ -7,6 +7,7 @@ import (
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
+	"golisa/internal/pipeline"
 )
 
 // ref is a resolved lvalue: a getter/setter pair over a storage location.
@@ -346,15 +347,14 @@ func (x *Exec) pipeCall(c *ast.CallExpr) (val, error) {
 	} else if len(parts) != 2 {
 		return val{}, fmt.Errorf("%s: malformed pipeline call %s", c.Pos, c.Name)
 	}
-	switch op {
-	case "shift", "stall", "flush":
-	default:
+	o, ok := pipeline.ParseOp(op)
+	if !ok {
 		return val{}, fmt.Errorf("%s: unknown pipeline operation %s", c.Pos, op)
 	}
 	if x.Ctx == nil {
 		return val{}, fmt.Errorf("%s: pipeline operation %s outside simulation context", c.Pos, c.Name)
 	}
-	return val{}, x.Ctx.PipeOp(p, stage, op)
+	return val{}, x.Ctx.PipeOp(p, stage, o)
 }
 
 func (x *Exec) builtin(f *frame, c *ast.CallExpr) (val, error) {
@@ -474,143 +474,138 @@ func (x *Exec) formatPrint(f *frame, c *ast.CallExpr, argv []val) string {
 
 // --- operators ----------------------------------------------------------------
 
+// unop applies a unary operator; compiled code resolves it once with unopFor.
 func unop(op string, v val) (val, error) {
-	switch op {
-	case "-":
-		return val{bitvec.Neg(v.v), true}, nil
-	case "+":
-		return v, nil
-	case "!":
-		return val{bitvec.FromBool(!v.bool()), false}, nil
-	case "~":
-		return val{bitvec.Not(v.v), v.signed}, nil
-	}
-	return val{}, fmt.Errorf("unknown unary operator %s", op)
-}
-
-func binop(op string, l, r val) (val, error) {
-	signed := l.signed || r.signed
-	boolv := func(b bool) (val, error) { return val{bitvec.FromBool(b), false}, nil }
-	cmp := func() int {
-		if signed {
-			// Widen both to a common width preserving sign.
-			w := l.v.Width()
-			if r.v.Width() > w {
-				w = r.v.Width()
-			}
-			a, b := l.v, r.v
-			if l.signed {
-				a = a.SignResize(w)
-			} else {
-				a = a.Resize(w)
-			}
-			if r.signed {
-				b = b.SignResize(w)
-			} else {
-				b = b.Resize(w)
-			}
-			return bitvec.CmpS(a, b)
-		}
-		return bitvec.CmpU(l.v, r.v)
-	}
-	// Arithmetic widening: sign-extend signed operands to the result width.
-	widen := func() (bitvec.Value, bitvec.Value, int) {
-		w := l.v.Width()
-		if r.v.Width() > w {
-			w = r.v.Width()
-		}
-		a, b := l.v, r.v
-		if l.signed {
-			a = a.SignResize(w)
-		} else {
-			a = a.Resize(w)
-		}
-		if r.signed {
-			b = b.SignResize(w)
-		} else {
-			b = b.Resize(w)
-		}
-		return a, b, w
-	}
-	switch op {
-	case "+":
-		a, b, _ := widen()
-		return val{bitvec.Add(a, b), signed}, nil
-	case "-":
-		a, b, _ := widen()
-		return val{bitvec.Sub(a, b), signed}, nil
-	case "*":
-		a, b, _ := widen()
-		return val{bitvec.Mul(a, b), signed}, nil
-	case "/":
-		a, b, w := widen()
-		if signed {
-			return val{bitvec.DivS(a, b), true}, nil
-		}
-		if b.IsZero() {
-			return val{bitvec.New(bitvec.Mask(w), w), false}, nil
-		}
-		return val{bitvec.New(a.Uint()/b.Uint(), w), false}, nil
-	case "%":
-		a, b, w := widen()
-		if signed {
-			return val{bitvec.RemS(a, b), true}, nil
-		}
-		if b.IsZero() {
-			return val{bitvec.New(0, w), false}, nil
-		}
-		return val{bitvec.New(a.Uint()%b.Uint(), w), false}, nil
-	case "&":
-		a, b, _ := widen()
-		return val{bitvec.And(a, b), signed}, nil
-	case "|":
-		a, b, _ := widen()
-		return val{bitvec.Or(a, b), signed}, nil
-	case "^":
-		a, b, _ := widen()
-		return val{bitvec.Xor(a, b), signed}, nil
-	case "<<":
-		return val{bitvec.Shl(l.v, uint(r.v.Uint()&63)), l.signed}, nil
-	case ">>":
-		if l.signed {
-			return val{bitvec.ShrS(l.v, uint(r.v.Uint()&63)), true}, nil
-		}
-		return val{bitvec.ShrU(l.v, uint(r.v.Uint()&63)), false}, nil
-	case "==":
-		a, b, _ := widen()
-		return boolv(a.Uint() == b.Uint())
-	case "!=":
-		a, b, _ := widen()
-		return boolv(a.Uint() != b.Uint())
-	case "<":
-		return boolv(cmp() < 0)
-	case "<=":
-		return boolv(cmp() <= 0)
-	case ">":
-		return boolv(cmp() > 0)
-	case ">=":
-		return boolv(cmp() >= 0)
-	case "&&":
-		return boolv(l.bool() && r.bool())
-	case "||":
-		return boolv(l.bool() || r.bool())
-	}
-	return val{}, fmt.Errorf("unknown binary operator %s", op)
-}
-
-// EvalCond evaluates a behavior expression in the context of an instance
-// (used by activation-section conditions).
-func (x *Exec) EvalCond(in *model.Instance, e ast.Expr) (bool, error) {
-	f := newFrame(in)
-	v, err := x.eval(f, e)
+	f, err := unopFor(op)
 	if err != nil {
-		return false, err
+		return val{}, err
 	}
-	return v.bool(), nil
+	return f(v), nil
+}
+
+func unopFor(op string) (func(val) val, error) {
+	switch op {
+	case "-":
+		return func(v val) val { return val{bitvec.Neg(v.v), true} }, nil
+	case "+":
+		return func(v val) val { return v }, nil
+	case "!":
+		return func(v val) val { return val{bitvec.FromBool(!v.bool()), false} }, nil
+	case "~":
+		return func(v val) val { return val{bitvec.Not(v.v), v.signed} }, nil
+	}
+	return nil, fmt.Errorf("unknown unary operator %s", op)
+}
+
+// binop applies a binary operator; compiled code resolves it once with
+// binopFor.
+func binop(op string, l, r val) (val, error) {
+	f, err := binopFor(op)
+	if err != nil {
+		return val{}, err
+	}
+	return f(l, r), nil
+}
+
+// widen brings both operands to the wider width, sign-extending signed
+// ones (arithmetic widening).
+func widen(l, r val) (bitvec.Value, bitvec.Value, int) {
+	w := l.v.Width()
+	if r.v.Width() > w {
+		w = r.v.Width()
+	}
+	a, b := l.v, r.v
+	if l.signed {
+		a = a.SignResize(w)
+	} else {
+		a = a.Resize(w)
+	}
+	if r.signed {
+		b = b.SignResize(w)
+	} else {
+		b = b.Resize(w)
+	}
+	return a, b, w
+}
+
+// compare orders two operands, signed when either one is.
+func compare(l, r val) int {
+	if l.signed || r.signed {
+		a, b, _ := widen(l, r)
+		return bitvec.CmpS(a, b)
+	}
+	return bitvec.CmpU(l.v, r.v)
+}
+
+func boolVal(b bool) val { return val{bitvec.FromBool(b), false} }
+
+func binopFor(op string) (func(l, r val) val, error) {
+	switch op {
+	case "+":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Add(a, b), l.signed || r.signed} }, nil
+	case "-":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Sub(a, b), l.signed || r.signed} }, nil
+	case "*":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Mul(a, b), l.signed || r.signed} }, nil
+	case "/":
+		return func(l, r val) val {
+			a, b, w := widen(l, r)
+			if l.signed || r.signed {
+				return val{bitvec.DivS(a, b), true}
+			}
+			if b.IsZero() {
+				return val{bitvec.New(bitvec.Mask(w), w), false}
+			}
+			return val{bitvec.New(a.Uint()/b.Uint(), w), false}
+		}, nil
+	case "%":
+		return func(l, r val) val {
+			a, b, w := widen(l, r)
+			if l.signed || r.signed {
+				return val{bitvec.RemS(a, b), true}
+			}
+			if b.IsZero() {
+				return val{bitvec.New(0, w), false}
+			}
+			return val{bitvec.New(a.Uint()%b.Uint(), w), false}
+		}, nil
+	case "&":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.And(a, b), l.signed || r.signed} }, nil
+	case "|":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Or(a, b), l.signed || r.signed} }, nil
+	case "^":
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Xor(a, b), l.signed || r.signed} }, nil
+	case "<<":
+		return func(l, r val) val { return val{bitvec.Shl(l.v, uint(r.v.Uint()&63)), l.signed} }, nil
+	case ">>":
+		return func(l, r val) val {
+			if l.signed {
+				return val{bitvec.ShrS(l.v, uint(r.v.Uint()&63)), true}
+			}
+			return val{bitvec.ShrU(l.v, uint(r.v.Uint()&63)), false}
+		}, nil
+	case "==":
+		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() == b.Uint()) }, nil
+	case "!=":
+		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() != b.Uint()) }, nil
+	case "<":
+		return func(l, r val) val { return boolVal(compare(l, r) < 0) }, nil
+	case "<=":
+		return func(l, r val) val { return boolVal(compare(l, r) <= 0) }, nil
+	case ">":
+		return func(l, r val) val { return boolVal(compare(l, r) > 0) }, nil
+	case ">=":
+		return func(l, r val) val { return boolVal(compare(l, r) >= 0) }, nil
+	case "&&":
+		return func(l, r val) val { return boolVal(l.bool() && r.bool()) }, nil
+	case "||":
+		return func(l, r val) val { return boolVal(l.bool() || r.bool()) }, nil
+	}
+	return nil, fmt.Errorf("unknown binary operator %s", op)
 }
 
 // EvalValue evaluates a behavior expression to a value in the context of an
-// instance (used by activation switch tags and tests).
+// instance (used by interpreted activation conditions and switch tags).
 func (x *Exec) EvalValue(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
 	f := newFrame(in)
 	v, err := x.eval(f, e)

@@ -1,56 +1,46 @@
 package behavior
 
-import (
-	"golisa/internal/ast"
-	"golisa/internal/model"
-)
+import "golisa/internal/model"
 
-// CompiledSet is a set of pre-compiled behavior closures and activation
-// expressions built once at artifact-construction time and then shared,
-// read-only, by every execution engine created from that artifact. Engines
-// consult the set before their private lazy caches, so simulators running
-// concurrently off one artifact never compile (or write) anything the set
-// already covers.
+// CompiledSet is a set of pre-compiled behavior closures and bound
+// activation plans built once at artifact-construction time and then
+// shared, read-only, by every execution engine created from that
+// artifact. Engines consult the set before their private lazy caches, so
+// simulators running concurrently off one artifact never compile (or
+// write) anything the set already covers.
 //
 // Population (Precompile) must happen before the set is shared; after
 // Freeze the set rejects further writes by panicking, which turns a
 // build-order bug into a loud failure instead of a data race.
 type CompiledSet struct {
 	behaviors map[*model.Instance]*compiledBehavior
-	conds     map[condKey]cexpr
 	compiles  uint64
 	frozen    bool
 }
 
 // NewCompiledSet returns an empty, unfrozen set.
 func NewCompiledSet() *CompiledSet {
-	return &CompiledSet{
-		behaviors: map[*model.Instance]*compiledBehavior{},
-		conds:     map[condKey]cexpr{},
-	}
+	return &CompiledSet{behaviors: map[*model.Instance]*compiledBehavior{}}
 }
 
 // Freeze marks the set read-only. Call once, before handing the set to a
 // second goroutine.
 func (cs *CompiledSet) Freeze() { cs.frozen = true }
 
-// Len returns the number of pre-compiled behavior entries.
-func (cs *CompiledSet) Len() int { return len(cs.behaviors) }
-
 // Compiles returns the number of closures (behaviors plus activation
 // expressions) compiled while building the set.
 func (cs *CompiledSet) Compiles() uint64 { return cs.compiles }
 
-// Precompile compiles the behavior closure and every ACTIVATION expression
+// Precompile compiles the behavior closure and binds the activation plan
 // of in and all instances bound below it into the set. It is best-effort:
 // an instance whose behavior fails to compile is skipped and left to the
 // per-engine lazy path, which reports the error if (and only if) the
 // instance actually executes — matching the lazy engines' semantics.
 //
-// The Exec is only a compile-time context (model and resource lookup); no
-// machine state is read. Instances reached here get their variant resolved
-// eagerly, so sharing them later never triggers the lazy ResolveVariant
-// write.
+// The Exec is only a compile-time context (model, resource lookup and the
+// Static resolver for activation targets); no machine state is read.
+// Instances reached here get their variant resolved eagerly, so sharing
+// them later never triggers the lazy ResolveVariant write.
 func (cs *CompiledSet) Precompile(x *Exec, in *model.Instance) {
 	if cs.frozen {
 		panic("behavior: Precompile on frozen CompiledSet")
@@ -69,78 +59,13 @@ func (cs *CompiledSet) precompile(x *Exec, in *model.Instance, seen map[*model.I
 		}
 	}
 	if _, done := cs.behaviors[in]; !done {
-		var cb *compiledBehavior
-		ok := true
-		if in.Variant.Behavior != nil {
-			c := &compiler{x: x, in: in}
-			body, err := c.compileBlock(in.Variant.Behavior.Body)
-			if err != nil {
-				ok = false // leave to the lazy path, which surfaces the error
-			} else {
-				cb = &compiledBehavior{body: body, nslots: c.maxSlots}
-			}
-		}
-		if ok {
-			// A nil entry records "no behavior", same as the lazy cache.
+		// A failure is left to the lazy path, which surfaces the error.
+		if cb, n, err := compileInstance(x, in); err == nil {
 			cs.behaviors[in] = cb
-			cs.compiles++
+			cs.compiles += n
 		}
-	}
-	if in.Variant.Activation != nil {
-		cs.precompileActs(x, in, in.Variant.Activation.Items)
 	}
 	for _, child := range in.Bindings {
 		cs.precompile(x, child, seen)
 	}
-}
-
-// precompileActs compiles the run-time expressions of an activation list:
-// if conditions, switch tags and case values. Activated child operations
-// themselves are covered by the bindings recursion (decoded operands) and
-// the artifact's static-instance pass (named operations).
-func (cs *CompiledSet) precompileActs(x *Exec, in *model.Instance, items []ast.ActItem) {
-	for _, item := range items {
-		switch it := item.(type) {
-		case *ast.ActIf:
-			cs.precompileCond(x, in, it.Cond)
-			cs.precompileActs(x, in, it.Then)
-			cs.precompileActs(x, in, it.Else)
-		case *ast.ActSwitch:
-			cs.precompileCond(x, in, it.Tag)
-			for i := range it.Cases {
-				c := &it.Cases[i]
-				for _, ve := range c.Vals {
-					cs.precompileCond(x, in, ve)
-				}
-				cs.precompileActs(x, in, c.Items)
-			}
-		}
-	}
-}
-
-func (cs *CompiledSet) precompileCond(x *Exec, in *model.Instance, e ast.Expr) {
-	key := condKey{in, e}
-	if _, done := cs.conds[key]; done {
-		return
-	}
-	c := &compiler{x: x, in: in}
-	c.push()
-	ce, err := c.compileExpr(e)
-	if err != nil {
-		return // lazy path reports it on first evaluation
-	}
-	cs.conds[key] = ce
-	cs.compiles++
-}
-
-// lookupBehavior returns the pre-compiled behavior for in, if present.
-func (cs *CompiledSet) lookupBehavior(in *model.Instance) (*compiledBehavior, bool) {
-	cb, ok := cs.behaviors[in]
-	return cb, ok
-}
-
-// lookupCond returns the pre-compiled activation expression, if present.
-func (cs *CompiledSet) lookupCond(key condKey) (cexpr, bool) {
-	ce, ok := cs.conds[key]
-	return ce, ok
 }

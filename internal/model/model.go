@@ -29,6 +29,9 @@ type Model struct {
 	OpList []*Operation
 	Ops    map[string]*Operation
 
+	// MaxActDelay is the longest ';' delay of any ACTIVATION item.
+	MaxActDelay int
+
 	resByName  map[string]*Resource
 	pipeByName map[string]*Pipeline
 
@@ -149,6 +152,7 @@ func (m *Model) AddOperation(op *Operation) error {
 	if _, dup := m.Ops[op.Name]; dup {
 		return fmt.Errorf("duplicate operation %q", op.Name)
 	}
+	op.Index = len(m.OpList)
 	m.OpList = append(m.OpList, op)
 	m.Ops[op.Name] = op
 	return nil
@@ -159,6 +163,7 @@ type Operation struct {
 	Name  string
 	Src   *ast.Operation
 	Alias bool
+	Index int // position in Model.OpList
 
 	// Pipeline-stage assignment (IN pipe.stage); Pipe nil when unassigned.
 	Pipe     *Pipeline

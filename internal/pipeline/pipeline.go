@@ -11,6 +11,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"golisa/internal/model"
@@ -46,9 +47,6 @@ type Packet struct {
 	ID uint64
 }
 
-// newPacket allocates a packet with a fresh trace id.
-func newPacket() *Packet { return &Packet{ID: packetSeq.Add(1)} }
-
 // NewPacketWithID allocates a packet carrying a specific trace id; the
 // checkpoint-restore path uses it to rebuild recorded packets. Call
 // EnsurePacketSeq afterwards so freshly allocated ids do not collide.
@@ -78,6 +76,13 @@ type Pipe struct {
 	stalled  []bool
 	shiftReq bool
 
+	// Free lists of recycled entries and packets, and the packets retired
+	// or flushed this step. Those are recycled only at the next BeginStep:
+	// work queued earlier in the step may still name a flushed packet.
+	freeE []*Entry
+	freeP []*Packet
+	dead  []*Packet
+
 	// Stats for the profiler / VCD tracer.
 	Shifts         uint64
 	Stalls         uint64
@@ -99,12 +104,91 @@ func New(def *model.Pipeline) *Pipe {
 	}
 }
 
+// Op is a pipeline built-in operation; the zero Op is none.
+type Op uint8
+
+// The pipeline built-ins of paper §3.2.4.
+const (
+	Shift Op = iota + 1
+	Stall
+	Flush
+)
+
+var opNames = [...]string{Shift: "shift", Stall: "stall", Flush: "flush"}
+
+// String returns the operation's LISA spelling ("" for none).
+func (o Op) String() string { return opNames[o] }
+
+// ParseOp resolves "shift", "stall" or "flush".
+func ParseOp(name string) (Op, bool) {
+	i := slices.Index(opNames[Shift:], name) + int(Shift)
+	return Op(i), i >= int(Shift)
+}
+
+// Apply performs op on the given stage (-1: the whole pipeline); info is
+// the hazard attribution a stall or flush carries.
+func (p *Pipe) Apply(op Op, stage int, info trace.StallInfo) {
+	switch op {
+	case Shift:
+		p.RequestShift()
+	case Stall:
+		p.StallCause(stage, info)
+	case Flush:
+		p.FlushCause(stage, info)
+	}
+}
+
+// slab is how many entries or packets a free list grows by at once.
+const slab = 32
+
+// NewEntry returns a recycled (or new) entry scheduling in at stage.
+func (p *Pipe) NewEntry(in *model.Instance, stage, extra int) *Entry {
+	if len(p.freeE) == 0 {
+		es := make([]Entry, slab)
+		for i := range es {
+			p.freeE = append(p.freeE, &es[i])
+		}
+	}
+	e := p.freeE[len(p.freeE)-1]
+	p.freeE = p.freeE[:len(p.freeE)-1]
+	*e = Entry{Inst: in, StageIdx: stage, Extra: extra}
+	return e
+}
+
+// newPacket returns a recycled (or new) empty packet with a fresh trace id.
+func (p *Pipe) newPacket() *Packet {
+	if len(p.freeP) == 0 {
+		const room = 8 // entries per packet before its slice grows
+		ps, es := make([]Packet, slab), make([]*Entry, slab*room)
+		for i := range ps {
+			ps[i].Entries = es[i*room : i*room : (i+1)*room]
+			p.freeP = append(p.freeP, &ps[i])
+		}
+	}
+	pkt := p.freeP[len(p.freeP)-1]
+	p.freeP = p.freeP[:len(p.freeP)-1]
+	pkt.ID = packetSeq.Add(1)
+	return pkt
+}
+
+// recycle returns the dead packets and their entries to the free lists.
+func (p *Pipe) recycle() {
+	for _, pkt := range p.dead {
+		if pkt != nil {
+			p.freeE = append(p.freeE, pkt.Entries...)
+			pkt.Entries = pkt.Entries[:0]
+			p.freeP = append(p.freeP, pkt)
+		}
+	}
+	p.dead = p.dead[:0]
+}
+
 // Reset clears all packets, latches, requests and statistics counters.
 func (p *Pipe) Reset() {
-	for i := range p.Slots {
-		p.Slots[i] = nil
-		p.stalled[i] = false
-	}
+	p.dead = append(append(p.dead, p.Slots...), p.latch)
+	p.recycle()
+	clear(p.Slots)
+	clear(p.stalled)
 	p.latch = nil
 	p.shiftReq = false
 	p.Shifts, p.Stalls, p.Flushes = 0, 0, 0
@@ -123,7 +207,7 @@ func (p *Pipe) SetLatch(pkt *Packet) { p.latch = pkt }
 // stage-assigned operations: the stage-0 ops execute in the same step).
 func (p *Pipe) InsertFront(entries ...*Entry) *Packet {
 	if p.Slots[0] == nil {
-		p.Slots[0] = newPacket()
+		p.Slots[0] = p.newPacket()
 	}
 	for _, e := range entries {
 		p.Slots[0].Add(e)
@@ -135,16 +219,18 @@ func (p *Pipe) InsertFront(entries ...*Entry) *Packet {
 // next control step (cross-pipeline activation).
 func (p *Pipe) LatchNext(entries ...*Entry) {
 	if p.latch == nil {
-		p.latch = newPacket()
+		p.latch = p.newPacket()
 	}
 	for _, e := range entries {
 		p.latch.Add(e)
 	}
 }
 
-// BeginStep applies the pending latch into stage 0 (merging with an
+// BeginStep recycles the packets that left the pipeline in the previous
+// step and applies the pending latch into stage 0 (merging with an
 // occupying packet if the pipeline did not shift).
 func (p *Pipe) BeginStep() {
+	p.recycle()
 	if p.latch == nil {
 		return
 	}
@@ -152,6 +238,8 @@ func (p *Pipe) BeginStep() {
 		p.Slots[0] = p.latch
 	} else {
 		p.Slots[0].Entries = append(p.Slots[0].Entries, p.latch.Entries...)
+		p.latch.Entries = p.latch.Entries[:0]
+		p.dead = append(p.dead, p.latch)
 	}
 	p.latch = nil
 }
@@ -229,21 +317,19 @@ func (p *Pipe) FlushCause(stage int, info trace.StallInfo) {
 		info.Pipe, info.Stage = p.Def.Index, stage
 		trace.EmitFlush(p.Obs, info)
 	}
-	if stage < 0 {
-		for i := range p.Slots {
+	for i := range p.Slots {
+		if (stage < 0 || i == stage) && p.Slots[i] != nil {
+			p.dead = append(p.dead, p.Slots[i])
 			p.Slots[i] = nil
 		}
-		return
-	}
-	if stage < len(p.Slots) {
-		p.Slots[stage] = nil
 	}
 }
 
 // EndStep performs the requested shift (respecting stalls and occupancy
 // back-pressure: a packet moves only into a slot that is empty after the
 // downstream stages have moved) and clears per-step stall marks. It returns
-// the packet that retired from the last stage, if any.
+// the packet that retired from the last stage, if any; it stays valid until
+// the next BeginStep recycles it.
 func (p *Pipe) EndStep() *Packet {
 	var retired *Packet
 	if p.shiftReq {
@@ -271,6 +357,7 @@ func (p *Pipe) EndStep() *Packet {
 	}
 	p.shiftReq = false
 	if retired != nil {
+		p.dead = append(p.dead, retired)
 		p.Retires++
 		p.RetiredEntries += uint64(len(retired.Entries))
 		if p.Obs != nil {

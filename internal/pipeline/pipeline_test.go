@@ -258,3 +258,45 @@ func TestTwoInFlightPackets(t *testing.T) {
 		t.Error("ready order should be stage-ascending")
 	}
 }
+
+// TestFlushedPacketRecycledNextStep checks the recycling contract: work
+// queued earlier in a step may still name a packet flushed later in that
+// step, so the packet keeps its identity, id and entries until the next
+// BeginStep; only then is it reused, under a fresh trace id.
+func TestFlushedPacketRecycledNextStep(t *testing.T) {
+	p := newPipe(t, "A", "B")
+	old := p.InsertFront(p.NewEntry(nil, 0, 0))
+	id := old.ID
+	p.Flush(-1)
+	if fresh := p.InsertFront(entry(0)); fresh == old {
+		t.Fatal("flushed packet reused within its step")
+	}
+	if old.ID != id || len(old.Entries) != 1 {
+		t.Fatalf("flushed packet changed within its step: id %d→%d, %d entries", id, old.ID, len(old.Entries))
+	}
+	p.Flush(-1)
+	p.EndStep()
+	p.BeginStep()
+	reused := p.InsertFront(p.NewEntry(nil, 0, 0))
+	if reused != old && reused.ID == id {
+		t.Fatal("recycled packet kept its trace id")
+	}
+	if len(reused.Entries) != 1 {
+		t.Fatalf("recycled packet carries %d entries, want 1", len(reused.Entries))
+	}
+}
+
+// TestOpNames round-trips the pipeline operation spellings.
+func TestOpNames(t *testing.T) {
+	for _, name := range []string{"shift", "stall", "flush"} {
+		if op, ok := ParseOp(name); !ok || op.String() != name {
+			t.Errorf("ParseOp(%q) = %v, %v", name, op, ok)
+		}
+	}
+	if op, ok := ParseOp(""); ok || op != 0 {
+		t.Errorf("ParseOp(\"\") = %v, %v", op, ok)
+	}
+	if _, ok := ParseOp("insert"); ok {
+		t.Error("ParseOp accepted insert")
+	}
+}

@@ -550,6 +550,7 @@ func (a *Analyzer) checkActItems(op *model.Operation, items []ast.ActItem) {
 	for _, it := range items {
 		switch item := it.(type) {
 		case *ast.ActRef:
+			a.m.MaxActDelay = max(a.m.MaxActDelay, item.Delay)
 			if _, isGroup := op.Groups[item.Name]; isGroup {
 				continue
 			}
@@ -558,6 +559,7 @@ func (a *Analyzer) checkActItems(op *model.Operation, items []ast.ActItem) {
 			}
 			a.errorf("%s: activation in %s references unknown operation or group %s", item.Pos, op.Name, item.Name)
 		case *ast.ActPipeOp:
+			a.m.MaxActDelay = max(a.m.MaxActDelay, item.Delay)
 			p := a.m.Pipeline(item.Pipe)
 			if p == nil {
 				a.errorf("%s: activation in %s uses unknown pipeline %s", item.Pos, op.Name, item.Pipe)

@@ -60,23 +60,25 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 		dec:    coding.NewDecoder(m),
 		static: map[*model.Operation]*model.Instance{},
 		decode: map[decodeKey]*model.Instance{},
-		buildX: &behavior.Exec{M: m, S: model.NewState(m)},
 	}
-	if mode.prebinds() {
-		a.shared = behavior.NewCompiledSet()
-	}
+	a.buildX = &behavior.Exec{M: m, S: model.NewState(m), Static: func(op *model.Operation) *model.Instance { return a.static[op] }}
 	// Pre-bind the operations reachable without operand bindings (main,
 	// reset, stage controllers, ...). Operations whose variants are all
 	// guarded on group members cannot resolve unbound and keep using the
-	// per-simulator lazy path.
+	// per-simulator lazy path. All are bound before any is compiled, so
+	// activation plans can point at them.
 	for _, op := range m.OpList {
 		in := model.NewInstance(op)
-		if err := in.ResolveVariant(); err != nil {
-			continue
+		if err := in.ResolveVariant(); err == nil {
+			a.static[op] = in
 		}
-		a.static[op] = in
-		if a.shared != nil {
-			a.shared.Precompile(a.buildX, in)
+	}
+	if mode.prebinds() {
+		a.shared = behavior.NewCompiledSet()
+		for _, op := range m.OpList {
+			if in := a.static[op]; in != nil {
+				a.shared.Precompile(a.buildX, in)
+			}
 		}
 	}
 	return a

@@ -3,6 +3,7 @@ package sim
 import (
 	"golisa/internal/ast"
 	"golisa/internal/behavior"
+	"golisa/internal/pipeline"
 	"golisa/internal/trace"
 )
 
@@ -34,7 +35,7 @@ import (
 // from the live guard stacks. fromBehavior tells whether the request came
 // from BEHAVIOR code (via behavior.Context.PipeOp) or from an ACTIVATION
 // section. Only called with an observer attached.
-func (s *Simulator) pipeOpInfo(op string, fromBehavior bool) trace.StallInfo {
+func (s *Simulator) pipeOpInfo(op pipeline.Op, fromBehavior bool) trace.StallInfo {
 	info := trace.StallInfo{}
 	if s.cur.inst != nil {
 		info.SourceOp = s.cur.inst.Op.Name
@@ -42,7 +43,7 @@ func (s *Simulator) pipeOpInfo(op string, fromBehavior bool) trace.StallInfo {
 	if s.cur.packet != nil {
 		info.Packet = s.cur.packet.ID
 	}
-	if op == "shift" {
+	if op == pipeline.Shift {
 		return info
 	}
 	info.Cause, info.Resource = s.classifyPipeOp(op, fromBehavior)
@@ -53,14 +54,14 @@ func (s *Simulator) pipeOpInfo(op string, fromBehavior bool) trace.StallInfo {
 // Guards are scanned innermost-first; within one guard the first resource
 // whose current value is nonzero wins (it is the interlock that made the
 // condition true), falling back to the first resource mentioned.
-func (s *Simulator) classifyPipeOp(op string, fromBehavior bool) (trace.Cause, string) {
+func (s *Simulator) classifyPipeOp(op pipeline.Op, fromBehavior bool) (trace.Cause, string) {
 	behaviorGuards := s.x.Guards()
 	guarded := len(behaviorGuards) > 0 || len(s.actGuards) > 0
 	res := s.scanGuards(behaviorGuards)
 	if res == "" {
 		res = s.scanGuards(s.actGuards)
 	}
-	if op == "flush" {
+	if op == pipeline.Flush {
 		return trace.CauseControl, res
 	}
 	switch {

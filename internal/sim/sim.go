@@ -87,15 +87,13 @@ type runItem struct {
 	stage  int
 	packet *pipeline.Packet
 
-	// pipeOp, when set, is a deferred pipeline operation instead of an
-	// instance execution.
-	pipeOp *pipeOpSpec
+	// pipeOp, when set, is a deferred operation on pipe/stage instead of
+	// an instance execution.
+	pipeOp pipeOpSpec
 }
 
 type pipeOpSpec struct {
-	pipe  *pipeline.Pipe
-	stage int
-	op    string
+	op pipeline.Op
 
 	// info is the hazard attribution captured at request time (the
 	// requesting operation's guards and packet are gone by the time a
@@ -135,22 +133,28 @@ type Simulator struct {
 	// ungated simulation pays one nil check per control step.
 	Gate func(step uint64)
 
-	mode    Mode
-	x       *behavior.Exec
-	dec     *coding.Decoder
-	pipes   []*pipeline.Pipe
-	pipeFor map[*model.Pipeline]*pipeline.Pipe
+	mode  Mode
+	x     *behavior.Exec
+	dec   *coding.Decoder
+	pipes []*pipeline.Pipe // by model.Pipeline.Index
 
-	wheel    map[uint64][]runItem
+	// wheel is the delayed-activation ring: the items due at step t sit in
+	// wheel[t%len(wheel)], which spans the model's longest delay.
+	wheel    [][]runItem
 	runQ     []runItem
 	runHead  int
 	readyBuf []pipeline.ReadyEntry
 	step     uint64
 	cur      runItem // execution context of the instance currently running
 	prof     Profile
-	execs    map[*model.Operation]uint64
+	execs    []uint64       // executions by model.Operation.Index
 	obs      trace.Observer // nil = uninstrumented fast path
 	occBuf   []bool         // reused occupancy sample buffer
+
+	// main is the static instance of MainOp, resolved when mainName (the
+	// name it was resolved from) differs from MainOp.
+	main     *model.Instance
+	mainName string
 
 	// Hazard-attribution context, maintained only while an observer is
 	// attached: the stack of ACTIVATION conditions enclosing the item
@@ -195,11 +199,10 @@ func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 		ResetOp:      "reset",
 		HaltResource: "halt",
 		mode:         mode,
-		pipeFor:      map[*model.Pipeline]*pipeline.Pipe{},
-		wheel:        map[uint64][]runItem{},
 		decodeCache:  map[decodeKey]*model.Instance{},
 		staticInst:   map[*model.Operation]*model.Instance{},
-		execs:        map[*model.Operation]uint64{},
+		execs:        make([]uint64, len(m.OpList)),
+		runQ:         make([]runItem, 0, 64),
 	}
 	if a != nil {
 		s.dec = a.dec
@@ -208,12 +211,11 @@ func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 	} else {
 		s.dec = coding.NewDecoder(m)
 	}
+	s.wheel = make([][]runItem, wheelSpan(m))
 	for _, pd := range m.Pipelines {
-		p := pipeline.New(pd)
-		s.pipes = append(s.pipes, p)
-		s.pipeFor[pd] = p
+		s.pipes = append(s.pipes, pipeline.New(pd))
 	}
-	s.x = &behavior.Exec{M: m, S: s.S, Ctx: (*simCtx)(s)}
+	s.x = &behavior.Exec{M: m, S: s.S, Ctx: (*simCtx)(s), Static: s.static}
 	if a != nil {
 		s.x.Shared = a.shared
 	}
@@ -272,10 +274,7 @@ func (s *Simulator) Observer() trace.Observer { return s.obs }
 func (s *Simulator) Profile() Profile {
 	p := s.prof
 	p.Compiles = s.x.Compiles
-	p.Execs = make(map[string]uint64, len(s.execs))
-	for op, v := range s.execs {
-		p.Execs[op.Name] = v
-	}
+	p.Execs = s.execCounts()
 	p.RetiredByStage = map[string]uint64{}
 	for _, pipe := range s.pipes {
 		p.Stalls += pipe.Stalls
@@ -289,6 +288,17 @@ func (s *Simulator) Profile() Profile {
 	return p
 }
 
+// execCounts returns the nonzero execution counts by operation name.
+func (s *Simulator) execCounts() map[string]uint64 {
+	counts := map[string]uint64{}
+	for _, op := range s.M.OpList {
+		if n := s.execs[op.Index]; n > 0 {
+			counts[op.Name] = n
+		}
+	}
+	return counts
+}
+
 // Step returns the current control-step number.
 func (s *Simulator) Step() uint64 { return s.step }
 
@@ -299,14 +309,16 @@ func (s *Simulator) Reset() error {
 	for _, p := range s.pipes {
 		p.Reset()
 	}
-	s.wheel = map[uint64][]runItem{}
-	s.runQ = nil
+	for i := range s.wheel {
+		s.wheel[i] = s.wheel[i][:0]
+	}
+	s.runQ = s.runQ[:0]
 	s.runHead = 0
 	s.actGuards = s.actGuards[:0]
 	s.step = 0
 	s.prof = Profile{}
 	s.x.Compiles = 0
-	s.execs = map[*model.Operation]uint64{}
+	clear(s.execs)
 	if op, ok := s.M.Ops[s.ResetOp]; ok {
 		if err := s.execute(runItem{inst: s.static(op)}); err != nil {
 			return err
@@ -353,19 +365,23 @@ func (s *Simulator) RunStep() error {
 	s.runHead = 0
 
 	// 1. The main operation initiates each control step.
-	if op, ok := s.M.Ops[s.MainOp]; ok {
-		s.enqueue(runItem{inst: s.static(op)})
+	if s.mainName != s.MainOp {
+		s.mainName, s.main = s.MainOp, nil
+		if op, ok := s.M.Ops[s.MainOp]; ok {
+			s.main = s.static(op)
+		}
+	}
+	if s.main != nil {
+		s.enqueue(runItem{inst: s.main})
 	}
 	if err := s.drain(); err != nil {
 		return err
 	}
 
 	// 2. Time-wheel entries due this step (delayed activations).
-	if due, ok := s.wheel[s.step]; ok {
-		delete(s.wheel, s.step)
-		for _, it := range due {
-			s.enqueue(it)
-		}
+	if due := &s.wheel[s.step%uint64(len(s.wheel))]; len(*due) > 0 {
+		s.runQ = append(s.runQ, *due...)
+		*due = (*due)[:0]
 		if err := s.drain(); err != nil {
 			return err
 		}
@@ -427,15 +443,32 @@ func (s *Simulator) enqueue(it runItem) { s.runQ = append(s.runQ, it) }
 
 func (s *Simulator) schedule(step uint64, it runItem) {
 	s.prof.Activations++
-	s.wheel[step] = append(s.wheel[step], it)
+	s.addDelayed(step, it)
+}
+
+// addDelayed files it under a step within the wheel's span ahead.
+func (s *Simulator) addDelayed(step uint64, it runItem) {
+	slot := &s.wheel[step%uint64(len(s.wheel))]
+	*slot = append(*slot, it)
+}
+
+// wheelSpan is the number of steps the delayed-activation ring covers: an
+// activation lands at most the deepest pipeline's stage distance plus the
+// longest ';' delay ahead.
+func wheelSpan(m *model.Model) int {
+	depth := 1
+	for _, p := range m.Pipelines {
+		depth = max(depth, p.Depth())
+	}
+	return depth + m.MaxActDelay
 }
 
 func (s *Simulator) drain() error {
 	for s.runHead < len(s.runQ) {
 		it := s.runQ[s.runHead]
 		s.runHead++
-		if it.pipeOp != nil {
-			s.applyPipeOp(*it.pipeOp)
+		if it.pipeOp.op != 0 {
+			it.pipe.Apply(it.pipeOp.op, it.stage, it.pipeOp.info)
 			continue
 		}
 		if err := s.execute(it); err != nil {
@@ -466,28 +499,32 @@ func (s *Simulator) static(op *model.Operation) *model.Instance {
 // execute runs one instance: decode (for coding roots), behavior, then
 // activation processing.
 func (s *Simulator) execute(it runItem) error {
-	in := it.inst
-	op := in.Op
-
+	op := it.inst.Op
 	if op.IsCodingRoot {
 		decoded, err := s.decodeRoot(op)
 		if err != nil {
 			return fmt.Errorf("step %d: %w", s.step, err)
 		}
-		in = decoded
 		it.inst = decoded
 	}
-
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
+	if it.inst.Variant == nil {
+		if err := it.inst.ResolveVariant(); err != nil {
 			return fmt.Errorf("step %d: %w", s.step, err)
 		}
 	}
-
 	prev := s.cur
 	s.cur = it
-	defer func() { s.cur = prev }()
+	err := s.run(&it)
+	s.cur = prev
+	if err != nil {
+		return fmt.Errorf("step %d, operation %s: %w", s.step, op.Name, err)
+	}
+	return nil
+}
 
+// run executes a decoded instance's behavior and then its activation plan.
+func (s *Simulator) run(it *runItem) error {
+	in := it.inst
 	if s.obs != nil {
 		pipeIdx, pkt := -1, uint64(0)
 		if it.pipe != nil {
@@ -496,18 +533,21 @@ func (s *Simulator) execute(it runItem) error {
 		if it.packet != nil {
 			pkt = it.packet.ID
 		}
-		s.obs.OnExec(op.Name, pipeIdx, it.stage, pkt)
+		s.obs.OnExec(in.Op.Name, pipeIdx, it.stage, pkt)
 	}
-	s.execs[op]++
-	if err := s.runBehavior(in); err != nil {
-		return fmt.Errorf("step %d, operation %s: %w", s.step, op.Name, err)
+	s.execs[in.Op.Index]++
+	var plan []behavior.ActStep
+	var err error
+	if s.mode.prebinds() {
+		// One lookup yields the compiled behavior and its bound plan.
+		plan, err = behavior.RunCompiled(s.x, in)
+	} else if err = s.x.Run(in); err == nil {
+		plan = behavior.BindActivation(s.x, in)
 	}
-	if in.Variant.Activation != nil {
-		if err := s.processActivation(in, in.Variant.Activation.Items, it); err != nil {
-			return fmt.Errorf("step %d, operation %s: %w", s.step, op.Name, err)
-		}
+	if err != nil {
+		return err
 	}
-	return nil
+	return s.processActivation(in, plan, it)
 }
 
 // prebinds reports whether a mode pre-compiles behavior into closures.
@@ -515,14 +555,6 @@ func (s *Simulator) execute(it runItem) error {
 // outside the Simulator entirely, so a Generated Simulator is the
 // fallback and must be the fastest interpreter available.
 func (m Mode) prebinds() bool { return m == CompiledPrebound || m == Generated }
-
-// runBehavior dispatches to the mode's execution engine.
-func (s *Simulator) runBehavior(in *model.Instance) error {
-	if s.mode.prebinds() {
-		return s.runPrebound(in)
-	}
-	return s.x.Run(in)
-}
 
 // decodeRoot reads the root's compared resource and decodes it into a bound
 // instance, using the decode cache in compiled modes.
@@ -584,99 +616,51 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 
 // --- activation processing -----------------------------------------------------
 
-func (s *Simulator) processActivation(in *model.Instance, items []ast.ActItem, ctx runItem) error {
-	for _, item := range items {
-		switch it := item.(type) {
-		case *ast.ActRef:
-			target, err := s.resolveActTarget(in, it.Name)
-			if err != nil {
-				return err
+// processActivation walks a bound activation plan of in; ctx is the
+// pipeline context in executed in.
+func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActStep, ctx *runItem) error {
+	for i := range steps {
+		st := &steps[i]
+		if st.Err != nil {
+			return st.Err
+		}
+		switch st.Kind {
+		case behavior.ActRun:
+			target := st.Target
+			if target == nil {
+				target = s.static(st.Op)
 			}
-			s.activate(in, target, it.Delay, ctx)
-		case *ast.ActPipeOp:
-			pd := s.M.Pipeline(it.Pipe)
-			p := s.pipeFor[pd]
-			if p == nil {
-				return fmt.Errorf("unknown pipeline %s", it.Pipe)
-			}
-			stage := -1
-			if it.Stage != "" {
-				stage = pd.StageIndex(it.Stage)
-			}
-			spec := pipeOpSpec{pipe: p, stage: stage, op: it.Op}
+			s.activate(in, target, st.Delay, ctx)
+		case behavior.ActPipe:
+			p := s.pipes[st.Pipe]
+			spec := pipeOpSpec{op: st.PipeOp}
 			if s.obs != nil {
-				spec.info = s.pipeOpInfo(it.Op, false)
+				spec.info = s.pipeOpInfo(st.PipeOp, false)
 			}
-			if it.Delay > 0 {
-				s.schedule(s.step+uint64(it.Delay), runItem{pipeOp: &spec})
+			if st.Delay > 0 {
+				s.schedule(s.step+uint64(st.Delay), runItem{pipe: p, stage: st.Stage, pipeOp: spec})
 			} else {
-				s.applyPipeOp(spec)
+				p.Apply(spec.op, st.Stage, spec.info)
 			}
-		case *ast.ActIf:
-			cond, err := s.evalCond(in, it.Cond)
+		case behavior.ActIf:
+			cond, err := s.x.ActCond(in, st)
 			if err != nil {
 				return err
 			}
-			branch := it.Then
+			branch := st.Then
 			if !cond {
-				branch = it.Else
+				branch = st.Else
 			}
-			// The branch runs with its condition on the guard stack so
-			// stall/flush requests inside attribute to the condition's
-			// resources (popped on every exit path).
-			track := s.obs != nil
-			if track {
-				s.actGuards = append(s.actGuards, it.Cond)
-			}
-			err = s.processActivation(in, branch, ctx)
-			if track {
-				s.actGuards = s.actGuards[:len(s.actGuards)-1]
-			}
-			if err != nil {
+			if err := s.guarded(in, st.Guard(), branch, ctx); err != nil {
 				return err
 			}
-		case *ast.ActSwitch:
-			tag, err := s.evalValue(in, it.Tag)
+		case behavior.ActSwitch:
+			chosen, err := s.x.ActChoose(in, st)
 			if err != nil {
 				return err
-			}
-			var deflt *ast.ActCase
-			var chosen []ast.ActItem
-			matched := false
-			for i := range it.Cases {
-				c := &it.Cases[i]
-				if c.Default {
-					deflt = c
-					continue
-				}
-				for _, ve := range c.Vals {
-					cv, err := s.evalValue(in, ve)
-					if err != nil {
-						return err
-					}
-					if cv.Uint() == tag.Uint() {
-						matched = true
-						chosen = c.Items
-						break
-					}
-				}
-				if matched {
-					break
-				}
-			}
-			if !matched && deflt != nil {
-				chosen = deflt.Items
 			}
 			if chosen != nil {
-				track := s.obs != nil
-				if track {
-					s.actGuards = append(s.actGuards, it.Tag)
-				}
-				err := s.processActivation(in, chosen, ctx)
-				if track {
-					s.actGuards = s.actGuards[:len(s.actGuards)-1]
-				}
-				if err != nil {
+				if err := s.guarded(in, st.Guard(), chosen, ctx); err != nil {
 					return err
 				}
 			}
@@ -685,31 +669,17 @@ func (s *Simulator) processActivation(in *model.Instance, items []ast.ActItem, c
 	return nil
 }
 
-// evalCond evaluates an activation condition, using compiled closures in
-// prebound mode.
-func (s *Simulator) evalCond(in *model.Instance, e ast.Expr) (bool, error) {
-	if s.mode.prebinds() {
-		return s.x.EvalCondCompiled(in, e)
+// guarded processes a branch with its condition on the activation guard
+// stack, so stall/flush requests inside attribute to the condition's
+// resources. The stack is kept only while an observer is attached.
+func (s *Simulator) guarded(in *model.Instance, guard ast.Expr, steps []behavior.ActStep, ctx *runItem) error {
+	if s.obs == nil {
+		return s.processActivation(in, steps, ctx)
 	}
-	return s.x.EvalCond(in, e)
-}
-
-// evalValue evaluates an activation switch tag/case value.
-func (s *Simulator) evalValue(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
-	if s.mode.prebinds() {
-		return s.x.EvalValueCompiled(in, e)
-	}
-	return s.x.EvalValue(in, e)
-}
-
-func (s *Simulator) resolveActTarget(in *model.Instance, name string) (*model.Instance, error) {
-	if child, ok := in.Bindings[name]; ok {
-		return child, nil
-	}
-	if op, ok := s.M.Ops[name]; ok {
-		return s.static(op), nil
-	}
-	return nil, fmt.Errorf("activation of unknown operation %s", name)
+	s.actGuards = append(s.actGuards, guard)
+	err := s.processActivation(in, steps, ctx)
+	s.actGuards = s.actGuards[:len(s.actGuards)-1]
+	return err
 }
 
 // activate schedules a target instance according to the paper's timing
@@ -719,7 +689,7 @@ func (s *Simulator) resolveActTarget(in *model.Instance, name string) (*model.In
 // activations latch into stage 0 of the other pipeline for the next step.
 // extra adds whole control steps (the ';' delayed-activation operator).
 // src is the activator whose ACTIVATION section requested the edge.
-func (s *Simulator) activate(src, target *model.Instance, extra int, ctx runItem) {
+func (s *Simulator) activate(src, target *model.Instance, extra int, ctx *runItem) {
 	s.prof.Activations++
 	top := target.Op
 	if s.obs != nil {
@@ -734,14 +704,14 @@ func (s *Simulator) activate(src, target *model.Instance, extra int, ctx runItem
 		}
 		return
 	}
-	q := s.pipeFor[top.Pipe]
+	q := s.pipes[top.Pipe.Index]
 	j := top.StageIdx
 
 	switch {
 	case ctx.pipe == nil:
 		// Unassigned activator (e.g. main): ride a fresh/merged packet from
 		// stage 0 this step.
-		e := &pipeline.Entry{Inst: target, StageIdx: j, Extra: extra}
+		e := q.NewEntry(target, j, extra)
 		q.InsertFront(e)
 		if j == 0 {
 			e.MarkExecuted()
@@ -757,8 +727,7 @@ func (s *Simulator) activate(src, target *model.Instance, extra int, ctx runItem
 		// stage.
 		i := ctx.stage
 		if j > i && ctx.packet != nil {
-			e := &pipeline.Entry{Inst: target, StageIdx: j, Extra: extra}
-			ctx.packet.Add(e)
+			ctx.packet.Add(q.NewEntry(target, j, extra))
 			return
 		}
 		delay := j - i
@@ -773,19 +742,7 @@ func (s *Simulator) activate(src, target *model.Instance, extra int, ctx runItem
 		}
 	default:
 		// Cross-pipeline: enter the other pipe's stage 0 next step.
-		e := &pipeline.Entry{Inst: target, StageIdx: j, Extra: extra}
-		q.LatchNext(e)
-	}
-}
-
-func (s *Simulator) applyPipeOp(spec pipeOpSpec) {
-	switch spec.op {
-	case "shift":
-		spec.pipe.RequestShift()
-	case "stall":
-		spec.pipe.StallCause(spec.stage, spec.info)
-	case "flush":
-		spec.pipe.FlushCause(spec.stage, spec.info)
+		q.LatchNext(q.NewEntry(target, j, extra))
 	}
 }
 
@@ -798,17 +755,16 @@ func (c *simCtx) sim() *Simulator { return (*Simulator)(c) }
 
 // PipeOp implements behavior.Context: pipeline built-ins called from
 // behavior code apply immediately.
-func (c *simCtx) PipeOp(pd *model.Pipeline, stage int, op string) error {
+func (c *simCtx) PipeOp(pd *model.Pipeline, stage int, op pipeline.Op) error {
 	s := c.sim()
-	p := s.pipeFor[pd]
-	if p == nil {
+	if pd.Index >= len(s.pipes) || s.pipes[pd.Index].Def != pd {
 		return fmt.Errorf("pipeline %s not instantiated", pd.Name)
 	}
-	spec := pipeOpSpec{pipe: p, stage: stage, op: op}
+	var info trace.StallInfo
 	if s.obs != nil {
-		spec.info = s.pipeOpInfo(op, true)
+		info = s.pipeOpInfo(op, true)
 	}
-	s.applyPipeOp(spec)
+	s.pipes[pd.Index].Apply(op, stage, info)
 	return nil
 }
 
@@ -899,9 +855,3 @@ func (s *Simulator) LoadProgram(memName string, origin uint64, words []uint64) e
 
 // Pipes exposes the runtime pipelines (for tracing and tests).
 func (s *Simulator) Pipes() []*pipeline.Pipe { return s.pipes }
-
-// runPrebound executes the instance's pre-compiled behavior closure,
-// compiling it on first use (see internal/behavior compile support).
-func (s *Simulator) runPrebound(in *model.Instance) error {
-	return behavior.RunCompiled(s.x, in)
-}

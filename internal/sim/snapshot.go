@@ -120,7 +120,7 @@ func (s *Simulator) Snapshot() *Snapshot {
 		DecodeHits:  s.prof.DecodeHits,
 		Activations: s.prof.Activations,
 		Retired:     s.prof.Retired,
-		Execs:       make(map[string]uint64, len(s.execs)),
+		Execs:       s.execCounts(),
 	}
 	snap.Scalars = make([]uint64, len(s.S.Scalars))
 	for i, v := range s.S.Scalars {
@@ -145,20 +145,18 @@ func (s *Simulator) Snapshot() *Snapshot {
 		ps.Latch = snapPacket(p.Latch())
 		snap.Pipes = append(snap.Pipes, ps)
 	}
-	steps := make([]uint64, 0, len(s.wheel))
-	for st := range s.wheel {
-		steps = append(steps, st)
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i] < steps[j] })
-	for _, st := range steps {
+	// Pending items all fall within one ring span from the current step.
+	n := uint64(len(s.wheel))
+	for st := s.step; st < s.step+n; st++ {
+		due := s.wheel[st%n]
+		if len(due) == 0 {
+			continue
+		}
 		ws := WheelSnap{Step: st}
-		for _, it := range s.wheel[st] {
+		for _, it := range due {
 			ws.Items = append(ws.Items, snapWheelItem(it))
 		}
 		snap.Wheel = append(snap.Wheel, ws)
-	}
-	for op, n := range s.execs {
-		snap.Execs[op.Name] = n
 	}
 	return snap
 }
@@ -177,10 +175,10 @@ func snapPacket(pkt *pipeline.Packet) *PacketSnap {
 }
 
 func snapWheelItem(it runItem) WheelItemSnap {
-	if it.pipeOp != nil {
+	if it.pipeOp.op != 0 {
 		return WheelItemSnap{
-			Pipe: -1, PipeOp: it.pipeOp.op,
-			PipeOpPipe: it.pipeOp.pipe.Def.Index, PipeOpStage: it.pipeOp.stage,
+			Pipe: -1, PipeOp: it.pipeOp.op.String(),
+			PipeOpPipe: it.pipe.Def.Index, PipeOpStage: it.stage,
 		}
 	}
 	w := WheelItemSnap{Inst: snapInst(it.inst), Pipe: -1, Stage: it.stage}
@@ -263,31 +261,34 @@ func (s *Simulator) Restore(snap *Snapshot) error {
 		p.Retires, p.RetiredEntries = ps.Retires, ps.RetiredEntries
 	}
 	pipeline.EnsurePacketSeq(maxPkt)
-	// Time wheel.
-	s.wheel = make(map[uint64][]runItem, len(snap.Wheel))
+	// Run position and time wheel.
+	s.step = snap.Step
+	for i := range s.wheel {
+		s.wheel[i] = s.wheel[i][:0]
+	}
 	for _, ws := range snap.Wheel {
-		items := make([]runItem, 0, len(ws.Items))
+		if ws.Step < snap.Step || ws.Step-snap.Step >= uint64(len(s.wheel)) {
+			return fmt.Errorf("snapshot at step %d has activations due at step %d, beyond the model's delays", snap.Step, ws.Step)
+		}
 		for _, w := range ws.Items {
 			it, err := s.restoreWheelItem(w)
 			if err != nil {
 				return err
 			}
-			items = append(items, it)
+			s.addDelayed(ws.Step, it)
 		}
-		s.wheel[ws.Step] = items
 	}
-	// Run position and counters.
-	s.step = snap.Step
+	// Counters.
 	s.runQ = s.runQ[:0]
 	s.runHead = 0
 	s.prof = Profile{
 		Steps: snap.Steps, Decodes: snap.Decodes, DecodeHits: snap.DecodeHits,
 		Activations: snap.Activations, Retired: snap.Retired,
 	}
-	s.execs = make(map[*model.Operation]uint64, len(snap.Execs))
+	clear(s.execs)
 	for name, n := range snap.Execs {
 		if op, ok := s.M.Ops[name]; ok {
-			s.execs[op] = n
+			s.execs[op.Index] = n
 		}
 	}
 	return nil
@@ -320,9 +321,11 @@ func (s *Simulator) restoreWheelItem(w WheelItemSnap) (runItem, error) {
 		if w.PipeOpPipe < 0 || w.PipeOpPipe >= len(s.pipes) {
 			return runItem{}, fmt.Errorf("snapshot pipe-op on unknown pipeline %d", w.PipeOpPipe)
 		}
-		return runItem{pipeOp: &pipeOpSpec{
-			pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, op: w.PipeOp,
-		}}, nil
+		op, ok := pipeline.ParseOp(w.PipeOp)
+		if !ok {
+			return runItem{}, fmt.Errorf("snapshot has unknown pipe-op %q", w.PipeOp)
+		}
+		return runItem{pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, pipeOp: pipeOpSpec{op: op}}, nil
 	}
 	in, err := s.restoreInst(w.Inst)
 	if err != nil {

@@ -6,6 +6,9 @@ package sim_test
 // architectural state every step, same halt cycle, same state hash.
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"golisa/internal/core"
@@ -120,6 +123,7 @@ const snapC62xKernel = `
 
 type snapCase struct {
 	model  string
+	lisa   string // model source; "" loads the builtin model
 	kernel string
 	// poke seeds data memory before the run (may be nil).
 	poke func(t *testing.T, s *sim.Simulator)
@@ -146,19 +150,38 @@ func snapCases() []snapCase {
 		}
 	}
 	return []snapCase{
-		{"simple16", snapDotKernel, seedSimple, 2000},
-		{"simd16", snapSimdKernel, seedSimd, 2000},
-		{"c62x", snapC62xKernel, nil, 2000},
+		{"simple16", "", snapDotKernel, seedSimple, 2000},
+		{"simd16", "", snapSimdKernel, seedSimd, 2000},
+		{"c62x", "", snapC62xKernel, nil, 2000},
+		// hazard16 stalls and flushes mid-step, where recycled pipeline
+		// packets are still referenced by work queued in the same step.
+		{"hazard16", readFixture("hazard16.lisa"), readFixture("hazard16.s"), nil, 2000},
 	}
+}
+
+func readFixture(name string) string {
+	b, err := os.ReadFile(filepath.Join("..", "models", "testdata", name))
+	if err != nil {
+		panic(err)
+	}
+	return string(b)
+}
+
+func loadCase(t *testing.T, c snapCase) *core.Machine {
+	t.Helper()
+	m, err := core.LoadBuiltin(c.model)
+	if c.lisa != "" {
+		m, err = core.LoadMachine(c.model, c.lisa)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func newSnapSim(t *testing.T, c snapCase, mode sim.Mode) *sim.Simulator {
 	t.Helper()
-	m, err := core.LoadBuiltin(c.model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _, err := m.AssembleAndLoad(c.kernel, mode)
+	s, _, err := loadCase(t, c).AssembleAndLoad(c.kernel, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +207,7 @@ func TestSnapshotRoundTripMatchesUninterruptedRun(t *testing.T) {
 	for _, c := range snapCases() {
 		c := c
 		t.Run(c.model, func(t *testing.T) {
+			var modeHashes []uint64 // the first engine's per-cycle hashes
 			for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
 				t.Run(mode.String(), func(t *testing.T) {
 					// Reference: uninterrupted run, with per-cycle hashes.
@@ -198,6 +222,12 @@ func TestSnapshotRoundTripMatchesUninterruptedRun(t *testing.T) {
 					total := ref.Step()
 					if !ref.Halted() {
 						t.Fatalf("reference did not halt in %d cycles", c.max)
+					}
+					// Every engine passes through the same states.
+					if modeHashes == nil {
+						modeHashes = hashes
+					} else if !slices.Equal(hashes, modeHashes) {
+						t.Fatalf("per-cycle state hashes differ from the %s engine's", sim.Interpretive)
 					}
 
 					// Snapshot at several mid-run cycles; restore into a
