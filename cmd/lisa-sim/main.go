@@ -120,16 +120,15 @@ func main() {
 	if *metricsOut != "" {
 		metrics = trace.NewMetrics()
 	}
-	sess := obs.Setup(tr, m, s, prog, progPath, metrics, extra...)
-
 	if *vcdOut != "" {
 		vcdFile, err := os.Create(*vcdOut)
 		cli.Fail(err)
 		defer vcdFile.Close()
 		w := vcd.New(vcdFile, s.S, s.Pipes())
 		w.Header(m.Model.Name)
-		s.OnStep = func(step uint64) { w.Step(step) }
+		extra = append(extra, w)
 	}
+	sess := obs.Setup(tr, m, s, prog, progPath, metrics, extra...)
 
 	var n uint64
 	runStart := time.Now()

@@ -68,16 +68,16 @@ func main() {
 
 	chrome := trace.NewChromeTracer()
 	metrics := trace.NewMetrics()
-	sess := obs.Setup(tr, m, s, prog, progPath, metrics, chrome)
-
+	extra := []trace.Observer{chrome}
 	if *withVCD {
 		vcdFile, err := os.Create(base + ".vcd")
 		cli.Fail(err)
 		defer vcdFile.Close()
 		w := vcd.New(vcdFile, s.S, s.Pipes())
 		w.Header(m.Model.Name)
-		s.OnStep = func(step uint64) { w.Step(step) }
+		extra = append(extra, w)
 	}
+	sess := obs.Setup(tr, m, s, prog, progPath, metrics, extra...)
 
 	runStart := time.Now()
 	runSpan := tr.Start(nil, "run")

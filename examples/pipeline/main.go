@@ -58,7 +58,7 @@ func main() {
 	defer traceFile.Close()
 	w := vcd.New(traceFile, sim.S, sim.Pipes())
 	w.Header("c62x")
-	sim.OnStep = func(step uint64) { w.Step(step) }
+	sim.SetObserver(w)
 
 	fetch, execute := sim.Pipes()[0], sim.Pipes()[1]
 	fmt.Println("cycle  PG PS PW PR DP | DC E1 E2 E3 E4 E5   events")

@@ -1,6 +1,6 @@
 // Package analyze implements the hazard attribution engine of the golisa
 // simulators: a trace.Observer that consumes the cause-annotated stall and
-// flush events emitted through trace.EmitStall/EmitFlush and explains
+// flush events of the pipeline model and explains
 // where the simulated cycles went — per-cause, per-resource and
 // per-operation-pair stall matrices, per-stage occupancy timelines, a CPI
 // breakdown, and a what-if estimate of the CPI gained by eliminating each
@@ -227,18 +227,8 @@ func (a *Analyzer) rankCause(c trace.Cause) {
 	}
 }
 
-// OnStall implements trace.Observer (legacy uncaused form).
-func (a *Analyzer) OnStall(pipe, stage int) {
-	a.OnStallInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnFlush implements trace.Observer (legacy uncaused form).
-func (a *Analyzer) OnFlush(pipe, stage int) {
-	a.OnFlushInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnStallInfo implements trace.HazardObserver.
-func (a *Analyzer) OnStallInfo(info trace.StallInfo) {
+// OnStall implements trace.Observer.
+func (a *Analyzer) OnStall(info trace.StallInfo) {
 	c := info.Cause
 	if c >= trace.NumCauses {
 		c = trace.CauseNone
@@ -271,8 +261,8 @@ func (a *Analyzer) OnStallInfo(info trace.StallInfo) {
 	}
 }
 
-// OnFlushInfo implements trace.HazardObserver.
-func (a *Analyzer) OnFlushInfo(info trace.StallInfo) {
+// OnFlush implements trace.Observer.
+func (a *Analyzer) OnFlush(info trace.StallInfo) {
 	c := info.Cause
 	if c >= trace.NumCauses {
 		c = trace.CauseNone

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"golisa/internal/sim"
+	"golisa/internal/trace"
 )
 
 func loadSimd16(t *testing.T) *Machine {
@@ -243,5 +244,56 @@ func TestSimd16DisassemblerRoundTrip(t *testing.T) {
 		if err != nil || w2 != w {
 			t.Errorf("roundtrip %q → %q: %#x vs %#x (%v)", stmt, text, w, w2, err)
 		}
+	}
+}
+
+// vregWrites counts the observed element writes of the vector register
+// file by reported address.
+type vregWrites struct {
+	trace.Nop
+	addrs map[uint64]int
+}
+
+func (w *vregWrites) OnMemWrite(resource string, addr, value uint64) {
+	if resource == "vreg" {
+		w.addrs[addr]++
+	}
+}
+
+// TestSimd16BankedWritesReachObserver: writes through vreg[bank][lane]
+// reach OnMemWrite with the bank folded into the address (bank*4 + lane),
+// on every engine. Two VLDs and a VADD write 12 vreg elements.
+func TestSimd16BankedWritesReachObserver(t *testing.T) {
+	m := loadSimd16(t)
+	src := `
+    LDI R1, 100
+    LDI R2, 104
+    NOP
+    VLD V0, R1, 0
+    VLD V1, R2, 0
+    VADD V2, V0, V1
+    HALT
+`
+	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, _, err := m.AssembleAndLoad(src, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &vregWrites{addrs: map[uint64]int{}}
+			s.SetObserver(w)
+			if _, err := s.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			// V0, V1, V2 are banks 0, 1, 2: addresses 0..11, once each.
+			if len(w.addrs) != 12 {
+				t.Errorf("vreg writes at %d addresses, want 12: %v", len(w.addrs), w.addrs)
+			}
+			for a := uint64(0); a < 12; a++ {
+				if w.addrs[a] != 1 {
+					t.Errorf("vreg address %d written %d times, want 1", a, w.addrs[a])
+				}
+			}
+		})
 	}
 }

@@ -13,11 +13,11 @@ import (
 // run instead of the model.
 const memoCap = 4096
 
-// Collector is a trace.Observer accumulating model coverage. It opts in
-// to the edge-aware (EdgeObserver) and cause-aware (HazardObserver)
-// extensions so activation edges and hazard causes reach it with full
-// context, and it takes decode coverage through sim.Simulator.OnDecoded
-// (the string-typed OnDecode event cannot carry the selected leaves).
+// Collector is a trace.Observer accumulating model coverage: executed
+// operations, activation edges (source, target) and hazard causes come
+// from the observer events; decode coverage comes through
+// sim.Simulator.OnDecoded (the string-typed OnDecode event cannot carry
+// the selected leaves).
 //
 // Every event costs one map lookup plus one bit-set. OnAttach resets
 // the bits, so re-attaching (a replay seek, a fresh run) starts a fresh
@@ -62,22 +62,20 @@ func (c *Collector) OnExec(op string, pipe, stage int, packet uint64) {
 	c.bits[DomainOps].Set(c.cm.Index(DomainOps, op))
 }
 
-// OnActivateEdge implements trace.EdgeObserver: one activation-edge bit.
-func (c *Collector) OnActivateEdge(source, target string, delay uint64) {
+// OnActivate implements trace.Observer: one activation-edge bit.
+func (c *Collector) OnActivate(source, target string, delay uint64) {
 	c.bits[DomainEdges].Set(c.cm.Index(DomainEdges, EdgeName(source, target)))
 }
 
-// OnStallInfo implements trace.HazardObserver: one hazard-cause bit.
-func (c *Collector) OnStallInfo(info trace.StallInfo) {
-	if info.Cause != trace.CauseNone {
-		c.bits[DomainCauses].Set(c.cm.Index(DomainCauses, info.Cause.String()))
-	}
-}
+// OnStall implements trace.Observer: one hazard-cause bit.
+func (c *Collector) OnStall(info trace.StallInfo) { c.cause(info.Cause) }
 
-// OnFlushInfo implements trace.HazardObserver.
-func (c *Collector) OnFlushInfo(info trace.StallInfo) {
-	if info.Cause != trace.CauseNone {
-		c.bits[DomainCauses].Set(c.cm.Index(DomainCauses, info.Cause.String()))
+// OnFlush implements trace.Observer.
+func (c *Collector) OnFlush(info trace.StallInfo) { c.cause(info.Cause) }
+
+func (c *Collector) cause(cause trace.Cause) {
+	if cause != trace.CauseNone {
+		c.bits[DomainCauses].Set(c.cm.Index(DomainCauses, cause.String()))
 	}
 }
 

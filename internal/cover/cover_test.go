@@ -140,9 +140,9 @@ func driveCollector(t *testing.T, cm *cover.Map, col *cover.Collector, pick int)
 	if !ok {
 		t.Fatalf("edge item %q not src->dst", edges[pick%len(edges)].Name)
 	}
-	col.OnActivateEdge(src, dst, 0)
-	col.OnStallInfo(trace.StallInfo{Cause: trace.CauseData})
-	col.OnFlushInfo(trace.StallInfo{Cause: trace.CauseControl})
+	col.OnActivate(src, dst, 0)
+	col.OnStall(trace.StallInfo{Cause: trace.CauseData})
+	col.OnFlush(trace.StallInfo{Cause: trace.CauseControl})
 }
 
 func TestSnapshotMergeIsUnion(t *testing.T) {

@@ -221,17 +221,18 @@ func (c *Controller) Watches() []string {
 
 // Observer returns the controller's trace observer implementing resource
 // watchpoints; include it in the simulator's observer fanout.
-func (c *Controller) Observer() trace.Observer { return (*watchObserver)(c) }
+func (c *Controller) Observer() trace.Observer { return &watchObserver{c: c} }
 
 // watchObserver triggers watchpoints. Its hooks run on the simulation
 // goroutine — the same goroutine that mutates the watch set through Do —
 // so the map access is unsynchronized by design.
-type watchObserver Controller
-
-func (w *watchObserver) ctrl() *Controller { return (*Controller)(w) }
+type watchObserver struct {
+	trace.Nop
+	c *Controller
+}
 
 func (w *watchObserver) hit(resource string) {
-	c := w.ctrl()
+	c := w.c
 	if len(c.watches) == 0 || c.watchHit != "" {
 		return
 	}
@@ -240,20 +241,5 @@ func (w *watchObserver) hit(resource string) {
 	}
 }
 
-func (w *watchObserver) OnAttach(string, []trace.PipeInfo) {}
-func (w *watchObserver) OnStepBegin(uint64)                {}
-func (w *watchObserver) OnStepEnd(uint64)                  {}
-func (w *watchObserver) OnOccupancy(int, []bool)           {}
-func (w *watchObserver) OnDecode(string, uint64, bool)     {}
-func (w *watchObserver) OnActivate(string, uint64)         {}
-func (w *watchObserver) OnExec(string, int, int, uint64)   {}
-func (w *watchObserver) OnBehavior(string, uint64)         {}
-func (w *watchObserver) OnStall(int, int)                  {}
-func (w *watchObserver) OnFlush(int, int)                  {}
-func (w *watchObserver) OnShift(int)                       {}
-func (w *watchObserver) OnRetire(int, int, uint64, int)    {}
-
-func (w *watchObserver) OnResourceWrite(resource string, value uint64) { w.hit(resource) }
-func (w *watchObserver) OnMemWrite(resource string, addr, value uint64) {
-	w.hit(resource)
-}
+func (w *watchObserver) OnResourceWrite(resource string, value uint64)  { w.hit(resource) }
+func (w *watchObserver) OnMemWrite(resource string, addr, value uint64) { w.hit(resource) }

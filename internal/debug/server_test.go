@@ -28,6 +28,10 @@ loop:   SUB A1, A1, B1
         HALT
 `
 
+// longCountdown is countdown with a 50x longer loop (40005 steps), so a
+// pause sent right after the start pause is released lands mid-run.
+var longCountdown = strings.Replace(countdown, "LDI A1, 200", "LDI A1, 10000", 1)
+
 // harness runs a paused simple16 simulation under a live introspection
 // server, exercising it the way lisa-sim -http does.
 type harness struct {
@@ -37,11 +41,17 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
+	return newHarnessFor(t, countdown)
+}
+
+// newHarnessFor is newHarness for a given program.
+func newHarnessFor(t *testing.T, src string) *harness {
+	t.Helper()
 	m, err := core.LoadBuiltin("simple16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, prog, err := m.AssembleAndLoad(countdown, sim.Compiled)
+	s, prog, err := m.AssembleAndLoad(src, sim.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +239,7 @@ func TestLiveIntrospection(t *testing.T) {
 
 // TestPauseRunning pauses a free-running simulation mid-flight.
 func TestPauseRunning(t *testing.T) {
-	h := newHarness(t)
+	h := newHarnessFor(t, longCountdown)
 	h.get(t, "/resume") // release the start pause; the sim free-runs
 	h.get(t, "/pause")
 	snap := h.waitState(t, "pause", func(s debug.StateSnapshot) bool { return s.Paused || s.Done })

@@ -22,7 +22,8 @@ type State struct {
 	// OnWrite, when non-nil, observes every scalar resource write in
 	// program order (at issue time, before latch commit). Alias writes
 	// report the underlying resource with the merged value. OnWriteElem
-	// does the same for memory element writes. Nil costs one comparison.
+	// does the same for memory element writes, banked ones included (see
+	// WriteBanked). Nil costs one comparison.
 	OnWrite     func(r *Resource, v bitvec.Value)
 	OnWriteElem func(r *Resource, addr uint64, v bitvec.Value)
 }
@@ -211,6 +212,7 @@ func (s *State) ReadBanked(r *Resource, bank, addr uint64) (bitvec.Value, error)
 }
 
 // WriteBanked writes element addr of the given bank of a banked memory.
+// OnWriteElem sees the bank folded into the address: bank*Size + addr.
 func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) error {
 	if r.Banks <= 0 {
 		return fmt.Errorf("%s: not a banked memory", r.Name)
@@ -221,6 +223,9 @@ func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) erro
 	i, err := r.elemIndex(addr)
 	if err != nil {
 		return err
+	}
+	if s.OnWriteElem != nil {
+		s.OnWriteElem(r, bank*r.Size+addr, v.Resize(r.Width))
 	}
 	s.Arrays[r.Slot][bank*r.Size+i] = v.Resize(r.Width)
 	return nil

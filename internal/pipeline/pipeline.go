@@ -132,9 +132,9 @@ func (p *Pipe) Apply(op Op, stage int, info trace.StallInfo) {
 	case Shift:
 		p.RequestShift()
 	case Stall:
-		p.StallCause(stage, info)
+		p.Stall(stage, info)
 	case Flush:
-		p.FlushCause(stage, info)
+		p.Flush(stage, info)
 	}
 }
 
@@ -278,17 +278,13 @@ func (p *Pipe) ReadyAppend(buf []ReadyEntry) []ReadyEntry {
 func (p *Pipe) RequestShift() { p.shiftReq = true }
 
 // Stall holds the given stage for the current step; stage -1 stalls the
-// whole pipeline.
-func (p *Pipe) Stall(stage int) { p.StallCause(stage, trace.StallInfo{}) }
-
-// StallCause is Stall carrying the request's hazard attribution. The
-// pipe/stage fields of info are overwritten; cause-aware observers receive
-// the full info, legacy observers the plain OnStall, via the trace shim.
-func (p *Pipe) StallCause(stage int, info trace.StallInfo) {
+// whole pipeline. info carries the request's hazard attribution for the
+// observer; its pipe/stage fields are overwritten.
+func (p *Pipe) Stall(stage int, info trace.StallInfo) {
 	p.Stalls++
 	if p.Obs != nil {
 		info.Pipe, info.Stage = p.Def.Index, stage
-		trace.EmitStall(p.Obs, info)
+		p.Obs.OnStall(info)
 	}
 	if stage < 0 {
 		for i := range p.stalled {
@@ -307,15 +303,12 @@ func (p *Pipe) Stalled(stage int) bool {
 }
 
 // Flush clears the packet in the given stage immediately; stage -1 clears
-// the whole pipeline.
-func (p *Pipe) Flush(stage int) { p.FlushCause(stage, trace.StallInfo{}) }
-
-// FlushCause is Flush carrying the request's hazard attribution.
-func (p *Pipe) FlushCause(stage int, info trace.StallInfo) {
+// the whole pipeline. info is as for Stall.
+func (p *Pipe) Flush(stage int, info trace.StallInfo) {
 	p.Flushes++
 	if p.Obs != nil {
 		info.Pipe, info.Stage = p.Def.Index, stage
-		trace.EmitFlush(p.Obs, info)
+		p.Obs.OnFlush(info)
 	}
 	for i := range p.Slots {
 		if (stage < 0 || i == stage) && p.Slots[i] != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"golisa/internal/model"
+	"golisa/internal/trace"
 )
 
 func newPipe(t *testing.T, stages ...string) *Pipe {
@@ -75,7 +76,7 @@ func TestExecutedEntriesDoNotRerunWhileStalled(t *testing.T) {
 	}
 	r[0].Entry.MarkExecuted()
 	// Stall stage 0: no shift.
-	p.Stall(0)
+	p.Stall(0, trace.StallInfo{})
 	p.RequestShift()
 	p.EndStep()
 	if p.Slots[0] == nil {
@@ -93,7 +94,7 @@ func TestStallBackPressure(t *testing.T) {
 	p.EndStep() // first → B
 	second := p.InsertFront(entry(0))
 	// Stall B: first stays; second must not move into B.
-	p.Stall(1)
+	p.Stall(1, trace.StallInfo{})
 	p.RequestShift()
 	p.EndStep()
 	if p.Slots[1] != first {
@@ -116,7 +117,7 @@ func TestBubbleAfterStalledStage(t *testing.T) {
 	p.RequestShift()
 	p.EndStep() // pkt → B
 	// Stall A only (nothing there); B should still advance.
-	p.Stall(0)
+	p.Stall(0, trace.StallInfo{})
 	p.RequestShift()
 	p.EndStep()
 	if p.Slots[2] != pkt {
@@ -127,7 +128,7 @@ func TestBubbleAfterStalledStage(t *testing.T) {
 func TestWholePipeStall(t *testing.T) {
 	p := newPipe(t, "A", "B")
 	pkt := p.InsertFront(entry(0))
-	p.Stall(-1)
+	p.Stall(-1, trace.StallInfo{})
 	p.RequestShift()
 	p.EndStep()
 	if p.Slots[0] != pkt {
@@ -144,14 +145,14 @@ func TestFlushStageAndPipe(t *testing.T) {
 	p.RequestShift()
 	p.EndStep()
 	p.InsertFront(entry(0))
-	p.Flush(1)
+	p.Flush(1, trace.StallInfo{})
 	if p.Slots[1] != nil {
 		t.Error("stage flush failed")
 	}
 	if p.Slots[0] == nil {
 		t.Error("stage flush cleared wrong slot")
 	}
-	p.Flush(-1)
+	p.Flush(-1, trace.StallInfo{})
 	if p.Slots[0] != nil {
 		t.Error("pipe flush failed")
 	}
@@ -198,7 +199,7 @@ func TestNoShiftWithoutRequest(t *testing.T) {
 
 func TestStallClearsAfterStep(t *testing.T) {
 	p := newPipe(t, "A", "B")
-	p.Stall(0)
+	p.Stall(0, trace.StallInfo{})
 	if !p.Stalled(0) {
 		t.Fatal("stall not recorded")
 	}
@@ -267,14 +268,14 @@ func TestFlushedPacketRecycledNextStep(t *testing.T) {
 	p := newPipe(t, "A", "B")
 	old := p.InsertFront(p.NewEntry(nil, 0, 0))
 	id := old.ID
-	p.Flush(-1)
+	p.Flush(-1, trace.StallInfo{})
 	if fresh := p.InsertFront(entry(0)); fresh == old {
 		t.Fatal("flushed packet reused within its step")
 	}
 	if old.ID != id || len(old.Entries) != 1 {
 		t.Fatalf("flushed packet changed within its step: id %d→%d, %d entries", id, old.ID, len(old.Entries))
 	}
-	p.Flush(-1)
+	p.Flush(-1, trace.StallInfo{})
 	p.EndStep()
 	p.BeginStep()
 	reused := p.InsertFront(p.NewEntry(nil, 0, 0))

@@ -56,8 +56,8 @@ type Site struct {
 	StallEvents   uint64 // stall requests raised while this site was current
 	FlushEvents   uint64 // flushes raised while this site was current
 
-	// StallCauses splits StallEvents by hazard cause when the emitter
-	// provides attribution (see trace.HazardObserver).
+	// StallCauses splits StallEvents by hazard cause; unattributed stalls
+	// (trace.CauseNone) appear only in StallEvents.
 	StallCauses map[string]uint64
 
 	// Ops counts per-operation stage cycles for executions whose pipeline
@@ -229,27 +229,15 @@ func (p *Profiler) OnExec(op string, pipe, stage int, packet uint64) {
 }
 
 // OnStall implements trace.Observer: stall requests raised while a site is
-// current are counted against it (the stall's penalty cycles surface as
-// PenaltyCycles on the following dispatch-free steps).
-func (p *Profiler) OnStall(pipe, stage int) {
-	if p.last != nil {
-		p.last.StallEvents++
+// current are counted against it, split by hazard cause so reports can say
+// which hazard class an instruction pays for (the stall's penalty cycles
+// surface as PenaltyCycles on the following dispatch-free steps).
+func (p *Profiler) OnStall(info trace.StallInfo) {
+	if p.last == nil {
+		return
 	}
-}
-
-// OnFlush implements trace.Observer.
-func (p *Profiler) OnFlush(pipe, stage int) {
-	if p.last != nil {
-		p.last.FlushEvents++
-	}
-}
-
-// OnStallInfo implements trace.HazardObserver: the event is counted like
-// an uncaused stall, plus a per-cause split on the current site so reports
-// can say which hazard class an instruction pays for.
-func (p *Profiler) OnStallInfo(info trace.StallInfo) {
-	p.OnStall(info.Pipe, info.Stage)
-	if p.last == nil || info.Cause == trace.CauseNone {
+	p.last.StallEvents++
+	if info.Cause == trace.CauseNone {
 		return
 	}
 	if p.last.StallCauses == nil {
@@ -258,8 +246,12 @@ func (p *Profiler) OnStallInfo(info trace.StallInfo) {
 	p.last.StallCauses[info.Cause.String()]++
 }
 
-// OnFlushInfo implements trace.HazardObserver.
-func (p *Profiler) OnFlushInfo(info trace.StallInfo) { p.OnFlush(info.Pipe, info.Stage) }
+// OnFlush implements trace.Observer.
+func (p *Profiler) OnFlush(trace.StallInfo) {
+	if p.last != nil {
+		p.last.FlushEvents++
+	}
+}
 
 // OnRetire implements trace.Observer: a retired packet's site link is
 // dropped, bounding the link table by the pipeline depth.

@@ -407,10 +407,11 @@ func (r *Recorder) OnDecode(root string, word uint64, hit bool) {
 	r.events++
 }
 
-// OnActivate implements trace.Observer.
-func (r *Recorder) OnActivate(target string, delay uint64) {
+// OnActivate implements trace.Observer. The record keeps the target
+// only: replay re-derives the source by re-executing the activator.
+func (r *Recorder) OnActivate(source, target string, delay uint64) {
 	if r.tail != nil {
-		r.tail.OnActivate(target, delay)
+		r.tail.OnActivate(source, target, delay)
 	}
 	if r.suppress {
 		return
@@ -454,35 +455,24 @@ func (r *Recorder) OnBehavior(op string, statements uint64) {
 	r.events++
 }
 
-// OnStall implements trace.Observer (legacy uncaused form).
-func (r *Recorder) OnStall(pipe, stage int) {
-	r.OnStallInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnFlush implements trace.Observer (legacy uncaused form).
-func (r *Recorder) OnFlush(pipe, stage int) {
-	r.OnFlushInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnStallInfo implements trace.HazardObserver: the full attribution goes
-// into the record so a replayed run explains its hazards identically.
-func (r *Recorder) OnStallInfo(info trace.StallInfo) {
+// OnStall implements trace.Observer: the full attribution goes into the
+// record so a replayed run explains its hazards identically.
+func (r *Recorder) OnStall(info trace.StallInfo) {
+	if r.tail != nil {
+		r.tail.OnStall(info)
+	}
 	r.hazard(recStall, info)
 }
 
-// OnFlushInfo implements trace.HazardObserver.
-func (r *Recorder) OnFlushInfo(info trace.StallInfo) {
+// OnFlush implements trace.Observer.
+func (r *Recorder) OnFlush(info trace.StallInfo) {
+	if r.tail != nil {
+		r.tail.OnFlush(info)
+	}
 	r.hazard(recFlush, info)
 }
 
 func (r *Recorder) hazard(kind byte, info trace.StallInfo) {
-	if r.tail != nil {
-		if kind == recStall {
-			trace.EmitStall(r.tail, info)
-		} else {
-			trace.EmitFlush(r.tail, info)
-		}
-	}
 	if r.suppress {
 		return
 	}

@@ -377,8 +377,8 @@ func (v *verifier) OnDecode(root string, word uint64, hit bool) {
 	v.expect(trace.Event{Kind: trace.KindDecode, Pipe: -1, Name: root, Value: word, Flag: hit})
 }
 
-// OnActivate implements trace.Observer.
-func (v *verifier) OnActivate(target string, delay uint64) {
+// OnActivate implements trace.Observer; recordings carry the target only.
+func (v *verifier) OnActivate(_, target string, delay uint64) {
 	v.expect(trace.Event{Kind: trace.KindActivate, Pipe: -1, Name: target, Value: delay})
 }
 
@@ -392,27 +392,17 @@ func (v *verifier) OnBehavior(op string, statements uint64) {
 	v.expect(trace.Event{Kind: trace.KindBehavior, Pipe: -1, Name: op, Value: statements})
 }
 
-// OnStall implements trace.Observer (legacy uncaused form).
-func (v *verifier) OnStall(pipe, stage int) {
-	v.OnStallInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnFlush implements trace.Observer (legacy uncaused form).
-func (v *verifier) OnFlush(pipe, stage int) {
-	v.OnFlushInfo(trace.StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnStallInfo implements trace.HazardObserver: the replayed attribution
-// (cause, source op, gating resource) must match the recorded one exactly
-// — classification reads only committed simulator state, so a divergence
+// OnStall implements trace.Observer: the replayed attribution (cause,
+// source op, gating resource) must match the recorded one exactly —
+// classification reads only committed simulator state, so a divergence
 // here is a real determinism bug. Version-1 recordings carry no
 // attribution; the live one is masked so they still verify.
-func (v *verifier) OnStallInfo(info trace.StallInfo) {
+func (v *verifier) OnStall(info trace.StallInfo) {
 	v.expect(v.hazardEvent(trace.KindStall, info))
 }
 
-// OnFlushInfo implements trace.HazardObserver.
-func (v *verifier) OnFlushInfo(info trace.StallInfo) {
+// OnFlush implements trace.Observer.
+func (v *verifier) OnFlush(info trace.StallInfo) {
 	v.expect(v.hazardEvent(trace.KindFlush, info))
 }
 
@@ -447,7 +437,12 @@ func (v *verifier) OnResourceWrite(resource string, value uint64) {
 	v.expect(trace.Event{Kind: trace.KindWrite, Pipe: -1, Name: resource, Value: value})
 }
 
-// OnMemWrite implements trace.Observer.
+// OnMemWrite implements trace.Observer. Recordings before version 3
+// never saw the writes of banked memories, so those live writes are
+// skipped when verifying one.
 func (v *verifier) OnMemWrite(resource string, addr, value uint64) {
+	if v.r.Rec.Version < 3 && v.r.Sim.M.Resource(resource).Banks > 0 {
+		return
+	}
 	v.expect(trace.Event{Kind: trace.KindMemWrite, Pipe: -1, Name: resource, Aux: addr, Value: value})
 }

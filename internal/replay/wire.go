@@ -21,9 +21,11 @@ import (
 
 // wire format version; bump on incompatible changes. Version 2 extended
 // the stall/flush records with hazard attribution (cause, source op,
-// gating resource, packet id); version-1 recordings are still readable.
+// gating resource, packet id). Version 3 added the element writes of
+// banked memories (bank folded into the address), which earlier versions
+// never recorded. Version-1 and -2 recordings are still readable.
 const (
-	wireVersion    = 2
+	wireVersion    = 3
 	minWireVersion = 1
 )
 

@@ -41,8 +41,8 @@ func (r *recorder) OnAttach(model string, pipes []trace.PipeInfo) {
 func (r *recorder) OnStepEnd(uint64)                     { r.steps++ }
 func (r *recorder) OnExec(op string, _, _ int, _ uint64) { r.execs[op]++ }
 func (r *recorder) OnBehavior(op string, n uint64)       { r.behaviors[op] += n }
-func (r *recorder) OnStall(pipe, stage int)              { r.stalls = append(r.stalls, [2]int{pipe, stage}) }
-func (r *recorder) OnFlush(pipe, stage int)              { r.flushes = append(r.flushes, [2]int{pipe, stage}) }
+func (r *recorder) OnStall(i trace.StallInfo)            { r.stalls = append(r.stalls, [2]int{i.Pipe, i.Stage}) }
+func (r *recorder) OnFlush(i trace.StallInfo)            { r.flushes = append(r.flushes, [2]int{i.Pipe, i.Stage}) }
 func (r *recorder) OnRetire(int, int, uint64, int)       { r.retires++ }
 func (r *recorder) OnResourceWrite(res string, _ uint64) { r.writes[res]++ }
 func (r *recorder) OnMemWrite(res string, _, _ uint64)   { r.memWrites[res]++ }

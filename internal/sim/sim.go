@@ -117,8 +117,6 @@ type Simulator struct {
 
 	// OnPrint receives output of the print(...) builtin; nil discards.
 	OnPrint func(string)
-	// OnStep runs after every completed control step (tracing hook).
-	OnStep func(step uint64)
 	// OnDecoded, when non-nil, receives the bound instance every coding-root
 	// decode produced (cache hits included) — the decode-side seam the
 	// coverage collector uses to see which coding-tree leaves a word
@@ -433,9 +431,6 @@ func (s *Simulator) RunStep() error {
 	if s.obs != nil {
 		s.obs.OnStepEnd(s.step - 1)
 	}
-	if s.OnStep != nil {
-		s.OnStep(s.step)
-	}
 	return nil
 }
 
@@ -693,7 +688,7 @@ func (s *Simulator) activate(src, target *model.Instance, extra int, ctx *runIte
 	s.prof.Activations++
 	top := target.Op
 	if s.obs != nil {
-		trace.EmitActivate(s.obs, src.Op.Name, top.Name, uint64(extra))
+		s.obs.OnActivate(src.Op.Name, top.Name, uint64(extra))
 	}
 	if !top.HasStage() {
 		// Unassigned target: same control step (plus explicit delay).

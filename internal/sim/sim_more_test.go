@@ -149,18 +149,6 @@ OPERATION main {
 	}
 }
 
-func TestOnStepHookFires(t *testing.T) {
-	s := newSim(t, Interpretive, []uint64{tHALT})
-	var steps []uint64
-	s.OnStep = func(step uint64) { steps = append(steps, step) }
-	if _, err := s.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) == 0 || steps[0] != 1 {
-		t.Errorf("OnStep calls: %v", steps)
-	}
-}
-
 func TestBehaviorErrorCarriesOperationAndStep(t *testing.T) {
 	src := `
 RESOURCE { REGISTER int n; REGISTER bit halt; }

@@ -9,8 +9,8 @@ type Cause uint8
 
 // Hazard causes, ordered by attribution priority (see Rank).
 const (
-	// CauseNone marks an unattributed event (legacy emitters, or a request
-	// whose context gave no signal).
+	// CauseNone marks an unattributed event: a request whose context gave
+	// no signal.
 	CauseNone Cause = iota
 	// CauseData is a stall guarded by a condition reading a machine
 	// resource — an interlock on that resource (memory wait states,
@@ -81,51 +81,4 @@ type StallInfo struct {
 	SourceOp string // operation whose activation/behavior made the request
 	Resource string // gating resource for data hazards, "" otherwise
 	Packet   uint64 // packet id carrying the requester, 0 when none
-}
-
-// HazardObserver is the optional cause-aware extension of Observer.
-// Implementations receive OnStallInfo/OnFlushInfo INSTEAD of the plain
-// OnStall/OnFlush when events are delivered through EmitStall/EmitFlush,
-// so a cause-aware observer must do its legacy bookkeeping inside the Info
-// methods (typically by calling its own OnStall/OnFlush). Nop deliberately
-// does not implement this interface: observers embedding Nop keep
-// receiving the plain callbacks unless they opt in themselves.
-type HazardObserver interface {
-	OnStallInfo(StallInfo)
-	OnFlushInfo(StallInfo)
-}
-
-// EmitStall delivers a stall event to o: cause-aware observers get the
-// full StallInfo, legacy observers the classic (pipe, stage) pair. This is
-// the compatibility shim every cause-annotated emitter goes through.
-func EmitStall(o Observer, info StallInfo) {
-	if h, ok := o.(HazardObserver); ok {
-		h.OnStallInfo(info)
-		return
-	}
-	o.OnStall(info.Pipe, info.Stage)
-}
-
-// EmitFlush is EmitStall for flush events.
-func EmitFlush(o Observer, info StallInfo) {
-	if h, ok := o.(HazardObserver); ok {
-		h.OnFlushInfo(info)
-		return
-	}
-	o.OnFlush(info.Pipe, info.Stage)
-}
-
-// OnStallInfo implements HazardObserver: the fanout re-dispatches through
-// the shim so each member gets the richest form it understands.
-func (m Multi) OnStallInfo(info StallInfo) {
-	for _, o := range m {
-		EmitStall(o, info)
-	}
-}
-
-// OnFlushInfo implements HazardObserver.
-func (m Multi) OnFlushInfo(info StallInfo) {
-	for _, o := range m {
-		EmitFlush(o, info)
-	}
 }

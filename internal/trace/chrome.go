@@ -135,7 +135,7 @@ func (c *ChromeTracer) OnDecode(root string, word uint64, hit bool) {
 
 // OnActivate implements Observer (not rendered; activations are visible
 // as the resulting exec slices).
-func (c *ChromeTracer) OnActivate(string, uint64) {}
+func (c *ChromeTracer) OnActivate(string, string, uint64) {}
 
 // OnExec implements Observer: a 1-cycle slice on the stage's track, with
 // a flow event binding the slices of one packet together.
@@ -162,22 +162,12 @@ func (c *ChromeTracer) OnExec(op string, pipe, stage int, packet uint64) {
 // OnBehavior implements Observer.
 func (c *ChromeTracer) OnBehavior(string, uint64) {}
 
-// OnStall implements Observer.
-func (c *ChromeTracer) OnStall(pipe, stage int) {
-	c.hazard("stall", StallInfo{Pipe: pipe, Stage: stage})
-}
+// OnStall implements Observer: the instant carries the hazard
+// attribution as args so it is inspectable in the trace viewer.
+func (c *ChromeTracer) OnStall(info StallInfo) { c.hazard("stall", info) }
 
 // OnFlush implements Observer.
-func (c *ChromeTracer) OnFlush(pipe, stage int) {
-	c.hazard("flush", StallInfo{Pipe: pipe, Stage: stage})
-}
-
-// OnStallInfo implements HazardObserver: the instant carries the hazard
-// attribution as args so it is inspectable in the trace viewer.
-func (c *ChromeTracer) OnStallInfo(info StallInfo) { c.hazard("stall", info) }
-
-// OnFlushInfo implements HazardObserver.
-func (c *ChromeTracer) OnFlushInfo(info StallInfo) { c.hazard("flush", info) }
+func (c *ChromeTracer) OnFlush(info StallInfo) { c.hazard("flush", info) }
 
 // hazard emits one instant per affected stage track. Whole-pipe events
 // (stage -1) land on every stage track, labeled as whole-pipe.

@@ -202,8 +202,8 @@ func (f *Flight) OnDecode(root string, word uint64, hit bool) {
 	f.record(Event{Kind: KindDecode, Pipe: -1, Name: root, Value: word, Flag: hit})
 }
 
-// OnActivate implements Observer.
-func (f *Flight) OnActivate(target string, delay uint64) {
+// OnActivate implements Observer; the ring keeps the target only.
+func (f *Flight) OnActivate(_, target string, delay uint64) {
 	f.record(Event{Kind: KindActivate, Pipe: -1, Name: target, Value: delay})
 }
 
@@ -217,26 +217,15 @@ func (f *Flight) OnBehavior(op string, statements uint64) {
 	f.record(Event{Kind: KindBehavior, Pipe: -1, Name: op, Value: statements})
 }
 
-// OnStall implements Observer.
-func (f *Flight) OnStall(pipe, stage int) {
-	f.record(Event{Kind: KindStall, Pipe: int32(pipe), Stage: int32(stage)})
-}
+// OnStall implements Observer: the ring keeps the full hazard
+// attribution so post-mortem dumps show why each stall was requested.
+func (f *Flight) OnStall(info StallInfo) { f.hazard(KindStall, info) }
 
 // OnFlush implements Observer.
-func (f *Flight) OnFlush(pipe, stage int) {
-	f.record(Event{Kind: KindFlush, Pipe: int32(pipe), Stage: int32(stage)})
-}
+func (f *Flight) OnFlush(info StallInfo) { f.hazard(KindFlush, info) }
 
-// OnStallInfo implements HazardObserver: the ring keeps the full hazard
-// attribution so post-mortem dumps show why each stall was requested.
-func (f *Flight) OnStallInfo(info StallInfo) {
-	f.record(Event{Kind: KindStall, Pipe: int32(info.Pipe), Stage: int32(info.Stage),
-		Name: info.SourceOp, Aux: info.Packet, Cause: info.Cause, Res: info.Resource})
-}
-
-// OnFlushInfo implements HazardObserver.
-func (f *Flight) OnFlushInfo(info StallInfo) {
-	f.record(Event{Kind: KindFlush, Pipe: int32(info.Pipe), Stage: int32(info.Stage),
+func (f *Flight) hazard(kind Kind, info StallInfo) {
+	f.record(Event{Kind: kind, Pipe: int32(info.Pipe), Stage: int32(info.Stage),
 		Name: info.SourceOp, Aux: info.Packet, Cause: info.Cause, Res: info.Resource})
 }
 

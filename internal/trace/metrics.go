@@ -23,9 +23,13 @@ type StageMetrics struct {
 	// ("data"/"control"/"structural"/"explicit") when the emitter provides
 	// attribution; unattributed stalls appear only in StallCycles.
 	StallCauseCycles map[string]uint64 `json:"stall_cause_cycles,omitempty"`
+
+	track string // StageTrack(Pipe, Stage): the OpMetrics.StageCycles key
 }
 
-func (s *StageMetrics) stallCause(c Cause) {
+// stall counts one stall cycle, split by cause when attributed.
+func (s *StageMetrics) stall(c Cause) {
+	s.StallCycles++
 	if c == CauseNone {
 		return
 	}
@@ -112,7 +116,7 @@ func (m *Metrics) OnAttach(model string, pipes []PipeInfo) {
 	for _, pi := range pipes {
 		pm := &PipeMetrics{Name: pi.Name}
 		for _, st := range pi.Stages {
-			pm.Stages = append(pm.Stages, &StageMetrics{Pipe: pi.Name, Stage: st})
+			pm.Stages = append(pm.Stages, &StageMetrics{Pipe: pi.Name, Stage: st, track: StageTrack(pi.Name, st)})
 		}
 		m.Pipes = append(m.Pipes, pm)
 	}
@@ -146,7 +150,7 @@ func (m *Metrics) OnDecode(root string, word uint64, hit bool) {
 }
 
 // OnActivate implements Observer.
-func (m *Metrics) OnActivate(string, uint64) { m.Activations++ }
+func (m *Metrics) OnActivate(string, string, uint64) { m.Activations++ }
 
 // OnExec implements Observer.
 func (m *Metrics) OnExec(opName string, pipe, stage int, packet uint64) {
@@ -162,7 +166,7 @@ func (m *Metrics) OnExec(opName string, pipe, stage int, packet uint64) {
 		if o.StageCycles == nil {
 			o.StageCycles = map[string]uint64{}
 		}
-		o.StageCycles[StageTrack(s.Pipe, s.Stage)]++
+		o.StageCycles[s.track]++
 	}
 }
 
@@ -172,64 +176,43 @@ func (m *Metrics) OnBehavior(opName string, statements uint64) {
 }
 
 // OnStall implements Observer. A whole-pipe stall (stage -1) counts one
-// stall cycle on every stage plus the pipe's FullStalls counter.
-func (m *Metrics) OnStall(pipe, stage int) {
-	if pipe < 0 || pipe >= len(m.Pipes) {
+// stall cycle on every stage plus the pipe's FullStalls counter; stall
+// cycles are additionally split by cause.
+func (m *Metrics) OnStall(info StallInfo) {
+	if info.Pipe < 0 || info.Pipe >= len(m.Pipes) {
 		return
 	}
-	p := m.Pipes[pipe]
-	if stage < 0 {
+	p := m.Pipes[info.Pipe]
+	if info.Stage < 0 {
 		p.FullStalls++
 		for _, s := range p.Stages {
-			s.StallCycles++
+			s.stall(info.Cause)
 		}
 		return
 	}
-	if s := m.stage(pipe, stage); s != nil {
-		s.StallCycles++
+	if s := m.stage(info.Pipe, info.Stage); s != nil {
+		s.stall(info.Cause)
 	}
 }
 
-// OnFlush implements Observer.
-func (m *Metrics) OnFlush(pipe, stage int) {
-	if pipe < 0 || pipe >= len(m.Pipes) {
+// OnFlush implements Observer; flushes keep a single per-stage counter
+// (their cause is control by definition).
+func (m *Metrics) OnFlush(info StallInfo) {
+	if info.Pipe < 0 || info.Pipe >= len(m.Pipes) {
 		return
 	}
-	p := m.Pipes[pipe]
-	if stage < 0 {
+	p := m.Pipes[info.Pipe]
+	if info.Stage < 0 {
 		p.FullFlushes++
 		for _, s := range p.Stages {
 			s.Flushes++
 		}
 		return
 	}
-	if s := m.stage(pipe, stage); s != nil {
+	if s := m.stage(info.Pipe, info.Stage); s != nil {
 		s.Flushes++
 	}
 }
-
-// OnStallInfo implements HazardObserver: the plain per-stage counters are
-// kept identical to the uncaused path, with the stall cycles additionally
-// split by cause.
-func (m *Metrics) OnStallInfo(info StallInfo) {
-	m.OnStall(info.Pipe, info.Stage)
-	if info.Pipe < 0 || info.Pipe >= len(m.Pipes) {
-		return
-	}
-	if info.Stage < 0 {
-		for _, s := range m.Pipes[info.Pipe].Stages {
-			s.stallCause(info.Cause)
-		}
-		return
-	}
-	if s := m.stage(info.Pipe, info.Stage); s != nil {
-		s.stallCause(info.Cause)
-	}
-}
-
-// OnFlushInfo implements HazardObserver; flushes keep their single
-// per-stage counter (their cause is control by definition).
-func (m *Metrics) OnFlushInfo(info StallInfo) { m.OnFlush(info.Pipe, info.Stage) }
 
 // OnShift implements Observer.
 func (m *Metrics) OnShift(pipe int) {

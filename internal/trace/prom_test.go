@@ -234,10 +234,10 @@ func TestPromCauseLabels(t *testing.T) {
 	metrics := trace.NewMetrics()
 	metrics.OnAttach("m", []trace.PipeInfo{{Name: "p", Stages: []string{"FE", "EX"}}})
 	metrics.OnStepBegin(0)
-	metrics.OnStallInfo(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseData, Resource: "mem_wait"})
-	metrics.OnStallInfo(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseControl})
-	metrics.OnStallInfo(trace.StallInfo{Pipe: 0, Stage: 0}) // unattributed
-	metrics.OnFlushInfo(trace.StallInfo{Pipe: 0, Stage: -1, Cause: trace.CauseControl})
+	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseData, Resource: "mem_wait"})
+	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseControl})
+	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 0}) // unattributed
+	metrics.OnFlush(trace.StallInfo{Pipe: 0, Stage: -1, Cause: trace.CauseControl})
 	metrics.OnStepEnd(0)
 
 	var buf bytes.Buffer

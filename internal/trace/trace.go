@@ -43,12 +43,16 @@ type Observer interface {
 	OnStepBegin(step uint64)
 	// OnStepEnd marks the end of a control step (after commit/shift).
 	OnStepEnd(step uint64)
-	// OnOccupancy samples stage occupancy of one pipe at step begin.
+	// OnOccupancy samples stage occupancy of one pipe at the end of the
+	// step, before commit and shift: the stages the packets occupied
+	// during the step.
 	OnOccupancy(pipe int, occupied []bool)
 	// OnDecode reports a coding-root decode of word (hit = decode cache).
 	OnDecode(root string, word uint64, hit bool)
-	// OnActivate reports a scheduled activation with its extra delay.
-	OnActivate(target string, delay uint64)
+	// OnActivate reports a scheduled activation as a directed edge:
+	// source is the operation whose ACTIVATION section requested it,
+	// target the operation being scheduled, delay the extra delay.
+	OnActivate(source, target string, delay uint64)
 	// OnExec reports one operation execution in its pipeline context.
 	// packet is the id of the carrying pipeline packet, 0 when none.
 	OnExec(op string, pipe, stage int, packet uint64)
@@ -56,10 +60,12 @@ type Observer interface {
 	// BEHAVIOR section executed (interpreted engines only; inclusive of
 	// directly called operations).
 	OnBehavior(op string, statements uint64)
-	// OnStall reports a stage (or whole-pipe, stage -1) stall request.
-	OnStall(pipe, stage int)
-	// OnFlush reports a stage (or whole-pipe, stage -1) flush.
-	OnFlush(pipe, stage int)
+	// OnStall reports a stage (or whole-pipe, stage -1) stall request
+	// with its hazard attribution.
+	OnStall(info StallInfo)
+	// OnFlush reports a stage (or whole-pipe, stage -1) flush with its
+	// hazard attribution.
+	OnFlush(info StallInfo)
 	// OnShift reports a granted pipeline shift.
 	OnShift(pipe int)
 	// OnRetire reports a packet retiring from the pipe's last stage.
@@ -67,7 +73,9 @@ type Observer interface {
 	// OnResourceWrite reports a scalar resource write (program order,
 	// before latch commit).
 	OnResourceWrite(resource string, value uint64)
-	// OnMemWrite reports a memory element write.
+	// OnMemWrite reports a memory element write. A banked memory folds
+	// the bank into the address: element addr of bank b is reported at
+	// b*Size + addr.
 	OnMemWrite(resource string, addr, value uint64)
 }
 
@@ -80,11 +88,11 @@ func (Nop) OnStepBegin(uint64)                {}
 func (Nop) OnStepEnd(uint64)                  {}
 func (Nop) OnOccupancy(int, []bool)           {}
 func (Nop) OnDecode(string, uint64, bool)     {}
-func (Nop) OnActivate(string, uint64)         {}
+func (Nop) OnActivate(string, string, uint64) {}
 func (Nop) OnExec(string, int, int, uint64)   {}
 func (Nop) OnBehavior(string, uint64)         {}
-func (Nop) OnStall(int, int)                  {}
-func (Nop) OnFlush(int, int)                  {}
+func (Nop) OnStall(StallInfo)                 {}
+func (Nop) OnFlush(StallInfo)                 {}
 func (Nop) OnShift(int)                       {}
 func (Nop) OnRetire(int, int, uint64, int)    {}
 func (Nop) OnResourceWrite(string, uint64)    {}
@@ -142,9 +150,9 @@ func (m Multi) OnDecode(root string, word uint64, hit bool) {
 		o.OnDecode(root, word, hit)
 	}
 }
-func (m Multi) OnActivate(target string, delay uint64) {
+func (m Multi) OnActivate(source, target string, delay uint64) {
 	for _, o := range m {
-		o.OnActivate(target, delay)
+		o.OnActivate(source, target, delay)
 	}
 }
 func (m Multi) OnExec(op string, pipe, stage int, packet uint64) {
@@ -157,14 +165,14 @@ func (m Multi) OnBehavior(op string, statements uint64) {
 		o.OnBehavior(op, statements)
 	}
 }
-func (m Multi) OnStall(pipe, stage int) {
+func (m Multi) OnStall(info StallInfo) {
 	for _, o := range m {
-		o.OnStall(pipe, stage)
+		o.OnStall(info)
 	}
 }
-func (m Multi) OnFlush(pipe, stage int) {
+func (m Multi) OnFlush(info StallInfo) {
 	for _, o := range m {
-		o.OnFlush(pipe, stage)
+		o.OnFlush(info)
 	}
 }
 func (m Multi) OnShift(pipe int) {

@@ -9,19 +9,28 @@ import (
 
 var testPipes = []PipeInfo{{Name: "pipe", Stages: []string{"FE", "DC", "EX", "WB"}}}
 
+// The attributed events feed delivers.
+var (
+	feedEdge  = edge{"decode", "add", 1}
+	feedStall = StallInfo{Pipe: 0, Stage: 1, Cause: CauseData, SourceOp: "ld", Resource: "mem_wait", Packet: 7}
+	feedFlush = StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: "br", Resource: "cond", Packet: 7}
+)
+
 // feed drives a small synthetic 3-step simulation into an observer:
-// step 0: decode miss, exec on FE, stage stall, resource write
-// step 1: decode hit, exec on DC (same packet), whole-pipe flush, shift
+// step 0: decode miss, activation edge, exec on FE, data stall on DC,
+// resource write
+// step 1: decode hit, exec on DC (same packet), whole-pipe control flush,
+// shift
 // step 2: exec on EX, retire of packet 7, mem write
 func feed(o Observer) {
 	o.OnAttach("m", testPipes)
 
 	o.OnStepBegin(0)
 	o.OnDecode("insn", 0x1234, false)
-	o.OnActivate("add", 1)
+	o.OnActivate(feedEdge.source, feedEdge.target, feedEdge.delay)
 	o.OnExec("fetch", 0, 0, 7)
 	o.OnBehavior("fetch", 3)
-	o.OnStall(0, 1)
+	o.OnStall(feedStall)
 	o.OnResourceWrite("pc", 2)
 	o.OnOccupancy(0, []bool{true, false, false, false})
 	o.OnStepEnd(0)
@@ -29,7 +38,7 @@ func feed(o Observer) {
 	o.OnStepBegin(1)
 	o.OnDecode("insn", 0x1234, true)
 	o.OnExec("decode", 0, 1, 7)
-	o.OnFlush(0, -1)
+	o.OnFlush(feedFlush)
 	o.OnShift(0)
 	o.OnOccupancy(0, []bool{true, true, false, false})
 	o.OnStepEnd(1)
@@ -55,13 +64,14 @@ func TestFanout(t *testing.T) {
 		t.Errorf("Fanout with one live observer should return it unwrapped, got %T", got)
 	}
 	f := NewFlight(8)
-	combined := Fanout(m, nil, Fanout(f, NewMetrics()))
+	a, b := &capture{}, &capture{}
+	combined := Fanout(m, nil, Fanout(f, a), b)
 	multi, ok := combined.(Multi)
 	if !ok {
-		t.Fatalf("Fanout of 3 observers = %T, want Multi", combined)
+		t.Fatalf("Fanout of 4 observers = %T, want Multi", combined)
 	}
-	if len(multi) != 3 {
-		t.Errorf("nested Multi not flattened: len = %d, want 3", len(multi))
+	if len(multi) != 4 {
+		t.Errorf("nested Multi not flattened: len = %d, want 4", len(multi))
 	}
 	// Events must reach every member.
 	feed(combined)
@@ -71,7 +81,62 @@ func TestFanout(t *testing.T) {
 	if len(f.Events()) == 0 {
 		t.Error("Multi member Flight recorded no events")
 	}
+	// Attributed events keep their full payload through the fanout.
+	for i, c := range []*capture{a, b} {
+		if len(c.edges) != 1 || c.edges[0] != feedEdge {
+			t.Errorf("member %d activations = %+v, want [%+v]", i, c.edges, feedEdge)
+		}
+		if len(c.stalls) != 1 || c.stalls[0] != feedStall {
+			t.Errorf("member %d stalls = %+v, want [%+v]", i, c.stalls, feedStall)
+		}
+		if len(c.flushes) != 1 || c.flushes[0] != feedFlush {
+			t.Errorf("member %d flushes = %+v, want [%+v]", i, c.flushes, feedFlush)
+		}
+	}
 }
+
+// targetOnly keeps only the activation target, like the recorder and the
+// verifier do.
+type targetOnly struct {
+	Nop
+	got []string
+}
+
+func (l *targetOnly) OnActivate(_, target string, _ uint64) { l.got = append(l.got, target) }
+
+// TestMultiRedispatchesEdges: a fanout hands each member the whole
+// activation edge, through nested fanouts too, whether the member uses
+// the source or not.
+func TestMultiRedispatchesEdges(t *testing.T) {
+	tgt, c := &targetOnly{}, &capture{}
+	m := Multi{tgt, Multi{c}}
+	m.OnActivate("decode", "mac", 2)
+	if len(tgt.got) != 1 || tgt.got[0] != "mac" {
+		t.Fatalf("target-only member got %v, want [mac]", tgt.got)
+	}
+	if want := (edge{"decode", "mac", 2}); len(c.edges) != 1 || c.edges[0] != want {
+		t.Fatalf("nested member got %+v, want [%+v]", c.edges, want)
+	}
+}
+
+// edge is one activation as OnActivate reports it.
+type edge struct {
+	source, target string
+	delay          uint64
+}
+
+// capture keeps the payload of every activation, stall and flush.
+type capture struct {
+	Nop
+	edges           []edge
+	stalls, flushes []StallInfo
+}
+
+func (c *capture) OnActivate(source, target string, delay uint64) {
+	c.edges = append(c.edges, edge{source, target, delay})
+}
+func (c *capture) OnStall(info StallInfo) { c.stalls = append(c.stalls, info) }
+func (c *capture) OnFlush(info StallInfo) { c.flushes = append(c.flushes, info) }
 
 func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics()
@@ -132,6 +197,17 @@ func TestMetricsCounters(t *testing.T) {
 	alu := m.Ops["alu"]
 	if alu.FirstStep != 2 || alu.LastStep != 2 {
 		t.Errorf("alu First/LastStep = %d/%d, want 2/2", alu.FirstStep, alu.LastStep)
+	}
+}
+
+// TestMetricsOnExecAllocFree: a warm staged execution allocates nothing;
+// the stage's track name is built once, at attach time.
+func TestMetricsOnExecAllocFree(t *testing.T) {
+	m := NewMetrics()
+	m.OnAttach("m", testPipes)
+	m.OnExec("alu", 0, 2, 7)
+	if n := testing.AllocsPerRun(100, func() { m.OnExec("alu", 0, 2, 7) }); n != 0 {
+		t.Errorf("warm staged OnExec allocates %v times, want 0", n)
 	}
 }
 
@@ -238,18 +314,18 @@ func TestChromeTracer(t *testing.T) {
 
 // TestChromeHazardArgs checks that attributed stalls and flushes carry
 // their cause, resource, op and packet as instant args, whole-pipe events
-// are labeled and fan out to every stage track, and plain (unattributed)
-// OnStall instants stay args-free.
+// are labeled and fan out to every stage track, and unattributed stall
+// instants stay args-free.
 func TestChromeHazardArgs(t *testing.T) {
 	c := NewChromeTracer()
 	c.OnAttach("m", testPipes)
 	c.OnStepBegin(0)
-	c.OnStallInfo(StallInfo{
+	c.OnStall(StallInfo{
 		Pipe: 0, Stage: 2, Cause: CauseData,
 		Resource: "mem_wait", SourceOp: "ld", Packet: 7,
 	})
-	c.OnFlushInfo(StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: "br"})
-	c.OnStall(0, 1) // legacy path: no attribution
+	c.OnFlush(StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: "br"})
+	c.OnStall(StallInfo{Pipe: 0, Stage: 1}) // no attribution
 	c.OnStepEnd(0)
 
 	var buf bytes.Buffer
@@ -294,7 +370,7 @@ func TestChromeHazardArgs(t *testing.T) {
 		t.Errorf("attributed stall instants = %d, want 1", stalls)
 	}
 	if bareStalls != 1 {
-		t.Errorf("unattributed stall instants = %d, want 1 (legacy OnStall must stay args-free)", bareStalls)
+		t.Errorf("unattributed stall instants = %d, want 1 (they must stay args-free)", bareStalls)
 	}
 	// A whole-pipe flush lands on every stage track of the 4-stage pipe.
 	if flushes != len(testPipes[0].Stages) {
@@ -362,6 +438,8 @@ func TestFlightEventStrings(t *testing.T) {
 		"#0 write pc = 0x2",
 		"#2 retire pipe=0 stage=3 packet=0x7 entries=2",
 		"#2 write mem[0x10] = 0x2a",
+		"#0 stall pipe=0 stage=1 cause=data(mem_wait) by=ld packet=0x7",
+		"#1 flush pipe=0 stage=-1 cause=control(cond) by=br packet=0x7",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Dump missing %q in:\n%s", want, out)

@@ -16,8 +16,11 @@ import (
 	"golisa/internal/trace"
 )
 
-// Writer emits a VCD trace.
+// Writer emits a VCD trace. It is a trace.Observer: attached to a
+// simulator (after Header), it samples every signal at the end of each
+// control step.
 type Writer struct {
+	trace.Nop
 	w     io.Writer
 	state *model.State
 	pipes []*pipeline.Pipe
@@ -149,3 +152,7 @@ func (v *Writer) Step(step uint64) {
 		v.started = true
 	}
 }
+
+// OnStepEnd implements trace.Observer: the state after control step step
+// is sampled at time step+1.
+func (v *Writer) OnStepEnd(step uint64) { v.Step(step + 1) }

@@ -1,12 +1,16 @@
 package vcd
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
+	"golisa/internal/core"
 	"golisa/internal/parser"
 	"golisa/internal/pipeline"
 	"golisa/internal/sema"
+	"golisa/internal/sim"
 
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
@@ -228,5 +232,47 @@ func TestRewriteSameValueNoDuplicate(t *testing.T) {
 	}
 	if w.Err() != nil {
 		t.Fatal(w.Err())
+	}
+}
+
+// TestObserverGoldenHazard16 attaches the writer as an observer to a
+// hazard16 run on every engine and reproduces testdata/hazard16.vcd byte
+// for byte. That file is lisa-sim -vcd's dump of
+// internal/models/testdata/hazard16.s from before the writer became an
+// observer; do not regenerate it from the code under test.
+func TestObserverGoldenHazard16(t *testing.T) {
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	mc, err := core.LoadMachine("hazard16", string(read("../models/testdata/hazard16.lisa")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, want := read("../models/testdata/hazard16.s"), read("testdata/hazard16.vcd")
+	for _, mode := range []sim.Mode{sim.Interpretive, sim.Compiled, sim.CompiledPrebound} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s, _, err := mc.AssembleAndLoad(string(prog), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			w := New(&buf, s.S, s.Pipes())
+			w.Header(mc.Model.Name)
+			s.SetObserver(w)
+			if _, err := s.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			if w.Err() != nil {
+				t.Fatal(w.Err())
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("VCD differs from testdata/hazard16.vcd:\n%s", buf.Bytes())
+			}
+		})
 	}
 }
