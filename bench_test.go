@@ -676,41 +676,66 @@ func BenchmarkCosim(b *testing.B) {
 
 // --- E8: generated assembler / disassembler --------------------------------------------
 
+// asmKernels are E8's programs, one per stock model with an assembler
+// worth measuring: simple16's 18-instruction set and c62x's 37 VLIW
+// instructions in 8-word fetch packets.
+var asmKernels = []struct {
+	name, model, src string
+}{
+	{"simple16/fir8x16", "simple16", firKernel},
+	{"c62x/dot16-parallel", "c62x", c62xDotParallel()},
+}
+
 func BenchmarkAssemble(b *testing.B) {
-	m := loadMachine(b, "simple16")
-	a, err := m.NewAssembler()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.Assemble(firKernel); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range asmKernels {
+		b.Run(k.name, func(b *testing.B) {
+			a, err := loadMachine(b, k.model).NewAssembler()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := a.Assemble(k.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Assemble(k.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(prog.Words)), "us/word")
+		})
 	}
 }
 
 func BenchmarkDisassemble(b *testing.B) {
-	m := loadMachine(b, "simple16")
-	a, err := m.NewAssembler()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := m.NewDisassembler()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := a.Assemble(firKernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, w := range prog.Words {
-			if _, err := d.Disassemble(w); err != nil {
+	for _, k := range asmKernels {
+		b.Run(k.name, func(b *testing.B) {
+			m := loadMachine(b, k.model)
+			a, err := m.NewAssembler()
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			d, err := m.NewDisassembler()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := a.Assemble(k.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, w := range prog.Words {
+					if _, err := d.Disassemble(w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*len(prog.Words)), "us/word")
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"golisa/internal/ast"
 	"golisa/internal/coding"
 	"golisa/internal/model"
 )
@@ -19,14 +20,29 @@ type Program struct {
 	Lines []int
 }
 
+// maxImageWords bounds the location counter on a model that declares no
+// program memory. Assemble stores every address it passes as a word, so
+// without a bound one .space or .org could demand more memory than the
+// host has.
+const maxImageWords = 1 << 20
+
 // Assembler is the retargetable two-pass assembler generated from a model.
+// NewAssembler fills it and nothing writes it afterwards.
 type Assembler struct {
 	m    *model.Model
 	root *model.Operation
 	// instruction candidates in declaration order: the members of the
 	// coding root's group closure that carry syntax.
 	candidates []*model.Operation
-	enc        *coding.Encoder
+	// literals[i][j] holds the trimmed, non-empty ASCII literals of the
+	// j-th syntax variant of candidates[i], upper-cased. A variant matches
+	// only statements that contain each of them (see mayMatch).
+	literals [][][]string
+	enc      *coding.Encoder
+	// end is the address the location counter may not pass: the end of
+	// the program memory, or maxImageWords; endName names it in errors.
+	end     uint64
+	endName string
 }
 
 // NewAssembler builds an assembler from the model's coding root. When the
@@ -53,6 +69,28 @@ func NewAssembler(m *model.Model) (*Assembler, error) {
 	}
 	if len(a.candidates) == 0 {
 		return nil, fmt.Errorf("coding root %s has no instruction group", root.Name)
+	}
+	for _, op := range a.candidates {
+		var variants [][]string
+		for _, v := range op.Variants {
+			if v.Syntax == nil {
+				continue
+			}
+			var lits []string
+			for _, e := range v.Syntax.Elems {
+				if el, ok := e.(*ast.SyntaxString); ok {
+					if lit := strings.TrimSpace(el.Text); lit != "" && isASCII(lit) {
+						lits = append(lits, asciiUpper(lit))
+					}
+				}
+			}
+			variants = append(variants, lits)
+		}
+		a.literals = append(a.literals, variants)
+	}
+	a.end, a.endName = maxImageWords, "the image"
+	if pm := m.ProgramMemory(); pm != nil {
+		a.end, a.endName = pm.Base+pm.Size, "program memory "+pm.Name
 	}
 	return a, nil
 }
@@ -146,6 +184,12 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 			return nil, err
 		}
 		if newAddr != nil {
+			if *newAddr < addr {
+				return nil, fmt.Errorf("line %d: .org %#x is below the location counter %#x", s.lineNo, *newAddr, addr)
+			}
+			if *newAddr > a.end {
+				return nil, a.pastEnd(s.lineNo)
+			}
 			if !originSet && n == 0 {
 				origin = *newAddr
 				originSet = true
@@ -156,6 +200,9 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 		if !originSet {
 			origin = addr
 			originSet = true
+		}
+		if n > a.end-addr {
+			return nil, a.pastEnd(s.lineNo)
 		}
 		addr += n
 	}
@@ -189,6 +236,11 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 		emit(word.Uint(), s.lineNo)
 	}
 	return prog, nil
+}
+
+// pastEnd reports a statement that moves the location counter past a.end.
+func (a *Assembler) pastEnd(lineNo int) error {
+	return fmt.Errorf("line %d: location counter passes the end of %s at %#x", lineNo, a.endName, a.end)
 }
 
 // sizeOf computes the word count of a statement for pass 1; directives that
@@ -269,9 +321,30 @@ func (a *Assembler) directive(s stmt, addr *uint64, emit func(uint64, int)) erro
 // MatchStatement matches one instruction statement and returns its bound
 // instance. symbols may be nil when no symbolic operands occur.
 func (a *Assembler) MatchStatement(text string, symbols map[string]uint64) (*model.Instance, error) {
+	if in, err := a.match(text, symbols, true); err == nil {
+		return in, nil
+	}
+	// The literal filter skips only candidates that cannot match, but a
+	// skipped candidate may fail with an error of its own before it gets
+	// to the missing literal. Matching again over every candidate reports
+	// the error the first failing candidate gives.
+	return a.match(text, symbols, false)
+}
+
+// match tries the candidates in declaration order and returns the first
+// that matches the whole statement; with filter set it skips the
+// candidates mayMatch rules out.
+func (a *Assembler) match(text string, symbols map[string]uint64, filter bool) (*model.Instance, error) {
 	mt := &matcher{m: a.m, symbols: symbols}
+	var upper string
+	if filter {
+		upper = asciiUpper(text)
+	}
 	var firstErr error
-	for _, op := range a.candidates {
+	for i, op := range a.candidates {
+		if filter && !a.mayMatch(i, upper) {
+			continue
+		}
 		st := &matchState{text: text}
 		in, ok, err := mt.matchOperation(op, st)
 		if err != nil {
@@ -288,6 +361,53 @@ func (a *Assembler) MatchStatement(text string, symbols map[string]uint64) (*mod
 		return nil, firstErr
 	}
 	return nil, fmt.Errorf("no instruction matches %q", text)
+}
+
+// mayMatch reports whether some syntax variant of candidates[i] has all its
+// literals in upper, the statement with its ASCII letters upper-cased.
+// matchLiteral compares a literal with an equal-length window of the
+// statement by strings.EqualFold, which for an ASCII literal holds only on
+// an ASCII window equal up to ASCII case, so a variant with a literal upper
+// lacks cannot match.
+func (a *Assembler) mayMatch(i int, upper string) bool {
+variants:
+	for _, lits := range a.literals[i] {
+		for _, lit := range lits {
+			if !strings.Contains(upper, lit) {
+				continue variants
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// asciiUpper upper-cases the ASCII letters of s and leaves every other
+// byte as it is.
+func asciiUpper(s string) string {
+	i := 0
+	for i < len(s) && (s[i] < 'a' || s[i] > 'z') {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	b := []byte(s)
+	for ; i < len(b); i++ {
+		if c := b[i]; c >= 'a' && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // AssembleStatement assembles one statement directly to a word.

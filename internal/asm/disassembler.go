@@ -18,6 +18,8 @@ type Disassembler struct {
 	m    *model.Model
 	root *model.Operation
 	dec  *coding.Decoder
+	// refs names the root coding's references in coding order.
+	refs []string
 }
 
 // NewDisassembler builds a disassembler from the model's first coding root.
@@ -32,7 +34,15 @@ func NewDisassembler(m *model.Model) (*Disassembler, error) {
 	if root == nil {
 		return nil, fmt.Errorf("model %s has no coding root", m.Name)
 	}
-	return &Disassembler{m: m, root: root, dec: coding.NewDecoder(m)}, nil
+	d := &Disassembler{m: m, root: root, dec: coding.NewDecoder(m)}
+	if sec := coding.RootCoding(root); sec != nil {
+		for _, e := range sec.Elems {
+			if ref, ok := e.(*ast.CodingRef); ok {
+				d.refs = append(d.refs, ref.Name)
+			}
+		}
+	}
+	return d, nil
 }
 
 // Disassemble decodes one instruction word and renders it. Because group
@@ -48,9 +58,9 @@ func (d *Disassembler) Disassemble(word uint64) (string, error) {
 		return "", err
 	}
 	// The root instance binds the instruction group(s); render the first
-	// bound child that has syntax.
-	for _, child := range in.Bindings {
-		if child != nil && child.Variant != nil && child.Variant.Syntax != nil {
+	// bound child, in coding order, that has syntax.
+	for _, name := range d.refs {
+		if child := in.Bindings[name]; child != nil && child.Variant != nil && child.Variant.Syntax != nil {
 			return d.Render(child)
 		}
 	}

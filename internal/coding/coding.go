@@ -14,12 +14,24 @@ import (
 )
 
 // Decoder matches instruction words against a model's coding trees.
+// NewDecoder fills it and nothing writes it afterwards, so one decoder
+// serves concurrent simulators.
 type Decoder struct {
 	m *model.Model
+	// masks[op.Index] is op's fixed-bit constraint (maskOf). decodeGroup
+	// skips a member whose constraint the word fails instead of decoding
+	// it; nil leaves the plain first-match trial.
+	masks []memberMask
 }
 
 // NewDecoder creates a decoder over the model.
-func NewDecoder(m *model.Model) *Decoder { return &Decoder{m: m} }
+func NewDecoder(m *model.Model) *Decoder {
+	d := &Decoder{m: m, masks: make([]memberMask, len(m.OpList))}
+	for i, op := range m.OpList {
+		d.masks[i] = maskOf(m, op)
+	}
+	return d
+}
 
 // DecodeRoot decodes word against the coding root of root (an operation
 // whose CODING compares a resource to a group, paper Example 3). It returns
@@ -28,13 +40,7 @@ func (d *Decoder) DecodeRoot(root *model.Operation, word bitvec.Value) (*model.I
 	if !root.IsCodingRoot {
 		return nil, fmt.Errorf("operation %s is not a coding root", root.Name)
 	}
-	var sec *ast.CodingSec
-	for _, v := range root.Variants {
-		if v.Coding != nil && v.Coding.CompareTo != "" {
-			sec = v.Coding
-			break
-		}
-	}
+	sec := RootCoding(root)
 	if sec == nil {
 		return nil, fmt.Errorf("coding root %s has no root coding section", root.Name)
 	}
@@ -65,6 +71,17 @@ func (d *Decoder) DecodeRoot(root *model.Operation, word bitvec.Value) (*model.I
 // testing sub-trees and for the assembler's consistency checks).
 func (d *Decoder) Decode(op *model.Operation, word bitvec.Value) (*model.Instance, error) {
 	return d.decodeOp(op, word.Resize(op.CodingWidth))
+}
+
+// RootCoding returns the coding section of a coding root, the one that
+// compares a resource to the coding tree, or nil.
+func RootCoding(op *model.Operation) *ast.CodingSec {
+	for _, v := range op.Variants {
+		if v.Coding != nil && v.Coding.CompareTo != "" {
+			return v.Coding
+		}
+	}
+	return nil
 }
 
 // codingOf returns the operation's (non-root) coding section, or nil.
@@ -165,22 +182,41 @@ func (d *Decoder) matchElems(op *model.Operation, in *model.Instance, elems []as
 }
 
 // decodeGroup tries the group's members in declaration order and returns the
-// first whose coding matches (the paper's selection rule).
+// first whose coding matches (the paper's selection rule). A member whose
+// fixed bits the word fails cannot match and is not decoded. When no member
+// matches, the error wraps the first member's.
 func (d *Decoder) decodeGroup(g *model.Group, bits bitvec.Value) (*model.Instance, error) {
 	var firstErr error
-	for _, mem := range g.Members {
+	for i, mem := range g.Members {
+		if d.rejects(mem, bits) {
+			continue
+		}
 		in, err := d.decodeOp(mem, bits)
 		if err == nil {
 			return in, nil
 		}
-		if firstErr == nil {
+		if i == 0 {
 			firstErr = err
 		}
 	}
-	if firstErr == nil {
+	switch {
+	case len(g.Members) == 0:
 		firstErr = fmt.Errorf("group has no members")
+	case firstErr == nil:
+		_, firstErr = d.decodeOp(g.Members[0], bits)
 	}
 	return nil, fmt.Errorf("no member matches %s: %w", bits.BinString(), firstErr)
+}
+
+// rejects reports whether bits fail op's fixed-bit constraint, which rules
+// out every match. The constraint is applied only when it spans exactly the
+// bits being matched.
+func (d *Decoder) rejects(op *model.Operation, bits bitvec.Value) bool {
+	if op.Index >= len(d.masks) {
+		return false // added to the model after NewDecoder
+	}
+	mk := &d.masks[op.Index]
+	return mk.ok && mk.width == bits.Width() && bits.Uint()&mk.mask != mk.value
 }
 
 func groupWidth(g *model.Group) int {

@@ -23,7 +23,8 @@ type Unreachable struct {
 // coding: word w can match the member only if w&mask == value. pure marks
 // codings made of patterns and fields only — for those the constraint is
 // exact (matching is equivalent to w&mask == value), for codings with
-// references it is merely necessary.
+// references it is merely necessary. FindUnreachable compares these
+// constraints; the decoder skips members whose constraint a word fails.
 type memberMask struct {
 	width int
 	mask  uint64

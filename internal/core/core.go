@@ -74,10 +74,8 @@ func (mc *Machine) Stats() model.Stats {
 // ProgramMemory returns the name of the model's program memory (the first
 // PROGRAM_MEMORY resource), or an error when the model has none.
 func (mc *Machine) ProgramMemory() (string, error) {
-	for _, r := range mc.Model.Resources {
-		if r.Class.String() == "PROGRAM_MEMORY" && r.IsMemory() {
-			return r.Name, nil
-		}
+	if r := mc.Model.ProgramMemory(); r != nil {
+		return r.Name, nil
 	}
 	return "", fmt.Errorf("model %s has no PROGRAM_MEMORY resource", mc.Model.Name)
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"golisa/internal/core"
@@ -144,6 +145,27 @@ func TestFleetJobErrorIsolation(t *testing.T) {
 		if r := sum.Results[i]; r.Err != "" || !r.Halted {
 			t.Errorf("good job %d disturbed: %+v", i, r)
 		}
+	}
+}
+
+// TestFleetHugeSpaceIsJobError checks that a program padding far past the
+// program memory fails its own job with a line-numbered error instead of
+// exhausting the process's memory; POST /batch manifests reach Run too.
+func TestFleetHugeSpaceIsJobError(t *testing.T) {
+	mc, src := loadFIR(t)
+	jobs := []Job{
+		{Name: "huge", Source: "NOP\n.space 0x7fffffffff\n"},
+		{Name: "fir", Source: src},
+	}
+	sum, err := Run(mc, sim.Compiled, jobs, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Failed != 1 || !strings.Contains(sum.Results[0].Err, "line 2") {
+		t.Fatalf("Failed = %d, huge job error %q; want 1 failure with a line 2 error", sum.Failed, sum.Results[0].Err)
+	}
+	if r := sum.Results[1]; r.Err != "" || !r.Halted {
+		t.Errorf("FIR job disturbed: %+v", r)
 	}
 }
 

@@ -82,6 +82,17 @@ type Resource struct {
 // IsMemory reports whether the resource has an array extent.
 func (r *Resource) IsMemory() bool { return r.Size > 0 }
 
+// ProgramMemory returns the model's program memory, the first
+// PROGRAM_MEMORY resource with an array extent, or nil when it has none.
+func (m *Model) ProgramMemory() *Resource {
+	for _, r := range m.Resources {
+		if r.Class == ast.ClassProgramMemory && r.IsMemory() {
+			return r
+		}
+	}
+	return nil
+}
+
 // Total returns the total number of elements across banks.
 func (r *Resource) Total() uint64 {
 	if r.Banks > 0 {
