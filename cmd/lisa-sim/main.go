@@ -43,10 +43,10 @@ import (
 	"strings"
 	"time"
 
-	"golisa/internal/bitvec"
 	"golisa/internal/cli"
 	"golisa/internal/core"
 	"golisa/internal/gosim"
+	"golisa/internal/model"
 	"golisa/internal/otrace"
 	"golisa/internal/sim"
 	"golisa/internal/trace"
@@ -181,21 +181,7 @@ func main() {
 		cli.Fail(f.Close())
 	}
 
-	for _, name := range strings.Split(*dumpRegs, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		r := s.M.Resource(name)
-		if r == nil || !r.IsMemory() {
-			cli.Fail(fmt.Errorf("no register file %q", name))
-		}
-		for i := uint64(0); i < r.Total(); i++ {
-			v, err := s.Mem(name, i+r.Base)
-			cli.Fail(err)
-			fmt.Printf("%s%-2d = %d\n", name, i, v.Int())
-		}
-	}
+	printRegs(s.M, s.S, *dumpRegs)
 
 	sess.WritePerf(n, runElapsed)
 	sess.WriteBundle(n, runElapsed)
@@ -234,19 +220,37 @@ func runGenerated(tr *otrace.Trace, m *core.Machine, common *cli.Common, src, du
 	} else {
 		fmt.Printf("; IR fallback (%s), run loop %s\n", res.Fallback, time.Duration(res.RunNs))
 	}
-	for _, name := range strings.Split(dumpRegs, ",") {
+	printRegs(m.Model, p.StateFrom(res.Scalars, res.Arrays), dumpRegs)
+	return true
+}
+
+// printRegs prints every element of the comma-separated register files
+// in names from the final state st: "A0 = v" per element of a plain
+// file, "vreg[b][i] = v" per bank b and element i of a banked one.
+func printRegs(m *model.Model, st *model.State, names string) {
+	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		r := m.Model.Resource(name)
+		r := m.Resource(name)
 		if r == nil || !r.IsMemory() {
 			cli.Fail(fmt.Errorf("no register file %q", name))
 		}
-		vals := res.Arrays[r.Slot]
-		for i := uint64(0); i < r.Total() && i < uint64(len(vals)); i++ {
-			fmt.Printf("%s%-2d = %d\n", name, i, bitvec.New(vals[i], r.Width).Int())
+		if r.Banks <= 0 {
+			for i := uint64(0); i < r.Size; i++ {
+				v, err := st.ReadElem(r, r.Base+i)
+				cli.Fail(err)
+				fmt.Printf("%s%-2d = %d\n", name, i, v.Int())
+			}
+			continue
+		}
+		for b := uint64(0); b < uint64(r.Banks); b++ {
+			for i := uint64(0); i < r.Size; i++ {
+				v, err := st.ReadBanked(r, b, r.Base+i)
+				cli.Fail(err)
+				fmt.Printf("%s[%d][%d] = %d\n", name, b, i, v.Int())
+			}
 		}
 	}
-	return true
 }

@@ -68,7 +68,7 @@ func (b *Batch) Run(tr *otrace.Trace, mc *core.Machine, mode sim.Mode, max uint6
 		mc = LoadModel(man.Model)
 	}
 	if man.Mode != "" {
-		if mode, err = fleet.ParseMode(man.Mode); err != nil {
+		if mode, err = sim.ParseMode(man.Mode); err != nil {
 			return err
 		}
 	}
@@ -80,38 +80,30 @@ func (b *Batch) Run(tr *otrace.Trace, mc *core.Machine, mode sim.Mode, max uint6
 		opt.MaxSteps = max
 	}
 
-	// The whole batch runs under one trace: every telemetry sink, perf
-	// record and timeline lane below carries its TraceID.
+	// The whole batch runs under one trace: every sink, perf record and
+	// timeline lane below reads its spans and carries its TraceID.
 	if tr == nil {
 		tr = otrace.New(Tool + " batch")
 	}
 	opt.Trace = tr
-
-	// Telemetry sinks requested by the flags all ride the same spans.
-	var teles []fleet.Telemetry
 	if b.TraceOut != "" {
-		// Wired through Options.Chrome (not the telemetry fanout) so the
-		// fleet can merge per-job simulator lanes into the batch timeline.
 		opt.Chrome = fleet.NewChromeSpans()
-	}
-	var fm *fleet.Metrics
-	if b.MetricsOut != "" {
-		fm = fleet.NewMetrics()
-		teles = append(teles, fm)
 	}
 	var stream *fleet.Streamer
 	if b.Progress {
 		stream = fleet.NewStreamer(os.Stdout)
-		teles = append(teles, stream)
+		opt.OnResult = stream.WriteJob
 	}
-	opt.Telemetry = fleet.TeleFanout(teles...)
 
 	sum, err := fleet.Run(mc, mode, man.Jobs, opt)
 	if err != nil {
 		return err
 	}
-	if stream != nil && stream.Err() != nil {
-		return stream.Err()
+	if stream != nil {
+		stream.WriteSummary(sum)
+		if stream.Err() != nil {
+			return stream.Err()
+		}
 	}
 
 	if !b.Progress {
@@ -178,7 +170,9 @@ func (b *Batch) Run(tr *otrace.Trace, mc *core.Machine, mode sim.Mode, max uint6
 			return err
 		}
 	}
-	if fm != nil {
+	if b.MetricsOut != "" {
+		fm := fleet.NewMetrics()
+		fm.Add(sum)
 		if err := writeFile(b.MetricsOut, fm.WriteText); err != nil {
 			return err
 		}

@@ -41,9 +41,6 @@ func FailUsage(err error) {
 	os.Exit(2)
 }
 
-// ValidModes is the -mode vocabulary, in help-text order.
-const ValidModes = "interpretive, compiled, prebound, generated"
-
 // LoadModel loads a builtin model by name, or a .lisa file by path (the
 // model name is the file's base name without extension). Errors exit.
 func LoadModel(name string) *core.Machine {
@@ -57,21 +54,8 @@ func LoadModel(name string) *core.Machine {
 	return m
 }
 
-// ParseMode maps a -mode flag value to a simulation mode.
-func ParseMode(name string) (sim.Mode, error) {
-	switch name {
-	case "interpretive":
-		return sim.Interpretive, nil
-	case "compiled":
-		return sim.Compiled, nil
-	case "prebound":
-		return sim.CompiledPrebound, nil
-	case "generated":
-		return sim.Generated, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (valid modes: %s)", name, ValidModes)
-	}
-}
+// ParseMode maps a -mode flag value to a simulation mode (sim.ParseMode).
+func ParseMode(name string) (sim.Mode, error) { return sim.ParseMode(name) }
 
 // Common is the -model/-mode/-max flag group shared by the simulating
 // tools.
@@ -88,7 +72,7 @@ type Common struct {
 // Register defines the flags on fs (flag.CommandLine in the tools).
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Model, "model", "simple16", "builtin model name or path to a .lisa file")
-	fs.StringVar(&c.Mode, "mode", "compiled", "simulation mode: "+ValidModes)
+	fs.StringVar(&c.Mode, "mode", "compiled", "simulation mode: "+sim.ValidModes)
 	fs.Uint64Var(&c.Max, "max", 1_000_000, "maximum control steps")
 	fs.StringVar(&c.GenCache, "gen-cache", "", "generated mode: runner build-cache directory (default: a per-user cache dir)")
 	AddVersionFlag(fs)
@@ -104,7 +88,7 @@ func (c *Common) Load() (*core.Machine, sim.Mode) {
 		FailUsage(err)
 	}
 	if c.GenCache != "" && mode != sim.Generated {
-		FailUsage(fmt.Errorf("-gen-cache applies only to -mode generated, not -mode %s (valid modes: %s)", c.Mode, ValidModes))
+		FailUsage(fmt.Errorf("-gen-cache applies only to -mode generated, not -mode %s (valid modes: %s)", c.Mode, sim.ValidModes))
 	}
 	return LoadModel(c.Model), mode
 }

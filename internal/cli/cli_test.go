@@ -24,10 +24,18 @@ func TestParseMode(t *testing.T) {
 		"interpretive": sim.Interpretive,
 		"compiled":     sim.Compiled,
 		"prebound":     sim.CompiledPrebound,
+		"generated":    sim.Generated,
 	} {
 		got, err := ParseMode(name)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v", name, got, err)
+		}
+	}
+	// Every mode's String() — the name summaries, stream records and
+	// ledger engine keys carry — parses back to the mode.
+	for m := sim.Mode(0); !strings.HasPrefix(m.String(), "Mode("); m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
 	}
 	if _, err := ParseMode("warp"); err == nil {

@@ -170,21 +170,19 @@ func (o *Obs) Setup(tr *otrace.Trace, mc *core.Machine, s *sim.Simulator, prog *
 			sess.Metrics = trace.NewMetrics()
 			observers = append(observers, sess.Metrics)
 		}
-		// One fleet metrics collector observes every batch the server
-		// runs and is exposed at /batch/metrics.
-		fm := fleet.NewMetrics()
 		sess.Server = debug.NewServer(s, debug.Options{
-			Metrics:      sess.Metrics,
-			Flight:       sess.Flight,
-			Profiler:     sess.Profiler,
-			Recorder:     sess.Recorder,
-			Analyzer:     sess.Analyzer,
-			Cover:        sess.Cover,
-			Perf:         sess.PerfRecord,
-			Batch:        &fleet.Service{Machine: mc, Mode: s.Mode(), Telemetry: fm},
-			BatchMetrics: fm,
-			StartPaused:  o.HTTPPaused,
-			Log:          Log(),
+			Metrics:  sess.Metrics,
+			Flight:   sess.Flight,
+			Profiler: sess.Profiler,
+			Recorder: sess.Recorder,
+			Analyzer: sess.Analyzer,
+			Cover:    sess.Cover,
+			Perf:     sess.PerfRecord,
+			// One fleet metrics collector accounts for every batch the
+			// server runs and is exposed at /batch/metrics.
+			Batch:       &fleet.Service{Machine: mc, Mode: s.Mode(), Metrics: fleet.NewMetrics()},
+			StartPaused: o.HTTPPaused,
+			Log:         Log(),
 			// /bundle runs under the controller funnel, so the mid-run
 			// capture sees a consistent step boundary (no wall tier).
 			Bundle: func() (*bundle.Builder, error) {

@@ -351,8 +351,8 @@ func TestProcessMetrics(t *testing.T) {
 	}
 	fm := fleet.NewMetrics()
 	srv := debug.NewServer(s, debug.Options{
-		Metrics:      trace.NewMetrics(),
-		BatchMetrics: fm,
+		Metrics: trace.NewMetrics(),
+		Batch:   &fleet.Service{Metrics: fm},
 	})
 	srv.Finish()
 	ts := httptest.NewServer(srv.Handler())

@@ -59,13 +59,10 @@ type Options struct {
 	Perf func() *perf.RunRecord
 	// Batch backs POST /batch and POST /batch/stream: a manifest of jobs
 	// run over one shared compiled-model artifact (internal/fleet),
-	// independent of the live simulation.
+	// independent of the live simulation. Its Metrics collector, when
+	// set, backs GET /batch/metrics (Prometheus exposition of the fleet's
+	// counters: jobs, failures, in-flight gauge, latency histogram).
 	Batch *fleet.Service
-	// BatchMetrics backs GET /batch/metrics (Prometheus exposition of the
-	// fleet's counters: jobs, failures, in-flight gauge, latency
-	// histogram). Typically the same collector installed as
-	// Batch.Telemetry so every batch feeds it.
-	BatchMetrics *fleet.Metrics
 	// StartPaused stops the simulation at its first step boundary so
 	// breakpoints can be placed before any instruction runs.
 	StartPaused bool
@@ -647,7 +644,7 @@ func (srv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sum, err := srv.opts.Batch.RunTraced(man, nil, srv.requestTrace(r))
+	sum, err := srv.opts.Batch.Run(man, nil, srv.requestTrace(r))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
@@ -679,22 +676,24 @@ func (srv *Server) handleBatchStream(w http.ResponseWriter, r *http.Request) {
 	// error can still replace them with a JSON error response.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	st := fleet.NewStreamer(w)
-	if _, err := srv.opts.Batch.RunTraced(man, st, srv.requestTrace(r)); err != nil {
+	sum, err := srv.opts.Batch.Run(man, st.WriteJob, srv.requestTrace(r))
+	if err != nil {
 		jsonError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	st.WriteSummary(sum)
 }
 
 // handleBatchMetrics serves the fleet metrics collector (Prometheus text
 // exposition). Unlike /metrics it does not synchronize with the live
 // simulation — the fleet collector locks its own state.
 func (srv *Server) handleBatchMetrics(w http.ResponseWriter, r *http.Request) {
-	if srv.opts.BatchMetrics == nil {
+	if srv.opts.Batch == nil || srv.opts.Batch.Metrics == nil {
 		jsonError(w, http.StatusNotFound, "no fleet metrics collector attached")
 		return
 	}
 	var buf strings.Builder
-	if err := srv.opts.BatchMetrics.WriteText(&buf); err != nil {
+	if err := srv.opts.Batch.Metrics.WriteText(&buf); err != nil {
 		jsonError(w, http.StatusInternalServerError, err.Error())
 		return
 	}

@@ -31,8 +31,7 @@ func newBatchServer(t *testing.T) (*httptest.Server, *fleet.Metrics) {
 	}
 	fm := fleet.NewMetrics()
 	srv := debug.NewServer(s, debug.Options{
-		Batch:        &fleet.Service{Machine: m, Mode: sim.Compiled, Telemetry: fm},
-		BatchMetrics: fm,
+		Batch: &fleet.Service{Machine: m, Mode: sim.Compiled, Metrics: fm},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"golisa/internal/otrace"
 	"golisa/internal/sim"
 )
 
@@ -60,46 +61,53 @@ func BenchmarkFleetScaling(b *testing.B) {
 }
 
 // BenchmarkFleetTelemetryOverhead measures what batch telemetry costs:
-// the same 64-job batch with telemetry detached (the nil fast path every
-// un-instrumented batch takes), with a Metrics collector attached, and
-// with the full flag stack (metrics + Chrome spans + a discarding NDJSON
-// streamer). The detached variant is the acceptance gate — it must stay
-// within noise of BenchmarkFleetScaling/workers-4, since the only
-// per-event cost without a sink is a nil check.
+// the same 64-job batch with no sink attached, with a Metrics collector
+// accounting for it through a Service (live off the span tree, then from
+// the summary), and with the full flag stack (metrics + the Chrome fleet
+// lanes rendered from the span tree + a discarding NDJSON streamer fed
+// by OnResult). The detached variant is the acceptance gate — it must
+// stay within noise of BenchmarkFleetScaling/workers-4, since every
+// batch records its spans whether or not a sink reads them.
 //
 //	go test ./internal/fleet -bench FleetTelemetryOverhead -benchtime 3x
 func BenchmarkFleetTelemetryOverhead(b *testing.B) {
 	mc, src := loadFIR(b)
 	jobs := firJobs(src, 64)
 	const workers = 4
-
-	run := func(b *testing.B, tele Telemetry) {
+	check := func(b *testing.B, sum *Summary, err error) {
 		b.Helper()
-		for i := 0; i < b.N; i++ {
-			sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: workers, Telemetry: tele})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sum.Failed != 0 {
-				b.Fatalf("failed jobs: %+v", sum.Results)
-			}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum.Failed != 0 {
+			b.Fatalf("failed jobs: %+v", sum.Results)
 		}
 	}
 
-	b.Run("detached", func(b *testing.B) { run(b, nil) })
-	b.Run("metrics", func(b *testing.B) { run(b, NewMetrics()) })
+	b.Run("detached", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{Workers: workers})
+			check(b, sum, err)
+		}
+	})
+	b.Run("metrics", func(b *testing.B) {
+		sv := &Service{Machine: mc, Mode: sim.CompiledPrebound, Workers: workers, Metrics: NewMetrics()}
+		for i := 0; i < b.N; i++ {
+			sum, err := sv.Run(&Manifest{Jobs: jobs}, nil, nil)
+			check(b, sum, err)
+		}
+	})
 	b.Run("full-stack", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
+			tr := otrace.New("bench")
+			m, cs, st := NewMetrics(), NewChromeSpans(), NewStreamer(io.Discard)
 			sum, err := Run(mc, sim.CompiledPrebound, jobs, Options{
-				Workers:   workers,
-				Telemetry: TeleFanout(NewMetrics(), NewChromeSpans(), NewStreamer(io.Discard)),
+				Workers: workers, Trace: tr, OnResult: st.WriteJob,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sum.Failed != 0 {
-				b.Fatalf("failed jobs: %+v", sum.Results)
-			}
+			check(b, sum, err)
+			st.WriteSummary(sum)
+			m.Add(sum)
+			cs.AddBatch(tr.Export(), sum)
 		}
 	})
 }

@@ -6,21 +6,23 @@ import (
 	"strconv"
 	"time"
 
+	"golisa/internal/otrace"
 	"golisa/internal/trace"
 )
 
-// ChromeSpans is a Telemetry sink rendering a whole batch as one Chrome
-// trace-event JSON (chrome://tracing, Perfetto): the batch-level build
-// phases (assembly, artifact prewarm) on a "batch" lane, and every job
-// as a duration slice on the lane of the worker that ran it, so queueing
-// gaps, stragglers and worker imbalance are visible on a single
-// timeline. It complements trace.ChromeTracer, which renders the cycles
-// *inside* one simulation; ChromeSpans renders the jobs *around* them —
-// and with AddSim (fleet.Options.Chrome) the per-job cycle lanes are
-// merged into the same document as their own process groups, rebased
-// onto the batch's wall clock, so one Perfetto load shows the fleet and
-// the simulated pipelines on one timeline under one trace ID.
-// One batch per collector; not safe for concurrent batches.
+// ChromeSpans renders a whole batch as one Chrome trace-event JSON
+// (chrome://tracing, Perfetto), read off the batch's span tree: the
+// batch-level build phases (assembly, artifact prewarm) on a "batch"
+// lane, and every job as a duration slice on the lane of the worker that
+// ran it, so queueing gaps, stragglers and worker imbalance are visible
+// on a single timeline. It complements trace.ChromeTracer, which renders
+// the cycles *inside* one simulation; ChromeSpans renders the jobs
+// *around* them — and with AddSim (fleet.Options.Chrome) the per-job
+// cycle lanes are merged into the same document as their own process
+// groups, rebased onto the job spans, so one Perfetto load shows the
+// fleet and the simulated pipelines on one timeline under one trace ID.
+// Timestamps are offsets from the trace's epoch, the start_us of the
+// span tree. One batch per collector; not safe for concurrent use.
 type ChromeSpans struct {
 	events  []trace.ChromeEvent
 	traceID string
@@ -42,7 +44,8 @@ const (
 // NewChromeSpans creates an empty batch span collector.
 func NewChromeSpans() *ChromeSpans { return &ChromeSpans{} }
 
-// us converts a monotonic batch offset to Chrome trace microseconds.
+// us converts a span offset to Chrome trace microseconds, exactly as
+// otrace renders start_us and dur_us.
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 func (c *ChromeSpans) meta(tid int, name string) {
@@ -67,91 +70,86 @@ func (c *ChromeSpans) processMeta(pid int, name string, sortIndex int) {
 	)
 }
 
-// OnBatchStart implements Telemetry: one named lane per worker plus the
-// batch lane, all under the fleet process group.
-func (c *ChromeSpans) OnBatchStart(info BatchInfo) {
-	c.traceID = info.TraceID
-	c.processMeta(spanPid, "lisa fleet "+info.Model+" ("+info.Mode+")", 0)
+// AddBatch renders a finished batch's fleet lanes from doc, the export
+// of the trace the batch ran under, and sum, its summary. The children
+// of the batch span (sum.SpanID) become slices at their own start_us and
+// dur_us: build phases on the batch lane, job:<name> spans on the lane of
+// the worker their "worker" attribute names. Run calls it for
+// Options.Chrome; calling it with the export of Options.Trace renders the
+// fleet lanes alone.
+func (c *ChromeSpans) AddBatch(doc *otrace.Doc, sum *Summary) {
+	c.traceID = sum.TraceID
+	c.processMeta(spanPid, "lisa fleet "+sum.Model+" ("+sum.Mode+")", 0)
 	c.meta(batchTid, "batch")
-	for w := 0; w < info.Workers; w++ {
+	for w := 0; w < sum.Workers; w++ {
 		c.meta(w+1, "worker "+strconv.Itoa(w))
 	}
-}
-
-// OnPhase implements Telemetry: build phases as slices on the batch lane.
-func (c *ChromeSpans) OnPhase(phase string, from, to time.Duration) {
-	c.events = append(c.events, trace.ChromeEvent{
-		Name: phase, Cat: "build", Ph: "X",
-		Ts: us(from), Dur: us(to - from), Pid: spanPid, Tid: batchTid,
-	})
-}
-
-// OnJobQueued implements Telemetry: an instant on the batch lane marking
-// when the run queue filled (one per job would be noise; the first one
-// suffices as all jobs enqueue together).
-func (c *ChromeSpans) OnJobQueued(job int, name string, at time.Duration) {
-	if job != 0 {
-		return
+	jobOf := make(map[string]int, len(sum.Results))
+	for i := range sum.Results {
+		jobOf[sum.Results[i].SpanID] = i
 	}
+	var queued, done float64
+	for _, sp := range doc.Spans {
+		if sp.SpanID == sum.SpanID {
+			done = sp.StartUs + sp.DurUs
+		}
+		if sp.Parent != sum.SpanID {
+			continue
+		}
+		j, isJob := jobOf[sp.SpanID]
+		if !isJob {
+			c.events = append(c.events, trace.ChromeEvent{
+				Name: sp.Name, Cat: "build", Ph: "X",
+				Ts: sp.StartUs, Dur: sp.DurUs, Pid: spanPid, Tid: batchTid,
+			})
+			queued = max(queued, sp.StartUs+sp.DurUs)
+			continue
+		}
+		r := &sum.Results[j]
+		args := map[string]any{
+			"job":        j,
+			"steps":      r.Steps,
+			"halted":     r.Halted,
+			"queued_for": r.QueuedFor.String(),
+			"span_id":    sp.SpanID,
+		}
+		if r.Err != "" {
+			args["error"] = r.Err
+		}
+		worker, _ := sp.Attrs["worker"].(int)
+		c.events = append(c.events, trace.ChromeEvent{
+			Name: r.Name, Cat: "job", Ph: "X", Ts: sp.StartUs, Dur: sp.DurUs,
+			Pid: spanPid, Tid: worker + 1, Args: args,
+		})
+	}
+	// An instant marks when the run queue filled (all jobs enqueue
+	// together), and one closing instant carries the batch totals so the
+	// summary is inspectable inside the trace viewer.
 	c.events = append(c.events, trace.ChromeEvent{
 		Name: "jobs queued", Cat: "queue", Ph: "i",
-		Ts: us(at), Pid: spanPid, Tid: batchTid,
-	})
-}
-
-// OnJobStart implements Telemetry (no event; the job's slice is emitted
-// whole on finish, which keeps begin/end pairing trivial).
-func (c *ChromeSpans) OnJobStart(int, int, string, time.Duration) {}
-
-// OnJobFinish implements Telemetry: the job as one slice on its worker's
-// lane, with outcome, queueing delay and span identity in the args.
-func (c *ChromeSpans) OnJobFinish(span Span) {
-	args := map[string]any{
-		"job":        span.Job,
-		"steps":      span.Steps,
-		"halted":     span.Halted,
-		"queued_for": (span.Started - span.Queued).String(),
-	}
-	if span.Err != "" {
-		args["error"] = span.Err
-	}
-	if span.Result != nil && span.Result.SpanID != "" {
-		args["span_id"] = span.Result.SpanID
-	}
-	c.events = append(c.events, trace.ChromeEvent{
-		Name: span.Name, Cat: "job", Ph: "X",
-		Ts: us(span.Started), Dur: us(span.Finished - span.Started),
-		Pid: spanPid, Tid: span.Worker + 1, Args: args,
-	})
-}
-
-// OnBatchEnd implements Telemetry: batch totals as an instant so the
-// summary is inspectable inside the trace viewer.
-func (c *ChromeSpans) OnBatchEnd(sum *Summary) {
-	args := map[string]any{
-		"jobs": sum.Jobs, "failed": sum.Failed,
-		"jobs_per_sec": sum.Latency.JobsPerSec,
-		"p50":          sum.Latency.P50.String(),
-		"p99":          sum.Latency.P99.String(),
-	}
-	if sum.TraceID != "" {
-		args["trace_id"] = sum.TraceID
-	}
-	c.events = append(c.events, trace.ChromeEvent{
-		Name: "batch done", Cat: "batch", Ph: "i", Ts: us(sum.Elapsed),
-		Pid: spanPid, Tid: batchTid, Args: args,
+		Ts: queued, Pid: spanPid, Tid: batchTid,
+	}, trace.ChromeEvent{
+		Name: "batch done", Cat: "batch", Ph: "i", Ts: done,
+		Pid: spanPid, Tid: batchTid, Args: map[string]any{
+			"jobs": sum.Jobs, "failed": sum.Failed,
+			"jobs_per_sec": sum.Latency.JobsPerSec,
+			"p50":          sum.Latency.P50.String(),
+			"p99":          sum.Latency.P99.String(),
+			"trace_id":     sum.TraceID,
+		},
 	})
 }
 
 // AddSim merges one job's per-cycle trace (a trace.ChromeTracer attached
 // by Options.Chrome) into the batch document as its own process group:
 // pid job+2, named after the job, sorted after the fleet lanes. The sim
-// tracer stamps events in cycle-µs; AddSim rebases them onto the batch
-// clock — ts' = startUs + ts·scale, where scale maps one simulated cycle
-// to the job's real per-cycle wall time — so the job's pipeline activity
-// lines up exactly under its worker-lane slice. Flow-event IDs (packet
+// tracer stamps events in cycle-µs; AddSim rebases them onto the job's
+// span — ts' = startUs + ts·scale, where startUs is the span's start and
+// scale maps one simulated cycle to the job's real per-cycle wall time —
+// so the job's pipeline activity lines up exactly under its worker-lane
+// slice. Flow-event IDs (packet
 // bindings) are prefixed per job so packets of different jobs never
-// alias. Call after the batch finishes, in job order, before WriteJSON.
+// alias. Call after AddBatch, in job order, before WriteJSON.
 func (c *ChromeSpans) AddSim(job int, name string, events []trace.ChromeEvent, startUs, scale float64) {
 	pid := simPidBase + job
 	c.processMeta(pid, fmt.Sprintf("job %d: %s", job, name), 1+job)

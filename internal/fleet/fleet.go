@@ -52,8 +52,10 @@ type Result struct {
 	// Coverage is the job's model-coverage snapshot (Options.Cover).
 	Coverage *cover.Snapshot `json:"coverage,omitempty"`
 
-	// Lifecycle timing, always populated: the worker-pool index that ran
-	// the job, how long it waited in the run queue, and how long it ran.
+	// Lifecycle timing, always populated from the batch's spans: the
+	// worker-pool index that ran the job, how long it waited in the run
+	// queue (from the end of the last build phase to the start of its
+	// job:<name> span), and how long it ran (that span's duration).
 	Worker    int           `json:"worker"`
 	QueuedFor time.Duration `json:"queued_for_ns"`
 	RunFor    time.Duration `json:"run_for_ns"`
@@ -96,25 +98,30 @@ type Options struct {
 	// negative means unlimited. Jobs that hit the cap keep their first
 	// MaxPrints lines and get Result.PrintsTruncated set.
 	MaxPrints int
-	// Telemetry, when non-nil, receives the batch's lifecycle events
-	// (per-job spans, build phases, the final summary). Nil costs nothing.
-	Telemetry Telemetry
+	// OnResult, when non-nil, is called with each job's populated result
+	// as soon as it finishes, in completion order, by the worker that ran
+	// it before that worker takes another job; calls are serialized. The
+	// result belongs to the batch: treat it as read-only and do not
+	// retain it past the call. It is the batch's one live hook (the NDJSON
+	// Streamer's feed); everything else is read off the batch's spans.
+	OnResult func(job int, r *Result)
 	// Perf turns the batch into performance-observatory records: one
 	// sealed ledger RunRecord per successful job plus one batch-level
 	// record carrying the latency summary, in Summary.Perf.
 	Perf bool
 	// Trace, when non-nil, is the trace context the batch records its
-	// spans into (batch → assemble / artifact-build / decode-warm →
-	// job:<name> → run), so a caller-minted trace (an HTTP request, a CLI
-	// invocation joining LISA_TRACEPARENT) and the batch share one
-	// TraceID. Nil makes Run mint a fresh trace — every batch has one.
+	// spans into (batch → assemble / prewarm (artifact-build,
+	// decode-warm) / gosim-compile / job:<name> → run), so a caller-minted
+	// trace (an HTTP request, a CLI invocation joining LISA_TRACEPARENT)
+	// and the batch share one TraceID. Nil makes Run mint a fresh trace —
+	// every batch has one. The span tree is the batch's only clock: every
+	// duration in the Summary is a difference of its span bounds.
 	Trace *otrace.Trace
-	// Chrome, when non-nil, both joins the telemetry fanout (worker-lane
-	// batch timeline) and attaches a per-cycle Chrome tracer to every
-	// job, merging each job's pipeline lanes into the same document
-	// rebased onto the batch clock (ChromeSpans.AddSim). This is the
-	// merged fleet+sim timeline; attaching the same collector via
-	// Telemetry instead yields only the fleet lanes.
+	// Chrome, when non-nil, receives the batch's merged timeline when Run
+	// returns: the fleet lanes rendered from the span tree
+	// (ChromeSpans.AddBatch) plus each job's per-cycle pipeline lanes, from
+	// a Chrome tracer attached to every job and rebased onto the job's
+	// span (ChromeSpans.AddSim).
 	Chrome *ChromeSpans
 	// GenCache is the generated-mode runner cache directory ("" = the
 	// per-user default). Only consulted when the batch mode is
@@ -143,6 +150,9 @@ type Summary struct {
 	TraceID string `json:"trace_id,omitempty"`
 	SpanID  string `json:"span_id,omitempty"`
 
+	// TotalSteps sums the jobs' steps. Elapsed is the run phase: from the
+	// end of the last build phase, when the jobs were queued, to the end
+	// of the last job span.
 	TotalSteps uint64        `json:"total_steps"`
 	Elapsed    time.Duration `json:"elapsed_ns"`
 
@@ -171,7 +181,7 @@ type Summary struct {
 	// (Options.Cover).
 	Coverage *cover.Snapshot `json:"coverage,omitempty"`
 
-	// Latency summarizes the per-job lifecycle spans.
+	// Latency summarizes the job spans' durations.
 	Latency Latency `json:"latency"`
 
 	// Perf holds the batch's sealed ledger records (Options.Perf): one
@@ -181,11 +191,10 @@ type Summary struct {
 	Results []Result `json:"results"`
 }
 
-// Latency is the batch's job-latency summary, computed from the per-job
-// lifecycle spans through an HDR-style histogram (quantiles are bucket
-// upper bounds, ≤6.25% high; Max is exact). Throughput and utilization
-// are the roadmap's simulation-as-a-service baseline numbers: jobs/sec
-// over the run phase, and the fraction of worker·time spent running jobs.
+// Latency is the batch's job-latency summary: exact order statistics of
+// the job run times (see jobLatency). Throughput and utilization are the
+// roadmap's simulation-as-a-service baseline numbers: jobs/sec over the
+// run phase, and the fraction of worker·time spent running jobs.
 type Latency struct {
 	P50        time.Duration `json:"p50_ns"`
 	P90        time.Duration `json:"p90_ns"`
@@ -206,16 +215,10 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("fleet: no jobs")
 	}
-	batchStart := time.Now()
 	tr := opt.Trace
 	if tr == nil {
 		tr = otrace.New("fleet-batch")
 	}
-	tele := opt.Telemetry
-	if opt.Chrome != nil {
-		tele = TeleFanout(tele, opt.Chrome)
-	}
-	em := newTeleEmitter(tele, batchStart)
 	pm, err := mc.ProgramMemory()
 	if err != nil {
 		return nil, err
@@ -237,13 +240,10 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	batchSpan.SetAttr("mode", mode.String())
 	batchSpan.SetAttr("jobs", len(jobs))
 	batchSpan.SetAttr("workers", workers)
-	em.batchStart(BatchInfo{Model: mc.Model.Name, Mode: mode.String(),
-		Jobs: len(jobs), Workers: workers, TraceID: tr.ID().String()})
 
 	// Assemble each distinct source once; jobs sharing a program share the
 	// assembled image (read-only afterwards).
 	asmSpan := tr.Start(batchSpan, "assemble")
-	asmFrom := time.Since(batchStart)
 	progs := map[string]*asm.Program{}
 	asmErrs := map[string]error{}
 	var words []uint64
@@ -268,19 +268,20 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	}
 	asmSpan.SetAttr("sources", len(progs))
 	asmSpan.End()
-	em.phase("assemble", asmFrom, time.Since(batchStart))
 
-	prewarmFrom := time.Since(batchStart)
-	artSpan := tr.Start(batchSpan, "artifact-build")
+	prewarmSpan := tr.Start(batchSpan, "prewarm")
+	artSpan := tr.Start(prewarmSpan, "artifact-build")
 	art := sim.NewArtifact(mc.Model, mode)
 	artSpan.End()
-	warmSpan := tr.Start(batchSpan, "decode-warm")
+	warmSpan := tr.Start(prewarmSpan, "decode-warm")
 	warmSpan.SetAttr("words", len(words))
 	if err := art.Prewarm(words); err != nil {
 		return nil, err
 	}
 	warmSpan.End()
-	em.phase("prewarm", prewarmFrom, time.Since(batchStart))
+	prewarmSpan.End()
+	// The jobs are queued when the last build phase ends.
+	lastBuild := prewarmSpan
 
 	// The coverage enumeration is deterministic per model, so one map
 	// serves every worker read-only and all snapshots stay mergeable.
@@ -307,6 +308,7 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 		}
 		genSpan.SetAttr("programs", len(genProgs))
 		genSpan.End()
+		lastBuild = genSpan
 	}
 
 	defMax := opt.MaxSteps
@@ -318,18 +320,13 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 		maxPrints = DefaultMaxPrints
 	}
 
-	start := time.Now()
-	queuedAt := time.Since(batchStart)
-	if em != nil {
-		for i := range jobs {
-			em.jobQueued(i, jobLabel(i, jobs[i]), queuedAt)
-		}
-	}
+	_, queued := lastBuild.Bounds()
 	results := make([]Result, len(jobs))
 	var simTracers []*trace.ChromeTracer
 	if opt.Chrome != nil {
 		simTracers = make([]*trace.ChromeTracer, len(jobs))
 	}
+	var onResult sync.Mutex // serializes opt.OnResult
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -339,8 +336,6 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 			for i := range idx {
 				job := jobs[i]
 				name := jobLabel(i, job)
-				startedAt := time.Since(batchStart)
-				em.jobStart(i, worker, name, startedAt)
 				jobSpan := tr.Start(batchSpan, "job:"+name)
 				jobSpan.SetAttr("job", i)
 				jobSpan.SetAttr("worker", worker)
@@ -375,16 +370,15 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 					jobSpan.SetAttr("error", res.Err)
 				}
 				jobSpan.End()
-				finishedAt := time.Since(batchStart)
-				res.QueuedFor = startedAt - queuedAt
-				res.RunFor = finishedAt - startedAt
+				started, finished := jobSpan.Bounds()
+				res.QueuedFor = started - queued
+				res.RunFor = finished - started
 				results[i] = res
-				em.jobFinish(Span{
-					Job: i, Name: name, Worker: worker,
-					Queued: queuedAt, Started: startedAt, Finished: finishedAt,
-					Steps: res.Steps, Halted: res.Halted, Err: res.Err,
-					Result: &results[i],
-				})
+				if opt.OnResult != nil {
+					onResult.Lock()
+					opt.OnResult(i, &results[i])
+					onResult.Unlock()
+				}
 			}
 		}(w)
 	}
@@ -394,24 +388,6 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 	close(idx)
 	wg.Wait()
 
-	// Merge each job's per-cycle lanes into the batch timeline, in job
-	// order, rebased so a job's pipeline activity sits exactly under its
-	// worker-lane slice on the shared clock.
-	if opt.Chrome != nil {
-		for i := range results {
-			r := &results[i]
-			ct := simTracers[i]
-			if ct == nil || ct.Len() == 0 {
-				continue
-			}
-			scale := 1.0
-			if r.Steps > 0 && r.RunFor > 0 {
-				scale = us(r.RunFor) / float64(r.Steps)
-			}
-			opt.Chrome.AddSim(i, r.Name, ct.Events(), us(queuedAt+r.QueuedFor), scale)
-		}
-	}
-
 	sum := &Summary{
 		TraceID:          tr.ID().String(),
 		SpanID:           batchSpan.ID().String(),
@@ -419,13 +395,12 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 		Mode:             mode.String(),
 		Jobs:             len(jobs),
 		Workers:          workers,
-		Elapsed:          time.Since(start),
 		PrewarmDecodes:   art.Decodes(),
 		ArtifactCompiles: art.Compiles(),
 		CachedWords:      art.CachedWords(),
 		Results:          results,
 	}
-	var hist Histogram
+	runFor := make([]time.Duration, len(results))
 	var busy time.Duration
 	for i := range results {
 		r := &results[i]
@@ -457,28 +432,60 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 		if r.GenFallback != "" {
 			sum.GenFallback++
 		}
-		hist.Observe(uint64(r.RunFor))
+		// Every job span ends at queued + QueuedFor + RunFor; the run
+		// phase lasts until the last of them.
+		sum.Elapsed = max(sum.Elapsed, r.QueuedFor+r.RunFor)
+		runFor[i] = r.RunFor
 		busy += r.RunFor
 	}
 	if genCache != nil {
 		sum.RunnerBuilds = genCache.Builds()
 	}
-	sum.Latency = Latency{
-		P50: time.Duration(hist.Quantile(0.50)),
-		P90: time.Duration(hist.Quantile(0.90)),
-		P99: time.Duration(hist.Quantile(0.99)),
-		Max: time.Duration(hist.Max()),
-	}
+	sum.Latency = jobLatency(runFor)
 	if sec := sum.Elapsed.Seconds(); sec > 0 {
 		sum.Latency.JobsPerSec = float64(len(jobs)) / sec
 		sum.Latency.Utilization = busy.Seconds() / (float64(workers) * sec)
 	}
 	if opt.Perf {
-		sum.Perf = buildPerfRecords(mc, mode, jobs, progs, sum, perfStamp())
+		// The records share one timestamp: the batch span's start.
+		start, _ := batchSpan.Bounds()
+		stamp := tr.Epoch().Add(start).UTC().Format(time.RFC3339)
+		sum.Perf = buildPerfRecords(mc, mode, jobs, progs, sum, stamp)
 	}
 	batchSpan.End()
-	em.batchEnd(sum)
+
+	// Render the timeline from the finished span tree, then merge each
+	// job's per-cycle lanes under its job span, in job order.
+	if opt.Chrome != nil {
+		opt.Chrome.AddBatch(tr.Export(), sum)
+		for i := range results {
+			r := &results[i]
+			ct := simTracers[i]
+			if ct == nil || ct.Len() == 0 {
+				continue
+			}
+			scale := 1.0
+			if r.Steps > 0 && r.RunFor > 0 {
+				scale = us(r.RunFor) / float64(r.Steps)
+			}
+			opt.Chrome.AddSim(i, r.Name, ct.Events(), us(queued+r.QueuedFor), scale)
+		}
+	}
 	return sum, nil
+}
+
+// jobLatency summarizes job run times exactly: P50, P90 and P99 are
+// order statistics of the sorted durations, the value at rank
+// max(1, ⌊q·n⌋), and Max is the largest. It sorts durs in place.
+func jobLatency(durs []time.Duration) Latency {
+	if len(durs) == 0 {
+		return Latency{}
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	at := func(q float64) time.Duration {
+		return durs[max(1, int(q*float64(len(durs))))-1]
+	}
+	return Latency{P50: at(0.50), P90: at(0.90), P99: at(0.99), Max: durs[len(durs)-1]}
 }
 
 // jobLabel resolves a job's display name (its manifest name, or a stable

@@ -335,13 +335,13 @@ func TestLoadManifestMissingProgram(t *testing.T) {
 func TestServiceRejectsProgramPaths(t *testing.T) {
 	mc, src := loadFIR(t)
 	sv := &Service{Machine: mc, Mode: sim.Compiled}
-	if _, err := sv.Run(&Manifest{Jobs: []Job{{Program: "/etc/passwd"}}}); err == nil {
+	if _, err := sv.Run(&Manifest{Jobs: []Job{{Program: "/etc/passwd"}}}, nil, nil); err == nil {
 		t.Fatal("service must reject program file paths")
 	}
-	if _, err := sv.Run(&Manifest{Model: "other", Jobs: []Job{{Source: src}}}); err == nil {
+	if _, err := sv.Run(&Manifest{Model: "other", Jobs: []Job{{Source: src}}}, nil, nil); err == nil {
 		t.Fatal("service must reject foreign models")
 	}
-	sum, err := sv.Run(&Manifest{Mode: "prebound", Max: 10, Jobs: []Job{{Source: src}}})
+	sum, err := sv.Run(&Manifest{Mode: "prebound", Max: 10, Jobs: []Job{{Source: src}}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

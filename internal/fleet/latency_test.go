@@ -19,53 +19,38 @@ func checkQuantileOrder(t *testing.T, lat Latency) {
 	}
 }
 
-// latencyFromHist mirrors how Run derives the summary's latency block.
-func latencyFromHist(h *Histogram) Latency {
-	return Latency{
-		P50: time.Duration(h.Quantile(0.50)),
-		P90: time.Duration(h.Quantile(0.90)),
-		P99: time.Duration(h.Quantile(0.99)),
-		Max: time.Duration(h.Max()),
-	}
-}
-
-// TestLatencyQuantileOrderingHistogram drives the histogram-level
-// invariant directly across the shapes the batch engine produces:
-// a single job, a uniform spread, and the adversarial all-identical
-// batch where every quantile must collapse onto the one value.
+// TestLatencyQuantileOrderingHistogram drives jobLatency directly across
+// the shapes the batch engine produces: a single job, a uniform spread,
+// and the all-identical batch where every quantile must collapse onto
+// the one value.
 func TestLatencyQuantileOrderingHistogram(t *testing.T) {
 	t.Run("single-observation", func(t *testing.T) {
-		var h Histogram
-		h.Observe(12345)
-		lat := latencyFromHist(&h)
+		lat := jobLatency([]time.Duration{12345})
 		checkQuantileOrder(t, lat)
 		if lat.P50 != 12345 || lat.Max != 12345 {
 			t.Errorf("single job: p50=%v max=%v, want both 12345", lat.P50, lat.Max)
 		}
 	})
 	t.Run("uniform-spread", func(t *testing.T) {
-		var h Histogram
-		for v := uint64(1); v <= 1000; v++ {
-			h.Observe(v * 1000) // 1µs .. 1ms in 1µs steps
+		var durs []time.Duration
+		for v := 1000; v >= 1; v-- {
+			durs = append(durs, time.Duration(v)*time.Microsecond) // 1µs .. 1ms, unsorted
 		}
-		lat := latencyFromHist(&h)
+		lat := jobLatency(durs)
 		checkQuantileOrder(t, lat)
-		if lat.P50 >= lat.P99 {
-			t.Errorf("uniform spread should separate p50 (%v) from p99 (%v)", lat.P50, lat.P99)
+		if lat.P50 != 500*time.Microsecond || lat.P90 != 900*time.Microsecond || lat.P99 != 990*time.Microsecond {
+			t.Errorf("p50=%v p90=%v p99=%v, want exactly 500µs, 900µs, 990µs", lat.P50, lat.P90, lat.P99)
 		}
-		if lat.Max != time.Duration(1000*1000) {
-			t.Errorf("max=%v, want exactly 1ms (max is exact, not bucketed)", lat.Max)
+		if lat.Max != time.Millisecond {
+			t.Errorf("max=%v, want exactly 1ms", lat.Max)
 		}
 	})
 	t.Run("all-identical", func(t *testing.T) {
-		// Adversarial for a bucketed histogram: every observation is the
-		// same value, so bucket upper bounds must be capped at the exact
-		// max or p99 would overshoot max.
-		var h Histogram
-		for i := 0; i < 64; i++ {
-			h.Observe(777777)
+		durs := make([]time.Duration, 64)
+		for i := range durs {
+			durs[i] = 777777
 		}
-		lat := latencyFromHist(&h)
+		lat := jobLatency(durs)
 		checkQuantileOrder(t, lat)
 		if lat.P50 != lat.Max || lat.P99 != lat.Max {
 			t.Errorf("identical durations must collapse: p50=%v p99=%v max=%v",
@@ -73,9 +58,21 @@ func TestLatencyQuantileOrderingHistogram(t *testing.T) {
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		var h Histogram
-		checkQuantileOrder(t, latencyFromHist(&h))
+		checkQuantileOrder(t, jobLatency(nil))
 	})
+}
+
+// TestHistogramEmptyAndSmall covers the degenerate cases the batch summary
+// hits with tiny job counts: no jobs report zeros, and one job is every
+// quantile.
+func TestHistogramEmptyAndSmall(t *testing.T) {
+	if lat := jobLatency(nil); lat != (Latency{}) {
+		t.Errorf("no jobs: %+v, want zeros", lat)
+	}
+	lat := jobLatency([]time.Duration{7})
+	if lat.P50 != 7 || lat.P90 != 7 || lat.P99 != 7 || lat.Max != 7 {
+		t.Errorf("single job: %+v, want every quantile 7", lat)
+	}
 }
 
 // TestLatencyQuantileOrderingLive checks the ordering on real fleet runs:
@@ -121,10 +118,11 @@ func TestLatencyStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	stream := NewStreamer(&buf)
 	sum, err := Run(mc, sim.Compiled, firJobs(src, 4),
-		Options{Workers: 2, Telemetry: stream})
+		Options{Workers: 2, OnResult: stream.WriteJob})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stream.WriteSummary(sum)
 	if stream.Err() != nil {
 		t.Fatal(stream.Err())
 	}

@@ -110,41 +110,30 @@ func jobName(path string) string {
 // debug server's /batch endpoint. The zero values of Workers, MaxSteps
 // and MaxPrints defer to each manifest (and then to the package
 // defaults). A Service may serve concurrent batches; each builds its own
-// artifact, and the shared Telemetry sink (if any) must be safe for
-// concurrent batches, as *Metrics is.
+// artifact.
 type Service struct {
 	Machine   *core.Machine
 	Mode      sim.Mode
 	Workers   int
 	MaxSteps  uint64
 	MaxPrints int
-	// Telemetry, when non-nil, observes every batch the service runs —
-	// typically one *Metrics collector exposed at /batch/metrics.
-	// Per-request sinks (a /batch/stream response) are passed to RunWith
-	// and fanned out alongside it.
-	Telemetry Telemetry
+	// Metrics, when non-nil, accounts for every batch the service runs:
+	// live, off the job spans its trace gains while it runs, then from
+	// its summary — so batches running at the same time need traces of
+	// their own. The debug server exposes it at /batch/metrics.
+	Metrics *Metrics
 }
 
 // Run executes a manifest against the service's machine. For safety in
 // networked hosts, jobs must carry inline Source — Program file paths are
 // rejected rather than read from the host's filesystem. The manifest may
-// override the simulation mode but not the model.
-func (sv *Service) Run(man *Manifest) (*Summary, error) {
-	return sv.RunWith(man, nil)
-}
-
-// RunWith is Run with an additional per-request telemetry sink (say, an
-// NDJSON Streamer for one HTTP response) fanned out with the service's
-// own.
-func (sv *Service) RunWith(man *Manifest, tele Telemetry) (*Summary, error) {
-	return sv.RunTraced(man, tele, nil)
-}
-
-// RunTraced is RunWith with an explicit trace context, so a host that
-// already minted one (the debug server joining a request's traceparent
-// header) shares its TraceID with the batch's spans, stream, metrics and
-// perf records. A nil trace makes the batch mint its own.
-func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*Summary, error) {
+// override the simulation mode but not the model. onResult, when
+// non-nil, is the batch's Options.OnResult (say, an NDJSON Streamer's
+// WriteJob for one HTTP response). tr is the trace the batch runs under,
+// so a host that already minted one (the debug server joining a
+// request's traceparent header) shares its TraceID with the batch's
+// spans, stream, metrics and perf records; nil mints a fresh one.
+func (sv *Service) Run(man *Manifest, onResult func(job int, r *Result), tr *otrace.Trace) (*Summary, error) {
 	if man == nil || len(man.Jobs) == 0 {
 		return nil, fmt.Errorf("batch: no jobs")
 	}
@@ -162,7 +151,7 @@ func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*
 	mode := sv.Mode
 	if man.Mode != "" {
 		var err error
-		if mode, err = ParseMode(man.Mode); err != nil {
+		if mode, err = sim.ParseMode(man.Mode); err != nil {
 			return nil, fmt.Errorf("batch: %v", err)
 		}
 	}
@@ -173,7 +162,7 @@ func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*
 		Cover:     man.Cover,
 		Perf:      man.Perf,
 		MaxPrints: man.MaxPrints,
-		Telemetry: TeleFanout(sv.Telemetry, tele),
+		OnResult:  onResult,
 		Trace:     tr,
 	}
 	if opt.Workers <= 0 {
@@ -185,21 +174,14 @@ func (sv *Service) RunTraced(man *Manifest, tele Telemetry, tr *otrace.Trace) (*
 	if opt.MaxPrints == 0 {
 		opt.MaxPrints = sv.MaxPrints
 	}
-	return Run(sv.Machine, mode, man.Jobs, opt)
-}
-
-// ParseMode maps a manifest mode name to a simulation mode.
-func ParseMode(name string) (sim.Mode, error) {
-	switch name {
-	case "interpretive":
-		return sim.Interpretive, nil
-	case "compiled":
-		return sim.Compiled, nil
-	case "prebound", "compiled+prebound":
-		return sim.CompiledPrebound, nil
-	case "generated":
-		return sim.Generated, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (valid modes: interpretive, compiled, prebound, generated)", name)
+	if sv.Metrics == nil {
+		return Run(sv.Machine, mode, man.Jobs, opt)
 	}
+	if tr == nil {
+		opt.Trace = otrace.New("fleet-batch") // Metrics reads it live
+	}
+	live := sv.Metrics.begin(opt.Trace)
+	sum, err := Run(sv.Machine, mode, man.Jobs, opt)
+	sv.Metrics.end(live, sum)
+	return sum, err
 }

@@ -3,42 +3,39 @@ package fleet
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"golisa/internal/cover"
+	"golisa/internal/otrace"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the exposed job
 // latency histogram, chosen to bracket typical simulation jobs
 // (sub-millisecond smokes up to multi-second sweeps).
-var latencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Metrics is a Telemetry sink accumulating fleet counters across every
-// batch it observes, exported in Prometheus text exposition format
-// (the debug server's /batch/metrics endpoint). One collector may be
-// shared by concurrent batches — all state is guarded by its own mutex,
-// on top of the per-batch serialization fleet.Run already provides.
+// Metrics accumulates fleet counters across every batch it accounts
+// for, exported in Prometheus text exposition format (the debug
+// server's /batch/metrics endpoint). A finished batch is folded in from
+// its Summary (Add). A batch a Service runs with this collector is also
+// read live, off its span tree at scrape time: its open job:<name> spans
+// are the in-flight gauge, and its ended ones count as finished jobs
+// (failed when the span carries an error, their durations in the
+// latency histogram) until the finished summary replaces them. Safe for
+// concurrent use.
 type Metrics struct {
 	mu sync.Mutex
 
-	batches  uint64
-	jobs     uint64
-	failed   uint64
-	inFlight int64
-
-	// latency histogram of job run time (worker pickup to finish), in
-	// seconds; bucketCounts[i] counts observations <= latencyBuckets[i],
-	// non-cumulative (cumulated at exposition time).
-	bucketCounts []uint64
-	overflow     uint64 // observations above the last bound
-	latencySum   float64
-	latencyCount uint64
+	batches uint64    // finished batches
+	done    jobCounts // jobs of finished batches
+	live    map[*liveBatch]bool
 
 	// Artifact-sharing counters aggregated from batch summaries: the
 	// build-once work versus what jobs re-did at run time.
@@ -63,63 +60,79 @@ type Metrics struct {
 	lastTraceID string
 }
 
+// jobCounts tallies finished jobs: outcomes and the histogram of their
+// run times.
+type jobCounts struct {
+	jobs, failed uint64
+	// buckets[i] counts run times <= latencyBuckets[i], non-cumulative
+	// (cumulated at exposition time); the last slot counts the ones
+	// above every bound.
+	buckets [len(latencyBuckets) + 1]uint64
+	seconds float64
+}
+
+func (c *jobCounts) add(runFor time.Duration, failed bool) {
+	c.jobs++
+	if failed {
+		c.failed++
+	}
+	sec := runFor.Seconds()
+	c.seconds += sec
+	i := 0
+	for i < len(latencyBuckets) && sec > latencyBuckets[i] {
+		i++
+	}
+	c.buckets[i]++
+}
+
+// liveBatch is a running batch: the trace it runs under and how many
+// spans that trace held before it began, so only its own spans count.
+type liveBatch struct {
+	tr   *otrace.Trace
+	from int
+}
+
 // NewMetrics creates an empty fleet metrics collector.
 func NewMetrics() *Metrics {
-	return &Metrics{
-		bucketCounts: make([]uint64, len(latencyBuckets)),
-		penalty:      map[string]uint64{},
+	return &Metrics{live: map[*liveBatch]bool{}, penalty: map[string]uint64{}}
+}
+
+// Add folds a finished batch's summary into the collector.
+func (m *Metrics) Add(sum *Summary) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lastTraceID = sum.TraceID
+	m.add(sum)
+}
+
+// begin starts reading a batch about to run under tr live.
+func (m *Metrics) begin(tr *otrace.Trace) *liveBatch {
+	b := &liveBatch{tr: tr, from: tr.Len()}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.live[b] = true
+	m.lastTraceID = tr.ID().String()
+	return b
+}
+
+// end stops reading b live and folds in its summary (nil when the batch
+// could not start) under the same lock, so a scrape counts every job
+// exactly once: on the live span tree or in the summary.
+func (m *Metrics) end(b *liveBatch, sum *Summary) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.live, b)
+	if sum != nil {
+		m.add(sum)
 	}
 }
 
-// OnBatchStart implements Telemetry.
-func (m *Metrics) OnBatchStart(info BatchInfo) {
-	m.mu.Lock()
+// add folds in a finished batch; the caller holds m.mu.
+func (m *Metrics) add(sum *Summary) {
 	m.batches++
-	if info.TraceID != "" {
-		m.lastTraceID = info.TraceID
+	for i := range sum.Results {
+		m.done.add(sum.Results[i].RunFor, sum.Results[i].Err != "")
 	}
-	m.mu.Unlock()
-}
-
-// OnPhase implements Telemetry.
-func (m *Metrics) OnPhase(string, time.Duration, time.Duration) {}
-
-// OnJobQueued implements Telemetry.
-func (m *Metrics) OnJobQueued(int, string, time.Duration) {}
-
-// OnJobStart implements Telemetry.
-func (m *Metrics) OnJobStart(int, int, string, time.Duration) {
-	m.mu.Lock()
-	m.inFlight++
-	m.mu.Unlock()
-}
-
-// OnJobFinish implements Telemetry.
-func (m *Metrics) OnJobFinish(span Span) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.inFlight--
-	m.jobs++
-	if span.Err != "" {
-		m.failed++
-	}
-	sec := (span.Finished - span.Started).Seconds()
-	m.latencySum += sec
-	m.latencyCount++
-	for i, bound := range latencyBuckets {
-		if sec <= bound {
-			m.bucketCounts[i]++
-			return
-		}
-	}
-	m.overflow++
-}
-
-// OnBatchEnd implements Telemetry: artifact-sharing and penalty counters
-// only exist aggregated on the summary, so they are folded in here.
-func (m *Metrics) OnBatchEnd(sum *Summary) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.prewarmDecodes += sum.PrewarmDecodes
 	m.artifactCompiles += sum.ArtifactCompiles
 	m.jobDecodes += sum.JobDecodes
@@ -140,6 +153,20 @@ func (m *Metrics) OnBatchEnd(sum *Summary) {
 func (m *Metrics) WriteText(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	jobs, inFlight := m.done, 0
+	for b := range m.live {
+		for _, sp := range b.tr.Export().Spans[b.from:] {
+			if !strings.HasPrefix(sp.Name, "job:") {
+				continue
+			}
+			if !sp.Ended {
+				inFlight++
+				continue
+			}
+			_, failed := sp.Attrs["error"]
+			jobs.add(time.Duration(math.Round(sp.DurUs*1e3)), failed)
+		}
+	}
 	ew := &metricsErrWriter{w: w}
 	p := func(format string, args ...any) { fmt.Fprintf(ew, format, args...) }
 	head := func(name, help, typ string) {
@@ -151,9 +178,9 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		name, help string
 		value      uint64
 	}{
-		{"lisa_fleet_batches_total", "Batches run.", m.batches},
-		{"lisa_fleet_jobs_total", "Jobs finished, success or failure.", m.jobs},
-		{"lisa_fleet_jobs_failed_total", "Jobs that finished with an error.", m.failed},
+		{"lisa_fleet_batches_total", "Batches run.", m.batches + uint64(len(m.live))},
+		{"lisa_fleet_jobs_total", "Jobs finished, success or failure.", jobs.jobs},
+		{"lisa_fleet_jobs_failed_total", "Jobs that finished with an error.", jobs.failed},
 		{"lisa_fleet_prewarm_decodes_total", "Instruction decodes performed once on shared artifacts.", m.prewarmDecodes},
 		{"lisa_fleet_artifact_compiles_total", "Behavior closures compiled once on shared artifacts.", m.artifactCompiles},
 		{"lisa_fleet_job_decodes_total", "Run-time decodes jobs performed themselves (0 when fully pre-warmed).", m.jobDecodes},
@@ -164,7 +191,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	}
 
 	head("lisa_fleet_jobs_in_flight", "Jobs currently running on a worker.", "gauge")
-	p("lisa_fleet_jobs_in_flight %d\n", m.inFlight)
+	p("lisa_fleet_jobs_in_flight %d\n", inFlight)
 
 	// Exemplar-style info gauge: the label carries the identity, the
 	// value is always 1. Only present once a traced batch ran, keeping
@@ -177,12 +204,12 @@ func (m *Metrics) WriteText(w io.Writer) error {
 	head("lisa_fleet_job_latency_seconds", "Per-job run latency (worker pickup to finish).", "histogram")
 	var cum uint64
 	for i, bound := range latencyBuckets {
-		cum += m.bucketCounts[i]
+		cum += jobs.buckets[i]
 		p("lisa_fleet_job_latency_seconds_bucket{le=\"%s\"} %d\n", formatBound(bound), cum)
 	}
-	p("lisa_fleet_job_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum+m.overflow)
-	p("lisa_fleet_job_latency_seconds_sum %g\n", m.latencySum)
-	p("lisa_fleet_job_latency_seconds_count %d\n", m.latencyCount)
+	p("lisa_fleet_job_latency_seconds_bucket{le=\"+Inf\"} %d\n", jobs.jobs)
+	p("lisa_fleet_job_latency_seconds_sum %g\n", jobs.seconds)
+	p("lisa_fleet_job_latency_seconds_count %d\n", jobs.jobs)
 
 	head("lisa_fleet_penalty_cycles_total", "Aggregated per-cause penalty cycles over analyzed jobs.", "counter")
 	causes := make([]string, 0, len(m.penalty))

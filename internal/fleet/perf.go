@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"time"
-
 	"golisa/internal/asm"
 	"golisa/internal/core"
 	"golisa/internal/perf"
@@ -108,6 +106,3 @@ func joinHashes(hs []string) string {
 	}
 	return out
 }
-
-// perfStamp is the records' shared timestamp for one batch.
-func perfStamp() string { return time.Now().UTC().Format(time.RFC3339) }

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"golisa/internal/core"
 	"golisa/internal/sim"
@@ -218,13 +221,16 @@ func TestFleetMetricsExposition(t *testing.T) {
 		{Name: "b", Source: stallProg},
 		{Name: "bad"}, // fails: no source
 	}
-	if _, err := Run(mc, sim.Compiled, jobs, Options{Workers: 2, Analyze: true, Telemetry: m}); err != nil {
+	sum, err := Run(mc, sim.Compiled, jobs, Options{Workers: 2, Analyze: true})
+	if err != nil {
 		t.Fatal(err)
 	}
+	m.Add(sum)
 	// A second batch proves cross-batch accumulation.
-	if _, err := Run(mc, sim.Compiled, jobs[:2], Options{Workers: 1, Analyze: true, Telemetry: m}); err != nil {
+	if sum, err = Run(mc, sim.Compiled, jobs[:2], Options{Workers: 1, Analyze: true}); err != nil {
 		t.Fatal(err)
 	}
+	m.Add(sum)
 
 	var buf bytes.Buffer
 	if err := m.WriteText(&buf); err != nil {
@@ -319,5 +325,165 @@ func TestFleetMetricsExposition(t *testing.T) {
 	// Analyzed stalls surface as cause-labeled penalty counters.
 	if !strings.Contains(out, `lisa_fleet_penalty_cycles_total{cause="`) {
 		t.Errorf("no penalty cause samples in:\n%s", out)
+	}
+}
+
+// spin loops until the step limit: a job that stays in flight long
+// enough to be scraped while it runs.
+const spin = "LDI B1, 1\nloop: BNZ B1, loop\nNOP\nNOP\nHALT\n"
+
+// TestFleetMetricsLive scrapes a Service's collector from inside
+// OnResult, while the batch is still running: jobs, failures, the
+// latency histogram and the in-flight gauge are read off the live span
+// tree.
+func TestFleetMetricsLive(t *testing.T) {
+	mc, src := loadFIR(t)
+	scrape := func(m *Metrics) string {
+		var buf bytes.Buffer
+		if err := m.WriteText(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.String()
+	}
+
+	// One worker: when the first job finishes, the next one has not
+	// started, so one job is done and none is in flight.
+	m := NewMetrics()
+	sv := &Service{Machine: mc, Mode: sim.CompiledPrebound, Metrics: m}
+	var first string
+	onResult := func(job int, r *Result) {
+		if first == "" {
+			first = scrape(m)
+		}
+	}
+	if _, err := sv.Run(&Manifest{Workers: 1, Jobs: firJobs(src, 3)}, onResult, nil); err != nil {
+		t.Fatal(err)
+	}
+	for prefix, want := range map[string]float64{
+		"lisa_fleet_batches_total ":                         1,
+		"lisa_fleet_jobs_total ":                            1,
+		`lisa_fleet_job_latency_seconds_bucket{le="+Inf"} `: 1,
+		"lisa_fleet_jobs_in_flight ":                        0,
+	} {
+		if v := sampleValue(t, first, prefix); v != want {
+			t.Errorf("first-result scrape: %s= %v, want %v", prefix, v, want)
+		}
+	}
+	if v := sampleValue(t, scrape(m), "lisa_fleet_jobs_total "); v != 3 {
+		t.Errorf("after the batch: jobs_total %v, want 3", v)
+	}
+
+	// Two workers: while the short job's result is delivered, the long
+	// one is running on the other worker.
+	m = NewMetrics()
+	sv.Metrics = m
+	var inFlight float64
+	onResult = func(job int, r *Result) {
+		if job != 0 {
+			return
+		}
+		// The other worker opens its job span on its own schedule; give
+		// it until the long job would be long done.
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if inFlight = sampleValue(t, scrape(m), "lisa_fleet_jobs_in_flight "); inFlight == 1 {
+				return
+			}
+		}
+	}
+	jobs := []Job{{Name: "short", Source: "NOP\nHALT\n"}, {Name: "long", Source: spin, MaxSteps: 300_000}}
+	sum, err := sv.Run(&Manifest{Workers: 2, Jobs: jobs}, onResult, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inFlight != 1 {
+		t.Errorf("scrape during the long job: jobs_in_flight %v, want 1", inFlight)
+	}
+	if r := sum.Results[1]; r.Halted || r.Err != "" || r.Steps != 300_000 {
+		t.Errorf("long job = %+v, want it stopped by the step limit", r)
+	}
+	if v := sampleValue(t, scrape(m), "lisa_fleet_jobs_in_flight "); v != 0 {
+		t.Errorf("after the batch: jobs_in_flight %v, want 0", v)
+	}
+}
+
+// TestFleetMetricsConcurrentScrape runs batches concurrently through one
+// Service while another goroutine scrapes its collector: each job is
+// counted exactly once, on its batch's live span tree or in the finished
+// summary, so jobs_total never falls between scrapes and ends at the
+// number of jobs run.
+func TestFleetMetricsConcurrentScrape(t *testing.T) {
+	mc, err := core.LoadBuiltin("simple16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics()
+	sv := &Service{Machine: mc, Mode: sim.CompiledPrebound, Metrics: m}
+	const clients, batches, jobsPer = 4, 3, 3
+	man := &Manifest{Workers: 2}
+	for i := 0; i < jobsPer; i++ {
+		man.Jobs = append(man.Jobs, Job{Source: spin, MaxSteps: 2000})
+	}
+
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		var last float64
+		for {
+			var buf bytes.Buffer
+			if err := m.WriteText(&buf); err != nil {
+				scraped <- err
+				return
+			}
+			_, rest, _ := strings.Cut(buf.String(), "\nlisa_fleet_jobs_total ")
+			line, _, _ := strings.Cut(rest, "\n")
+			jobs, err := strconv.ParseFloat(line, 64)
+			if err != nil {
+				scraped <- fmt.Errorf("jobs_total sample %q: %v", line, err)
+				return
+			}
+			if jobs < last {
+				scraped <- fmt.Errorf("jobs_total fell from %v to %v", last, jobs)
+				return
+			}
+			last = jobs
+			select {
+			case <-stop:
+				scraped <- nil
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if _, err := sv.Run(man, nil, nil); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+
+	var buf bytes.Buffer
+	if err := m.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for prefix, want := range map[string]float64{
+		"lisa_fleet_batches_total ":  clients * batches,
+		"lisa_fleet_jobs_total ":     clients * batches * jobsPer,
+		"lisa_fleet_jobs_in_flight ": 0,
+	} {
+		if v := sampleValue(t, out, prefix); v != want {
+			t.Errorf("%s= %v, want %v", prefix, v, want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"encoding/json"
 	"io"
-	"time"
 )
 
 // StreamRecord is one NDJSON line of a streamed batch: a "job" record
@@ -17,12 +16,13 @@ type StreamRecord struct {
 	Summary *Summary `json:"summary,omitempty"`
 }
 
-// Streamer is a Telemetry sink delivering batch results incrementally:
-// the moment a worker finishes a job, its result is written as one
-// NDJSON line (and flushed, when the writer supports it), so a client
-// watching a long batch sees every result as it lands instead of one
-// summary at the end. This is the transport behind the debug server's
-// /batch/stream endpoint and lisa-sim's -batch-progress flag.
+// Streamer delivers batch results incrementally: wired as
+// Options.OnResult (WriteJob), it writes each job's result as one NDJSON
+// line the moment a worker finishes it (and flushes, when the writer
+// supports it), so a client watching a long batch sees every result as
+// it lands instead of one summary at the end; WriteSummary closes the
+// stream once Run returns. This is the transport behind the debug
+// server's /batch/stream endpoint and lisa-sim's -batch-progress flag.
 //
 // Write errors are latched: the first failure (say, the HTTP client
 // hanging up) silences all further output, the batch runs to completion,
@@ -60,26 +60,14 @@ func (s *Streamer) emit(rec StreamRecord) {
 	}
 }
 
-// OnBatchStart implements Telemetry.
-func (s *Streamer) OnBatchStart(BatchInfo) {}
-
-// OnPhase implements Telemetry.
-func (s *Streamer) OnPhase(string, time.Duration, time.Duration) {}
-
-// OnJobQueued implements Telemetry.
-func (s *Streamer) OnJobQueued(int, string, time.Duration) {}
-
-// OnJobStart implements Telemetry.
-func (s *Streamer) OnJobStart(int, int, string, time.Duration) {}
-
-// OnJobFinish implements Telemetry: one "job" line per completion.
-func (s *Streamer) OnJobFinish(span Span) {
-	s.emit(StreamRecord{Type: "job", Job: span.Job, Result: span.Result})
+// WriteJob writes one "job" record; its signature is Options.OnResult's.
+func (s *Streamer) WriteJob(job int, r *Result) {
+	s.emit(StreamRecord{Type: "job", Job: job, Result: r})
 }
 
-// OnBatchEnd implements Telemetry: the final "summary" line, with the
-// per-job results elided.
-func (s *Streamer) OnBatchEnd(sum *Summary) {
+// WriteSummary writes the final "summary" record, with the per-job
+// results elided.
+func (s *Streamer) WriteSummary(sum *Summary) {
 	compact := *sum
 	compact.Results = nil
 	s.emit(StreamRecord{Type: "summary", Job: -1, Summary: &compact})

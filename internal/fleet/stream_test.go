@@ -10,16 +10,6 @@ import (
 	"golisa/internal/sim"
 )
 
-// finishCounter counts finished jobs; placed before the Streamer in a
-// fanout, its count at the moment a record is written tells how many jobs
-// had completed when that record went out.
-type finishCounter struct {
-	NopTelemetry
-	n *atomic.Int32
-}
-
-func (c finishCounter) OnJobFinish(Span) { c.n.Add(1) }
-
 // firstWriteWriter buffers all writes and snapshots a counter on the first
 // one.
 type firstWriteWriter struct {
@@ -40,8 +30,8 @@ func (w *firstWriteWriter) Write(p []byte) (int, error) {
 
 // TestFleetStreamDeliversMidBatch is the streaming acceptance check: the
 // first NDJSON record must be written while later jobs are still running,
-// not after the batch completes. The telemetry fanout calls the finish
-// counter before the streamer under the same per-batch lock, so the count
+// not after the batch completes. OnResult counts the finished job before
+// handing it to the streamer, and its calls are serialized, so the count
 // snapshotted on the first write is exactly the number of jobs done when
 // the first record went out the wire.
 func TestFleetStreamDeliversMidBatch(t *testing.T) {
@@ -51,11 +41,16 @@ func TestFleetStreamDeliversMidBatch(t *testing.T) {
 	firstSeen := int32(-1)
 	w := &firstWriteWriter{first: func() { firstSeen = finished.Load() }}
 	st := NewStreamer(w)
+	onResult := func(job int, r *Result) {
+		finished.Add(1)
+		st.WriteJob(job, r)
+	}
 	sum, err := Run(mc, sim.CompiledPrebound, firJobs(src, nJobs),
-		Options{Workers: 2, Telemetry: TeleFanout(finishCounter{n: &finished}, st)})
+		Options{Workers: 2, OnResult: onResult})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.WriteSummary(sum)
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +106,11 @@ func TestFleetStreamNDJSONFraming(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	st := NewStreamer(&buf)
-	if _, err := Run(mc, sim.Compiled, jobs, Options{Workers: 1, Telemetry: st}); err != nil {
+	batch, err := Run(mc, sim.Compiled, jobs, Options{Workers: 1, OnResult: st.WriteJob})
+	if err != nil {
 		t.Fatal(err)
 	}
+	st.WriteSummary(batch)
 	out := buf.String()
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatal("stream must end in a newline")
@@ -192,9 +189,11 @@ func TestFleetStreamFlushesPerRecord(t *testing.T) {
 	mc, src := loadFIR(t)
 	fw := &flushCounter{}
 	st := NewStreamer(fw)
-	if _, err := Run(mc, sim.Compiled, firJobs(src, 3), Options{Workers: 1, Telemetry: st}); err != nil {
+	sum, err := Run(mc, sim.Compiled, firJobs(src, 3), Options{Workers: 1, OnResult: st.WriteJob})
+	if err != nil {
 		t.Fatal(err)
 	}
+	st.WriteSummary(sum)
 	if st.Err() != nil {
 		t.Fatal(st.Err())
 	}
@@ -203,10 +202,11 @@ func TestFleetStreamFlushesPerRecord(t *testing.T) {
 	}
 
 	failing := NewStreamer(errWriter{})
-	sum, err := Run(mc, sim.Compiled, firJobs(src, 2), Options{Workers: 1, Telemetry: failing})
+	sum, err = Run(mc, sim.Compiled, firJobs(src, 2), Options{Workers: 1, OnResult: failing.WriteJob})
 	if err != nil {
 		t.Fatal("a broken stream client must not fail the batch:", err)
 	}
+	failing.WriteSummary(sum)
 	if sum.Failed != 0 {
 		t.Errorf("jobs failed under a broken stream: %+v", sum.Results)
 	}

@@ -86,8 +86,10 @@ func (c Context) Traceparent() string {
 
 // Parse decodes a W3C traceparent header value. Any version except the
 // reserved "ff" is accepted (per spec, unknown future versions must still
-// parse their leading fields); the flags byte is validated as hex and
-// otherwise ignored — this package treats every trace as sampled.
+// parse their leading fields, and may only continue after a "-"); every
+// field must be lower-case hex, as the spec requires of a header a
+// receiver honours. The flags byte is otherwise ignored — this package
+// treats every trace as sampled.
 func Parse(traceparent string) (Context, error) {
 	var c Context
 	// version(2) - trace-id(32) - span-id(16) - flags(2)
@@ -97,29 +99,41 @@ func Parse(traceparent string) (Context, error) {
 	if traceparent[2] != '-' || traceparent[35] != '-' || traceparent[52] != '-' {
 		return c, fmt.Errorf("otrace: traceparent %q is not dash-delimited", traceparent)
 	}
-	ver, err := hex.DecodeString(traceparent[0:2])
-	if err != nil {
-		return c, fmt.Errorf("otrace: traceparent version %q is not hex", traceparent[0:2])
+	for _, f := range []struct{ name, s string }{
+		{"version", traceparent[0:2]},
+		{"trace-id", traceparent[3:35]},
+		{"span-id", traceparent[36:52]},
+		{"flags", traceparent[53:55]},
+	} {
+		if !isLowerHex(f.s) {
+			return c, fmt.Errorf("otrace: traceparent %s %q is not lower-case hex", f.name, f.s)
+		}
 	}
-	if ver[0] == 0xff {
+	switch {
+	case traceparent[0:2] == "ff":
 		return c, fmt.Errorf("otrace: traceparent version ff is invalid")
-	}
-	if ver[0] == 0 && len(traceparent) != 55 {
+	case traceparent[0:2] == "00" && len(traceparent) != 55:
 		return c, fmt.Errorf("otrace: version-00 traceparent must be 55 chars, got %d", len(traceparent))
+	case len(traceparent) > 55 && traceparent[55] != '-':
+		return c, fmt.Errorf("otrace: traceparent %q continues past the flags without a dash", traceparent)
 	}
-	if _, err := hex.Decode(c.TraceID[:], []byte(traceparent[3:35])); err != nil {
-		return Context{}, fmt.Errorf("otrace: bad trace-id %q", traceparent[3:35])
-	}
-	if _, err := hex.Decode(c.SpanID[:], []byte(traceparent[36:52])); err != nil {
-		return Context{}, fmt.Errorf("otrace: bad span-id %q", traceparent[36:52])
-	}
-	if _, err := hex.DecodeString(traceparent[53:55]); err != nil {
-		return Context{}, fmt.Errorf("otrace: bad flags %q", traceparent[53:55])
-	}
+	// Both ids were checked as hex above, so decoding cannot fail.
+	_, _ = hex.Decode(c.TraceID[:], []byte(traceparent[3:35]))
+	_, _ = hex.Decode(c.SpanID[:], []byte(traceparent[36:52]))
 	if !c.Valid() {
 		return Context{}, fmt.Errorf("otrace: traceparent %q has all-zero ids", traceparent)
 	}
 	return c, nil
+}
+
+// isLowerHex reports whether s consists of lower-case hex digits only.
+func isLowerHex(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // EnvVar is the environment variable child processes inherit a trace

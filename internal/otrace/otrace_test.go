@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNewIDsAreDistinctAndNonZero(t *testing.T) {
@@ -54,6 +55,13 @@ func TestParseRejectsMalformedHeaders(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
 		"00-ZZf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // non-hex
 		"00+4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // bad delimiter
+
+		// W3C allows lower-case hex only, and after the flags of a future
+		// version only the end of the value or a dash.
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A",
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01xyz",
 	}
 	for _, tp := range bad {
 		if _, err := Parse(tp); err == nil {
@@ -81,6 +89,33 @@ func TestJoinSharesTraceIDAndParents(t *testing.T) {
 	fresh := Join(Context{}, "orphan")
 	if fresh.ID().IsZero() || fresh.ID() == parent.ID() {
 		t.Errorf("Join with invalid context did not mint a fresh trace")
+	}
+}
+
+// TestSpanBoundsMatchExport checks Bounds reports the offsets Export
+// renders: an ended span's start_us and dur_us to the bit, and an open
+// span's end following the clock.
+func TestSpanBoundsMatchExport(t *testing.T) {
+	tr := New("bounds")
+	sp := tr.Start(nil, "work")
+	sp.End()
+	start, end := sp.Bounds()
+	for _, j := range tr.Export().Spans {
+		if j.Name != "work" {
+			continue
+		}
+		if us := float64(start.Nanoseconds()) / 1e3; us != j.StartUs {
+			t.Errorf("Bounds start %v µs, exported start_us %v", us, j.StartUs)
+		}
+		if us := float64((end - start).Nanoseconds()) / 1e3; us != j.DurUs {
+			t.Errorf("Bounds duration %v µs, exported dur_us %v", us, j.DurUs)
+		}
+	}
+	open := tr.Start(nil, "open")
+	_, e1 := open.Bounds()
+	time.Sleep(time.Millisecond)
+	if _, e2 := open.Bounds(); e2-e1 < time.Millisecond {
+		t.Errorf("open span's end moved %v over a 1ms sleep", e2-e1)
 	}
 }
 

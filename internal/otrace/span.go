@@ -61,6 +61,10 @@ func newTrace(id TraceID, remote SpanID, name string) *Trace {
 // ID returns the trace's TraceID.
 func (t *Trace) ID() TraceID { return t.id }
 
+// Epoch returns the wall-clock time the trace's span offsets count from
+// (the document's start).
+func (t *Trace) Epoch() time.Time { return t.epoch }
+
 // Root returns the trace's root span.
 func (t *Trace) Root() *Span { return t.root }
 
@@ -104,6 +108,18 @@ func (sp *Span) End() {
 		sp.end = time.Since(sp.tr.epoch)
 	}
 	sp.tr.mu.Unlock()
+}
+
+// Bounds returns the span's start and end as offsets from the trace
+// epoch: the values Export renders as start_us and start_us + dur_us. An
+// unfinished span ends now, as in Export.
+func (sp *Span) Bounds() (start, end time.Duration) {
+	sp.tr.mu.Lock()
+	defer sp.tr.mu.Unlock()
+	if !sp.ended {
+		return sp.start, time.Since(sp.tr.epoch)
+	}
+	return sp.start, sp.end
 }
 
 // SetAttr attaches one key/value attribute to the span.

@@ -51,6 +51,27 @@ func (m Mode) String() string {
 	}
 }
 
+// ValidModes is ParseMode's vocabulary of flag names, in help-text order.
+const ValidModes = "interpretive, compiled, prebound, generated"
+
+// ParseMode maps a mode name to a mode. It accepts the flag names and
+// every String() value (prebound is CompiledPrebound's flag name), so a
+// mode read back from a summary, stream record or ledger engine key
+// parses again.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "interpretive":
+		return Interpretive, nil
+	case "compiled":
+		return Compiled, nil
+	case "prebound", "compiled+prebound":
+		return CompiledPrebound, nil
+	case "generated":
+		return Generated, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (valid modes: %s)", name, ValidModes)
+}
+
 // Profile collects execution statistics.
 type Profile struct {
 	Steps       uint64            // control steps executed
