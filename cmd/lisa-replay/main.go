@@ -79,7 +79,7 @@ func main() {
 		lo, hi, err := parseRange(*events)
 		cli.Fail(err)
 		for _, e := range rec.EventsInRange(lo, hi) {
-			fmt.Println(e.String())
+			fmt.Println(rec.Render(e))
 		}
 	default:
 		inspect(rec)

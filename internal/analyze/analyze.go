@@ -29,10 +29,10 @@ const timelineBuckets = 64
 
 // stageStats accumulates per-stage hazard counters.
 type stageStats struct {
-	pipe, stage string
 	occupied    uint64
 	flushes     uint64
 	stallCycles [trace.NumCauses]uint64 // [CauseNone] = unattributed
+	lastExec    int                     // op last executed here, -1 none
 }
 
 func (st *stageStats) stallTotal() uint64 {
@@ -89,20 +89,13 @@ func (t *timeline) bucket(step uint64) int {
 func (t *timeline) addOcc(step, n uint64)   { t.occ[t.bucket(step)] += n }
 func (t *timeline) addStall(step, n uint64) { t.stall[t.bucket(step)] += n }
 
-// pair keys the stall matrix by (requesting op, victim op): the victim is
-// the operation most recently executed in the stalled stage.
-type pair struct {
-	Source, Victim string
-}
-
 // Analyzer is the hazard-attribution observer. Attach it to a simulator
 // (alone or in a trace.Fanout); OnAttach resets all state, so one Analyzer
 // can be re-attached for repeated runs or replay passes.
 type Analyzer struct {
 	trace.Nop
 
-	model  string
-	pipes  []trace.PipeInfo
+	topo   *trace.Topology
 	stages [][]*stageStats
 	lines  []*timeline
 
@@ -121,27 +114,33 @@ type Analyzer struct {
 
 	stallEvents [trace.NumCauses]uint64
 	flushEvents [trace.NumCauses]uint64
-	byResource  map[string]uint64
-	bySource    map[string]uint64
-	byVictim    map[pair]uint64
-	lastExec    map[[2]int]string
+	byResource  []uint64 // hazard events by gating resource id
+	bySource    []uint64 // hazard events by requesting op id
+	pairs       []pair   // stalls by (requesting op, victim op), first seen first
+}
+
+// pair counts the stalls one operation requested in a stage where
+// another, the victim, executed last. A run has few distinct pairs, so
+// they are found by a scan.
+type pair struct {
+	source, victim int
+	stalls         uint64
 }
 
 // New creates an empty analyzer; it becomes usable once attached.
-func New() *Analyzer { return &Analyzer{} }
+func New() *Analyzer { return &Analyzer{topo: &trace.Topology{}} }
 
 // OnAttach implements trace.Observer. It RESETS all accumulated state:
 // the replayer re-announces the topology on every seek, and the analyzer
 // must attribute a re-executed run from scratch to match the live one.
-func (a *Analyzer) OnAttach(model string, pipes []trace.PipeInfo) {
-	a.model = model
-	a.pipes = append([]trace.PipeInfo(nil), pipes...)
+func (a *Analyzer) OnAttach(t *trace.Topology) {
+	a.topo = t
 	a.stages = a.stages[:0]
 	a.lines = a.lines[:0]
-	for _, pi := range pipes {
+	for _, pi := range t.Pipes {
 		row := make([]*stageStats, len(pi.Stages))
-		for i, st := range pi.Stages {
-			row[i] = &stageStats{pipe: pi.Name, stage: st}
+		for i := range row {
+			row[i] = &stageStats{lastExec: -1}
 		}
 		a.stages = append(a.stages, row)
 		a.lines = append(a.lines, newTimeline(len(pi.Stages)))
@@ -154,10 +153,9 @@ func (a *Analyzer) OnAttach(model string, pipes []trace.PipeInfo) {
 	a.everDispatched = false
 	a.cur, a.decoded = 0, false
 	a.stepCause, a.lastCause = trace.CauseNone, trace.CauseNone
-	a.byResource = map[string]uint64{}
-	a.bySource = map[string]uint64{}
-	a.byVictim = map[pair]uint64{}
-	a.lastExec = map[[2]int]string{}
+	a.byResource = make([]uint64, len(t.Resources))
+	a.bySource = make([]uint64, len(t.Ops))
+	a.pairs = a.pairs[:0]
 }
 
 // OnStepBegin implements trace.Observer.
@@ -190,7 +188,7 @@ func (a *Analyzer) OnStepEnd(uint64) {
 
 // OnDecode implements trace.Observer: any decode makes the step an issue
 // cycle (parallel decodes — a VLIW execute packet — share it).
-func (a *Analyzer) OnDecode(string, uint64, bool) {
+func (a *Analyzer) OnDecode(int, uint64, bool) {
 	a.decoded = true
 	a.everDispatched = true
 	a.dispatches++
@@ -214,9 +212,9 @@ func (a *Analyzer) OnOccupancy(pipe int, occupied []bool) {
 
 // OnExec implements trace.Observer: the last operation executed in each
 // (pipe, stage) is the presumed victim of a later stall there.
-func (a *Analyzer) OnExec(op string, pipe, stage int, packet uint64) {
-	if pipe >= 0 && stage >= 0 {
-		a.lastExec[[2]int{pipe, stage}] = op
+func (a *Analyzer) OnExec(op, pipe, stage int, packet uint64) {
+	if pipe >= 0 && pipe < len(a.stages) && stage >= 0 && stage < len(a.stages[pipe]) {
+		a.stages[pipe][stage].lastExec = op
 	}
 }
 
@@ -235,12 +233,7 @@ func (a *Analyzer) OnStall(info trace.StallInfo) {
 	}
 	a.rankCause(c)
 	a.stallEvents[c]++
-	if info.Resource != "" {
-		a.byResource[info.Resource]++
-	}
-	if info.SourceOp != "" {
-		a.bySource[info.SourceOp]++
-	}
+	a.countHazard(info)
 	if info.Pipe < 0 || info.Pipe >= len(a.stages) {
 		return
 	}
@@ -251,13 +244,34 @@ func (a *Analyzer) OnStall(info trace.StallInfo) {
 		}
 		a.lines[info.Pipe].addStall(a.cur, uint64(len(row)))
 	} else if info.Stage < len(row) {
-		row[info.Stage].stallCycles[c]++
+		st := row[info.Stage]
+		st.stallCycles[c]++
 		a.lines[info.Pipe].addStall(a.cur, 1)
-	}
-	if info.SourceOp != "" && info.Stage >= 0 {
-		if victim := a.lastExec[[2]int{info.Pipe, info.Stage}]; victim != "" {
-			a.byVictim[pair{info.SourceOp, victim}]++
+		if info.SourceOp >= 0 && st.lastExec >= 0 {
+			a.countPair(info.SourceOp, st.lastExec)
 		}
+	}
+}
+
+// countPair counts one stall source requested on victim.
+func (a *Analyzer) countPair(source, victim int) {
+	for i := range a.pairs {
+		if p := &a.pairs[i]; p.source == source && p.victim == victim {
+			p.stalls++
+			return
+		}
+	}
+	a.pairs = append(a.pairs, pair{source, victim, 1})
+}
+
+// countHazard counts a stall or flush against its gating resource and
+// its requesting operation.
+func (a *Analyzer) countHazard(info trace.StallInfo) {
+	if info.Resource >= 0 && info.Resource < len(a.byResource) {
+		a.byResource[info.Resource]++
+	}
+	if info.SourceOp >= 0 && info.SourceOp < len(a.bySource) {
+		a.bySource[info.SourceOp]++
 	}
 }
 
@@ -269,12 +283,7 @@ func (a *Analyzer) OnFlush(info trace.StallInfo) {
 	}
 	a.rankCause(c)
 	a.flushEvents[c]++
-	if info.Resource != "" {
-		a.byResource[info.Resource]++
-	}
-	if info.SourceOp != "" {
-		a.bySource[info.SourceOp]++
-	}
+	a.countHazard(info)
 	if info.Pipe < 0 || info.Pipe >= len(a.stages) {
 		return
 	}

@@ -109,7 +109,7 @@ func share(n, total uint64) float64 {
 // Report snapshots the analyzer's current state.
 func (a *Analyzer) Report() *Report {
 	r := &Report{
-		Model:       a.model,
+		Model:       a.topo.Model,
 		Steps:       a.steps,
 		IssueCycles: a.issue,
 		IdleCycles:  a.idle,
@@ -136,8 +136,10 @@ func (a *Analyzer) Report() *Report {
 		r.Events = append(r.Events, CauseCount{c.String(), a.stallEvents[c], a.flushEvents[c]})
 	}
 
-	for res, n := range a.byResource {
-		r.Resources = append(r.Resources, ResourceCount{res, n})
+	for id, n := range a.byResource {
+		if n > 0 {
+			r.Resources = append(r.Resources, ResourceCount{a.topo.Resource(id), n})
+		}
 	}
 	sort.Slice(r.Resources, func(i, j int) bool {
 		if r.Resources[i].Events != r.Resources[j].Events {
@@ -146,8 +148,10 @@ func (a *Analyzer) Report() *Report {
 		return r.Resources[i].Resource < r.Resources[j].Resource
 	})
 
-	for op, n := range a.bySource {
-		r.Sources = append(r.Sources, SourceCount{op, n})
+	for id, n := range a.bySource {
+		if n > 0 {
+			r.Sources = append(r.Sources, SourceCount{a.topo.Op(id), n})
+		}
 	}
 	sort.Slice(r.Sources, func(i, j int) bool {
 		if r.Sources[i].Events != r.Sources[j].Events {
@@ -156,8 +160,8 @@ func (a *Analyzer) Report() *Report {
 		return r.Sources[i].Op < r.Sources[j].Op
 	})
 
-	for p, n := range a.byVictim {
-		r.Pairs = append(r.Pairs, PairCount{p.Source, p.Victim, n})
+	for _, p := range a.pairs {
+		r.Pairs = append(r.Pairs, PairCount{a.topo.Op(p.source), a.topo.Op(p.victim), p.stalls})
 	}
 	sort.Slice(r.Pairs, func(i, j int) bool {
 		if r.Pairs[i].Stalls != r.Pairs[j].Stalls {
@@ -169,11 +173,11 @@ func (a *Analyzer) Report() *Report {
 		return r.Pairs[i].Victim < r.Pairs[j].Victim
 	})
 
-	for _, row := range a.stages {
-		for _, st := range row {
+	for pi, row := range a.stages {
+		for si, st := range row {
 			sr := StageReport{
-				Pipe:     st.pipe,
-				Stage:    st.stage,
+				Pipe:     a.topo.Pipes[pi].Name,
+				Stage:    a.topo.Pipes[pi].Stages[si],
 				Occupied: st.occupied,
 				Stalls:   st.stallTotal(),
 				Flushes:  st.flushes,
@@ -192,7 +196,7 @@ func (a *Analyzer) Report() *Report {
 
 	for i, t := range a.lines {
 		r.Timelines = append(r.Timelines, TimelineReport{
-			Pipe:           a.pipes[i].Name,
+			Pipe:           a.topo.Pipes[i].Name,
 			Stages:         t.stages,
 			StepsPerBucket: t.width,
 			Occupied:       append([]uint64{}, t.occ...),

@@ -262,7 +262,7 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 				return nil, err
 			}
 		}
-		condExpr := st.Cond
+		guard := c.x.guardOf(st.Cond)
 		return func(cs *cstate) error {
 			cv, err := cond(cs)
 			if err != nil {
@@ -279,7 +279,7 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 			// engines attribute hazards identically (replay determinism).
 			track := cs.x.Obs != nil
 			if track {
-				cs.x.guards = append(cs.x.guards, condExpr)
+				cs.x.guards = append(cs.x.guards, guard)
 			}
 			err = body(cs)
 			if track {
@@ -442,7 +442,7 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 			}
 			cases = append(cases, cc)
 		}
-		tagExpr := st.Tag
+		guard := c.x.guardOf(st.Tag)
 		return func(cs *cstate) error {
 			tv, err := tag(cs)
 			if err != nil {
@@ -453,7 +453,7 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 			guarded := func(body cstmt) error {
 				track := cs.x.Obs != nil
 				if track {
-					cs.x.guards = append(cs.x.guards, tagExpr)
+					cs.x.guards = append(cs.x.guards, guard)
 				}
 				err := body(cs)
 				if track {

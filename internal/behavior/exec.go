@@ -88,18 +88,21 @@ type Exec struct {
 	depth    int
 	actFrame cstate
 
-	// guards is the stack of condition expressions enclosing the statement
-	// currently executing (if conditions, switch tags), maintained only
-	// while an observer is attached. The simulator reads it to classify
-	// pipeline stall/flush requests made from behavior code.
-	guards []ast.Expr
+	// guards is the stack of the conditions enclosing the statement
+	// currently executing (if conditions, switch tags), each as the
+	// resources it reads, maintained only while an observer is attached.
+	// The simulator reads it to classify pipeline stall/flush requests
+	// made from behavior code.
+	guards   [][]*model.Resource
+	guardRes map[ast.Expr][]*model.Resource // guardOf's cache
 }
 
-// Guards returns the live stack of condition expressions guarding the
-// currently executing statement, outermost first. The slice is owned by
-// the engine and must not be retained. It is populated only while Obs is
-// non-nil (hazard attribution needs an observer to deliver to).
-func (x *Exec) Guards() []ast.Expr { return x.guards }
+// Guards returns the live stack of the conditions guarding the currently
+// executing statement, outermost first, each as the resources it reads.
+// The slice is owned by the engine and must not be retained. It is
+// populated only while Obs is non-nil (hazard attribution needs an
+// observer to deliver to).
+func (x *Exec) Guards() [][]*model.Resource { return x.guards }
 
 // control-flow signals, threaded as errors.
 type ctrlSignal int
@@ -177,7 +180,7 @@ func (x *Exec) Run(in *model.Instance) error {
 	// Statement counts are inclusive of operations called directly from
 	// behavior code (which re-enter Run and report themselves too).
 	if d := x.stmts - start; d > 0 {
-		x.Obs.OnBehavior(in.Op.Name, d)
+		x.Obs.OnBehavior(in.Op.Index, d)
 	}
 	return err
 }
@@ -278,7 +281,7 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 		// every exit path, including control-flow signals).
 		track := x.Obs != nil
 		if track {
-			x.guards = append(x.guards, st.Cond)
+			x.guards = append(x.guards, x.guardOf(st.Cond))
 		}
 		err = x.execStmt(f, body)
 		if track {
@@ -407,7 +410,7 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 func (x *Exec) execGuardedCase(f *frame, tag ast.Expr, c *ast.SwitchCase) error {
 	track := x.Obs != nil
 	if track {
-		x.guards = append(x.guards, tag)
+		x.guards = append(x.guards, x.guardOf(tag))
 	}
 	err := x.execCaseBody(f, c)
 	if track {

@@ -5,21 +5,29 @@ import (
 	"golisa/internal/model"
 )
 
-// GuardResources returns the machine resources a condition expression
-// reads, in source order and deduplicated. It is a static approximation
-// used for hazard attribution: an identifier counts when it names a model
-// resource (locals or decoded fields shadowing a resource name are rare in
-// practice and merely shift the attribution, never the timing). Alias
-// resources resolve to themselves; indexed accesses report the indexed
-// resource.
-func GuardResources(m *model.Model, e ast.Expr) []string {
-	var out []string
-	seen := map[string]bool{}
+// guardOf returns the machine resources condition e reads, in source
+// order and deduplicated, cached per condition. It is a static
+// approximation used for hazard attribution: an identifier counts when
+// it names a model resource (locals or decoded fields shadowing a
+// resource name are rare in practice and merely shift the attribution,
+// never the timing). Alias resources resolve to themselves; indexed
+// accesses report the indexed resource.
+func (x *Exec) guardOf(e ast.Expr) []*model.Resource {
+	if res, ok := x.guardRes[e]; ok {
+		return res
+	}
+	var out []*model.Resource
 	add := func(name string) {
-		if !seen[name] && m.Resource(name) != nil {
-			seen[name] = true
-			out = append(out, name)
+		r := x.M.Resource(name)
+		if r == nil {
+			return
 		}
+		for _, seen := range out {
+			if seen == r {
+				return
+			}
+		}
+		out = append(out, r)
 	}
 	var walk func(e ast.Expr)
 	walk = func(e ast.Expr) {
@@ -50,5 +58,9 @@ func GuardResources(m *model.Model, e ast.Expr) []string {
 		}
 	}
 	walk(e)
+	if x.guardRes == nil {
+		x.guardRes = map[ast.Expr][]*model.Resource{}
+	}
+	x.guardRes[e] = out
 	return out
 }

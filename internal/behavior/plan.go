@@ -40,9 +40,10 @@ type ActStep struct {
 
 	Then, Else []ActStep // ActIf branches
 
-	cond  actExpr   // ActIf condition or ActSwitch tag
-	cases []actCase // ActSwitch non-default cases
-	deflt []ActStep // ActSwitch default items
+	guard []*model.Resource // the resources cond reads (hazard attribution)
+	cond  actExpr           // ActIf condition or ActSwitch tag
+	cases []actCase         // ActSwitch non-default cases
+	deflt []ActStep         // ActSwitch default items
 }
 
 // actCase is one non-default case of an ActSwitch step.
@@ -58,8 +59,10 @@ type actExpr struct {
 	f cexpr
 }
 
-// Guard returns the step's condition or switch tag (hazard attribution).
-func (st *ActStep) Guard() ast.Expr { return st.cond.e }
+// Guard returns the resources the step's condition or switch tag reads
+// (hazard attribution). Plans bound for an interpreting engine carry
+// them only while an observer is attached.
+func (st *ActStep) Guard() []*model.Resource { return st.guard }
 
 // BindActivation resolves in's ACTIVATION section (nil when it has none)
 // for the engines that interpret behavior: conditions stay ASTs.
@@ -104,10 +107,12 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 		case *ast.ActIf:
 			st.Kind = ActIf
 			st.cond, st.Err = c.bindExpr(it.Cond)
+			st.guard = c.bindGuard(x, it.Cond)
 			st.Then, st.Else = bindActs(x, in, it.Then, c), bindActs(x, in, it.Else, c)
 		case *ast.ActSwitch:
 			st.Kind = ActSwitch
 			st.cond, st.Err = c.bindExpr(it.Tag)
+			st.guard = c.bindGuard(x, it.Tag)
 			for j := range it.Cases {
 				ac := &it.Cases[j]
 				items := bindActs(x, in, ac.Items, c)
@@ -141,6 +146,16 @@ func (c *compiler) bindExpr(e ast.Expr) (actExpr, error) {
 		c.acts++
 	}
 	return actExpr{e, f}, err
+}
+
+// bindGuard resolves the resources a condition reads: always when the
+// plan is compiled, and for the interpreting engines only while an
+// observer needs them.
+func (c *compiler) bindGuard(x *Exec, e ast.Expr) []*model.Resource {
+	if c == nil && x.Obs == nil {
+		return nil
+	}
+	return x.guardOf(e)
 }
 
 // ActCond evaluates an ActIf step's condition in the context of in.

@@ -251,11 +251,12 @@ func TestSimd16DisassemblerRoundTrip(t *testing.T) {
 // file by reported address.
 type vregWrites struct {
 	trace.Nop
+	vreg  int // the resource id of vreg
 	addrs map[uint64]int
 }
 
-func (w *vregWrites) OnMemWrite(resource string, addr, value uint64) {
-	if resource == "vreg" {
+func (w *vregWrites) OnMemWrite(resource int, addr, value uint64) {
+	if resource == w.vreg {
 		w.addrs[addr]++
 	}
 }
@@ -280,7 +281,7 @@ func TestSimd16BankedWritesReachObserver(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := &vregWrites{addrs: map[uint64]int{}}
+			w := &vregWrites{vreg: m.Model.Resource("vreg").Index, addrs: map[uint64]int{}}
 			s.SetObserver(w)
 			if _, err := s.Run(1000); err != nil {
 				t.Fatal(err)

@@ -157,12 +157,14 @@ func (l *Lockstep) dumpWindow(w io.Writer, label string, rec *replay.Recorder, c
 	}
 	fmt.Fprintf(w, "%s recording, cycles %d..%d before divergence:\n", label, lo, cycle)
 	n := 0
-	for _, e := range rec.TailEvents() {
-		if e.Step < lo || e.Step > cycle {
-			continue
+	if tail := rec.Tail(); tail != nil {
+		for _, e := range tail.Events() {
+			if e.Step < lo || e.Step > cycle {
+				continue
+			}
+			fmt.Fprintf(w, "  %s\n", tail.Format(e))
+			n++
 		}
-		fmt.Fprintf(w, "  %s\n", e.String())
-		n++
 	}
 	if n == 0 {
 		fmt.Fprintf(w, "  (no events in window)\n")

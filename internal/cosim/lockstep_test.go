@@ -226,7 +226,7 @@ func TestLockstepDivergenceWindow(t *testing.T) {
 		evs := recd.EventsInRange(0, recd.FinalStep+1)
 		found := false
 		for _, e := range evs {
-			if e.Kind == trace.KindDiverge && strings.Contains(e.Name, "cosim divergence") {
+			if e.Event.Kind == trace.KindDiverge && strings.Contains(e.Note, "cosim divergence") {
 				found = true
 			}
 		}

@@ -16,13 +16,14 @@ const memoCap = 4096
 // Collector is a trace.Observer accumulating model coverage: executed
 // operations, activation edges (source, target) and hazard causes come
 // from the observer events; decode coverage comes through
-// sim.Simulator.OnDecoded (the string-typed OnDecode event cannot carry
-// the selected leaves).
+// sim.Simulator.OnDecoded (the OnDecode event cannot carry the selected
+// leaves).
 //
-// Every event costs one map lookup plus one bit-set. OnAttach resets
-// the bits, so re-attaching (a replay seek, a fresh run) starts a fresh
-// measurement. A Collector is not safe for concurrent use; fleet runs
-// give each job its own and merge the snapshots.
+// Every event costs one lookup in the map's id-indexed bit tables plus
+// one bit-set. OnAttach resets the bits, so re-attaching (a replay seek,
+// a fresh run) starts a fresh measurement. A Collector is not safe for
+// concurrent use; fleet runs give each job its own and merge the
+// snapshots.
 type Collector struct {
 	trace.Nop
 	cm   *Map
@@ -48,7 +49,7 @@ func (c *Collector) Map() *Map { return c.cm }
 
 // OnAttach implements trace.Observer: attaching starts a fresh run, so
 // all coverage state resets.
-func (c *Collector) OnAttach(string, []trace.PipeInfo) {
+func (c *Collector) OnAttach(*trace.Topology) {
 	c.mu.Lock()
 	for d := 0; d < NumDomains; d++ {
 		c.bits[d].Clear()
@@ -58,13 +59,17 @@ func (c *Collector) OnAttach(string, []trace.PipeInfo) {
 }
 
 // OnExec implements trace.Observer: one executed-operation bit.
-func (c *Collector) OnExec(op string, pipe, stage int, packet uint64) {
-	c.bits[DomainOps].Set(c.cm.Index(DomainOps, op))
+func (c *Collector) OnExec(op, pipe, stage int, packet uint64) {
+	if op >= 0 && op < len(c.cm.opBit) {
+		c.bits[DomainOps].Set(int(c.cm.opBit[op]))
+	}
 }
 
 // OnActivate implements trace.Observer: one activation-edge bit.
-func (c *Collector) OnActivate(source, target string, delay uint64) {
-	c.bits[DomainEdges].Set(c.cm.Index(DomainEdges, EdgeName(source, target)))
+func (c *Collector) OnActivate(source, target int, delay uint64) {
+	if n := len(c.cm.opBit); source >= 0 && source < n && target >= 0 && target < n {
+		c.bits[DomainEdges].Set(int(c.cm.edgeBit[source*n+target]))
+	}
 }
 
 // OnStall implements trace.Observer: one hazard-cause bit.
@@ -73,9 +78,11 @@ func (c *Collector) OnStall(info trace.StallInfo) { c.cause(info.Cause) }
 // OnFlush implements trace.Observer.
 func (c *Collector) OnFlush(info trace.StallInfo) { c.cause(info.Cause) }
 
+// cause sets a hazard-cause bit: the causes domain lists trace.Causes
+// in order, from CauseData.
 func (c *Collector) cause(cause trace.Cause) {
-	if cause != trace.CauseNone {
-		c.bits[DomainCauses].Set(c.cm.Index(DomainCauses, cause.String()))
+	if cause != trace.CauseNone && cause < trace.NumCauses {
+		c.bits[DomainCauses].Set(int(cause - trace.CauseData))
 	}
 }
 
@@ -94,7 +101,9 @@ func (c *Collector) MarkDecoded(in *model.Instance) {
 }
 
 func (c *Collector) markTree(in *model.Instance) {
-	c.bits[DomainLeaves].Set(c.cm.Index(DomainLeaves, in.Op.Name))
+	if in.Op.Index < len(c.cm.leafBit) {
+		c.bits[DomainLeaves].Set(int(c.cm.leafBit[in.Op.Index]))
+	}
 	for _, child := range in.Bindings {
 		c.markTree(child)
 	}

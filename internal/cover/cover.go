@@ -84,7 +84,10 @@ type Map struct {
 	// each (coding.FindUnreachable).
 	Excluded []coding.Unreachable
 
-	index [NumDomains]map[string]uint32
+	// The event path's bit tables, by model.Operation.Index (-1: not an
+	// item): leafBit and opBit for one operation, edgeBit for a (source,
+	// target) pair at source*len(opBit)+target.
+	leafBit, opBit, edgeBit []int32
 }
 
 // NewMap enumerates the coverage domains of a model. The enumeration is
@@ -101,7 +104,8 @@ func NewMap(m *model.Model) *Map {
 
 	cm.Items[DomainLeaves] = enumLeaves(m, dead)
 	cm.Items[DomainOps] = enumOps(m, dead)
-	cm.Items[DomainEdges] = enumEdges(m, dead)
+	var edges [][2]*model.Operation
+	cm.Items[DomainEdges], edges = enumEdges(m, dead)
 	for _, c := range Causes() {
 		cm.Items[DomainCauses] = append(cm.Items[DomainCauses], Item{Name: c})
 	}
@@ -110,24 +114,37 @@ func NewMap(m *model.Model) *Map {
 	fmt.Fprintf(h, "model=%s\n", m.Name)
 	for d := 0; d < NumDomains; d++ {
 		fmt.Fprintf(h, "domain=%s\n", DomainNames[d])
-		cm.index[d] = make(map[string]uint32, len(cm.Items[d]))
-		for i, it := range cm.Items[d] {
+		for _, it := range cm.Items[d] {
 			fmt.Fprintf(h, "%s\n", it.Name)
-			cm.index[d][it.Name] = uint32(i)
 		}
 	}
 	for _, u := range cm.Excluded {
 		fmt.Fprintf(h, "excluded=%s\n", u.Op)
 	}
 	cm.Fingerprint = h.Sum64()
+
+	n := len(m.OpList)
+	cm.leafBit, cm.opBit, cm.edgeBit = make([]int32, n), make([]int32, n), make([]int32, n*n)
+	for _, op := range m.OpList {
+		cm.leafBit[op.Index] = int32(cm.Index(DomainLeaves, op.Name))
+		cm.opBit[op.Index] = int32(cm.Index(DomainOps, op.Name))
+	}
+	for i := range cm.edgeBit {
+		cm.edgeBit[i] = -1
+	}
+	for i, e := range edges {
+		cm.edgeBit[e[0].Index*n+e[1].Index] = int32(i)
+	}
 	return cm
 }
 
 // Index returns the bit index of name in domain d, or -1 when the model
-// has no such item (events about unmapped names are ignored).
+// has no such item.
 func (cm *Map) Index(d int, name string) int {
-	if i, ok := cm.index[d][name]; ok {
-		return int(i)
+	for i, it := range cm.Items[d] {
+		if it.Name == name {
+			return i
+		}
 	}
 	return -1
 }
@@ -223,9 +240,11 @@ func enumOps(m *model.Model, dead map[string]bool) []Item {
 
 // enumEdges collects the static ACTIVATION edges "source->target" with
 // groups expanded to their members, in declaration order, dropping
-// edges into (or out of) the statically dead set.
-func enumEdges(m *model.Model, dead map[string]bool) []Item {
+// edges into (or out of) the statically dead set. It returns each
+// item's (source, target) operations alongside.
+func enumEdges(m *model.Model, dead map[string]bool) ([]Item, [][2]*model.Operation) {
 	var items []Item
+	var ops [][2]*model.Operation
 	seen := map[string]bool{}
 	for _, op := range m.OpList {
 		if op.Alias || dead[op.Name] {
@@ -243,20 +262,18 @@ func enumEdges(m *model.Model, dead map[string]bool) []Item {
 				} else if dead[t.Name] {
 					return
 				}
-				name := EdgeName(op.Name, t.Name)
+				name := op.Name + "->" + t.Name
 				if seen[name] {
 					return
 				}
 				seen[name] = true
 				items = append(items, Item{Name: name, Pos: opPos(t)})
+				ops = append(ops, [2]*model.Operation{op, t})
 			})
 		}
 	}
-	return items
+	return items, ops
 }
-
-// EdgeName is the stable item name of an activation edge.
-func EdgeName(source, target string) string { return source + "->" + target }
 
 // walkActTargets calls fn for every operation an ACTIVATION section of
 // op could schedule, expanding group names to their members (viaGroup

@@ -134,15 +134,21 @@ func TestBitsetJSONRoundTrip(t *testing.T) {
 func driveCollector(t *testing.T, cm *cover.Map, col *cover.Collector, pick int) {
 	t.Helper()
 	ops := cm.Items[cover.DomainOps]
-	col.OnExec(ops[pick%len(ops)].Name, 0, 0, 0)
+	col.OnExec(simple16Op(t, ops[pick%len(ops)].Name), 0, 0, 0)
 	edges := cm.Items[cover.DomainEdges]
 	src, dst, ok := strings.Cut(edges[pick%len(edges)].Name, "->")
 	if !ok {
 		t.Fatalf("edge item %q not src->dst", edges[pick%len(edges)].Name)
 	}
-	col.OnActivate(src, dst, 0)
+	col.OnActivate(simple16Op(t, src), simple16Op(t, dst), 0)
 	col.OnStall(trace.StallInfo{Cause: trace.CauseData})
 	col.OnFlush(trace.StallInfo{Cause: trace.CauseControl})
+}
+
+// simple16Op returns the id events carry for a simple16 operation.
+func simple16Op(t *testing.T, name string) int {
+	t.Helper()
+	return loadModel(t, "simple16").Model.Ops[name].Index
 }
 
 func TestSnapshotMergeIsUnion(t *testing.T) {
@@ -263,7 +269,7 @@ func TestDiff(t *testing.T) {
 	a, b := cover.NewCollector(cm), cover.NewCollector(cm)
 	driveCollector(t, cm, a, 0)
 	driveCollector(t, cm, b, 0)
-	b.OnExec(cm.Items[cover.DomainOps][3].Name, 0, 0, 0)
+	b.OnExec(simple16Op(t, cm.Items[cover.DomainOps][3].Name), 0, 0, 0)
 
 	diff, err := cm.Diff(a.Snapshot(), b.Snapshot())
 	if err != nil {
@@ -295,7 +301,7 @@ func TestCollectorOnAttachResets(t *testing.T) {
 	if col.Snapshot().Domains[cover.DomainOps].Covered == 0 {
 		t.Fatal("drive covered nothing")
 	}
-	col.OnAttach("simple16", nil)
+	col.OnAttach(&trace.Topology{Model: "simple16"})
 	for _, d := range col.Snapshot().Domains {
 		if d.Covered != 0 {
 			t.Errorf("domain %s not cleared by OnAttach", d.Name)

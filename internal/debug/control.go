@@ -3,6 +3,7 @@ package debug
 import (
 	"sync"
 
+	"golisa/internal/model"
 	"golisa/internal/trace"
 )
 
@@ -33,9 +34,12 @@ type Controller struct {
 	pc          func() uint64
 	breakpoints map[uint64]struct{}
 
-	// watches guard resource names; the observer half sets watchHit on
-	// the simulation goroutine, the gate pauses at the next boundary.
-	watches  map[string]struct{}
+	// watches holds the watched resources by the names the user gave;
+	// watchIDs, by resource id, the watch a write to that resource fires
+	// ("" for none). The observer half sets watchHit on the simulation
+	// goroutine, the gate pauses at the next boundary.
+	watches  map[string]*model.Resource
+	watchIDs []string
 	watchHit string
 }
 
@@ -47,7 +51,7 @@ func NewController(pc func() uint64, startPaused bool) *Controller {
 		pc:          pc,
 		paused:      startPaused,
 		breakpoints: map[uint64]struct{}{},
-		watches:     map[string]struct{}{},
+		watches:     map[string]*model.Resource{},
 	}
 	if startPaused {
 		c.stopCause = "start"
@@ -197,13 +201,28 @@ func (c *Controller) Breakpoints() []uint64 {
 }
 
 // SetWatch adds or removes a resource watchpoint; any write to a watched
-// resource pauses the simulation at the next step boundary.
-func (c *Controller) SetWatch(resource string, on bool) {
+// resource pauses the simulation at the next step boundary. Writes
+// through an alias reach the resource it names, so a watch on an alias
+// watches that resource.
+func (c *Controller) SetWatch(r *model.Resource, on bool) {
 	c.Do(func() {
 		if on {
-			c.watches[resource] = struct{}{}
+			c.watches[r.Name] = r
 		} else {
-			delete(c.watches, resource)
+			delete(c.watches, r.Name)
+		}
+		c.watchIDs = c.watchIDs[:0]
+		for name, w := range c.watches {
+			for w.AliasOf != nil {
+				w = w.AliasOf
+			}
+			for len(c.watchIDs) <= w.Index {
+				c.watchIDs = append(c.watchIDs, "")
+			}
+			// Of several watches on one resource, name the first in order.
+			if c.watchIDs[w.Index] == "" || name < c.watchIDs[w.Index] {
+				c.watchIDs[w.Index] = name
+			}
 		}
 	})
 }
@@ -231,15 +250,12 @@ type watchObserver struct {
 	c *Controller
 }
 
-func (w *watchObserver) hit(resource string) {
+func (w *watchObserver) hit(resource int) {
 	c := w.c
-	if len(c.watches) == 0 || c.watchHit != "" {
-		return
-	}
-	if _, ok := c.watches[resource]; ok {
-		c.watchHit = resource
+	if c.watchHit == "" && resource >= 0 && resource < len(c.watchIDs) {
+		c.watchHit = c.watchIDs[resource]
 	}
 }
 
-func (w *watchObserver) OnResourceWrite(resource string, value uint64)  { w.hit(resource) }
-func (w *watchObserver) OnMemWrite(resource string, addr, value uint64) { w.hit(resource) }
+func (w *watchObserver) OnResourceWrite(resource int, value uint64)  { w.hit(resource) }
+func (w *watchObserver) OnMemWrite(resource int, addr, value uint64) { w.hit(resource) }

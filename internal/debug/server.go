@@ -581,9 +581,10 @@ func (srv *Server) handleBreak(w http.ResponseWriter, r *http.Request) {
 
 func (srv *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	if res := q.Get("resource"); res != "" {
-		if srv.sim.M.Resource(res) == nil {
-			http.Error(w, fmt.Sprintf("no resource %q", res), http.StatusBadRequest)
+	if name := q.Get("resource"); name != "" {
+		res := srv.sim.M.Resource(name)
+		if res == nil {
+			http.Error(w, fmt.Sprintf("no resource %q", name), http.StatusBadRequest)
 			return
 		}
 		srv.ctrl.SetWatch(res, q.Get("clear") == "")

@@ -5,7 +5,6 @@ import (
 	"net/http"
 
 	"golisa/internal/replay"
-	"golisa/internal/trace"
 )
 
 // Time-travel run control. With a replay.Recorder attached (Options
@@ -102,25 +101,6 @@ func (srv *Server) applyInputs(step uint64) {
 	}
 }
 
-// hitDetector is the minimal observer used while scanning backwards for
-// watchpoint hits: it only notes writes to watched resources.
-type hitDetector struct {
-	trace.Nop
-	watches map[string]struct{}
-	fired   bool
-}
-
-func (h *hitDetector) note(resource string) {
-	if _, ok := h.watches[resource]; ok {
-		h.fired = true
-	}
-}
-
-func (h *hitDetector) OnResourceWrite(resource string, value uint64) { h.note(resource) }
-func (h *hitDetector) OnMemWrite(resource string, addr, value uint64) {
-	h.note(resource)
-}
-
 // reverseContinue finds the latest cycle strictly before the current one
 // at which a breakpoint or watchpoint would have stopped the simulation,
 // and travels there. It scans checkpoint windows newest-first, so the
@@ -210,17 +190,17 @@ func (srv *Server) scanWindow(ck replay.Checkpoint, end, cur uint64) (uint64, bo
 	if err := s.Restore(ck.Snap); err != nil {
 		return 0, false, err
 	}
-	det := &hitDetector{watches: c.watches}
-	s.SwapObserver(det)
+	// Only the watchpoints observe the re-execution; a hit sets watchHit.
+	s.SwapObserver(c.Observer())
 	defer s.SwapObserver(nil)
 	var last uint64
 	found := false
 	for {
 		t := s.Step()
 		if t > ck.Step {
-			det.fired = false
+			c.watchHit = ""
 			srv.applyInputs(t)
-			if det.fired && t < cur {
+			if c.watchHit != "" && t < cur {
 				last, found = t, true
 			}
 		}
@@ -232,11 +212,11 @@ func (srv *Server) scanWindow(ck replay.Checkpoint, end, cur uint64) (uint64, bo
 		if t >= end || s.Halted() {
 			return last, found, nil
 		}
-		det.fired = false
+		c.watchHit = ""
 		if err := s.RunStep(); err != nil {
 			return 0, false, err
 		}
-		if det.fired && s.Step() < cur {
+		if c.watchHit != "" && s.Step() < cur {
 			last, found = s.Step(), true
 		}
 	}

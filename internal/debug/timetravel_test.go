@@ -27,11 +27,17 @@ type recHarness struct {
 
 func newRecHarness(t *testing.T) *recHarness {
 	t.Helper()
+	return newRecHarnessFor(t, countdown)
+}
+
+// newRecHarnessFor is newRecHarness for a given simple16 program.
+func newRecHarnessFor(t *testing.T, src string) *recHarness {
+	t.Helper()
 	m, err := core.LoadBuiltin("simple16")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := m.AssembleAndLoad(countdown, sim.Compiled)
+	s, _, err := m.AssembleAndLoad(src, sim.Compiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +186,61 @@ func TestReverseContinue(t *testing.T) {
 	}
 	h.get(t, "/watch?resource=B&clear=1")
 
+	h.get(t, "/resume")
+	if err := <-h.done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchAlias watches accu_hi, an alias of simple16's accumulator.
+// Nothing writes the alias by name: the one MAC writes accu, so the
+// watch must cover the resource the alias names. The run pauses at the
+// step boundary after that write, and reverse-continue from a few steps
+// later finds the same boundary.
+func TestWatchAlias(t *testing.T) {
+	h := newRecHarnessFor(t, `
+        LDI A6, 3
+        LDI A7, 5
+        NOP
+        NOP
+        MAC A6, A7
+        NOP
+        NOP
+        NOP
+        NOP
+        NOP
+        HALT
+`)
+	h.waitState(t, "initial pause", func(s debug.StateSnapshot) bool { return s.Paused })
+	h.get(t, "/watch?resource=accu_hi")
+	h.get(t, "/resume")
+	h.waitState(t, "watchpoint", func(s debug.StateSnapshot) bool {
+		if s.Done {
+			t.Fatalf("run finished without the watchpoint firing: %+v", s)
+		}
+		return s.Paused && s.StopCause == "watchpoint accu_hi"
+	})
+	// /state reads the registers at a boundary and the run status after
+	// it, so only a snapshot taken while paused shows the paused state.
+	hit := h.state(t)
+	if got := reg(t, hit, "accu"); got != 15 {
+		t.Errorf("paused with accu = %d, want 15 (after the MAC)", got)
+	}
+	if !reflect.DeepEqual(hit.Watches, []string{"accu_hi"}) {
+		t.Errorf("watches = %q, want [accu_hi]", hit.Watches)
+	}
+
+	h.get(t, "/step?n=3")
+	h.waitState(t, "three steps on", func(s debug.StateSnapshot) bool { return s.Paused && s.Step == hit.Step+3 })
+	h.get(t, "/rcontinue")
+	back := h.waitState(t, "reverse-continue", func(s debug.StateSnapshot) bool {
+		return s.Paused && s.StopCause == "reverse-continue"
+	})
+	if back.Step != hit.Step {
+		t.Errorf("reverse-continue stopped at %d, want the watchpoint's step %d", back.Step, hit.Step)
+	}
+
+	h.get(t, "/watch?resource=accu_hi&clear=1")
 	h.get(t, "/resume")
 	if err := <-h.done; err != nil {
 		t.Fatal(err)

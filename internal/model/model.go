@@ -76,7 +76,8 @@ type Resource struct {
 	AliasHi int
 	AliasLo int
 
-	Slot int // index into State.Scalars or State.Arrays
+	Slot  int // index into State.Scalars or State.Arrays
+	Index int // position in Model.Resources: the resource's id in trace events
 }
 
 // IsMemory reports whether the resource has an array extent.
@@ -126,6 +127,7 @@ func (m *Model) AddResource(r *Resource) error {
 	if _, dup := m.resByName[r.Name]; dup {
 		return fmt.Errorf("duplicate resource %q", r.Name)
 	}
+	r.Index = len(m.Resources)
 	m.Resources = append(m.Resources, r)
 	m.resByName[r.Name] = r
 	return nil

@@ -58,11 +58,12 @@ type Site struct {
 
 	// StallCauses splits StallEvents by hazard cause; unattributed stalls
 	// (trace.CauseNone) appear only in StallEvents.
-	StallCauses map[string]uint64
+	StallCauses [trace.NumCauses]uint64
 
-	// Ops counts per-operation stage cycles for executions whose pipeline
-	// packet was linked back to this site's dispatch.
-	Ops map[string]uint64
+	// Ops counts per-operation stage cycles, by operation id, for
+	// executions whose pipeline packet was linked back to this site's
+	// dispatch; nil until one is.
+	Ops []uint64
 }
 
 // Cycles returns the site's total step-cycle attribution.
@@ -110,7 +111,7 @@ type Profiler struct {
 	addrs map[uint64][]uint64 // word -> program addresses
 
 	sites      map[uint64]*Site // keyed by instruction word
-	ops        map[string]*OpStat
+	ops        []OpStat         // by operation id, sized at attach
 	packetSite map[uint64]*Site // live pipeline packet -> dispatching site
 
 	steps      uint64
@@ -127,7 +128,6 @@ func New(opts Options) *Profiler {
 		opts:       opts,
 		addrs:      make(map[uint64][]uint64, len(opts.Words)),
 		sites:      map[uint64]*Site{},
-		ops:        map[string]*OpStat{},
 		packetSite: map[uint64]*Site{},
 	}
 	for i, w := range opts.Words {
@@ -167,6 +167,19 @@ func (p *Profiler) site(word uint64) *Site {
 	return s
 }
 
+// OnAttach implements trace.Observer: it sizes the per-operation
+// counters by the operation table. A re-attach to the same model keeps
+// them.
+func (p *Profiler) OnAttach(t *trace.Topology) {
+	if len(p.ops) == len(t.Ops) {
+		return
+	}
+	p.ops = make([]OpStat, len(t.Ops))
+	for i, name := range t.Ops {
+		p.ops[i].Name = name
+	}
+}
+
 // OnStepBegin implements trace.Observer.
 func (p *Profiler) OnStepBegin(step uint64) {
 	p.decoded = false
@@ -189,7 +202,7 @@ func (p *Profiler) OnStepEnd(uint64) {
 
 // OnDecode implements trace.Observer: every decode of a coding root is one
 // dispatch of the word's site.
-func (p *Profiler) OnDecode(root string, word uint64, hit bool) {
+func (p *Profiler) OnDecode(root int, word uint64, hit bool) {
 	s := p.site(word)
 	s.Dispatches++
 	if !p.decoded {
@@ -204,7 +217,7 @@ func (p *Profiler) OnDecode(root string, word uint64, hit bool) {
 // decode is the coding root's own, carrying the pipeline packet the
 // dispatched instruction rides; later executions on a linked packet are
 // charged to the dispatching site.
-func (p *Profiler) OnExec(op string, pipe, stage int, packet uint64) {
+func (p *Profiler) OnExec(op, pipe, stage int, packet uint64) {
 	if p.awaitLink != nil {
 		if packet != 0 {
 			p.packetSite[packet] = p.awaitLink
@@ -212,16 +225,14 @@ func (p *Profiler) OnExec(op string, pipe, stage int, packet uint64) {
 		p.awaitLink = nil
 		return // the root's own execution is bookkeeping, not program work
 	}
-	o := p.ops[op]
-	if o == nil {
-		o = &OpStat{Name: op}
-		p.ops[op] = o
+	if op < 0 || op >= len(p.ops) {
+		return
 	}
-	o.Cycles++
+	p.ops[op].Cycles++
 	if packet != 0 {
 		if s := p.packetSite[packet]; s != nil {
 			if s.Ops == nil {
-				s.Ops = map[string]uint64{}
+				s.Ops = make([]uint64, len(p.ops))
 			}
 			s.Ops[op]++
 		}
@@ -237,13 +248,9 @@ func (p *Profiler) OnStall(info trace.StallInfo) {
 		return
 	}
 	p.last.StallEvents++
-	if info.Cause == trace.CauseNone {
-		return
+	if info.Cause < trace.NumCauses {
+		p.last.StallCauses[info.Cause]++
 	}
-	if p.last.StallCauses == nil {
-		p.last.StallCauses = map[string]uint64{}
-	}
-	p.last.StallCauses[info.Cause.String()]++
 }
 
 // OnFlush implements trace.Observer.
@@ -293,9 +300,11 @@ func (p *Profiler) Sites() []*Site {
 
 // OpStats returns per-operation cycle totals sorted by cycles, descending.
 func (p *Profiler) OpStats() []*OpStat {
-	ops := make([]*OpStat, 0, len(p.ops))
-	for _, o := range p.ops {
-		ops = append(ops, o)
+	var ops []*OpStat
+	for i := range p.ops {
+		if p.ops[i].Cycles > 0 {
+			ops = append(ops, &p.ops[i])
+		}
 	}
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].Cycles != ops[j].Cycles {
@@ -376,18 +385,16 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 
 // causeSuffix renders a site's stall-cause split, e.g. " [data:12 control:3]".
 func causeSuffix(s *Site) string {
-	if len(s.StallCauses) == 0 {
+	var parts []string
+	for _, c := range trace.Causes {
+		if n := s.StallCauses[c]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s:%d", c, n))
+		}
+	}
+	if len(parts) == 0 {
 		return ""
 	}
-	causes := make([]string, 0, len(s.StallCauses))
-	for c := range s.StallCauses {
-		causes = append(causes, c)
-	}
-	sort.Strings(causes)
-	parts := make([]string, 0, len(causes))
-	for _, c := range causes {
-		parts = append(parts, fmt.Sprintf("%s:%d", c, s.StallCauses[c]))
-	}
+	sort.Strings(parts)
 	return " [" + strings.Join(parts, " ") + "]"
 }
 

@@ -103,7 +103,11 @@ func TestSiteResolution(t *testing.T) {
 	if sub.IssueCycles != 6 {
 		t.Errorf("SUB issue cycles = %d, want 6", sub.IssueCycles)
 	}
-	if sub.Ops["sub"] == 0 {
+	m, err := core.LoadBuiltin("simple16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := m.Model.Ops["sub"].Index; sub.Ops == nil || sub.Ops[id] == 0 {
 		t.Errorf("SUB site has no linked sub executions: %v", sub.Ops)
 	}
 }

@@ -3,8 +3,6 @@ package replay
 import (
 	"fmt"
 	"io"
-
-	"golisa/internal/trace"
 )
 
 // DiffResult describes the first divergence between two recordings, plus
@@ -21,9 +19,9 @@ type DiffResult struct {
 	// ("<end of recording>" when one side ended early).
 	A, B string
 
-	// WindowA and WindowB hold the events of steps [Step-window, Step]
-	// from each recording.
-	WindowA, WindowB []trace.Event
+	// WindowA and WindowB hold the rendered events of steps
+	// [Step-window, Step] from each recording.
+	WindowA, WindowB []string
 }
 
 // comparable reports whether a record takes part in the comparison.
@@ -109,10 +107,10 @@ func Diff(a, b *Recording, window uint64) *DiffResult {
 			res := &DiffResult{Reason: "one recording ends early"}
 			if okA {
 				res.Step = diffStep(ra)
-				res.A, res.B = ra.Render(), "<end of recording>"
+				res.A, res.B = a.Render(ra), "<end of recording>"
 			} else {
 				res.Step = diffStep(rb)
-				res.A, res.B = "<end of recording>", rb.Render()
+				res.A, res.B = "<end of recording>", b.Render(rb)
 			}
 			res.fillWindows(a, b, window)
 			return res
@@ -120,8 +118,8 @@ func Diff(a, b *Recording, window uint64) *DiffResult {
 			res := &DiffResult{
 				Step:   diffStep(ra),
 				Reason: "first mismatching record",
-				A:      ra.Render(),
-				B:      rb.Render(),
+				A:      a.Render(ra),
+				B:      b.Render(rb),
 			}
 			if s := diffStep(rb); s < res.Step {
 				res.Step = s
@@ -137,8 +135,16 @@ func (r *DiffResult) fillWindows(a, b *Recording, window uint64) {
 	if r.Step > window {
 		lo = r.Step - window
 	}
-	r.WindowA = a.EventsInRange(lo, r.Step)
-	r.WindowB = b.EventsInRange(lo, r.Step)
+	r.WindowA = a.render(a.EventsInRange(lo, r.Step))
+	r.WindowB = b.render(b.EventsInRange(lo, r.Step))
+}
+
+func (r *Recording) render(rcs []Record) []string {
+	out := make([]string, len(rcs))
+	for i, rc := range rcs {
+		out[i] = r.Render(rc)
+	}
+	return out
 }
 
 // Dump writes a human-readable divergence report.
@@ -154,11 +160,11 @@ func (r *DiffResult) Dump(w io.Writer) {
 		fmt.Fprintf(w, "events leading up to the divergence:\n")
 		fmt.Fprintln(w, "--- A ---")
 		for _, e := range r.WindowA {
-			fmt.Fprintf(w, "  %s\n", e.String())
+			fmt.Fprintf(w, "  %s\n", e)
 		}
 		fmt.Fprintln(w, "--- B ---")
 		for _, e := range r.WindowB {
-			fmt.Fprintf(w, "  %s\n", e.String())
+			fmt.Fprintf(w, "  %s\n", e)
 		}
 	}
 }

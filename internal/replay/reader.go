@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 
+	"golisa/internal/core"
+	"golisa/internal/model"
 	"golisa/internal/sim"
 	"golisa/internal/trace"
 )
@@ -31,6 +34,8 @@ type Recording struct {
 	Ops       []string
 	Resources []string
 
+	topo *trace.Topology // the header tables, for rendering records
+
 	Checkpoints []CkptRef
 	FinalStep   uint64 // first step NOT in the recording
 	Halted      bool   // simulator had halted when the recording ended
@@ -42,6 +47,37 @@ type Recording struct {
 
 	data []byte
 	body int // offset of the first record
+
+	// mems holds the element count of each memory of the embedded model,
+	// by state slot, set once: by NewReplayer or by the first memSizes.
+	memsOnce sync.Once
+	mems     []uint64
+	memsErr  error
+}
+
+// memSizes returns the memory sizes of the embedded model, loading the
+// model unless a replayer has already supplied them.
+func (r *Recording) memSizes() ([]uint64, error) {
+	r.memsOnce.Do(func() {
+		mach, err := core.LoadMachine(r.ModelName, r.Source)
+		if err != nil {
+			r.memsErr = fmt.Errorf("embedded model: %w", err)
+			return
+		}
+		r.mems = memSizesOf(mach.Model)
+	})
+	return r.mems, r.memsErr
+}
+
+// memSizesOf lists the element count of each memory of m, by state slot.
+func memSizesOf(m *model.Model) []uint64 {
+	var sizes []uint64
+	for _, res := range m.Resources {
+		if res.Slot >= 0 && res.IsMemory() {
+			sizes = append(sizes, res.Total())
+		}
+	}
+	return sizes
 }
 
 // Open reads and parses a .lrec file.
@@ -97,6 +133,7 @@ func Parse(data []byte) (*Recording, error) {
 		return nil, fmt.Errorf("truncated header")
 	}
 	rec.body = d.off
+	rec.topo = &trace.Topology{Model: rec.ModelName, Ops: rec.Ops, Resources: rec.Resources}
 	rec.scan()
 	return rec, nil
 }
@@ -170,10 +207,14 @@ func (r *Recording) DecodeCheckpoint(ref CkptRef) (*sim.Snapshot, error) {
 	if d.err != nil || uint64(d.off)+n > uint64(len(r.data)) {
 		return nil, fmt.Errorf("checkpoint at step %d: %w", ref.Step, errTruncated)
 	}
+	mems, err := r.memSizes()
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint at step %d: %w", ref.Step, err)
+	}
 	body := &dec{b: r.data[d.off : d.off+int(n)]}
 	step := body.u()
 	hash := body.fixed64()
-	snap := decodeSnapshot(body, r.ModelName, r.Ops)
+	snap := decodeSnapshot(body, r.ModelName, r.Ops, mems)
 	if body.err != nil {
 		return nil, fmt.Errorf("checkpoint at step %d: %w", ref.Step, body.err)
 	}
@@ -186,13 +227,14 @@ func (r *Recording) DecodeCheckpoint(ref CkptRef) (*sim.Snapshot, error) {
 	return snap, nil
 }
 
-// Record is one decoded record. Event kinds carry a fully resolved
-// trace.Event (names looked up through the header tables); the other
-// kinds use the dedicated fields.
+// Record is one decoded record. Event kinds carry a trace.Event whose ids
+// index the header tables (Render names them); a note's text is in Note;
+// the other kinds use the dedicated fields.
 type Record struct {
 	Kind    int
 	IsEvent bool
 	Event   trace.Event
+	Note    string
 
 	Step uint64 // step-begin/end, input, checkpoint, end
 
@@ -205,8 +247,9 @@ type Record struct {
 	OccMask   []uint64
 }
 
-// Render formats a record for dumps and diff output.
-func (rc Record) Render() string {
+// Render formats a record for dumps and diff output, with names from the
+// recording's header tables.
+func (r *Recording) Render(rc Record) string {
 	switch rc.Kind {
 	case recOccupancy:
 		return fmt.Sprintf("#%d occupancy pipe=%d stages=%d mask=%#x", rc.Event.Step, rc.OccPipe, rc.OccStages, rc.OccMask)
@@ -221,7 +264,7 @@ func (rc Record) Render() string {
 	case recEnd:
 		return fmt.Sprintf("#%d end halted=%v", rc.Step, rc.Halted)
 	default:
-		return rc.Event.String()
+		return rc.Event.Format(r.topo, rc.Note)
 	}
 }
 
@@ -245,28 +288,19 @@ func (r *Recording) CursorAt(ref CkptRef) *Cursor {
 // Offset returns the byte offset of the next record.
 func (c *Cursor) Offset() int { return c.d.off }
 
-func (c *Cursor) opName(d *dec) string {
+// ref reads an operation or resource reference into its id in table:
+// the table index plus one, or 0 and an inline name for none (-1).
+func ref(d *dec, table []string) int32 {
 	i := d.u()
 	if i == 0 {
-		return d.str()
+		d.str()
+		return -1
 	}
-	if i-1 >= uint64(len(c.rec.Ops)) {
+	if i-1 >= uint64(len(table)) {
 		d.fail()
-		return ""
+		return -1
 	}
-	return c.rec.Ops[i-1]
-}
-
-func (c *Cursor) resName(d *dec) string {
-	i := d.u()
-	if i == 0 {
-		return d.str()
-	}
-	if i-1 >= uint64(len(c.rec.Resources)) {
-		d.fail()
-		return ""
-	}
-	return c.rec.Resources[i-1]
+	return int32(i - 1)
 }
 
 // Next decodes the next record. It returns io.EOF at the end of the
@@ -280,7 +314,8 @@ func (c *Cursor) Next() (Record, error) {
 	rc := Record{Kind: kind}
 	ev := &rc.Event
 	ev.Step = c.cur
-	ev.Pipe = -1
+	ev.Pipe, ev.ID, ev.Res = -1, -1, -1
+	ops, res := c.rec.Ops, c.rec.Resources
 	switch kind {
 	case recStepBegin:
 		rc.Step = d.u()
@@ -301,25 +336,25 @@ func (c *Cursor) Next() (Record, error) {
 	case recDecode:
 		rc.IsEvent = true
 		ev.Kind = trace.KindDecode
-		ev.Name = c.opName(d)
+		ev.ID = ref(d, ops)
 		ev.Value = d.u()
 		ev.Flag = d.bool()
 	case recActivate:
 		rc.IsEvent = true
 		ev.Kind = trace.KindActivate
-		ev.Name = c.opName(d)
+		ev.ID = ref(d, ops)
 		ev.Value = d.u()
 	case recExec:
 		rc.IsEvent = true
 		ev.Kind = trace.KindExec
-		ev.Name = c.opName(d)
+		ev.ID = ref(d, ops)
 		ev.Pipe = int32(d.i())
 		ev.Stage = int32(d.i())
 		ev.Aux = d.u()
 	case recBehavior:
 		rc.IsEvent = true
 		ev.Kind = trace.KindBehavior
-		ev.Name = c.opName(d)
+		ev.ID = ref(d, ops)
 		ev.Value = d.u()
 	case recStall, recFlush:
 		rc.IsEvent = true
@@ -331,8 +366,8 @@ func (c *Cursor) Next() (Record, error) {
 		ev.Stage = int32(d.i())
 		if c.rec.Version >= 2 {
 			ev.Cause = trace.Cause(d.byte())
-			ev.Name = c.opName(d)
-			ev.Res = c.resName(d)
+			ev.ID = ref(d, ops)
+			ev.Res = ref(d, res)
 			ev.Aux = d.u()
 		}
 	case recShift:
@@ -350,26 +385,33 @@ func (c *Cursor) Next() (Record, error) {
 	case recWrite:
 		rc.IsEvent = true
 		ev.Kind = trace.KindWrite
-		ev.Name = c.resName(d)
+		ev.ID = ref(d, res)
 		ev.Value = d.u()
 	case recMemWrite:
 		rc.IsEvent = true
 		ev.Kind = trace.KindMemWrite
-		ev.Name = c.resName(d)
+		ev.ID = ref(d, res)
 		ev.Aux = d.u()
 		ev.Value = d.u()
 	case recNote:
 		rc.IsEvent = true
 		ev.Kind = trace.KindDiverge
-		ev.Name = d.str()
+		rc.Note = d.str()
 		ev.Value = d.u()
 	case recInput:
-		rc.Input.Step = d.u()
-		rc.Input.IsMem = d.bool()
-		rc.Input.Resource = c.resName(d)
-		rc.Input.Addr = d.u()
-		rc.Input.Value = d.u()
-		rc.Step = rc.Input.Step
+		// The event is the write the input made, for divergence windows.
+		in := &rc.Input
+		in.Step = d.u()
+		in.IsMem = d.bool()
+		ev.ID = ref(d, res)
+		in.Resource = c.rec.topo.Resource(int(ev.ID))
+		in.Addr = d.u()
+		in.Value = d.u()
+		rc.Step = in.Step
+		ev.Step, ev.Kind, ev.Value = in.Step, trace.KindWrite, in.Value
+		if in.IsMem {
+			ev.Kind, ev.Aux = trace.KindMemWrite, in.Addr
+		}
 	case recCheckpoint:
 		n := d.u()
 		if d.err != nil || uint64(d.off)+n > uint64(len(d.b)) {
@@ -395,30 +437,22 @@ func (c *Cursor) Next() (Record, error) {
 	return rc, nil
 }
 
-// EventsInRange collects the decoded events (and inputs, rendered as
-// events at their step) whose step lies in [lo, hi], walking the whole
-// recording. Used for divergence-window extraction.
-func (r *Recording) EventsInRange(lo, hi uint64) []trace.Event {
-	var out []trace.Event
+// EventsInRange collects the event records (and inputs, as the writes
+// they made) whose step lies in [lo, hi], walking the whole recording.
+// Used for divergence-window extraction.
+func (r *Recording) EventsInRange(lo, hi uint64) []Record {
+	var out []Record
 	c := r.Cursor()
 	for {
 		rc, err := c.Next()
-		if err != nil {
+		if err != nil || rc.Kind == recEnd {
 			return out
 		}
-		switch {
-		case rc.Kind == recEnd:
-			return out
-		case rc.IsEvent && rc.Event.Step >= lo && rc.Event.Step <= hi:
-			out = append(out, rc.Event)
-		case rc.Kind == recInput && rc.Input.Step >= lo && rc.Input.Step <= hi:
-			in := rc.Input
-			ev := trace.Event{Step: in.Step, Kind: trace.KindWrite, Pipe: -1, Name: in.Resource, Value: in.Value}
-			if in.IsMem {
-				ev.Kind = trace.KindMemWrite
-				ev.Aux = in.Addr
+		if (rc.IsEvent || rc.Kind == recInput) && rc.Event.Step >= lo && rc.Event.Step <= hi {
+			if rc.Kind == recInput {
+				rc.Kind, rc.IsEvent = recWrite, true
 			}
-			out = append(out, ev)
+			out = append(out, rc)
 		}
 	}
 }

@@ -76,10 +76,8 @@ type Recorder struct {
 	e    enc
 	body enc // checkpoint body scratch
 
-	opts   Options
-	opIdx  map[string]uint64
-	resIdx map[string]uint64
-	err    error
+	opts Options
+	err  error
 
 	haveCkpt  bool
 	lastCkpt  uint64
@@ -88,7 +86,7 @@ type Recorder struct {
 	highWater uint64 // first step not yet fully on disk
 	suppress  bool   // replaying below highWater after a live rewind
 
-	tail   *trace.Flight
+	tail   *trace.Flight // the last events; it also builds each event record
 	ckpts  []Checkpoint
 	inputs []Input
 
@@ -102,27 +100,16 @@ type Recorder struct {
 // The header is written immediately; the first checkpoint is written when
 // the first control step begins.
 func NewRecorder(s *sim.Simulator, source string, w io.Writer, opts Options) *Recorder {
-	r := &Recorder{
-		s:      s,
-		opts:   opts.withDefaults(),
-		opIdx:  make(map[string]uint64, len(s.M.OpList)),
-		resIdx: make(map[string]uint64, len(s.M.Resources)),
-	}
+	r := &Recorder{s: s, opts: opts.withDefaults()}
 	if bw, ok := w.(*bufio.Writer); ok {
 		r.bw = bw
 	} else {
 		r.bw = bufio.NewWriterSize(w, 1<<16)
 	}
 	r.w = r.bw
-	if r.opts.Tail > 0 {
-		r.tail = trace.NewFlight(r.opts.Tail)
-	}
-	for i, op := range s.M.OpList {
-		r.opIdx[op.Name] = uint64(i)
-	}
-	for i, res := range s.M.Resources {
-		r.resIdx[res.Name] = uint64(i)
-	}
+	// The ring also builds each event record, so a disabled tail (Tail < 0)
+	// is a ring of one event.
+	r.tail = trace.NewFlight(r.opts.Tail)
 	r.writeHeader(source)
 	return r
 }
@@ -167,23 +154,15 @@ func (r *Recorder) flushRecord() {
 	}
 }
 
-// opRef/resRef write a name as a table index (idx+1) or inline (0 + str).
-func (r *Recorder) opRef(name string) {
-	if i, ok := r.opIdx[name]; ok {
-		r.e.u(i + 1)
+// ref writes an operation or resource id as its header table index plus
+// one; none (-1) is written as 0 and an empty inline name.
+func (r *Recorder) ref(id int) {
+	if id >= 0 {
+		r.e.u(uint64(id) + 1)
 		return
 	}
 	r.e.u(0)
-	r.e.str(name)
-}
-
-func (r *Recorder) resRef(name string) {
-	if i, ok := r.resIdx[name]; ok {
-		r.e.u(i + 1)
-		return
-	}
-	r.e.u(0)
-	r.e.str(name)
+	r.e.str("")
 }
 
 func (r *Recorder) begin(kind byte) {
@@ -255,22 +234,19 @@ func (r *Recorder) InputRange(lo, hi uint64) []Input {
 	return out
 }
 
-// TailEvents returns the in-memory tail ring (oldest first), or nil when
-// disabled. Co-simulation uses it to dump the window leading up to a
-// divergence.
-func (r *Recorder) TailEvents() []trace.Event {
-	if r.tail == nil {
+// Tail returns the in-memory tail ring, or nil when disabled.
+// Co-simulation uses it to dump the window leading up to a divergence.
+func (r *Recorder) Tail() *trace.Flight {
+	if r.opts.Tail < 0 {
 		return nil
 	}
-	return r.tail.Events()
+	return r.tail
 }
 
 // Note writes an out-of-band note record (rendered as a diverge event on
 // read-back) and mirrors it into the tail ring.
 func (r *Recorder) Note(name string, value uint64) {
-	if r.tail != nil {
-		r.tail.Note(trace.KindDiverge, name, value)
-	}
+	r.tail.Note(trace.KindDiverge, name, value)
 	r.begin(recNote)
 	r.e.str(name)
 	r.e.u(value)
@@ -285,7 +261,7 @@ func (r *Recorder) checkpointNow(step uint64) {
 
 	r.body.reset()
 	t := newStrtab()
-	encodeSnapshot(&r.body, t, r.opIdx, snap)
+	encodeSnapshot(&r.body, t, r.s.M, snap)
 
 	r.begin(recCheckpoint)
 	r.e.u(uint64(len(r.body.buf)) + 8 + uint64(uvarintLen(step)))
@@ -320,17 +296,16 @@ func uvarintLen(v uint64) int {
 // --- trace.Observer --------------------------------------------------------------
 
 // OnAttach implements trace.Observer; the header already carries the
-// model identity, so nothing is recorded.
-func (r *Recorder) OnAttach(string, []trace.PipeInfo) {}
+// model identity and name tables, so nothing is recorded. The tail ring
+// keeps the tables for its dumps.
+func (r *Recorder) OnAttach(t *trace.Topology) { r.tail.OnAttach(t) }
 
 // OnStepBegin implements trace.Observer. It decides suppression (steps
 // below the high-water mark after a live rewind are already on disk and
 // deterministic re-execution reproduces them exactly) and writes the
 // periodic checkpoint.
 func (r *Recorder) OnStepBegin(step uint64) {
-	if r.tail != nil {
-		r.tail.OnStepBegin(step)
-	}
+	r.tail.OnStepBegin(step)
 	r.inStep = true
 	if step < r.highWater {
 		r.suppress = true
@@ -348,9 +323,7 @@ func (r *Recorder) OnStepBegin(step uint64) {
 
 // OnStepEnd implements trace.Observer.
 func (r *Recorder) OnStepEnd(step uint64) {
-	if r.tail != nil {
-		r.tail.OnStepEnd(step)
-	}
+	r.tail.OnStepEnd(step)
 	r.inStep = false
 	r.nextInput = step + 1
 	if r.suppress {
@@ -374,199 +347,151 @@ func (r *Recorder) OnOccupancy(pipe int, occupied []bool) {
 	r.begin(recOccupancy)
 	r.e.u(uint64(pipe))
 	r.e.u(uint64(len(occupied)))
-	var word uint64
-	for i, o := range occupied {
-		if o {
-			word |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			r.e.u(word)
-			word = 0
-		}
-	}
-	if len(occupied)&63 != 0 {
-		r.e.u(word)
+	for i := 0; i < (len(occupied)+63)/64; i++ {
+		r.e.u(occWord(occupied, i))
 	}
 	r.flushRecord()
 	r.events++
 }
 
+// occWord returns word i of an occupancy sample packed as a bitmask,
+// stage s at bit s%64 of word s/64.
+func occWord(occupied []bool, i int) uint64 {
+	var word uint64
+	for s := i * 64; s < len(occupied) && s < (i+1)*64; s++ {
+		if occupied[s] {
+			word |= 1 << (s & 63)
+		}
+	}
+	return word
+}
+
 // OnDecode implements trace.Observer.
-func (r *Recorder) OnDecode(root string, word uint64, hit bool) {
-	if r.tail != nil {
-		r.tail.OnDecode(root, word, hit)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recDecode)
-	r.opRef(root)
-	r.e.u(word)
-	r.e.bool(hit)
-	r.flushRecord()
-	r.events++
+func (r *Recorder) OnDecode(root int, word uint64, hit bool) {
+	r.tail.OnDecode(root, word, hit)
+	r.put(recDecode)
 }
 
 // OnActivate implements trace.Observer. The record keeps the target
 // only: replay re-derives the source by re-executing the activator.
-func (r *Recorder) OnActivate(source, target string, delay uint64) {
-	if r.tail != nil {
-		r.tail.OnActivate(source, target, delay)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recActivate)
-	r.opRef(target)
-	r.e.u(delay)
-	r.flushRecord()
-	r.events++
+func (r *Recorder) OnActivate(source, target int, delay uint64) {
+	r.tail.OnActivate(source, target, delay)
+	r.put(recActivate)
 }
 
 // OnExec implements trace.Observer.
-func (r *Recorder) OnExec(op string, pipe, stage int, packet uint64) {
-	if r.tail != nil {
-		r.tail.OnExec(op, pipe, stage, packet)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recExec)
-	r.opRef(op)
-	r.e.i(int64(pipe))
-	r.e.i(int64(stage))
-	r.e.u(packet)
-	r.flushRecord()
-	r.events++
+func (r *Recorder) OnExec(op, pipe, stage int, packet uint64) {
+	r.tail.OnExec(op, pipe, stage, packet)
+	r.put(recExec)
 }
 
 // OnBehavior implements trace.Observer.
-func (r *Recorder) OnBehavior(op string, statements uint64) {
-	if r.tail != nil {
-		r.tail.OnBehavior(op, statements)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recBehavior)
-	r.opRef(op)
-	r.e.u(statements)
-	r.flushRecord()
-	r.events++
+func (r *Recorder) OnBehavior(op int, statements uint64) {
+	r.tail.OnBehavior(op, statements)
+	r.put(recBehavior)
 }
 
 // OnStall implements trace.Observer: the full attribution goes into the
 // record so a replayed run explains its hazards identically.
 func (r *Recorder) OnStall(info trace.StallInfo) {
-	if r.tail != nil {
-		r.tail.OnStall(info)
-	}
-	r.hazard(recStall, info)
+	r.tail.OnStall(info)
+	r.put(recStall)
 }
 
 // OnFlush implements trace.Observer.
 func (r *Recorder) OnFlush(info trace.StallInfo) {
-	if r.tail != nil {
-		r.tail.OnFlush(info)
-	}
-	r.hazard(recFlush, info)
-}
-
-func (r *Recorder) hazard(kind byte, info trace.StallInfo) {
-	if r.suppress {
-		return
-	}
-	r.begin(kind)
-	r.e.u(uint64(info.Pipe))
-	r.e.i(int64(info.Stage))
-	r.e.byte(byte(info.Cause))
-	r.opRef(info.SourceOp)
-	r.resRef(info.Resource)
-	r.e.u(info.Packet)
-	r.flushRecord()
-	r.events++
+	r.tail.OnFlush(info)
+	r.put(recFlush)
 }
 
 // OnShift implements trace.Observer.
 func (r *Recorder) OnShift(pipe int) {
-	if r.tail != nil {
-		r.tail.OnShift(pipe)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recShift)
-	r.e.u(uint64(pipe))
-	r.flushRecord()
-	r.events++
+	r.tail.OnShift(pipe)
+	r.put(recShift)
 }
 
 // OnRetire implements trace.Observer.
 func (r *Recorder) OnRetire(pipe, stage int, packet uint64, entries int) {
-	if r.tail != nil {
-		r.tail.OnRetire(pipe, stage, packet, entries)
-	}
-	if r.suppress {
-		return
-	}
-	r.begin(recRetire)
-	r.e.u(uint64(pipe))
-	r.e.u(uint64(stage))
-	r.e.u(packet)
-	r.e.u(uint64(entries))
-	r.flushRecord()
-	r.events++
+	r.tail.OnRetire(pipe, stage, packet, entries)
+	r.put(recRetire)
 }
 
 // OnResourceWrite implements trace.Observer. Writes arriving between
 // control steps are external inputs (device pokes, test benches) and get
 // their own record kind, tagged with the first step that can observe
 // them, so replay can re-inject them at the right boundary.
-func (r *Recorder) OnResourceWrite(resource string, value uint64) {
-	if r.tail != nil {
-		r.tail.OnResourceWrite(resource, value)
-	}
-	if r.suppress {
+func (r *Recorder) OnResourceWrite(resource int, value uint64) {
+	r.tail.OnResourceWrite(resource, value)
+	if r.inStep || r.suppress {
+		r.put(recWrite)
 		return
 	}
-	if r.inStep {
-		r.begin(recWrite)
-		r.resRef(resource)
-		r.e.u(value)
-		r.flushRecord()
-		r.events++
-		return
-	}
-	r.recordInput(Input{Step: r.nextInput, Resource: resource, Value: value})
+	r.recordInput(resource, Input{Step: r.nextInput, Value: value})
 }
 
 // OnMemWrite implements trace.Observer; same in-step/input split as
 // OnResourceWrite.
-func (r *Recorder) OnMemWrite(resource string, addr, value uint64) {
-	if r.tail != nil {
-		r.tail.OnMemWrite(resource, addr, value)
+func (r *Recorder) OnMemWrite(resource int, addr, value uint64) {
+	r.tail.OnMemWrite(resource, addr, value)
+	if r.inStep || r.suppress {
+		r.put(recMemWrite)
+		return
 	}
+	r.recordInput(resource, Input{Step: r.nextInput, IsMem: true, Addr: addr, Value: value})
+}
+
+// put writes the event the tail ring just built as a record of kind,
+// unless the step is suppressed.
+func (r *Recorder) put(kind byte) {
 	if r.suppress {
 		return
 	}
-	if r.inStep {
-		r.begin(recMemWrite)
-		r.resRef(resource)
-		r.e.u(addr)
-		r.e.u(value)
-		r.flushRecord()
-		r.events++
-		return
+	ev := r.tail.Last()
+	r.begin(kind)
+	switch kind {
+	case recDecode:
+		r.ref(int(ev.ID))
+		r.e.u(ev.Value)
+		r.e.bool(ev.Flag)
+	case recActivate, recBehavior, recWrite:
+		r.ref(int(ev.ID))
+		r.e.u(ev.Value)
+	case recExec:
+		r.ref(int(ev.ID))
+		r.e.i(int64(ev.Pipe))
+		r.e.i(int64(ev.Stage))
+		r.e.u(ev.Aux)
+	case recStall, recFlush:
+		r.e.u(uint64(ev.Pipe))
+		r.e.i(int64(ev.Stage))
+		r.e.byte(byte(ev.Cause))
+		r.ref(int(ev.ID))
+		r.ref(int(ev.Res))
+		r.e.u(ev.Aux)
+	case recShift:
+		r.e.u(uint64(ev.Pipe))
+	case recRetire:
+		r.e.u(uint64(ev.Pipe))
+		r.e.u(uint64(ev.Stage))
+		r.e.u(ev.Aux)
+		r.e.u(ev.Value)
+	case recMemWrite:
+		r.ref(int(ev.ID))
+		r.e.u(ev.Aux)
+		r.e.u(ev.Value)
 	}
-	r.recordInput(Input{Step: r.nextInput, IsMem: true, Resource: resource, Addr: addr, Value: value})
+	r.flushRecord()
+	r.events++
 }
 
-func (r *Recorder) recordInput(in Input) {
+// recordInput records an external write to resource id.
+func (r *Recorder) recordInput(id int, in Input) {
+	in.Resource = r.s.M.Resources[id].Name
 	r.inputs = append(r.inputs, in)
 	r.begin(recInput)
 	r.e.u(in.Step)
 	r.e.bool(in.IsMem)
-	r.resRef(in.Resource)
+	r.ref(id)
 	r.e.u(in.Addr)
 	r.e.u(in.Value)
 	r.flushRecord()

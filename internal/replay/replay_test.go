@@ -450,7 +450,7 @@ func TestRecorderLiveAccessors(t *testing.T) {
 	if len(ins) != 1 || ins[0].Resource != "cycles" || ins[0].Value != 500 {
 		t.Fatalf("InputRange = %+v, want one cycles=500 input", ins)
 	}
-	if len(rec.TailEvents()) == 0 {
+	if len(rec.Tail().Events()) == 0 {
 		t.Fatal("tail ring is empty")
 	}
 	// Flush without Close yields a valid partial recording.
@@ -466,6 +466,34 @@ func TestRecorderLiveAccessors(t *testing.T) {
 	}
 	if partial.FinalStep == 0 {
 		t.Fatal("partial recording lost all steps")
+	}
+}
+
+// TestRecorderWithoutTail records c62x (stalls, flushes, packets) with
+// the tail ring disabled: Tail reports none, and the recording, whose
+// records the recorder still builds through a one-event ring, verifies
+// end to end.
+func TestRecorderWithoutTail(t *testing.T) {
+	c := recCases()[2]
+	var rec *replay.Recorder
+	data, _ := recordRun(t, c, sim.CompiledPrebound, replay.Options{Every: 64, Tail: -1}, func(s *sim.Simulator, _ uint64) {
+		if rec == nil {
+			rec = s.Observer().(*replay.Recorder)
+		}
+	})
+	if rec.Tail() != nil {
+		t.Error("Tail() of a recorder with the tail disabled is not nil")
+	}
+	recd, err := replay.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := replay.NewReplayer(recd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := rp.Verify(); err != nil || rep.Events == 0 {
+		t.Fatalf("verify: %+v, %v", rep, err)
 	}
 }
 

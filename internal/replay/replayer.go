@@ -38,6 +38,7 @@ func NewReplayer(rec *Recording) (*Replayer, error) {
 	if err := checkTables(rec, mach); err != nil {
 		return nil, err
 	}
+	rec.memsOnce.Do(func() { rec.mems = memSizesOf(mach.Model) })
 	s, err := mach.NewSimulator(rec.Mode)
 	if err != nil {
 		return nil, err
@@ -100,7 +101,7 @@ func (r *Replayer) seek(ref CkptRef) error {
 	if r.v != nil {
 		events, hashes = r.v.events, r.v.hashes
 	}
-	r.v = &verifier{r: r, cur: cur, events: events, hashes: hashes}
+	r.v = &verifier{r: r, cur: cur, live: trace.NewFlight(1), events: events, hashes: hashes}
 	if r.extra != nil {
 		r.Sim.SetObserver(trace.Fanout(r.v, r.extra))
 	} else {
@@ -227,6 +228,7 @@ func (r *Replayer) applyInput(in Input) error {
 type verifier struct {
 	r    *Replayer
 	cur  *Cursor
+	live *trace.Flight // builds each replayed event
 	step uint64
 	err  error
 	done bool
@@ -297,8 +299,9 @@ func normEvent(e trace.Event) trace.Event {
 	return e
 }
 
-// expect matches one replayed event against the next recorded one.
-func (v *verifier) expect(live trace.Event) {
+// expect matches the replayed event live just built against the next
+// recorded one.
+func (v *verifier) expect() {
 	if v.err != nil || v.done {
 		return
 	}
@@ -306,20 +309,22 @@ func (v *verifier) expect(live trace.Event) {
 	if !ok {
 		return
 	}
+	rec := v.r.Rec
+	ev := v.live.Last()
 	if !rc.IsEvent {
-		v.fail("step %d: replay emitted %s but recording has %s", v.step, live.String(), rc.Render())
+		v.fail("step %d: replay emitted %s but recording has %s", v.step, ev.Format(rec.topo, ""), rec.Render(rc))
 		return
 	}
-	live.Step = v.step
-	if normEvent(live) != normEvent(rc.Event) {
-		v.fail("replay diverged at step %d: replayed %q, recorded %q", v.step, live.String(), rc.Event.String())
+	ev.Step = v.step
+	if normEvent(ev) != normEvent(rc.Event) {
+		v.fail("replay diverged at step %d: replayed %q, recorded %q", v.step, ev.Format(rec.topo, ""), rec.Render(rc))
 		return
 	}
 	v.events++
 }
 
 // OnAttach implements trace.Observer.
-func (v *verifier) OnAttach(string, []trace.PipeInfo) {}
+func (v *verifier) OnAttach(*trace.Topology) {}
 
 // OnStepBegin implements trace.Observer. It is the control-step boundary
 // hook, so the pull loop's input application and checkpoint hash checks
@@ -327,12 +332,14 @@ func (v *verifier) OnAttach(string, []trace.PipeInfo) {}
 // itself is matched.
 func (v *verifier) OnStepBegin(step uint64) {
 	v.step = step
-	v.expect(trace.Event{Kind: trace.KindStepBegin, Pipe: -1, Step: step})
+	v.live.OnStepBegin(step)
+	v.expect()
 }
 
 // OnStepEnd implements trace.Observer.
 func (v *verifier) OnStepEnd(step uint64) {
-	v.expect(trace.Event{Kind: trace.KindStepEnd, Pipe: -1, Step: step})
+	v.live.OnStepEnd(step)
+	v.expect()
 }
 
 // OnOccupancy implements trace.Observer; the sample is compared as a
@@ -346,26 +353,12 @@ func (v *verifier) OnOccupancy(pipe int, occupied []bool) {
 		return
 	}
 	if rc.Kind != recOccupancy || rc.OccPipe != pipe || rc.OccStages != len(occupied) {
-		v.fail("step %d: occupancy sample of pipe %d does not line up with recording (%s)", v.step, pipe, rc.Render())
+		v.fail("step %d: occupancy sample of pipe %d does not line up with recording (%s)", v.step, pipe, v.r.Rec.Render(rc))
 		return
 	}
-	var mask []uint64
-	var word uint64
-	for i, o := range occupied {
-		if o {
-			word |= 1 << (uint(i) & 63)
-		}
-		if i&63 == 63 {
-			mask = append(mask, word)
-			word = 0
-		}
-	}
-	if len(occupied)&63 != 0 {
-		mask = append(mask, word)
-	}
-	for i := range mask {
-		if mask[i] != rc.OccMask[i] {
-			v.fail("replay diverged at step %d: pipe %d occupancy %#x, recorded %#x", v.step, pipe, mask, rc.OccMask)
+	for i, want := range rc.OccMask {
+		if got := occWord(occupied, i); got != want {
+			v.fail("replay diverged at step %d: pipe %d occupancy word %d %#x, recorded %#x", v.step, pipe, i, got, want)
 			return
 		}
 	}
@@ -373,23 +366,27 @@ func (v *verifier) OnOccupancy(pipe int, occupied []bool) {
 }
 
 // OnDecode implements trace.Observer.
-func (v *verifier) OnDecode(root string, word uint64, hit bool) {
-	v.expect(trace.Event{Kind: trace.KindDecode, Pipe: -1, Name: root, Value: word, Flag: hit})
+func (v *verifier) OnDecode(root int, word uint64, hit bool) {
+	v.live.OnDecode(root, word, hit)
+	v.expect()
 }
 
 // OnActivate implements trace.Observer; recordings carry the target only.
-func (v *verifier) OnActivate(_, target string, delay uint64) {
-	v.expect(trace.Event{Kind: trace.KindActivate, Pipe: -1, Name: target, Value: delay})
+func (v *verifier) OnActivate(source, target int, delay uint64) {
+	v.live.OnActivate(source, target, delay)
+	v.expect()
 }
 
 // OnExec implements trace.Observer.
-func (v *verifier) OnExec(op string, pipe, stage int, packet uint64) {
-	v.expect(trace.Event{Kind: trace.KindExec, Pipe: int32(pipe), Stage: int32(stage), Name: op, Aux: packet})
+func (v *verifier) OnExec(op, pipe, stage int, packet uint64) {
+	v.live.OnExec(op, pipe, stage, packet)
+	v.expect()
 }
 
 // OnBehavior implements trace.Observer.
-func (v *verifier) OnBehavior(op string, statements uint64) {
-	v.expect(trace.Event{Kind: trace.KindBehavior, Pipe: -1, Name: op, Value: statements})
+func (v *verifier) OnBehavior(op int, statements uint64) {
+	v.live.OnBehavior(op, statements)
+	v.expect()
 }
 
 // OnStall implements trace.Observer: the replayed attribution (cause,
@@ -398,51 +395,48 @@ func (v *verifier) OnBehavior(op string, statements uint64) {
 // here is a real determinism bug. Version-1 recordings carry no
 // attribution; the live one is masked so they still verify.
 func (v *verifier) OnStall(info trace.StallInfo) {
-	v.expect(v.hazardEvent(trace.KindStall, info))
+	v.live.OnStall(v.mask(info))
+	v.expect()
 }
 
 // OnFlush implements trace.Observer.
 func (v *verifier) OnFlush(info trace.StallInfo) {
-	v.expect(v.hazardEvent(trace.KindFlush, info))
+	v.live.OnFlush(v.mask(info))
+	v.expect()
 }
 
-func (v *verifier) hazardEvent(kind trace.Kind, info trace.StallInfo) trace.Event {
-	ev := trace.Event{
-		Kind:  kind,
-		Pipe:  int32(info.Pipe),
-		Stage: int32(info.Stage),
-		Name:  info.SourceOp,
-		Aux:   info.Packet,
-		Cause: info.Cause,
-		Res:   info.Resource,
-	}
+func (v *verifier) mask(info trace.StallInfo) trace.StallInfo {
 	if v.r.Rec.Version < 2 {
-		ev.Name, ev.Aux, ev.Cause, ev.Res = "", 0, trace.CauseNone, ""
+		return trace.StallInfo{Pipe: info.Pipe, Stage: info.Stage, SourceOp: -1, Resource: -1}
 	}
-	return ev
+	return info
 }
 
 // OnShift implements trace.Observer.
 func (v *verifier) OnShift(pipe int) {
-	v.expect(trace.Event{Kind: trace.KindShift, Pipe: int32(pipe), Stage: -1})
+	v.live.OnShift(pipe)
+	v.expect()
 }
 
 // OnRetire implements trace.Observer.
 func (v *verifier) OnRetire(pipe, stage int, packet uint64, entries int) {
-	v.expect(trace.Event{Kind: trace.KindRetire, Pipe: int32(pipe), Stage: int32(stage), Aux: packet, Value: uint64(entries)})
+	v.live.OnRetire(pipe, stage, packet, entries)
+	v.expect()
 }
 
 // OnResourceWrite implements trace.Observer.
-func (v *verifier) OnResourceWrite(resource string, value uint64) {
-	v.expect(trace.Event{Kind: trace.KindWrite, Pipe: -1, Name: resource, Value: value})
+func (v *verifier) OnResourceWrite(resource int, value uint64) {
+	v.live.OnResourceWrite(resource, value)
+	v.expect()
 }
 
 // OnMemWrite implements trace.Observer. Recordings before version 3
 // never saw the writes of banked memories, so those live writes are
 // skipped when verifying one.
-func (v *verifier) OnMemWrite(resource string, addr, value uint64) {
-	if v.r.Rec.Version < 3 && v.r.Sim.M.Resource(resource).Banks > 0 {
+func (v *verifier) OnMemWrite(resource int, addr, value uint64) {
+	if v.r.Rec.Version < 3 && v.r.Sim.M.Resources[resource].Banks > 0 {
 		return
 	}
-	v.expect(trace.Event{Kind: trace.KindMemWrite, Pipe: -1, Name: resource, Aux: addr, Value: value})
+	v.live.OnMemWrite(resource, addr, value)
+	v.expect()
 }

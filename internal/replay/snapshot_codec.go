@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"fmt"
 	"sort"
 
+	"golisa/internal/model"
 	"golisa/internal/sim"
 )
 
@@ -12,10 +14,10 @@ import (
 // pair encoding: DSP data memories are mostly zero, so a checkpoint costs
 // space proportional to live state, not declared state.
 
-func encodeSnapshot(e *enc, t *strtab, opIdx map[string]uint64, sn *sim.Snapshot) {
+func encodeSnapshot(e *enc, t *strtab, m *model.Model, sn *sim.Snapshot) {
 	ref := func(name string) {
-		if i, ok := opIdx[name]; ok {
-			e.u(i + 1)
+		if op, ok := m.Ops[name]; ok {
+			e.u(uint64(op.Index) + 1)
 			return
 		}
 		e.u(0)
@@ -125,7 +127,9 @@ func encodeSnapshot(e *enc, t *strtab, opIdx map[string]uint64, sn *sim.Snapshot
 	}
 }
 
-func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
+// decodeSnapshot reads a checkpoint body. memSizes bounds each memory
+// row by the element count of the model's memory in that state slot.
+func decodeSnapshot(d *dec, model string, opNames []string, memSizes []uint64) *sim.Snapshot {
 	t := &rstrtab{}
 	ref := func() string {
 		i := d.u()
@@ -141,7 +145,7 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 	var inst func() *sim.InstSnap
 	inst = func() *sim.InstSnap {
 		is := &sim.InstSnap{Op: ref()}
-		nl := d.u()
+		nl := d.count()
 		if d.err != nil {
 			return is
 		}
@@ -150,7 +154,7 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 				Name: t.get(d), Value: d.u(), Width: int(d.u()),
 			})
 		}
-		nb := d.u()
+		nb := d.count()
 		for i := uint64(0); i < nb && d.err == nil; i++ {
 			name := t.get(d)
 			is.Bindings = append(is.Bindings, sim.BindSnap{Name: name, Inst: inst()})
@@ -162,7 +166,7 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 			return nil
 		}
 		p := &sim.PacketSnap{ID: d.u()}
-		n := d.u()
+		n := d.count()
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			p.Entries = append(p.Entries, sim.EntrySnap{
 				Inst: inst(), Stage: int(d.u()), Extra: int(d.i()), Executed: d.bool(),
@@ -172,7 +176,7 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 	}
 
 	sn := &sim.Snapshot{Model: model, Step: d.u()}
-	ns := d.u()
+	ns := d.count()
 	if d.err != nil {
 		return sn
 	}
@@ -180,12 +184,19 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 	for i := uint64(0); i < ns && d.err == nil; i++ {
 		sn.Scalars = append(sn.Scalars, d.u())
 	}
-	na := d.u()
+	na := d.count()
 	for i := uint64(0); i < na && d.err == nil; i++ {
 		size := d.u()
-		pairs := d.u()
-		if d.err != nil || size > uint64(1)<<32 {
-			d.fail()
+		pairs := d.count()
+		if d.err != nil {
+			break
+		}
+		limit := uint64(0)
+		if i < uint64(len(memSizes)) {
+			limit = memSizes[i]
+		}
+		if size > limit {
+			d.err = fmt.Errorf("memory %d holds %d elements, which exceeds the model's %d", i, size, limit)
 			break
 		}
 		row := make([]uint64, size)
@@ -202,10 +213,10 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 		}
 		sn.Arrays = append(sn.Arrays, row)
 	}
-	np := d.u()
+	np := d.count()
 	for i := uint64(0); i < np && d.err == nil; i++ {
 		var ps sim.PipeSnap
-		slots := d.u()
+		slots := d.count()
 		for j := uint64(0); j < slots && d.err == nil; j++ {
 			ps.Slots = append(ps.Slots, pkt())
 		}
@@ -217,10 +228,10 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 		ps.RetiredEntries = d.u()
 		sn.Pipes = append(sn.Pipes, ps)
 	}
-	nw := d.u()
+	nw := d.count()
 	for i := uint64(0); i < nw && d.err == nil; i++ {
 		ws := sim.WheelSnap{Step: d.u()}
-		items := d.u()
+		items := d.count()
 		for j := uint64(0); j < items && d.err == nil; j++ {
 			if d.byte() == 1 {
 				ws.Items = append(ws.Items, sim.WheelItemSnap{
@@ -240,7 +251,7 @@ func decodeSnapshot(d *dec, model string, opNames []string) *sim.Snapshot {
 	sn.DecodeHits = d.u()
 	sn.Activations = d.u()
 	sn.Retired = d.u()
-	ne := d.u()
+	ne := d.count()
 	sn.Execs = make(map[string]uint64, ne)
 	for i := uint64(0); i < ne && d.err == nil; i++ {
 		name := ref()

@@ -155,6 +155,18 @@ func (d *dec) i() int64 {
 	return v
 }
 
+// count reads an element count. Every element takes at least one byte,
+// so a count beyond the bytes left is corrupt and fails the read before
+// anything is allocated for it.
+func (d *dec) count() uint64 {
+	n := d.u()
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
+		d.err = fmt.Errorf("count %d exceeds the %d bytes left in the record", n, len(d.b)-d.off)
+		return 0
+	}
+	return n
+}
+
 func (d *dec) bool() bool { return d.byte() != 0 }
 
 func (d *dec) fixed64() uint64 {

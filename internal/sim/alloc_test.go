@@ -4,8 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"golisa/internal/analyze"
+	"golisa/internal/cover"
 	"golisa/internal/models"
 	"golisa/internal/sim"
+	"golisa/internal/trace"
 )
 
 // TestPreboundRunAllocFree checks that the prebound engine's control-step
@@ -13,54 +16,70 @@ import (
 // per-run memory (frames, pipeline entry and packet pools, time wheel and
 // run queue) to its high-water mark, every further Reset, program load
 // and run to halt on a shared-artifact simulator performs zero heap
-// allocations, so each RunStep does.
+// allocations, so each RunStep does. The observed cases attach, once,
+// the sinks lisa-report, lisa-cov and the lisa-perf counter pass attach:
+// an analyzer, a coverage collector (with its decode hook) and a metrics
+// collector, so no event handler may allocate either.
 func TestPreboundRunAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates")
 	}
 	loop := snapCase{model: "c62x-loop", lisa: models.All["c62x"], kernel: c62xLoopKernel(), max: 5000}
 	cases := append(snapCases(), loop)
-	for _, c := range cases {
-		t.Run(c.model, func(t *testing.T) {
-			mach := loadCase(t, c)
-			as, err := mach.NewAssembler()
-			if err != nil {
-				t.Fatal(err)
+	for _, observed := range []bool{false, true} {
+		for _, c := range cases {
+			name := c.model
+			if observed {
+				name += "/observed"
 			}
-			prog, err := as.Assemble(c.kernel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pm, err := mach.ProgramMemory()
-			if err != nil {
-				t.Fatal(err)
-			}
-			art := sim.NewArtifact(mach.Model, sim.CompiledPrebound)
-			if err := art.Prewarm(prog.Words); err != nil {
-				t.Fatal(err)
-			}
-			s := sim.NewFromArtifact(art)
-			var steps uint64
-			run := func() {
-				if err := s.Reset(); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.LoadProgram(pm, prog.Origin, prog.Words); err != nil {
-					t.Fatal(err)
-				}
-				if c.poke != nil {
-					c.poke(t, s)
-				}
-				n, err := s.Run(c.max)
-				if err != nil || !s.Halted() {
-					t.Fatalf("run: %d steps, halted %v, err %v", n, s.Halted(), err)
-				}
-				steps = n
-			}
-			if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
-				t.Errorf("%.0f allocations per %d-step run, want 0", allocs, steps)
-			}
-		})
+			t.Run(name, func(t *testing.T) { checkRunAllocFree(t, c, observed) })
+		}
+	}
+}
+
+func checkRunAllocFree(t *testing.T, c snapCase, observed bool) {
+	mach := loadCase(t, c)
+	as, err := mach.NewAssembler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := as.Assemble(c.kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, err := mach.ProgramMemory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := sim.NewArtifact(mach.Model, sim.CompiledPrebound)
+	if err := art.Prewarm(prog.Words); err != nil {
+		t.Fatal(err)
+	}
+	s := sim.NewFromArtifact(art)
+	if observed {
+		col := cover.NewCollector(cover.NewMap(mach.Model))
+		s.OnDecoded = col.MarkDecoded
+		s.SetObserver(trace.Fanout(analyze.New(), col, trace.NewMetrics()))
+	}
+	var steps uint64
+	run := func() {
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.LoadProgram(pm, prog.Origin, prog.Words); err != nil {
+			t.Fatal(err)
+		}
+		if c.poke != nil {
+			c.poke(t, s)
+		}
+		n, err := s.Run(c.max)
+		if err != nil || !s.Halted() {
+			t.Fatalf("run: %d steps, halted %v, err %v", n, s.Halted(), err)
+		}
+		steps = n
+	}
+	if allocs := testing.AllocsPerRun(3, run); allocs != 0 {
+		t.Errorf("%.0f allocations per %d-step run, want 0", allocs, steps)
 	}
 }
 

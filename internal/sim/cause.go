@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"golisa/internal/ast"
-	"golisa/internal/behavior"
+	"golisa/internal/model"
 	"golisa/internal/pipeline"
 	"golisa/internal/trace"
 )
@@ -30,15 +29,19 @@ import (
 // The guard stacks are maintained only while an observer is attached, so
 // an uninstrumented simulation pays one nil check per branch.
 
+// unattributed is the attribution of a request made while no observer is
+// attached, or restored from a snapshot: no source, no gating resource.
+var unattributed = trace.StallInfo{SourceOp: -1, Resource: -1}
+
 // pipeOpInfo builds the hazard attribution of a stall/flush request made
 // right now: the requesting operation, its packet, and the cause derived
 // from the live guard stacks. fromBehavior tells whether the request came
 // from BEHAVIOR code (via behavior.Context.PipeOp) or from an ACTIVATION
 // section. Only called with an observer attached.
 func (s *Simulator) pipeOpInfo(op pipeline.Op, fromBehavior bool) trace.StallInfo {
-	info := trace.StallInfo{}
+	info := unattributed
 	if s.cur.inst != nil {
-		info.SourceOp = s.cur.inst.Op.Name
+		info.SourceOp = s.cur.inst.Op.Index
 	}
 	if s.cur.packet != nil {
 		info.Packet = s.cur.packet.ID
@@ -50,62 +53,48 @@ func (s *Simulator) pipeOpInfo(op pipeline.Op, fromBehavior bool) trace.StallInf
 	return info
 }
 
-// classifyPipeOp derives (cause, gating resource) from the guard stacks.
-// Guards are scanned innermost-first; within one guard the first resource
-// whose current value is nonzero wins (it is the interlock that made the
-// condition true), falling back to the first resource mentioned.
-func (s *Simulator) classifyPipeOp(op pipeline.Op, fromBehavior bool) (trace.Cause, string) {
+// classifyPipeOp derives (cause, gating resource id) from the guard
+// stacks. Guards are scanned innermost-first; within one guard the first
+// resource whose current value is nonzero wins (it is the interlock that
+// made the condition true), falling back to the first resource mentioned.
+func (s *Simulator) classifyPipeOp(op pipeline.Op, fromBehavior bool) (trace.Cause, int) {
 	behaviorGuards := s.x.Guards()
 	guarded := len(behaviorGuards) > 0 || len(s.actGuards) > 0
 	res := s.scanGuards(behaviorGuards)
-	if res == "" {
+	if res < 0 {
 		res = s.scanGuards(s.actGuards)
 	}
 	if op == pipeline.Flush {
 		return trace.CauseControl, res
 	}
 	switch {
-	case res != "":
+	case res >= 0:
 		return trace.CauseData, res
 	case guarded:
-		return trace.CauseControl, ""
+		return trace.CauseControl, -1
 	case fromBehavior:
-		return trace.CauseExplicit, ""
+		return trace.CauseExplicit, -1
 	default:
-		return trace.CauseStructural, ""
+		return trace.CauseStructural, -1
 	}
 }
 
 // scanGuards walks a guard stack innermost-first and returns the gating
 // resource of the first guard that reads any resource: the first one whose
-// current (scalar) value is nonzero, else the first one mentioned.
-func (s *Simulator) scanGuards(guards []ast.Expr) string {
+// current (scalar) value is nonzero, else the first one mentioned; -1
+// when no guard reads a resource.
+func (s *Simulator) scanGuards(guards [][]*model.Resource) int {
 	for i := len(guards) - 1; i >= 0; i-- {
-		names := s.guardResources(guards[i])
-		if len(names) == 0 {
+		rs := guards[i]
+		if len(rs) == 0 {
 			continue
 		}
-		for _, name := range names {
-			r := s.M.Resource(name)
-			if r != nil && !r.IsMemory() && s.S.Read(r).Bool() {
-				return name
+		for _, r := range rs {
+			if !r.IsMemory() && s.S.Read(r).Bool() {
+				return r.Index
 			}
 		}
-		return names[0]
+		return rs[0].Index
 	}
-	return ""
-}
-
-// guardResources returns the resources a guard expression reads, caching
-// the static scan per AST node (guards are immutable after parse).
-func (s *Simulator) guardResources(e ast.Expr) []string {
-	if names, ok := s.guardRes[e]; ok {
-		return names
-	}
-	if s.guardRes == nil {
-		s.guardRes = map[ast.Expr][]string{}
-	}
-	names := behavior.GuardResources(s.M, e)
-	s.guardRes[e] = names
-	return names
+	return -1
 }

@@ -9,6 +9,7 @@ import (
 // recorder counts events per hook for integration assertions.
 type recorder struct {
 	trace.Nop
+	topo      *trace.Topology
 	model     string
 	pipes     []trace.PipeInfo
 	steps     int
@@ -33,20 +34,21 @@ func newRecorder() *recorder {
 	}
 }
 
-func (r *recorder) OnAttach(model string, pipes []trace.PipeInfo) {
-	r.model = model
+func (r *recorder) OnAttach(t *trace.Topology) {
+	r.topo = t
+	r.model = t.Model
 	// Copy: the slice contract allows reuse by the caller.
-	r.pipes = append([]trace.PipeInfo(nil), pipes...)
+	r.pipes = append([]trace.PipeInfo(nil), t.Pipes...)
 }
-func (r *recorder) OnStepEnd(uint64)                     { r.steps++ }
-func (r *recorder) OnExec(op string, _, _ int, _ uint64) { r.execs[op]++ }
-func (r *recorder) OnBehavior(op string, n uint64)       { r.behaviors[op] += n }
-func (r *recorder) OnStall(i trace.StallInfo)            { r.stalls = append(r.stalls, [2]int{i.Pipe, i.Stage}) }
-func (r *recorder) OnFlush(i trace.StallInfo)            { r.flushes = append(r.flushes, [2]int{i.Pipe, i.Stage}) }
-func (r *recorder) OnRetire(int, int, uint64, int)       { r.retires++ }
-func (r *recorder) OnResourceWrite(res string, _ uint64) { r.writes[res]++ }
-func (r *recorder) OnMemWrite(res string, _, _ uint64)   { r.memWrites[res]++ }
-func (r *recorder) OnDecode(_ string, _ uint64, hit bool) {
+func (r *recorder) OnStepEnd(uint64)                  { r.steps++ }
+func (r *recorder) OnExec(op int, _, _ int, _ uint64) { r.execs[r.topo.Op(op)]++ }
+func (r *recorder) OnBehavior(op int, n uint64)       { r.behaviors[r.topo.Op(op)] += n }
+func (r *recorder) OnStall(i trace.StallInfo)         { r.stalls = append(r.stalls, [2]int{i.Pipe, i.Stage}) }
+func (r *recorder) OnFlush(i trace.StallInfo)         { r.flushes = append(r.flushes, [2]int{i.Pipe, i.Stage}) }
+func (r *recorder) OnRetire(int, int, uint64, int)    { r.retires++ }
+func (r *recorder) OnResourceWrite(res int, _ uint64) { r.writes[r.topo.Resource(res)]++ }
+func (r *recorder) OnMemWrite(res int, _, _ uint64)   { r.memWrites[r.topo.Resource(res)]++ }
+func (r *recorder) OnDecode(_ int, _ uint64, hit bool) {
 	r.decodes++
 	if hit {
 		r.hits++

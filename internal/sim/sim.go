@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 
-	"golisa/internal/ast"
 	"golisa/internal/behavior"
 	"golisa/internal/bitvec"
 	"golisa/internal/coding"
@@ -141,7 +140,7 @@ type Simulator struct {
 	// OnDecoded, when non-nil, receives the bound instance every coding-root
 	// decode produced (cache hits included) — the decode-side seam the
 	// coverage collector uses to see which coding-tree leaves a word
-	// selected, information the string-typed OnDecode event cannot carry.
+	// selected, information the OnDecode event cannot carry.
 	// Implementations must not mutate the instance. A simulation without
 	// the hook pays one nil check per decode.
 	OnDecoded func(in *model.Instance)
@@ -177,10 +176,8 @@ type Simulator struct {
 
 	// Hazard-attribution context, maintained only while an observer is
 	// attached: the stack of ACTIVATION conditions enclosing the item
-	// currently processed, and a per-expression cache of the resources a
-	// guard reads (guard ASTs are immutable, so the scan runs once).
-	actGuards []ast.Expr
-	guardRes  map[ast.Expr][]string
+	// currently processed, each as the resources it reads.
+	actGuards [][]*model.Resource
 
 	decodeCache map[decodeKey]*model.Instance
 	staticInst  map[*model.Operation]*model.Instance
@@ -247,19 +244,30 @@ func (s *Simulator) Mode() Mode { return s.mode }
 
 // SetObserver attaches a trace.Observer to the simulator, the pipelines,
 // the behavior engine and the machine state, or detaches everything when
-// o is nil. The observer receives OnAttach with the model's pipeline
-// topology immediately. With no observer attached every hook site costs
-// one nil check.
+// o is nil. The observer receives OnAttach with the model's topology and
+// name tables immediately. With no observer attached every hook site
+// costs one nil check.
 func (s *Simulator) SetObserver(o trace.Observer) {
 	s.SwapObserver(o)
 	if o == nil {
 		return
 	}
-	infos := make([]trace.PipeInfo, len(s.pipes))
-	for i, p := range s.pipes {
-		infos[i] = trace.PipeInfo{Name: p.Def.Name, Stages: p.Def.Stages}
+	t := &trace.Topology{
+		Model:     s.M.Name,
+		Pipes:     make([]trace.PipeInfo, len(s.pipes)),
+		Ops:       make([]string, len(s.M.OpList)),
+		Resources: make([]string, len(s.M.Resources)),
 	}
-	o.OnAttach(s.M.Name, infos)
+	for i, p := range s.pipes {
+		t.Pipes[i] = trace.PipeInfo{Name: p.Def.Name, Stages: p.Def.Stages}
+	}
+	for i, op := range s.M.OpList {
+		t.Ops[i] = op.Name
+	}
+	for i, r := range s.M.Resources {
+		t.Resources[i] = r.Name
+	}
+	o.OnAttach(t)
 }
 
 // SwapObserver installs (or, with nil, removes) an observer WITHOUT
@@ -280,8 +288,8 @@ func (s *Simulator) SwapObserver(o trace.Observer) trace.Observer {
 		return prev
 	}
 	s.x.Obs = o
-	s.S.OnWrite = func(r *model.Resource, v bitvec.Value) { o.OnResourceWrite(r.Name, v.Uint()) }
-	s.S.OnWriteElem = func(r *model.Resource, addr uint64, v bitvec.Value) { o.OnMemWrite(r.Name, addr, v.Uint()) }
+	s.S.OnWrite = func(r *model.Resource, v bitvec.Value) { o.OnResourceWrite(r.Index, v.Uint()) }
+	s.S.OnWriteElem = func(r *model.Resource, addr uint64, v bitvec.Value) { o.OnMemWrite(r.Index, addr, v.Uint()) }
 	return prev
 }
 
@@ -549,7 +557,7 @@ func (s *Simulator) run(it *runItem) error {
 		if it.packet != nil {
 			pkt = it.packet.ID
 		}
-		s.obs.OnExec(in.Op.Name, pipeIdx, it.stage, pkt)
+		s.obs.OnExec(in.Op.Index, pipeIdx, it.stage, pkt)
 	}
 	s.execs[in.Op.Index]++
 	var plan []behavior.ActStep
@@ -585,7 +593,7 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 			s.prof.DecodeHits++
 			s.prof.SharedDecodeHits++
 			if s.obs != nil {
-				s.obs.OnDecode(op.Name, word.Uint(), true)
+				s.obs.OnDecode(op.Index, word.Uint(), true)
 			}
 			if s.OnDecoded != nil {
 				s.OnDecoded(in)
@@ -595,7 +603,7 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 		if in, ok := s.decodeCache[key]; ok {
 			s.prof.DecodeHits++
 			if s.obs != nil {
-				s.obs.OnDecode(op.Name, word.Uint(), true)
+				s.obs.OnDecode(op.Index, word.Uint(), true)
 			}
 			if s.OnDecoded != nil {
 				s.OnDecoded(in)
@@ -608,7 +616,7 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 		}
 		s.prof.Decodes++
 		if s.obs != nil {
-			s.obs.OnDecode(op.Name, word.Uint(), false)
+			s.obs.OnDecode(op.Index, word.Uint(), false)
 		}
 		if s.OnDecoded != nil {
 			s.OnDecoded(in)
@@ -618,7 +626,7 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 	}
 	s.prof.Decodes++
 	if s.obs != nil {
-		s.obs.OnDecode(op.Name, word.Uint(), false)
+		s.obs.OnDecode(op.Index, word.Uint(), false)
 	}
 	in, err := s.dec.DecodeRoot(op, word)
 	if err != nil {
@@ -649,7 +657,7 @@ func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActSt
 			s.activate(in, target, st.Delay, ctx)
 		case behavior.ActPipe:
 			p := s.pipes[st.Pipe]
-			spec := pipeOpSpec{op: st.PipeOp}
+			spec := pipeOpSpec{op: st.PipeOp, info: unattributed}
 			if s.obs != nil {
 				spec.info = s.pipeOpInfo(st.PipeOp, false)
 			}
@@ -688,7 +696,7 @@ func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActSt
 // guarded processes a branch with its condition on the activation guard
 // stack, so stall/flush requests inside attribute to the condition's
 // resources. The stack is kept only while an observer is attached.
-func (s *Simulator) guarded(in *model.Instance, guard ast.Expr, steps []behavior.ActStep, ctx *runItem) error {
+func (s *Simulator) guarded(in *model.Instance, guard []*model.Resource, steps []behavior.ActStep, ctx *runItem) error {
 	if s.obs == nil {
 		return s.processActivation(in, steps, ctx)
 	}
@@ -709,7 +717,7 @@ func (s *Simulator) activate(src, target *model.Instance, extra int, ctx *runIte
 	s.prof.Activations++
 	top := target.Op
 	if s.obs != nil {
-		s.obs.OnActivate(src.Op.Name, top.Name, uint64(extra))
+		s.obs.OnActivate(src.Op.Index, top.Index, uint64(extra))
 	}
 	if !top.HasStage() {
 		// Unassigned target: same control step (plus explicit delay).
@@ -776,7 +784,7 @@ func (c *simCtx) PipeOp(pd *model.Pipeline, stage int, op pipeline.Op) error {
 	if pd.Index >= len(s.pipes) || s.pipes[pd.Index].Def != pd {
 		return fmt.Errorf("pipeline %s not instantiated", pd.Name)
 	}
-	var info trace.StallInfo
+	info := unattributed
 	if s.obs != nil {
 		info = s.pipeOpInfo(op, true)
 	}
@@ -822,7 +830,7 @@ func (s *Simulator) SetScalar(name string, v uint64) error {
 	}
 	val := bitvec.New(v, r.Width)
 	if s.obs != nil {
-		s.obs.OnResourceWrite(r.Name, val.Uint())
+		s.obs.OnResourceWrite(r.Index, val.Uint())
 	}
 	s.S.WriteNow(r, val)
 	return nil

@@ -325,7 +325,7 @@ func (s *Simulator) restoreWheelItem(w WheelItemSnap) (runItem, error) {
 		if !ok {
 			return runItem{}, fmt.Errorf("snapshot has unknown pipe-op %q", w.PipeOp)
 		}
-		return runItem{pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, pipeOp: pipeOpSpec{op: op}}, nil
+		return runItem{pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, pipeOp: pipeOpSpec{op: op, info: unattributed}}, nil
 	}
 	in, err := s.restoreInst(w.Inst)
 	if err != nil {

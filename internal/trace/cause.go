@@ -73,12 +73,13 @@ var Causes = [...]Cause{CauseData, CauseControl, CauseStructural, CauseExplicit}
 // StallInfo carries the attribution context of one stall or flush request:
 // where it landed (Pipe, Stage — stage -1 is the whole pipe), why
 // (Cause, Resource for data hazards), and who asked (SourceOp, the packet
-// carrying the requester). Zero values mean "unknown".
+// carrying the requester). SourceOp and Resource are ids into the
+// topology's tables, -1 when unknown; Packet is 0 when none.
 type StallInfo struct {
 	Pipe     int
 	Stage    int
 	Cause    Cause
-	SourceOp string // operation whose activation/behavior made the request
-	Resource string // gating resource for data hazards, "" otherwise
+	SourceOp int    // operation whose activation/behavior made the request
+	Resource int    // gating resource for data hazards, -1 otherwise
 	Packet   uint64 // packet id carrying the requester, 0 when none
 }

@@ -12,12 +12,14 @@ import (
 // 1-cycle slice on its stage's track, and each pipeline packet as a flow
 // connecting its executions across stages, making pipeline bubbles and
 // stalls visible in a browser. One control step maps to 1µs of trace
-// time.
+// time. Activations are not rendered: they show as the exec slices they
+// lead to.
 type ChromeTracer struct {
+	Nop
 	events []ChromeEvent
-	tids   map[[2]int]int // (pipe, stage) → tid
-	opsTid int            // track for unassigned operations
-	pipes  []PipeInfo
+	base   []int // by pipe: the tid of its first stage's track
+	opsTid int   // track for unassigned operations
+	topo   *Topology
 	cur    uint64
 	flows  map[uint64]bool // packet ids already started
 }
@@ -44,21 +46,22 @@ const chromePid = 1
 
 // NewChromeTracer creates an empty Chrome trace-event collector.
 func NewChromeTracer() *ChromeTracer {
-	return &ChromeTracer{tids: map[[2]int]int{}, flows: map[uint64]bool{}}
+	return &ChromeTracer{flows: map[uint64]bool{}, topo: &Topology{}}
 }
 
 // OnAttach implements Observer: it creates one track per pipeline stage
 // (plus one for unassigned operations) with stable names and ordering.
-func (c *ChromeTracer) OnAttach(model string, pipes []PipeInfo) {
-	c.pipes = pipes
+func (c *ChromeTracer) OnAttach(t *Topology) {
+	c.topo = t
 	c.events = append(c.events, ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: chromePid, Tid: 0,
-		Args: map[string]any{"name": "lisa-sim " + model},
+		Args: map[string]any{"name": "lisa-sim " + t.Model},
 	})
 	tid := 1
-	for pi, p := range pipes {
-		for si, st := range p.Stages {
-			c.tids[[2]int{pi, si}] = tid
+	c.base = c.base[:0]
+	for _, p := range t.Pipes {
+		c.base = append(c.base, tid)
+		for _, st := range p.Stages {
 			c.meta(tid, StageTrack(p.Name, st))
 			tid++
 		}
@@ -77,10 +80,10 @@ func (c *ChromeTracer) meta(tid int, name string) {
 }
 
 func (c *ChromeTracer) tid(pipe, stage int) int {
-	if t, ok := c.tids[[2]int{pipe, stage}]; ok {
-		return t
+	if pipe < 0 || pipe >= len(c.base) || stage < 0 || stage >= len(c.topo.Pipes[pipe].Stages) {
+		return c.opsTid
 	}
-	return c.opsTid
+	return c.base[pipe] + stage
 }
 
 // stageTids returns the track ids a (pipe, stage) event maps to; a
@@ -89,11 +92,11 @@ func (c *ChromeTracer) stageTids(pipe, stage int) []int {
 	if stage >= 0 {
 		return []int{c.tid(pipe, stage)}
 	}
-	if pipe < 0 || pipe >= len(c.pipes) {
+	if pipe < 0 || pipe >= len(c.topo.Pipes) {
 		return []int{c.opsTid}
 	}
-	tids := make([]int, 0, len(c.pipes[pipe].Stages))
-	for si := range c.pipes[pipe].Stages {
+	tids := make([]int, 0, len(c.topo.Pipes[pipe].Stages))
+	for si := range c.topo.Pipes[pipe].Stages {
 		tids = append(tids, c.tid(pipe, si))
 	}
 	return tids
@@ -104,12 +107,9 @@ func (c *ChromeTracer) ts() float64 { return float64(c.cur) }
 // OnStepBegin implements Observer.
 func (c *ChromeTracer) OnStepBegin(step uint64) { c.cur = step }
 
-// OnStepEnd implements Observer.
-func (c *ChromeTracer) OnStepEnd(uint64) {}
-
 // OnOccupancy implements Observer: one counter track per pipeline.
 func (c *ChromeTracer) OnOccupancy(pipe int, occupied []bool) {
-	if pipe < 0 || pipe >= len(c.pipes) {
+	if pipe < 0 || pipe >= len(c.topo.Pipes) {
 		return
 	}
 	n := 0
@@ -119,30 +119,26 @@ func (c *ChromeTracer) OnOccupancy(pipe int, occupied []bool) {
 		}
 	}
 	c.events = append(c.events, ChromeEvent{
-		Name: c.pipes[pipe].Name + " occupancy", Ph: "C", Ts: c.ts(),
+		Name: c.topo.Pipes[pipe].Name + " occupancy", Ph: "C", Ts: c.ts(),
 		Pid: chromePid, Tid: 0, Args: map[string]any{"packets": n},
 	})
 }
 
 // OnDecode implements Observer.
-func (c *ChromeTracer) OnDecode(root string, word uint64, hit bool) {
+func (c *ChromeTracer) OnDecode(root int, word uint64, hit bool) {
 	c.events = append(c.events, ChromeEvent{
-		Name: "decode " + root, Cat: "decode", Ph: "i", Ts: c.ts(),
+		Name: "decode " + c.topo.Op(root), Cat: "decode", Ph: "i", Ts: c.ts(),
 		Pid: chromePid, Tid: c.opsTid, Scope: "t",
 		Args: map[string]any{"word": fmt.Sprintf("%#x", word), "cache_hit": hit},
 	})
 }
 
-// OnActivate implements Observer (not rendered; activations are visible
-// as the resulting exec slices).
-func (c *ChromeTracer) OnActivate(string, string, uint64) {}
-
 // OnExec implements Observer: a 1-cycle slice on the stage's track, with
 // a flow event binding the slices of one packet together.
-func (c *ChromeTracer) OnExec(op string, pipe, stage int, packet uint64) {
+func (c *ChromeTracer) OnExec(op, pipe, stage int, packet uint64) {
 	tid := c.tid(pipe, stage)
 	c.events = append(c.events, ChromeEvent{
-		Name: op, Cat: "exec", Ph: "X", Ts: c.ts(), Dur: 1,
+		Name: c.topo.Op(op), Cat: "exec", Ph: "X", Ts: c.ts(), Dur: 1,
 		Pid: chromePid, Tid: tid,
 	})
 	if packet == 0 {
@@ -159,9 +155,6 @@ func (c *ChromeTracer) OnExec(op string, pipe, stage int, packet uint64) {
 	})
 }
 
-// OnBehavior implements Observer.
-func (c *ChromeTracer) OnBehavior(string, uint64) {}
-
 // OnStall implements Observer: the instant carries the hazard
 // attribution as args so it is inspectable in the trace viewer.
 func (c *ChromeTracer) OnStall(info StallInfo) { c.hazard("stall", info) }
@@ -177,13 +170,14 @@ func (c *ChromeTracer) hazard(kind string, info StallInfo) {
 		name = kind + " (whole pipe)"
 	}
 	var args map[string]any
-	if info.Cause != CauseNone || info.SourceOp != "" {
+	op := c.topo.Op(info.SourceOp)
+	if info.Cause != CauseNone || op != "" {
 		args = map[string]any{"cause": info.Cause.String()}
-		if info.Resource != "" {
-			args["resource"] = info.Resource
+		if res := c.topo.Resource(info.Resource); res != "" {
+			args["resource"] = res
 		}
-		if info.SourceOp != "" {
-			args["op"] = info.SourceOp
+		if op != "" {
+			args["op"] = op
 		}
 		if info.Packet != 0 {
 			args["packet"] = fmt.Sprintf("%#x", info.Packet)
@@ -199,9 +193,6 @@ func (c *ChromeTracer) hazard(kind string, info StallInfo) {
 		})
 	}
 }
-
-// OnShift implements Observer.
-func (c *ChromeTracer) OnShift(int) {}
 
 // OnRetire implements Observer: the packet's flow terminates on the last
 // stage's track.
@@ -220,12 +211,6 @@ func (c *ChromeTracer) OnRetire(pipe, stage int, packet uint64, entries int) {
 		})
 	}
 }
-
-// OnResourceWrite implements Observer.
-func (c *ChromeTracer) OnResourceWrite(string, uint64) {}
-
-// OnMemWrite implements Observer.
-func (c *ChromeTracer) OnMemWrite(string, uint64, uint64) {}
 
 // AddCounter appends a counter sample ("ph":"C") at ts (control steps,
 // i.e. µs of trace time). values becomes the counter's series — multiple

@@ -21,22 +21,21 @@ type StageMetrics struct {
 
 	// StallCauseCycles splits StallCycles by hazard cause
 	// ("data"/"control"/"structural"/"explicit") when the emitter provides
-	// attribution; unattributed stalls appear only in StallCycles.
+	// attribution; unattributed stalls appear only in StallCycles. It is
+	// filled from the per-cause counters when the snapshot is written.
 	StallCauseCycles map[string]uint64 `json:"stall_cause_cycles,omitempty"`
 
-	track string // StageTrack(Pipe, Stage): the OpMetrics.StageCycles key
+	track  string            // StageTrack(Pipe, Stage): the OpMetrics.StageCycles key
+	column int               // this stage's column in Metrics.stageCycles
+	causes [NumCauses]uint64 // stall cycles by cause
 }
 
 // stall counts one stall cycle, split by cause when attributed.
 func (s *StageMetrics) stall(c Cause) {
 	s.StallCycles++
-	if c == CauseNone {
-		return
+	if c < NumCauses {
+		s.causes[c]++
 	}
-	if s.StallCauseCycles == nil {
-		s.StallCauseCycles = map[string]uint64{}
-	}
-	s.StallCauseCycles[c.String()]++
 }
 
 // PipeMetrics accumulates counters for one pipeline.
@@ -61,11 +60,16 @@ type OpMetrics struct {
 	LastStep    uint64            `json:"last_step"`
 	StageCycles map[string]uint64 `json:"stage_cycles,omitempty"`
 
+	seen     bool   // the operation executed or ran behavior
 	lastSeen uint64 // lastSeen = step+1 of last exec, 0 = never
 }
 
 // Metrics is an Observer collecting per-stage pipeline metrics and
 // per-operation execution histograms. Zero value is ready to attach.
+//
+// Events count into slices indexed by operation id and stage, sized at
+// attach. Ops and the stages' StallCauseCycles are the name-keyed views
+// the exporters write; WriteText and WriteJSON fill them.
 type Metrics struct {
 	Model       string                `json:"model"`
 	Steps       uint64                `json:"steps"`
@@ -77,20 +81,25 @@ type Metrics struct {
 	Pipes       []*PipeMetrics        `json:"pipes"`
 	Ops         map[string]*OpMetrics `json:"ops"`
 
-	cur uint64 // current control step
+	cur         uint64      // current control step
+	ops         []OpMetrics // by operation id
+	stages      int         // stage columns: every stage of every pipe
+	stageCycles []uint64    // executions by operation id and stage column
 }
 
 // NewMetrics creates an empty metrics collector.
 func NewMetrics() *Metrics { return &Metrics{Ops: map[string]*OpMetrics{}} }
 
-func (m *Metrics) op(name string) *OpMetrics {
-	if m.Ops == nil {
-		m.Ops = map[string]*OpMetrics{}
+// op returns the counters of operation id, marking it seen; nil for an
+// id outside the attached table.
+func (m *Metrics) op(id int) *OpMetrics {
+	if id < 0 || id >= len(m.ops) {
+		return nil
 	}
-	o := m.Ops[name]
-	if o == nil {
-		o = &OpMetrics{Name: name, FirstStep: m.cur}
-		m.Ops[name] = o
+	o := &m.ops[id]
+	if !o.seen {
+		o.seen = true
+		o.FirstStep = m.cur
 	}
 	return o
 }
@@ -106,19 +115,26 @@ func (m *Metrics) stage(pipe, stage int) *StageMetrics {
 	return p.Stages[stage]
 }
 
-// OnAttach implements Observer.
-func (m *Metrics) OnAttach(model string, pipes []PipeInfo) {
-	m.Model = model
-	if m.Ops == nil {
-		m.Ops = map[string]*OpMetrics{}
-	}
+// OnAttach implements Observer. The pipeline counters start afresh; the
+// operation counters carry over a re-attach to the same model.
+func (m *Metrics) OnAttach(t *Topology) {
+	m.Model = t.Model
 	m.Pipes = m.Pipes[:0]
-	for _, pi := range pipes {
+	m.stages = 0
+	for _, pi := range t.Pipes {
 		pm := &PipeMetrics{Name: pi.Name}
 		for _, st := range pi.Stages {
-			pm.Stages = append(pm.Stages, &StageMetrics{Pipe: pi.Name, Stage: st, track: StageTrack(pi.Name, st)})
+			pm.Stages = append(pm.Stages, &StageMetrics{Pipe: pi.Name, Stage: st, track: StageTrack(pi.Name, st), column: m.stages})
+			m.stages++
 		}
 		m.Pipes = append(m.Pipes, pm)
+	}
+	if len(m.ops) != len(t.Ops) || len(m.stageCycles) != len(t.Ops)*m.stages {
+		m.ops = make([]OpMetrics, len(t.Ops))
+		for i, name := range t.Ops {
+			m.ops[i].Name = name
+		}
+		m.stageCycles = make([]uint64, len(t.Ops)*m.stages)
 	}
 }
 
@@ -142,7 +158,7 @@ func (m *Metrics) OnOccupancy(pipe int, occupied []bool) {
 }
 
 // OnDecode implements Observer.
-func (m *Metrics) OnDecode(root string, word uint64, hit bool) {
+func (m *Metrics) OnDecode(root int, word uint64, hit bool) {
 	m.Decodes++
 	if hit {
 		m.DecodeHits++
@@ -150,11 +166,14 @@ func (m *Metrics) OnDecode(root string, word uint64, hit bool) {
 }
 
 // OnActivate implements Observer.
-func (m *Metrics) OnActivate(string, string, uint64) { m.Activations++ }
+func (m *Metrics) OnActivate(int, int, uint64) { m.Activations++ }
 
 // OnExec implements Observer.
-func (m *Metrics) OnExec(opName string, pipe, stage int, packet uint64) {
-	o := m.op(opName)
+func (m *Metrics) OnExec(op, pipe, stage int, packet uint64) {
+	o := m.op(op)
+	if o == nil {
+		return
+	}
 	o.Execs++
 	o.LastStep = m.cur
 	if o.lastSeen != m.cur+1 {
@@ -163,16 +182,15 @@ func (m *Metrics) OnExec(opName string, pipe, stage int, packet uint64) {
 	}
 	if s := m.stage(pipe, stage); s != nil {
 		s.Execs++
-		if o.StageCycles == nil {
-			o.StageCycles = map[string]uint64{}
-		}
-		o.StageCycles[s.track]++
+		m.stageCycles[op*m.stages+s.column]++
 	}
 }
 
 // OnBehavior implements Observer.
-func (m *Metrics) OnBehavior(opName string, statements uint64) {
-	m.op(opName).Statements += statements
+func (m *Metrics) OnBehavior(op int, statements uint64) {
+	if o := m.op(op); o != nil {
+		o.Statements += statements
+	}
 }
 
 // OnStall implements Observer. A whole-pipe stall (stage -1) counts one
@@ -230,10 +248,48 @@ func (m *Metrics) OnRetire(pipe, stage int, packet uint64, entries int) {
 }
 
 // OnResourceWrite implements Observer.
-func (m *Metrics) OnResourceWrite(string, uint64) { m.Writes++ }
+func (m *Metrics) OnResourceWrite(int, uint64) { m.Writes++ }
 
 // OnMemWrite implements Observer.
-func (m *Metrics) OnMemWrite(string, uint64, uint64) { m.MemWrites++ }
+func (m *Metrics) OnMemWrite(int, uint64, uint64) { m.MemWrites++ }
+
+// fill builds the name-keyed views from the counters: Ops holds every
+// operation that executed or ran behavior, with its stage cycles, and
+// each stage's StallCauseCycles its attributed stall cycles.
+func (m *Metrics) fill() {
+	m.Ops = make(map[string]*OpMetrics)
+	for i := range m.ops {
+		o := &m.ops[i]
+		if !o.seen {
+			continue
+		}
+		o.StageCycles = nil
+		for _, p := range m.Pipes {
+			for _, s := range p.Stages {
+				if n := m.stageCycles[i*m.stages+s.column]; n > 0 {
+					if o.StageCycles == nil {
+						o.StageCycles = map[string]uint64{}
+					}
+					o.StageCycles[s.track] = n
+				}
+			}
+		}
+		m.Ops[o.Name] = o
+	}
+	for _, p := range m.Pipes {
+		for _, s := range p.Stages {
+			s.StallCauseCycles = nil
+			for _, c := range Causes {
+				if n := s.causes[c]; n > 0 {
+					if s.StallCauseCycles == nil {
+						s.StallCauseCycles = map[string]uint64{}
+					}
+					s.StallCauseCycles[c.String()] = n
+				}
+			}
+		}
+	}
+}
 
 // sortedOps returns operation metrics sorted by name for stable output.
 func (m *Metrics) sortedOps() []*OpMetrics {
@@ -257,6 +313,7 @@ func promEscape(s string) string {
 // `# HELP` and `# TYPE` header per metric followed by its
 // `name{labels} value` samples.
 func (m *Metrics) WriteText(w io.Writer) error {
+	m.fill()
 	ew := &errWriter{w: w}
 	p := func(format string, args ...any) { fmt.Fprintf(ew, format, args...) }
 	head := func(name, help string) {
@@ -357,6 +414,7 @@ func (m *Metrics) WriteText(w io.Writer) error {
 
 // WriteJSON emits the snapshot as machine-readable JSON.
 func (m *Metrics) WriteJSON(w io.Writer) error {
+	m.fill()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)

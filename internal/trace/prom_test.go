@@ -232,9 +232,10 @@ loop:   SUB A1, A1, A2
 // strict format parser.
 func TestPromCauseLabels(t *testing.T) {
 	metrics := trace.NewMetrics()
-	metrics.OnAttach("m", []trace.PipeInfo{{Name: "p", Stages: []string{"FE", "EX"}}})
+	metrics.OnAttach(&trace.Topology{Model: "m", Pipes: []trace.PipeInfo{{Name: "p", Stages: []string{"FE", "EX"}}},
+		Resources: []string{"mem_wait"}})
 	metrics.OnStepBegin(0)
-	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseData, Resource: "mem_wait"})
+	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseData, Resource: 0})
 	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 1, Cause: trace.CauseControl})
 	metrics.OnStall(trace.StallInfo{Pipe: 0, Stage: 0}) // unattributed
 	metrics.OnFlush(trace.StallInfo{Pipe: 0, Stage: -1, Cause: trace.CauseControl})
@@ -266,11 +267,11 @@ func TestPromCauseLabels(t *testing.T) {
 // the exposition format and survive the strict parser.
 func TestPromEscaping(t *testing.T) {
 	metrics := trace.NewMetrics()
-	metrics.OnAttach("evil\"model\\with\nnewline", []trace.PipeInfo{
+	metrics.OnAttach(&trace.Topology{Model: "evil\"model\\with\nnewline", Pipes: []trace.PipeInfo{
 		{Name: "p\"0", Stages: []string{"S\\1"}},
-	})
+	}, Ops: []string{"op\"x"}})
 	metrics.OnStepBegin(0)
-	metrics.OnExec("op\"x", 0, 0, 1)
+	metrics.OnExec(0, 0, 0, 1)
 	metrics.OnStepEnd(0)
 
 	var buf bytes.Buffer

@@ -14,8 +14,12 @@
 //   - Flight: a ring-buffer flight recorder keeping the last N events for
 //     post-mortem dumps on simulator errors.
 //
-// All event payloads are primitive-typed (names, indices, words) so the
-// package sits below every other simulation package in the import graph.
+// Event payloads are dense ids and words, never names: operations are
+// keyed by model.Operation.Index, resources by their position in
+// Model.Resources, and -1 means none. OnAttach delivers the name tables
+// once, so a sink counts into slices sized at attach and only its
+// exporters turn ids back into names. The package sits below every
+// other simulation package in the import graph.
 package trace
 
 // PipeInfo describes one pipeline's topology, passed to OnAttach so
@@ -26,6 +30,35 @@ type PipeInfo struct {
 	Stages []string
 }
 
+// Topology is what OnAttach delivers: the model name, the pipe topology
+// and the name tables event ids index. Ops and Resources are the tables a
+// .lrec header writes, in the same order. Observers may keep the pointer
+// but must not modify the tables.
+type Topology struct {
+	Model     string
+	Pipes     []PipeInfo
+	Ops       []string // by model.Operation.Index
+	Resources []string // by position in model.Model.Resources
+}
+
+// Op returns the name of operation id, or "" for -1 or an id outside the
+// table.
+func (t *Topology) Op(id int) string {
+	if t == nil || id < 0 || id >= len(t.Ops) {
+		return ""
+	}
+	return t.Ops[id]
+}
+
+// Resource returns the name of resource id, or "" for -1 or an id
+// outside the table.
+func (t *Topology) Resource(id int) string {
+	if t == nil || id < 0 || id >= len(t.Resources) {
+		return ""
+	}
+	return t.Resources[id]
+}
+
 // StageTrack is the canonical signal/track name for a pipeline stage,
 // shared by the VCD writer, the metrics exporter and the Chrome tracer so
 // the same stage is labelled identically across all outputs.
@@ -33,12 +66,13 @@ func StageTrack(pipe, stage string) string { return pipe + "." + stage }
 
 // Observer receives simulation events. Implementations must not retain
 // slice arguments (they are reused across calls). pipe arguments are
-// indices into the OnAttach topology; stage -1 means "whole pipeline";
+// indices into the topology's Pipes; stage -1 means "whole pipeline";
 // pipe -1 on OnExec means the operation is not assigned to any stage.
+// Operation and resource arguments are ids into the topology's tables.
 type Observer interface {
 	// OnAttach is called once when the observer is attached to a
 	// simulator, before any other event.
-	OnAttach(model string, pipes []PipeInfo)
+	OnAttach(t *Topology)
 	// OnStepBegin marks the start of a control step.
 	OnStepBegin(step uint64)
 	// OnStepEnd marks the end of a control step (after commit/shift).
@@ -47,19 +81,20 @@ type Observer interface {
 	// step, before commit and shift: the stages the packets occupied
 	// during the step.
 	OnOccupancy(pipe int, occupied []bool)
-	// OnDecode reports a coding-root decode of word (hit = decode cache).
-	OnDecode(root string, word uint64, hit bool)
+	// OnDecode reports a decode of word by coding root op root (hit =
+	// decode cache).
+	OnDecode(root int, word uint64, hit bool)
 	// OnActivate reports a scheduled activation as a directed edge:
 	// source is the operation whose ACTIVATION section requested it,
 	// target the operation being scheduled, delay the extra delay.
-	OnActivate(source, target string, delay uint64)
+	OnActivate(source, target int, delay uint64)
 	// OnExec reports one operation execution in its pipeline context.
 	// packet is the id of the carrying pipeline packet, 0 when none.
-	OnExec(op string, pipe, stage int, packet uint64)
+	OnExec(op, pipe, stage int, packet uint64)
 	// OnBehavior reports the number of behavior statements an operation's
 	// BEHAVIOR section executed (interpreted engines only; inclusive of
 	// directly called operations).
-	OnBehavior(op string, statements uint64)
+	OnBehavior(op int, statements uint64)
 	// OnStall reports a stage (or whole-pipe, stage -1) stall request
 	// with its hazard attribution.
 	OnStall(info StallInfo)
@@ -72,31 +107,31 @@ type Observer interface {
 	OnRetire(pipe, stage int, packet uint64, entries int)
 	// OnResourceWrite reports a scalar resource write (program order,
 	// before latch commit).
-	OnResourceWrite(resource string, value uint64)
+	OnResourceWrite(resource int, value uint64)
 	// OnMemWrite reports a memory element write. A banked memory folds
 	// the bank into the address: element addr of bank b is reported at
 	// b*Size + addr.
-	OnMemWrite(resource string, addr, value uint64)
+	OnMemWrite(resource int, addr, value uint64)
 }
 
 // Nop implements Observer with no-ops; embed it to implement only a
 // subset of the interface.
 type Nop struct{}
 
-func (Nop) OnAttach(string, []PipeInfo)       {}
-func (Nop) OnStepBegin(uint64)                {}
-func (Nop) OnStepEnd(uint64)                  {}
-func (Nop) OnOccupancy(int, []bool)           {}
-func (Nop) OnDecode(string, uint64, bool)     {}
-func (Nop) OnActivate(string, string, uint64) {}
-func (Nop) OnExec(string, int, int, uint64)   {}
-func (Nop) OnBehavior(string, uint64)         {}
-func (Nop) OnStall(StallInfo)                 {}
-func (Nop) OnFlush(StallInfo)                 {}
-func (Nop) OnShift(int)                       {}
-func (Nop) OnRetire(int, int, uint64, int)    {}
-func (Nop) OnResourceWrite(string, uint64)    {}
-func (Nop) OnMemWrite(string, uint64, uint64) {}
+func (Nop) OnAttach(*Topology)             {}
+func (Nop) OnStepBegin(uint64)             {}
+func (Nop) OnStepEnd(uint64)               {}
+func (Nop) OnOccupancy(int, []bool)        {}
+func (Nop) OnDecode(int, uint64, bool)     {}
+func (Nop) OnActivate(int, int, uint64)    {}
+func (Nop) OnExec(int, int, int, uint64)   {}
+func (Nop) OnBehavior(int, uint64)         {}
+func (Nop) OnStall(StallInfo)              {}
+func (Nop) OnFlush(StallInfo)              {}
+func (Nop) OnShift(int)                    {}
+func (Nop) OnRetire(int, int, uint64, int) {}
+func (Nop) OnResourceWrite(int, uint64)    {}
+func (Nop) OnMemWrite(int, uint64, uint64) {}
 
 // Multi fans every event out to each observer in order.
 type Multi []Observer
@@ -125,9 +160,9 @@ func Fanout(obs ...Observer) Observer {
 	return m
 }
 
-func (m Multi) OnAttach(model string, pipes []PipeInfo) {
+func (m Multi) OnAttach(t *Topology) {
 	for _, o := range m {
-		o.OnAttach(model, pipes)
+		o.OnAttach(t)
 	}
 }
 func (m Multi) OnStepBegin(step uint64) {
@@ -145,22 +180,22 @@ func (m Multi) OnOccupancy(pipe int, occupied []bool) {
 		o.OnOccupancy(pipe, occupied)
 	}
 }
-func (m Multi) OnDecode(root string, word uint64, hit bool) {
+func (m Multi) OnDecode(root int, word uint64, hit bool) {
 	for _, o := range m {
 		o.OnDecode(root, word, hit)
 	}
 }
-func (m Multi) OnActivate(source, target string, delay uint64) {
+func (m Multi) OnActivate(source, target int, delay uint64) {
 	for _, o := range m {
 		o.OnActivate(source, target, delay)
 	}
 }
-func (m Multi) OnExec(op string, pipe, stage int, packet uint64) {
+func (m Multi) OnExec(op, pipe, stage int, packet uint64) {
 	for _, o := range m {
 		o.OnExec(op, pipe, stage, packet)
 	}
 }
-func (m Multi) OnBehavior(op string, statements uint64) {
+func (m Multi) OnBehavior(op int, statements uint64) {
 	for _, o := range m {
 		o.OnBehavior(op, statements)
 	}
@@ -185,12 +220,12 @@ func (m Multi) OnRetire(pipe, stage int, packet uint64, entries int) {
 		o.OnRetire(pipe, stage, packet, entries)
 	}
 }
-func (m Multi) OnResourceWrite(resource string, value uint64) {
+func (m Multi) OnResourceWrite(resource int, value uint64) {
 	for _, o := range m {
 		o.OnResourceWrite(resource, value)
 	}
 }
-func (m Multi) OnMemWrite(resource string, addr, value uint64) {
+func (m Multi) OnMemWrite(resource int, addr, value uint64) {
 	for _, o := range m {
 		o.OnMemWrite(resource, addr, value)
 	}

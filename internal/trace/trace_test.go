@@ -9,11 +9,38 @@ import (
 
 var testPipes = []PipeInfo{{Name: "pipe", Stages: []string{"FE", "DC", "EX", "WB"}}}
 
+// testTopo names the ids feed's events carry.
+var testTopo = &Topology{
+	Model:     "m",
+	Pipes:     testPipes,
+	Ops:       []string{"insn", "decode", "add", "fetch", "alu", "free", "ld", "br"},
+	Resources: []string{"pc", "mem", "mem_wait", "cond"},
+}
+
+// Operation and resource ids of testTopo.
+const (
+	opInsn = iota
+	opDecode
+	opAdd
+	opFetch
+	opAlu
+	opFree
+	opLd
+	opBr
+)
+
+const (
+	resPC = iota
+	resMem
+	resMemWait
+	resCond
+)
+
 // The attributed events feed delivers.
 var (
-	feedEdge  = edge{"decode", "add", 1}
-	feedStall = StallInfo{Pipe: 0, Stage: 1, Cause: CauseData, SourceOp: "ld", Resource: "mem_wait", Packet: 7}
-	feedFlush = StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: "br", Resource: "cond", Packet: 7}
+	feedEdge  = edge{opDecode, opAdd, 1}
+	feedStall = StallInfo{Pipe: 0, Stage: 1, Cause: CauseData, SourceOp: opLd, Resource: resMemWait, Packet: 7}
+	feedFlush = StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: opBr, Resource: resCond, Packet: 7}
 )
 
 // feed drives a small synthetic 3-step simulation into an observer:
@@ -23,31 +50,31 @@ var (
 // shift
 // step 2: exec on EX, retire of packet 7, mem write
 func feed(o Observer) {
-	o.OnAttach("m", testPipes)
+	o.OnAttach(testTopo)
 
 	o.OnStepBegin(0)
-	o.OnDecode("insn", 0x1234, false)
+	o.OnDecode(opInsn, 0x1234, false)
 	o.OnActivate(feedEdge.source, feedEdge.target, feedEdge.delay)
-	o.OnExec("fetch", 0, 0, 7)
-	o.OnBehavior("fetch", 3)
+	o.OnExec(opFetch, 0, 0, 7)
+	o.OnBehavior(opFetch, 3)
 	o.OnStall(feedStall)
-	o.OnResourceWrite("pc", 2)
+	o.OnResourceWrite(resPC, 2)
 	o.OnOccupancy(0, []bool{true, false, false, false})
 	o.OnStepEnd(0)
 
 	o.OnStepBegin(1)
-	o.OnDecode("insn", 0x1234, true)
-	o.OnExec("decode", 0, 1, 7)
+	o.OnDecode(opInsn, 0x1234, true)
+	o.OnExec(opDecode, 0, 1, 7)
 	o.OnFlush(feedFlush)
 	o.OnShift(0)
 	o.OnOccupancy(0, []bool{true, true, false, false})
 	o.OnStepEnd(1)
 
 	o.OnStepBegin(2)
-	o.OnExec("alu", 0, 2, 7)
-	o.OnExec("free", -1, -1, 0)
+	o.OnExec(opAlu, 0, 2, 7)
+	o.OnExec(opFree, -1, -1, 0)
 	o.OnRetire(0, 3, 7, 2)
-	o.OnMemWrite("mem", 0x10, 42)
+	o.OnMemWrite(resMem, 0x10, 42)
 	o.OnOccupancy(0, []bool{false, true, true, false})
 	o.OnStepEnd(2)
 }
@@ -99,10 +126,10 @@ func TestFanout(t *testing.T) {
 // verifier do.
 type targetOnly struct {
 	Nop
-	got []string
+	got []int
 }
 
-func (l *targetOnly) OnActivate(_, target string, _ uint64) { l.got = append(l.got, target) }
+func (l *targetOnly) OnActivate(_, target int, _ uint64) { l.got = append(l.got, target) }
 
 // TestMultiRedispatchesEdges: a fanout hands each member the whole
 // activation edge, through nested fanouts too, whether the member uses
@@ -110,18 +137,18 @@ func (l *targetOnly) OnActivate(_, target string, _ uint64) { l.got = append(l.g
 func TestMultiRedispatchesEdges(t *testing.T) {
 	tgt, c := &targetOnly{}, &capture{}
 	m := Multi{tgt, Multi{c}}
-	m.OnActivate("decode", "mac", 2)
-	if len(tgt.got) != 1 || tgt.got[0] != "mac" {
-		t.Fatalf("target-only member got %v, want [mac]", tgt.got)
+	m.OnActivate(opDecode, opAlu, 2)
+	if len(tgt.got) != 1 || tgt.got[0] != opAlu {
+		t.Fatalf("target-only member got %v, want [%d]", tgt.got, opAlu)
 	}
-	if want := (edge{"decode", "mac", 2}); len(c.edges) != 1 || c.edges[0] != want {
+	if want := (edge{opDecode, opAlu, 2}); len(c.edges) != 1 || c.edges[0] != want {
 		t.Fatalf("nested member got %+v, want [%+v]", c.edges, want)
 	}
 }
 
 // edge is one activation as OnActivate reports it.
 type edge struct {
-	source, target string
+	source, target int
 	delay          uint64
 }
 
@@ -132,7 +159,7 @@ type capture struct {
 	stalls, flushes []StallInfo
 }
 
-func (c *capture) OnActivate(source, target string, delay uint64) {
+func (c *capture) OnActivate(source, target int, delay uint64) {
 	c.edges = append(c.edges, edge{source, target, delay})
 }
 func (c *capture) OnStall(info StallInfo) { c.stalls = append(c.stalls, info) }
@@ -141,6 +168,7 @@ func (c *capture) OnFlush(info StallInfo) { c.flushes = append(c.flushes, info) 
 func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics()
 	feed(m)
+	m.fill()
 
 	if m.Model != "m" {
 		t.Errorf("Model = %q, want m", m.Model)
@@ -204,9 +232,9 @@ func TestMetricsCounters(t *testing.T) {
 // the stage's track name is built once, at attach time.
 func TestMetricsOnExecAllocFree(t *testing.T) {
 	m := NewMetrics()
-	m.OnAttach("m", testPipes)
-	m.OnExec("alu", 0, 2, 7)
-	if n := testing.AllocsPerRun(100, func() { m.OnExec("alu", 0, 2, 7) }); n != 0 {
+	m.OnAttach(testTopo)
+	m.OnExec(opAlu, 0, 2, 7)
+	if n := testing.AllocsPerRun(100, func() { m.OnExec(opAlu, 0, 2, 7) }); n != 0 {
 		t.Errorf("warm staged OnExec allocates %v times, want 0", n)
 	}
 }
@@ -318,14 +346,14 @@ func TestChromeTracer(t *testing.T) {
 // instants stay args-free.
 func TestChromeHazardArgs(t *testing.T) {
 	c := NewChromeTracer()
-	c.OnAttach("m", testPipes)
+	c.OnAttach(testTopo)
 	c.OnStepBegin(0)
 	c.OnStall(StallInfo{
 		Pipe: 0, Stage: 2, Cause: CauseData,
-		Resource: "mem_wait", SourceOp: "ld", Packet: 7,
+		Resource: resMemWait, SourceOp: opLd, Packet: 7,
 	})
-	c.OnFlush(StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: "br"})
-	c.OnStall(StallInfo{Pipe: 0, Stage: 1}) // no attribution
+	c.OnFlush(StallInfo{Pipe: 0, Stage: -1, Cause: CauseControl, SourceOp: opBr, Resource: -1})
+	c.OnStall(StallInfo{Pipe: 0, Stage: 1, SourceOp: -1, Resource: -1}) // no attribution
 	c.OnStepEnd(0)
 
 	var buf bytes.Buffer
@@ -394,9 +422,10 @@ func TestChromeTracerEmpty(t *testing.T) {
 
 func TestFlightWraparound(t *testing.T) {
 	f := NewFlight(4)
+	f.OnAttach(&Topology{Ops: []string{"op"}})
 	f.OnStepBegin(0)
 	for i := 0; i < 10; i++ {
-		f.OnExec("op", 0, i, uint64(i+1))
+		f.OnExec(0, 0, i, uint64(i+1))
 	}
 	ev := f.Events()
 	if len(ev) != 4 {

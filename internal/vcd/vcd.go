@@ -26,7 +26,7 @@ type Writer struct {
 	pipes []*pipeline.Pipe
 
 	signals []signal
-	last    map[string]string // id → last emitted value
+	last    []string // by signal: the value last emitted
 	started bool
 	err     error
 }
@@ -41,7 +41,7 @@ type signal struct {
 // New creates a VCD writer tracing all scalar resources of the state and
 // the occupancy of each pipeline stage.
 func New(w io.Writer, st *model.State, pipes []*pipeline.Pipe) *Writer {
-	v := &Writer{w: w, state: st, pipes: pipes, last: map[string]string{}}
+	v := &Writer{w: w, state: st, pipes: pipes}
 	id := 0
 	nextID := func() string {
 		// VCD identifiers: printable ASCII 33..126.
@@ -93,6 +93,7 @@ func New(w io.Writer, st *model.State, pipes []*pipeline.Pipe) *Writer {
 			})
 		}
 	}
+	v.last = make([]string, len(v.signals))
 	return v
 }
 
@@ -136,15 +137,15 @@ func (v *Writer) Step(step uint64) {
 	if !v.started {
 		v.printf("$dumpvars\n")
 	}
-	for _, s := range v.signals {
+	for i, s := range v.signals {
 		val := s.read()
-		if !v.started || v.last[s.id] != val {
+		if !v.started || v.last[i] != val {
 			if s.width == 1 && !strings.HasPrefix(val, "b") {
 				v.printf("%s%s\n", val, s.id)
 			} else {
 				v.printf("%s %s\n", val, s.id)
 			}
-			v.last[s.id] = val
+			v.last[i] = val
 		}
 	}
 	if !v.started {
