@@ -10,10 +10,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"golisa/internal/cli"
-	"golisa/internal/core"
 	"golisa/internal/docgen"
 )
 
@@ -22,24 +20,5 @@ func main() {
 	cli.AddVersionFlag(flag.CommandLine)
 	flag.Parse()
 	cli.HandleVersion()
-	m := loadModel(*modelName)
-	fmt.Print(docgen.Generate(m.Model))
-}
-
-func loadModel(name string) *core.Machine {
-	if m, err := core.LoadBuiltin(name); err == nil {
-		return m
-	}
-	src, err := os.ReadFile(name)
-	fail(err)
-	m, err := core.LoadMachine(name, string(src))
-	fail(err)
-	return m
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lisa-doc:", err)
-		os.Exit(1)
-	}
+	fmt.Print(docgen.Generate(cli.LoadModel(*modelName).Model))
 }

@@ -232,6 +232,8 @@ func (*SemanticsSec) secNode() {}
 type BehaviorSec struct {
 	Pos  lexer.Pos
 	Body *Block
+
+	Slots int // set by sema: the number of local-variable slots Body needs
 }
 
 func (*BehaviorSec) secNode() {}
@@ -265,6 +267,11 @@ type ActRef struct {
 	Pos   lexer.Pos
 	Name  string
 	Delay int
+
+	// Set by sema: RefOperand (a binding of the activating instance) or
+	// RefOperation, with Index into Model.OpList.
+	Kind  RefKind
+	Index int
 }
 
 func (*ActRef) actNode() {}
@@ -277,6 +284,8 @@ type ActPipeOp struct {
 	Stage string // empty for whole-pipeline ops
 	Op    string // "shift", "stall", "flush"
 	Delay int
+
+	Ref PipeRef // set by sema
 }
 
 func (*ActPipeOp) actNode() {}
@@ -288,6 +297,8 @@ type ActIf struct {
 	Cond Expr
 	Then []ActItem
 	Else []ActItem
+
+	Guard []int // set by sema: the resources Cond names, as for IfStmt
 }
 
 func (*ActIf) actNode() {}
@@ -297,6 +308,8 @@ type ActSwitch struct {
 	Pos   lexer.Pos
 	Tag   Expr
 	Cases []ActCase
+
+	Guard []int // set by sema: the resources Tag names, as for IfStmt
 }
 
 func (*ActSwitch) actNode() {}

@@ -22,6 +22,8 @@ type DeclStmt struct {
 	Type TypeSpec
 	Name string
 	Init Expr // may be nil
+
+	Slot int // set by sema: the local's slot in its BEHAVIOR body's frame
 }
 
 func (*DeclStmt) stmtNode() {}
@@ -59,6 +61,12 @@ type IfStmt struct {
 	Cond Expr
 	Then Stmt
 	Else Stmt // may be nil
+
+	// Guard, set by sema, lists the resources Cond names, by index into
+	// Model.Resources, in source order and without repeats; names that
+	// resolve to a local, label or operand are not resources. Hazard
+	// attribution blames a stall or flush on its guards' resources.
+	Guard []int
 }
 
 func (*IfStmt) stmtNode() {}
@@ -99,6 +107,8 @@ type SwitchStmt struct {
 	Pos   lexer.Pos
 	Tag   Expr
 	Cases []SwitchCase
+
+	Guard []int // set by sema: the resources Tag names, as for IfStmt
 }
 
 func (*SwitchStmt) stmtNode() {}
@@ -154,11 +164,16 @@ type StrLit struct {
 
 func (*StrLit) exprNode() {}
 
-// Ident names a local variable, a resource, a label, a group or an operation
-// reference; resolution happens at execution/bind time.
+// Ident names a local variable, a label, an operand, a resource or an
+// operation. Sema resolves it once, at load, and records what it names.
 type Ident struct {
 	Pos  lexer.Pos
 	Name string
+
+	// Set by sema.
+	Kind  RefKind
+	Index int      // RefLocal: the slot; RefResource, RefOperation: the model index
+	Type  TypeSpec // RefLocal: the declared type
 }
 
 func (*Ident) exprNode() {}
@@ -184,12 +199,19 @@ func (*BitsExpr) exprNode() {}
 
 // CallExpr is name(args...). The callee may be a dotted path (e.g.
 // fetch_pipe.DP.stall) naming a pipeline built-in, a behavior builtin
-// (abs, min, max, saturate, sign_extend, zero_extend, print, ...), or an
-// operation/group invocation.
+// (abs, min, max, saturate, sign_extend, zero_extend, ...), print, or an
+// operation/group invocation. Only builtins have a value: the other calls
+// are statements.
 type CallExpr struct {
 	Pos  lexer.Pos
 	Name string
 	Args []Expr
+
+	// Set by sema.
+	Kind    RefKind // RefBuiltin, RefPrint, RefPipe, RefOperand or RefOperation
+	Builtin Builtin // RefBuiltin
+	Index   int     // RefOperation: index into Model.OpList
+	Pipe    PipeRef // RefPipe
 }
 
 func (*CallExpr) exprNode() {}
@@ -222,3 +244,46 @@ type CondExpr struct {
 }
 
 func (*CondExpr) exprNode() {}
+
+// RefKind is what a name in BEHAVIOR, EXPRESSION or ACTIVATION code
+// denotes. Sema resolves every name once, at load, in this order: local,
+// label, operand, resource, operation. The executors read the kind and
+// index it records and look up no name.
+type RefKind uint8
+
+// Name kinds.
+const (
+	RefNone      RefKind = iota // not resolved
+	RefLocal                    // local variable of the BEHAVIOR body
+	RefLabel                    // decoded operand field: Instance.Labels
+	RefOperand                  // group, REFERENCE or CODING-named operation: Instance.Bindings
+	RefResource                 // machine resource: Model.Resources
+	RefOperation                // operation run by name: Model.OpList
+	RefBuiltin                  // builtin function (calls only)
+	RefPipe                     // pipeline built-in (calls only)
+	RefPrint                    // print (calls only)
+)
+
+// Builtin is a value-returning builtin function of the behavior language.
+type Builtin uint8
+
+// Builtins.
+const (
+	BuiltinAbs Builtin = iota
+	BuiltinMin
+	BuiltinMax
+	BuiltinSaturate
+	BuiltinSignExtend
+	BuiltinZeroExtend
+	BuiltinAddSat
+	BuiltinSubSat
+	BuiltinBits
+	BuiltinWaitStates
+)
+
+// PipeRef is a resolved pipeline built-in.
+type PipeRef struct {
+	Pipe  int   // index into Model.Pipelines
+	Stage int   // stage index; -1 for the whole pipeline
+	Op    uint8 // a pipeline.Op
+}

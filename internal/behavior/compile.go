@@ -6,12 +6,13 @@ import (
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
+	"golisa/internal/pipeline"
 )
 
 // This file implements the pre-binding behavior compiler used by the
 // compiled simulator: each bound instance's behavior is translated once
-// into a tree of Go closures with all names resolved — locals become slot
-// indices, decoded label fields become constants, operand bindings become
+// into a tree of Go closures over sema's bindings — locals are slots,
+// decoded label fields become constants, operand bindings become
 // directly-compiled EXPRESSION accessors, and resources become pointers.
 // Re-executing an instruction then runs straight-line closures with no name
 // lookup and no AST walk, which is the Go analog of the paper's compiled
@@ -33,11 +34,11 @@ type cstate struct {
 
 type cstmt func(*cstate) error
 
-type cexpr func(*cstate) (val, error)
+type cexpr func(*cstate) val
 
-// cref is a compiled lvalue.
+// cref is a compiled assignment target.
 type cref struct {
-	get func(*cstate) val
+	get cexpr
 	set func(*cstate, bitvec.Value)
 }
 
@@ -54,10 +55,7 @@ func RunCompiled(x *Exec, in *model.Instance) ([]ActStep, error) {
 			return nil, err
 		}
 	}
-	cb, err := compiledFor(x, in)
-	if err != nil {
-		return nil, err
-	}
+	cb := compiledFor(x, in)
 	if cb.body == nil {
 		return cb.plan, nil
 	}
@@ -72,7 +70,7 @@ func RunCompiled(x *Exec, in *model.Instance) ([]ActStep, error) {
 	clear(st.locals)
 	x.steps = 0
 	x.depth++
-	err = cb.body(st)
+	err := cb.body(st)
 	x.depth--
 	if sig, ok := err.(ctrlSignal); ok && sig == ctrlReturn {
 		err = nil
@@ -84,105 +82,52 @@ func RunCompiled(x *Exec, in *model.Instance) ([]ActStep, error) {
 // set is attached it is consulted first (and never written), keeping
 // engines that share one artifact race-free; misses compile into the
 // engine's private cache.
-func compiledFor(x *Exec, in *model.Instance) (*compiledBehavior, error) {
+func compiledFor(x *Exec, in *model.Instance) *compiledBehavior {
 	if x.Shared != nil {
 		if cb, ok := x.Shared.behaviors[in]; ok {
-			return cb, nil
+			return cb
 		}
 	}
 	if cb, ok := x.compiled[in]; ok {
-		return cb, nil
+		return cb
 	}
-	cb, n, err := compileInstance(x, in)
-	if err != nil {
-		return nil, err
-	}
+	cb, n := compileInstance(x, in)
 	if x.compiled == nil {
 		x.compiled = map[*model.Instance]*compiledBehavior{}
 	}
 	x.compiled[in] = cb
 	x.Compiles += n
-	return cb, nil
+	return cb
 }
 
 // compileInstance compiles in's behavior and binds its activation plan. n
 // counts the closures compiled: the behavior plus every activation
 // condition, switch tag and case value.
-func compileInstance(x *Exec, in *model.Instance) (cb *compiledBehavior, n uint64, err error) {
+func compileInstance(x *Exec, in *model.Instance) (cb *compiledBehavior, n uint64) {
 	c := &compiler{x: x, in: in}
 	cb = &compiledBehavior{}
-	if in.Variant.Behavior != nil {
-		if cb.body, err = c.compileBlock(in.Variant.Behavior.Body); err != nil {
-			return nil, 0, err
-		}
-		cb.nslots = c.maxSlots
+	if b := in.Variant.Behavior; b != nil {
+		cb.body, cb.nslots = c.compileBlock(b.Body), b.Slots
 	}
-	if in.Variant.Activation != nil {
-		c.push()
-		cb.plan = bindActs(x, in, in.Variant.Activation.Items, c)
+	if a := in.Variant.Activation; a != nil {
+		cb.plan = bindActs(x, in, a.Items, c)
 	}
-	return cb, 1 + c.acts, nil
+	return cb, 1 + c.acts
 }
 
-// compiler tracks compile-time scope for one behavior body.
+// compiler compiles the code of one bound instance.
 type compiler struct {
-	x  *Exec
-	in *model.Instance
-
-	scopes   []map[string]compLocal
-	nextSlot int
-	maxSlots int
-	acts     uint64 // activation expressions compiled
-}
-
-type compLocal struct {
-	slot int
-	typ  ast.TypeSpec
-}
-
-func (c *compiler) push() { c.scopes = append(c.scopes, map[string]compLocal{}) }
-
-func (c *compiler) pop() {
-	top := c.scopes[len(c.scopes)-1]
-	c.nextSlot -= len(top)
-	c.scopes = c.scopes[:len(c.scopes)-1]
-}
-
-func (c *compiler) declare(name string, typ ast.TypeSpec) (int, error) {
-	top := c.scopes[len(c.scopes)-1]
-	if _, dup := top[name]; dup {
-		return 0, fmt.Errorf("redeclared local %s", name)
-	}
-	slot := c.nextSlot
-	c.nextSlot++
-	if c.nextSlot > c.maxSlots {
-		c.maxSlots = c.nextSlot
-	}
-	top[name] = compLocal{slot: slot, typ: typ}
-	return slot, nil
-}
-
-func (c *compiler) lookup(name string) (compLocal, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if l, ok := c.scopes[i][name]; ok {
-			return l, true
-		}
-	}
-	return compLocal{}, false
+	x    *Exec
+	in   *model.Instance
+	acts uint64 // activation expressions compiled
 }
 
 // --- statements ---------------------------------------------------------------
 
-func (c *compiler) compileBlock(b *ast.Block) (cstmt, error) {
-	c.push()
-	defer c.pop()
-	stmts := make([]cstmt, 0, len(b.Stmts))
-	for _, s := range b.Stmts {
-		cs, err := c.compileStmt(s)
-		if err != nil {
-			return nil, err
-		}
-		stmts = append(stmts, cs)
+func (c *compiler) compileBlock(b *ast.Block) cstmt {
+	stmts := make([]cstmt, len(b.Stmts))
+	for i, s := range b.Stmts {
+		stmts[i] = c.compileStmt(s)
 	}
 	return func(st *cstate) error {
 		for _, s := range stmts {
@@ -191,50 +136,44 @@ func (c *compiler) compileBlock(b *ast.Block) (cstmt, error) {
 			}
 		}
 		return nil
-	}, nil
+	}
 }
 
-func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
+func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 	switch st := s.(type) {
 	case *ast.Block:
 		return c.compileBlock(st)
-	case *ast.EmptyStmt:
-		return func(*cstate) error { return nil }, nil
 	case *ast.DeclStmt:
-		var init cexpr
-		if st.Init != nil {
-			var err error
-			init, err = c.compileExpr(st.Init)
-			if err != nil {
-				return nil, err
+		slot, typ := st.Slot, st.Type
+		if st.Init == nil {
+			return func(cs *cstate) error {
+				cs.locals[slot] = bitvec.New(0, typ.Width)
+				return nil
 			}
 		}
-		slot, err := c.declare(st.Name, st.Type)
-		if err != nil {
-			return nil, err
-		}
-		typ := st.Type
+		init := c.compileExpr(st.Init)
 		return func(cs *cstate) error {
-			v := bitvec.New(0, typ.Width)
-			if init != nil {
-				iv, err := init(cs)
-				if err != nil {
-					return err
-				}
-				v = convert(iv, typ)
-			}
-			cs.locals[slot] = v
+			cs.locals[slot] = convert(init(cs), typ)
 			return nil
-		}, nil
-	case *ast.ExprStmt:
-		return c.compileExprStmt(st)
-	case *ast.AssignStmt:
-		return c.compileAssign(st)
-	case *ast.IncDecStmt:
-		ref, err := c.compileRef(st.X)
-		if err != nil {
-			return nil, err
 		}
+	case *ast.ExprStmt:
+		return c.compileExprStmt(st.X)
+	case *ast.AssignStmt:
+		ref, rhs := c.compileRef(st.LHS), c.compileExpr(st.RHS)
+		if st.Op == "=" {
+			return func(cs *cstate) error {
+				ref.set(cs, rhs(cs).v)
+				return nil
+			}
+		}
+		op := binopFor(st.Op[:len(st.Op)-1])
+		return func(cs *cstate) error {
+			v := rhs(cs)
+			ref.set(cs, op(ref.get(cs), v).v)
+			return nil
+		}
+	case *ast.IncDecStmt:
+		ref := c.compileRef(st.X)
 		inc := st.Op == "++"
 		return func(cs *cstate) error {
 			cur := ref.get(cs)
@@ -245,127 +184,67 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 				ref.set(cs, bitvec.Sub(cur.v, one))
 			}
 			return nil
-		}, nil
+		}
 	case *ast.IfStmt:
-		cond, err := c.compileExpr(st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := c.compileStmt(st.Then)
-		if err != nil {
-			return nil, err
-		}
+		cond, then := c.compileExpr(st.Cond), c.compileStmt(st.Then)
 		var els cstmt
 		if st.Else != nil {
-			els, err = c.compileStmt(st.Else)
-			if err != nil {
-				return nil, err
-			}
+			els = c.compileStmt(st.Else)
 		}
-		guard := c.x.guardOf(st.Cond)
+		guard := st.Guard
 		return func(cs *cstate) error {
-			cv, err := cond(cs)
-			if err != nil {
-				return err
-			}
 			body := then
-			if !cv.bool() {
+			if !cond(cs).bool() {
 				body = els
 			}
 			if body == nil {
 				return nil
 			}
-			// Mirror the interpreter's guard tracking exactly, so both
-			// engines attribute hazards identically (replay determinism).
-			track := cs.x.Obs != nil
-			if track {
-				cs.x.guards = append(cs.x.guards, guard)
-			}
-			err = body(cs)
-			if track {
-				cs.x.guards = cs.x.guards[:len(cs.x.guards)-1]
-			}
-			return err
-		}, nil
+			return runGuarded(cs, guard, body)
+		}
 	case *ast.WhileStmt:
-		cond, err := c.compileExpr(st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.compileStmt(st.Body)
-		if err != nil {
-			return nil, err
-		}
+		cond, body := c.compileExpr(st.Cond), c.compileStmt(st.Body)
 		return func(cs *cstate) error {
 			for {
 				if err := cs.x.budget(); err != nil {
 					return err
 				}
-				cv, err := cond(cs)
-				if err != nil {
-					return err
-				}
-				if !cv.bool() {
+				if !cond(cs).bool() {
 					return nil
 				}
-				done, err := runLoopBody(cs, body)
-				if err != nil || done {
+				if done, err := runLoopBody(cs, body); err != nil || done {
 					return err
 				}
 			}
-		}, nil
+		}
 	case *ast.DoWhileStmt:
-		cond, err := c.compileExpr(st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := c.compileStmt(st.Body)
-		if err != nil {
-			return nil, err
-		}
+		body, cond := c.compileStmt(st.Body), c.compileExpr(st.Cond)
 		return func(cs *cstate) error {
 			for {
 				if err := cs.x.budget(); err != nil {
 					return err
 				}
-				done, err := runLoopBody(cs, body)
-				if err != nil || done {
+				if done, err := runLoopBody(cs, body); err != nil || done {
 					return err
 				}
-				cv, err := cond(cs)
-				if err != nil {
-					return err
-				}
-				if !cv.bool() {
+				if !cond(cs).bool() {
 					return nil
 				}
 			}
-		}, nil
+		}
 	case *ast.ForStmt:
-		c.push()
-		defer c.pop()
 		var init, post cstmt
 		var cond cexpr
-		var err error
 		if st.Init != nil {
-			if init, err = c.compileStmt(st.Init); err != nil {
-				return nil, err
-			}
+			init = c.compileStmt(st.Init)
 		}
 		if st.Cond != nil {
-			if cond, err = c.compileExpr(st.Cond); err != nil {
-				return nil, err
-			}
+			cond = c.compileExpr(st.Cond)
 		}
 		if st.Post != nil {
-			if post, err = c.compileStmt(st.Post); err != nil {
-				return nil, err
-			}
+			post = c.compileStmt(st.Post)
 		}
-		body, err := c.compileStmt(st.Body)
-		if err != nil {
-			return nil, err
-		}
+		body := c.compileStmt(st.Body)
 		return func(cs *cstate) error {
 			if init != nil {
 				if err := init(cs); err != nil {
@@ -376,17 +255,10 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 				if err := cs.x.budget(); err != nil {
 					return err
 				}
-				if cond != nil {
-					cv, err := cond(cs)
-					if err != nil {
-						return err
-					}
-					if !cv.bool() {
-						return nil
-					}
+				if cond != nil && !cond(cs).bool() {
+					return nil
 				}
-				done, err := runLoopBody(cs, body)
-				if err != nil || done {
+				if done, err := runLoopBody(cs, body); err != nil || done {
 					return err
 				}
 				if post != nil {
@@ -395,117 +267,83 @@ func (c *compiler) compileStmt(s ast.Stmt) (cstmt, error) {
 					}
 				}
 			}
-		}, nil
+		}
 	case *ast.SwitchStmt:
-		tag, err := c.compileExpr(st.Tag)
-		if err != nil {
-			return nil, err
-		}
-		type ccase struct {
-			vals  []cexpr
-			body  cstmt
-			deflt bool
-		}
-		cases := make([]ccase, 0, len(st.Cases))
-		for i := range st.Cases {
-			sc := &st.Cases[i]
-			cc := ccase{deflt: sc.Default}
-			for _, v := range sc.Vals {
-				cv, err := c.compileExpr(v)
-				if err != nil {
-					return nil, err
-				}
-				cc.vals = append(cc.vals, cv)
-			}
-			c.push()
-			stmts := make([]cstmt, 0, len(sc.Stmts))
-			for _, bs := range sc.Stmts {
-				cs2, err := c.compileStmt(bs)
-				if err != nil {
-					c.pop()
-					return nil, err
-				}
-				stmts = append(stmts, cs2)
-			}
-			c.pop()
-			cc.body = func(cs *cstate) error {
-				for _, s := range stmts {
-					err := s(cs)
-					if sig, ok := err.(ctrlSignal); ok && sig == ctrlBreak {
-						return nil
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			cases = append(cases, cc)
-		}
-		guard := c.x.guardOf(st.Tag)
-		return func(cs *cstate) error {
-			tv, err := tag(cs)
-			if err != nil {
-				return err
-			}
-			// Runs a case body with the switch tag on the guard stack,
-			// mirroring the interpreter (see execGuardedCase).
-			guarded := func(body cstmt) error {
-				track := cs.x.Obs != nil
-				if track {
-					cs.x.guards = append(cs.x.guards, guard)
-				}
-				err := body(cs)
-				if track {
-					cs.x.guards = cs.x.guards[:len(cs.x.guards)-1]
-				}
-				return err
-			}
-			var deflt cstmt
-			for i := range cases {
-				cc := &cases[i]
-				if cc.deflt {
-					deflt = cc.body
-					continue
-				}
-				for _, vf := range cc.vals {
-					vv, err := vf(cs)
-					if err != nil {
-						return err
-					}
-					if vv.v.Uint() == tv.v.Uint() {
-						return guarded(cc.body)
-					}
-				}
-			}
-			if deflt != nil {
-				return guarded(deflt)
-			}
-			return nil
-		}, nil
+		return c.compileSwitch(st)
 	case *ast.BreakStmt:
-		return func(*cstate) error { return ctrlBreak }, nil
+		return func(*cstate) error { return ctrlBreak }
 	case *ast.ContinueStmt:
-		return func(*cstate) error { return ctrlContinue }, nil
+		return func(*cstate) error { return ctrlContinue }
 	case *ast.ReturnStmt:
-		var x cexpr
-		var err error
-		if st.X != nil {
-			if x, err = c.compileExpr(st.X); err != nil {
-				return nil, err
-			}
+		return func(*cstate) error { return ctrlReturn }
+	default: // *ast.EmptyStmt
+		return func(*cstate) error { return nil }
+	}
+}
+
+func (c *compiler) compileSwitch(st *ast.SwitchStmt) cstmt {
+	type ccase struct {
+		vals []cexpr
+		body cstmt
+	}
+	var cases []ccase
+	var deflt cstmt
+	for i := range st.Cases {
+		sc := &st.Cases[i]
+		stmts := make([]cstmt, len(sc.Stmts))
+		for j, s := range sc.Stmts {
+			stmts[j] = c.compileStmt(s)
 		}
-		return func(cs *cstate) error {
-			if x != nil {
-				if _, err := x(cs); err != nil {
+		body := func(cs *cstate) error {
+			for _, s := range stmts {
+				err := s(cs)
+				if sig, ok := err.(ctrlSignal); ok && sig == ctrlBreak {
+					return nil
+				}
+				if err != nil {
 					return err
 				}
 			}
-			return ctrlReturn
-		}, nil
-	default:
-		return nil, fmt.Errorf("unhandled statement %T", s)
+			return nil
+		}
+		if sc.Default {
+			deflt = body // the last default wins
+			continue
+		}
+		cc := ccase{body: body}
+		for _, v := range sc.Vals {
+			cc.vals = append(cc.vals, c.compileExpr(v))
+		}
+		cases = append(cases, cc)
 	}
+	tag, guard := c.compileExpr(st.Tag), st.Guard
+	return func(cs *cstate) error {
+		tv := tag(cs).v.Uint()
+		for i := range cases {
+			for _, vf := range cases[i].vals {
+				if vf(cs).v.Uint() == tv {
+					return runGuarded(cs, guard, cases[i].body)
+				}
+			}
+		}
+		if deflt != nil {
+			return runGuarded(cs, guard, deflt)
+		}
+		return nil
+	}
+}
+
+// runGuarded runs body with a condition's resources on the guard stack,
+// mirroring the interpreter (Exec.guarded) exactly, so both engines
+// attribute hazards identically (replay determinism).
+func runGuarded(cs *cstate, guard []int, body cstmt) error {
+	if cs.x.Obs == nil {
+		return body(cs)
+	}
+	cs.x.guards = append(cs.x.guards, guard)
+	err := body(cs)
+	cs.x.guards = cs.x.guards[:len(cs.x.guards)-1]
+	return err
 }
 
 func runLoopBody(cs *cstate, body cstmt) (done bool, err error) {
@@ -521,60 +359,47 @@ func runLoopBody(cs *cstate, body cstmt) (done bool, err error) {
 	return false, err
 }
 
-func (c *compiler) compileAssign(st *ast.AssignStmt) (cstmt, error) {
-	ref, err := c.compileRef(st.LHS)
-	if err != nil {
-		return nil, err
-	}
-	rhs, err := c.compileExpr(st.RHS)
-	if err != nil {
-		return nil, err
-	}
-	if st.Op == "=" {
-		return func(cs *cstate) error {
-			v, err := rhs(cs)
-			if err != nil {
-				return err
+// compileExprStmt compiles an expression statement: a call, or a bare
+// operand or operation name (BEHAVIOR { Instruction }). Any other
+// expression has no effect.
+func (c *compiler) compileExprStmt(e ast.Expr) cstmt {
+	kind, name, index := ast.RefNone, "", 0
+	switch ex := e.(type) {
+	case *ast.Ident:
+		kind, name, index = ex.Kind, ex.Name, ex.Index
+	case *ast.CallExpr:
+		kind, name, index = ex.Kind, ex.Name, ex.Index
+		switch ex.Kind {
+		case ast.RefPipe:
+			pd, stage, op := c.x.M.Pipelines[ex.Pipe.Pipe], ex.Pipe.Stage, pipeline.Op(ex.Pipe.Op)
+			return func(cs *cstate) error {
+				if cs.x.Ctx == nil {
+					return fmt.Errorf("%s: pipeline operation %s outside simulation context", ex.Pos, ex.Name)
+				}
+				return cs.x.Ctx.PipeOp(pd, stage, op)
 			}
-			ref.set(cs, v.v)
-			return nil
-		}, nil
-	}
-	op, err := binopFor(st.Op[:len(st.Op)-1])
-	if err != nil {
-		return nil, err
-	}
-	return func(cs *cstate) error {
-		v, err := rhs(cs)
-		if err != nil {
-			return err
-		}
-		ref.set(cs, op(ref.get(cs), v).v)
-		return nil
-	}, nil
-}
-
-// compileExprStmt handles bare-identifier dispatch (BEHAVIOR { Instruction })
-// and ordinary expression statements.
-func (c *compiler) compileExprStmt(st *ast.ExprStmt) (cstmt, error) {
-	if id, ok := st.X.(*ast.Ident); ok {
-		if _, isLocal := c.lookup(id.Name); !isLocal {
-			if _, isLabel := c.in.Labels[id.Name]; !isLabel {
-				if child, ok := c.in.Bindings[id.Name]; ok {
-					return func(cs *cstate) error { return cs.x.callInstance(child) }, nil
+		case ast.RefPrint:
+			args := make([]cexpr, len(ex.Args))
+			for i, a := range ex.Args {
+				if _, str := a.(*ast.StrLit); !str {
+					args[i] = c.compileExpr(a)
 				}
-				if op, ok := c.x.M.Ops[id.Name]; ok {
-					return func(cs *cstate) error { return cs.x.callOperation(op) }, nil
+			}
+			return func(cs *cstate) error {
+				if cs.x.Ctx != nil {
+					cs.x.Ctx.Print(formatPrint(ex.Args, func(i int) val { return args[i](cs) }))
 				}
+				return nil
 			}
 		}
 	}
-	e, err := c.compileExpr(st.X)
-	if err != nil {
-		return nil, err
+	switch kind {
+	case ast.RefOperand:
+		child := c.in.Bindings[name]
+		return func(cs *cstate) error { return cs.x.callInstance(child) }
+	case ast.RefOperation:
+		op := c.x.M.OpList[index]
+		return func(cs *cstate) error { return cs.x.callOperation(op) }
 	}
-	return func(cs *cstate) error {
-		_, err := e(cs)
-		return err
-	}, nil
+	return func(*cstate) error { return nil }
 }

@@ -3,6 +3,7 @@ package behavior
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"golisa/internal/bitvec"
@@ -209,16 +210,14 @@ OPERATION op {
 		} else if &plan[0] != &first[0] {
 			t.Fatal("plan re-bound on a later execution")
 		}
-		got, err := x.ActCond(in, &plan[0])
-		if err != nil || !got {
-			t.Fatalf("ActCond: %v %v", got, err)
+		if got := x.ActCond(in, &plan[0]); !got {
+			t.Fatalf("ActCond: %v", got)
 		}
 		if plan[0].Then[0].Kind != ActRun || plan[0].Then[0].Target != nil || plan[0].Then[0].Op != m.Ops["other"] {
 			t.Fatalf("activation target not bound: %+v", plan[0].Then[0])
 		}
-		chosen, err := x.ActChoose(in, &plan[1])
-		if err != nil || len(chosen) != 1 {
-			t.Fatalf("ActChoose: %v %v", chosen, err)
+		if chosen := x.ActChoose(in, &plan[1]); len(chosen) != 1 {
+			t.Fatalf("ActChoose: %v", chosen)
 		}
 	}
 	// One behavior closure, one condition, one switch tag, two case values.
@@ -248,24 +247,17 @@ func TestCompiledBudgetPerCall(t *testing.T) {
 	}
 }
 
+// TestCompiledErrors: defects in behavior code fail the model at load, so
+// the closure compiler never meets them.
 func TestCompiledErrors(t *testing.T) {
-	cases := []string{
-		`r0 = nosuch;`,
-		`nosuchfn(1);`,
-		`r0 = mem;`,
+	cases := []struct{ fixture, want string }{
+		{"unknown_identifier", "unknown identifier"},
+		{"unknown_function", "unknown function"},
+		{"memory_without_index", "needs an index"},
 	}
-	for _, body := range cases {
-		d, perrs := parser.Parse(compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "t")
-		if len(perrs) > 0 {
-			t.Fatal(perrs[0])
-		}
-		m, errs := sema.Build("t", d)
-		if len(errs) > 0 {
-			t.Fatal(errs[0])
-		}
-		x := &Exec{M: m, S: model.NewState(m)}
-		if _, err := RunCompiled(x, model.NewInstance(m.Ops["op"])); err == nil {
-			t.Errorf("compile of %q should fail", body)
+	for _, c := range cases {
+		if err := loadBroken(t, c.fixture); !strings.Contains(err, c.want) {
+			t.Errorf("%s: got %q, want substring %q", c.fixture, err, c.want)
 		}
 	}
 }

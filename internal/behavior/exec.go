@@ -3,10 +3,13 @@
 // engine) and a pre-binding closure compiler (the compiled simulator's
 // engine, see compile.go).
 //
-// Execution happens in the context of a bound model.Instance: identifiers
-// resolve, in order, to local variables, decoded label fields, group/
-// reference bindings (via the child's EXPRESSION section), and machine
-// resources.
+// Execution happens in the context of a bound model.Instance. Sema binds
+// every name once, at load (internal/sema/resolve.go), so neither engine
+// looks one up: a local is a slot of the frame, a label a decoded field of
+// the instance, an operand one of its bindings (read and written through
+// the child's EXPRESSION section), a resource an index into the model.
+// Calls are statements, so expressions cannot fail: only a statement
+// returns an error.
 package behavior
 
 import (
@@ -90,19 +93,18 @@ type Exec struct {
 
 	// guards is the stack of the conditions enclosing the statement
 	// currently executing (if conditions, switch tags), each as the
-	// resources it reads, maintained only while an observer is attached.
+	// resources it names, maintained only while an observer is attached.
 	// The simulator reads it to classify pipeline stall/flush requests
 	// made from behavior code.
-	guards   [][]*model.Resource
-	guardRes map[ast.Expr][]*model.Resource // guardOf's cache
+	guards [][]int
 }
 
 // Guards returns the live stack of the conditions guarding the currently
-// executing statement, outermost first, each as the resources it reads.
-// The slice is owned by the engine and must not be retained. It is
-// populated only while Obs is non-nil (hazard attribution needs an
-// observer to deliver to).
-func (x *Exec) Guards() [][]*model.Resource { return x.guards }
+// executing statement, outermost first, each as the ids of the resources
+// it names (ast.IfStmt.Guard). The slice is owned by the engine and must
+// not be retained. It is populated only while Obs is non-nil (hazard
+// attribution needs an observer to deliver to).
+func (x *Exec) Guards() [][]int { return x.guards }
 
 // control-flow signals, threaded as errors.
 type ctrlSignal int
@@ -124,48 +126,11 @@ func (c ctrlSignal) Error() string {
 	}
 }
 
-// frame is one behavior invocation's local-variable environment with block
-// scoping.
+// frame is one behavior invocation's environment: the bound instance and
+// the local-variable slots sema numbered.
 type frame struct {
 	inst   *model.Instance
-	scopes []map[string]*local
-}
-
-type local struct {
-	typ ast.TypeSpec
-	v   bitvec.Value
-}
-
-// Scope maps are allocated lazily: frames without local variables (the
-// common case for activation conditions and operand expressions) never
-// allocate.
-func newFrame(in *model.Instance) *frame {
-	return &frame{inst: in, scopes: []map[string]*local{nil}}
-}
-
-func (f *frame) push() { f.scopes = append(f.scopes, nil) }
-func (f *frame) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
-
-func (f *frame) lookup(name string) *local {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if l, ok := f.scopes[i][name]; ok {
-			return l
-		}
-	}
-	return nil
-}
-
-func (f *frame) declare(name string, typ ast.TypeSpec, v bitvec.Value) error {
-	top := f.scopes[len(f.scopes)-1]
-	if top == nil {
-		top = map[string]*local{}
-		f.scopes[len(f.scopes)-1] = top
-	}
-	if _, dup := top[name]; dup {
-		return fmt.Errorf("redeclared local %s", name)
-	}
-	top[name] = &local{typ: typ, v: v.Resize(typ.Width)}
-	return nil
+	locals []bitvec.Value
 }
 
 // Run executes the BEHAVIOR section of the instance's resolved variant.
@@ -196,7 +161,7 @@ func (x *Exec) runBehavior(in *model.Instance) error {
 	if v.Behavior == nil {
 		return nil
 	}
-	f := newFrame(in)
+	f := &frame{inst: in, locals: make([]bitvec.Value, v.Behavior.Slots)}
 	err := x.execBlock(f, v.Behavior.Body)
 	if sig, ok := err.(ctrlSignal); ok && sig == ctrlReturn {
 		return nil
@@ -218,8 +183,6 @@ func (x *Exec) budget() error {
 }
 
 func (x *Exec) execBlock(f *frame, b *ast.Block) error {
-	f.push()
-	defer f.pop()
 	for _, s := range b.Stmts {
 		if err := x.execStmt(f, s); err != nil {
 			return err
@@ -240,23 +203,22 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 	case *ast.DeclStmt:
 		init := bitvec.New(0, st.Type.Width)
 		if st.Init != nil {
-			v, err := x.eval(f, st.Init)
-			if err != nil {
-				return err
-			}
-			init = convert(v, st.Type)
+			init = convert(x.eval(f, st.Init), st.Type)
 		}
-		return f.declare(st.Name, st.Type, init)
+		f.locals[st.Slot] = init
+		return nil
 	case *ast.ExprStmt:
-		_, err := x.evalForEffect(f, st.X)
-		return err
+		return x.execExpr(f, st.X)
 	case *ast.AssignStmt:
-		return x.execAssign(f, st)
-	case *ast.IncDecStmt:
-		ref, err := x.lvalue(f, st.X)
-		if err != nil {
-			return err
+		ref := x.lvalue(f, st.LHS)
+		rhs := x.eval(f, st.RHS)
+		if st.Op != "=" {
+			rhs = binopFor(st.Op[:len(st.Op)-1])(ref.get(), rhs)
 		}
+		ref.set(rhs.v)
+		return nil
+	case *ast.IncDecStmt:
+		ref := x.lvalue(f, st.X)
 		cur := ref.get()
 		one := bitvec.New(1, cur.v.Width())
 		if st.Op == "++" {
@@ -266,46 +228,24 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 		}
 		return nil
 	case *ast.IfStmt:
-		c, err := x.eval(f, st.Cond)
-		if err != nil {
-			return err
-		}
 		body := st.Then
-		if !c.bool() {
+		if !x.eval(f, st.Cond).bool() {
 			body = st.Else
 		}
 		if body == nil {
 			return nil
 		}
-		// Track the guarding condition for hazard attribution (popped on
-		// every exit path, including control-flow signals).
-		track := x.Obs != nil
-		if track {
-			x.guards = append(x.guards, x.guardOf(st.Cond))
-		}
-		err = x.execStmt(f, body)
-		if track {
-			x.guards = x.guards[:len(x.guards)-1]
-		}
-		return err
+		return x.guarded(st.Guard, func() error { return x.execStmt(f, body) })
 	case *ast.WhileStmt:
 		for {
 			if err := x.budget(); err != nil {
 				return err
 			}
-			c, err := x.eval(f, st.Cond)
-			if err != nil {
-				return err
-			}
-			if !c.bool() {
+			if !x.eval(f, st.Cond).bool() {
 				return nil
 			}
-			done, err := x.loopBody(f, st.Body)
-			if err != nil {
+			if done, err := x.loopBody(f, st.Body); err != nil || done {
 				return err
-			}
-			if done {
-				return nil
 			}
 		}
 	case *ast.DoWhileStmt:
@@ -313,24 +253,14 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 			if err := x.budget(); err != nil {
 				return err
 			}
-			done, err := x.loopBody(f, st.Body)
-			if err != nil {
+			if done, err := x.loopBody(f, st.Body); err != nil || done {
 				return err
 			}
-			if done {
-				return nil
-			}
-			c, err := x.eval(f, st.Cond)
-			if err != nil {
-				return err
-			}
-			if !c.bool() {
+			if !x.eval(f, st.Cond).bool() {
 				return nil
 			}
 		}
 	case *ast.ForStmt:
-		f.push()
-		defer f.pop()
 		if st.Init != nil {
 			if err := x.execStmt(f, st.Init); err != nil {
 				return err
@@ -340,21 +270,11 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 			if err := x.budget(); err != nil {
 				return err
 			}
-			if st.Cond != nil {
-				c, err := x.eval(f, st.Cond)
-				if err != nil {
-					return err
-				}
-				if !c.bool() {
-					return nil
-				}
-			}
-			done, err := x.loopBody(f, st.Body)
-			if err != nil {
-				return err
-			}
-			if done {
+			if st.Cond != nil && !x.eval(f, st.Cond).bool() {
 				return nil
+			}
+			if done, err := x.loopBody(f, st.Body); err != nil || done {
+				return err
 			}
 			if st.Post != nil {
 				if err := x.execStmt(f, st.Post); err != nil {
@@ -363,10 +283,7 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 			}
 		}
 	case *ast.SwitchStmt:
-		tag, err := x.eval(f, st.Tag)
-		if err != nil {
-			return err
-		}
+		tag := x.eval(f, st.Tag).v.Uint()
 		var deflt *ast.SwitchCase
 		for i := range st.Cases {
 			c := &st.Cases[i]
@@ -375,17 +292,13 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 				continue
 			}
 			for _, ve := range c.Vals {
-				cv, err := x.eval(f, ve)
-				if err != nil {
-					return err
-				}
-				if cv.v.Uint() == tag.v.Uint() {
-					return x.execGuardedCase(f, st.Tag, c)
+				if x.eval(f, ve).v.Uint() == tag {
+					return x.guarded(st.Guard, func() error { return x.execCaseBody(f, c) })
 				}
 			}
 		}
 		if deflt != nil {
-			return x.execGuardedCase(f, st.Tag, deflt)
+			return x.guarded(st.Guard, func() error { return x.execCaseBody(f, deflt) })
 		}
 		return nil
 	case *ast.BreakStmt:
@@ -393,35 +306,27 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 	case *ast.ContinueStmt:
 		return ctrlContinue
 	case *ast.ReturnStmt:
-		if st.X != nil {
-			if _, err := x.eval(f, st.X); err != nil {
-				return err
-			}
-		}
 		return ctrlReturn
 	default:
 		return fmt.Errorf("unhandled statement %T", s)
 	}
 }
 
-// execGuardedCase runs a switch case with the switch tag on the guard
-// stack, so stalls issued inside the case attribute to the tag's
-// resources.
-func (x *Exec) execGuardedCase(f *frame, tag ast.Expr, c *ast.SwitchCase) error {
-	track := x.Obs != nil
-	if track {
-		x.guards = append(x.guards, x.guardOf(tag))
+// guarded runs body with a condition's resources on the guard stack, so
+// stalls issued inside attribute to them. The stack is kept only while an
+// observer is attached, and popped on every exit path, including
+// control-flow signals.
+func (x *Exec) guarded(guard []int, body func() error) error {
+	if x.Obs == nil {
+		return body()
 	}
-	err := x.execCaseBody(f, c)
-	if track {
-		x.guards = x.guards[:len(x.guards)-1]
-	}
+	x.guards = append(x.guards, guard)
+	err := body()
+	x.guards = x.guards[:len(x.guards)-1]
 	return err
 }
 
 func (x *Exec) execCaseBody(f *frame, c *ast.SwitchCase) error {
-	f.push()
-	defer f.pop()
 	for _, s := range c.Stmts {
 		err := x.execStmt(f, s)
 		if sig, ok := err.(ctrlSignal); ok && sig == ctrlBreak {
@@ -447,26 +352,4 @@ func (x *Exec) loopBody(f *frame, body ast.Stmt) (done bool, err error) {
 		}
 	}
 	return false, err
-}
-
-func (x *Exec) execAssign(f *frame, st *ast.AssignStmt) error {
-	ref, err := x.lvalue(f, st.LHS)
-	if err != nil {
-		return err
-	}
-	rhs, err := x.eval(f, st.RHS)
-	if err != nil {
-		return err
-	}
-	if st.Op == "=" {
-		ref.set(rhs.v)
-		return nil
-	}
-	cur := ref.get()
-	res, err := binop(st.Op[:len(st.Op)-1], cur, rhs)
-	if err != nil {
-		return err
-	}
-	ref.set(res.v)
-	return nil
 }

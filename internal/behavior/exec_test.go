@@ -1,6 +1,8 @@
 package behavior
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -374,28 +376,45 @@ OPERATION op { BEHAVIOR { while (1) { r0 = r0; } } }`)
 	}
 }
 
+// TestErrorsSurface: defects in behavior code fail the model at load,
+// before any engine runs it. The models are sema's broken fixtures.
 func TestErrorsSurface(t *testing.T) {
 	cases := []struct {
-		name, body, want string
+		name, fixture, want string
 	}{
-		{"unknown ident", `r0 = nosuch;`, "unknown identifier"},
-		{"label assign", `index = 3;`, "unknown identifier"},
-		{"mem without index", `r0 = mem;`, "needs an index"},
-		{"string outside print", `r0 = "hi";`, "string literal"},
-		{"unknown call", `nosuchfn(1);`, "unknown function"},
-		{"redeclared", `int a; int a;`, "redeclared"},
-		{"pipe outside sim", `p.shift();`, "unknown pipeline"},
+		{"unknown ident", "unknown_identifier", "unknown identifier"},
+		{"label assign", "undeclared_label", "unknown identifier"},
+		{"mem without index", "memory_without_index", "needs an index"},
+		{"string outside print", "string_outside_print", "string literal"},
+		{"unknown call", "unknown_function", "unknown function"},
+		{"redeclared", "redeclared_local", "redeclared"},
+		{"pipe outside sim", "unknown_pipeline", "unknown pipeline"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			m, _, x := harness(t, regsSrc+"\nOPERATION op { BEHAVIOR { "+c.body+" } }")
-			in := model.NewInstance(m.Ops["op"])
-			err := x.Run(in)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("got %v, want substring %q", err, c.want)
+			if err := loadBroken(t, c.fixture); !strings.Contains(err, c.want) {
+				t.Errorf("got %q, want substring %q", err, c.want)
 			}
 		})
 	}
+}
+
+// loadBroken builds one of sema's broken fixtures and returns its first
+// load error ("" when it loads).
+func loadBroken(t *testing.T, fixture string) string {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "sema", "testdata", "broken", fixture+".lisa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, perrs := parser.Parse(string(src), fixture+".lisa")
+	if len(perrs) > 0 {
+		t.Fatalf("parse: %v", perrs[0])
+	}
+	if _, errs := sema.Build("broken", d); len(errs) > 0 {
+		return errs[0].Error()
+	}
+	return ""
 }
 
 func TestReturnStopsExecution(t *testing.T) {

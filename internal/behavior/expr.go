@@ -8,9 +8,10 @@ import (
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
 	"golisa/internal/pipeline"
+	"golisa/internal/sema"
 )
 
-// ref is a resolved lvalue: a getter/setter pair over a storage location.
+// ref is an assignable location: a getter/setter pair over storage.
 type ref struct {
 	get func() val
 	set func(bitvec.Value)
@@ -24,254 +25,177 @@ func convert(v val, t ast.TypeSpec) bitvec.Value {
 	return v.v.Resize(t.Width)
 }
 
-// eval evaluates an rvalue expression in frame f.
-func (x *Exec) eval(f *frame, e ast.Expr) (val, error) {
+// numLit is the value of an integer literal: 32-bit signed, or 64-bit when
+// it does not fit.
+func numLit(n uint64) val {
+	if n > 0x7fffffff {
+		return val{bitvec.New(n, 64), true}
+	}
+	return val{bitvec.New(n, 32), true}
+}
+
+// eval evaluates an expression in frame f.
+func (x *Exec) eval(f *frame, e ast.Expr) val {
 	switch ex := e.(type) {
 	case *ast.NumLit:
-		if ex.Val > 0x7fffffff {
-			return val{bitvec.New(ex.Val, 64), true}, nil
-		}
-		return val{bitvec.New(ex.Val, 32), true}, nil
-	case *ast.StrLit:
-		return val{}, fmt.Errorf("%s: string literal outside print()", ex.Pos)
+		return numLit(ex.Val)
 	case *ast.Ident:
-		return x.evalIdent(f, ex)
-	case *ast.IndexExpr, *ast.BitsExpr:
-		r, err := x.lvalue(f, e)
-		if err != nil {
-			return val{}, err
+		switch ex.Kind {
+		case ast.RefLocal:
+			return val{f.locals[ex.Index], ex.Type.Signed()}
+		case ast.RefLabel:
+			return val{f.inst.Labels[ex.Name], false}
+		case ast.RefOperand:
+			return x.evalExpression(f.inst.Bindings[ex.Name])
+		default: // ast.RefResource
+			r := x.M.Resources[ex.Index]
+			return val{x.S.Read(r), r.Signed}
 		}
-		return r.get(), nil
+	case *ast.IndexExpr:
+		return x.indexRef(f, ex).get()
+	case *ast.BitsExpr:
+		hi, lo := int(x.eval(f, ex.Hi).v.Int()), int(x.eval(f, ex.Lo).v.Int())
+		return val{x.eval(f, ex.X).v.Slice(hi, lo), false}
 	case *ast.UnaryExpr:
-		v, err := x.eval(f, ex.X)
-		if err != nil {
-			return val{}, err
-		}
-		return unop(ex.Op, v)
+		return unopFor(ex.Op)(x.eval(f, ex.X))
 	case *ast.BinaryExpr:
-		// Short-circuit && and ||.
+		l := x.eval(f, ex.L)
 		if ex.Op == "&&" || ex.Op == "||" {
-			l, err := x.eval(f, ex.L)
-			if err != nil {
-				return val{}, err
+			// Short-circuit: the right operand decides only when the left
+			// does not.
+			if (ex.Op == "&&") != l.bool() {
+				return boolVal(l.bool())
 			}
-			if (ex.Op == "&&" && !l.bool()) || (ex.Op == "||" && l.bool()) {
-				return val{bitvec.FromBool(l.bool()), false}, nil
-			}
-			r, err := x.eval(f, ex.R)
-			if err != nil {
-				return val{}, err
-			}
-			return val{bitvec.FromBool(r.bool()), false}, nil
+			return boolVal(x.eval(f, ex.R).bool())
 		}
-		l, err := x.eval(f, ex.L)
-		if err != nil {
-			return val{}, err
-		}
-		r, err := x.eval(f, ex.R)
-		if err != nil {
-			return val{}, err
-		}
-		return binop(ex.Op, l, r)
+		return binopFor(ex.Op)(l, x.eval(f, ex.R))
 	case *ast.CondExpr:
-		c, err := x.eval(f, ex.C)
-		if err != nil {
-			return val{}, err
-		}
-		if c.bool() {
+		if x.eval(f, ex.C).bool() {
 			return x.eval(f, ex.T)
 		}
 		return x.eval(f, ex.F)
-	case *ast.CallExpr:
-		return x.evalCall(f, ex)
-	default:
-		return val{}, fmt.Errorf("unhandled expression %T", e)
-	}
-}
-
-// evalForEffect evaluates an expression statement. A bare identifier naming
-// a binding or operation executes that operation's behavior (paper Example 3
-// writes BEHAVIOR { Instruction } to dispatch the decoded instruction).
-func (x *Exec) evalForEffect(f *frame, e ast.Expr) (val, error) {
-	if id, ok := e.(*ast.Ident); ok {
-		if f.lookup(id.Name) == nil {
-			if _, isLabel := f.inst.Labels[id.Name]; !isLabel {
-				if child, ok := f.inst.Bindings[id.Name]; ok {
-					return val{}, x.callInstance(child)
-				}
-				if op, ok := x.M.Ops[id.Name]; ok {
-					return val{}, x.callOperation(op)
-				}
-			}
+	default: // *ast.CallExpr of a builtin
+		c := ex.(*ast.CallExpr)
+		if c.Builtin == ast.BuiltinWaitStates {
+			return waitStates(x.M, c)
 		}
-	}
-	return x.eval(f, e)
-}
-
-func (x *Exec) evalIdent(f *frame, id *ast.Ident) (val, error) {
-	if l := f.lookup(id.Name); l != nil {
-		return val{l.v, l.typ.Signed()}, nil
-	}
-	if lv, ok := f.inst.Labels[id.Name]; ok {
-		return val{lv, false}, nil
-	}
-	if child, ok := f.inst.Bindings[id.Name]; ok {
-		return x.evalInstanceExpr(child)
-	}
-	if r := x.M.Resource(id.Name); r != nil {
-		if r.IsMemory() {
-			return val{}, fmt.Errorf("%s: memory resource %s needs an index", id.Pos, id.Name)
+		var argv [3]val
+		for i, a := range c.Args {
+			argv[i] = x.eval(f, a)
 		}
-		return val{x.S.Read(r), r.Signed}, nil
+		return builtinFor(c.Builtin)(argv)
 	}
-	return val{}, fmt.Errorf("%s: unknown identifier %s", id.Pos, id.Name)
 }
 
-// evalInstanceExpr evaluates the EXPRESSION section of a bound child
-// instance as an rvalue (the nml "mode" read path).
-func (x *Exec) evalInstanceExpr(in *model.Instance) (val, error) {
-	r, err := x.instanceExprRef(in)
-	if err != nil {
-		return val{}, err
-	}
-	return r.get(), nil
+// evalExpression reads a bound operand: the value of its EXPRESSION
+// section (the nml "mode" read path).
+func (x *Exec) evalExpression(in *model.Instance) val {
+	return x.eval(&frame{inst: in}, expressionOf(in))
 }
 
-func (x *Exec) instanceExprRef(in *model.Instance) (ref, error) {
+// expressionOf returns the EXPRESSION of a bound operand; sema guarantees
+// that every variant of an operand read or written has one. The decoder
+// resolves the variant of every instance it binds, so only an instance
+// bound by hand arrives unresolved; the error is dropped because binding
+// one that matches no variant is the binder's bug.
+func expressionOf(in *model.Instance) ast.Expr {
 	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return ref{}, err
-		}
+		_ = in.ResolveVariant()
 	}
-	v := in.Variant
-	if v.Expression == nil {
-		return ref{}, fmt.Errorf("operation %s has no EXPRESSION section", in.Op.Name)
-	}
-	child := newFrame(in)
-	return x.lvalue(child, v.Expression.X)
+	return in.Variant.Expression.X
 }
 
-// lvalue resolves an assignable location.
-func (x *Exec) lvalue(f *frame, e ast.Expr) (ref, error) {
+// execExpr runs an expression statement: a call, or a bare operand or
+// operation name, which runs it (paper Example 3 writes
+// BEHAVIOR { Instruction } to dispatch the decoded instruction). Any
+// other expression has no effect.
+func (x *Exec) execExpr(f *frame, e ast.Expr) error {
+	kind, name, index := ast.RefNone, "", 0
 	switch ex := e.(type) {
 	case *ast.Ident:
-		if l := f.lookup(ex.Name); l != nil {
-			return ref{
-				get: func() val { return val{l.v, l.typ.Signed()} },
-				set: func(v bitvec.Value) { l.v = convert(val{v, false}, l.typ) },
-			}, nil
-		}
-		if lv, ok := f.inst.Labels[ex.Name]; ok {
-			// Labels are read-only operand fields.
-			return ref{
-				get: func() val { return val{lv, false} },
-				set: func(bitvec.Value) {},
-			}, fmt.Errorf("%s: label %s is not assignable", ex.Pos, ex.Name)
-		}
-		if child, ok := f.inst.Bindings[ex.Name]; ok {
-			return x.instanceExprRef(child)
-		}
-		if r := x.M.Resource(ex.Name); r != nil {
-			if r.IsMemory() {
-				return ref{}, fmt.Errorf("%s: memory resource %s needs an index", ex.Pos, ex.Name)
+		kind, name, index = ex.Kind, ex.Name, ex.Index
+	case *ast.CallExpr:
+		kind, name, index = ex.Kind, ex.Name, ex.Index
+		switch ex.Kind {
+		case ast.RefPipe:
+			return x.pipeOp(ex)
+		case ast.RefPrint:
+			if x.Ctx != nil {
+				x.Ctx.Print(formatPrint(ex.Args, func(i int) val { return x.eval(f, ex.Args[i]) }))
 			}
+			return nil
+		}
+	}
+	switch kind {
+	case ast.RefOperand:
+		return x.callInstance(f.inst.Bindings[name])
+	case ast.RefOperation:
+		return x.callOperation(x.M.OpList[index])
+	}
+	return nil
+}
+
+// lvalue resolves an assignment target.
+func (x *Exec) lvalue(f *frame, e ast.Expr) ref {
+	switch ex := e.(type) {
+	case *ast.Ident:
+		switch ex.Kind {
+		case ast.RefLocal:
+			slot, typ := ex.Index, ex.Type
+			return ref{
+				get: func() val { return val{f.locals[slot], typ.Signed()} },
+				set: func(v bitvec.Value) { f.locals[slot] = convert(val{v, false}, typ) },
+			}
+		case ast.RefOperand:
+			in := f.inst.Bindings[ex.Name]
+			return x.lvalue(&frame{inst: in}, expressionOf(in))
+		default: // ast.RefResource
+			r := x.M.Resources[ex.Index]
 			return ref{
 				get: func() val { return val{x.S.Read(r), r.Signed} },
 				set: func(v bitvec.Value) { x.S.Write(r, v) },
-			}, nil
+			}
 		}
-		return ref{}, fmt.Errorf("%s: unknown identifier %s", ex.Pos, ex.Name)
-
 	case *ast.IndexExpr:
 		return x.indexRef(f, ex)
-
-	case *ast.BitsExpr:
-		base, err := x.lvalue(f, ex.X)
-		if err != nil {
-			return ref{}, err
-		}
-		hiV, err := x.eval(f, ex.Hi)
-		if err != nil {
-			return ref{}, err
-		}
-		loV, err := x.eval(f, ex.Lo)
-		if err != nil {
-			return ref{}, err
-		}
-		hi, lo := int(hiV.v.Int()), int(loV.v.Int())
+	default: // *ast.BitsExpr
+		bits := e.(*ast.BitsExpr)
+		base := x.lvalue(f, bits.X)
+		hi, lo := int(x.eval(f, bits.Hi).v.Int()), int(x.eval(f, bits.Lo).v.Int())
 		return ref{
 			get: func() val { return val{base.get().v.Slice(hi, lo), false} },
-			set: func(v bitvec.Value) {
-				cur := base.get().v
-				base.set(cur.InsertSlice(hi, lo, v.Uint()))
-			},
-		}, nil
-
-	default:
-		return ref{}, fmt.Errorf("expression %T is not assignable", e)
+			set: func(v bitvec.Value) { base.set(base.get().v.InsertSlice(hi, lo, v.Uint())) },
+		}
 	}
 }
 
-// indexRef resolves x[i] (and banked x[b][i]) element references.
-func (x *Exec) indexRef(f *frame, ex *ast.IndexExpr) (ref, error) {
-	// Banked access: inner expression is itself an index over a banked
-	// memory resource.
+// indexRef resolves x[i]: a memory element, a bit of a scalar, or, on a
+// banked memory, x[bank][i].
+func (x *Exec) indexRef(f *frame, ex *ast.IndexExpr) ref {
 	if inner, ok := ex.X.(*ast.IndexExpr); ok {
-		if rid, ok := inner.X.(*ast.Ident); ok {
-			if r := x.M.Resource(rid.Name); r != nil && r.Banks > 0 {
-				bankV, err := x.eval(f, inner.I)
+		r := x.M.Resources[inner.X.(*ast.Ident).Index]
+		bank, addr := x.eval(f, inner.I).v.Uint(), x.eval(f, ex.I).v.Uint()
+		return ref{
+			get: func() val {
+				v, err := x.S.ReadBanked(r, bank, addr)
 				if err != nil {
-					return ref{}, err
+					v = bitvec.New(0, r.Width)
 				}
-				idxV, err := x.eval(f, ex.I)
-				if err != nil {
-					return ref{}, err
-				}
-				bank, addr := bankV.v.Uint(), idxV.v.Uint()
-				return ref{
-					get: func() val {
-						v, err := x.S.ReadBanked(r, bank, addr)
-						if err != nil {
-							v = bitvec.New(0, r.Width)
-						}
-						return val{v, r.Signed}
-					},
-					set: func(v bitvec.Value) {
-						_ = x.S.WriteBanked(r, bank, addr, v)
-					},
-				}, nil
-			}
+				return val{v, r.Signed}
+			},
+			set: func(v bitvec.Value) { _ = x.S.WriteBanked(r, bank, addr, v) },
 		}
 	}
-	rid, ok := ex.X.(*ast.Ident)
-	if !ok {
-		return ref{}, fmt.Errorf("%s: cannot index a non-resource expression", ex.Pos)
-	}
-	r := x.M.Resource(rid.Name)
-	if r == nil {
-		// Indexing a binding: child EXPRESSION must itself be indexable —
-		// not supported; point the modeler at the resource.
-		return ref{}, fmt.Errorf("%s: unknown memory resource %s", ex.Pos, rid.Name)
-	}
+	r := x.M.Resources[ex.X.(*ast.Ident).Index]
+	i := x.eval(f, ex.I).v
 	if !r.IsMemory() {
-		// Scalar indexed: treat as bit select r[i].
-		iV, err := x.eval(f, ex.I)
-		if err != nil {
-			return ref{}, err
-		}
-		bit := int(iV.v.Int())
+		bit := int(i.Int())
 		return ref{
 			get: func() val { return val{bitvec.New(x.S.Read(r).Bit(bit), 1), false} },
-			set: func(v bitvec.Value) {
-				x.S.Write(r, x.S.Read(r).SetBit(bit, v.Uint()))
-			},
-		}, nil
+			set: func(v bitvec.Value) { x.S.Write(r, x.S.Read(r).SetBit(bit, v.Uint())) },
+		}
 	}
-	iV, err := x.eval(f, ex.I)
-	if err != nil {
-		return ref{}, err
-	}
-	addr := iV.v.Uint()
+	addr := i.Uint()
 	return ref{
 		get: func() val {
 			v, err := x.S.ReadElem(r, addr)
@@ -280,24 +204,21 @@ func (x *Exec) indexRef(f *frame, ex *ast.IndexExpr) (ref, error) {
 			}
 			return val{v, r.Signed}
 		},
-		set: func(v bitvec.Value) {
-			_ = x.S.WriteElem(r, addr, v)
-		},
-	}, nil
+		set: func(v bitvec.Value) { _ = x.S.WriteElem(r, addr, v) },
+	}
 }
 
-// callOperation executes an operation without operands (a plain behavior
-// call to a helper operation). Under a simulator context the call goes
-// through the full execute path (decode, behavior, activation).
+// callOperation executes an operation by name (a plain behavior call to a
+// helper operation). Under a simulator context the call goes through the
+// full execute path (decode, behavior, activation).
 func (x *Exec) callOperation(op *model.Operation) error {
 	if x.Ctx != nil {
 		return x.Ctx.CallOp(op)
 	}
-	in := model.NewInstance(op)
-	return x.runBehavior(in)
+	return x.runBehavior(model.NewInstance(op))
 }
 
-// callInstance executes a bound child instance.
+// callInstance executes a bound operand.
 func (x *Exec) callInstance(in *model.Instance) error {
 	if x.Ctx != nil {
 		return x.Ctx.CallInstance(in)
@@ -305,168 +226,66 @@ func (x *Exec) callInstance(in *model.Instance) error {
 	return x.runBehavior(in)
 }
 
-// evalCall dispatches builtins, pipeline operations and operation calls.
-func (x *Exec) evalCall(f *frame, c *ast.CallExpr) (val, error) {
-	if strings.Contains(c.Name, ".") {
-		return x.pipeCall(c)
-	}
-	switch c.Name {
-	case "abs", "min", "max", "saturate", "sign_extend", "zero_extend",
-		"addsat", "subsat", "bits", "print", "wait_states":
-		return x.builtin(f, c)
-	}
-	// Binding call: Group() executes the bound member's behavior.
-	if child, ok := f.inst.Bindings[c.Name]; ok {
-		if len(c.Args) != 0 {
-			return val{}, fmt.Errorf("%s: operation call %s takes no arguments", c.Pos, c.Name)
-		}
-		return val{}, x.callInstance(child)
-	}
-	if op, ok := x.M.Ops[c.Name]; ok {
-		if len(c.Args) != 0 {
-			return val{}, fmt.Errorf("%s: operation call %s takes no arguments", c.Pos, c.Name)
-		}
-		return val{}, x.callOperation(op)
-	}
-	return val{}, fmt.Errorf("%s: unknown function or operation %s", c.Pos, c.Name)
-}
-
-func (x *Exec) pipeCall(c *ast.CallExpr) (val, error) {
-	parts := strings.Split(c.Name, ".")
-	p := x.M.Pipeline(parts[0])
-	if p == nil {
-		return val{}, fmt.Errorf("%s: unknown pipeline %s", c.Pos, parts[0])
-	}
-	stage := -1
-	op := parts[len(parts)-1]
-	if len(parts) == 3 {
-		stage = p.StageIndex(parts[1])
-		if stage < 0 {
-			return val{}, fmt.Errorf("%s: unknown stage %s.%s", c.Pos, parts[0], parts[1])
-		}
-	} else if len(parts) != 2 {
-		return val{}, fmt.Errorf("%s: malformed pipeline call %s", c.Pos, c.Name)
-	}
-	o, ok := pipeline.ParseOp(op)
-	if !ok {
-		return val{}, fmt.Errorf("%s: unknown pipeline operation %s", c.Pos, op)
-	}
+// pipeOp performs a pipeline built-in called from behavior code.
+func (x *Exec) pipeOp(c *ast.CallExpr) error {
 	if x.Ctx == nil {
-		return val{}, fmt.Errorf("%s: pipeline operation %s outside simulation context", c.Pos, c.Name)
+		return fmt.Errorf("%s: pipeline operation %s outside simulation context", c.Pos, c.Name)
 	}
-	return val{}, x.Ctx.PipeOp(p, stage, o)
+	return x.Ctx.PipeOp(x.M.Pipelines[c.Pipe.Pipe], c.Pipe.Stage, pipeline.Op(c.Pipe.Op))
 }
 
-func (x *Exec) builtin(f *frame, c *ast.CallExpr) (val, error) {
-	if c.Name == "wait_states" {
-		if len(c.Args) != 1 {
-			return val{}, fmt.Errorf("%s: wait_states expects 1 argument", c.Pos)
+// waitStates is the value of wait_states(r): r's access wait states.
+func waitStates(m *model.Model, c *ast.CallExpr) val {
+	return val{bitvec.New(uint64(m.Resources[c.Args[0].(*ast.Ident).Index].Wait), 32), false}
+}
+
+// builtinFor returns the function of a builtin; it takes its (at most
+// three) arguments by value, so that calling it allocates nothing.
+func builtinFor(fn ast.Builtin) func(a [3]val) val {
+	switch fn {
+	case ast.BuiltinAbs:
+		return func(a [3]val) val { return val{bitvec.Abs(a[0].v), true} }
+	case ast.BuiltinMin, ast.BuiltinMax:
+		wantMax := fn == ast.BuiltinMax
+		return func(a [3]val) val {
+			cmp := bitvec.CmpS(a[0].v, a[1].v)
+			if !a[0].signed && !a[1].signed {
+				cmp = bitvec.CmpU(a[0].v, a[1].v)
+			}
+			if wantMax && cmp >= 0 || !wantMax && cmp <= 0 {
+				return a[0]
+			}
+			return a[1]
 		}
-		id, ok := c.Args[0].(*ast.Ident)
-		if !ok {
-			return val{}, fmt.Errorf("%s: wait_states expects a resource name", c.Pos)
-		}
-		r := x.M.Resource(id.Name)
-		if r == nil {
-			return val{}, fmt.Errorf("%s: unknown resource %s", c.Pos, id.Name)
-		}
-		return val{bitvec.New(uint64(r.Wait), 32), false}, nil
+	case ast.BuiltinSaturate:
+		return func(a [3]val) val { return val{bitvec.SatS(a[0].v, int(a[1].v.Int())), true} }
+	case ast.BuiltinSignExtend:
+		return func(a [3]val) val { return val{bitvec.SignExtend(a[0].v.Resize(64), int(a[1].v.Int())), true} }
+	case ast.BuiltinZeroExtend:
+		return func(a [3]val) val { return val{bitvec.ZeroExtend(a[0].v.Resize(64), int(a[1].v.Int())), false} }
+	case ast.BuiltinAddSat:
+		return func(a [3]val) val { return val{bitvec.AddSat(a[0].v, a[1].v), true} }
+	case ast.BuiltinSubSat:
+		return func(a [3]val) val { return val{bitvec.SubSat(a[0].v, a[1].v), true} }
+	case ast.BuiltinBits:
+		return func(a [3]val) val { return val{a[0].v.Slice(int(a[1].v.Int()), int(a[2].v.Int())), false} }
 	}
-	argv := make([]val, len(c.Args))
-	for i, a := range c.Args {
-		if _, isStr := a.(*ast.StrLit); isStr && c.Name == "print" {
-			continue
-		}
-		v, err := x.eval(f, a)
-		if err != nil {
-			return val{}, err
-		}
-		argv[i] = v
-	}
-	need := func(n int) error {
-		if len(c.Args) != n {
-			return fmt.Errorf("%s: %s expects %d arguments, got %d", c.Pos, c.Name, n, len(c.Args))
-		}
-		return nil
-	}
-	switch c.Name {
-	case "abs":
-		if err := need(1); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.Abs(argv[0].v), true}, nil
-	case "min", "max":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		a, b := argv[0], argv[1]
-		cmp := bitvec.CmpS(a.v, b.v)
-		if !a.signed && !b.signed {
-			cmp = bitvec.CmpU(a.v, b.v)
-		}
-		pickA := cmp <= 0
-		if c.Name == "max" {
-			pickA = cmp >= 0
-		}
-		if pickA {
-			return a, nil
-		}
-		return b, nil
-	case "saturate":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.SatS(argv[0].v, int(argv[1].v.Int())), true}, nil
-	case "sign_extend":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		wide := argv[0].v.Resize(64)
-		return val{bitvec.SignExtend(wide, int(argv[1].v.Int())), true}, nil
-	case "zero_extend":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		wide := argv[0].v.Resize(64)
-		return val{bitvec.ZeroExtend(wide, int(argv[1].v.Int())), false}, nil
-	case "addsat":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.AddSat(argv[0].v, argv[1].v), true}, nil
-	case "subsat":
-		if err := need(2); err != nil {
-			return val{}, err
-		}
-		return val{bitvec.SubSat(argv[0].v, argv[1].v), true}, nil
-	case "bits":
-		if err := need(3); err != nil {
-			return val{}, err
-		}
-		return val{argv[0].v.Slice(int(argv[1].v.Int()), int(argv[2].v.Int())), false}, nil
-	case "print":
-		if x.Ctx != nil {
-			x.Ctx.Print(x.formatPrint(f, c, argv))
-		}
-		return val{}, nil
-	}
-	return val{}, fmt.Errorf("%s: unknown builtin %s", c.Pos, c.Name)
+	panic(fmt.Sprintf("behavior: builtin %d has no function", fn))
 }
 
 // formatPrint renders print() arguments: string literals verbatim, values
-// as decimal, space-separated.
-func (x *Exec) formatPrint(f *frame, c *ast.CallExpr, argv []val) string {
-	parts := make([]string, 0, len(c.Args))
-	for i, a := range c.Args {
+// as decimal, space-separated; value(i) evaluates argument i.
+func formatPrint(args []ast.Expr, value func(i int) val) string {
+	parts := make([]string, len(args))
+	for i, a := range args {
 		if s, ok := a.(*ast.StrLit); ok {
-			parts = append(parts, s.Val)
+			parts[i] = s.Val
 			continue
 		}
-		v := argv[i]
-		if v.signed {
-			parts = append(parts, fmt.Sprintf("%d", v.v.Int()))
+		if v := value(i); v.signed {
+			parts[i] = fmt.Sprintf("%d", v.v.Int())
 		} else {
-			parts = append(parts, fmt.Sprintf("%d", v.v.Uint()))
+			parts[i] = fmt.Sprintf("%d", v.v.Uint())
 		}
 	}
 	return strings.Join(parts, " ")
@@ -474,37 +293,20 @@ func (x *Exec) formatPrint(f *frame, c *ast.CallExpr, argv []val) string {
 
 // --- operators ----------------------------------------------------------------
 
-// unop applies a unary operator; compiled code resolves it once with unopFor.
-func unop(op string, v val) (val, error) {
-	f, err := unopFor(op)
-	if err != nil {
-		return val{}, err
-	}
-	return f(v), nil
-}
-
-func unopFor(op string) (func(val) val, error) {
+// unopFor returns the function of a unary operator. The parser produces
+// only these operators.
+func unopFor(op string) func(val) val {
 	switch op {
 	case "-":
-		return func(v val) val { return val{bitvec.Neg(v.v), true} }, nil
+		return func(v val) val { return val{bitvec.Neg(v.v), true} }
 	case "+":
-		return func(v val) val { return v }, nil
+		return func(v val) val { return v }
 	case "!":
-		return func(v val) val { return val{bitvec.FromBool(!v.bool()), false} }, nil
+		return func(v val) val { return val{bitvec.FromBool(!v.bool()), false} }
 	case "~":
-		return func(v val) val { return val{bitvec.Not(v.v), v.signed} }, nil
+		return func(v val) val { return val{bitvec.Not(v.v), v.signed} }
 	}
-	return nil, fmt.Errorf("unknown unary operator %s", op)
-}
-
-// binop applies a binary operator; compiled code resolves it once with
-// binopFor.
-func binop(op string, l, r val) (val, error) {
-	f, err := binopFor(op)
-	if err != nil {
-		return val{}, err
-	}
-	return f(l, r), nil
+	panic("behavior: unknown unary operator " + op)
 }
 
 // widen brings both operands to the wider width, sign-extending signed
@@ -539,14 +341,16 @@ func compare(l, r val) int {
 
 func boolVal(b bool) val { return val{bitvec.FromBool(b), false} }
 
-func binopFor(op string) (func(l, r val) val, error) {
+// binopFor returns the function of a binary operator. The parser produces
+// only these operators.
+func binopFor(op string) func(l, r val) val {
 	switch op {
 	case "+":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Add(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Add(a, b), l.signed || r.signed} }
 	case "-":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Sub(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Sub(a, b), l.signed || r.signed} }
 	case "*":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Mul(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Mul(a, b), l.signed || r.signed} }
 	case "/":
 		return func(l, r val) val {
 			a, b, w := widen(l, r)
@@ -557,7 +361,7 @@ func binopFor(op string) (func(l, r val) val, error) {
 				return val{bitvec.New(bitvec.Mask(w), w), false}
 			}
 			return val{bitvec.New(a.Uint()/b.Uint(), w), false}
-		}, nil
+		}
 	case "%":
 		return func(l, r val) val {
 			a, b, w := widen(l, r)
@@ -568,49 +372,49 @@ func binopFor(op string) (func(l, r val) val, error) {
 				return val{bitvec.New(0, w), false}
 			}
 			return val{bitvec.New(a.Uint()%b.Uint(), w), false}
-		}, nil
+		}
 	case "&":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.And(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.And(a, b), l.signed || r.signed} }
 	case "|":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Or(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Or(a, b), l.signed || r.signed} }
 	case "^":
-		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Xor(a, b), l.signed || r.signed} }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return val{bitvec.Xor(a, b), l.signed || r.signed} }
 	case "<<":
-		return func(l, r val) val { return val{bitvec.Shl(l.v, uint(r.v.Uint()&63)), l.signed} }, nil
+		return func(l, r val) val { return val{bitvec.Shl(l.v, uint(r.v.Uint()&63)), l.signed} }
 	case ">>":
 		return func(l, r val) val {
 			if l.signed {
 				return val{bitvec.ShrS(l.v, uint(r.v.Uint()&63)), true}
 			}
 			return val{bitvec.ShrU(l.v, uint(r.v.Uint()&63)), false}
-		}, nil
+		}
 	case "==":
-		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() == b.Uint()) }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() == b.Uint()) }
 	case "!=":
-		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() != b.Uint()) }, nil
+		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() != b.Uint()) }
 	case "<":
-		return func(l, r val) val { return boolVal(compare(l, r) < 0) }, nil
+		return func(l, r val) val { return boolVal(compare(l, r) < 0) }
 	case "<=":
-		return func(l, r val) val { return boolVal(compare(l, r) <= 0) }, nil
+		return func(l, r val) val { return boolVal(compare(l, r) <= 0) }
 	case ">":
-		return func(l, r val) val { return boolVal(compare(l, r) > 0) }, nil
+		return func(l, r val) val { return boolVal(compare(l, r) > 0) }
 	case ">=":
-		return func(l, r val) val { return boolVal(compare(l, r) >= 0) }, nil
+		return func(l, r val) val { return boolVal(compare(l, r) >= 0) }
 	case "&&":
-		return func(l, r val) val { return boolVal(l.bool() && r.bool()) }, nil
+		return func(l, r val) val { return boolVal(l.bool() && r.bool()) }
 	case "||":
-		return func(l, r val) val { return boolVal(l.bool() || r.bool()) }, nil
+		return func(l, r val) val { return boolVal(l.bool() || r.bool()) }
 	}
-	return nil, fmt.Errorf("unknown binary operator %s", op)
+	panic("behavior: unknown binary operator " + op)
 }
 
-// EvalValue evaluates a behavior expression to a value in the context of an
-// instance (used by interpreted activation conditions and switch tags).
+// EvalValue evaluates an expression outside the model's code, such as a
+// debugger's watch expression, in the context of an instance: it binds
+// the expression's names in the instance's operation first, so e must not
+// be a node of the model's own code, whose bindings sema already set.
 func (x *Exec) EvalValue(in *model.Instance, e ast.Expr) (bitvec.Value, error) {
-	f := newFrame(in)
-	v, err := x.eval(f, e)
-	if err != nil {
+	if err := sema.ResolveExpr(x.M, in.Op, e); err != nil {
 		return bitvec.Value{}, err
 	}
-	return v.v, nil
+	return x.eval(&frame{inst: in}, e).v, nil
 }

@@ -1,8 +1,6 @@
 package behavior
 
 import (
-	"fmt"
-
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
@@ -20,14 +18,13 @@ const (
 	ActSwitch                // the items ActChoose selects
 )
 
-// ActStep is one ACTIVATION item of a bound instance with every name
-// resolved: targets to instances, pipelines to indices and pipeline
-// operations to pipeline.Op. Prebound engines compile the conditions too,
-// so walking a plan looks up no name at all.
+// ActStep is one ACTIVATION item of a bound instance, with sema's
+// bindings applied: targets are instances, pipelines indices and pipeline
+// operations pipeline.Op values. Prebound engines compile the conditions
+// too, so walking a plan looks up no name at all.
 type ActStep struct {
 	Kind  ActKind
-	Delay int   // extra control steps (the ';' operator)
-	Err   error // resolution failure, reported when a run reaches the step
+	Delay int // extra control steps (the ';' operator)
 
 	// Target is the activated instance, or nil when Op's unbound instance
 	// was unknown at bind time (the simulator then resolves it).
@@ -40,10 +37,10 @@ type ActStep struct {
 
 	Then, Else []ActStep // ActIf branches
 
-	guard []*model.Resource // the resources cond reads (hazard attribution)
-	cond  actExpr           // ActIf condition or ActSwitch tag
-	cases []actCase         // ActSwitch non-default cases
-	deflt []ActStep         // ActSwitch default items
+	guard []int     // the resources cond names (hazard attribution)
+	cond  actExpr   // ActIf condition or ActSwitch tag
+	cases []actCase // ActSwitch non-default cases
+	deflt []ActStep // ActSwitch default items
 }
 
 // actCase is one non-default case of an ActSwitch step.
@@ -59,10 +56,9 @@ type actExpr struct {
 	f cexpr
 }
 
-// Guard returns the resources the step's condition or switch tag reads
-// (hazard attribution). Plans bound for an interpreting engine carry
-// them only while an observer is attached.
-func (st *ActStep) Guard() []*model.Resource { return st.guard }
+// Guard returns the ids of the resources the step's condition or switch
+// tag names (hazard attribution).
+func (st *ActStep) Guard() []int { return st.guard }
 
 // BindActivation resolves in's ACTIVATION section (nil when it has none)
 // for the engines that interpret behavior: conditions stay ASTs.
@@ -73,7 +69,7 @@ func BindActivation(x *Exec, in *model.Instance) []ActStep {
 	return bindActs(x, in, in.Variant.Activation.Items, nil)
 }
 
-// bindActs resolves one activation list of in; with a compiler, the
+// bindActs binds one activation list of in; with a compiler, the
 // conditions, switch tags and case values are compiled as well.
 func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []ActStep {
 	if len(items) == 0 {
@@ -85,34 +81,21 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 		switch it := item.(type) {
 		case *ast.ActRef:
 			st.Kind, st.Delay = ActRun, it.Delay
-			if child, ok := in.Bindings[it.Name]; ok {
-				st.Target = child
-			} else if st.Op = x.M.Ops[it.Name]; st.Op == nil {
-				st.Err = fmt.Errorf("activation of unknown operation %s", it.Name)
-			} else if x.Static != nil {
+			if it.Kind == ast.RefOperand {
+				st.Target = in.Bindings[it.Name]
+			} else if st.Op = x.M.OpList[it.Index]; x.Static != nil {
 				st.Target = x.Static(st.Op)
 			}
 		case *ast.ActPipeOp:
-			st.Kind, st.Delay, st.Stage = ActPipe, it.Delay, -1
-			pd := x.M.Pipeline(it.Pipe)
-			op, ok := pipeline.ParseOp(it.Op)
-			if pd == nil || !ok {
-				st.Err = fmt.Errorf("unknown pipeline operation %s.%s", it.Pipe, it.Op)
-				break
-			}
-			st.Pipe, st.PipeOp = pd.Index, op
-			if it.Stage != "" {
-				st.Stage = pd.StageIndex(it.Stage)
-			}
+			st.Kind, st.Delay = ActPipe, it.Delay
+			st.Pipe, st.Stage, st.PipeOp = it.Ref.Pipe, it.Ref.Stage, pipeline.Op(it.Ref.Op)
 		case *ast.ActIf:
-			st.Kind = ActIf
-			st.cond, st.Err = c.bindExpr(it.Cond)
-			st.guard = c.bindGuard(x, it.Cond)
+			st.Kind, st.guard = ActIf, it.Guard
+			st.cond = c.bindExpr(it.Cond)
 			st.Then, st.Else = bindActs(x, in, it.Then, c), bindActs(x, in, it.Else, c)
 		case *ast.ActSwitch:
-			st.Kind = ActSwitch
-			st.cond, st.Err = c.bindExpr(it.Tag)
-			st.guard = c.bindGuard(x, it.Tag)
+			st.Kind, st.guard = ActSwitch, it.Guard
+			st.cond = c.bindExpr(it.Tag)
 			for j := range it.Cases {
 				ac := &it.Cases[j]
 				items := bindActs(x, in, ac.Items, c)
@@ -122,11 +105,7 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 				}
 				cc := actCase{items: items}
 				for _, v := range ac.Vals {
-					ae, err := c.bindExpr(v)
-					if st.Err == nil {
-						st.Err = err
-					}
-					cc.vals = append(cc.vals, ae)
+					cc.vals = append(cc.vals, c.bindExpr(v))
 				}
 				st.cases = append(st.cases, cc)
 			}
@@ -137,60 +116,38 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 
 // bindExpr compiles an activation expression; a nil compiler (the
 // interpreting engines) compiles nothing.
-func (c *compiler) bindExpr(e ast.Expr) (actExpr, error) {
+func (c *compiler) bindExpr(e ast.Expr) actExpr {
 	if c == nil {
-		return actExpr{e: e}, nil
+		return actExpr{e: e}
 	}
-	f, err := c.compileExpr(e)
-	if err == nil {
-		c.acts++
-	}
-	return actExpr{e, f}, err
-}
-
-// bindGuard resolves the resources a condition reads: always when the
-// plan is compiled, and for the interpreting engines only while an
-// observer needs them.
-func (c *compiler) bindGuard(x *Exec, e ast.Expr) []*model.Resource {
-	if c == nil && x.Obs == nil {
-		return nil
-	}
-	return x.guardOf(e)
+	c.acts++
+	return actExpr{e, c.compileExpr(e)}
 }
 
 // ActCond evaluates an ActIf step's condition in the context of in.
-func (x *Exec) ActCond(in *model.Instance, st *ActStep) (bool, error) {
-	v, err := x.evalAct(in, st.cond)
-	return v.Bool(), err
+func (x *Exec) ActCond(in *model.Instance, st *ActStep) bool {
+	return x.evalAct(in, st.cond).Bool()
 }
 
 // ActChoose evaluates an ActSwitch step: the items of the first case with
 // a value equal to the tag, else the default's (nil when there is none).
-func (x *Exec) ActChoose(in *model.Instance, st *ActStep) ([]ActStep, error) {
-	tag, err := x.evalAct(in, st.cond)
-	if err != nil {
-		return nil, err
-	}
+func (x *Exec) ActChoose(in *model.Instance, st *ActStep) []ActStep {
+	tag := x.evalAct(in, st.cond).Uint()
 	for _, c := range st.cases {
 		for _, ae := range c.vals {
-			v, err := x.evalAct(in, ae)
-			if err != nil {
-				return nil, err
-			}
-			if v.Uint() == tag.Uint() {
-				return c.items, nil
+			if x.evalAct(in, ae).Uint() == tag {
+				return c.items
 			}
 		}
 	}
-	return st.deflt, nil
+	return st.deflt
 }
 
-func (x *Exec) evalAct(in *model.Instance, ae actExpr) (bitvec.Value, error) {
+func (x *Exec) evalAct(in *model.Instance, ae actExpr) bitvec.Value {
 	if ae.f == nil {
-		return x.EvalValue(in, ae.e)
+		return x.eval(&frame{inst: in}, ae.e).v
 	}
 	// Activation expressions declare no locals, so one frame serves all.
 	x.actFrame.x = x
-	v, err := ae.f(&x.actFrame)
-	return v.v, err
+	return ae.f(&x.actFrame).v
 }

@@ -32,13 +32,10 @@ func (cs *CompiledSet) Freeze() { cs.frozen = true }
 func (cs *CompiledSet) Compiles() uint64 { return cs.compiles }
 
 // Precompile compiles the behavior closure and binds the activation plan
-// of in and all instances bound below it into the set. It is best-effort:
-// an instance whose behavior fails to compile is skipped and left to the
-// per-engine lazy path, which reports the error if (and only if) the
-// instance actually executes — matching the lazy engines' semantics.
+// of in and all instances bound below it into the set.
 //
-// The Exec is only a compile-time context (model, resource lookup and the
-// Static resolver for activation targets); no machine state is read.
+// The Exec is only a compile-time context (model and the Static resolver
+// for activation targets); no machine state is read.
 // Instances reached here get their variant resolved eagerly, so sharing
 // them later never triggers the lazy ResolveVariant write.
 func (cs *CompiledSet) Precompile(x *Exec, in *model.Instance) {
@@ -59,11 +56,9 @@ func (cs *CompiledSet) precompile(x *Exec, in *model.Instance, seen map[*model.I
 		}
 	}
 	if _, done := cs.behaviors[in]; !done {
-		// A failure is left to the lazy path, which surfaces the error.
-		if cb, n, err := compileInstance(x, in); err == nil {
-			cs.behaviors[in] = cb
-			cs.compiles += n
-		}
+		cb, n := compileInstance(x, in)
+		cs.behaviors[in] = cb
+		cs.compiles += n
 	}
 	for _, child := range in.Bindings {
 		cs.precompile(x, child, seen)

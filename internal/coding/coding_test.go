@@ -30,6 +30,8 @@ func build(t *testing.T, src string) *model.Model {
 const miniISA = `
 RESOURCE {
   CONTROL_REGISTER bit[32] ir;
+  REGISTER int A[16];
+  REGISTER int B[16];
 }
 OPERATION decode {
   DECLARE { GROUP Instruction = { add_d; sub_d }; }

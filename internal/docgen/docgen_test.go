@@ -1,13 +1,34 @@
 package docgen
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"golisa/internal/core"
 	"golisa/internal/models"
 	"golisa/internal/parser"
 	"golisa/internal/sema"
 )
+
+// TestDocsMatchGenerated pins docs/<model>.md to the generator: each file
+// is exactly what lisa-doc -model <model> prints.
+func TestDocsMatchGenerated(t *testing.T) {
+	for _, name := range []string{"simple16", "simd16", "c62x"} {
+		mc, err := core.LoadBuiltin(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "docs", name+".md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Generate(mc.Model) != string(want) {
+			t.Errorf("docs/%s.md differs from the generator; regenerate it with lisa-doc -model %s", name, name)
+		}
+	}
+}
 
 func TestGenerateSimple16Doc(t *testing.T) {
 	d, perrs := parser.Parse(models.Simple16, "simple16.lisa")

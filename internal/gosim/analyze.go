@@ -242,6 +242,7 @@ func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*stmt, er
 	nloc := 0
 	f := &fctx{
 		b: b, inst: in, nloc: &nloc,
+		locals:      make([]*localVar, in.Variant.Behavior.Slots),
 		canDispatch: canDispatch,
 		stack:       []*model.Operation{in.Op},
 	}
@@ -262,10 +263,7 @@ func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.Act
 			if it.Delay != 0 {
 				return unsup("main activation of %s with delay %d", it.Name, it.Delay)
 			}
-			op, ok := b.m.Ops[it.Name]
-			if !ok {
-				return unsup("main activates unknown operation %s", it.Name)
-			}
+			op := b.m.OpList[it.Index] // main reads no operand: a by-name target
 			stage, err := p.targetStage(op)
 			if err != nil {
 				return err
@@ -332,7 +330,6 @@ func conj(a, b *expr) *expr {
 func (p *Program) compileActCond(b *build, in *model.Instance, e ast.Expr) (*expr, error) {
 	nloc := 0
 	f := &fctx{b: b, inst: in, nloc: &nloc}
-	f.push()
 	return f.compileExpr(e)
 }
 
@@ -426,15 +423,9 @@ func (p *Program) compileDispatch(b *build, h *wordHandler, in *model.Instance) 
 		if ref.Delay != 0 {
 			return unsup("decode activation with delay %d", ref.Delay)
 		}
-		child, ok := in.Bindings[ref.Name]
-		if !ok {
-			// An unbound name would fall back to the operation table; in
-			// the decode tree it should always be a binding.
-			op, isOp := b.m.Ops[ref.Name]
-			if !isOp {
-				return unsup("decode activates unknown %s", ref.Name)
-			}
-			child = model.NewInstance(op)
+		child := in.Bindings[ref.Name]
+		if ref.Kind == ast.RefOperation {
+			child = model.NewInstance(b.m.OpList[ref.Index])
 		}
 		if child.Variant == nil {
 			if err := child.ResolveVariant(); err != nil {

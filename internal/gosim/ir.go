@@ -128,14 +128,15 @@ type writeRec struct {
 	rhs *expr
 }
 
-// fctx compiles one handler (one behavior invocation). Inlined operation
-// calls get a fresh scope stack but keep numbering locals in the same
-// per-handler pool (behaviors never interleave, so the pool is reusable
-// across handlers).
+// fctx compiles one handler (one behavior invocation) over sema's
+// bindings. Each behavior body's locals map, by sema's slot, to variables
+// of one per-handler pool; inlined operation calls get their own slot
+// table but keep numbering variables in the same pool (behaviors never
+// interleave, so the pool is reusable across handlers).
 type fctx struct {
 	b           *build
-	inst        *model.Instance // nil outside an instance context
-	scopes      []map[string]*localVar
+	inst        *model.Instance
+	locals      []*localVar // by sema slot: the variable a local's declaration last bound
 	nloc        *int
 	canDispatch bool
 	stack       []*model.Operation
@@ -145,46 +146,33 @@ func unsup(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrUnsupported, fmt.Sprintf(format, args...))
 }
 
-func (f *fctx) push() { f.scopes = append(f.scopes, nil) }
-func (f *fctx) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
-func (f *fctx) lookup(name string) *localVar {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if l, ok := f.scopes[i][name]; ok {
-			return l
-		}
-	}
-	return nil
-}
-
-func (f *fctx) declare(name string, w int, signed bool) (*localVar, error) {
-	top := f.scopes[len(f.scopes)-1]
-	if top == nil {
-		top = map[string]*localVar{}
-		f.scopes[len(f.scopes)-1] = top
-	}
-	if _, dup := top[name]; dup {
-		return nil, fmt.Errorf("redeclared local %s", name)
-	}
-	l := &localVar{idx: *f.nloc, w: w, signed: signed}
+// declare gives a local declaration a fresh pool variable.
+func (f *fctx) declare(d *ast.DeclStmt) *localVar {
+	l := &localVar{idx: *f.nloc, w: clampW(d.Type.Width), signed: d.Type.Signed()}
 	*f.nloc++
 	if *f.nloc > f.b.maxLoc {
 		f.b.maxLoc = *f.nloc
 	}
-	top[name] = l
-	return l, nil
+	f.locals[d.Slot] = l
+	return l
 }
 
-// childCtx derives the compile context for a bound child instance's
-// EXPRESSION section: child labels/bindings, no locals.
-func (f *fctx) childCtx(in *model.Instance) *fctx {
-	return &fctx{b: f.b, inst: in, nloc: f.nloc, stack: f.stack}
+// expression returns a bound operand's EXPRESSION, which sema guarantees
+// every variant of an operand read or written has, and the context to
+// compile it in: the operand's labels and bindings, no locals.
+func (f *fctx) expression(name string) (*fctx, ast.Expr, error) {
+	in := f.inst.Bindings[name]
+	if in.Variant == nil {
+		if err := in.ResolveVariant(); err != nil {
+			return nil, nil, unsup("operand %s: %v", in.Op.Name, err)
+		}
+	}
+	return &fctx{b: f.b, inst: in, nloc: f.nloc, stack: f.stack}, in.Variant.Expression.X, nil
 }
 
 // ---- statements ----------------------------------------------------------
 
 func (f *fctx) compileBlock(blk *ast.Block, out *[]*stmt) error {
-	f.push()
-	defer f.pop()
 	for _, s := range blk.Stmts {
 		if err := f.compileStmt(s, out); err != nil {
 			return err
@@ -210,11 +198,7 @@ func (f *fctx) compileStmt(s ast.Stmt, out *[]*stmt) error {
 		} else {
 			init = &expr{kind: eConst, w: clampW(st.Type.Width), signed: true}
 		}
-		l, err := f.declare(st.Name, clampW(st.Type.Width), st.Type.Signed())
-		if err != nil {
-			return err
-		}
-		lv := &lval{kind: lLocal, local: l, rhsW: init.w}
+		lv := &lval{kind: lLocal, local: f.declare(st), rhsW: init.w}
 		f.b.writes = append(f.b.writes, writeRec{lv, init})
 		*out = append(*out, &stmt{kind: sAssign, lhs: lv, rhs: init})
 		return nil
@@ -294,67 +278,48 @@ func (f *fctx) compileStmt(s ast.Stmt, out *[]*stmt) error {
 }
 
 // compileExprStmt handles expression statements: operation/binding calls
-// (inlined, or a dispatch for the coding root), print(), and plain
-// expressions evaluated for (non-existent) effect.
+// (inlined, or a dispatch for the coding root) and print(). Any other
+// expression has no effect; it is compiled only to check that the IR can
+// express it.
 func (f *fctx) compileExprStmt(e ast.Expr, out *[]*stmt) error {
-	if id, ok := e.(*ast.Ident); ok {
-		if f.lookup(id.Name) == nil && f.inst != nil {
-			if _, isLabel := f.inst.Labels[id.Name]; !isLabel {
-				if child, ok := f.inst.Bindings[id.Name]; ok {
-					return f.inlineInstance(child, out)
-				}
-			}
-		}
-		if f.lookup(id.Name) == nil {
-			if op, ok := f.b.m.Ops[id.Name]; ok {
-				return f.callOp(op, out)
-			}
+	kind, name, index := ast.RefNone, "", 0
+	switch x := e.(type) {
+	case *ast.Ident:
+		kind, name, index = x.Kind, x.Name, x.Index
+	case *ast.CallExpr:
+		kind, name, index = x.Kind, x.Name, x.Index
+		switch x.Kind {
+		case ast.RefPrint:
+			return f.compilePrint(x, out)
+		case ast.RefPipe:
+			return unsup("pipeline operation %s", x.Name)
 		}
 	}
-	if c, ok := e.(*ast.CallExpr); ok {
-		return f.compileCallStmt(c, out)
+	switch kind {
+	case ast.RefOperand:
+		return f.inlineInstance(f.inst.Bindings[name], out)
+	case ast.RefOperation:
+		return f.callOp(f.b.m.OpList[index], out)
 	}
-	// Pure expression: compile to validate, then drop (no side effects in
-	// the supported class).
 	_, err := f.compileExpr(e)
 	return err
 }
 
-func (f *fctx) compileCallStmt(c *ast.CallExpr, out *[]*stmt) error {
-	if c.Name == "print" {
-		node := &stmt{kind: sPrint}
-		for _, a := range c.Args {
-			if s, ok := a.(*ast.StrLit); ok {
-				node.parts = append(node.parts, printPart{str: s.Val, isStr: true})
-				continue
-			}
-			x, err := f.compileExpr(a)
-			if err != nil {
-				return err
-			}
-			node.parts = append(node.parts, printPart{x: x, signed: x.signed})
+func (f *fctx) compilePrint(c *ast.CallExpr, out *[]*stmt) error {
+	node := &stmt{kind: sPrint}
+	for _, a := range c.Args {
+		if s, ok := a.(*ast.StrLit); ok {
+			node.parts = append(node.parts, printPart{str: s.Val, isStr: true})
+			continue
 		}
-		*out = append(*out, node)
-		return nil
-	}
-	if isBuiltin(c.Name) {
-		// A builtin in statement position has no effect; compile the
-		// arguments for validation and drop the value.
-		_, err := f.compileExpr(c)
-		return err
-	}
-	if len(c.Args) != 0 {
-		return unsup("call %s with arguments", c.Name)
-	}
-	if f.inst != nil {
-		if child, ok := f.inst.Bindings[c.Name]; ok {
-			return f.inlineInstance(child, out)
+		x, err := f.compileExpr(a)
+		if err != nil {
+			return err
 		}
+		node.parts = append(node.parts, printPart{x: x, signed: x.signed})
 	}
-	if op, ok := f.b.m.Ops[c.Name]; ok {
-		return f.callOp(op, out)
-	}
-	return unsup("call to %s (pipeline operations and unknown calls)", c.Name)
+	*out = append(*out, node)
+	return nil
 }
 
 // callOp handles a behavior call to a named operation: the coding root
@@ -406,6 +371,7 @@ func (f *fctx) inlineInstance(in *model.Instance, out *[]*stmt) error {
 	}
 	sub := &fctx{
 		b: f.b, inst: in, nloc: f.nloc,
+		locals:      make([]*localVar, in.Variant.Behavior.Slots),
 		canDispatch: f.canDispatch,
 		stack:       append(f.stack, in.Op),
 	}
@@ -417,21 +383,17 @@ func (f *fctx) inlineInstance(in *model.Instance, out *[]*stmt) error {
 func (f *fctx) compileLval(e ast.Expr) (*lval, error) {
 	switch ex := e.(type) {
 	case *ast.Ident:
-		if l := f.lookup(ex.Name); l != nil {
-			return &lval{kind: lLocal, local: l}, nil
-		}
-		if f.inst != nil {
-			if _, ok := f.inst.Labels[ex.Name]; ok {
-				return nil, unsup("label %s is not assignable", ex.Name)
+		switch ex.Kind {
+		case ast.RefLocal:
+			return &lval{kind: lLocal, local: f.locals[ex.Index]}, nil
+		case ast.RefOperand:
+			cf, x, err := f.expression(ex.Name)
+			if err != nil {
+				return nil, err
 			}
-			if child, ok := f.inst.Bindings[ex.Name]; ok {
-				return f.childCtx(child).instanceLval(child)
-			}
+			return cf.compileLval(x)
 		}
-		if r := f.b.m.Resource(ex.Name); r != nil {
-			return f.resourceLval(r)
-		}
-		return nil, unsup("unknown identifier %s", ex.Name)
+		return f.resourceLval(f.b.m.Resources[ex.Index])
 	case *ast.IndexExpr:
 		return f.indexLval(ex)
 	case *ast.BitsExpr:
@@ -455,9 +417,6 @@ func (f *fctx) compileLval(e ast.Expr) (*lval, error) {
 // resourceLval resolves a scalar resource (or a register alias) into an
 // assignable location.
 func (f *fctx) resourceLval(r *model.Resource) (*lval, error) {
-	if r.IsMemory() {
-		return nil, unsup("memory resource %s needs an index", r.Name)
-	}
 	if r.IsAlias {
 		base := r.AliasOf
 		if base == nil || base.IsAlias {
@@ -475,48 +434,11 @@ func (f *fctx) resourceLval(r *model.Resource) (*lval, error) {
 	return &lval{kind: lScalar, res: r}, nil
 }
 
-// instanceLval resolves a bound child's EXPRESSION section as an lvalue
-// (write-through operand references like Dest = ...).
-func (f *fctx) instanceLval(in *model.Instance) (*lval, error) {
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return nil, unsup("operand %s: %v", in.Op.Name, err)
-		}
-	}
-	if in.Variant.Expression == nil {
-		return nil, unsup("operation %s has no EXPRESSION section", in.Op.Name)
-	}
-	return f.childCtx(in).compileLval(in.Variant.Expression.X)
-}
-
 func (f *fctx) indexLval(ex *ast.IndexExpr) (*lval, error) {
 	if inner, ok := ex.X.(*ast.IndexExpr); ok {
-		if rid, ok := inner.X.(*ast.Ident); ok {
-			if r := f.b.m.Resource(rid.Name); r != nil && r.Banks > 0 {
-				return nil, unsup("banked memory access %s", rid.Name)
-			}
-		}
-		return nil, unsup("nested index expression")
+		return nil, unsup("banked memory access %s", inner.X.(*ast.Ident).Name)
 	}
-	rid, ok := ex.X.(*ast.Ident)
-	if !ok {
-		return nil, unsup("index of a non-resource expression")
-	}
-	if f.lookup(rid.Name) != nil {
-		return nil, unsup("index of local %s", rid.Name)
-	}
-	if f.inst != nil {
-		if _, ok := f.inst.Labels[rid.Name]; ok {
-			return nil, unsup("index of label %s", rid.Name)
-		}
-		if _, ok := f.inst.Bindings[rid.Name]; ok {
-			return nil, unsup("index of binding %s", rid.Name)
-		}
-	}
-	r := f.b.m.Resource(rid.Name)
-	if r == nil {
-		return nil, unsup("unknown memory resource %s", rid.Name)
-	}
+	r := f.b.m.Resources[ex.X.(*ast.Ident).Index]
 	if r.Banks > 0 {
 		return nil, unsup("banked memory %s", r.Name)
 	}
@@ -564,20 +486,12 @@ func (f *fctx) compileExpr(e ast.Expr) (*expr, error) {
 			return &expr{kind: eConst, k: ex.Val, w: 64, signed: true}, nil
 		}
 		return &expr{kind: eConst, k: ex.Val, w: 32, signed: true}, nil
-	case *ast.StrLit:
-		return nil, unsup("string literal outside print()")
 	case *ast.Ident:
 		return f.compileIdent(ex)
 	case *ast.IndexExpr:
 		return f.compileIndexExpr(ex)
 	case *ast.BitsExpr:
-		// A bit-range rvalue resolves its base as an lvalue (the
-		// interpreter rejects ranges over computed values).
-		blv, err := f.compileLval(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		base, err := f.lvalAsExpr(blv)
+		base, err := f.compileExpr(ex.X)
 		if err != nil {
 			return nil, err
 		}
@@ -637,52 +551,23 @@ func (f *fctx) compileExpr(e ast.Expr) (*expr, error) {
 }
 
 func (f *fctx) compileIdent(id *ast.Ident) (*expr, error) {
-	if l := f.lookup(id.Name); l != nil {
-		return &expr{kind: eLocal, local: l, w: l.w, signed: l.signed}, nil
-	}
-	if f.inst != nil {
-		if lv, ok := f.inst.Labels[id.Name]; ok {
-			return &expr{kind: eConst, k: lv.Uint(), w: lv.Width()}, nil
+	switch id.Kind {
+	case ast.RefLabel:
+		lv := f.inst.Labels[id.Name]
+		return &expr{kind: eConst, k: lv.Uint(), w: lv.Width()}, nil
+	case ast.RefOperand:
+		cf, x, err := f.expression(id.Name)
+		if err != nil {
+			return nil, err
 		}
-		if child, ok := f.inst.Bindings[id.Name]; ok {
-			return f.childCtx(child).instanceExpr(child)
-		}
+		return cf.compileExpr(x)
 	}
-	if r := f.b.m.Resource(id.Name); r != nil {
-		if r.IsMemory() {
-			return nil, unsup("memory resource %s needs an index", r.Name)
-		}
-		if r.IsAlias {
-			base := r.AliasOf
-			if base == nil || base.IsAlias {
-				return nil, unsup("alias %s of an alias", r.Name)
-			}
-			hi, lo := r.AliasHi, r.AliasLo
-			if hi < lo {
-				hi, lo = lo, hi
-			}
-			if lo < 0 || hi > 63 {
-				return nil, unsup("alias %s range [%d..%d]", r.Name, hi, lo)
-			}
-			b := &expr{kind: eScalar, res: base, w: base.Width, signed: base.Signed}
-			return &expr{kind: eSlice, a: b, hi: hi, n: lo, w: sliceWidth(hi, lo), signed: r.Signed}, nil
-		}
-		return &expr{kind: eScalar, res: r, w: r.Width, signed: r.Signed}, nil
+	// A local or a scalar resource reads as its location does.
+	lv, err := f.compileLval(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil, unsup("unknown identifier %s", id.Name)
-}
-
-// instanceExpr evaluates a bound child's EXPRESSION section as an rvalue.
-func (f *fctx) instanceExpr(in *model.Instance) (*expr, error) {
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return nil, unsup("operand %s: %v", in.Op.Name, err)
-		}
-	}
-	if in.Variant.Expression == nil {
-		return nil, unsup("operation %s has no EXPRESSION section", in.Op.Name)
-	}
-	return f.compileExpr(in.Variant.Expression.X)
+	return f.lvalAsExpr(lv)
 }
 
 func (f *fctx) compileIndexExpr(ex *ast.IndexExpr) (*expr, error) {
@@ -693,55 +578,21 @@ func (f *fctx) compileIndexExpr(ex *ast.IndexExpr) (*expr, error) {
 	return &expr{kind: eElem, res: lv.res, idx: lv.idx, w: lv.res.Width, signed: lv.res.Signed}, nil
 }
 
-func isBuiltin(name string) bool {
-	switch name {
-	case "abs", "min", "max", "saturate", "sign_extend", "zero_extend",
-		"addsat", "subsat", "bits", "print", "wait_states":
-		return true
-	}
-	return false
-}
-
+// compileCallExpr compiles a builtin call; sema has checked its arity.
 func (f *fctx) compileCallExpr(c *ast.CallExpr) (*expr, error) {
-	need := func(n int) error {
-		if len(c.Args) != n {
-			return unsup("%s expects %d arguments, got %d", c.Name, n, len(c.Args))
-		}
-		return nil
-	}
-	arg := func(i int) (*expr, error) { return f.compileExpr(c.Args[i]) }
-	switch c.Name {
-	case "wait_states":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		id, ok := c.Args[0].(*ast.Ident)
-		if !ok {
-			return nil, unsup("wait_states expects a resource name")
-		}
-		r := f.b.m.Resource(id.Name)
-		if r == nil {
-			return nil, unsup("unknown resource %s", id.Name)
-		}
+	if c.Builtin == ast.BuiltinWaitStates {
+		r := f.b.m.Resources[c.Args[0].(*ast.Ident).Index]
 		return &expr{kind: eConst, k: bitvec.New(uint64(r.Wait), 32).Uint(), w: 32}, nil
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
+	}
+	a, err := f.compileExpr(c.Args[0])
+	if err != nil {
+		return nil, err
+	}
+	switch c.Builtin {
+	case ast.BuiltinAbs:
 		return fold(&expr{kind: eAbs, a: a, w: a.w, signed: true}), nil
-	case "min", "max":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := arg(1)
+	case ast.BuiltinMin, ast.BuiltinMax:
+		b, err := f.compileExpr(c.Args[1])
 		if err != nil {
 			return nil, err
 		}
@@ -749,86 +600,39 @@ func (f *fctx) compileCallExpr(c *ast.CallExpr) (*expr, error) {
 			return nil, unsup("%s operands differ in width or signedness", c.Name)
 		}
 		return fold(&expr{kind: eMinMax, op: c.Name, a: a, b: b, w: a.w, signed: a.signed}), nil
-	case "saturate":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
+	case ast.BuiltinSaturate:
 		to, err := f.constIntArg(c.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		if to < 1 {
-			to = 1
-		}
-		if to > 64 {
-			to = 64
-		}
-		return fold(&expr{kind: eSat, a: a, n: int(to), w: a.w, signed: true}), nil
-	case "sign_extend", "zero_extend":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
+		return fold(&expr{kind: eSat, a: a, n: int(min(max(to, 1), 64)), w: a.w, signed: true}), nil
+	case ast.BuiltinSignExtend, ast.BuiltinZeroExtend:
 		from, err := f.constIntArg(c.Args[1])
 		if err != nil {
 			return nil, err
 		}
-		if from < 1 {
-			from = 1
-		}
-		if from > 64 {
-			from = 64
-		}
 		k, signed := eZext, false
-		if c.Name == "sign_extend" {
+		if c.Builtin == ast.BuiltinSignExtend {
 			k, signed = eSext, true
 		}
-		return fold(&expr{kind: k, a: a, n: int(from), w: 64, signed: signed}), nil
-	case "addsat", "subsat":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := arg(1)
+		return fold(&expr{kind: k, a: a, n: int(min(max(from, 1), 64)), w: 64, signed: signed}), nil
+	case ast.BuiltinAddSat, ast.BuiltinSubSat:
+		b, err := f.compileExpr(c.Args[1])
 		if err != nil {
 			return nil, err
 		}
 		op := "+"
-		if c.Name == "subsat" {
+		if c.Builtin == ast.BuiltinSubSat {
 			op = "-"
 		}
-		w := a.w
-		if b.w > w {
-			w = b.w
-		}
-		return fold(&expr{kind: eAddSat, op: op, a: a, b: b, w: w, signed: true}), nil
-	case "bits":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		a, err := arg(0)
-		if err != nil {
-			return nil, err
-		}
+		return fold(&expr{kind: eAddSat, op: op, a: a, b: b, w: max(a.w, b.w), signed: true}), nil
+	default: // ast.BuiltinBits
 		hi, lo, err := f.constSlice(c.Args[1], c.Args[2])
 		if err != nil {
 			return nil, err
 		}
 		return fold(&expr{kind: eSlice, a: a, hi: hi, n: lo, w: sliceWidth(hi, lo)}), nil
-	case "print":
-		return nil, unsup("print() inside an expression")
 	}
-	return nil, unsup("call to %s inside an expression", c.Name)
 }
 
 // constIntArg folds an argument that the builtins read as a compile-time

@@ -199,6 +199,11 @@ type Operation struct {
 	// IsCodingRoot marks operations whose CODING compares a resource
 	// against the coding tree (paper Example 3).
 	IsCodingRoot bool
+	// ReadsOperands marks operations whose code reads a label or an
+	// operand: only a decoded instance can run one, so unless it is a
+	// coding root (which the simulator decodes when it runs), nothing
+	// activates or calls it by name.
+	ReadsOperands bool
 	// RootResource is the compared resource for coding roots.
 	RootResource *Resource
 }

@@ -269,13 +269,13 @@ func (p *Parser) parsePostfix() ast.Expr {
 			if !p.cur().Is("(") {
 				p.fail(p.cur(), "dotted name %s must be a call", strings.Join(parts, "."))
 			}
-			x = p.parseCallArgs(strings.Join(parts, "."), t.Pos)
+			x = p.parseCallArgs(strings.Join(parts, "."), id.Pos)
 		case t.Is("("):
 			id, ok := x.(*ast.Ident)
 			if !ok {
 				p.fail(t, "call of non-identifier expression")
 			}
-			x = p.parseCallArgs(id.Name, t.Pos)
+			x = p.parseCallArgs(id.Name, id.Pos)
 		default:
 			return x
 		}

@@ -1,8 +1,9 @@
 // Package sema performs semantic analysis of a parsed LISA description and
 // builds the intermediate database (internal/model): name resolution,
 // pipeline-stage assignment, group resolution, compile-time SWITCH/IF
-// flattening into guarded variants, coding-width checking and coding-root
-// detection.
+// flattening into guarded variants, coding-width checking, coding-root
+// detection, and the binding of every name in BEHAVIOR, EXPRESSION and
+// ACTIVATION code (resolve.go).
 package sema
 
 import (
@@ -18,6 +19,10 @@ import (
 type Analyzer struct {
 	m    *model.Model
 	errs []error
+
+	uses     []use                     // name uses checked once every operation is resolved
+	reported map[string]bool           // errorAt's messages, reported once each
+	lvalues  map[*model.Operation]bool // assignable's memo
 }
 
 // Build constructs the intermediate database for a parsed description.
@@ -138,7 +143,7 @@ func (a *Analyzer) buildOperations(d *ast.Description) {
 		a.resolveOperation(op)
 	}
 	a.computeCodingWidths()
-	a.checkActivationTargets()
+	a.resolveCode()
 }
 
 func (a *Analyzer) resolveOperation(op *model.Operation) {
@@ -528,52 +533,6 @@ func (a *Analyzer) computeCodingWidths() {
 			} else if w > op.RootResource.Width {
 				a.errorf("coding root %s: pattern width %d exceeds resource %s width %d",
 					op.Name, w, op.RootResource.Name, op.RootResource.Width)
-			}
-		}
-	}
-}
-
-// checkActivationTargets verifies activation items reference known
-// operations, groups or pipelines.
-func (a *Analyzer) checkActivationTargets() {
-	for _, op := range a.m.OpList {
-		for _, v := range op.Variants {
-			if v.Activation == nil {
-				continue
-			}
-			a.checkActItems(op, v.Activation.Items)
-		}
-	}
-}
-
-func (a *Analyzer) checkActItems(op *model.Operation, items []ast.ActItem) {
-	for _, it := range items {
-		switch item := it.(type) {
-		case *ast.ActRef:
-			a.m.MaxActDelay = max(a.m.MaxActDelay, item.Delay)
-			if _, isGroup := op.Groups[item.Name]; isGroup {
-				continue
-			}
-			if _, isOp := a.m.Ops[item.Name]; isOp {
-				continue
-			}
-			a.errorf("%s: activation in %s references unknown operation or group %s", item.Pos, op.Name, item.Name)
-		case *ast.ActPipeOp:
-			a.m.MaxActDelay = max(a.m.MaxActDelay, item.Delay)
-			p := a.m.Pipeline(item.Pipe)
-			if p == nil {
-				a.errorf("%s: activation in %s uses unknown pipeline %s", item.Pos, op.Name, item.Pipe)
-				continue
-			}
-			if item.Stage != "" && p.StageIndex(item.Stage) < 0 {
-				a.errorf("%s: activation in %s uses unknown stage %s.%s", item.Pos, op.Name, item.Pipe, item.Stage)
-			}
-		case *ast.ActIf:
-			a.checkActItems(op, item.Then)
-			a.checkActItems(op, item.Else)
-		case *ast.ActSwitch:
-			for _, c := range item.Cases {
-				a.checkActItems(op, c.Items)
 			}
 		}
 	}

@@ -76,7 +76,10 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 	if mode.prebinds() {
 		a.shared = behavior.NewCompiledSet()
 		for _, op := range m.OpList {
-			if in := a.static[op]; in != nil {
+			// An operation that reads labels or operands runs only as a
+			// decoded instance (a coding root's static instance stands in
+			// for the one the simulator decodes when it runs the root).
+			if in := a.static[op]; in != nil && (!op.ReadsOperands || op.IsCodingRoot) {
 				a.shared.Precompile(a.buildX, in)
 			}
 		}

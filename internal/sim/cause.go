@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"golisa/internal/model"
 	"golisa/internal/pipeline"
 	"golisa/internal/trace"
 )
@@ -80,21 +79,21 @@ func (s *Simulator) classifyPipeOp(op pipeline.Op, fromBehavior bool) (trace.Cau
 }
 
 // scanGuards walks a guard stack innermost-first and returns the gating
-// resource of the first guard that reads any resource: the first one whose
-// current (scalar) value is nonzero, else the first one mentioned; -1
-// when no guard reads a resource.
-func (s *Simulator) scanGuards(guards [][]*model.Resource) int {
+// resource of the first guard that names any resource: the first one
+// whose current (scalar) value is nonzero, else the first one mentioned;
+// -1 when no guard names a resource.
+func (s *Simulator) scanGuards(guards [][]int) int {
 	for i := len(guards) - 1; i >= 0; i-- {
-		rs := guards[i]
-		if len(rs) == 0 {
+		ids := guards[i]
+		if len(ids) == 0 {
 			continue
 		}
-		for _, r := range rs {
-			if !r.IsMemory() && s.S.Read(r).Bool() {
-				return r.Index
+		for _, id := range ids {
+			if r := s.M.Resources[id]; !r.IsMemory() && s.S.Read(r).Bool() {
+				return id
 			}
 		}
-		return rs[0].Index
+		return ids[0]
 	}
 	return -1
 }

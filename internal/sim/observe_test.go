@@ -201,3 +201,49 @@ func TestObserverDetach(t *testing.T) {
 		t.Errorf("Profile.Retired = 0 after detached run, want > 0")
 	}
 }
+
+// stallLog records the attribution of every stall.
+type stallLog struct {
+	trace.Nop
+	infos []trace.StallInfo
+}
+
+func (l *stallLog) OnStall(i trace.StallInfo) { l.infos = append(l.infos, i) }
+
+// TestStallGuardIgnoresShadowedResource: a guard that reads a local named
+// like a resource reads no resource, so the stall it guards is a control
+// stall, not a data hazard on the shadowed resource.
+func TestStallGuardIgnoresShadowedResource(t *testing.T) {
+	m := buildModel(t, `
+RESOURCE {
+  REGISTER bit[8] busy;
+  PIPELINE pipe = { A; B };
+}
+OPERATION main {
+  BEHAVIOR {
+    int busy = 1;
+    if (busy) { pipe.A.stall(); }
+  }
+  ACTIVATION { pipe.shift() }
+}
+`)
+	for _, mode := range []Mode{Interpretive, Compiled, CompiledPrebound} {
+		s := New(m, mode)
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		log := &stallLog{}
+		s.SetObserver(log)
+		if _, err := s.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if len(log.infos) == 0 {
+			t.Fatalf("%v: no stalls", mode)
+		}
+		for _, i := range log.infos {
+			if i.Cause != trace.CauseControl || i.Resource != -1 {
+				t.Errorf("%v: stall blamed on cause %v, resource %d; want control, -1", mode, i.Cause, i.Resource)
+			}
+		}
+	}
+}

@@ -176,8 +176,8 @@ type Simulator struct {
 
 	// Hazard-attribution context, maintained only while an observer is
 	// attached: the stack of ACTIVATION conditions enclosing the item
-	// currently processed, each as the resources it reads.
-	actGuards [][]*model.Resource
+	// currently processed, each as the ids of the resources it names.
+	actGuards [][]int
 
 	decodeCache map[decodeKey]*model.Instance
 	staticInst  map[*model.Operation]*model.Instance
@@ -645,9 +645,6 @@ func (s *Simulator) decodeRoot(op *model.Operation) (*model.Instance, error) {
 func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActStep, ctx *runItem) error {
 	for i := range steps {
 		st := &steps[i]
-		if st.Err != nil {
-			return st.Err
-		}
 		switch st.Kind {
 		case behavior.ActRun:
 			target := st.Target
@@ -667,23 +664,15 @@ func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActSt
 				p.Apply(spec.op, st.Stage, spec.info)
 			}
 		case behavior.ActIf:
-			cond, err := s.x.ActCond(in, st)
-			if err != nil {
-				return err
-			}
 			branch := st.Then
-			if !cond {
+			if !s.x.ActCond(in, st) {
 				branch = st.Else
 			}
 			if err := s.guarded(in, st.Guard(), branch, ctx); err != nil {
 				return err
 			}
 		case behavior.ActSwitch:
-			chosen, err := s.x.ActChoose(in, st)
-			if err != nil {
-				return err
-			}
-			if chosen != nil {
+			if chosen := s.x.ActChoose(in, st); chosen != nil {
 				if err := s.guarded(in, st.Guard(), chosen, ctx); err != nil {
 					return err
 				}
@@ -696,7 +685,7 @@ func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActSt
 // guarded processes a branch with its condition on the activation guard
 // stack, so stall/flush requests inside attribute to the condition's
 // resources. The stack is kept only while an observer is attached.
-func (s *Simulator) guarded(in *model.Instance, guard []*model.Resource, steps []behavior.ActStep, ctx *runItem) error {
+func (s *Simulator) guarded(in *model.Instance, guard []int, steps []behavior.ActStep, ctx *runItem) error {
 	if s.obs == nil {
 		return s.processActivation(in, steps, ctx)
 	}

@@ -155,7 +155,7 @@ RESOURCE { REGISTER int n; REGISTER bit halt; }
 OPERATION main {
   BEHAVIOR {
     n = n + 1;
-    if (n == 2) { n = nosuch; }
+    if (n == 2) { while (1) { n = n; } }
   }
 }
 `

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"golisa/internal/ast"
 	"golisa/internal/bitvec"
 	"golisa/internal/model"
 	"golisa/internal/pipeline"
@@ -344,6 +345,13 @@ func (s *Simulator) restoreWheelItem(w WheelItemSnap) (runItem, error) {
 // restoreInst rebuilds an instance tree. Unbound instances (no labels, no
 // bindings) reuse the shared static instance so the compiled-behavior
 // cache keeps working across restores.
+//
+// A snapshot is outside input, and the engines read an instance's labels
+// and operands without checking for them, so a tree must be one decoding
+// could have built: an operation whose code reads labels or operands runs
+// unbound only as a coding root (which the simulator decodes), and a bound
+// instance carries every label and operand its variant's CODING binds,
+// each operand an operation that CODING allows there.
 func (s *Simulator) restoreInst(is *InstSnap) (*model.Instance, error) {
 	if is == nil {
 		return nil, fmt.Errorf("snapshot entry without instance")
@@ -353,6 +361,9 @@ func (s *Simulator) restoreInst(is *InstSnap) (*model.Instance, error) {
 		return nil, fmt.Errorf("snapshot references unknown operation %q", is.Op)
 	}
 	if len(is.Labels) == 0 && len(is.Bindings) == 0 {
+		if op.ReadsOperands && !op.IsCodingRoot {
+			return nil, fmt.Errorf("snapshot instance of %s lacks its labels and operands", op.Name)
+		}
 		return s.static(op), nil
 	}
 	in := model.NewInstance(op)
@@ -365,6 +376,26 @@ func (s *Simulator) restoreInst(is *InstSnap) (*model.Instance, error) {
 			return nil, err
 		}
 		in.Bindings[b.Name] = child
+	}
+	if err := in.ResolveVariant(); err != nil {
+		return nil, fmt.Errorf("snapshot instance: %w", err)
+	}
+	if in.Variant.Coding == nil {
+		return in, nil
+	}
+	for _, e := range in.Variant.Coding.Elems {
+		switch el := e.(type) {
+		case *ast.CodingField:
+			if _, ok := in.Labels[el.Label]; !ok {
+				return nil, fmt.Errorf("snapshot instance of %s lacks label %s", op.Name, el.Label)
+			}
+		case *ast.CodingRef:
+			child := in.Bindings[el.Name]
+			g := op.Groups[el.Name]
+			if child == nil || g == nil && child.Op != s.M.Ops[el.Name] || g != nil && g.MemberIndex(child.Op) < 0 {
+				return nil, fmt.Errorf("snapshot instance of %s does not bind operand %s to an operation its CODING allows", op.Name, el.Name)
+			}
+		}
 	}
 	return in, nil
 }

@@ -311,3 +311,44 @@ func TestRestoreRejectsWrongModel(t *testing.T) {
 		t.Fatal("restore accepted a snapshot of a different model")
 	}
 }
+
+// TestRestoreRejectsUnboundInstances: a snapshot is outside input, and the
+// engines read an instance's labels and operands without checking, so
+// Restore rejects an instance tree decoding could not have built.
+func TestRestoreRejectsUnboundInstances(t *testing.T) {
+	c := snapCases()[0]
+	src := newSnapSim(t, c, sim.Compiled)
+	runTo(t, src, 9)
+	// bound returns the first packet entry's instance that has operands.
+	bound := func(snap *sim.Snapshot) *sim.InstSnap {
+		for _, p := range snap.Pipes {
+			for _, pkt := range p.Slots {
+				if pkt == nil {
+					continue
+				}
+				for _, e := range pkt.Entries {
+					if len(e.Inst.Bindings) > 0 {
+						return e.Inst
+					}
+				}
+			}
+		}
+		t.Fatal("no bound instance in flight")
+		return nil
+	}
+	for name, corrupt := range map[string]func(is *sim.InstSnap){
+		"unbound":       func(is *sim.InstSnap) { is.Labels, is.Bindings = nil, nil },
+		"operand lost":  func(is *sim.InstSnap) { is.Bindings = is.Bindings[1:] },
+		"wrong operand": func(is *sim.InstSnap) { is.Bindings[0].Inst = &sim.InstSnap{Op: "nop"} },
+	} {
+		snap := src.Snapshot()
+		corrupt(bound(snap))
+		if err := newSnapSim(t, c, sim.Compiled).Restore(snap); err == nil {
+			t.Errorf("%s: restore accepted the snapshot", name)
+		}
+	}
+	// The uncorrupted snapshot still restores.
+	if err := newSnapSim(t, c, sim.Compiled).Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+}
