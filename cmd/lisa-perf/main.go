@@ -107,14 +107,19 @@ func runMeasureish(sub string, args []string) {
 	}
 	mc, mode := common.Load()
 	mopt := perf.MeasureOptions{Runs: *runs, MaxSteps: common.Max, Note: *note}
+	var cache *gosim.Cache
 	if mode == sim.Generated {
 		// The generated tier's wall passes must time the specialized
 		// runner itself; the counter pass keeps the observer-bearing
 		// classic engine, and step parity between the two is checked by
 		// Measure as always.
-		mopt.WallRunner = generatedRunner(mc, string(src), common.GenCache)
+		cache = gosim.NewCache(common.GenCache)
+		mopt.WallRunner = generatedRunner(mc, string(src), cache)
 	}
 	rec, err := perf.Measure(mc, mode, progName, string(src), mopt)
+	if cache != nil {
+		cache.Close()
+	}
 	cli.Fail(err)
 
 	switch sub {
@@ -145,11 +150,11 @@ func runMeasureish(sub string, args []string) {
 }
 
 // generatedRunner compiles prog for the generated-code tier and returns
-// a WallRunner executing it through a cached native runner (IR fallback
-// when the toolchain is absent). Compile failures are fatal rather than
+// a WallRunner executing it on a warm runner of cache (IR fallback when
+// the toolchain is absent). Compile failures are fatal rather than
 // silently measured on the prebound twin: a "generated" ledger record
 // that actually timed the classic engine would poison every later gate.
-func generatedRunner(mc *core.Machine, src, cacheDir string) func(uint64) (uint64, int64, error) {
+func generatedRunner(mc *core.Machine, src string, cache *gosim.Cache) func(uint64) (uint64, int64, error) {
 	a, err := mc.NewAssembler()
 	cli.Fail(err)
 	prog, err := a.Assemble(src)
@@ -158,7 +163,7 @@ func generatedRunner(mc *core.Machine, src, cacheDir string) func(uint64) (uint6
 	if err != nil {
 		cli.Fail(fmt.Errorf("generated mode: %w", err))
 	}
-	eng := gosim.NewEngine(p, gosim.NewCache(cacheDir), gosim.Options{})
+	eng := gosim.NewEngine(p, cache, gosim.Options{})
 	return func(maxSteps uint64) (uint64, int64, error) {
 		res, err := eng.Run(maxSteps)
 		if err != nil {

@@ -84,8 +84,8 @@ func RootCoding(op *model.Operation) *ast.CodingSec {
 	return nil
 }
 
-// codingOf returns the operation's (non-root) coding section, or nil.
-func codingOf(op *model.Operation) *ast.CodingSec {
+// OpCoding returns the operation's (non-root) coding section, or nil.
+func OpCoding(op *model.Operation) *ast.CodingSec {
 	for _, v := range op.Variants {
 		if v.Coding != nil && v.Coding.CompareTo == "" {
 			return v.Coding
@@ -96,7 +96,7 @@ func codingOf(op *model.Operation) *ast.CodingSec {
 
 // decodeOp matches bits (exactly op.CodingWidth wide) against op's coding.
 func (d *Decoder) decodeOp(op *model.Operation, bits bitvec.Value) (*model.Instance, error) {
-	sec := codingOf(op)
+	sec := OpCoding(op)
 	if sec == nil {
 		return nil, fmt.Errorf("operation %s has no coding", op.Name)
 	}
@@ -281,7 +281,7 @@ func NewEncoder(m *model.Model) *Encoder { return &Encoder{m: m} }
 // plain patterns encode as 0.
 func (e *Encoder) Encode(in *model.Instance) (bitvec.Value, error) {
 	op := in.Op
-	sec := codingOf(op)
+	sec := OpCoding(op)
 	if sec == nil {
 		return bitvec.Value{}, fmt.Errorf("operation %s has no coding", op.Name)
 	}

@@ -94,7 +94,7 @@ func groupUnreachable(m *model.Model, g *model.Group) []Unreachable {
 // constraint. References contribute width but no constraint (their bits
 // may take many values), which makes the member impure.
 func maskOf(m *model.Model, op *model.Operation) memberMask {
-	sec := codingOf(op)
+	sec := OpCoding(op)
 	if sec == nil || op.CodingWidth <= 0 || op.CodingWidth > 64 {
 		return memberMask{}
 	}

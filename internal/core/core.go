@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"golisa/internal/asm"
 	"golisa/internal/model"
@@ -21,6 +22,28 @@ import (
 type Machine struct {
 	Model  *model.Model
 	Source string
+
+	memo sync.Map // Memo's entries, by key
+}
+
+// Memo returns what build returns for key, calling build only the first
+// time key is asked for on this machine; concurrent callers wait for that
+// one call. A tool that derives a per-model artifact from the machine
+// (gosim's leaf handlers) keeps it here, so the artifact lives exactly as
+// long as the machine does.
+func (mc *Machine) Memo(key any, build func() any) any {
+	e, ok := mc.memo.Load(key)
+	if !ok {
+		e, _ = mc.memo.LoadOrStore(key, &memoEntry{})
+	}
+	me := e.(*memoEntry)
+	me.once.Do(func() { me.v = build() })
+	return me.v
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // LoadMachine parses and analyzes LISA source text. The name is used for

@@ -165,9 +165,8 @@ type Summary struct {
 	JobCompiles      uint64 `json:"job_compiles"`
 
 	// Generated-tier accounting: RunnerBuilds counts the `go build`
-	// invocations this batch performed for runner binaries — at most one
-	// per distinct (model, program) pair, zero when every runner was
-	// already cached. GenNative and GenFallback count generated-mode jobs
+	// invocations this batch performed for runner binaries — at most one,
+	// for the model's runner, and zero when it was already cached. GenNative and GenFallback count generated-mode jobs
 	// by how they executed.
 	RunnerBuilds uint64 `json:"runner_builds,omitempty"`
 	GenNative    int    `json:"gen_native,omitempty"`
@@ -290,15 +289,17 @@ func Run(mc *core.Machine, mode sim.Mode, jobs []Job, opt Options) (*Summary, er
 		covMap = cover.NewMap(mc.Model)
 	}
 
-	// Generated tier: compile each distinct program into its specialized
-	// gosim form once; workers share one runner cache, so each (model,
-	// program) pair is `go build`-ed at most once across the whole pool.
-	// Observer-needing options (Analyze/Cover/Chrome) and unsupported
-	// programs stay on the classic prebound artifact path.
+	// Generated tier: compile each distinct program into its gosim form
+	// once; workers share one runner cache, so the model's runner is
+	// `go build`-ed at most once across the whole pool and its processes
+	// stay warm until the batch ends. Observer-needing options
+	// (Analyze/Cover/Chrome) and unsupported programs stay on the classic
+	// prebound artifact path.
 	var genProgs map[string]*gosim.Program
 	var genCache *gosim.Cache
 	if mode == sim.Generated && !opt.Analyze && !opt.Cover && opt.Chrome == nil {
 		genCache = gosim.NewCache(opt.GenCache)
+		defer genCache.Close()
 		genProgs = make(map[string]*gosim.Program, len(progs))
 		genSpan := tr.Start(batchSpan, "gosim-compile")
 		for src, prog := range progs {
@@ -573,9 +574,6 @@ func runGenJob(cache *gosim.Cache, gp *gosim.Program, maxSteps uint64, maxPrints
 	res.Halted = r.Halted
 	res.GenNative = r.Native
 	res.GenFallback = r.Fallback
-	if len(r.Penalty) > 0 {
-		res.Penalty = r.Penalty
-	}
 	for _, msg := range r.Prints {
 		if maxPrints > 0 && len(res.Prints) >= maxPrints {
 			res.PrintsTruncated = true

@@ -2,25 +2,27 @@ package fleet
 
 import (
 	"fmt"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"golisa/internal/sim"
 )
 
 // genProgram mints a distinct simple16 program per seed — distinct in its
-// assembled words, not just its text, because the runner cache is keyed
-// on (model hash, program hash) and two sources encoding the same words
-// share one cache entry.
+// assembled words, not just its text, so that every seed is a new program
+// for the model's one runner.
 func genProgram(seed int) string {
 	return fmt.Sprintf("LDI A1, %d\nLDI A2, 2\nADD A3, A1, A2\nNOP\nHALT\n", seed+1)
 }
 
 // TestFleetGeneratedBuildsOncePerProgram runs a generated-mode batch of
 // many jobs over few distinct programs across a worker pool and asserts
-// the cache built each (model, program) pair exactly once — the counter
-// is the proof, and the -race runs in CI make the once-per-key discipline
-// a data-race check too.
+// the cache built the model's one runner exactly once, whatever the
+// number of programs — the counter is the proof, and the -race runs in CI
+// make the once-per-key discipline a data-race check too.
 func TestFleetGeneratedBuildsOncePerProgram(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
@@ -38,8 +40,8 @@ func TestFleetGeneratedBuildsOncePerProgram(t *testing.T) {
 	if sum.Failed != 0 {
 		t.Fatalf("failed jobs: %+v", sum.Results)
 	}
-	if sum.RunnerBuilds != distinct {
-		t.Errorf("RunnerBuilds = %d, want exactly %d (one per distinct program)", sum.RunnerBuilds, distinct)
+	if sum.RunnerBuilds != 1 {
+		t.Errorf("RunnerBuilds = %d, want exactly 1 (one per model)", sum.RunnerBuilds)
 	}
 	if sum.GenNative != len(jobs) || sum.GenFallback != 0 {
 		t.Errorf("GenNative = %d, GenFallback = %d, want %d native and 0 fallbacks",
@@ -120,4 +122,59 @@ func TestFleetGeneratedMatchesClassic(t *testing.T) {
 				g.Name, g.Steps, g.Halted, c.Steps, c.Halted)
 		}
 	}
+}
+
+// TestFleetGeneratedWarmBatchBuildsNothing runs two batches of distinct
+// programs over one cache directory: the first builds the model's runner
+// once, the second finds it and builds nothing. No runner process may
+// outlive either batch.
+func TestFleetGeneratedWarmBatchBuildsNothing(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	if _, err := os.Stat("/proc/self/exe"); err != nil {
+		t.Skip("no /proc to list runner processes")
+	}
+	mc, _ := loadFIR(t)
+	dir := t.TempDir()
+	for batch, wantBuilds := range []uint64{1, 0} {
+		var jobs []Job
+		for i := 0; i < 6; i++ {
+			jobs = append(jobs, Job{Name: fmt.Sprintf("job%d", i), Source: genProgram(10*batch + i)})
+		}
+		sum, err := Run(mc, sim.Generated, jobs, Options{Workers: 3, GenCache: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Failed != 0 || sum.GenNative != len(jobs) {
+			t.Fatalf("batch %d: failed %d, native %d of %d: %+v", batch, sum.Failed, sum.GenNative, len(jobs), sum.Results)
+		}
+		if sum.RunnerBuilds != wantBuilds {
+			t.Errorf("batch %d: RunnerBuilds = %d, want %d", batch, sum.RunnerBuilds, wantBuilds)
+		}
+		if live := runnersUnder(t, dir); len(live) > 0 {
+			t.Errorf("batch %d: runner processes outlive fleet.Run: %v", batch, live)
+		}
+	}
+}
+
+// runnersUnder lists the live processes whose executable lies under dir.
+func runnersUnder(t *testing.T, dir string) []string {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir("/proc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []string
+	for _, e := range ents {
+		exe, err := os.Readlink(filepath.Join("/proc", e.Name(), "exe"))
+		if err == nil && strings.HasPrefix(exe, dir+string(filepath.Separator)) {
+			live = append(live, e.Name()+": "+exe)
+		}
+	}
+	return live
 }

@@ -2,6 +2,7 @@ package gosim
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"golisa/internal/asm"
@@ -13,18 +14,15 @@ import (
 	"golisa/internal/perf"
 )
 
-// Program is one (model, program) pair translated into the gosim IR: the
-// reset and main behaviors, the per-cycle activation schedule, and one
-// pre-decoded handler per distinct instruction word. It is immutable
-// after Compile and shared freely across Machines, workers and the
-// source emitter.
-type Program struct {
-	Model     *model.Model
-	ModelHash string // perf.HashString over the LISA source
-	ProgHash  string // perf.HashProgram over (origin, words)
-
-	Origin uint64
-	Words  []uint64 // program image, masked to the word width
+// modelIR is the per-model half of the gosim IR: the reset and main
+// behaviors, the per-cycle activation schedule, and one handler per
+// coding leaf. A coding leaf is one path through the coding tree from
+// the dispatch root down, with every group member chosen; its LABEL
+// fields stay open and are read at run time. It is compiled once per
+// core.Machine (see modelOf) and shared by every Program of the model,
+// the closure backend and the runner source.
+type modelIR struct {
+	hash string // perf.HashString over the LISA source
 
 	depth   int // pipeline depth; 1 for unpipelined models
 	pipe    *model.Pipeline
@@ -39,7 +37,10 @@ type Program struct {
 	items  []mainItem
 	shift  bool // main activation carries the pipeline shift
 
-	handlers map[uint64]*wordHandler
+	leaves    []*leaf
+	leafByKey map[string]*leaf // by leafKey
+	nField    int              // most LABEL fields of any leaf
+	dec       *coding.Decoder
 
 	nLoc int // shared local pool size (max over all handlers)
 
@@ -52,6 +53,29 @@ type Program struct {
 
 	rt     *runtimeProg // lazily compiled closure backend (interp.go)
 	rtOnce sync.Once
+
+	srcOnce sync.Once // the runner source, emitted once (emit.go)
+	src     []byte
+	key     string
+	srcErr  error
+}
+
+// Program is one program compiled against its model's IR: the program
+// image plus the decode table that maps each distinct dispatch key to its
+// leaf and LABEL field values. It is immutable after Compile and shared
+// freely across Machines, workers and runner processes.
+type Program struct {
+	*modelIR
+
+	Model *model.Model
+
+	Origin uint64
+	Words  []uint64 // program image, masked to the word width
+
+	decoded map[uint64]*decWord // by dispatch key; nil without a coding root
+
+	reqOnce sync.Once // the runner's program request (proto.go)
+	req     []byte
 }
 
 // mainItem is one ActRef of the main operation's ACTIVATION: an optional
@@ -64,16 +88,16 @@ type mainItem struct {
 	opName string
 }
 
-// wordHandler is the pre-resolved dispatch for one distinct instruction
-// word: the decoded instruction's behaviors, each with its pipeline
-// stage. Words that do not decode keep the decode error and raise it only
-// if the program ever dispatches them (data words are harmless).
-type wordHandler struct {
-	word    uint64
+// leaf is the handler of one coding leaf: the decoded instruction's
+// behaviors, each with its pipeline stage, over the leaf's LABEL fields.
+// A leaf the IR cannot compile keeps the reason; a program with a word
+// that decodes to it fails Compile.
+type leaf struct {
+	id      int
 	name    string
-	errMsg  string // non-empty: dispatching this word is a runtime error
+	nField  int
 	targets []target
-	addrs   []uint64
+	err     error
 }
 
 type target struct {
@@ -82,19 +106,116 @@ type target struct {
 	opName string
 }
 
+// field locates one LABEL of a leaf among the word's field values.
+type field struct {
+	idx int
+	w   int
+}
+
+// decWord is one distinct dispatch key of a program: its leaf and field
+// values, or the decode error raised if the program ever dispatches it
+// (data words are harmless).
+type decWord struct {
+	leaf   *leaf
+	fields []uint64
+	errMsg string
+}
+
+// maxLeaves bounds a model's coding-tree enumeration; a coding tree with
+// more leaves is outside the supported class.
+const maxLeaves = 4096
+
 // Compile translates a decoded program against its model into a gosim
-// Program. Models outside the statically schedulable class (multiple
-// pipelines, data-dependent activation delays, stalls/flushes, behavior
-// constructs the IR cannot express) return an error wrapping
+// Program. The model's IR is compiled on the machine's first Compile and
+// reused after; the program adds only its decode table. Models outside
+// the statically schedulable class (multiple pipelines, data-dependent
+// activation delays, stalls/flushes), and programs with a word that
+// decodes to a leaf the IR cannot express, return an error wrapping
 // ErrUnsupported; callers fall back to the interpretive simulator.
 func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
-	m := mc.Model
+	mir, err := modelOf(mc)
+	if err != nil {
+		return nil, err
+	}
 	p := &Program{
-		Model:     m,
-		ModelHash: perf.HashString(mc.Source),
-		ProgHash:  perf.HashProgram(prog.Origin, prog.Words),
-		Origin:    prog.Origin,
-		handlers:  map[uint64]*wordHandler{},
+		modelIR: mir,
+		Model:   mc.Model,
+		Origin:  prog.Origin,
+	}
+	// Mask the image to the word width once; dispatch keys mask further to
+	// the dispatch register's width, exactly like coding.DecodeRoot.
+	wordW := clampW(prog.Width)
+	p.Words = make([]uint64, len(prog.Words))
+	for i, w := range prog.Words {
+		p.Words[i] = w & maskN(wordW)
+	}
+	if mir.root == nil {
+		return p, nil
+	}
+	// Decode the program's distinct words, plus the all-zeros word the
+	// registers reset to and unloaded memory holds.
+	p.decoded = map[uint64]*decWord{}
+	if err := p.decodeWord(0); err != nil {
+		return nil, err
+	}
+	for _, w := range p.Words {
+		if err := p.decodeWord(w); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// decodeWord adds one word's dispatch key to the decode table.
+func (p *Program) decodeWord(w uint64) error {
+	key := w & maskN(p.dispW)
+	if _, ok := p.decoded[key]; ok {
+		return nil
+	}
+	d := &decWord{}
+	p.decoded[key] = d
+	in, err := p.dec.DecodeRoot(p.root, bitvec.New(key, p.rootRes.Width))
+	if err != nil {
+		d.errMsg = fmt.Sprintf("word %#x does not decode: %v", key, err)
+		return nil
+	}
+	lk, vals := leafKey(in)
+	l := p.leafByKey[lk]
+	if l == nil {
+		return unsup("word %#x decodes to %s, which is no leaf of the coding tree", key, in)
+	}
+	if l.err != nil {
+		return l.err
+	}
+	// Every word carries nField values, so the runner reads a fixed stride.
+	d.leaf, d.fields = l, make([]uint64, p.nField)
+	copy(d.fields, vals)
+	return nil
+}
+
+type modelMemo struct{}
+
+type modelResult struct {
+	mir *modelIR
+	err error
+}
+
+// modelOf returns the machine's model IR, compiling it on first use.
+func modelOf(mc *core.Machine) (*modelIR, error) {
+	r := mc.Memo(modelMemo{}, func() any {
+		mir, err := compileModel(mc)
+		return modelResult{mir, err}
+	}).(modelResult)
+	return r.mir, r.err
+}
+
+// compileModel compiles the model half of the IR: state layout, reset
+// and main behaviors, the activation schedule, and every coding leaf.
+func compileModel(mc *core.Machine) (*modelIR, error) {
+	m := mc.Model
+	p := &modelIR{
+		hash:      perf.HashString(mc.Source),
+		leafByKey: map[string]*leaf{},
 		latchIdx:  map[*model.Resource]int{},
 	}
 
@@ -145,14 +266,6 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 		}
 	}
 
-	// Mask the image to the word width once; handler keys mask further to
-	// the dispatch register's width, exactly like coding.DecodeRoot.
-	wordW := clampW(prog.Width)
-	p.Words = make([]uint64, len(prog.Words))
-	for i, w := range prog.Words {
-		p.Words[i] = w & maskN(wordW)
-	}
-
 	b := &build{m: m, progMem: p.progMem}
 
 	if op, ok := m.Ops["reset"]; ok {
@@ -192,39 +305,29 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 		}
 	}
 
-	// The dispatch root is discovered while compiling fetch-like handlers;
-	// decode the program's distinct words (plus the all-zeros word the
-	// registers reset to) through it.
-	if b.root != nil {
-		if err := p.buildHandlers(b, prog); err != nil {
+	// The dispatch root is discovered while compiling fetch-like handlers.
+	// Main items never run past stage 0 (mainActivation refuses them), so
+	// schedulability is a property of each leaf (buildLeaves).
+	if root := b.root; root != nil {
+		if root.RootResource == nil {
+			return nil, unsup("coding root %s has no compare-to resource", root.Name)
+		}
+		rr := root.RootResource
+		if rr.IsAlias || rr.IsMemory() || rr.Width < 1 {
+			return nil, unsup("dispatch register %s is not a plain scalar", rr.Name)
+		}
+		p.root, p.rootRes, p.dispW = root, rr, rr.Width
+		if p.progMem != nil && p.progMem.Width < p.dispW {
+			p.dispW = p.progMem.Width
+		}
+		if err := p.checkDispatchSafety(b.writes); err != nil {
 			return nil, err
 		}
-	}
-
-	// Schedulability: a target past stage 0 only ever executes because the
-	// main activation shifts the pipeline every cycle.
-	maxStage := 0
-	for _, it := range p.items {
-		if it.stage > maxStage {
-			maxStage = it.stage
+		if err := p.buildLeaves(b); err != nil {
+			return nil, err
 		}
+		p.dec = coding.NewDecoder(m)
 	}
-	for _, h := range p.handlers {
-		for _, t := range h.targets {
-			if t.stage > maxStage {
-				maxStage = t.stage
-			}
-		}
-	}
-	if maxStage > 0 && !p.shift {
-		return nil, unsup("staged activations without an unconditional pipeline shift")
-	}
-
-	if err := p.checkDispatchSafety(b); err != nil {
-		return nil, err
-	}
-
-	p.root = b.root
 	p.nLoc = b.maxLoc
 	return p, nil
 }
@@ -256,7 +359,7 @@ func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*stmt, er
 // mainActivation walks the main operation's ACTIVATION items, compiling
 // each ActRef target under the conjunction of the enclosing ActIf
 // conditions, and recording the unconditional whole-pipeline shift.
-func (p *Program) mainActivation(b *build, main *model.Instance, items []ast.ActItem, cond *expr) error {
+func (p *modelIR) mainActivation(b *build, main *model.Instance, items []ast.ActItem, cond *expr) error {
 	for _, item := range items {
 		switch it := item.(type) {
 		case *ast.ActRef:
@@ -327,7 +430,7 @@ func conj(a, b *expr) *expr {
 
 // compileActCond compiles an ACTIVATION guard expression in the
 // activating instance's context.
-func (p *Program) compileActCond(b *build, in *model.Instance, e ast.Expr) (*expr, error) {
+func (p *modelIR) compileActCond(b *build, in *model.Instance, e ast.Expr) (*expr, error) {
 	nloc := 0
 	f := &fctx{b: b, inst: in, nloc: &nloc}
 	return f.compileExpr(e)
@@ -336,7 +439,7 @@ func (p *Program) compileActCond(b *build, in *model.Instance, e ast.Expr) (*exp
 // targetStage maps an activation target onto the schedule: -1 for
 // unassigned operations (they run in the activating cycle), otherwise the
 // operation's stage in the model's single pipeline.
-func (p *Program) targetStage(op *model.Operation) (int, error) {
+func (p *modelIR) targetStage(op *model.Operation) (int, error) {
 	if op.Pipe == nil {
 		return -1, nil
 	}
@@ -349,66 +452,169 @@ func (p *Program) targetStage(op *model.Operation) (int, error) {
 	return op.StageIdx, nil
 }
 
-// buildHandlers pre-decodes every distinct program word (plus zero, the
-// reset value of the dispatch register) through the coding root and
-// compiles each decoded instruction, resolving the coding tree entirely
-// at generation time.
-func (p *Program) buildHandlers(b *build, prog *asm.Program) error {
-	root := b.root
-	if root.RootResource == nil {
-		return unsup("coding root %s has no compare-to resource", root.Name)
+// buildLeaves enumerates the coding tree below the dispatch root and
+// compiles one handler per leaf. A leaf that fails to compile, or that
+// breaks schedulability or dispatch safety, keeps its error instead of
+// failing the model: only programs that contain it are unsupported.
+func (p *modelIR) buildLeaves(b *build) error {
+	sec := coding.RootCoding(p.root)
+	if sec == nil {
+		return nil // no word decodes; DecodeRoot reports why per word
 	}
-	rr := root.RootResource
-	if rr.IsAlias || rr.IsMemory() || rr.Width < 1 {
-		return unsup("dispatch register %s is not a plain scalar", rr.Name)
-	}
-	p.rootRes = rr
-	p.dispW = rr.Width
-	if p.progMem != nil && p.progMem.Width < p.dispW {
-		p.dispW = p.progMem.Width
-	}
-
-	dec := coding.NewDecoder(b.m)
-	addWord := func(raw uint64, addr uint64, known bool) error {
-		key := raw & maskN(p.dispW)
-		if h, ok := p.handlers[key]; ok {
-			if known {
-				h.addrs = append(h.addrs, addr)
-			}
-			return nil
-		}
-		h := &wordHandler{word: key}
-		if known {
-			h.addrs = append(h.addrs, addr)
-		}
-		p.handlers[key] = h
-		in, err := dec.DecodeRoot(root, bitvec.New(key, rr.Width))
-		if err != nil {
-			h.errMsg = fmt.Sprintf("word %#x does not decode: %v", key, err)
-			return nil
-		}
-		return p.compileDispatch(b, h, in)
-	}
-	if err := addWord(0, 0, false); err != nil {
+	shapes, err := leafShapes(b.m, p.root, sec.Elems, nil)
+	if err != nil {
 		return err
 	}
-	for i, w := range p.Words {
-		if err := addWord(w, p.Origin+uint64(i), true); err != nil {
-			return err
+	for _, in := range shapes {
+		l := &leaf{id: len(p.leaves)}
+		b.fields = map[*model.Instance]map[string]field{}
+		key := walkCoding(in, func(n *model.Instance, label string, w int) {
+			fs := b.fields[n]
+			if fs == nil {
+				fs = map[string]field{}
+				b.fields[n] = fs
+			}
+			fd, ok := fs[label]
+			if !ok {
+				fd.idx = l.nField
+				l.nField++
+			}
+			fd.w = w // the decoder keeps a repeated label's last field
+			fs[label] = fd
+		})
+		b.writes = nil
+		l.err = p.compileLeaf(b, l, in)
+		if l.err == nil {
+			l.err = p.checkDispatchSafety(b.writes)
 		}
+		p.nField = max(p.nField, l.nField)
+		p.leaves = append(p.leaves, l)
+		p.leafByKey[key] = l
 	}
+	b.fields = nil
 	return nil
 }
 
-// compileDispatch turns one decoded instance tree into a handler: the
-// root's ACTIVATION names the bound instruction(s), each compiled in its
-// own binding context at its own stage.
-func (p *Program) compileDispatch(b *build, h *wordHandler, in *model.Instance) error {
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return unsup("decode %#x: %v", h.word, err)
+// leafShapes returns one fresh instance tree of op per combination of
+// coding choices below it: every member of every referenced group, in
+// declaration order, with variants resolved as the decoder resolves them.
+// Combinations whose variant does not resolve never decode and are left
+// out.
+func leafShapes(m *model.Model, op *model.Operation, elems []ast.CodingElem, stack []*model.Operation) ([]*model.Instance, error) {
+	for _, o := range stack {
+		if o == op {
+			return nil, unsup("recursive coding through %s", op.Name)
 		}
 	}
+	stack = append(stack, op)
+	out := []*model.Instance{model.NewInstance(op)}
+	for _, el := range elems {
+		ref, ok := el.(*ast.CodingRef)
+		if !ok {
+			continue
+		}
+		var members []*model.Operation
+		if g, ok := op.Groups[ref.Name]; ok {
+			members = g.Members
+		} else if r := m.Ops[ref.Name]; r != nil {
+			members = []*model.Operation{r}
+		}
+		var alts []*model.Instance
+		for _, mem := range members {
+			sec := coding.OpCoding(mem)
+			if sec == nil {
+				continue // the decoder cannot match it
+			}
+			s, err := leafShapes(m, mem, sec.Elems, stack)
+			if err != nil {
+				return nil, err
+			}
+			alts = append(alts, s...)
+		}
+		if len(out)*len(alts) > maxLeaves {
+			return nil, unsup("coding tree below %s has more than %d leaves", op.Name, maxLeaves)
+		}
+		next := make([]*model.Instance, 0, len(out)*len(alts))
+		for _, in := range out {
+			for _, a := range alts {
+				cp := cloneTree(in)
+				cp.Bindings[ref.Name] = cloneTree(a)
+				next = append(next, cp)
+			}
+		}
+		out = next
+	}
+	kept := out[:0]
+	for _, in := range out {
+		if in.ResolveVariant() == nil {
+			kept = append(kept, in)
+		}
+	}
+	return kept, nil
+}
+
+// cloneTree deep-copies an instance tree's nodes, so that every leaf
+// shape owns its nodes and their LABEL fields.
+func cloneTree(in *model.Instance) *model.Instance {
+	cp := model.NewInstance(in.Op)
+	cp.Variant = in.Variant
+	for k, c := range in.Bindings {
+		cp.Bindings[k] = cloneTree(c)
+	}
+	return cp
+}
+
+// walkCoding visits a root instance's coding tree depth-first in coding
+// order, calling field for every LABEL field, and returns the leaf key:
+// the chosen operation at every reference. A decoded word and the leaf
+// shape it selects go through this one walk, so they agree on the key
+// and on the field order.
+func walkCoding(root *model.Instance, fieldFn func(in *model.Instance, label string, w int)) string {
+	var key []byte
+	var walk func(in *model.Instance, sec *ast.CodingSec)
+	walk = func(in *model.Instance, sec *ast.CodingSec) {
+		if sec == nil {
+			return
+		}
+		for _, e := range sec.Elems {
+			switch el := e.(type) {
+			case *ast.CodingField:
+				fieldFn(in, el.Label, len(el.Bits))
+			case *ast.CodingRef:
+				if child := in.Bindings[el.Name]; child != nil {
+					key = strconv.AppendInt(key, int64(child.Op.Index), 10)
+					key = append(key, '.')
+					walk(child, coding.OpCoding(child.Op))
+				}
+			}
+		}
+	}
+	walk(root, coding.RootCoding(root.Op))
+	return string(key)
+}
+
+// leafKey returns a decoded instance tree's leaf key and its LABEL field
+// values in leaf field order.
+func leafKey(in *model.Instance) (string, []uint64) {
+	type fieldID struct {
+		in    *model.Instance
+		label string
+	}
+	seen := map[fieldID]bool{}
+	var vals []uint64
+	key := walkCoding(in, func(n *model.Instance, label string, _ int) {
+		if id := (fieldID{n, label}); !seen[id] {
+			seen[id] = true
+			vals = append(vals, n.Labels[label].Uint())
+		}
+	})
+	return key, vals
+}
+
+// compileLeaf turns one leaf shape into a handler: the root's ACTIVATION
+// names the bound instruction(s), each compiled in its own binding
+// context at its own stage.
+func (p *modelIR) compileLeaf(b *build, l *leaf, in *model.Instance) error {
 	if in.Variant.Behavior != nil {
 		return unsup("coding root %s has a BEHAVIOR section", in.Op.Name)
 	}
@@ -439,35 +645,39 @@ func (p *Program) compileDispatch(b *build, h *wordHandler, in *model.Instance) 
 		if err != nil {
 			return err
 		}
+		// A target past stage 0 only ever executes because the main
+		// activation shifts the pipeline every cycle.
+		if stage > 0 && !p.shift {
+			return unsup("staged activations without an unconditional pipeline shift")
+		}
 		// Instruction handlers never dispatch themselves: chained decode
 		// would put a second packet in flight per cycle.
 		body, err := compileHandler(b, child, false)
 		if err != nil {
 			return err
 		}
-		h.targets = append(h.targets, target{stage: stage, body: body, opName: child.Op.Name})
-		if h.name == "" {
-			h.name = child.Op.Name
+		l.targets = append(l.targets, target{stage: stage, body: body, opName: child.Op.Name})
+		if l.name == "" {
+			l.name = child.Op.Name
 		}
 	}
 	return nil
 }
 
-// checkDispatchSafety proves the generation-time dispatch resolution
-// sound: the dispatch register only ever holds program-memory words
-// (which the handler table covers exhaustively, zero included), because
-// program memory is never written and every assignment to the register
-// copies a program-memory element verbatim.
-func (p *Program) checkDispatchSafety(b *build) error {
-	if b.root == nil {
-		return nil
-	}
+// checkDispatchSafety proves the decode table sound for a set of
+// compiled writes: the dispatch register only ever holds program-memory
+// words (which every program's decode table covers exhaustively, zero
+// included), because program memory is never written and every
+// assignment to the register copies a program-memory element verbatim.
+// The same proof lets the native runner leave program memory out of the
+// state it reports.
+func (p *modelIR) checkDispatchSafety(writes []writeRec) error {
 	// Notes: a latched dispatch register stays safe (decode reads the
 	// committed value, which still only ever holds program words), and a
 	// register narrower than the word is handled by masking the dispatch
 	// keys to dispW.
 	rr := p.rootRes
-	for _, w := range b.writes {
+	for _, w := range writes {
 		switch w.lv.kind {
 		case lLocal:
 			continue

@@ -3,34 +3,49 @@ package gosim
 import (
 	"fmt"
 	"go/format"
-	"sort"
 	"strconv"
 	"strings"
+
+	"golisa/internal/model"
+	"golisa/internal/perf"
 )
 
-// EmitSource renders the Program into a self-contained single-file Go
-// main package: the runner. Architectural state becomes package-level
-// variables (s_<name> scalars, m_<name> memories), every distinct
-// instruction word becomes one function per activation target with the
-// coding tree resolved into a switch, and the ACTIVATION schedule becomes
-// a static step() function. The runner self-times its step loop and
-// reports everything over the NDJSON protocol (see gosim.go).
+// EmitSource returns the model's runner: a self-contained single-file Go
+// main package that serves any program of the model. Architectural state
+// becomes package-level variables (s_<name> scalars, m_<name> memories),
+// every coding leaf becomes one function per activation target over the
+// leaf's LABEL fields, and the ACTIVATION schedule becomes a static
+// step() function. The runner reads each run's program image and decode
+// table from stdin, resets all of its state, self-times its step loop,
+// and replies over the NDJSON protocol (proto.go).
 //
-// The file header carries the address table: the paper's one-function-
-// per-address scheme, collapsed so addresses holding the same word share
-// one function (the functions are keyed by word, the table by address).
+// The source depends on the model alone: it is emitted once per model
+// and shared by every Program of it.
 func (p *Program) EmitSource() ([]byte, error) {
-	g := &gen{p: p}
-	g.file()
-	src, err := format.Source([]byte(g.b.String()))
-	if err != nil {
-		return nil, fmt.Errorf("gosim: emitted source does not format (emitter bug): %w", err)
-	}
-	return src, nil
+	src, _, err := p.source()
+	return src, err
+}
+
+// source emits the runner once and names it: the key is the hash of
+// everything above the final runnerKey line, which the runner reports in
+// its handshake.
+func (p *modelIR) source() ([]byte, string, error) {
+	p.srcOnce.Do(func() {
+		g := &gen{p: p}
+		g.file()
+		body, err := format.Source([]byte(g.b.String()))
+		if err != nil {
+			p.srcErr = fmt.Errorf("gosim: emitted source does not format (emitter bug): %w", err)
+			return
+		}
+		p.key = perf.HashString(string(body))
+		p.src = fmt.Appendf(body, "\n// runnerKey names this runner: the hash of the source above.\nconst runnerKey = %q\n", p.key)
+	})
+	return p.src, p.key, p.srcErr
 }
 
 type gen struct {
-	p *Program
+	p *modelIR
 	b strings.Builder
 }
 
@@ -45,23 +60,12 @@ func (g *gen) raw(s string) {
 	g.b.WriteByte('\n')
 }
 
-// sortedHandlers returns the handler set in ascending word order, for
-// deterministic output.
-func (g *gen) sortedHandlers() []*wordHandler {
-	hs := make([]*wordHandler, 0, len(g.p.handlers))
-	for _, h := range g.p.handlers {
-		hs = append(hs, h)
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i].word < hs[j].word })
-	return hs
-}
-
 // hasRing reports whether any activation target is staged past 0 (the
 // ring machinery is emitted only then).
 func (g *gen) hasRing() bool {
-	for _, h := range g.p.handlers {
-		for _, t := range h.targets {
-			if t.stage > 0 {
+	for _, l := range g.p.leaves {
+		for _, t := range l.targets {
+			if l.err == nil && t.stage > 0 {
 				return true
 			}
 		}
@@ -69,45 +73,40 @@ func (g *gen) hasRing() bool {
 	return false
 }
 
+// traced reports whether the protocol reports a memory's state: every
+// memory but program memory, which no behavior writes.
+func (g *gen) traced(r *model.Resource) bool { return r != nil && r != g.p.progMem }
+
 func (g *gen) file() {
 	p := g.p
 	g.pf("// Code generated by golisa's gosim compiler. DO NOT EDIT.")
 	g.pf("//")
-	g.pf("// model %s (hash %s), program hash %s", p.Model.Name, p.ModelHash, p.ProgHash)
-	g.pf("// %d words at %#x, pipeline depth %d", len(p.Words), p.Origin, p.depth)
+	g.pf("// runner for model hash %s: %d coding leaves, pipeline depth %d", p.hash, len(p.leaves), p.depth)
 	g.pf("//")
-	g.pf("// address table (address: word -> handler):")
-	for i, w := range p.Words {
-		key := w & maskN(p.dispW)
-		name := "(data)"
-		if h, ok := p.handlers[key]; ok {
-			switch {
-			case h.errMsg != "":
-				name = "(does not decode)"
-			case h.name != "":
-				name = fmt.Sprintf("w_%x (%s)", h.word, h.name)
-			default:
-				name = fmt.Sprintf("w_%x", h.word)
-			}
+	g.pf("// leaves (id: instruction, LABEL fields):")
+	for _, l := range p.leaves {
+		switch {
+		case l.err != nil:
+			g.pf("//   %d: unsupported: %v", l.id, l.err)
+		default:
+			g.pf("//   %d: %s, %d fields", l.id, l.name, l.nField)
 		}
-		g.pf("//   %#06x: %#x -> %s", p.Origin+uint64(i), w, name)
 	}
 	g.pf("package main")
 	g.pf("")
 	g.pf("import (")
 	g.pf("\t\"bufio\"")
 	g.pf("\t\"encoding/json\"")
-	g.pf("\t\"flag\"")
 	g.pf("\t\"fmt\"")
 	g.pf("\t\"os\"")
 	g.pf("\t\"strconv\"")
+	g.pf("\t\"strings\"")
 	g.pf("\t\"time\"")
 	g.pf(")")
 	g.pf("")
 	g.pf("const (")
-	g.pf("\tmodelHash = %q", p.ModelHash)
-	g.pf("\tprogHash  = %q", p.ProgHash)
-	g.pf("\torigin    = %#x", p.Origin)
+	g.pf("\tmodelHash = %q", p.hash)
+	g.pf("\tnField    = %d", p.nField)
 	if g.hasRing() {
 		g.pf("\tdepth = %d", p.depth)
 	}
@@ -138,6 +137,9 @@ func (g *gen) state() {
 		if r != nil {
 			g.pf("\tm_%s [%d]uint64 // %d bits each", r.Name, r.Total(), r.Width)
 		}
+		if g.traced(r) {
+			g.pf("\tsh_%s [%d]uint64 // m_%s as the trace last reported it", r.Name, r.Total(), r.Name)
+		}
 	}
 	for _, r := range p.latches {
 		g.pf("\tpv_%s uint64", r.Name)
@@ -148,39 +150,71 @@ func (g *gen) state() {
 	}
 	g.pf(")")
 	g.pf("")
-	g.pf("var image = [...]uint64{")
-	for i := 0; i < len(p.Words); i += 8 {
-		end := i + 8
-		if end > len(p.Words) {
-			end = len(p.Words)
+	g.raw(`// dw is one decoded program word: its LABEL fields and the scheduler of
+// its leaf, or of the error dispatching it raises.
+type dw struct {
+	f     [nField]uint64
+	sched func(*dw)
+	err   string
+}
+
+func failWord(d *dw) { fail(d.err) }
+
+// ent is one scheduled activation and the word that scheduled it.
+type ent struct {
+	st int
+	fn func(*dw)
+	d  *dw
+}
+
+var (
+	now     []ent
+	cycle   uint64
+	runErr  string
+	prints  []string
+)
+
+// The decode table: open addressing over the dispatch keys, at most half
+// full, so a lookup costs a multiply and about one probe.
+var (
+	tabK     []uint64
+	tabD     []*dw
+	tabShift uint
+)
+
+func lookup(k uint64) *dw {
+	mask := uint64(len(tabD) - 1)
+	for i := (k * 0x9e3779b97f4a7c15) >> tabShift; ; i = (i + 1) & mask {
+		if d := tabD[i]; d == nil || tabK[i] == k {
+			return d
 		}
-		parts := make([]string, 0, 8)
-		for _, w := range p.Words[i:end] {
-			parts = append(parts, fmt.Sprintf("%#x", w))
-		}
-		g.pf("\t%s,", strings.Join(parts, ", "))
 	}
-	g.pf("}")
-	g.pf("")
-	g.pf("var (")
-	g.pf("\tnow    []func()")
-	g.pf("\tcycle  uint64")
-	g.pf("\trunErr string")
-	g.pf("\tprints []string")
-	g.pf("\tenc    *json.Encoder")
-	g.pf(")")
+}
+
+// newTable makes an empty decode table for n keys.
+func newTable(n int) {
+	size, shift := 2, uint(63)
+	for size < 2*n {
+		size, shift = size*2, shift-1
+	}
+	tabK, tabD, tabShift = make([]uint64, size), make([]*dw, size), shift
+}
+
+func insert(k uint64, d *dw) {
+	mask := uint64(len(tabD) - 1)
+	i := (k * 0x9e3779b97f4a7c15) >> tabShift
+	for tabD[i] != nil && tabK[i] != k {
+		i = (i + 1) & mask
+	}
+	tabK[i], tabD[i] = k, d
+}`)
 	if g.hasRing() {
-		g.pf("")
-		g.pf("type ent struct {")
-		g.pf("\tst int")
-		g.pf("\tfn func()")
-		g.pf("}")
 		g.pf("")
 		g.pf("var ring [depth][]ent")
 		g.pf("")
-		g.pf("func push(st int, fn func()) {")
+		g.pf("func push(st int, fn func(*dw), d *dw) {")
 		g.pf("\ts := (cycle + uint64(st)) %% depth")
-		g.pf("\tring[s] = append(ring[s], ent{st, fn})")
+		g.pf("\tring[s] = append(ring[s], ent{st, fn, d})")
 		g.pf("}")
 	}
 }
@@ -385,7 +419,12 @@ func (g *gen) memHelpers() {
 	}
 }
 
-// stateDump emits the slot-indexed state snapshots the protocol reports.
+// stateDump emits the slot-indexed state the protocol reports: every
+// scalar, and per memory either its nonzero elements (the result) or
+// the elements that changed since the last trace line, as (index,
+// value) pairs. Program memory is the host's own image and is never
+// reported. The trace compares against a shadow copy, so the memory
+// writes on the step loop's path stay as small as an untraced run needs.
 func (g *gen) stateDump() {
 	p := g.p
 	g.pf("")
@@ -400,17 +439,45 @@ func (g *gen) stateDump() {
 	}
 	g.pf("\treturn []uint64{%s}", strings.Join(parts, ", "))
 	g.pf("}")
-	g.pf("")
-	g.pf("func arrays() [][]uint64 {")
-	aparts := make([]string, len(p.arrays))
-	for i, r := range p.arrays {
-		if r == nil {
-			aparts[i] = "nil"
-		} else {
-			aparts[i] = "m_" + r.Name + "[:]"
+	g.raw(`
+func nonzero(m []uint64) []uint64 {
+	var out []uint64
+	for i, v := range m {
+		if v != 0 {
+			out = append(out, uint64(i), v)
 		}
 	}
-	g.pf("\treturn [][]uint64{%s}", strings.Join(aparts, ", "))
+	return out
+}
+
+// changed returns m's elements that differ from its shadow sh, and
+// brings sh up to date.
+func changed(m, sh []uint64) []uint64 {
+	var out []uint64
+	for i, v := range m {
+		if v != sh[i] {
+			out = append(out, uint64(i), v)
+			sh[i] = v
+		}
+	}
+	return out
+}`)
+	dump := make([]string, len(p.arrays))
+	delta := make([]string, len(p.arrays))
+	for i, r := range p.arrays {
+		dump[i], delta[i] = "nil", "nil"
+		if g.traced(r) {
+			dump[i] = "nonzero(m_" + r.Name + "[:])"
+			delta[i] = "changed(m_" + r.Name + "[:], sh_" + r.Name + "[:])"
+		}
+	}
+	g.pf("")
+	g.pf("func memDump() [][]uint64 {")
+	g.pf("\treturn [][]uint64{%s}", strings.Join(dump, ", "))
+	g.pf("}")
+	g.pf("")
+	g.pf("func memDelta() [][]uint64 {")
+	g.pf("\treturn [][]uint64{%s}", strings.Join(delta, ", "))
 	g.pf("}")
 	if len(p.latches) > 0 {
 		g.pf("")
@@ -432,37 +499,60 @@ func (g *gen) commitCall() string {
 	return ""
 }
 
-// resetFn emits the reset behavior plus the program-image load.
+// resetFn emits the per-run reset: every variable back to zero, then
+// the model's reset behavior (latch writes take effect immediately).
 func (g *gen) resetFn() {
 	p := g.p
 	g.pf("")
 	g.pf("func resetSim() {")
+	for _, r := range p.scalars {
+		if r != nil {
+			g.pf("\ts_%s = 0", r.Name)
+		}
+	}
+	for _, r := range p.arrays {
+		if r != nil {
+			g.pf("\tclear(m_%s[:])", r.Name)
+		}
+		if g.traced(r) {
+			g.pf("\tclear(sh_%s[:])", r.Name)
+		}
+	}
+	for _, r := range p.latches {
+		g.pf("\tps_%s = false", r.Name)
+	}
+	g.pf("\tnow = now[:0]")
+	if g.hasRing() {
+		g.pf("\tfor i := range ring {")
+		g.pf("\t\tring[i] = ring[i][:0]")
+		g.pf("\t}")
+	}
+	g.pf("\tcycle, runErr, prints = 0, \"\", prints[:0]")
 	g.stmts(p.resetB, 1)
 	if c := g.commitCall(); c != "" {
 		g.pf("\t%s", c)
 	}
-	if p.progMem != nil {
-		g.pf("\tfor i, w := range image {")
-		g.pf("\t\twr_%s(origin+uint64(i), w)", p.progMem.Name)
-		g.pf("\t}")
-	}
 	g.pf("}")
 }
 
-// handlerFns emits one function per activation target: the main items
-// and every decoded word's behaviors.
+// handlerFns emits one function per activation target (the main items
+// and every leaf's behaviors) and one scheduler per leaf, indexed by
+// leaf id in the leaves table.
 func (g *gen) handlerFns() {
 	for i, it := range g.p.items {
 		if len(it.body) == 0 {
 			continue
 		}
 		g.pf("")
-		g.pf("func it_%d() { // main -> %s", i, it.opName)
+		g.pf("func it_%d(*dw) { // main -> %s", i, it.opName)
 		g.stmts(it.body, 1)
 		g.pf("}")
 	}
-	for _, h := range g.sortedHandlers() {
-		for i, t := range h.targets {
+	for _, l := range g.p.leaves {
+		if l.err != nil {
+			continue
+		}
+		for i, t := range l.targets {
 			if len(t.body) == 0 {
 				continue
 			}
@@ -471,49 +561,53 @@ func (g *gen) handlerFns() {
 			if t.stage > 0 {
 				stage = fmt.Sprintf("stage %d", t.stage)
 			}
-			g.pf("func w_%x_%d() { // %s, %s", h.word, i, t.opName, stage)
+			g.pf("func l%d_%d(d *dw) { // %s, %s", l.id, i, t.opName, stage)
 			g.stmts(t.body, 1)
 			g.pf("}")
 		}
+		g.pf("")
+		g.pf("func s%d(d *dw) {", l.id)
+		for i, t := range l.targets {
+			if len(t.body) == 0 {
+				continue
+			}
+			if t.stage > 0 {
+				g.pf("\tpush(%d, l%d_%d, d)", t.stage, l.id, i)
+			} else {
+				g.pf("\tnow = append(now, ent{0, l%d_%d, d})", l.id, i)
+			}
+		}
+		g.pf("}")
 	}
+	g.pf("")
+	g.pf("// leaves schedules each leaf's handlers, by leaf id; nil for leaves")
+	g.pf("// the IR cannot compile, which no request names.")
+	g.pf("var leaves = [...]func(*dw){")
+	for _, l := range g.p.leaves {
+		if l.err != nil {
+			g.pf("\tnil,")
+		} else {
+			g.pf("\ts%d,", l.id)
+		}
+	}
+	g.pf("}")
 }
 
-// dispatchFn emits the coding tree resolved into a switch over the
-// pre-decoded words.
+// dispatchFn emits the decode-table lookup of the dispatch register.
 func (g *gen) dispatchFn() {
 	p := g.p
-	if p.rootRes == nil {
+	if p.root == nil {
 		return
 	}
 	g.pf("")
 	g.pf("func dispatch() {")
 	g.pf("\tk := s_%s & %#x", p.rootRes.Name, maskN(p.dispW))
-	g.pf("\tswitch k {")
-	for _, h := range g.sortedHandlers() {
-		g.pf("\tcase %#x:", h.word)
-		if h.errMsg != "" {
-			g.pf("\t\tfail(%q)", h.errMsg)
-			continue
-		}
-		if len(h.targets) == 0 {
-			g.pf("\t\t// %s: no activation", h.name)
-			continue
-		}
-		for i, t := range h.targets {
-			if len(t.body) == 0 {
-				continue
-			}
-			if t.stage > 0 {
-				g.pf("\t\tpush(%d, w_%x_%d)", t.stage, h.word, i)
-			} else {
-				g.pf("\t\tnow = append(now, w_%x_%d)", h.word, i)
-			}
-		}
+	g.raw(`	if d := lookup(k); d != nil {
+		d.sched(d)
+	} else {
+		fail(fmt.Sprintf("dispatch of unknown word %#x", k))
 	}
-	g.pf("\tdefault:")
-	g.pf("\t\tfail(fmt.Sprintf(\"dispatch of unknown word %%#x\", k))")
-	g.pf("\t}")
-	g.pf("}")
+}`)
 }
 
 // stepFn emits one control step: main behavior, activation items, the
@@ -530,14 +624,14 @@ func (g *gen) stepFn() {
 		}
 		if it.cond != nil {
 			g.pf("\tif (%s) != 0 {", g.expr(it.cond))
-			g.pf("\t\tnow = append(now, it_%d)", i)
+			g.pf("\t\tnow = append(now, ent{0, it_%d, nil})", i)
 			g.pf("\t}")
 		} else {
-			g.pf("\tnow = append(now, it_%d)", i)
+			g.pf("\tnow = append(now, ent{0, it_%d, nil})", i)
 		}
 	}
 	g.pf("\tfor i := 0; i < len(now); i++ {")
-	g.pf("\t\tnow[i]()")
+	g.pf("\t\tnow[i].fn(now[i].d)")
 	g.pf("\t}")
 	g.pf("\tnow = now[:0]")
 	if g.hasRing() {
@@ -546,7 +640,7 @@ func (g *gen) stepFn() {
 		g.pf("\tfor st := 1; st < depth; st++ {")
 		g.pf("\t\tfor _, en := range slot {")
 		g.pf("\t\t\tif en.st == st {")
-		g.pf("\t\t\t\ten.fn()")
+		g.pf("\t\t\t\ten.fn(en.d)")
 		g.pf("\t\t\t}")
 		g.pf("\t\t}")
 		g.pf("\t}")
@@ -559,91 +653,180 @@ func (g *gen) stepFn() {
 	g.pf("}")
 }
 
-// mainFn emits the protocol driver: flags, the self-timed run loop, and
-// the NDJSON result.
+// mainFn emits the protocol loop: the handshake, then one run per
+// request line — load, self-timed step loop, reply — until stdin closes.
 func (g *gen) mainFn() {
 	p := g.p
 	g.pf("")
-	g.raw(`type hline struct {
-	T     string ` + "`json:\"t\"`" + `
-	Model string ` + "`json:\"model\"`" + `
-	Prog  string ` + "`json:\"prog\"`" + `
+	g.raw(`// req reads a request line: decimal numbers and Go-quoted strings,
+// separated by spaces.
+type req struct {
+	s   string
+	bad bool
 }
 
-type cline struct {
-	T   string     ` + "`json:\"t\"`" + `
-	N   uint64     ` + "`json:\"n\"`" + `
-	Sc  []uint64   ` + "`json:\"sc\"`" + `
-	Arr [][]uint64 ` + "`json:\"arr\"`" + `
+func (r *req) skip() {
+	for len(r.s) > 0 && r.s[0] == ' ' {
+		r.s = r.s[1:]
+	}
 }
 
-type pline struct {
-	T string ` + "`json:\"t\"`" + `
-	S string ` + "`json:\"s\"`" + `
+func (r *req) num() uint64 {
+	r.skip()
+	i := strings.IndexByte(r.s, ' ')
+	if i < 0 {
+		i = len(r.s)
+	}
+	v, err := strconv.ParseUint(r.s[:i], 10, 64)
+	r.s = r.s[i:]
+	r.bad = r.bad || err != nil
+	return v
 }
 
-type rline struct {
-	T      string            ` + "`json:\"t\"`" + `
-	Steps  uint64            ` + "`json:\"steps\"`" + `
-	Halted bool              ` + "`json:\"halted\"`" + `
-	WallNs int64             ` + "`json:\"wall_ns\"`" + `
-	Sc     []uint64          ` + "`json:\"sc\"`" + `
-	Arr    [][]uint64        ` + "`json:\"arr\"`" + `
-	Pen    map[string]uint64 ` + "`json:\"penalty\"`" + `
+// count reads a list length, which cannot exceed the rest of the line.
+func (r *req) count() int {
+	n := r.num()
+	if n > uint64(len(r.s)) {
+		r.bad, n = true, 0
+	}
+	return int(n)
 }
 
-type eline struct {
-	T     string ` + "`json:\"t\"`" + `
-	Msg   string ` + "`json:\"msg\"`" + `
-	Steps uint64 ` + "`json:\"steps\"`" + `
+func (r *req) str() string {
+	r.skip()
+	q, err := strconv.QuotedPrefix(r.s)
+	if err != nil {
+		r.bad = true
+		return ""
+	}
+	r.s = r.s[len(q):]
+	s, _ := strconv.Unquote(q)
+	return s
 }
 
-func emitCycle() {
-	_ = enc.Encode(cline{"c", cycle, scalars(), arrays()})
-}`)
-	g.pf("")
-	g.pf("func main() {")
-	g.pf("\tmaxF := flag.Uint64(\"max\", 1000000, \"maximum control steps\")")
-	g.pf("\ttraceF := flag.Bool(\"trace\", false, \"emit per-cycle architectural state\")")
-	g.pf("\tflag.Parse()")
-	g.pf("\tout := bufio.NewWriter(os.Stdout)")
-	g.pf("\tenc = json.NewEncoder(out)")
-	g.pf("\t_ = enc.Encode(hline{\"h\", modelHash, progHash})")
-	g.pf("\tresetSim()")
-	g.pf("\tmax, tr := *maxF, *traceF")
-	g.pf("\tvar steps uint64")
-	g.pf("\tstart := time.Now()")
-	g.pf("\tfor steps < max {")
+// load resets the machine and installs one request's program: the image
+// in program memory and the decode table of its distinct words. It
+// returns the step limit and the trace switch.
+func load(line string) (uint64, bool, bool) {
+	r := &req{s: strings.TrimSuffix(line, "\n")}
+	max := r.num()
+	trace := r.num() != 0
+	origin := r.num()
+	resetSim()
+	n := r.count()
+	for i := 0; i < n; i++ {`)
+	g.pf("\t\twr_%s(origin+uint64(i), r.num())", p.progMem.Name)
+	g.raw(`	}
+	words := make([]dw, r.count())
+	keys := make([]uint64, len(words))
+	for i := range words {
+		keys[i] = r.num()
+		leaf := r.num()
+		d := &words[i]
+		for j := range d.f {
+			d.f[j] = r.num()
+		}
+		d.sched = failWord
+		if leaf < uint64(len(leaves)) && leaves[leaf] != nil {
+			d.sched = leaves[leaf]
+		} else {
+			d.err = fmt.Sprintf("no handler for leaf %d", leaf)
+		}
+	}
+	for n := r.count(); n > 0; n-- {
+		keys = append(keys, r.num())
+		words = append(words, dw{sched: failWord, err: r.str()})
+	}
+	newTable(len(words))
+	for i := range words {
+		insert(keys[i], &words[i])
+	}
+	return max, trace, !r.bad
+}
+
+func appendNums(b []byte, v []uint64) []byte {
+	b = append(b, '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendUint(b, x, 10)
+	}
+	return append(b, ']')
+}
+
+func appendState(b []byte, sc []uint64, mem [][]uint64) []byte {
+	b = append(b, ` + "`" + `"sc":` + "`" + `...)
+	b = appendNums(b, sc)
+	b = append(b, ` + "`" + `,"mem":[` + "`" + `...)
+	for i, m := range mem {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendNums(b, m)
+	}
+	return append(b, ']')
+}
+
+var (
+	out  *bufio.Writer
+	line []byte
+)
+
+func run(max uint64, trace bool) {
+	var steps uint64
+	start := time.Now()
+	for steps < max {`)
 	if p.halt != nil {
 		g.pf("\t\tif s_%s != 0 {", p.halt.Name)
 		g.pf("\t\t\tbreak")
 		g.pf("\t\t}")
 	}
-	g.pf("\t\tstep()")
-	g.pf("\t\tif tr {")
-	g.pf("\t\t\temitCycle()")
-	g.pf("\t\t}")
-	g.pf("\t\tif runErr != \"\" {")
-	g.pf("\t\t\tbreak")
-	g.pf("\t\t}")
-	g.pf("\t\tsteps++")
-	g.pf("\t}")
-	g.pf("\twall := time.Since(start).Nanoseconds()")
-	g.pf("\tfor _, s := range prints {")
-	g.pf("\t\t_ = enc.Encode(pline{\"p\", s})")
-	g.pf("\t}")
-	g.pf("\tif runErr != \"\" {")
-	g.pf("\t\t_ = enc.Encode(eline{\"e\", runErr, steps})")
-	g.pf("\t\t_ = out.Flush()")
-	g.pf("\t\tos.Exit(1)")
-	g.pf("\t}")
-	halted := "false"
-	if p.halt != nil {
-		halted = fmt.Sprintf("s_%s != 0", p.halt.Name)
+	g.raw(`		step()
+		if trace {
+			line = strconv.AppendUint(append(line[:0], ` + "`" + `{"t":"c","n":` + "`" + `...), cycle, 10)
+			line = append(appendState(append(line, ','), scalars(), memDelta()), "}\n"...)
+			out.Write(line)
+		}
+		if runErr != "" {
+			break
+		}
+		steps++
 	}
-	g.pf("\t_ = enc.Encode(rline{\"r\", steps, %s, wall, scalars(), arrays(), map[string]uint64{}})", halted)
-	g.pf("\t_ = out.Flush()")
-	g.pf("}")
+	wall := time.Since(start).Nanoseconds()
+	for _, s := range prints {
+		q, _ := json.Marshal(s)
+		line = append(append(append(line[:0], ` + "`" + `{"t":"p","s":` + "`" + `...), q...), "}\n"...)
+		out.Write(line)
+	}
+	line = strconv.AppendUint(append(line[:0], ` + "`" + `{"t":"r","steps":` + "`" + `...), steps, 10)
+	line = strconv.AppendInt(append(line, ` + "`" + `,"wall_ns":` + "`" + `...), wall, 10)
+	line = appendState(append(line, ','), scalars(), memDump())
+	if runErr != "" {
+		q, _ := json.Marshal(runErr)
+		line = append(append(line, ` + "`" + `,"err":` + "`" + `...), q...)
+	}
+	out.Write(append(line, "}\n"...))
+}
+
+func main() {
+	in := bufio.NewReaderSize(os.Stdin, 1<<16)
+	out = bufio.NewWriterSize(os.Stdout, 1<<16)
+	fmt.Fprintf(out, "{\"t\":\"h\",\"model\":%q,\"key\":%q}\n", modelHash, runnerKey)
+	out.Flush()
+	for {
+		l, err := in.ReadString('\n')
+		if err != nil {
+			return // stdin closed: the host is done with this runner
+		}
+		max, trace, ok := load(l)
+		if !ok {
+			os.Exit(2) // a malformed request: no reply, so the host drops this runner
+		}
+		run(max, trace)
+		out.Flush()
+	}
+}`)
 }
 
 // ---- statement emission --------------------------------------------------
@@ -712,9 +895,21 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 		}
 		return fmt.Sprintf("s_%s = %s", r.Name, merged)
 	case lElem:
+		if inRange(lhs.res, lhs.idx) {
+			return fmt.Sprintf("m_%s[%s&%#x] = (%s) & %#x", lhs.res.Name, g.expr(lhs.idx), maskN(lhs.idx.w), rs, maskN(lhs.res.Width))
+		}
 		return fmt.Sprintf("wr_%s(%s, %s)", lhs.res.Name, g.expr(lhs.idx), rs)
 	}
 	panic("gosim: unknown lvalue kind")
+}
+
+// inRange reports whether every value of idx's static width addresses an
+// element of r, as a register index field does its register file. The
+// access then needs no bounds check: the mask lets the Go compiler see
+// it, and changes no value, since the IR keeps every payload within its
+// width.
+func inRange(r *model.Resource, idx *expr) bool {
+	return r.Base == 0 && idx.w < 64 && uint64(1)<<uint(idx.w) <= r.Size
 }
 
 // ---- expression emission -------------------------------------------------
@@ -744,9 +939,14 @@ func (g *gen) expr(e *expr) string {
 		return fmt.Sprintf("%#x", e.k)
 	case eLocal:
 		return fmt.Sprintf("loc[%d]", e.local.idx)
+	case eField:
+		return fmt.Sprintf("d.f[%d]", e.n)
 	case eScalar:
 		return "s_" + e.res.Name
 	case eElem:
+		if inRange(e.res, e.idx) {
+			return fmt.Sprintf("m_%s[%s&%#x]", e.res.Name, g.expr(e.idx), maskN(e.idx.w))
+		}
 		return fmt.Sprintf("rd_%s(%s)", e.res.Name, g.expr(e.idx))
 	case eSlice:
 		return fmt.Sprintf("((%s >> %d) & %#x)", g.expr(e.a), e.n, maskN(e.w))

@@ -1,32 +1,30 @@
-// Package gosim is the true compiled simulator: it translates one
-// decoded program plus its model's ACTIVATION timing into specialized Go
-// source — one function per distinct instruction word, pipeline state
-// flattened into package-level variables, the coding tree resolved into a
-// switch at generation time — builds it with the host Go toolchain into a
-// standalone runner, and executes the runner as a subprocess speaking a
-// small NDJSON result protocol. This is the paper's compiled-simulation
-// principle taken to its conclusion: where sim's "compiled" modes
-// pre-bind closures inside the generic scheduler, gosim emits straight-
-// line host code the Go compiler optimizes per (model, program) pair.
+// Package gosim is the true compiled simulator: it translates a model's
+// coding leaves plus its ACTIVATION timing into specialized Go source —
+// one function per leaf behavior over the leaf's LABEL fields, pipeline
+// state flattened into package-level variables — builds it once per
+// model with the host Go toolchain into a standalone runner, and keeps
+// runner processes warm: each run sends one of them its program image
+// and decode table and reads back an NDJSON reply (proto.go). This is
+// the paper's compiled-simulation principle applied the way LISA
+// generates its other tools: once per machine description. Where sim's
+// "compiled" modes pre-bind closures inside the generic scheduler, gosim
+// emits straight-line host code the Go compiler optimizes per model.
 //
-// When the toolchain is unavailable, or the program is too short to
-// amortize a build, the same IR runs on an in-process threaded-code
+// When the toolchain is unavailable, or the program is too short to be
+// worth a runner, the same IR runs on an in-process threaded-code
 // interpreter (interp.go) with identical semantics — the IR Machine is
 // also the reference the emitted runner is cross-checked against.
 //
 // Models outside the statically schedulable class (multiple pipelines,
-// data-dependent delays, stalls/flushes, behavior constructs the IR
-// cannot express) fail Compile with an error wrapping ErrUnsupported;
-// callers fall back to the classic simulator.
+// data-dependent delays, stalls/flushes), and programs with a word that
+// decodes to a leaf the IR cannot express, fail Compile with an error
+// wrapping ErrUnsupported; callers fall back to the classic simulator.
 package gosim
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os/exec"
-	"strconv"
 	"time"
 )
 
@@ -39,9 +37,9 @@ var ErrUnsupported = errors.New("unsupported by the generated-code simulator")
 type Backend int
 
 const (
-	// Auto builds and runs a native runner when the Go toolchain is on
-	// PATH and the program is at least MinBuildWords long; otherwise it
-	// runs the in-process IR interpreter.
+	// Auto runs on a native runner when the Go toolchain is on PATH and
+	// the program is at least DefaultMinBuildWords long; otherwise it runs
+	// the in-process IR interpreter.
 	Auto Backend = iota
 	// ForceIR always runs the in-process interpreter.
 	ForceIR
@@ -50,24 +48,22 @@ const (
 	ForceNative
 )
 
-// DefaultMinBuildWords is the Auto-backend build threshold: programs
-// shorter than this run on the IR interpreter, since a `go build` costs
-// far more than the whole simulation.
+// DefaultMinBuildWords is the Auto-backend threshold: programs shorter
+// than this run on the IR interpreter, which finishes them before a
+// runner process could be reached.
 const DefaultMinBuildWords = 4
 
 // Options shapes one Engine.
 type Options struct {
 	Backend Backend
-	// MinBuildWords overrides the Auto build threshold (0 = default).
-	MinBuildWords int
 	// OnPrint receives each print() line as it retires; nil collects
 	// lines only into Result.Prints.
 	OnPrint func(string)
 	// OnCycleState, when non-nil, receives the architectural state after
-	// every completed control step (slot-indexed scalars and memories) —
-	// the lockstep cross-check hook. The native runner streams the same
-	// states over the protocol's trace lines, so the hook observes
-	// identical sequences on either backend.
+	// every completed control step (slot-indexed scalars and memories,
+	// valid only during the call) — the lockstep cross-check hook. The
+	// native runner streams each step's changes over the protocol's trace
+	// lines, so the hook observes identical sequences on either backend.
 	OnCycleState func(cycle uint64, scalars []uint64, arrays [][]uint64)
 }
 
@@ -78,32 +74,27 @@ type Result struct {
 	Prints []string
 	// RunNs is the self-timed duration of the pure run loop in
 	// nanoseconds: the native runner times itself around its step loop
-	// (build, exec and protocol costs excluded), the IR path times
+	// (build, load and protocol costs excluded), the IR path times
 	// Machine.Run.
 	RunNs int64
 	// Native reports that the run executed the built subprocess runner.
 	Native bool
-	// CacheHit reports that the runner binary came from the cache without
-	// invoking `go build` in this process.
+	// CacheHit reports that the run's runner came from the cache without
+	// invoking `go build` for it.
 	CacheHit bool
 	// Fallback explains why an Auto engine ran on the IR interpreter
 	// instead of a native runner; empty on native runs and ForceIR.
 	Fallback string
 	// Scalars and Arrays are the final architectural state, slot-indexed
-	// like model.State.
+	// like model.State, every memory at full length.
 	Scalars []uint64
 	Arrays  [][]uint64
-	// Penalty is the per-cause penalty-cycle breakdown. The supported
-	// model class excludes stall and flush constructs, so it is empty
-	// today; the field keeps the result protocol stable for when the
-	// class grows.
-	Penalty map[string]uint64
 }
 
 // Engine runs one compiled Program, choosing between the native runner
 // and the in-process interpreter per Options. Engines are cheap; the
-// expensive artifacts (the Program, the runner binary) are shared through
-// the Program itself and the Cache.
+// expensive artifacts (the Program, the runner binary and its warm
+// processes) are shared through the Program itself and the Cache.
 type Engine struct {
 	P     *Program
 	Cache *Cache
@@ -113,9 +104,6 @@ type Engine struct {
 // NewEngine creates an engine over a compiled program. cache may be nil,
 // which confines Auto to the IR interpreter.
 func NewEngine(p *Program, cache *Cache, opt Options) *Engine {
-	if opt.MinBuildWords <= 0 {
-		opt.MinBuildWords = DefaultMinBuildWords
-	}
 	return &Engine{P: p, Cache: cache, Opt: opt}
 }
 
@@ -154,8 +142,8 @@ func (e *Engine) nativeObstacle() string {
 	if e.Cache == nil {
 		return "no runner cache configured"
 	}
-	if e.Opt.Backend == Auto && len(e.P.Words) < e.Opt.MinBuildWords {
-		return fmt.Sprintf("program has %d words, below the %d-word build threshold", len(e.P.Words), e.Opt.MinBuildWords)
+	if e.Opt.Backend == Auto && len(e.P.Words) < DefaultMinBuildWords {
+		return fmt.Sprintf("program has %d words, below the %d-word runner threshold", len(e.P.Words), DefaultMinBuildWords)
 	}
 	if _, err := exec.LookPath("go"); err != nil {
 		return "go toolchain not found in PATH"
@@ -175,7 +163,7 @@ func (e *Engine) runIR(max uint64) (*Result, error) {
 	}
 	if cb := e.Opt.OnCycleState; cb != nil {
 		m.OnCycle = func(mm *Machine) {
-			cb(mm.Cycles(), mm.Scalars(), mm.Arrays())
+			cb(mm.Cycles(), mm.sc, mm.arr)
 		}
 	}
 	start := time.Now()
@@ -191,110 +179,20 @@ func (e *Engine) runIR(max uint64) (*Result, error) {
 	return res, nil
 }
 
-// protocol line shapes (NDJSON, one object per line, discriminated by t):
-//
-//	{"t":"h","model":H,"prog":H}          header: runner identity
-//	{"t":"c","n":N,"sc":[..],"arr":[[..]]} trace: state after step N
-//	{"t":"p","s":"line"}                  one print() line
-//	{"t":"r","steps":N,"halted":B,"wall_ns":N,"sc":[..],"arr":[[..]],"penalty":{}}
-//	{"t":"e","msg":"...","steps":N}       runtime error after N steps
-type protoLine struct {
-	T      string            `json:"t"`
-	Model  string            `json:"model,omitempty"`
-	Prog   string            `json:"prog,omitempty"`
-	N      uint64            `json:"n,omitempty"`
-	S      string            `json:"s,omitempty"`
-	Steps  uint64            `json:"steps,omitempty"`
-	Halted bool              `json:"halted,omitempty"`
-	WallNs int64             `json:"wall_ns,omitempty"`
-	Sc     []uint64          `json:"sc,omitempty"`
-	Arr    [][]uint64        `json:"arr,omitempty"`
-	Pen    map[string]uint64 `json:"penalty,omitempty"`
-	Msg    string            `json:"msg,omitempty"`
-}
-
-// runNative builds (or reuses) the runner binary and executes it.
+// runNative runs on a warm runner process of the program's model. A
+// runner that breaks the protocol or dies is discarded, and its binary
+// rebuilt once; a simulation error leaves the process warm.
 func (e *Engine) runNative(max uint64) (*Result, error) {
-	bin, hit, err := e.Cache.Runner(e.P)
+	pr, hit, err := e.Cache.acquire(e.P)
 	if err != nil {
 		return nil, err
 	}
-	args := []string{"-max", strconv.FormatUint(max, 10)}
-	if e.Opt.OnCycleState != nil {
-		args = append(args, "-trace")
+	res, err := pr.run(e.P, max, e.Opt)
+	if res == nil {
+		e.Cache.discard(pr)
+		return nil, err
 	}
-	cmd := exec.Command(bin, args...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("gosim: runner pipe: %w", err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("gosim: start runner: %w", err)
-	}
-	res := &Result{Native: true, CacheHit: hit}
-	var runErr error
-	simErr := false // runErr came from a runtime "e" line, not the protocol
-	sawResult := false
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ln protoLine
-		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			runErr = fmt.Errorf("gosim: runner protocol: %w", err)
-			break
-		}
-		switch ln.T {
-		case "h":
-			if ln.Model != e.P.ModelHash || ln.Prog != e.P.ProgHash {
-				runErr = fmt.Errorf("gosim: runner identity mismatch: built for (%s,%s), want (%s,%s)",
-					ln.Model, ln.Prog, e.P.ModelHash, e.P.ProgHash)
-			}
-		case "c":
-			if e.Opt.OnCycleState != nil {
-				e.Opt.OnCycleState(ln.N, ln.Sc, ln.Arr)
-			}
-		case "p":
-			res.Prints = append(res.Prints, ln.S)
-			if e.Opt.OnPrint != nil {
-				e.Opt.OnPrint(ln.S)
-			}
-		case "r":
-			sawResult = true
-			res.Steps = ln.Steps
-			res.Halted = ln.Halted
-			res.RunNs = ln.WallNs
-			res.Scalars = ln.Sc
-			res.Arrays = ln.Arr
-			res.Penalty = ln.Pen
-		case "e":
-			res.Steps = ln.Steps
-			simErr = true
-			runErr = fmt.Errorf("gosim: runner: %s", ln.Msg)
-		}
-		if runErr != nil {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil && runErr == nil {
-		runErr = fmt.Errorf("gosim: read runner output: %w", err)
-	}
-	waitErr := cmd.Wait()
-	if runErr != nil {
-		if simErr {
-			// A runtime "e" line is a simulation error, not a native-path
-			// failure: the partial result travels with it, like the IR path.
-			return res, runErr
-		}
-		return nil, runErr
-	}
-	if !sawResult {
-		if waitErr != nil {
-			return nil, fmt.Errorf("gosim: runner exited without a result: %w", waitErr)
-		}
-		return nil, fmt.Errorf("gosim: runner exited without a result line")
-	}
-	return res, nil
+	e.Cache.release(pr)
+	res.Native, res.CacheHit = true, hit
+	return res, err
 }

@@ -222,7 +222,7 @@ const opsProg = `
 // loadPair compiles src for the model (builtin name, or inline LISA when
 // lisaSrc is non-empty) into a gosim Program plus the pieces the tests
 // wire against.
-func loadPair(t *testing.T, name, lisaSrc, progSrc string) (*core.Machine, *asm.Program, *Program) {
+func loadPair(t testing.TB, name, lisaSrc, progSrc string) (*core.Machine, *asm.Program, *Program) {
 	t.Helper()
 	var mc *core.Machine
 	var err error
@@ -393,6 +393,7 @@ func TestNativeMatchesIR(t *testing.T) {
 		{"opstest", opsModel, opsProg},
 	}
 	cache := NewCache(t.TempDir())
+	defer cache.Close()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
@@ -436,6 +437,7 @@ func TestNativeMatchesIR(t *testing.T) {
 func TestLockstepNativeVsInterpretive(t *testing.T) {
 	needGo(t)
 	cache := NewCache(t.TempDir())
+	defer cache.Close()
 	cases := []struct{ label, model, lisa, prog string }{
 		{"simple16-loop", "simple16", "", progLoop},
 		{"simple16-ops", "simple16", "", progOps},
@@ -470,12 +472,13 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 }
 
 // TestCacheBuildsOnce pins the content-addressed contract: one build per
-// (model, program) pair per cache directory, ever.
+// model per cache directory, ever.
 func TestCacheBuildsOnce(t *testing.T) {
 	needGo(t)
 	_, _, p := loadPair(t, "simple16", "", progLoop)
 	dir := t.TempDir()
 	c := NewCache(dir)
+	defer c.Close()
 	eng := NewEngine(p, c, Options{Backend: ForceNative})
 	r1, err := eng.Run(10_000)
 	if err != nil {
@@ -500,6 +503,7 @@ func TestCacheBuildsOnce(t *testing.T) {
 	// A fresh Cache over the same directory models a new process: the
 	// on-disk binary must satisfy it without any build.
 	c2 := NewCache(dir)
+	defer c2.Close()
 	r3, err := NewEngine(p, c2, Options{Backend: ForceNative}).Run(10_000)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,9 @@ import (
 // on operator, width and signedness, so the per-cycle loop runs with no
 // AST walking, no map lookups and no bitvec boxing. It is the fallback
 // engine when the Go toolchain is unavailable (or the program too short
-// to amortize a build), and the reference the emitted runner is
-// cross-checked against in tests.
+// to be worth a runner), and the reference the emitted runner is
+// cross-checked against in tests. It runs the same leaf handlers the
+// runner carries, over the same per-program decode table.
 
 func maskN(w int) uint64 {
 	if w <= 0 {
@@ -39,15 +40,14 @@ func sx64(v uint64, w int) uint64 {
 type efn func(*Machine) uint64
 type sfn func(*Machine)
 
-// runtimeProg is a Program's compiled closure backend, built once and
-// shared by every Machine (closures only touch state through the *Machine
-// argument).
+// runtimeProg is a model's compiled closure backend, built once and
+// shared by every Machine of every Program of the model (closures only
+// touch state through the *Machine argument).
 type runtimeProg struct {
 	resetFn sfn
 	mainFn  sfn
 	items   []rtItem
-	disp    map[uint64][]rtTarget
-	dispErr map[uint64]string
+	leaves  [][]rtTarget // by leaf id
 }
 
 type rtItem struct {
@@ -61,9 +61,9 @@ type rtTarget struct {
 	fn    sfn
 }
 
-func (p *Program) runtime() *runtimeProg {
+func (p *modelIR) runtime() *runtimeProg {
 	p.rtOnce.Do(func() {
-		rt := &runtimeProg{disp: map[uint64][]rtTarget{}, dispErr: map[uint64]string{}}
+		rt := &runtimeProg{leaves: make([][]rtTarget, len(p.leaves))}
 		rt.resetFn = compileStmtsFn(p, p.resetB)
 		rt.mainFn = compileStmtsFn(p, p.mainB)
 		for _, it := range p.items {
@@ -73,16 +73,13 @@ func (p *Program) runtime() *runtimeProg {
 			}
 			rt.items = append(rt.items, rtItem{cond: cf, stage: it.stage, fn: compileStmtsFn(p, it.body)})
 		}
-		for w, h := range p.handlers {
-			if h.errMsg != "" {
-				rt.dispErr[w] = h.errMsg
+		for _, l := range p.leaves {
+			if l.err != nil {
 				continue
 			}
-			ts := make([]rtTarget, 0, len(h.targets))
-			for _, t := range h.targets {
-				ts = append(ts, rtTarget{stage: t.stage, fn: compileStmtsFn(p, t.body)})
+			for _, t := range l.targets {
+				rt.leaves[l.id] = append(rt.leaves[l.id], rtTarget{stage: t.stage, fn: compileStmtsFn(p, t.body)})
 			}
-			rt.disp[w] = ts
 		}
 		p.rt = rt
 	})
@@ -100,7 +97,8 @@ type Machine struct {
 	pendV []uint64
 	pendS []bool
 	loc   []uint64
-	now   []sfn
+	fld   []uint64 // LABEL fields of the handler running now
+	now   []ringEnt
 	ring  [][]ringEnt
 	cycle uint64
 	err   error
@@ -135,17 +133,11 @@ func (p *Program) NewMachine() *Machine {
 // image into program memory.
 func (m *Machine) Reset() {
 	p := m.p
-	for i := range m.sc {
-		m.sc[i] = 0
-	}
+	clear(m.sc)
 	for _, a := range m.arr {
-		for i := range a {
-			a[i] = 0
-		}
+		clear(a)
 	}
-	for i := range m.pendS {
-		m.pendS[i] = false
-	}
+	clear(m.pendS)
 	m.now = m.now[:0]
 	for i := range m.ring {
 		m.ring[i] = m.ring[i][:0]
@@ -156,15 +148,19 @@ func (m *Machine) Reset() {
 		p.rt.resetFn(m)
 	}
 	m.commit()
-	if p.progMem != nil {
-		arr := m.arr[p.progMem.Slot]
-		base, size := p.progMem.Base, p.progMem.Size
-		mk := maskN(p.progMem.Width)
-		for i, w := range p.Words {
-			a := p.Origin + uint64(i)
-			if a >= base && a-base < size {
-				arr[a-base] = w & mk
-			}
+	p.loadImage(m.arr[p.progMem.Slot])
+}
+
+// loadImage writes the program image into program memory's elements, as
+// the simulator's LoadProgram does: masked to the memory's width, words
+// outside the memory dropped.
+func (p *Program) loadImage(mem []uint64) {
+	base, size := p.progMem.Base, p.progMem.Size
+	mk := maskN(p.progMem.Width)
+	for i, w := range p.Words {
+		a := p.Origin + uint64(i)
+		if a >= base && a-base < size {
+			mem[a-base] = w & mk
 		}
 	}
 }
@@ -196,13 +192,15 @@ func (m *Machine) Run(max uint64) (uint64, error) {
 	return n, nil
 }
 
-// ringEnt is one staged activation waiting on the ring: the pipeline
-// stage it executes in plus its compiled handler. Entries sharing a ring
-// slot but inserted on different cycles necessarily carry different
-// stages, so the stage orders the slot completely.
+// ringEnt is one scheduled activation: the pipeline stage it executes in,
+// its compiled handler, and the LABEL fields of the word that scheduled
+// it. Entries sharing a ring slot but inserted on different cycles
+// necessarily carry different stages, so the stage orders the slot
+// completely.
 type ringEnt struct {
 	stage int
 	fn    sfn
+	fld   []uint64
 }
 
 // Step runs one control step: the main behavior, the activation items
@@ -220,12 +218,14 @@ func (m *Machine) Step() {
 		if it.cond != nil && it.cond(m) == 0 {
 			continue
 		}
-		m.schedule(it.stage, it.fn)
+		m.schedule(it.stage, it.fn, nil)
 	}
 	// Handlers may append (a dispatch scheduling an unassigned or stage-0
 	// instruction), so index rather than range.
 	for i := 0; i < len(m.now); i++ {
-		m.now[i](m)
+		en := m.now[i]
+		m.fld = en.fld
+		en.fn(m)
 	}
 	m.now = m.now[:0]
 	cur := m.cycle % uint64(m.p.depth)
@@ -233,6 +233,7 @@ func (m *Machine) Step() {
 	for st := 1; st < m.p.depth; st++ {
 		for _, en := range slot {
 			if en.stage == st {
+				m.fld = en.fld
 				en.fn(m)
 			}
 		}
@@ -254,46 +255,20 @@ func (m *Machine) commit() {
 	}
 }
 
-func (m *Machine) schedule(stage int, fn sfn) {
+func (m *Machine) schedule(stage int, fn sfn, fld []uint64) {
 	if fn == nil {
 		return
 	}
 	if stage <= 0 {
-		m.now = append(m.now, fn)
+		m.now = append(m.now, ringEnt{fn: fn, fld: fld})
 		return
 	}
 	s := (m.cycle + uint64(stage)) % uint64(m.p.depth)
-	m.ring[s] = append(m.ring[s], ringEnt{stage: stage, fn: fn})
-}
-
-// SyncInto copies the machine's architectural state into a model.State
-// (the lockstep comparison path).
-func (m *Machine) SyncInto(st *model.State) {
-	for _, r := range m.p.scalars {
-		if r != nil {
-			st.Scalars[r.Slot] = bitvec.New(m.sc[r.Slot], r.Width)
-		}
-	}
-	for _, r := range m.p.arrays {
-		if r != nil {
-			dst, src := st.Arrays[r.Slot], m.arr[r.Slot]
-			for i := range src {
-				dst[i] = bitvec.New(src[i], r.Width)
-			}
-		}
-	}
-}
-
-// State returns a fresh model.State holding the machine's current
-// architectural state.
-func (m *Machine) State() *model.State {
-	st := model.NewState(m.p.Model)
-	m.SyncInto(st)
-	return st
+	m.ring[s] = append(m.ring[s], ringEnt{stage: stage, fn: fn, fld: fld})
 }
 
 // StateFrom renders a protocol state snapshot (slot-indexed scalars and
-// memories, as the native runner's trace lines carry them) into a fresh
+// memories, as Result and OnCycleState carry them) into a fresh
 // model.State — the bridge between a generated run and cosim.Lockstep.
 func (p *Program) StateFrom(sc []uint64, arr [][]uint64) *model.State {
 	st := model.NewState(p.Model)
@@ -332,7 +307,7 @@ func (m *Machine) Arrays() [][]uint64 {
 
 // ---- statement compilation ----------------------------------------------
 
-func compileStmtsFn(p *Program, list []*stmt) sfn {
+func compileStmtsFn(p *modelIR, list []*stmt) sfn {
 	if len(list) == 0 {
 		return nil
 	}
@@ -350,7 +325,7 @@ func compileStmtsFn(p *Program, list []*stmt) sfn {
 	}
 }
 
-func compileStmtFn(p *Program, s *stmt) sfn {
+func compileStmtFn(p *modelIR, s *stmt) sfn {
 	switch s.kind {
 	case sAssign:
 		return compileAssignFn(p, s.lhs, s.rhs)
@@ -403,24 +378,24 @@ func compileStmtFn(p *Program, s *stmt) sfn {
 		dmask := maskN(p.dispW)
 		return func(m *Machine) {
 			key := m.sc[rrSlot] & dmask
-			if msg, bad := p.rt.dispErr[key]; bad {
-				m.err = fmt.Errorf("cycle %d: %s", m.cycle, msg)
-				return
-			}
-			ts, ok := p.rt.disp[key]
-			if !ok {
+			d := m.p.decoded[key]
+			switch {
+			case d == nil:
 				m.err = fmt.Errorf("cycle %d: dispatch of unknown word %#x", m.cycle, key)
 				return
+			case d.leaf == nil:
+				m.err = fmt.Errorf("cycle %d: %s", m.cycle, d.errMsg)
+				return
 			}
-			for _, t := range ts {
-				m.schedule(t.stage, t.fn)
+			for _, t := range p.rt.leaves[d.leaf.id] {
+				m.schedule(t.stage, t.fn, d.fields)
 			}
 		}
 	}
 	panic("gosim: unknown statement kind")
 }
 
-func compileAssignFn(p *Program, lhs *lval, rhs *expr) sfn {
+func compileAssignFn(p *modelIR, lhs *lval, rhs *expr) sfn {
 	rf := compileExprFn(rhs)
 	switch lhs.kind {
 	case lLocal:
@@ -512,6 +487,9 @@ func compileExprFn(e *expr) efn {
 	case eLocal:
 		idx := e.local.idx
 		return func(m *Machine) uint64 { return m.loc[idx] }
+	case eField:
+		idx := e.n
+		return func(m *Machine) uint64 { return m.fld[idx] }
 	case eScalar:
 		slot := e.res.Slot
 		return func(m *Machine) uint64 { return m.sc[slot] }

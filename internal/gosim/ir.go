@@ -34,6 +34,7 @@ const (
 	eSext                // sign_extend(a, n) -> 64-bit signed
 	eZext                // zero_extend(a, n) -> 64-bit unsigned
 	eAddSat              // op "+" or "-": addsat/subsat(a, b)
+	eField               // LABEL field n of the dispatched word, read at run time
 )
 
 type expr struct {
@@ -44,7 +45,7 @@ type expr struct {
 	op      string
 	a, b, c *expr
 	k       uint64 // eConst payload (zero-extended at w)
-	n       int    // eSat/eSext/eZext parameter; eSlice lo
+	n       int    // eSat/eSext/eZext parameter; eSlice lo; eField index
 	hi      int    // eSlice hi
 	res     *model.Resource
 	local   *localVar
@@ -105,15 +106,17 @@ type localVar struct {
 	signed bool
 }
 
-// build is the per-Compile shared state: the model, the program memory,
-// the dispatchable coding root, and the write set collected for the
-// dispatch-safety analysis.
+// build is the per-model compilation state: the model, the program
+// memory, the dispatchable coding root, the write set collected for the
+// dispatch-safety analysis, and the LABEL fields of the leaf being
+// compiled.
 type build struct {
 	m       *model.Model
 	progMem *model.Resource
 	root    *model.Operation
 	writes  []writeRec
 	maxLoc  int
+	fields  map[*model.Instance]map[string]field
 
 	// dispatchSites counts compiled sDispatch statements. The schedule
 	// ring reproduces the pipeline's packet ordering exactly only when at
@@ -553,6 +556,9 @@ func (f *fctx) compileExpr(e ast.Expr) (*expr, error) {
 func (f *fctx) compileIdent(id *ast.Ident) (*expr, error) {
 	switch id.Kind {
 	case ast.RefLabel:
+		if fd, ok := f.b.fields[f.inst][id.Name]; ok {
+			return &expr{kind: eField, n: fd.idx, w: fd.w}, nil
+		}
 		lv := f.inst.Labels[id.Name]
 		return &expr{kind: eConst, k: lv.Uint(), w: lv.Width()}, nil
 	case ast.RefOperand:
@@ -705,9 +711,8 @@ func clampW(w int) int {
 
 // fold collapses a node whose operands are all constants by evaluating it
 // through the closure backend on a nil machine (constant subtrees never
-// touch machine state). Labels resolve to constants, so operand address
-// arithmetic like A[index] or data_mem[Base+offset] folds to a constant
-// index at generation time.
+// touch machine state). LABEL fields are run-time values, so only
+// constants the model itself spells out fold.
 func fold(e *expr) *expr {
 	if e.kind == eConst || !isConstTree(e) {
 		return e
@@ -723,7 +728,7 @@ func isConstTree(e *expr) bool {
 	switch e.kind {
 	case eConst:
 		return true
-	case eLocal, eScalar, eElem:
+	case eLocal, eScalar, eElem, eField:
 		return false
 	}
 	return isConstTree(e.a) && isConstTree(e.b) && isConstTree(e.c) && isConstTree(e.idx)
