@@ -152,6 +152,11 @@ type Bundle struct {
 	Order []string
 }
 
+// maxInflated bounds what Read inflates, each section and the whole
+// archive. The largest bundle the tools write, c62x with a 4096-entry
+// flight ring and every report, inflates to about 160 KB.
+const maxInflated = 16 << 20
+
 // Read parses a bundle archive. The first entry must be meta.json.
 func Read(r io.Reader) (*Bundle, error) {
 	gz, err := gzip.NewReader(r)
@@ -159,7 +164,8 @@ func Read(r io.Reader) (*Bundle, error) {
 		return nil, fmt.Errorf("bundle: not a gzip archive: %w", err)
 	}
 	defer gz.Close()
-	tr := tar.NewReader(gz)
+	in := &io.LimitedReader{R: gz, N: maxInflated + 1}
+	tr := tar.NewReader(in)
 	bn := &Bundle{Files: map[string][]byte{}}
 	first := true
 	for {
@@ -167,12 +173,16 @@ func Read(r io.Reader) (*Bundle, error) {
 		if err == io.EOF {
 			break
 		}
-		if err != nil {
-			return nil, fmt.Errorf("bundle: read tar: %w", err)
+		name, data := "tar", []byte(nil)
+		if err == nil {
+			name = hdr.Name
+			data, err = io.ReadAll(tr)
 		}
-		data, err := io.ReadAll(tr)
-		if err != nil {
-			return nil, fmt.Errorf("bundle: read %s: %w", hdr.Name, err)
+		switch {
+		case in.N == 0:
+			return nil, fmt.Errorf("bundle: archive inflates past %d MiB", maxInflated>>20)
+		case err != nil:
+			return nil, fmt.Errorf("bundle: read %s: %w", name, err)
 		}
 		if first {
 			first = false

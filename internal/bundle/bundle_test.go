@@ -2,6 +2,7 @@ package bundle
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"golisa/internal/perf"
 )
 
-func TestBundleRoundTrip(t *testing.T) {
+// capture builds a bundle the way the tools do: a span tree, a perf
+// record, a flight dump and the invocation.
+func capture(t testing.TB) (*Builder, *otrace.Trace) {
 	tr := otrace.New("test-run")
 	sp := tr.Start(nil, "run")
 	sp.End()
@@ -32,6 +35,11 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	b.Add(FlightFile, []byte("flight ring dump\n"))
 	b.Add(ConfigFile, []byte(`{"args":["lisa-test"]}`))
+	return b, tr
+}
+
+func TestBundleRoundTrip(t *testing.T) {
+	b, tr := capture(t)
 	if b.Len() != 4 {
 		t.Fatalf("builder has %d sections, want 4", b.Len())
 	}
@@ -112,4 +120,48 @@ func TestAddReplacesInPlace(t *testing.T) {
 	if got := b.Meta().Sections; got[0] != "a.txt" || got[1] != "b.txt" {
 		t.Errorf("sections = %v, want [a.txt b.txt]", got)
 	}
+}
+
+// TestReadBoundsInflation reads an archive whose one section inflates
+// past maxInflated: Read must stop there with an error instead of
+// inflating it whole.
+func TestReadBoundsInflation(t *testing.T) {
+	b := New(Meta{Tool: "x"})
+	b.Add("zeros.bin", make([]byte, maxInflated+1))
+	var arc bytes.Buffer
+	if err := b.WriteTar(&arc); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Read(bytes.NewReader(arc.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "inflates past") {
+		t.Fatalf("a %d-byte archive inflating past %d bytes: err %v", arc.Len(), maxInflated, err)
+	}
+}
+
+// FuzzBundle feeds arbitrary bytes to Read, which parses outside input
+// for lisa-bundle inspect: it returns a bundle or an error, never a panic,
+// and inflates no more than maxInflated.
+func FuzzBundle(f *testing.F) {
+	b, _ := capture(f)
+	var arc bytes.Buffer
+	if err := b.WriteTar(&arc); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(arc.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bn, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		n := 0
+		for _, d := range bn.Files {
+			n += len(d)
+		}
+		if n > maxInflated {
+			t.Fatalf("sections hold %d bytes", n)
+		}
+		if err := bn.WriteInspect(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package gosim
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -72,7 +73,8 @@ type Program struct {
 	Origin uint64
 	Words  []uint64 // program image, masked to the word width
 
-	decoded map[uint64]*decWord // by dispatch key; nil without a coding root
+	words []decWord // distinct dispatch keys, in program order; none without a coding root
+	tab   table     // the words' dispatch keys
 
 	reqOnce sync.Once // the runner's program request (proto.go)
 	req     []byte
@@ -112,12 +114,13 @@ type field struct {
 	w   int
 }
 
-// decWord is one distinct dispatch key of a program: its leaf and field
-// values, or the decode error raised if the program ever dispatches it
-// (data words are harmless).
+// decWord is one distinct dispatch key of a program: its leaf id and
+// field values, or the decode error raised if the program ever dispatches
+// it (data words are harmless).
 type decWord struct {
-	leaf   *leaf
-	fields []uint64
+	key    uint64
+	leaf   int
+	fields []uint64 // nField values, so the runner reads a fixed stride
 	errMsg string
 }
 
@@ -147,33 +150,36 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 	wordW := clampW(prog.Width)
 	p.Words = make([]uint64, len(prog.Words))
 	for i, w := range prog.Words {
-		p.Words[i] = w & maskN(wordW)
+		p.Words[i] = w & mask(wordW)
 	}
 	if mir.root == nil {
 		return p, nil
 	}
-	// Decode the program's distinct words, plus the all-zeros word the
-	// registers reset to and unloaded memory holds.
-	p.decoded = map[uint64]*decWord{}
-	if err := p.decodeWord(0); err != nil {
-		return nil, err
-	}
+	// Decode the program's distinct words in program order, after the
+	// all-zeros word the registers reset to and unloaded memory holds.
+	keys := []uint64{0}
 	for _, w := range p.Words {
-		if err := p.decodeWord(w); err != nil {
+		keys = append(keys, w&mask(p.dispW))
+	}
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	p.tab = newTable(len(slices.Compact(distinct)))
+	for _, k := range keys {
+		if p.tab.get(k) >= 0 {
+			continue
+		}
+		p.tab.put(k, len(p.words))
+		p.words = append(p.words, decWord{})
+		if err := p.decodeWord(&p.words[len(p.words)-1], k); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// decodeWord adds one word's dispatch key to the decode table.
-func (p *Program) decodeWord(w uint64) error {
-	key := w & maskN(p.dispW)
-	if _, ok := p.decoded[key]; ok {
-		return nil
-	}
-	d := &decWord{}
-	p.decoded[key] = d
+// decodeWord decodes one dispatch key into d.
+func (p *Program) decodeWord(d *decWord, key uint64) error {
+	d.key, d.fields = key, make([]uint64, p.nField)
 	in, err := p.dec.DecodeRoot(p.root, bitvec.New(key, p.rootRes.Width))
 	if err != nil {
 		d.errMsg = fmt.Sprintf("word %#x does not decode: %v", key, err)
@@ -187,8 +193,7 @@ func (p *Program) decodeWord(w uint64) error {
 	if l.err != nil {
 		return l.err
 	}
-	// Every word carries nField values, so the runner reads a fixed stride.
-	d.leaf, d.fields = l, make([]uint64, p.nField)
+	d.leaf = l.id
 	copy(d.fields, vals)
 	return nil
 }

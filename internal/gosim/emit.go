@@ -1,6 +1,7 @@
 package gosim
 
 import (
+	_ "embed"
 	"fmt"
 	"go/format"
 	"strconv"
@@ -10,14 +11,21 @@ import (
 	"golisa/internal/perf"
 )
 
+// kernelSrc is kernel.go, which every runner carries from its import
+// declaration on.
+//
+//go:embed kernel.go
+var kernelSrc string
+
 // EmitSource returns the model's runner: a self-contained single-file Go
 // main package that serves any program of the model. Architectural state
 // becomes package-level variables (s_<name> scalars, m_<name> memories),
 // every coding leaf becomes one function per activation target over the
 // leaf's LABEL fields, and the ACTIVATION schedule becomes a static
-// step() function. The runner reads each run's program image and decode
-// table from stdin, resets all of its state, self-times its step loop,
-// and replies over the NDJSON protocol (proto.go).
+// step() function, all over the model-independent kernel (kernel.go).
+// The runner reads each run's program image and decode table from stdin,
+// resets all of its state, self-times its step loop, and replies over
+// the runner protocol (proto.go).
 //
 // The source depends on the model alone: it is emitted once per model
 // and shared by every Program of it.
@@ -94,16 +102,16 @@ func (g *gen) file() {
 	}
 	g.pf("package main")
 	g.pf("")
-	g.pf("import (")
-	g.pf("\t\"bufio\"")
-	g.pf("\t\"encoding/json\"")
-	g.pf("\t\"fmt\"")
-	g.pf("\t\"os\"")
-	g.pf("\t\"strconv\"")
-	g.pf("\t\"strings\"")
-	g.pf("\t\"time\"")
-	g.pf(")")
-	g.pf("")
+	// The glue's imports, then the kernel's: Go refuses a package imported
+	// twice, so the two sets must stay apart.
+	g.raw(`import (
+	"bufio"
+	"fmt"
+	"os"
+	"time"
+)
+`)
+	g.raw(kernelSrc[strings.Index(kernelSrc, "\nimport")+1:])
 	g.pf("const (")
 	g.pf("\tmodelHash = %q", p.hash)
 	g.pf("\tnField    = %d", p.nField)
@@ -112,7 +120,6 @@ func (g *gen) file() {
 	}
 	g.pf(")")
 	g.state()
-	g.runtimeHelpers()
 	g.memHelpers()
 	g.stateDump()
 	g.resetFn()
@@ -122,7 +129,8 @@ func (g *gen) file() {
 	g.mainFn()
 }
 
-// state emits the flattened architectural state and the schedule queues.
+// state emits the flattened architectural state, the decoded program and
+// the schedule queues.
 func (g *gen) state() {
 	p := g.p
 	g.pf("")
@@ -168,45 +176,25 @@ type ent struct {
 }
 
 var (
-	now     []ent
-	cycle   uint64
-	runErr  string
-	prints  []string
+	now    []ent
+	cycle  uint64
+	runErr string
+	words  []dw  // the program's decoded words
+	tab    table // their dispatch keys
+	out    *bufio.Writer
+	line   []byte
 )
 
-// The decode table: open addressing over the dispatch keys, at most half
-// full, so a lookup costs a multiply and about one probe.
-var (
-	tabK     []uint64
-	tabD     []*dw
-	tabShift uint
-)
-
-func lookup(k uint64) *dw {
-	mask := uint64(len(tabD) - 1)
-	for i := (k * 0x9e3779b97f4a7c15) >> tabShift; ; i = (i + 1) & mask {
-		if d := tabD[i]; d == nil || tabK[i] == k {
-			return d
-		}
+func fail(msg string) {
+	if runErr == "" {
+		runErr = fmt.Sprintf("cycle %d: %s", cycle, msg)
 	}
 }
 
-// newTable makes an empty decode table for n keys.
-func newTable(n int) {
-	size, shift := 2, uint(63)
-	for size < 2*n {
-		size, shift = size*2, shift-1
-	}
-	tabK, tabD, tabShift = make([]uint64, size), make([]*dw, size), shift
-}
-
-func insert(k uint64, d *dw) {
-	mask := uint64(len(tabD) - 1)
-	i := (k * 0x9e3779b97f4a7c15) >> tabShift
-	for tabD[i] != nil && tabK[i] != k {
-		i = (i + 1) & mask
-	}
-	tabK[i], tabD[i] = k, d
+// emitP writes a print() line as it retires.
+func emitP(s string) {
+	line = append(appendStr(append(line[:0], 'p'), s), '\n')
+	out.Write(line)
 }`)
 	if g.hasRing() {
 		g.pf("")
@@ -217,177 +205,6 @@ func insert(k uint64, d *dw) {
 		g.pf("\tring[s] = append(ring[s], ent{st, fn, d})")
 		g.pf("}")
 	}
-}
-
-// runtimeHelpers emits the fixed semantic kernel every runner shares; the
-// bodies mirror interp.go's closures operation for operation.
-func (g *gen) runtimeHelpers() {
-	g.pf("")
-	g.raw(`// semantic kernel: bit-accurate helpers mirroring internal/bitvec
-func mask(w uint) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << w) - 1
-}
-
-func sx(v uint64, w uint) uint64 {
-	if w >= 64 {
-		return v
-	}
-	sh := 64 - w
-	return uint64(int64(v<<sh) >> sh)
-}
-
-func b2i(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func shl(a, b uint64, w uint) uint64 {
-	n := uint(b & 63)
-	if n >= w {
-		return 0
-	}
-	return (a << n) & mask(w)
-}
-
-func shru(a, b uint64, w uint) uint64 {
-	n := uint(b & 63)
-	if n >= w {
-		return 0
-	}
-	return a >> n
-}
-
-func shrs(a, b uint64, w uint) uint64 {
-	n := uint(b & 63)
-	if n >= w {
-		n = w - 1
-	}
-	return uint64(sx(a, w)>>n) & mask(w)
-}
-
-func sdiv(a, b uint64, w uint) uint64 {
-	ai, bi := int64(sx(a, w)), int64(sx(b, w))
-	switch {
-	case bi == 0:
-		return mask(w)
-	case ai == -1<<63 && bi == -1:
-		return uint64(ai) & mask(w)
-	}
-	return uint64(ai/bi) & mask(w)
-}
-
-func udiv(a, b uint64, w uint) uint64 {
-	if b == 0 {
-		return mask(w)
-	}
-	return (a / b) & mask(w)
-}
-
-func smod(a, b uint64, w uint) uint64 {
-	ai, bi := int64(sx(a, w)), int64(sx(b, w))
-	if bi == 0 || (ai == -1<<63 && bi == -1) {
-		return 0
-	}
-	return uint64(ai%bi) & mask(w)
-}
-
-func umod(a, b uint64, w uint) uint64 {
-	if b == 0 {
-		return 0
-	}
-	return (a % b) & mask(w)
-}
-
-func tern(c bool, a, b uint64) uint64 {
-	if c {
-		return a
-	}
-	return b
-}
-
-func absv(v uint64, w uint) uint64 {
-	if int64(sx(v, w)) < 0 {
-		return (-v) & mask(w)
-	}
-	return v
-}
-
-func smin(a, b uint64, w uint) uint64 {
-	if int64(sx(a, w)) <= int64(sx(b, w)) {
-		return a
-	}
-	return b
-}
-
-func smax(a, b uint64, w uint) uint64 {
-	if int64(sx(a, w)) <= int64(sx(b, w)) {
-		return b
-	}
-	return a
-}
-
-func umin(a, b uint64) uint64 {
-	if a <= b {
-		return a
-	}
-	return b
-}
-
-func umax(a, b uint64) uint64 {
-	if a <= b {
-		return b
-	}
-	return a
-}
-
-func ssat(v uint64, w, to uint) uint64 {
-	hi := int64(mask(to - 1))
-	lo := -hi - 1
-	i := int64(sx(v, w))
-	if i > hi {
-		i = hi
-	} else if i < lo {
-		i = lo
-	}
-	return uint64(i) & mask(w)
-}
-
-func sext(v uint64, n uint) uint64 { return sx(v&mask(n), n) }
-
-func sadds(a uint64, aw uint, b uint64, bw uint, w uint, sub bool) uint64 {
-	ai, bi := int64(sx(a, aw)), int64(sx(b, bw))
-	s := ai + bi
-	if sub {
-		s = ai - bi
-	}
-	if w < 64 {
-		hi := int64(mask(w - 1))
-		lo := -hi - 1
-		if s > hi {
-			s = hi
-		} else if s < lo {
-			s = lo
-		}
-	}
-	return uint64(s) & mask(w)
-}
-
-func fmtS(v uint64, w uint) string { return strconv.FormatInt(int64(sx(v, w)), 10) }
-
-func fmtU(v uint64) string { return strconv.FormatUint(v, 10) }
-
-func fail(msg string) {
-	if runErr == "" {
-		runErr = fmt.Sprintf("cycle %d: %s", cycle, msg)
-	}
-}
-
-func emitP(s string) { prints = append(prints, s) }`)
 }
 
 // memHelpers emits the per-memory bounds-checked accessors (out-of-range
@@ -413,7 +230,7 @@ func (g *gen) memHelpers() {
 			g.pf("\ta -= %#x", r.Base)
 		}
 		g.pf("\tif a < %d {", r.Size)
-		g.pf("\t\tm_%s[a] = v & %#x", r.Name, maskN(r.Width))
+		g.pf("\t\tm_%s[a] = v & %#x", r.Name, mask(r.Width))
 		g.pf("\t}")
 		g.pf("}")
 	}
@@ -439,29 +256,6 @@ func (g *gen) stateDump() {
 	}
 	g.pf("\treturn []uint64{%s}", strings.Join(parts, ", "))
 	g.pf("}")
-	g.raw(`
-func nonzero(m []uint64) []uint64 {
-	var out []uint64
-	for i, v := range m {
-		if v != 0 {
-			out = append(out, uint64(i), v)
-		}
-	}
-	return out
-}
-
-// changed returns m's elements that differ from its shadow sh, and
-// brings sh up to date.
-func changed(m, sh []uint64) []uint64 {
-	var out []uint64
-	for i, v := range m {
-		if v != sh[i] {
-			out = append(out, uint64(i), v)
-			sh[i] = v
-		}
-	}
-	return out
-}`)
 	dump := make([]string, len(p.arrays))
 	delta := make([]string, len(p.arrays))
 	for i, r := range p.arrays {
@@ -527,7 +321,7 @@ func (g *gen) resetFn() {
 		g.pf("\t\tring[i] = ring[i][:0]")
 		g.pf("\t}")
 	}
-	g.pf("\tcycle, runErr, prints = 0, \"\", prints[:0]")
+	g.pf("\tcycle, runErr = 0, \"\"")
 	g.stmts(p.resetB, 1)
 	if c := g.commitCall(); c != "" {
 		g.pf("\t%s", c)
@@ -601,8 +395,9 @@ func (g *gen) dispatchFn() {
 	}
 	g.pf("")
 	g.pf("func dispatch() {")
-	g.pf("\tk := s_%s & %#x", p.rootRes.Name, maskN(p.dispW))
-	g.raw(`	if d := lookup(k); d != nil {
+	g.pf("\tk := s_%s & %#x", p.rootRes.Name, mask(p.dispW))
+	g.raw(`	if i := tab.get(k); i >= 0 {
+		d := &words[i]
 		d.sched(d)
 	} else {
 		fail(fmt.Sprintf("dispatch of unknown word %#x", k))
@@ -653,139 +448,52 @@ func (g *gen) stepFn() {
 	g.pf("}")
 }
 
-// mainFn emits the protocol loop: the handshake, then one run per
-// request line — load, self-timed step loop, reply — until stdin closes.
+// mainFn emits the protocol loop (proto.go): the handshake, then one run
+// per request line — load, self-timed step loop, reply — until stdin
+// closes.
 func (g *gen) mainFn() {
 	p := g.p
 	g.pf("")
-	g.raw(`// req reads a request line: decimal numbers and Go-quoted strings,
-// separated by spaces.
-type req struct {
-	s   string
-	bad bool
-}
-
-func (r *req) skip() {
-	for len(r.s) > 0 && r.s[0] == ' ' {
-		r.s = r.s[1:]
+	g.raw(`// load resets the machine and installs a request's program: the image
+// in program memory and the decode table of its distinct words. A request
+// that is malformed, or names a leaf without a handler, is refused.
+func load(l string) (request, bool) {
+	q, ok := readRequest(l, nField)
+	if !ok {
+		return q, false
 	}
-}
-
-func (r *req) num() uint64 {
-	r.skip()
-	i := strings.IndexByte(r.s, ' ')
-	if i < 0 {
-		i = len(r.s)
-	}
-	v, err := strconv.ParseUint(r.s[:i], 10, 64)
-	r.s = r.s[i:]
-	r.bad = r.bad || err != nil
-	return v
-}
-
-// count reads a list length, which cannot exceed the rest of the line.
-func (r *req) count() int {
-	n := r.num()
-	if n > uint64(len(r.s)) {
-		r.bad, n = true, 0
-	}
-	return int(n)
-}
-
-func (r *req) str() string {
-	r.skip()
-	q, err := strconv.QuotedPrefix(r.s)
-	if err != nil {
-		r.bad = true
-		return ""
-	}
-	r.s = r.s[len(q):]
-	s, _ := strconv.Unquote(q)
-	return s
-}
-
-// load resets the machine and installs one request's program: the image
-// in program memory and the decode table of its distinct words. It
-// returns the step limit and the trace switch.
-func load(line string) (uint64, bool, bool) {
-	r := &req{s: strings.TrimSuffix(line, "\n")}
-	max := r.num()
-	trace := r.num() != 0
-	origin := r.num()
 	resetSim()
-	n := r.count()
-	for i := 0; i < n; i++ {`)
-	g.pf("\t\twr_%s(origin+uint64(i), r.num())", p.progMem.Name)
+	for i, w := range q.image {`)
+	g.pf("\t\twr_%s(q.origin+uint64(i), w)", p.progMem.Name)
 	g.raw(`	}
-	words := make([]dw, r.count())
-	keys := make([]uint64, len(words))
+	words, tab = make([]dw, len(q.errs)), q.tab
 	for i := range words {
-		keys[i] = r.num()
-		leaf := r.num()
 		d := &words[i]
-		for j := range d.f {
-			d.f[j] = r.num()
+		d.sched, d.err = failWord, q.errs[i]
+		if d.err == "" {
+			n := q.leaves[i]
+			if n >= uint64(len(leaves)) || leaves[n] == nil {
+				return q, false
+			}
+			d.sched = leaves[n]
+			copy(d.f[:], q.fields[i*nField:])
 		}
-		d.sched = failWord
-		if leaf < uint64(len(leaves)) && leaves[leaf] != nil {
-			d.sched = leaves[leaf]
-		} else {
-			d.err = fmt.Sprintf("no handler for leaf %d", leaf)
-		}
 	}
-	for n := r.count(); n > 0; n-- {
-		keys = append(keys, r.num())
-		words = append(words, dw{sched: failWord, err: r.str()})
-	}
-	newTable(len(words))
-	for i := range words {
-		insert(keys[i], &words[i])
-	}
-	return max, trace, !r.bad
+	return q, true
 }
 
-func appendNums(b []byte, v []uint64) []byte {
-	b = append(b, '[')
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendUint(b, x, 10)
-	}
-	return append(b, ']')
-}
-
-func appendState(b []byte, sc []uint64, mem [][]uint64) []byte {
-	b = append(b, ` + "`" + `"sc":` + "`" + `...)
-	b = appendNums(b, sc)
-	b = append(b, ` + "`" + `,"mem":[` + "`" + `...)
-	for i, m := range mem {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendNums(b, m)
-	}
-	return append(b, ']')
-}
-
-var (
-	out  *bufio.Writer
-	line []byte
-)
-
-func run(max uint64, trace bool) {
+func run(q request) {
 	var steps uint64
 	start := time.Now()
-	for steps < max {`)
+	for steps < q.max {`)
 	if p.halt != nil {
 		g.pf("\t\tif s_%s != 0 {", p.halt.Name)
 		g.pf("\t\t\tbreak")
 		g.pf("\t\t}")
 	}
 	g.raw(`		step()
-		if trace {
-			line = strconv.AppendUint(append(line[:0], ` + "`" + `{"t":"c","n":` + "`" + `...), cycle, 10)
-			line = append(appendState(append(line, ','), scalars(), memDelta()), "}\n"...)
+		if q.trace != 0 {
+			line = append(appendState(appendNum(append(line[:0], 'c'), cycle), scalars(), memDelta()), '\n')
 			out.Write(line)
 		}
 		if runErr != "" {
@@ -793,37 +501,27 @@ func run(max uint64, trace bool) {
 		}
 		steps++
 	}
-	wall := time.Since(start).Nanoseconds()
-	for _, s := range prints {
-		q, _ := json.Marshal(s)
-		line = append(append(append(line[:0], ` + "`" + `{"t":"p","s":` + "`" + `...), q...), "}\n"...)
-		out.Write(line)
-	}
-	line = strconv.AppendUint(append(line[:0], ` + "`" + `{"t":"r","steps":` + "`" + `...), steps, 10)
-	line = strconv.AppendInt(append(line, ` + "`" + `,"wall_ns":` + "`" + `...), wall, 10)
-	line = appendState(append(line, ','), scalars(), memDump())
-	if runErr != "" {
-		q, _ := json.Marshal(runErr)
-		line = append(append(line, ` + "`" + `,"err":` + "`" + `...), q...)
-	}
-	out.Write(append(line, "}\n"...))
+	wall := uint64(time.Since(start).Nanoseconds())
+	line = appendState(appendNum(appendNum(append(line[:0], 'r'), steps), wall), scalars(), memDump())
+	line = append(appendStr(line, runErr), '\n')
+	out.Write(line)
 }
 
 func main() {
 	in := bufio.NewReaderSize(os.Stdin, 1<<16)
 	out = bufio.NewWriterSize(os.Stdout, 1<<16)
-	fmt.Fprintf(out, "{\"t\":\"h\",\"model\":%q,\"key\":%q}\n", modelHash, runnerKey)
+	out.Write(append(appendStr(appendStr([]byte{'h'}, modelHash), runnerKey), '\n'))
 	out.Flush()
 	for {
 		l, err := in.ReadString('\n')
 		if err != nil {
 			return // stdin closed: the host is done with this runner
 		}
-		max, trace, ok := load(l)
+		q, ok := load(l)
 		if !ok {
 			os.Exit(2) // a malformed request: no reply, so the host drops this runner
 		}
-		run(max, trace)
+		run(q)
 		out.Flush()
 	}
 }`)
@@ -876,27 +574,27 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 	case lLocal:
 		lw := lhs.local.w
 		if lhs.local.signed {
-			return fmt.Sprintf("loc[%d] = sx(%s, %d) & %#x", lhs.local.idx, rs, lhs.rhsW, maskN(lw))
+			return fmt.Sprintf("loc[%d] = sx(%s, %d) & %#x", lhs.local.idx, rs, lhs.rhsW, mask(lw))
 		}
-		return fmt.Sprintf("loc[%d] = (%s) & %#x", lhs.local.idx, rs, maskN(lw))
+		return fmt.Sprintf("loc[%d] = (%s) & %#x", lhs.local.idx, rs, mask(lw))
 	case lScalar:
 		r := lhs.res
 		if r.Latch {
-			return fmt.Sprintf("pv_%s, ps_%s = (%s)&%#x, true", r.Name, r.Name, rs, maskN(r.Width))
+			return fmt.Sprintf("pv_%s, ps_%s = (%s)&%#x, true", r.Name, r.Name, rs, mask(r.Width))
 		}
-		return fmt.Sprintf("s_%s = (%s) & %#x", r.Name, rs, maskN(r.Width))
+		return fmt.Sprintf("s_%s = (%s) & %#x", r.Name, rs, mask(r.Width))
 	case lSlice:
 		r := lhs.res
-		mm := maskN(lhs.hi-lhs.lo+1) << uint(lhs.lo)
+		mm := mask(lhs.hi-lhs.lo+1) << uint(lhs.lo)
 		merged := fmt.Sprintf("((s_%s &^ %#x) | (((%s) << %d) & %#x)) & %#x",
-			r.Name, mm, rs, lhs.lo, mm, maskN(r.Width))
+			r.Name, mm, rs, lhs.lo, mm, mask(r.Width))
 		if r.Latch {
 			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, merged)
 		}
 		return fmt.Sprintf("s_%s = %s", r.Name, merged)
 	case lElem:
 		if inRange(lhs.res, lhs.idx) {
-			return fmt.Sprintf("m_%s[%s&%#x] = (%s) & %#x", lhs.res.Name, g.expr(lhs.idx), maskN(lhs.idx.w), rs, maskN(lhs.res.Width))
+			return fmt.Sprintf("m_%s[%s&%#x] = (%s) & %#x", lhs.res.Name, g.expr(lhs.idx), mask(lhs.idx.w), rs, mask(lhs.res.Width))
 		}
 		return fmt.Sprintf("wr_%s(%s, %s)", lhs.res.Name, g.expr(lhs.idx), rs)
 	}
@@ -918,7 +616,7 @@ func inRange(r *model.Resource, idx *expr) bool {
 // (sign-extension for narrower signed operands, identity otherwise).
 func (g *gen) widen(c *expr, s string, to int) string {
 	if c.signed && c.w < to {
-		return fmt.Sprintf("(sx(%s, %d) & %#x)", s, c.w, maskN(to))
+		return fmt.Sprintf("(sx(%s, %d) & %#x)", s, c.w, mask(to))
 	}
 	return s
 }
@@ -945,20 +643,20 @@ func (g *gen) expr(e *expr) string {
 		return "s_" + e.res.Name
 	case eElem:
 		if inRange(e.res, e.idx) {
-			return fmt.Sprintf("m_%s[%s&%#x]", e.res.Name, g.expr(e.idx), maskN(e.idx.w))
+			return fmt.Sprintf("m_%s[%s&%#x]", e.res.Name, g.expr(e.idx), mask(e.idx.w))
 		}
 		return fmt.Sprintf("rd_%s(%s)", e.res.Name, g.expr(e.idx))
 	case eSlice:
-		return fmt.Sprintf("((%s >> %d) & %#x)", g.expr(e.a), e.n, maskN(e.w))
+		return fmt.Sprintf("((%s >> %d) & %#x)", g.expr(e.a), e.n, mask(e.w))
 	case eUn:
 		a := g.expr(e.a)
 		switch e.op {
 		case "-":
-			return fmt.Sprintf("((-(%s)) & %#x)", a, maskN(e.w))
+			return fmt.Sprintf("((-(%s)) & %#x)", a, mask(e.w))
 		case "!":
 			return fmt.Sprintf("b2i((%s) == 0)", a)
 		case "~":
-			return fmt.Sprintf("((^(%s)) & %#x)", a, maskN(e.w))
+			return fmt.Sprintf("((^(%s)) & %#x)", a, mask(e.w))
 		}
 	case eBin:
 		return g.bin(e)
@@ -967,23 +665,18 @@ func (g *gen) expr(e *expr) string {
 	case eAbs:
 		return fmt.Sprintf("absv(%s, %d)", g.expr(e.a), e.a.w)
 	case eMinMax:
-		fn := map[string]string{"min": "umin", "max": "umax"}[e.op]
 		if e.a.signed {
 			return fmt.Sprintf("s%s(%s, %s, %d)", e.op, g.expr(e.a), g.expr(e.b), e.a.w)
 		}
-		return fmt.Sprintf("%s(%s, %s)", fn, g.expr(e.a), g.expr(e.b))
+		return fmt.Sprintf("%s(%s, %s)", e.op, g.expr(e.a), g.expr(e.b))
 	case eSat:
-		if e.n >= 64 {
-			return g.expr(e.a)
-		}
 		return fmt.Sprintf("ssat(%s, %d, %d)", g.expr(e.a), e.a.w, e.n)
 	case eSext:
-		return fmt.Sprintf("sext(%s, %d)", g.expr(e.a), e.n)
+		return fmt.Sprintf("sx(%s, %d)", g.expr(e.a), e.n)
 	case eZext:
-		return fmt.Sprintf("((%s) & %#x)", g.expr(e.a), maskN(e.n))
+		return fmt.Sprintf("((%s) & %#x)", g.expr(e.a), mask(e.n))
 	case eAddSat:
-		return fmt.Sprintf("sadds(%s, %d, %s, %d, %d, %v)",
-			g.expr(e.a), e.a.w, g.expr(e.b), e.b.w, e.w, e.op == "-")
+		return fmt.Sprintf("sadds(%s, %d, %s, %d, %v)", g.expr(e.a), e.a.w, g.expr(e.b), e.b.w, e.op == "-")
 	}
 	panic("gosim: unknown expression kind")
 }
@@ -998,7 +691,7 @@ func (g *gen) bin(e *expr) string {
 	signed := l.signed || r.signed
 	switch e.op {
 	case "+", "-", "*":
-		return fmt.Sprintf("((%s %s %s) & %#x)", g.widen(l, ls, w), e.op, g.widen(r, rs, w), maskN(w))
+		return fmt.Sprintf("((%s %s %s) & %#x)", g.widen(l, ls, w), e.op, g.widen(r, rs, w), mask(w))
 	case "&", "|", "^":
 		return fmt.Sprintf("(%s %s %s)", g.widen(l, ls, w), e.op, g.widen(r, rs, w))
 	case "==", "!=":

@@ -4,7 +4,7 @@
 // state flattened into package-level variables — builds it once per
 // model with the host Go toolchain into a standalone runner, and keeps
 // runner processes warm: each run sends one of them its program image
-// and decode table and reads back an NDJSON reply (proto.go). This is
+// and decode table and reads back its reply (proto.go). This is
 // the paper's compiled-simulation principle applied the way LISA
 // generates its other tools: once per machine description. Where sim's
 // "compiled" modes pre-bind closures inside the generic scheduler, gosim

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -383,14 +384,30 @@ func needGo(t *testing.T) {
 	}
 }
 
+// logged makes o record the run's prints and steps, in the order the
+// run reports them, into events, and its per-cycle states into snaps.
+func logged(o Options, snaps *[]snap, events *[]string) Options {
+	collect := collector(snaps)
+	o.OnPrint = func(s string) { *events = append(*events, "print "+strconv.Quote(s)) }
+	o.OnCycleState = func(n uint64, sc []uint64, arr [][]uint64) {
+		collect(n, sc, arr)
+		*events = append(*events, fmt.Sprint("step ", n))
+	}
+	return o
+}
+
 // TestNativeMatchesIR builds the real runner and demands that the native
 // subprocess reports the identical per-cycle state stream, prints, and
-// final result as the in-process IR interpreter.
+// final result as the in-process IR interpreter, and reports each print
+// byte for byte within the step that made it.
 func TestNativeMatchesIR(t *testing.T) {
 	needGo(t)
 	cases := []struct{ name, lisa, prog string }{
 		{"simple16", "", progOps},
 		{"opstest", opsModel, opsProg},
+		{"opstest-bytes", strings.Replace(opsModel, `"state"`, "\"caf\xe9\"", 1), opsProg},
+		// A 64-bit signed right shift of a negative value fills with ones.
+		{"opstest-long-shift", strings.Replace(opsModel, "    wide = p;\n", "    p = p - 1000000;\n    wide = p >> 30;\n", 1), opsProg},
 	}
 	cache := NewCache(t.TempDir())
 	defer cache.Close()
@@ -398,11 +415,12 @@ func TestNativeMatchesIR(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
 			var irSnaps, natSnaps []snap
-			ir, err := NewEngine(p, nil, Options{Backend: ForceIR, OnCycleState: collector(&irSnaps)}).Run(10_000)
+			var irEvents, natEvents []string
+			ir, err := NewEngine(p, nil, logged(Options{Backend: ForceIR}, &irSnaps, &irEvents)).Run(10_000)
 			if err != nil {
 				t.Fatalf("IR run: %v", err)
 			}
-			nat, err := NewEngine(p, cache, Options{Backend: ForceNative, OnCycleState: collector(&natSnaps)}).Run(10_000)
+			nat, err := NewEngine(p, cache, logged(Options{Backend: ForceNative}, &natSnaps, &natEvents)).Run(10_000)
 			if err != nil {
 				t.Fatalf("native run: %v", err)
 			}
@@ -425,6 +443,9 @@ func TestNativeMatchesIR(t *testing.T) {
 			}
 			if fmt.Sprint(ir.Scalars) != fmt.Sprint(nat.Scalars) || fmt.Sprint(ir.Arrays) != fmt.Sprint(nat.Arrays) {
 				t.Fatal("final state divergence between IR and native runs")
+			}
+			if a, b := strings.Join(irEvents, "\n"), strings.Join(natEvents, "\n"); a != b {
+				t.Fatalf("event order divergence:\nIR:\n%s\nnative:\n%s", a, b)
 			}
 		})
 	}

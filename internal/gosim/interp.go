@@ -2,7 +2,6 @@ package gosim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"golisa/internal/bitvec"
@@ -16,26 +15,8 @@ import (
 // engine when the Go toolchain is unavailable (or the program too short
 // to be worth a runner), and the reference the emitted runner is
 // cross-checked against in tests. It runs the same leaf handlers the
-// runner carries, over the same per-program decode table.
-
-func maskN(w int) uint64 {
-	if w <= 0 {
-		return 0
-	}
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w)) - 1
-}
-
-// sx64 sign-extends the low w bits of v to 64 bits.
-func sx64(v uint64, w int) uint64 {
-	if w <= 0 || w >= 64 {
-		return v
-	}
-	sh := uint(64 - w)
-	return uint64(int64(v<<sh) >> sh)
-}
+// runner carries, over the same per-program decode table, and computes
+// with the runner's own helpers (kernel.go).
 
 type efn func(*Machine) uint64
 type sfn func(*Machine)
@@ -156,7 +137,7 @@ func (m *Machine) Reset() {
 // outside the memory dropped.
 func (p *Program) loadImage(mem []uint64) {
 	base, size := p.progMem.Base, p.progMem.Size
-	mk := maskN(p.progMem.Width)
+	mk := mask(p.progMem.Width)
 	for i, w := range p.Words {
 		a := p.Origin + uint64(i)
 		if a >= base && a-base < size {
@@ -364,9 +345,9 @@ func compileStmtFn(p *modelIR, s *stmt) sfn {
 				case pp.fn == nil:
 					segs[i] = pp.str
 				case pp.signed:
-					segs[i] = strconv.FormatInt(int64(sx64(pp.fn(m), pp.w)), 10)
+					segs[i] = fmtS(pp.fn(m), pp.w)
 				default:
-					segs[i] = strconv.FormatUint(pp.fn(m), 10)
+					segs[i] = fmtU(pp.fn(m))
 				}
 			}
 			if m.OnPrint != nil {
@@ -375,19 +356,20 @@ func compileStmtFn(p *modelIR, s *stmt) sfn {
 		}
 	case sDispatch:
 		rrSlot := p.rootRes.Slot
-		dmask := maskN(p.dispW)
+		dmask := mask(p.dispW)
 		return func(m *Machine) {
 			key := m.sc[rrSlot] & dmask
-			d := m.p.decoded[key]
-			switch {
-			case d == nil:
+			i := m.p.tab.get(key)
+			if i < 0 {
 				m.err = fmt.Errorf("cycle %d: dispatch of unknown word %#x", m.cycle, key)
 				return
-			case d.leaf == nil:
+			}
+			d := &m.p.words[i]
+			if d.errMsg != "" {
 				m.err = fmt.Errorf("cycle %d: %s", m.cycle, d.errMsg)
 				return
 			}
-			for _, t := range p.rt.leaves[d.leaf.id] {
+			for _, t := range p.rt.leaves[d.leaf] {
 				m.schedule(t.stage, t.fn, d.fields)
 			}
 		}
@@ -400,15 +382,15 @@ func compileAssignFn(p *modelIR, lhs *lval, rhs *expr) sfn {
 	switch lhs.kind {
 	case lLocal:
 		idx, lw := lhs.local.idx, lhs.local.w
-		mk := maskN(lw)
+		mk := mask(lw)
 		if lhs.local.signed {
 			rw := lhs.rhsW
-			return func(m *Machine) { m.loc[idx] = sx64(rf(m), rw) & mk }
+			return func(m *Machine) { m.loc[idx] = sx(rf(m), rw) & mk }
 		}
 		return func(m *Machine) { m.loc[idx] = rf(m) & mk }
 	case lScalar:
 		r := lhs.res
-		mk := maskN(r.Width)
+		mk := mask(r.Width)
 		if r.Latch {
 			pi := p.latchIdx[r]
 			return func(m *Machine) {
@@ -421,9 +403,9 @@ func compileAssignFn(p *modelIR, lhs *lval, rhs *expr) sfn {
 	case lSlice:
 		r := lhs.res
 		slot := r.Slot
-		bmk := maskN(r.Width)
+		bmk := mask(r.Width)
 		lo := uint(lhs.lo)
-		mm := maskN(lhs.hi-lhs.lo+1) << lo
+		mm := mask(lhs.hi-lhs.lo+1) << lo
 		if r.Latch {
 			pi := p.latchIdx[r]
 			return func(m *Machine) {
@@ -440,7 +422,7 @@ func compileAssignFn(p *modelIR, lhs *lval, rhs *expr) sfn {
 		r := lhs.res
 		slot := r.Slot
 		base, size := r.Base, r.Size
-		mk := maskN(r.Width)
+		mk := mask(r.Width)
 		af := compileExprFn(lhs.idx)
 		return func(m *Machine) {
 			a := af(m)
@@ -460,8 +442,8 @@ func compileAssignFn(p *modelIR, lhs *lval, rhs *expr) sfn {
 func widenFn(c *expr, cf efn, to int) efn {
 	if c.signed && c.w < to {
 		w := c.w
-		mk := maskN(to)
-		return func(m *Machine) uint64 { return sx64(cf(m), w) & mk }
+		mk := mask(to)
+		return func(m *Machine) uint64 { return sx(cf(m), w) & mk }
 	}
 	return cf
 }
@@ -473,10 +455,22 @@ func widenFn(c *expr, cf efn, to int) efn {
 // Resize(w) followed by CmpS).
 func cmpIntFn(c *expr, cf efn, w int) func(*Machine) int64 {
 	if c.signed {
-		cw := c.w
-		return func(m *Machine) int64 { return int64(sx64(cf(m), cw)) }
+		w = c.w
 	}
-	return func(m *Machine) int64 { return int64(sx64(cf(m), w)) }
+	return func(m *Machine) int64 { return int64(sx(cf(m), w)) }
+}
+
+// cmpFn compiles a compare of two operands of one type.
+func cmpFn[T int64 | uint64](op string, a, b func(*Machine) T) efn {
+	switch op {
+	case "<":
+		return func(m *Machine) uint64 { return b2i(a(m) < b(m)) }
+	case "<=":
+		return func(m *Machine) uint64 { return b2i(a(m) <= b(m)) }
+	case ">":
+		return func(m *Machine) uint64 { return b2i(a(m) > b(m)) }
+	}
+	return func(m *Machine) uint64 { return b2i(a(m) >= b(m)) }
 }
 
 func compileExprFn(e *expr) efn {
@@ -507,23 +501,18 @@ func compileExprFn(e *expr) efn {
 	case eSlice:
 		af := compileExprFn(e.a)
 		lo := uint(e.n)
-		mk := maskN(e.w)
+		mk := mask(e.w)
 		return func(m *Machine) uint64 { return (af(m) >> lo) & mk }
 	case eUn:
 		af := compileExprFn(e.a)
-		mk := maskN(e.w)
+		mk := mask(e.w)
 		switch e.op {
 		case "-":
-			return func(m *Machine) uint64 { return (-af(m)) & mk }
+			return func(m *Machine) uint64 { return -af(m) & mk }
 		case "!":
-			return func(m *Machine) uint64 {
-				if af(m) == 0 {
-					return 1
-				}
-				return 0
-			}
+			return func(m *Machine) uint64 { return b2i(af(m) == 0) }
 		case "~":
-			return func(m *Machine) uint64 { return (^af(m)) & mk }
+			return func(m *Machine) uint64 { return ^af(m) & mk }
 		}
 	case eBin:
 		return compileBinFn(e)
@@ -538,266 +527,91 @@ func compileExprFn(e *expr) efn {
 			return ff(m)
 		}
 	case eAbs:
-		af := compileExprFn(e.a)
-		w := e.a.w
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			v := af(m)
-			if int64(sx64(v, w)) < 0 {
-				return (-v) & mk
-			}
-			return v
-		}
+		af, w := compileExprFn(e.a), e.a.w
+		return func(m *Machine) uint64 { return absv(af(m), w) }
 	case eMinMax:
-		af := compileExprFn(e.a)
-		bf := compileExprFn(e.b)
-		w := e.a.w
-		wantMax := e.op == "max"
-		if e.a.signed {
-			return func(m *Machine) uint64 {
-				av, bv := af(m), bf(m)
-				ai, bi := int64(sx64(av, w)), int64(sx64(bv, w))
-				if (ai <= bi) != wantMax {
-					return av
-				}
-				return bv
-			}
+		af, bf, w := compileExprFn(e.a), compileExprFn(e.b), e.a.w
+		switch {
+		case !e.a.signed && e.op == "min":
+			return func(m *Machine) uint64 { return min(af(m), bf(m)) }
+		case !e.a.signed:
+			return func(m *Machine) uint64 { return max(af(m), bf(m)) }
+		case e.op == "min":
+			return func(m *Machine) uint64 { return smin(af(m), bf(m), w) }
 		}
-		return func(m *Machine) uint64 {
-			av, bv := af(m), bf(m)
-			if (av <= bv) != wantMax {
-				return av
-			}
-			return bv
-		}
+		return func(m *Machine) uint64 { return smax(af(m), bf(m), w) }
 	case eSat:
-		af := compileExprFn(e.a)
-		w, to := e.a.w, e.n
-		if to >= 64 {
-			return af
-		}
-		hi := int64(maskN(to - 1))
-		lo := -hi - 1
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			i := int64(sx64(af(m), w))
-			if i > hi {
-				i = hi
-			} else if i < lo {
-				i = lo
-			}
-			return uint64(i) & mk
-		}
+		af, w, to := compileExprFn(e.a), e.a.w, e.n
+		return func(m *Machine) uint64 { return ssat(af(m), w, to) }
 	case eSext:
-		af := compileExprFn(e.a)
-		n := e.n
-		mk := maskN(n)
-		return func(m *Machine) uint64 { return sx64(af(m)&mk, n) }
+		af, n := compileExprFn(e.a), e.n
+		return func(m *Machine) uint64 { return sx(af(m), n) }
 	case eZext:
 		af := compileExprFn(e.a)
-		mk := maskN(e.n)
+		mk := mask(e.n)
 		return func(m *Machine) uint64 { return af(m) & mk }
 	case eAddSat:
-		af := compileExprFn(e.a)
-		bf := compileExprFn(e.b)
-		aw, bw, w := e.a.w, e.b.w, e.w
-		sub := e.op == "-"
-		hi := int64(maskN(w - 1))
-		lo := -hi - 1
-		mk := maskN(w)
-		return func(m *Machine) uint64 {
-			ai, bi := int64(sx64(af(m), aw)), int64(sx64(bf(m), bw))
-			var s int64
-			if sub {
-				s = ai - bi
-			} else {
-				s = ai + bi
-			}
-			if w < 64 {
-				if s > hi {
-					s = hi
-				} else if s < lo {
-					s = lo
-				}
-			}
-			return uint64(s) & mk
-		}
+		af, bf := compileExprFn(e.a), compileExprFn(e.b)
+		aw, bw, sub := e.a.w, e.b.w, e.op == "-"
+		return func(m *Machine) uint64 { return sadds(af(m), aw, bf(m), bw, sub) }
 	}
 	panic("gosim: unknown expression kind")
 }
 
 func compileBinFn(e *expr) efn {
 	l, r := e.a, e.b
-	w := l.w
-	if r.w > w {
-		w = r.w
-	}
-	lf := compileExprFn(l)
-	rf := compileExprFn(r)
+	w := max(l.w, r.w)
+	lf, rf := compileExprFn(l), compileExprFn(r)
+	af, bf := widenFn(l, lf, w), widenFn(r, rf, w)
+	mk := mask(w)
+	signed := l.signed || r.signed
 	switch e.op {
-	case "+", "-", "*", "&", "|", "^", "==", "!=", "/", "%":
-		af := widenFn(l, lf, w)
-		bf := widenFn(r, rf, w)
-		mk := maskN(w)
-		signed := l.signed || r.signed
-		switch e.op {
-		case "+":
-			return func(m *Machine) uint64 { return (af(m) + bf(m)) & mk }
-		case "-":
-			return func(m *Machine) uint64 { return (af(m) - bf(m)) & mk }
-		case "*":
-			return func(m *Machine) uint64 { return (af(m) * bf(m)) & mk }
-		case "&":
-			return func(m *Machine) uint64 { return af(m) & bf(m) }
-		case "|":
-			return func(m *Machine) uint64 { return af(m) | bf(m) }
-		case "^":
-			return func(m *Machine) uint64 { return af(m) ^ bf(m) }
-		case "==":
-			return func(m *Machine) uint64 {
-				if af(m) == bf(m) {
-					return 1
-				}
-				return 0
-			}
-		case "!=":
-			return func(m *Machine) uint64 {
-				if af(m) != bf(m) {
-					return 1
-				}
-				return 0
-			}
-		case "/":
-			if signed {
-				return func(m *Machine) uint64 {
-					ai, bi := int64(sx64(af(m), w)), int64(sx64(bf(m), w))
-					switch {
-					case bi == 0:
-						return mk
-					case ai == -1<<63 && bi == -1:
-						return uint64(ai) & mk
-					default:
-						return uint64(ai/bi) & mk
-					}
-				}
-			}
-			return func(m *Machine) uint64 {
-				a, b := af(m), bf(m)
-				if b == 0 {
-					return mk
-				}
-				return (a / b) & mk
-			}
-		default: // "%"
-			if signed {
-				return func(m *Machine) uint64 {
-					ai, bi := int64(sx64(af(m), w)), int64(sx64(bf(m), w))
-					switch {
-					case bi == 0:
-						return 0
-					case ai == -1<<63 && bi == -1:
-						return 0
-					default:
-						return uint64(ai%bi) & mk
-					}
-				}
-			}
-			return func(m *Machine) uint64 {
-				a, b := af(m), bf(m)
-				if b == 0 {
-					return 0
-				}
-				return (a % b) & mk
-			}
-		}
-	case "<", "<=", ">", ">=":
-		signed := l.signed || r.signed
-		op := e.op
+	case "+":
+		return func(m *Machine) uint64 { return (af(m) + bf(m)) & mk }
+	case "-":
+		return func(m *Machine) uint64 { return (af(m) - bf(m)) & mk }
+	case "*":
+		return func(m *Machine) uint64 { return (af(m) * bf(m)) & mk }
+	case "&":
+		return func(m *Machine) uint64 { return af(m) & bf(m) }
+	case "|":
+		return func(m *Machine) uint64 { return af(m) | bf(m) }
+	case "^":
+		return func(m *Machine) uint64 { return af(m) ^ bf(m) }
+	case "==":
+		return func(m *Machine) uint64 { return b2i(af(m) == bf(m)) }
+	case "!=":
+		return func(m *Machine) uint64 { return b2i(af(m) != bf(m)) }
+	case "/":
 		if signed {
-			ai := cmpIntFn(l, lf, w)
-			bi := cmpIntFn(r, rf, w)
-			return func(m *Machine) uint64 {
-				a, b := ai(m), bi(m)
-				var ok bool
-				switch op {
-				case "<":
-					ok = a < b
-				case "<=":
-					ok = a <= b
-				case ">":
-					ok = a > b
-				default:
-					ok = a >= b
-				}
-				if ok {
-					return 1
-				}
-				return 0
-			}
+			return func(m *Machine) uint64 { return sdiv(af(m), bf(m), w) }
+		}
+		return func(m *Machine) uint64 { return udiv(af(m), bf(m), w) }
+	case "%":
+		if signed {
+			return func(m *Machine) uint64 { return smod(af(m), bf(m), w) }
+		}
+		return func(m *Machine) uint64 { return umod(af(m), bf(m), w) }
+	case "<", "<=", ">", ">=":
+		if signed {
+			return cmpFn(e.op, cmpIntFn(l, lf, w), cmpIntFn(r, rf, w))
 		}
 		// Unsigned compares are payload compares at the operands' own
 		// widths (CmpU does not widen).
-		return func(m *Machine) uint64 {
-			a, b := lf(m), rf(m)
-			var ok bool
-			switch op {
-			case "<":
-				ok = a < b
-			case "<=":
-				ok = a <= b
-			case ">":
-				ok = a > b
-			default:
-				ok = a >= b
-			}
-			if ok {
-				return 1
-			}
-			return 0
-		}
+		return cmpFn(e.op, lf, rf)
 	case "<<":
 		lw := l.w
-		mk := maskN(lw)
-		return func(m *Machine) uint64 {
-			n := uint(rf(m) & 63)
-			if n >= uint(lw) {
-				return 0
-			}
-			return (lf(m) << n) & mk
-		}
+		return func(m *Machine) uint64 { return shl(lf(m), rf(m), lw) }
 	case ">>":
 		lw := l.w
 		if l.signed {
-			mk := maskN(lw)
-			return func(m *Machine) uint64 {
-				n := uint(rf(m) & 63)
-				if n >= uint(lw) {
-					n = uint(lw) - 1
-				}
-				return uint64(int64(sx64(lf(m), lw))>>n) & mk
-			}
+			return func(m *Machine) uint64 { return shrs(lf(m), rf(m), lw) }
 		}
-		return func(m *Machine) uint64 {
-			n := uint(rf(m) & 63)
-			if n >= uint(lw) {
-				return 0
-			}
-			return lf(m) >> n
-		}
+		return func(m *Machine) uint64 { return shru(lf(m), rf(m), lw) }
 	case "&&":
-		return func(m *Machine) uint64 {
-			if lf(m) != 0 && rf(m) != 0 {
-				return 1
-			}
-			return 0
-		}
+		return func(m *Machine) uint64 { return b2i(lf(m) != 0 && rf(m) != 0) }
 	case "||":
-		return func(m *Machine) uint64 {
-			if lf(m) != 0 || rf(m) != 0 {
-				return 1
-			}
-			return 0
-		}
+		return func(m *Machine) uint64 { return b2i(lf(m) != 0 || rf(m) != 0) }
 	}
 	panic("gosim: unknown binary operator " + e.op)
 }

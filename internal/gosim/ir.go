@@ -652,7 +652,7 @@ func (f *fctx) constIntArg(e ast.Expr) (int64, error) {
 	if x.kind != eConst {
 		return 0, unsup("argument must be a constant")
 	}
-	return int64(sx64(x.k, x.w)), nil
+	return int64(sx(x.k, x.w)), nil
 }
 
 // constSlice folds a hi/lo bit-range pair, normalizing hi >= lo exactly

@@ -2,78 +2,46 @@ package gosim
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
+	"math"
 )
 
-// The runner protocol. A runner process first writes a handshake line,
-// then serves runs: the host writes one request line to its stdin — the
-// step limit, the trace switch, the program image and its decode table
-// as decimal numbers separated by spaces,
+// The runner protocol, in the line codec of kernel.go. A runner process
+// first writes a handshake line; then for each run the host writes one
+// request line to its stdin (request, in kernel.go), and the runner
+// replies on its stdout:
 //
-//	max trace origin n word*n  m (key leaf field*nField)*m  k (key "err")*k
+//	h "model" "key"               handshake, once per process
+//	c n sc mem                    trace: the state after step n (traced runs)
+//	p "line"                      one print() line, as it retires
+//	r steps wall_ns sc mem "err"  result, ending the reply
 //
-// with each undecodable word's error message Go-quoted — and reads the
-// reply from the runner's stdout, NDJSON discriminated by t:
-//
-//	{"t":"h","model":H,"key":K}                     handshake, once per process
-//	{"t":"c","n":N,"sc":[..],"mem":[[i,v,..],..]}   trace: state after step N (traced runs)
-//	{"t":"p","s":"line"}                            one print() line
-//	{"t":"r","steps":N,"wall_ns":N,"sc":[..],"mem":[[i,v,..],..],"err":".."}
-//
-// The result line ("r") ends the reply; err is set when the run stopped on
-// a simulation error. sc holds every scalar slot. mem holds one list per
-// memory slot of (index, value) pairs: in a trace line the elements that
-// changed since the previous line, in the result the nonzero elements. Program memory is never
-// reported: no behavior writes it (checkDispatchSafety), so the host
-// fills it from its own image. Both state forms grow with the words
-// written, not with memory size. The request is plain numbers because
-// decoding a JSON program image and table cost more than a short run.
+// err is empty unless the run stopped on a simulation error. sc lists
+// every scalar slot; mem lists one list per memory slot, of (index,
+// value) pairs: in a trace line the elements that changed since the
+// previous line, in the result the nonzero elements. Program memory is
+// never reported: no behavior writes it (checkDispatchSafety), so the
+// host fills it from its own image. Both state forms grow with the words
+// written, not with memory size.
 
 // request renders one run's request line. The program part is encoded
 // once per Program.
 func (p *Program) request(max uint64, trace bool) []byte {
 	p.reqOnce.Do(func() {
-		keys := make([]uint64, 0, len(p.decoded))
-		for k := range p.decoded {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		var ok, bad []byte
-		nOK, nBad := 0, 0
-		for _, k := range keys {
-			d := p.decoded[k]
-			if d.leaf == nil {
-				bad = strconv.AppendQuote(append(appendNums(bad, k), ' '), d.errMsg)
-				nBad++
-				continue
+		b := appendList(appendNum(nil, p.Origin), p.Words)
+		b = appendNum(b, uint64(len(p.words)))
+		for _, d := range p.words {
+			b = appendNum(appendNum(b, d.key), uint64(d.leaf))
+			for _, f := range d.fields {
+				b = appendNum(b, f)
 			}
-			ok = appendNums(appendNums(ok, k, uint64(d.leaf.id)), d.fields...)
-			nOK++
+			b = appendStr(b, d.errMsg)
 		}
-		b := appendNums(nil, p.Origin, uint64(len(p.Words)))
-		b = appendNums(b, p.Words...)
-		b = append(appendNums(b, uint64(nOK)), ok...)
-		b = append(appendNums(b, uint64(nBad)), bad...)
 		p.req = append(b, '\n')
 	})
-	tr := uint64(0)
-	if trace {
-		tr = 1
-	}
-	return append(appendNums(nil, max, tr), p.req...)
-}
-
-// appendNums appends each number after a space.
-func appendNums(b []byte, v ...uint64) []byte {
-	for _, x := range v {
-		b = strconv.AppendUint(append(b, ' '), x, 10)
-	}
-	return b
+	return append(appendNum(appendNum([]byte{'r'}, max), b2i(trace)), p.req...)
 }
 
 // errNoResult marks a runner whose output ended before the result line.
@@ -105,52 +73,45 @@ func (p *Program) lineCap() int {
 	return 64<<10 + 48*n
 }
 
-type outLine struct {
-	T      string     `json:"t"`
-	Key    string     `json:"key"`
-	N      uint64     `json:"n"`
-	S      string     `json:"s"`
-	Steps  uint64     `json:"steps"`
-	WallNs int64      `json:"wall_ns"`
-	Sc     []uint64   `json:"sc"`
-	Mem    [][]uint64 `json:"mem"`
-	Err    string     `json:"err"`
-}
-
-func (rr *replyReader) next() (*outLine, error) {
-	for rr.sc.Scan() {
-		if len(rr.sc.Bytes()) == 0 {
-			continue
-		}
-		ln := &outLine{}
-		if err := json.Unmarshal(rr.sc.Bytes(), ln); err != nil {
-			return nil, fmt.Errorf("gosim: runner protocol: %w", err)
-		}
-		return ln, nil
+// next reads a line: its tag and a reader of its items.
+func (rr *replyReader) next() (byte, lineReader, error) {
+	if rr.sc.Scan() {
+		tag, r := readLine(rr.sc.Text())
+		return tag, r, nil
 	}
 	if err := rr.sc.Err(); err != nil {
-		return nil, fmt.Errorf("gosim: read runner output: %w", err)
+		return 0, lineReader{}, fmt.Errorf("gosim: read runner output: %w", err)
 	}
-	return nil, errNoResult
+	return 0, lineReader{}, errNoResult
+}
+
+func errMalformed(tag byte) error {
+	return fmt.Errorf("gosim: runner protocol: malformed %q line", tag)
 }
 
 // handshake reads the runner's identity line and returns its key.
 func (rr *replyReader) handshake() (string, error) {
-	ln, err := rr.next()
+	tag, r, err := rr.next()
 	if err != nil {
 		return "", err
 	}
-	if ln.T != "h" {
-		return "", fmt.Errorf("gosim: runner protocol: %q line before the handshake", ln.T)
+	if tag != 'h' {
+		return "", fmt.Errorf("gosim: runner protocol: %q line before the handshake", tag)
 	}
-	return ln.Key, nil
+	r.str() // the model hash, which the key covers
+	key := r.str()
+	if !r.done() {
+		return "", errMalformed(tag)
+	}
+	return key, nil
 }
 
 // reply reads one run of p, up to and including its result line. A
 // simulation error comes back with its partial result, like the IR
 // path's; any other error means the runner is broken and comes back
-// alone. onCycle, when non-nil, receives the full state after every
-// step; the slices are valid only during the call.
+// alone. onPrint and onCycle see the run's prints and states in the
+// order the run made them; onCycle, when non-nil, receives the full
+// state after every step, the slices valid only during the call.
 func (rr *replyReader) reply(p *Program, onPrint func(string), onCycle func(uint64, []uint64, [][]uint64)) (*Result, error) {
 	res := &Result{}
 	var mirror [][]uint64 // the traced run's state, rebuilt from the write deltas
@@ -159,42 +120,56 @@ func (rr *replyReader) reply(p *Program, onPrint func(string), onCycle func(uint
 		mirror = p.newArrays()
 	}
 	for {
-		ln, err := rr.next()
+		tag, r, err := rr.next()
 		if err != nil {
 			return nil, err
 		}
-		switch ln.T {
-		case "p":
-			res.Prints = append(res.Prints, ln.S)
+		switch tag {
+		case 'p':
+			s := r.str()
+			if !r.done() {
+				return nil, errMalformed(tag)
+			}
+			res.Prints = append(res.Prints, s)
 			if onPrint != nil {
-				onPrint(ln.S)
+				onPrint(s)
 			}
-		case "c":
-			if mirror == nil {
+		case 'c':
+			step := r.num()
+			sc, mem := r.state()
+			switch {
+			case !r.done():
+				return nil, errMalformed(tag)
+			case mirror == nil:
 				return nil, fmt.Errorf("gosim: runner protocol: trace line in an untraced run")
+			case step != n+1:
+				return nil, fmt.Errorf("gosim: runner protocol: trace of step %d after step %d", step, n)
 			}
-			if ln.N != n+1 {
-				return nil, fmt.Errorf("gosim: runner protocol: trace of step %d after step %d", ln.N, n)
-			}
-			n = ln.N
-			if err := p.applyState(ln.Sc, ln.Mem, mirror); err != nil {
+			n = step
+			if err := p.applyState(sc, mem, mirror); err != nil {
 				return nil, err
 			}
-			onCycle(n, ln.Sc, mirror)
-		case "r":
+			onCycle(n, sc, mirror)
+		case 'r':
+			steps, wall := r.num(), r.num()
+			sc, mem := r.state()
+			msg := r.str()
+			if !r.done() || wall > math.MaxInt64 {
+				return nil, errMalformed(tag)
+			}
 			arr := p.newArrays()
-			if err := p.applyState(ln.Sc, ln.Mem, arr); err != nil {
+			if err := p.applyState(sc, mem, arr); err != nil {
 				return nil, err
 			}
-			res.Steps, res.RunNs = ln.Steps, ln.WallNs
-			res.Scalars, res.Arrays = ln.Sc, arr
-			res.Halted = p.halt != nil && ln.Sc[p.halt.Slot] != 0
-			if ln.Err != "" {
-				return res, fmt.Errorf("gosim: runner: %s", ln.Err)
+			res.Steps, res.RunNs = steps, int64(wall)
+			res.Scalars, res.Arrays = sc, arr
+			res.Halted = p.halt != nil && sc[p.halt.Slot] != 0
+			if msg != "" {
+				return res, fmt.Errorf("gosim: runner: %s", msg)
 			}
 			return res, nil
 		default:
-			return nil, fmt.Errorf("gosim: runner protocol: unexpected %q line", ln.T)
+			return nil, fmt.Errorf("gosim: runner protocol: unexpected %q line", tag)
 		}
 	}
 }
@@ -224,7 +199,7 @@ func (p *Program) applyState(sc []uint64, mem [][]uint64, arr [][]uint64) error 
 		if r := p.scalars[i]; r != nil {
 			w = r.Width
 		}
-		if v&^maskN(w) != 0 {
+		if v&^mask(w) != 0 {
 			return fmt.Errorf("gosim: runner protocol: scalar slot %d holds %#x, wider than %d bits", i, v, w)
 		}
 	}
@@ -247,7 +222,7 @@ func (p *Program) applyState(sc []uint64, mem [][]uint64, arr [][]uint64) error 
 			if idx >= r.Total() {
 				return fmt.Errorf("gosim: runner protocol: %s[%d] is past its %d elements", r.Name, idx, r.Total())
 			}
-			if v&^maskN(r.Width) != 0 {
+			if v&^mask(r.Width) != 0 {
 				return fmt.Errorf("gosim: runner protocol: %s[%d] holds %#x, wider than %d bits", r.Name, idx, v, r.Width)
 			}
 			arr[i][idx] = v

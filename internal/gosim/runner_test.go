@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"golisa/internal/core"
-	"golisa/internal/perf"
 )
 
 // opsProgB differs from opsProg in length and in what it prints.
@@ -248,7 +247,7 @@ func TestStaleRunnerIsRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plant(t, path, `{"t":"h","model":"0","prog":"0","key":"0"}`)
+	plant(t, path, `h "0" "0"`)
 	want, err := NewEngine(p, nil, Options{Backend: ForceIR}).Run(10_000)
 	if err != nil {
 		t.Fatal(err)
@@ -274,16 +273,13 @@ func TestStaleRunnerIsRebuilt(t *testing.T) {
 // header may be followed by but the host must reject, by name. Each
 // breaks the state layout.
 func craftedReplies(p *Program) map[string][]string {
-	sc := strings.TrimSuffix(strings.Repeat("0,", len(p.scalars)), ",")
-	mem := func(slot int, pairs string) string {
-		lists := make([]string, len(p.arrays))
-		for i := range lists {
-			lists[i] = "[]"
-		}
+	sc := make([]uint64, len(p.scalars))
+	mem := func(slot int, pairs ...uint64) [][]uint64 {
+		lists := make([][]uint64, len(p.arrays))
 		if slot >= 0 {
-			lists[slot] = "[" + pairs + "]"
+			lists[slot] = pairs
 		}
-		return "[" + strings.Join(lists, ",") + "]"
+		return lists
 	}
 	data, prog := -1, -1
 	for i, r := range p.arrays {
@@ -295,19 +291,25 @@ func craftedReplies(p *Program) map[string][]string {
 			data = i
 		}
 	}
-	r := func(sc, mem string) string { return `{"t":"r","steps":7,"sc":[` + sc + `],"mem":` + mem + `}` }
+	r := func(sc []uint64, mem [][]uint64) string {
+		return string(appendStr(appendState([]byte("r 7 0"), sc, mem), ""))
+	}
+	c := func(n uint64, sc []uint64, mem [][]uint64) string {
+		return string(appendState(appendNum([]byte("c"), n), sc, mem))
+	}
+	wide := append([]uint64{1<<64 - 1}, sc[1:]...)
 	return map[string][]string{
-		"scalar count":   {`{"t":"r","steps":7,"halted":true,"sc":[1],"arr":[[5]]}`},
-		"memory count":   {r(sc, "[[]]")},
-		"element index":  {r(sc, mem(data, fmt.Sprintf("%d,1", p.arrays[data].Total())))},
-		"element width":  {r(sc, mem(data, "0,4294967296"))},
-		"unpaired":       {r(sc, mem(data, "3"))},
-		"program memory": {r(sc, mem(prog, "0,1"))},
-		"scalar width":   {r(strings.Replace(sc, "0", "18446744073709551615", 1), mem(-1, ""))},
-		"trace layout":   {`{"t":"c","n":1,"sc":[1],"mem":[]}`, r(sc, mem(-1, ""))},
-		"trace gap":      {`{"t":"c","n":2,"sc":[` + sc + `],"mem":` + mem(-1, "") + `}`, r(sc, mem(-1, ""))},
-		"unknown line":   {`{"t":"x"}`, r(sc, mem(-1, ""))},
-		"no result":      {`{"t":"p","s":"hello"}`},
+		"scalar count":   {r([]uint64{1}, [][]uint64{{5}})},
+		"memory count":   {r(sc, [][]uint64{nil})},
+		"element index":  {r(sc, mem(data, p.arrays[data].Total(), 1))},
+		"element width":  {r(sc, mem(data, 0, 1<<32))},
+		"unpaired":       {r(sc, mem(data, 3))},
+		"program memory": {r(sc, mem(prog, 0, 1))},
+		"scalar width":   {r(wide, mem(-1))},
+		"trace layout":   {c(1, []uint64{1}, nil), r(sc, mem(-1))},
+		"trace gap":      {c(2, sc, mem(-1)), r(sc, mem(-1))},
+		"unknown line":   {"x", r(sc, mem(-1))},
+		"no result":      {`p "hello"`},
 	}
 }
 
@@ -322,8 +324,7 @@ func TestCraftedRunnerOutputRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	header := fmt.Sprintf(`{"t":"h","model":%q,"prog":%q,"key":%q}`,
-		p.hash, perf.HashProgram(p.Origin, p.Words), filepath.Base(filepath.Dir(path)))
+	header := string(appendStr(appendStr([]byte("h"), p.hash), filepath.Base(filepath.Dir(path))))
 	for name, reply := range craftedReplies(p) {
 		plant(t, path, header, reply...)
 		c := NewCache(dir)
@@ -345,7 +346,7 @@ func checkLayout(t *testing.T, p *Program, sc []uint64, arr [][]uint64) {
 		t.Fatalf("state has %d scalars and %d memories, model %d and %d", len(sc), len(arr), len(p.scalars), len(p.arrays))
 	}
 	for i, r := range p.scalars {
-		if r != nil && sc[i]&^maskN(r.Width) != 0 {
+		if r != nil && sc[i]&^mask(r.Width) != 0 {
 			t.Fatalf("scalar %s = %#x is wider than %d bits", r.Name, sc[i], r.Width)
 		}
 	}
@@ -357,12 +358,12 @@ func checkLayout(t *testing.T, p *Program, sc []uint64, arr [][]uint64) {
 }
 
 // TestReplyReader reads the captured output of the stock simple16 runner
-// (testdata/runner_output.ndjson: the handshake and one traced run of
+// (testdata/runner_output.txt: the handshake and one traced run of
 // progLoop) and demands the IR's steps, per-cycle states and final state;
 // every crafted reply after a good handshake must be an error.
 func TestReplyReader(t *testing.T) {
 	_, _, p := loadPair(t, "simple16", "", progLoop)
-	data, err := os.ReadFile("testdata/runner_output.ndjson")
+	data, err := os.ReadFile("testdata/runner_output.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +385,7 @@ func TestReplyReader(t *testing.T) {
 	if fmt.Sprint(irSnaps) != fmt.Sprint(natSnaps) {
 		t.Fatal("captured per-cycle states diverge from the IR's")
 	}
-	header := `{"t":"h","key":"k"}`
+	header := `h "m" "k"`
 	for name, reply := range craftedReplies(p) {
 		stream := header + "\n" + strings.Join(reply, "\n") + "\n"
 		rr := p.newReplyReader(strings.NewReader(stream))
@@ -395,7 +396,7 @@ func TestReplyReader(t *testing.T) {
 			t.Errorf("%s: reply accepted as %+v", name, res)
 		}
 	}
-	long := header + "\n" + `{"t":"p","s":"` + strings.Repeat("x", p.lineCap()) + `"}` + "\n"
+	long := header + "\n" + `p "` + strings.Repeat("x", p.lineCap()) + `"` + "\n"
 	rr = p.newReplyReader(strings.NewReader(long))
 	if _, err := rr.handshake(); err != nil {
 		t.Fatal(err)
@@ -412,12 +413,12 @@ func TestReplyReader(t *testing.T) {
 // model's state.
 func FuzzRunnerOutput(f *testing.F) {
 	_, _, p := loadPair(f, "simple16", "", progLoop)
-	data, err := os.ReadFile("testdata/runner_output.ndjson")
+	data, err := os.ReadFile("testdata/runner_output.txt")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
-	header := `{"t":"h","key":"k"}`
+	header := `h "m" "k"`
 	for _, reply := range craftedReplies(p) {
 		f.Add([]byte(header + "\n" + strings.Join(reply, "\n") + "\n"))
 	}
