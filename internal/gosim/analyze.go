@@ -16,9 +16,9 @@ import (
 )
 
 // modelIR is the per-model half of the gosim IR: the reset and main
-// behaviors, the per-cycle activation schedule, and one handler per
-// coding leaf. A coding leaf is one path through the coding tree from
-// the dispatch root down, with every group member chosen; its LABEL
+// behaviors, main's activation items, and the work of every coding leaf
+// by pipeline stage. A coding leaf is one path through the coding tree
+// from the dispatch root down, with every group member chosen; its LABEL
 // fields stay open and are read at run time. It is compiled once per
 // core.Machine (see modelOf) and shared by every Program of the model,
 // the closure backend and the runner source.
@@ -80,32 +80,28 @@ type Program struct {
 	req     []byte
 }
 
-// mainItem is one ActRef of the main operation's ACTIVATION: an optional
-// guard condition plus the target's behavior, scheduled either this cycle
-// (stage <= 0) or `stage` cycles ahead on the ring.
+// mainItem is one ActRef of the main operation's ACTIVATION whose target
+// has a behavior: an optional guard condition plus the behavior, which
+// runs in the cycle that activates it.
 type mainItem struct {
 	cond   *expr
-	stage  int
 	body   []*stmt
 	opName string
 }
 
-// leaf is the handler of one coding leaf: the decoded instruction's
-// behaviors, each with its pipeline stage, over the leaf's LABEL fields.
-// A leaf the IR cannot compile keeps the reason; a program with a word
-// that decodes to it fails Compile.
+// leaf is the handler of one coding leaf over the leaf's LABEL fields:
+// by pipeline stage s, the behaviors of the operations its decode
+// ACTIVATION names in that stage, in activation order. A word's stage-s
+// work runs s cycles after its dispatch; stage 0 also holds the
+// unassigned operations, which run in the dispatch cycle. A leaf the IR
+// cannot compile keeps the reason; a program with a word that decodes to
+// it fails Compile.
 type leaf struct {
-	id      int
-	name    string
-	nField  int
-	targets []target
-	err     error
-}
-
-type target struct {
-	stage  int // <= 0 runs this cycle; > 0 runs `stage` cycles ahead
-	body   []*stmt
-	opName string
+	id     int
+	name   string
+	nField int
+	work   [][]*stmt // by stage, depth long
+	err    error
 }
 
 // field locates one LABEL of a leaf among the word's field values.
@@ -286,6 +282,9 @@ func compileModel(mc *core.Machine) (*modelIR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("reset: %w", err)
 			}
+			// Reset runs before a run's print sink is attached, as in the
+			// classic tools, so its prints reach no one.
+			p.resetB = dropPrints(p.resetB)
 		}
 	}
 
@@ -337,6 +336,19 @@ func compileModel(mc *core.Machine) (*modelIR, error) {
 	return p, nil
 }
 
+// dropPrints removes the print statements from a statement list, at any
+// depth.
+func dropPrints(list []*stmt) []*stmt {
+	kept := list[:0]
+	for _, s := range list {
+		if s.kind != sPrint {
+			s.then, s.els = dropPrints(s.then), dropPrints(s.els)
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
+
 // compileHandler compiles one instance's behavior into IR statements.
 func compileHandler(b *build, in *model.Instance, canDispatch bool) ([]*stmt, error) {
 	if in.Variant == nil {
@@ -378,8 +390,8 @@ func (p *modelIR) mainActivation(b *build, main *model.Instance, items []ast.Act
 			}
 			if stage > 0 {
 				// A staged main item inserts its own pipeline packet each
-				// cycle; faithfully ordering those packets against dispatch
-				// packets is what the single-packet ring cannot do.
+				// cycle, beside the dispatched word's: more than the one
+				// word a stage holds.
 				return unsup("main activates %s past stage 0", op.Name)
 			}
 			in := model.NewInstance(op)
@@ -393,7 +405,9 @@ func (p *modelIR) mainActivation(b *build, main *model.Instance, items []ast.Act
 			if err != nil {
 				return err
 			}
-			p.items = append(p.items, mainItem{cond: cond, stage: stage, body: body, opName: op.Name})
+			if len(body) > 0 { // conditions have no side effects
+				p.items = append(p.items, mainItem{cond: cond, body: body, opName: op.Name})
+			}
 		case *ast.ActPipeOp:
 			if it.Op != "shift" || it.Stage != "" || it.Delay != 0 {
 				return unsup("pipeline operation %s.%s %s", it.Pipe, it.Stage, it.Op)
@@ -441,12 +455,13 @@ func (p *modelIR) compileActCond(b *build, in *model.Instance, e ast.Expr) (*exp
 	return f.compileExpr(e)
 }
 
-// targetStage maps an activation target onto the schedule: -1 for
-// unassigned operations (they run in the activating cycle), otherwise the
-// operation's stage in the model's single pipeline.
+// targetStage maps an activation target onto the schedule: the
+// operation's stage in the model's single pipeline, which is the number
+// of cycles after its activation that it runs, or 0 for unassigned
+// operations, which run in the activating cycle.
 func (p *modelIR) targetStage(op *model.Operation) (int, error) {
 	if op.Pipe == nil {
-		return -1, nil
+		return 0, nil
 	}
 	if op.Pipe != p.pipe {
 		return 0, unsup("operation %s in unexpected pipeline %s", op.Name, op.Pipe.Name)
@@ -471,7 +486,7 @@ func (p *modelIR) buildLeaves(b *build) error {
 		return err
 	}
 	for _, in := range shapes {
-		l := &leaf{id: len(p.leaves)}
+		l := &leaf{id: len(p.leaves), work: make([][]*stmt, p.depth)}
 		b.fields = map[*model.Instance]map[string]field{}
 		key := walkCoding(in, func(n *model.Instance, label string, w int) {
 			fs := b.fields[n]
@@ -661,7 +676,7 @@ func (p *modelIR) compileLeaf(b *build, l *leaf, in *model.Instance) error {
 		if err != nil {
 			return err
 		}
-		l.targets = append(l.targets, target{stage: stage, body: body, opName: child.Op.Name})
+		l.work[stage] = append(l.work[stage], body...)
 		if l.name == "" {
 			l.name = child.Op.Name
 		}

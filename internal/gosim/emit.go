@@ -20,9 +20,10 @@ var kernelSrc string
 // EmitSource returns the model's runner: a self-contained single-file Go
 // main package that serves any program of the model. Architectural state
 // becomes package-level variables (s_<name> scalars, m_<name> memories),
-// every coding leaf becomes one function per activation target over the
-// leaf's LABEL fields, and the ACTIVATION schedule becomes a static
-// step() function, all over the model-independent kernel (kernel.go).
+// every pipeline stage becomes one function that switches on the leaf of
+// the word in the stage and runs that leaf's work there over its LABEL
+// fields, and step() runs main's items and then every stage, all over the
+// model-independent kernel (kernel.go).
 // The runner reads each run's program image and decode table from stdin,
 // resets all of its state, self-times its step loop, and replies over
 // the runner protocol (proto.go).
@@ -68,17 +69,15 @@ func (g *gen) raw(s string) {
 	g.b.WriteByte('\n')
 }
 
-// hasRing reports whether any activation target is staged past 0 (the
-// ring machinery is emitted only then).
-func (g *gen) hasRing() bool {
+// staged returns the leaves that have work in stage s.
+func (g *gen) staged(s int) []*leaf {
+	var out []*leaf
 	for _, l := range g.p.leaves {
-		for _, t := range l.targets {
-			if l.err == nil && t.stage > 0 {
-				return true
-			}
+		if l.err == nil && len(l.work[s]) > 0 {
+			out = append(out, l)
 		}
 	}
-	return false
+	return out
 }
 
 // traced reports whether the protocol reports a memory's state: every
@@ -115,22 +114,20 @@ func (g *gen) file() {
 	g.pf("const (")
 	g.pf("\tmodelHash = %q", p.hash)
 	g.pf("\tnField    = %d", p.nField)
-	if g.hasRing() {
-		g.pf("\tdepth = %d", p.depth)
-	}
+	g.pf("\tdepth     = %d", p.depth)
 	g.pf(")")
 	g.state()
 	g.memHelpers()
 	g.stateDump()
 	g.resetFn()
-	g.handlerFns()
+	g.stageFns()
 	g.dispatchFn()
 	g.stepFn()
 	g.mainFn()
 }
 
 // state emits the flattened architectural state, the decoded program and
-// the schedule queues.
+// the pipeline's stages.
 func (g *gen) state() {
 	p := g.p
 	g.pf("")
@@ -158,25 +155,16 @@ func (g *gen) state() {
 	}
 	g.pf(")")
 	g.pf("")
-	g.raw(`// dw is one decoded program word: its LABEL fields and the scheduler of
-// its leaf, or of the error dispatching it raises.
+	g.raw(`// dw is one decoded program word: its leaf and LABEL fields, or the
+// error dispatching it raises.
 type dw struct {
-	f     [nField]uint64
-	sched func(*dw)
-	err   string
-}
-
-func failWord(d *dw) { fail(d.err) }
-
-// ent is one scheduled activation and the word that scheduled it.
-type ent struct {
-	st int
-	fn func(*dw)
-	d  *dw
+	f    [nField]uint64
+	leaf int
+	err  string
 }
 
 var (
-	now    []ent
+	pipe   [depth]*dw // by stage: the word whose work there runs this cycle
 	cycle  uint64
 	runErr string
 	words  []dw  // the program's decoded words
@@ -196,15 +184,6 @@ func emitP(s string) {
 	line = append(appendStr(append(line[:0], 'p'), s), '\n')
 	out.Write(line)
 }`)
-	if g.hasRing() {
-		g.pf("")
-		g.pf("var ring [depth][]ent")
-		g.pf("")
-		g.pf("func push(st int, fn func(*dw), d *dw) {")
-		g.pf("\ts := (cycle + uint64(st)) %% depth")
-		g.pf("\tring[s] = append(ring[s], ent{st, fn, d})")
-		g.pf("}")
-	}
 }
 
 // memHelpers emits the per-memory bounds-checked accessors (out-of-range
@@ -315,12 +294,7 @@ func (g *gen) resetFn() {
 	for _, r := range p.latches {
 		g.pf("\tps_%s = false", r.Name)
 	}
-	g.pf("\tnow = now[:0]")
-	if g.hasRing() {
-		g.pf("\tfor i := range ring {")
-		g.pf("\t\tring[i] = ring[i][:0]")
-		g.pf("\t}")
-	}
+	g.pf("\tpipe = [depth]*dw{}")
 	g.pf("\tcycle, runErr = 0, \"\"")
 	g.stmts(p.resetB, 1)
 	if c := g.commitCall(); c != "" {
@@ -329,65 +303,48 @@ func (g *gen) resetFn() {
 	g.pf("}")
 }
 
-// handlerFns emits one function per activation target (the main items
-// and every leaf's behaviors) and one scheduler per leaf, indexed by
-// leaf id in the leaves table.
-func (g *gen) handlerFns() {
-	for i, it := range g.p.items {
-		if len(it.body) == 0 {
+// stageFns emits one function per pipeline stage with work: a switch on
+// the leaf of the word in the stage, each case that leaf's work there.
+// It also emits handled, which is false for the leaves the IR cannot
+// compile: no request names them.
+func (g *gen) stageFns() {
+	for s := range g.p.depth {
+		staged := g.staged(s)
+		if len(staged) == 0 {
 			continue
 		}
 		g.pf("")
-		g.pf("func it_%d(*dw) { // main -> %s", i, it.opName)
-		g.stmts(it.body, 1)
+		g.pf("// stage%d runs the stage-%d work of pipe[%d], the word dispatched %d cycles ago.", s, s, s, s)
+		g.pf("func stage%d(d *dw) {", s)
+		g.pf("\tswitch d.leaf {")
+		for _, l := range staged {
+			g.pf("\tcase %d: // %s", l.id, l.name)
+			g.stmts(l.work[s], 2)
+		}
+		g.pf("\t}")
 		g.pf("}")
 	}
+	var unhandled []string
 	for _, l := range g.p.leaves {
 		if l.err != nil {
-			continue
+			unhandled = append(unhandled, strconv.Itoa(l.id))
 		}
-		for i, t := range l.targets {
-			if len(t.body) == 0 {
-				continue
-			}
-			g.pf("")
-			stage := "this cycle"
-			if t.stage > 0 {
-				stage = fmt.Sprintf("stage %d", t.stage)
-			}
-			g.pf("func l%d_%d(d *dw) { // %s, %s", l.id, i, t.opName, stage)
-			g.stmts(t.body, 1)
-			g.pf("}")
-		}
-		g.pf("")
-		g.pf("func s%d(d *dw) {", l.id)
-		for i, t := range l.targets {
-			if len(t.body) == 0 {
-				continue
-			}
-			if t.stage > 0 {
-				g.pf("\tpush(%d, l%d_%d, d)", t.stage, l.id, i)
-			} else {
-				g.pf("\tnow = append(now, ent{0, l%d_%d, d})", l.id, i)
-			}
-		}
-		g.pf("}")
 	}
 	g.pf("")
-	g.pf("// leaves schedules each leaf's handlers, by leaf id; nil for leaves")
-	g.pf("// the IR cannot compile, which no request names.")
-	g.pf("var leaves = [...]func(*dw){")
-	for _, l := range g.p.leaves {
-		if l.err != nil {
-			g.pf("\tnil,")
-		} else {
-			g.pf("\ts%d,", l.id)
-		}
+	g.pf("// handled reports whether the runner has the leaf's handlers.")
+	g.pf("func handled(leaf uint64) bool {")
+	if len(unhandled) > 0 {
+		g.pf("\tswitch leaf {")
+		g.pf("\tcase %s:", strings.Join(unhandled, ", "))
+		g.pf("\t\treturn false")
+		g.pf("\t}")
 	}
+	g.pf("\treturn leaf < %d", len(g.p.leaves))
 	g.pf("}")
 }
 
-// dispatchFn emits the decode-table lookup of the dispatch register.
+// dispatchFn emits the decode-table lookup of the dispatch register,
+// which puts the word in stage 0.
 func (g *gen) dispatchFn() {
 	p := g.p
 	if p.root == nil {
@@ -396,54 +353,58 @@ func (g *gen) dispatchFn() {
 	g.pf("")
 	g.pf("func dispatch() {")
 	g.pf("\tk := s_%s & %#x", p.rootRes.Name, mask(p.dispW))
-	g.raw(`	if i := tab.get(k); i >= 0 {
-		d := &words[i]
-		d.sched(d)
-	} else {
+	g.raw(`	if i := tab.get(k); i < 0 {
 		fail(fmt.Sprintf("dispatch of unknown word %#x", k))
+	} else if d := &words[i]; d.err != "" {
+		fail(d.err)
+	} else {
+		pipe[0] = d
 	}
 }`)
 }
 
-// stepFn emits one control step: main behavior, activation items, the
-// this-cycle queue, the matured ring slot (stage-ascending, insertion
-// order within a stage), and the latch commit.
+// stepFn emits one control step: the main behavior, main's activation
+// items (every condition first, then the items that hold), the work of
+// the word in each stage (stage-ascending, stage 0 being the word the
+// items dispatched), the latch commit, and the pipeline shift.
 func (g *gen) stepFn() {
 	p := g.p
 	g.pf("")
 	g.pf("func step() {")
 	g.stmts(p.mainB, 1)
 	for i, it := range p.items {
-		if len(it.body) == 0 {
-			continue
-		}
 		if it.cond != nil {
-			g.pf("\tif (%s) != 0 {", g.expr(it.cond))
-			g.pf("\t\tnow = append(now, ent{0, it_%d, nil})", i)
-			g.pf("\t}")
-		} else {
-			g.pf("\tnow = append(now, ent{0, it_%d, nil})", i)
+			g.pf("\tc%d := (%s) != 0", i, g.expr(it.cond))
 		}
 	}
-	g.pf("\tfor i := 0; i < len(now); i++ {")
-	g.pf("\t\tnow[i].fn(now[i].d)")
-	g.pf("\t}")
-	g.pf("\tnow = now[:0]")
-	if g.hasRing() {
-		g.pf("\tcur := cycle %% depth")
-		g.pf("\tslot := ring[cur]")
-		g.pf("\tfor st := 1; st < depth; st++ {")
-		g.pf("\t\tfor _, en := range slot {")
-		g.pf("\t\t\tif en.st == st {")
-		g.pf("\t\t\t\ten.fn(en.d)")
-		g.pf("\t\t\t}")
-		g.pf("\t\t}")
-		g.pf("\t}")
-		g.pf("\tring[cur] = slot[:0]")
+	for i, it := range p.items {
+		if it.cond != nil {
+			g.pf("\tif c%d { // main -> %s", i, it.opName)
+			g.stmts(it.body, 2)
+			g.pf("\t}")
+		} else {
+			g.pf("\t// main -> %s", it.opName)
+			g.stmts(it.body, 1)
+		}
+	}
+	for s := range p.depth {
+		if len(g.staged(s)) > 0 {
+			g.pf("\tif pipe[%d] != nil {", s)
+			g.pf("\t\tstage%d(pipe[%d])", s, s)
+			g.pf("\t}")
+		}
 	}
 	if c := g.commitCall(); c != "" {
 		g.pf("\t%s", c)
 	}
+	// The shift is one assignment: copy would move the pointers through
+	// the runtime.
+	dst, src := []string{"pipe[0]"}, []string{"nil"}
+	for s := 1; s < p.depth; s++ {
+		dst = append(dst, fmt.Sprintf("pipe[%d]", s))
+		src = append(src, fmt.Sprintf("pipe[%d]", s-1))
+	}
+	g.pf("\t%s = %s", strings.Join(dst, ", "), strings.Join(src, ", "))
 	g.pf("\tcycle++")
 	g.pf("}")
 }
@@ -469,13 +430,12 @@ func load(l string) (request, bool) {
 	words, tab = make([]dw, len(q.errs)), q.tab
 	for i := range words {
 		d := &words[i]
-		d.sched, d.err = failWord, q.errs[i]
+		d.err = q.errs[i]
 		if d.err == "" {
-			n := q.leaves[i]
-			if n >= uint64(len(leaves)) || leaves[n] == nil {
+			if !handled(q.leaves[i]) {
 				return q, false
 			}
-			d.sched = leaves[n]
+			d.leaf = int(q.leaves[i])
 			copy(d.f[:], q.fields[i*nField:])
 		}
 	}

@@ -1,10 +1,11 @@
 // Package gosim is the true compiled simulator: it translates a model's
 // coding leaves plus its ACTIVATION timing into specialized Go source —
-// one function per leaf behavior over the leaf's LABEL fields, pipeline
-// state flattened into package-level variables — builds it once per
-// model with the host Go toolchain into a standalone runner, and keeps
-// runner processes warm: each run sends one of them its program image
-// and decode table and reads back its reply (proto.go). This is
+// one switch per pipeline stage over every leaf's behaviors in that
+// stage, a static schedule of one word slot per stage, state flattened
+// into package-level variables — builds it once per model with the host
+// Go toolchain into a standalone runner, and keeps runner processes
+// warm: each run sends one of them its program image and decode table
+// and reads back its reply (proto.go). This is
 // the paper's compiled-simulation principle applied the way LISA
 // generates its other tools: once per machine description. Where sim's
 // "compiled" modes pre-bind closures inside the generic scheduler, gosim
@@ -115,8 +116,9 @@ func (e *Engine) Run(max uint64) (*Result, error) {
 	if reason == "" {
 		res, err := e.runNative(max)
 		if err == nil || res != nil {
-			// res != nil with an error is a simulation error (a runtime "e"
-			// line): the IR backend would reproduce it, so it is final.
+			// res != nil with an error is a simulation error (the error
+			// string of the runner's result line): the IR backend would
+			// reproduce it, so it is final.
 			return res, err
 		}
 		if e.Opt.Backend == ForceNative {

@@ -220,6 +220,118 @@ const opsProg = `
         HALT
 `
 
+// schedModel pins the order of the schedule: main's two conditional
+// items, the first of which writes what the second's condition reads;
+// the instruction a word names in the dispatch cycle (unassigned) or in
+// DC, EX and WB; and a write-back operation the decode ACTIVATION names
+// beside it. Every handler folds its own id into trail (x -> 3x + id), so
+// any two handlers of one cycle that ran in the other order would leave
+// another trail.
+const schedModel = `
+RESOURCE {
+  PROGRAM_COUNTER int pc;
+  CONTROL_REGISTER bit[16] ir;
+  REGISTER bit[32] trail;
+  REGISTER int acc;
+  REGISTER bit odd;
+  REGISTER int ticks;
+  REGISTER bit halt;
+  PROGRAM_MEMORY bit[16] prog_mem[0x100];
+  PIPELINE pipe = { FE; DC; EX; WB };
+}
+
+OPERATION reset {
+  BEHAVIOR { pc = 0; halt = 0; trail = 1; }
+}
+
+OPERATION main {
+  ACTIVATION {
+    if (!halt) { fetch },
+    if (odd) { tick },
+    pipe.shift()
+  }
+}
+
+OPERATION fetch IN pipe.FE {
+  BEHAVIOR {
+    ir = prog_mem[pc];
+    pc = pc + 1;
+    odd = !odd;
+    decode();
+  }
+}
+
+OPERATION tick {
+  BEHAVIOR { ticks = ticks + 1; trail = trail * 3 + 1; }
+}
+
+OPERATION decode {
+  DECLARE { GROUP Instruction = { i_now; i_dc; i_ex; i_wb; i_halt }; }
+  CODING { ir == Instruction }
+  ACTIVATION { Instruction, retire }
+}
+
+OPERATION retire IN pipe.WB {
+  BEHAVIOR { trail = trail * 3 + 2; }
+}
+
+OPERATION i_now {
+  DECLARE { LABEL k; }
+  CODING { 0b0001 k:0bx[12] }
+  SYNTAX { "NOW " k:#u }
+  BEHAVIOR { acc = acc * 5 + k; trail = trail * 3 + 3; }
+}
+
+OPERATION i_dc IN pipe.DC {
+  DECLARE { LABEL k; }
+  CODING { 0b0010 k:0bx[12] }
+  SYNTAX { "DC " k:#u }
+  BEHAVIOR { acc = acc * 5 + k; trail = trail * 3 + 4; }
+}
+
+OPERATION i_ex IN pipe.EX {
+  DECLARE { LABEL k; }
+  CODING { 0b0011 k:0bx[12] }
+  SYNTAX { "EX " k:#u }
+  BEHAVIOR { acc = acc * 5 + k; trail = trail * 3 + 5; }
+}
+
+OPERATION i_wb IN pipe.WB {
+  DECLARE { LABEL k; }
+  CODING { 0b0100 k:0bx[12] }
+  SYNTAX { "WB " k:#u }
+  BEHAVIOR { acc = acc * 5 + k; trail = trail * 3 + 6; print("wb", k, acc, trail); }
+}
+
+OPERATION i_halt {
+  CODING { 0b1111 0bx[12] }
+  SYNTAX { "HALT" }
+  BEHAVIOR { halt = 1; }
+}
+`
+
+// schedProg runs words whose stage work meets in one cycle and writes acc
+// and trail: a WB word and the EX word right after it (both three cycles
+// after the WB word's dispatch), a WB word and the DC word two words
+// later, and NOW words beside the EX and WB work of older words.
+const schedProg = `
+        DC 1
+        WB 2
+        EX 3
+        NOW 4
+        WB 5
+        NOW 6
+        DC 7
+        EX 8
+        WB 9
+        EX 10
+        NOW 11
+        NOW 12
+        NOW 13
+        NOW 14
+        HALT
+`
+
 // loadPair compiles src for the model (builtin name, or inline LISA when
 // lisaSrc is non-empty) into a gosim Program plus the pieces the tests
 // wire against.
@@ -329,6 +441,7 @@ func lockstepIR(t *testing.T, name, lisaSrc, progSrc string) {
 func TestIRLockstepSimple16Loop(t *testing.T) { lockstepIR(t, "simple16", "", progLoop) }
 func TestIRLockstepSimple16Ops(t *testing.T)  { lockstepIR(t, "simple16", "", progOps) }
 func TestIRLockstepOpsModel(t *testing.T)     { lockstepIR(t, "opstest", opsModel, opsProg) }
+func TestIRLockstepSchedule(t *testing.T)     { lockstepIR(t, "schedtest", schedModel, schedProg) }
 
 // TestCompileUnsupportedModels pins the supported-class boundary, which
 // is per (model, program): the multi-pipeline c62x refuses structurally
@@ -408,6 +521,9 @@ func TestNativeMatchesIR(t *testing.T) {
 		{"opstest-bytes", strings.Replace(opsModel, `"state"`, "\"caf\xe9\"", 1), opsProg},
 		// A 64-bit signed right shift of a negative value fills with ones.
 		{"opstest-long-shift", strings.Replace(opsModel, "    wide = p;\n", "    p = p - 1000000;\n    wide = p >> 30;\n", 1), opsProg},
+		// A reset behavior's print reaches no one: it runs before the run.
+		{"opstest-reset-print", strings.Replace(opsModel, "pc = 0; halt = 0;", `pc = 0; halt = 0; print("boot");`, 1), opsProg},
+		{"schedtest", schedModel, schedProg},
 	}
 	cache := NewCache(t.TempDir())
 	defer cache.Close()
@@ -463,6 +579,7 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 		{"simple16-loop", "simple16", "", progLoop},
 		{"simple16-ops", "simple16", "", progOps},
 		{"opstest", "opstest", opsModel, opsProg},
+		{"schedtest", "schedtest", schedModel, schedProg},
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {

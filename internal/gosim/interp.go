@@ -28,23 +28,17 @@ type runtimeProg struct {
 	resetFn sfn
 	mainFn  sfn
 	items   []rtItem
-	leaves  [][]rtTarget // by leaf id
+	stages  [][]sfn // by stage, then leaf id: the leaf's work there, or nil
 }
 
 type rtItem struct {
-	cond  efn
-	stage int
-	fn    sfn
-}
-
-type rtTarget struct {
-	stage int
-	fn    sfn
+	cond efn // nil: unconditional
+	fn   sfn
 }
 
 func (p *modelIR) runtime() *runtimeProg {
 	p.rtOnce.Do(func() {
-		rt := &runtimeProg{leaves: make([][]rtTarget, len(p.leaves))}
+		rt := &runtimeProg{stages: make([][]sfn, p.depth)}
 		rt.resetFn = compileStmtsFn(p, p.resetB)
 		rt.mainFn = compileStmtsFn(p, p.mainB)
 		for _, it := range p.items {
@@ -52,14 +46,14 @@ func (p *modelIR) runtime() *runtimeProg {
 			if it.cond != nil {
 				cf = compileExprFn(it.cond)
 			}
-			rt.items = append(rt.items, rtItem{cond: cf, stage: it.stage, fn: compileStmtsFn(p, it.body)})
+			rt.items = append(rt.items, rtItem{cond: cf, fn: compileStmtsFn(p, it.body)})
 		}
-		for _, l := range p.leaves {
-			if l.err != nil {
-				continue
-			}
-			for _, t := range l.targets {
-				rt.leaves[l.id] = append(rt.leaves[l.id], rtTarget{stage: t.stage, fn: compileStmtsFn(p, t.body)})
+		for s := range rt.stages {
+			rt.stages[s] = make([]sfn, len(p.leaves))
+			for _, l := range p.leaves {
+				if l.err == nil {
+					rt.stages[s][l.id] = compileStmtsFn(p, l.work[s])
+				}
 			}
 		}
 		p.rt = rt
@@ -69,8 +63,9 @@ func (p *modelIR) runtime() *runtimeProg {
 
 // Machine is one in-process execution of a Program: flat uint64 state
 // indexed by the model's resource slots, a latch pending set, the shared
-// local pool, and the activation ring. Machines are single-goroutine;
-// any number may run concurrently over one shared Program.
+// local pool, and the words in the pipeline's stages. Machines are
+// single-goroutine; any number may run concurrently over one shared
+// Program.
 type Machine struct {
 	p     *Program
 	sc    []uint64
@@ -78,9 +73,9 @@ type Machine struct {
 	pendV []uint64
 	pendS []bool
 	loc   []uint64
-	fld   []uint64 // LABEL fields of the handler running now
-	now   []ringEnt
-	ring  [][]ringEnt
+	fld   []uint64   // LABEL fields of the handler running now
+	fire  []bool     // by main item: whether its condition held this cycle
+	pipe  []*decWord // by stage: the word whose work there runs this cycle
 	cycle uint64
 	err   error
 
@@ -104,7 +99,8 @@ func (p *Program) NewMachine() *Machine {
 	m.pendV = make([]uint64, len(p.latches))
 	m.pendS = make([]bool, len(p.latches))
 	m.loc = make([]uint64, p.nLoc)
-	m.ring = make([][]ringEnt, p.depth)
+	m.fire = make([]bool, len(p.rt.items))
+	m.pipe = make([]*decWord, p.depth)
 	m.Reset()
 	return m
 }
@@ -119,10 +115,7 @@ func (m *Machine) Reset() {
 		clear(a)
 	}
 	clear(m.pendS)
-	m.now = m.now[:0]
-	for i := range m.ring {
-		m.ring[i] = m.ring[i][:0]
-	}
+	clear(m.pipe)
 	m.cycle = 0
 	m.err = nil
 	if p.rt.resetFn != nil {
@@ -173,54 +166,36 @@ func (m *Machine) Run(max uint64) (uint64, error) {
 	return n, nil
 }
 
-// ringEnt is one scheduled activation: the pipeline stage it executes in,
-// its compiled handler, and the LABEL fields of the word that scheduled
-// it. Entries sharing a ring slot but inserted on different cycles
-// necessarily carry different stages, so the stage orders the slot
-// completely.
-type ringEnt struct {
-	stage int
-	fn    sfn
-	fld   []uint64
-}
-
-// Step runs one control step: the main behavior, the activation items
-// (conditions first, then the this-cycle queue in activation order), the
-// ring slot of pipeline work that matured this cycle (stage-ascending,
-// insertion order within a stage — the packet's entry order), and
-// finally the latch commit.
+// Step runs one control step: the main behavior, main's activation items
+// (every condition first, then the items that hold, in activation order),
+// the work of the word in each stage (stage-ascending, stage 0 being the
+// word the items dispatched this cycle), the latch commit, and the
+// pipeline shift.
 func (m *Machine) Step() {
 	rt := m.p.rt
 	if rt.mainFn != nil {
 		rt.mainFn(m)
 	}
-	for i := range rt.items {
-		it := &rt.items[i]
-		if it.cond != nil && it.cond(m) == 0 {
+	for i, it := range rt.items {
+		m.fire[i] = it.cond == nil || it.cond(m) != 0
+	}
+	for i, it := range rt.items {
+		if m.fire[i] {
+			it.fn(m)
+		}
+	}
+	for s, d := range m.pipe {
+		if d == nil {
 			continue
 		}
-		m.schedule(it.stage, it.fn, nil)
-	}
-	// Handlers may append (a dispatch scheduling an unassigned or stage-0
-	// instruction), so index rather than range.
-	for i := 0; i < len(m.now); i++ {
-		en := m.now[i]
-		m.fld = en.fld
-		en.fn(m)
-	}
-	m.now = m.now[:0]
-	cur := m.cycle % uint64(m.p.depth)
-	slot := m.ring[cur]
-	for st := 1; st < m.p.depth; st++ {
-		for _, en := range slot {
-			if en.stage == st {
-				m.fld = en.fld
-				en.fn(m)
-			}
+		if fn := rt.stages[s][d.leaf]; fn != nil {
+			m.fld = d.fields
+			fn(m)
 		}
 	}
-	m.ring[cur] = slot[:0]
 	m.commit()
+	copy(m.pipe[1:], m.pipe)
+	m.pipe[0] = nil
 	m.cycle++
 	if m.OnCycle != nil {
 		m.OnCycle(m)
@@ -234,18 +209,6 @@ func (m *Machine) commit() {
 			m.pendS[i] = false
 		}
 	}
-}
-
-func (m *Machine) schedule(stage int, fn sfn, fld []uint64) {
-	if fn == nil {
-		return
-	}
-	if stage <= 0 {
-		m.now = append(m.now, ringEnt{fn: fn, fld: fld})
-		return
-	}
-	s := (m.cycle + uint64(stage)) % uint64(m.p.depth)
-	m.ring[s] = append(m.ring[s], ringEnt{stage: stage, fn: fn, fld: fld})
 }
 
 // StateFrom renders a protocol state snapshot (slot-indexed scalars and
@@ -369,9 +332,7 @@ func compileStmtFn(p *modelIR, s *stmt) sfn {
 				m.err = fmt.Errorf("cycle %d: %s", m.cycle, d.errMsg)
 				return
 			}
-			for _, t := range p.rt.leaves[d.leaf] {
-				m.schedule(t.stage, t.fn, d.fields)
-			}
+			m.pipe[0] = d
 		}
 	}
 	panic("gosim: unknown statement kind")

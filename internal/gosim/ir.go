@@ -81,7 +81,7 @@ const (
 	sAssign skind = iota
 	sIf
 	sPrint
-	sDispatch // decode() call on the coding root: schedule the fetched word
+	sDispatch // decode() call on the coding root: the fetched word enters stage 0
 )
 
 type stmt struct {
@@ -119,9 +119,9 @@ type build struct {
 	fields  map[*model.Instance]map[string]field
 
 	// dispatchSites counts compiled sDispatch statements. The schedule
-	// ring reproduces the pipeline's packet ordering exactly only when at
-	// most one packet per cycle receives staged work, so more than one
-	// dispatch site falls back to the interpretive engine.
+	// holds one word per pipeline stage, so at most one word may enter
+	// the pipeline per cycle: more than one dispatch site falls back to
+	// the interpretive engine.
 	dispatchSites int
 }
 
