@@ -10,7 +10,7 @@ import (
 	"golisa/internal/sema"
 )
 
-func build(t *testing.T, src string) *model.Model {
+func build(t testing.TB, src string) *model.Model {
 	t.Helper()
 	d, perrs := parser.Parse(src, "test.lisa")
 	for _, e := range perrs {

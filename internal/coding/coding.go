@@ -18,25 +18,40 @@ import (
 // serves concurrent simulators.
 type Decoder struct {
 	m *model.Model
-	// masks[op.Index] is op's fixed-bit constraint (maskOf). decodeGroup
-	// skips a member whose constraint the word fails instead of decoding
-	// it; nil leaves the plain first-match trial.
-	masks []memberMask
+	// plans[op.Index] is op's CODING compiled (plan.go), and roots hold
+	// the coding roots' trees. Decoding walks the plans; the walk over the
+	// coding sections explains a word that misses and decodes a tree that
+	// has no plan, skipping a member whose fixed bits the word fails.
+	// Both are nil in the plain first-match trial decoder.
+	plans, roots []*plan
 }
 
-// NewDecoder creates a decoder over the model.
+// NewDecoder creates a decoder over the model, compiling every
+// operation's CODING into a plan.
 func NewDecoder(m *model.Model) *Decoder {
-	d := &Decoder{m: m, masks: make([]memberMask, len(m.OpList))}
-	for i, op := range m.OpList {
-		d.masks[i] = maskOf(m, op)
-	}
+	d := &Decoder{m: m}
+	d.compilePlans()
 	return d
 }
 
 // DecodeRoot decodes word against the coding root of root (an operation
 // whose CODING compares a resource to a group, paper Example 3). It returns
-// a fully bound instance tree of root.
+// a fully bound instance tree of root, built from the word's coding leaf;
+// the walk explains a word that matches no leaf.
 func (d *Decoder) DecodeRoot(root *model.Operation, word bitvec.Value) (*model.Instance, error) {
+	if p, err := d.rootPlan(root); err == nil {
+		x := word.Uint() & bitvec.Mask(p.width)
+		if leaf, _, ok := d.match(p, x, nil, 0); ok {
+			in, _ := d.instance(p, x, leaf, nil)
+			return in, nil
+		}
+	}
+	return d.walkRoot(root, word)
+}
+
+// walkRoot decodes word by walking root's coding sections, first match
+// at every group.
+func (d *Decoder) walkRoot(root *model.Operation, word bitvec.Value) (*model.Instance, error) {
 	if !root.IsCodingRoot {
 		return nil, fmt.Errorf("operation %s is not a coding root", root.Name)
 	}
@@ -212,11 +227,11 @@ func (d *Decoder) decodeGroup(g *model.Group, bits bitvec.Value) (*model.Instanc
 // out every match. The constraint is applied only when it spans exactly the
 // bits being matched.
 func (d *Decoder) rejects(op *model.Operation, bits bitvec.Value) bool {
-	if op.Index >= len(d.masks) {
+	if op.Index >= len(d.plans) {
 		return false // added to the model after NewDecoder
 	}
-	mk := &d.masks[op.Index]
-	return mk.ok && mk.width == bits.Width() && bits.Uint()&mk.mask != mk.value
+	p := d.plans[op.Index]
+	return p != nil && p.err == nil && p.width == bits.Width() && bits.Uint()&p.mask != p.value
 }
 
 func groupWidth(g *model.Group) int {

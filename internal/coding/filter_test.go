@@ -20,7 +20,7 @@ import (
 	"golisa/internal/sema"
 )
 
-func loadModel(t *testing.T, name, src string) *model.Model {
+func loadModel(t testing.TB, name, src string) *model.Model {
 	t.Helper()
 	d, perrs := lisaparser.Parse(src, name+".lisa")
 	for _, e := range perrs {
@@ -37,7 +37,7 @@ func loadModel(t *testing.T, name, src string) *model.Model {
 // examples/, and every Go string literal in the examples' sources, whole
 // and line by line (the c62x examples build their programs from
 // one-statement literals).
-func exampleSources(t *testing.T) []string {
+func exampleSources(t testing.TB) []string {
 	t.Helper()
 	var srcs []string
 	err := filepath.Walk("../../examples", func(path string, info os.FileInfo, err error) error {

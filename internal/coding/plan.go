@@ -1,0 +1,447 @@
+package coding
+
+import (
+	"fmt"
+
+	"golisa/internal/ast"
+	"golisa/internal/bitvec"
+	"golisa/internal/model"
+)
+
+// A coding leaf is one path through the coding tree below a root: one
+// member chosen at every reference, at any depth. NewDecoder compiles each
+// operation's CODING once into a plan, and a word decodes by walking the
+// plans to its leaf id and LABEL field values.
+
+// Bounds on a plan. A tree past them has no plan: the walk decodes it,
+// and Leaves reports why.
+const (
+	maxLeaves     = 1 << 30 // leaves below one operation, so that ids fit an int32
+	maxSelections = 1 << 12 // member combinations a variant table covers
+)
+
+// plan is one operation's CODING compiled for decoding. A word matches
+// the operation when its fixed bits agree, every reference selects a
+// member by first match, and the chosen members select a variant. Leaf
+// ids count in mixed radix, the first reference the most significant
+// digit: the order in which first match tries the leaves.
+type plan struct {
+	op          *model.Operation
+	elems       []elem // LABEL fields and references, in coding order
+	mask, value uint64 // fixed bits, the coding's lowest bit at bit 0
+	width       int
+	leaves      int // product of the references' radices
+	fields      int // most LABEL fields of any leaf
+	// variants[sel] is what the members chosen at the references select,
+	// sel being their mixed-radix number, or nil. An operation whose first
+	// variant has no guard holds that one alone.
+	variants []*model.Variant
+	err      error // why op has no plan
+}
+
+// elem is a LABEL field or a reference at bit shift of its plan's coding.
+// A label repeated in one CODING is one field, at its first place, with
+// its last field's bits, as the walk binds it.
+type elem struct {
+	name          string       // a field's label, or a reference's name
+	group         *model.Group // a reference's members; nil for a field
+	shift, width  int32        // width: a field's
+	radix, weight int32        // a reference's leaves, and its digit's place value
+}
+
+// builder carves a decoder's plans and elements out of one array each,
+// sized by counting the model's codings first: retargeting builds two
+// decoders for every edit of a model, so a decoder costs a few
+// allocations.
+type builder struct {
+	d     *Decoder
+	plans []plan
+	elems []elem
+	sel   map[string]*model.Operation // reused by compileVariants
+}
+
+// compiling stands in d.plans for an operation whose plan is being
+// compiled, so that a coding that reaches it again is found recursive.
+var compiling = &plan{}
+
+// compilePlans compiles the CODING of every operation, and the coding
+// tree below every coding root.
+func (d *Decoder) compilePlans() {
+	nPlans, nElems := 0, 0
+	for _, op := range d.m.OpList {
+		for _, v := range op.Variants {
+			if v.Coding != nil {
+				nPlans++
+				nElems += elemCount(v.Coding)
+			}
+		}
+	}
+	b := &builder{d: d, plans: make([]plan, 0, nPlans), elems: make([]elem, 0, nElems)}
+	d.plans = make([]*plan, len(d.m.OpList))
+	for _, op := range d.m.OpList {
+		b.opPlan(op)
+		if !op.IsCodingRoot {
+			continue
+		}
+		if sec := RootCoding(op); sec != nil {
+			d.roots = append(d.roots, b.compile(op, sec, d.elemsWidth(op, sec.Elems)))
+		} else {
+			d.roots = append(d.roots, &plan{op: op, err: fmt.Errorf("coding root %s has no root coding section", op.Name)})
+		}
+	}
+}
+
+// opPlan returns the plan of op's own CODING, or nil when it has none.
+func (b *builder) opPlan(op *model.Operation) *plan {
+	d := b.d
+	if op.Index >= len(d.plans) || d.m.OpList[op.Index] != op {
+		return &plan{op: op, err: fmt.Errorf("operation %s is not in model %s", op.Name, d.m.Name)}
+	}
+	switch p := d.plans[op.Index]; p {
+	case compiling:
+		return &plan{op: op, err: fmt.Errorf("recursive coding through %s", op.Name)}
+	case nil:
+	default:
+		return p
+	}
+	sec := OpCoding(op)
+	if sec == nil {
+		return nil
+	}
+	d.plans[op.Index] = compiling
+	p := b.compile(op, sec, op.CodingWidth)
+	d.plans[op.Index] = p
+	return p
+}
+
+// compile compiles op's coding section sec, which spans width bits.
+func (b *builder) compile(op *model.Operation, sec *ast.CodingSec, width int) *plan {
+	fail := func(format string, args ...any) *plan {
+		return &plan{op: op, err: fmt.Errorf("operation %s: "+format, append([]any{op.Name}, args...)...)}
+	}
+	if width > bitvec.MaxWidth {
+		return fail("coding width %d exceeds the %d-bit instruction word limit", width, bitvec.MaxWidth)
+	}
+	lo := len(b.elems)
+	b.elems = b.elems[:lo+elemCount(sec)]
+	b.plans = append(b.plans, plan{op: op, elems: b.elems[lo:lo:len(b.elems)], width: width, leaves: 1})
+	p := &b.plans[len(b.plans)-1]
+	cursor := width
+	for _, e := range sec.Elems {
+		var bits string
+		switch el := e.(type) {
+		case *ast.CodingPattern:
+			bits = el.Bits
+		case *ast.CodingField:
+			bits = el.Bits
+			f := elem{name: el.Label, shift: int32(cursor - len(bits)), width: int32(len(bits))}
+			if i := p.field(el.Label); i >= 0 {
+				p.elems[i] = f
+			} else {
+				p.elems = append(p.elems, f)
+			}
+		case *ast.CodingRef:
+			p.elems = p.elems[:len(p.elems)+1]
+			r := &p.elems[len(p.elems)-1]
+			if err := b.compileRef(r, op, el.Name); err != nil {
+				return &plan{op: op, err: err}
+			}
+			cursor -= int(r.width)
+			r.shift = int32(cursor)
+		}
+		if cursor -= len(bits); cursor < 0 {
+			return fail("coding elements span more than its %d bits", width)
+		}
+		p.mask |= patternCareMask(bits) << uint(cursor)
+		p.value |= patternValue(bits) << uint(cursor)
+	}
+	if cursor != 0 {
+		return fail("coding elements span less than its %d bits", width)
+	}
+	for i := len(p.elems) - 1; i >= 0; i-- {
+		e := &p.elems[i]
+		if e.group == nil {
+			p.fields++
+			continue
+		}
+		if e.radix > 0 && p.leaves > maxLeaves/int(e.radix) {
+			return fail("more than %d coding leaves", maxLeaves)
+		}
+		e.weight = int32(p.leaves)
+		p.leaves *= int(e.radix)
+		most := 0
+		for _, mem := range e.group.Members {
+			if mp := b.d.plans[mem.Index]; mp != nil {
+				most = max(most, mp.fields)
+			}
+		}
+		p.fields += most
+	}
+	if err := b.compileVariants(p); err != nil {
+		return &plan{op: op, err: err}
+	}
+	return p
+}
+
+// elemCount returns the number of LABEL fields and references in sec.
+func elemCount(sec *ast.CodingSec) int {
+	n := 0
+	for _, e := range sec.Elems {
+		if _, pattern := e.(*ast.CodingPattern); !pattern {
+			n++
+		}
+	}
+	return n
+}
+
+// field returns the index of p's field for label, or -1.
+func (p *plan) field(label string) int {
+	for i, e := range p.elems {
+		if e.group == nil && e.name == label {
+			return i
+		}
+	}
+	return -1
+}
+
+// compileRef compiles op's reference to name into r, with its members'
+// plans. Its width is the bits it takes, as the walk takes them.
+func (b *builder) compileRef(r *elem, op *model.Operation, name string) error {
+	r.name = name
+	if g, ok := op.Groups[name]; ok {
+		r.group, r.width = g, int32(groupWidth(g))
+	} else if m := b.d.m.Ops[name]; m != nil {
+		r.group, r.width = &model.Group{Name: name, Owner: op, Members: []*model.Operation{m}}, int32(m.CodingWidth)
+	} else {
+		return fmt.Errorf("operation %s: unknown coding reference %s", op.Name, name)
+	}
+	for _, mem := range r.group.Members {
+		switch mp := b.opPlan(mem); {
+		case mp == nil:
+		case mp.err != nil:
+			return mp.err
+		case mp.width > int(r.width):
+			return fmt.Errorf("operation %s: member %s is wider than its %d bits", op.Name, mem.Name, r.width)
+		case int(r.radix) > maxLeaves-mp.leaves:
+			return fmt.Errorf("operation %s: more than %d coding leaves below %s", op.Name, maxLeaves, name)
+		default:
+			r.radix += int32(mp.leaves)
+		}
+	}
+	return nil
+}
+
+// compileVariants fills p's variant table. A later reference of a
+// repeated name overrides an earlier one, as in the walk's bindings.
+func (b *builder) compileVariants(p *plan) error {
+	vs := p.op.Variants
+	if len(vs) == 0 || len(vs[0].Guards) == 0 {
+		p.variants = vs[:min(len(vs), 1)]
+		return nil
+	}
+	n := 1
+	for _, e := range p.elems {
+		if e.group != nil {
+			if n *= len(e.group.Members); n > maxSelections {
+				return fmt.Errorf("operation %s: more than %d member combinations select its variant", p.op.Name, maxSelections)
+			}
+		}
+	}
+	p.variants = make([]*model.Variant, n)
+	if b.sel == nil {
+		b.sel = map[string]*model.Operation{}
+	}
+next:
+	for s := range p.variants {
+		clear(b.sel)
+		rest := s
+		for i := len(p.elems) - 1; i >= 0; i-- {
+			e := &p.elems[i]
+			if e.group == nil {
+				continue
+			}
+			mem := e.group.Members[rest%len(e.group.Members)]
+			rest /= len(e.group.Members)
+			if b.d.plans[mem.Index] == nil {
+				continue next // never chosen
+			}
+			if _, later := b.sel[e.name]; !later {
+				b.sel[e.name] = mem
+			}
+		}
+		p.variants[s] = p.op.SelectVariant(b.sel)
+	}
+	return nil
+}
+
+// variant returns the variant the member choices sel select.
+func (p *plan) variant(sel int) *model.Variant {
+	switch len(p.variants) {
+	case 0:
+		return nil
+	case 1:
+		return p.variants[0]
+	}
+	return p.variants[sel]
+}
+
+// pure reports whether p's coding has no references, so that its fixed
+// bits alone decide a match.
+func (p *plan) pure() bool {
+	for _, e := range p.elems {
+		if e.group != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// match matches x, whose low bits hold p's coding, by the walk's nested
+// first match. On a match it returns the leaf, and the index after the
+// LABEL field values it wrote to fields from n on; fields may be nil. A
+// member that fails may leave values past n.
+func (d *Decoder) match(p *plan, x uint64, fields []uint64, n int) (leaf, next int, ok bool) {
+	if x&p.mask != p.value {
+		return 0, n, false
+	}
+	sel := 0
+	for i := range p.elems {
+		e := &p.elems[i]
+		if e.group == nil {
+			if fields != nil {
+				fields[n] = x >> uint(e.shift) & bitvec.Mask(int(e.width))
+			}
+			n++
+			continue
+		}
+		xr, members := x>>uint(e.shift), e.group.Members
+		base, j := 0, 0
+		for ; j < len(members); j++ {
+			mp := d.plans[members[j].Index]
+			if mp == nil {
+				continue
+			}
+			if xr&mp.mask == mp.value {
+				if l, after, ok := d.match(mp, xr, fields, n); ok {
+					leaf, n = leaf+(base+l)*int(e.weight), after
+					break
+				}
+			}
+			base += mp.leaves
+		}
+		if j == len(members) {
+			return 0, n, false
+		}
+		sel = sel*len(members) + j
+	}
+	return leaf, n, p.variant(sel) != nil
+}
+
+// instance builds the instance tree of p's leaf. With shape nil it binds
+// the LABEL fields to their bits in x; otherwise it leaves them unbound
+// and appends each to *shape. ok is false when some node selects no
+// variant, which only a leaf no word matches does.
+func (d *Decoder) instance(p *plan, x uint64, leaf int, shape *[]Field) (in *model.Instance, ok bool) {
+	in, ok = model.NewInstance(p.op), true
+	sel := 0
+	for i := range p.elems {
+		e := &p.elems[i]
+		if e.group == nil {
+			if shape != nil {
+				*shape = append(*shape, Field{Node: in, Label: e.name, Width: int(e.width)})
+			} else {
+				in.Labels[e.name] = bitvec.New(x>>uint(e.shift), int(e.width))
+			}
+			continue
+		}
+		digit, members := leaf/int(e.weight)%int(e.radix), e.group.Members
+		j, mp := 0, d.plans[members[0].Index]
+		for mp == nil || digit >= mp.leaves {
+			if mp != nil {
+				digit -= mp.leaves
+			}
+			j++
+			mp = d.plans[members[j].Index]
+		}
+		sel = sel*len(members) + j
+		child, childOK := d.instance(mp, x>>uint(e.shift), digit, shape)
+		in.Bindings[e.name], ok = child, ok && childOK
+	}
+	in.Variant = p.variant(sel)
+	return in, ok && in.Variant != nil
+}
+
+// Field is one LABEL field of a coding leaf: the node of the leaf's
+// instance tree that binds it, its label and its width in bits.
+type Field struct {
+	Node  *model.Instance
+	Label string
+	Width int
+}
+
+// rootPlan returns root's compiled coding tree.
+func (d *Decoder) rootPlan(root *model.Operation) (*plan, error) {
+	for _, p := range d.roots {
+		if p.op == root {
+			return p, p.err
+		}
+	}
+	if !root.IsCodingRoot {
+		return nil, fmt.Errorf("operation %s is not a coding root", root.Name)
+	}
+	return nil, fmt.Errorf("coding root %s has no compiled coding tree", root.Name)
+}
+
+// Leaves returns the number of coding leaves below root, and the most
+// LABEL fields any one of them has. Leaf ids run from 0 in the order the
+// walk's first match tries the leaves. A leaf whose members select no
+// variant is a gap: no word decodes to it, and Shape reports it.
+func (d *Decoder) Leaves(root *model.Operation) (leaves, fields int, err error) {
+	p, err := d.rootPlan(root)
+	if err != nil {
+		return 0, 0, err
+	}
+	return p.leaves, p.fields, nil
+}
+
+// Leaf decodes word against root's coding tree to its leaf id, and puts
+// the leaf's LABEL field values in fields, in Shape's order, zeroing the
+// rest of the first Leaves-count fields. It allocates nothing on a match.
+// On a miss the fields are zero and the error is DecodeRoot's.
+func (d *Decoder) Leaf(root *model.Operation, word bitvec.Value, fields []uint64) (int, error) {
+	p, err := d.rootPlan(root)
+	if err != nil {
+		return 0, err
+	}
+	if len(fields) < p.fields {
+		return 0, fmt.Errorf("coding root %s: %d field values for leaves of up to %d fields", root.Name, len(fields), p.fields)
+	}
+	if leaf, n, ok := d.match(p, word.Uint()&bitvec.Mask(p.width), fields, 0); ok {
+		clear(fields[n:p.fields])
+		return leaf, nil
+	}
+	clear(fields[:p.fields])
+	if _, err := d.walkRoot(root, word); err != nil {
+		return 0, err
+	}
+	return 0, fmt.Errorf("coding root %s: word %#x decodes by the walk but not by its plan", root.Name, word.Uint())
+}
+
+// Shape returns the instance tree of root's leaf, with its variants
+// resolved and its LABEL fields unbound, and the leaf's fields: for each
+// field index of Leaf, the node that binds it, its label and its width.
+func (d *Decoder) Shape(root *model.Operation, leaf int) (*model.Instance, []Field, error) {
+	p, err := d.rootPlan(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	if leaf < 0 || leaf >= p.leaves {
+		return nil, nil, fmt.Errorf("coding root %s has no leaf %d", root.Name, leaf)
+	}
+	var fields []Field
+	in, ok := d.instance(p, 0, leaf, &fields)
+	if !ok {
+		return nil, nil, fmt.Errorf("leaf %d of coding root %s selects no variant", leaf, root.Name)
+	}
+	return in, fields, nil
+}

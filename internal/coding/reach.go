@@ -19,27 +19,15 @@ type Unreachable struct {
 	Pos        string `json:"pos,omitempty"`
 }
 
-// memberMask is the statically known bit constraint of one group member's
-// coding: word w can match the member only if w&mask == value. pure marks
-// codings made of patterns and fields only — for those the constraint is
-// exact (matching is equivalent to w&mask == value), for codings with
-// references it is merely necessary. FindUnreachable compares these
-// constraints; the decoder skips members whose constraint a word fails.
-type memberMask struct {
-	width int
-	mask  uint64
-	value uint64
-	pure  bool
-	ok    bool
-}
-
 // FindUnreachable scans every coding group of the model for members
-// shadowed by an earlier member: E shadows M when E is pure and E's
-// constraint bits are a subset of M's fixed bits with agreeing values —
-// then every word satisfying M's fixed bits already matches E, and
-// first-match selection returns E. The result is deterministic:
-// declaration order of the owning operation, group name, member order.
+// shadowed by an earlier member: E shadows M when E's coding has no
+// references and E's fixed bits are a subset of M's with agreeing values
+// (the decoder's plans hold both) — then every word satisfying M's fixed
+// bits already matches E, and first-match selection returns E. The result
+// is deterministic: declaration order of the owning operation, group
+// name, member order.
 func FindUnreachable(m *model.Model) []Unreachable {
+	d := NewDecoder(m)
 	var out []Unreachable
 	for _, op := range m.OpList {
 		names := make([]string, 0, len(op.Groups))
@@ -50,26 +38,29 @@ func FindUnreachable(m *model.Model) []Unreachable {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			out = append(out, groupUnreachable(m, op.Groups[name])...)
+			out = append(out, d.groupUnreachable(op.Groups[name])...)
 		}
 	}
 	return out
 }
 
-func groupUnreachable(m *model.Model, g *model.Group) []Unreachable {
-	masks := make([]memberMask, len(g.Members))
-	for i, mem := range g.Members {
-		masks[i] = maskOf(m, mem)
+func (d *Decoder) groupUnreachable(g *model.Group) []Unreachable {
+	// fixed returns a member's plan when its fixed bits are known.
+	fixed := func(op *model.Operation) *plan {
+		if p := d.plans[op.Index]; p != nil && p.err == nil && p.width > 0 {
+			return p
+		}
+		return nil
 	}
 	var out []Unreachable
 	for j := 1; j < len(g.Members); j++ {
-		mj := masks[j]
-		if !mj.ok {
+		mj := fixed(g.Members[j])
+		if mj == nil {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			mi := masks[i]
-			if !mi.ok || !mi.pure || mi.width != mj.width {
+			mi := fixed(g.Members[i])
+			if mi == nil || !mi.pure() || mi.width != mj.width {
 				continue
 			}
 			if mi.mask&^mj.mask != 0 || mj.value&mi.mask != mi.value {
@@ -88,46 +79,6 @@ func groupUnreachable(m *model.Model, g *model.Group) []Unreachable {
 		}
 	}
 	return out
-}
-
-// maskOf folds a member's coding elements MSB-first into one fixed-bit
-// constraint. References contribute width but no constraint (their bits
-// may take many values), which makes the member impure.
-func maskOf(m *model.Model, op *model.Operation) memberMask {
-	sec := OpCoding(op)
-	if sec == nil || op.CodingWidth <= 0 || op.CodingWidth > 64 {
-		return memberMask{}
-	}
-	r := memberMask{pure: true, ok: true}
-	emit := func(value, mask uint64, w int) {
-		r.value = r.value<<uint(w) | value
-		r.mask = r.mask<<uint(w) | mask
-		r.width += w
-	}
-	for _, e := range sec.Elems {
-		switch el := e.(type) {
-		case *ast.CodingPattern:
-			emit(patternValue(el.Bits), patternCareMask(el.Bits), len(el.Bits))
-		case *ast.CodingField:
-			emit(patternValue(el.Bits), patternCareMask(el.Bits), len(el.Bits))
-		case *ast.CodingRef:
-			w := 0
-			if g, ok := op.Groups[el.Name]; ok {
-				w = groupWidth(g)
-			} else if ref := m.Ops[el.Name]; ref != nil {
-				w = ref.CodingWidth
-			}
-			if w == 0 {
-				return memberMask{}
-			}
-			emit(0, 0, w)
-			r.pure = false
-		}
-	}
-	if r.width != op.CodingWidth {
-		return memberMask{}
-	}
-	return r
 }
 
 // UnreachableSet names the operations that are globally dead in the

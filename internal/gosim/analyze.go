@@ -3,7 +3,6 @@ package gosim
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 
 	"golisa/internal/asm"
@@ -38,10 +37,9 @@ type modelIR struct {
 	items  []mainItem
 	shift  bool // main activation carries the pipeline shift
 
-	leaves    []*leaf
-	leafByKey map[string]*leaf // by leafKey
-	nField    int              // most LABEL fields of any leaf
-	dec       *coding.Decoder
+	leaves []*leaf // by coding leaf id (coding.Decoder.Leaves)
+	nField int     // most LABEL fields of any leaf
+	dec    *coding.Decoder
 
 	nLoc int // shared local pool size (max over all handlers)
 
@@ -120,8 +118,8 @@ type decWord struct {
 	errMsg string
 }
 
-// maxLeaves bounds a model's coding-tree enumeration; a coding tree with
-// more leaves is outside the supported class.
+// maxLeaves bounds a model's coding leaves, one compiled handler each; a
+// coding tree with more leaves is outside the supported class.
 const maxLeaves = 4096
 
 // Compile translates a decoded program against its model into a gosim
@@ -159,38 +157,35 @@ func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 	}
 	distinct := slices.Clone(keys)
 	slices.Sort(distinct)
-	p.tab = newTable(len(slices.Compact(distinct)))
+	n := len(slices.Compact(distinct))
+	p.tab = newTable(n)
+	p.words = make([]decWord, 0, n)
+	fields := make([]uint64, n*p.nField)
 	for _, k := range keys {
 		if p.tab.get(k) >= 0 {
 			continue
 		}
 		p.tab.put(k, len(p.words))
-		p.words = append(p.words, decWord{})
-		if err := p.decodeWord(&p.words[len(p.words)-1], k); err != nil {
+		p.words = append(p.words, decWord{key: k, fields: fields[:p.nField:p.nField]})
+		fields = fields[p.nField:]
+		if err := p.decodeWord(&p.words[len(p.words)-1]); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// decodeWord decodes one dispatch key into d.
-func (p *Program) decodeWord(d *decWord, key uint64) error {
-	d.key, d.fields = key, make([]uint64, p.nField)
-	in, err := p.dec.DecodeRoot(p.root, bitvec.New(key, p.rootRes.Width))
+// decodeWord decodes d's dispatch key into its leaf and fields.
+func (p *Program) decodeWord(d *decWord) error {
+	id, err := p.dec.Leaf(p.root, bitvec.New(d.key, p.rootRes.Width), d.fields)
 	if err != nil {
-		d.errMsg = fmt.Sprintf("word %#x does not decode: %v", key, err)
+		d.errMsg = fmt.Sprintf("word %#x does not decode: %v", d.key, err)
 		return nil
 	}
-	lk, vals := leafKey(in)
-	l := p.leafByKey[lk]
-	if l == nil {
-		return unsup("word %#x decodes to %s, which is no leaf of the coding tree", key, in)
-	}
-	if l.err != nil {
+	if l := p.leaves[id]; l.err != nil {
 		return l.err
 	}
-	d.leaf = l.id
-	copy(d.fields, vals)
+	d.leaf = id
 	return nil
 }
 
@@ -215,9 +210,8 @@ func modelOf(mc *core.Machine) (*modelIR, error) {
 func compileModel(mc *core.Machine) (*modelIR, error) {
 	m := mc.Model
 	p := &modelIR{
-		hash:      perf.HashString(mc.Source),
-		leafByKey: map[string]*leaf{},
-		latchIdx:  map[*model.Resource]int{},
+		hash:     perf.HashString(mc.Source),
+		latchIdx: map[*model.Resource]int{},
 	}
 
 	if len(m.Pipelines) > 1 {
@@ -327,10 +321,10 @@ func compileModel(mc *core.Machine) (*modelIR, error) {
 		if err := p.checkDispatchSafety(b.writes); err != nil {
 			return nil, err
 		}
+		p.dec = coding.NewDecoder(m)
 		if err := p.buildLeaves(b); err != nil {
 			return nil, err
 		}
-		p.dec = coding.NewDecoder(m)
 	}
 	p.nLoc = b.maxLoc
 	return p, nil
@@ -472,163 +466,47 @@ func (p *modelIR) targetStage(op *model.Operation) (int, error) {
 	return op.StageIdx, nil
 }
 
-// buildLeaves enumerates the coding tree below the dispatch root and
-// compiles one handler per leaf. A leaf that fails to compile, or that
-// breaks schedulability or dispatch safety, keeps its error instead of
-// failing the model: only programs that contain it are unsupported.
+// buildLeaves compiles one handler per coding leaf below the dispatch
+// root, by the leaf's id. A leaf that fails to compile, or that breaks
+// schedulability or dispatch safety, keeps its error instead of failing
+// the model: only programs that contain it are unsupported.
 func (p *modelIR) buildLeaves(b *build) error {
-	sec := coding.RootCoding(p.root)
-	if sec == nil {
-		return nil // no word decodes; DecodeRoot reports why per word
+	if coding.RootCoding(p.root) == nil {
+		return nil // no word decodes; Leaf reports why per word
 	}
-	shapes, err := leafShapes(b.m, p.root, sec.Elems, nil)
+	n, nField, err := p.dec.Leaves(p.root)
 	if err != nil {
-		return err
+		return unsup("%v", err)
 	}
-	for _, in := range shapes {
-		l := &leaf{id: len(p.leaves), work: make([][]*stmt, p.depth)}
+	if n > maxLeaves {
+		return unsup("coding tree below %s has more than %d leaves", p.root.Name, maxLeaves)
+	}
+	p.nField = nField
+	p.leaves = make([]*leaf, n)
+	for id := range p.leaves {
+		l := &leaf{id: id, work: make([][]*stmt, p.depth)}
+		p.leaves[id] = l
+		in, fields, err := p.dec.Shape(p.root, id)
+		if err != nil {
+			l.err = unsup("%v", err) // a gap: no word decodes to it
+			continue
+		}
+		l.nField = len(fields)
 		b.fields = map[*model.Instance]map[string]field{}
-		key := walkCoding(in, func(n *model.Instance, label string, w int) {
-			fs := b.fields[n]
-			if fs == nil {
-				fs = map[string]field{}
-				b.fields[n] = fs
+		for i, f := range fields {
+			if b.fields[f.Node] == nil {
+				b.fields[f.Node] = map[string]field{}
 			}
-			fd, ok := fs[label]
-			if !ok {
-				fd.idx = l.nField
-				l.nField++
-			}
-			fd.w = w // the decoder keeps a repeated label's last field
-			fs[label] = fd
-		})
+			b.fields[f.Node][f.Label] = field{idx: i, w: f.Width}
+		}
 		b.writes = nil
 		l.err = p.compileLeaf(b, l, in)
 		if l.err == nil {
 			l.err = p.checkDispatchSafety(b.writes)
 		}
-		p.nField = max(p.nField, l.nField)
-		p.leaves = append(p.leaves, l)
-		p.leafByKey[key] = l
 	}
 	b.fields = nil
 	return nil
-}
-
-// leafShapes returns one fresh instance tree of op per combination of
-// coding choices below it: every member of every referenced group, in
-// declaration order, with variants resolved as the decoder resolves them.
-// Combinations whose variant does not resolve never decode and are left
-// out.
-func leafShapes(m *model.Model, op *model.Operation, elems []ast.CodingElem, stack []*model.Operation) ([]*model.Instance, error) {
-	for _, o := range stack {
-		if o == op {
-			return nil, unsup("recursive coding through %s", op.Name)
-		}
-	}
-	stack = append(stack, op)
-	out := []*model.Instance{model.NewInstance(op)}
-	for _, el := range elems {
-		ref, ok := el.(*ast.CodingRef)
-		if !ok {
-			continue
-		}
-		var members []*model.Operation
-		if g, ok := op.Groups[ref.Name]; ok {
-			members = g.Members
-		} else if r := m.Ops[ref.Name]; r != nil {
-			members = []*model.Operation{r}
-		}
-		var alts []*model.Instance
-		for _, mem := range members {
-			sec := coding.OpCoding(mem)
-			if sec == nil {
-				continue // the decoder cannot match it
-			}
-			s, err := leafShapes(m, mem, sec.Elems, stack)
-			if err != nil {
-				return nil, err
-			}
-			alts = append(alts, s...)
-		}
-		if len(out)*len(alts) > maxLeaves {
-			return nil, unsup("coding tree below %s has more than %d leaves", op.Name, maxLeaves)
-		}
-		next := make([]*model.Instance, 0, len(out)*len(alts))
-		for _, in := range out {
-			for _, a := range alts {
-				cp := cloneTree(in)
-				cp.Bindings[ref.Name] = cloneTree(a)
-				next = append(next, cp)
-			}
-		}
-		out = next
-	}
-	kept := out[:0]
-	for _, in := range out {
-		if in.ResolveVariant() == nil {
-			kept = append(kept, in)
-		}
-	}
-	return kept, nil
-}
-
-// cloneTree deep-copies an instance tree's nodes, so that every leaf
-// shape owns its nodes and their LABEL fields.
-func cloneTree(in *model.Instance) *model.Instance {
-	cp := model.NewInstance(in.Op)
-	cp.Variant = in.Variant
-	for k, c := range in.Bindings {
-		cp.Bindings[k] = cloneTree(c)
-	}
-	return cp
-}
-
-// walkCoding visits a root instance's coding tree depth-first in coding
-// order, calling field for every LABEL field, and returns the leaf key:
-// the chosen operation at every reference. A decoded word and the leaf
-// shape it selects go through this one walk, so they agree on the key
-// and on the field order.
-func walkCoding(root *model.Instance, fieldFn func(in *model.Instance, label string, w int)) string {
-	var key []byte
-	var walk func(in *model.Instance, sec *ast.CodingSec)
-	walk = func(in *model.Instance, sec *ast.CodingSec) {
-		if sec == nil {
-			return
-		}
-		for _, e := range sec.Elems {
-			switch el := e.(type) {
-			case *ast.CodingField:
-				fieldFn(in, el.Label, len(el.Bits))
-			case *ast.CodingRef:
-				if child := in.Bindings[el.Name]; child != nil {
-					key = strconv.AppendInt(key, int64(child.Op.Index), 10)
-					key = append(key, '.')
-					walk(child, coding.OpCoding(child.Op))
-				}
-			}
-		}
-	}
-	walk(root, coding.RootCoding(root.Op))
-	return string(key)
-}
-
-// leafKey returns a decoded instance tree's leaf key and its LABEL field
-// values in leaf field order.
-func leafKey(in *model.Instance) (string, []uint64) {
-	type fieldID struct {
-		in    *model.Instance
-		label string
-	}
-	seen := map[fieldID]bool{}
-	var vals []uint64
-	key := walkCoding(in, func(n *model.Instance, label string, _ int) {
-		if id := (fieldID{n, label}); !seen[id] {
-			seen[id] = true
-			vals = append(vals, n.Labels[label].Uint())
-		}
-	})
-	return key, vals
 }
 
 // compileLeaf turns one leaf shape into a handler: the root's ACTIVATION

@@ -533,32 +533,42 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 	switch lhs.kind {
 	case lLocal:
 		lw := lhs.local.w
-		if lhs.local.signed {
-			return fmt.Sprintf("loc[%d] = sx(%s, %d) & %#x", lhs.local.idx, rs, lhs.rhsW, mask(lw))
+		if lhs.local.signed && lhs.rhsW < lw {
+			return fmt.Sprintf("loc[%d] = %s", lhs.local.idx, fit(fmt.Sprintf("sx(%s, %d)", rs, lhs.rhsW), 64, lw))
 		}
-		return fmt.Sprintf("loc[%d] = (%s) & %#x", lhs.local.idx, rs, mask(lw))
+		return fmt.Sprintf("loc[%d] = %s", lhs.local.idx, fit(rs, rhs.w, lw))
 	case lScalar:
 		r := lhs.res
 		if r.Latch {
-			return fmt.Sprintf("pv_%s, ps_%s = (%s)&%#x, true", r.Name, r.Name, rs, mask(r.Width))
+			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, fit(rs, rhs.w, r.Width))
 		}
-		return fmt.Sprintf("s_%s = (%s) & %#x", r.Name, rs, mask(r.Width))
+		return fmt.Sprintf("s_%s = %s", r.Name, fit(rs, rhs.w, r.Width))
 	case lSlice:
 		r := lhs.res
 		mm := mask(lhs.hi-lhs.lo+1) << uint(lhs.lo)
-		merged := fmt.Sprintf("((s_%s &^ %#x) | (((%s) << %d) & %#x)) & %#x",
-			r.Name, mm, rs, lhs.lo, mm, mask(r.Width))
+		merged := fmt.Sprintf("(s_%s &^ %#x) | (((%s) << %d) & %#x)", r.Name, mm, rs, lhs.lo, mm)
+		merged = fit(merged, lhs.hi+1, r.Width)
 		if r.Latch {
 			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, merged)
 		}
 		return fmt.Sprintf("s_%s = %s", r.Name, merged)
 	case lElem:
 		if inRange(lhs.res, lhs.idx) {
-			return fmt.Sprintf("m_%s[%s&%#x] = (%s) & %#x", lhs.res.Name, g.expr(lhs.idx), mask(lhs.idx.w), rs, mask(lhs.res.Width))
+			return fmt.Sprintf("m_%s[%s&%#x] = %s", lhs.res.Name, g.expr(lhs.idx), mask(lhs.idx.w), fit(rs, rhs.w, lhs.res.Width))
 		}
 		return fmt.Sprintf("wr_%s(%s, %s)", lhs.res.Name, g.expr(lhs.idx), rs)
 	}
 	panic("gosim: unknown lvalue kind")
+}
+
+// fit emits s, a payload of width from, for a store of width to. The IR
+// keeps every payload within its static width, so only a wider payload
+// needs the mask, and a mask to 64 bits would be all ones.
+func fit(s string, from, to int) string {
+	if from <= to || to >= 64 {
+		return s
+	}
+	return fmt.Sprintf("(%s) & %#x", s, mask(to))
 }
 
 // inRange reports whether every value of idx's static width addresses an
@@ -575,10 +585,13 @@ func inRange(r *model.Resource, idx *expr) bool {
 // widen emits the arithmetic-widening conversion to the common width
 // (sign-extension for narrower signed operands, identity otherwise).
 func (g *gen) widen(c *expr, s string, to int) string {
-	if c.signed && c.w < to {
-		return fmt.Sprintf("(sx(%s, %d) & %#x)", s, c.w, mask(to))
+	switch {
+	case !c.signed || c.w >= to:
+		return s
+	case to >= 64:
+		return fmt.Sprintf("sx(%s, %d)", s, c.w)
 	}
-	return s
+	return fmt.Sprintf("(sx(%s, %d) & %#x)", s, c.w, mask(to))
 }
 
 // cmpInt emits the operand as the int64 the signed compare sees: signed
@@ -651,6 +664,9 @@ func (g *gen) bin(e *expr) string {
 	signed := l.signed || r.signed
 	switch e.op {
 	case "+", "-", "*":
+		if w >= 64 {
+			return fmt.Sprintf("(%s %s %s)", g.widen(l, ls, w), e.op, g.widen(r, rs, w))
+		}
 		return fmt.Sprintf("((%s %s %s) & %#x)", g.widen(l, ls, w), e.op, g.widen(r, rs, w), mask(w))
 	case "&", "|", "^":
 		return fmt.Sprintf("(%s %s %s)", g.widen(l, ls, w), e.op, g.widen(r, rs, w))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os/exec"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -564,6 +565,29 @@ func TestNativeMatchesIR(t *testing.T) {
 				t.Fatalf("event order divergence:\nIR:\n%s\nnative:\n%s", a, b)
 			}
 		})
+	}
+}
+
+// TestRunnerMasksOnce checks that an emitted runner masks a stored value
+// only where it can exceed its target's width: no line ends in a mask of
+// an expression that is already masked.
+func TestRunnerMasksOnce(t *testing.T) {
+	doubled := regexp.MustCompile(`&\s*0x[0-9a-f]+\)\s*&\s*0x[0-9a-f]+(, true)?$`)
+	for _, tc := range []struct{ name, lisa, prog string }{
+		{"simple16", "", progOps},
+		{"opstest", opsModel, opsProg},
+		{"schedtest", schedModel, schedProg},
+	} {
+		_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
+		src, err := p.EmitSource()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if doubled.MatchString(line) {
+				t.Errorf("%s runner line %d masks twice: %s", tc.name, i+1, strings.TrimSpace(line))
+			}
+		}
 	}
 }
 
