@@ -36,6 +36,7 @@ type plan struct {
 	// sel being their mixed-radix number, or nil. An operation whose first
 	// variant has no guard holds that one alone.
 	variants []*model.Variant
+	gaps     bool  // some member choice selects no variant
 	err      error // why op has no plan
 }
 
@@ -270,6 +271,7 @@ next:
 			}
 		}
 		p.variants[s] = p.op.SelectVariant(b.sel)
+		p.gaps = p.gaps || p.variants[s] == nil
 	}
 	return nil
 }
@@ -283,17 +285,6 @@ func (p *plan) variant(sel int) *model.Variant {
 		return p.variants[0]
 	}
 	return p.variants[sel]
-}
-
-// pure reports whether p's coding has no references, so that its fixed
-// bits alone decide a match.
-func (p *plan) pure() bool {
-	for _, e := range p.elems {
-		if e.group != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // match matches x, whose low bits hold p's coding, by the walk's nested

@@ -20,12 +20,12 @@ type Unreachable struct {
 }
 
 // FindUnreachable scans every coding group of the model for members
-// shadowed by an earlier member: E shadows M when E's coding has no
-// references and E's fixed bits are a subset of M's with agreeing values
-// (the decoder's plans hold both) — then every word satisfying M's fixed
-// bits already matches E, and first-match selection returns E. The result
-// is deterministic: declaration order of the owning operation, group
-// name, member order.
+// shadowed by an earlier member: E shadows M when E matches every word
+// that has its fixed bits (total) and E's fixed bits are a subset of M's
+// with agreeing values (the decoder's plans hold both) — then every word
+// satisfying M's fixed bits already matches E, and first-match selection
+// returns E. The result is deterministic: declaration order of the owning
+// operation, group name, member order.
 func FindUnreachable(m *model.Model) []Unreachable {
 	d := NewDecoder(m)
 	var out []Unreachable
@@ -60,10 +60,7 @@ func (d *Decoder) groupUnreachable(g *model.Group) []Unreachable {
 		}
 		for i := 0; i < j; i++ {
 			mi := fixed(g.Members[i])
-			if mi == nil || !mi.pure() || mi.width != mj.width {
-				continue
-			}
-			if mi.mask&^mj.mask != 0 || mj.value&mi.mask != mi.value {
+			if mi == nil || mi.width != mj.width || mi.mask&^mj.mask != 0 || mj.value&mi.mask != mi.value || !d.total(mi) {
 				continue
 			}
 			u := Unreachable{
@@ -79,6 +76,40 @@ func (d *Decoder) groupUnreachable(g *model.Group) []Unreachable {
 		}
 	}
 	return out
+}
+
+// maxTotalBits bounds the references total checks: it tries every value
+// of a reference's bits, so a wider one counts as not total.
+const maxTotalBits = 16
+
+// total reports whether p matches every word that has its fixed bits:
+// every member choice selects a variant, and each reference accepts every
+// value of its bits, tried through the members' plans by first match.
+func (d *Decoder) total(p *plan) bool {
+	if p.gaps || len(p.variants) == 0 {
+		return false
+	}
+	for i := range p.elems {
+		e := &p.elems[i]
+		if e.group == nil {
+			continue
+		}
+		if e.width > maxTotalBits {
+			return false
+		}
+	values:
+		for x := uint64(0); x < 1<<uint(e.width); x++ {
+			for _, mem := range e.group.Members {
+				if mp := d.plans[mem.Index]; mp != nil && x&mp.mask == mp.value {
+					if _, _, ok := d.match(mp, x, nil, 0); ok {
+						continue values
+					}
+				}
+			}
+			return false
+		}
+	}
+	return true
 }
 
 // UnreachableSet names the operations that are globally dead in the

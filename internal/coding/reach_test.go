@@ -78,6 +78,47 @@ func TestFindUnreachableImpureShadower(t *testing.T) {
 	}
 }
 
+// A shadower whose references accept every value of their bits matches
+// every word its fixed bits allow, as a pure coding does: any matches each
+// 2-bit Mode value (m0 and m1 take the first bit, m2 the rest), so it
+// hides alias, whose fixed bits refine its own. partial's Part reference
+// leaves 0b11 to no member, so it shadows nothing.
+const totalISA = `
+RESOURCE {
+  CONTROL_REGISTER bit[8] ir;
+}
+OPERATION decode {
+  DECLARE { GROUP Instruction = { partial; any; alias; after }; }
+  CODING { ir == Instruction }
+}
+OPERATION partial {
+  DECLARE { GROUP Part = { m0; m1 }; }
+  CODING { 0b11 Part 0bx[4] }
+  SYNTAX { "PARTIAL" }
+}
+OPERATION any {
+  DECLARE { GROUP Mode = { m0; m1; m2 }; LABEL r; }
+  CODING { 0b00 Mode r:0bx[4] }
+  SYNTAX { "ANY" r:#u }
+}
+OPERATION alias ALIAS { CODING { 0b0010 0bx[4] } SYNTAX { "ALIAS" } }
+OPERATION after { CODING { 0b11 0b11 0bx[4] } SYNTAX { "AFTER" } }
+OPERATION m0 { CODING { 0b00 } SYNTAX { "" } }
+OPERATION m1 { CODING { 0b01 } SYNTAX { "" } }
+OPERATION m2 { CODING { 0b1x } SYNTAX { "" } }
+`
+
+func TestFindUnreachableTotalShadower(t *testing.T) {
+	m := build(t, totalISA)
+	got := FindUnreachable(m)
+	if len(got) != 1 || got[0].Op != "alias" || got[0].ShadowedBy != "any" {
+		t.Fatalf("FindUnreachable = %+v, want alias shadowed by any", got)
+	}
+	if set := UnreachableSet(m); !set["alias"] || set["after"] {
+		t.Fatalf("UnreachableSet = %v, want alias alone", set)
+	}
+}
+
 func TestFindUnreachableMiniISAClean(t *testing.T) {
 	m := build(t, miniISA)
 	if got := FindUnreachable(m); len(got) != 0 {
