@@ -8,7 +8,7 @@
 //	E6  BenchmarkPipelineOps       — stall/flush/shift mechanism cost
 //	E7  BenchmarkCosim             — co-simulation with devices attached
 //	E8  BenchmarkAssemble/Disassemble — generated assembler/disassembler
-//	E9  BenchmarkObserverOverhead  — trace hook cost, nil vs metrics observer
+//	E9  BenchmarkObserverOverhead  — trace hook cost, nil vs metrics vs the observed set
 //	E10 BenchmarkRecordOverhead    — deterministic record/replay logging cost
 //	E11 BenchmarkAttributionOverhead — hazard attribution analyzer cost
 //	E12 BenchmarkCoverageOverhead  — model-coverage collector cost
@@ -749,29 +749,41 @@ func nowSeconds() float64 {
 // "detached" runs with no observer (the nil fast path every hook takes in
 // an uninstrumented simulation), "metrics" with the per-stage/per-op
 // Metrics collector attached. Compare detached against BenchmarkSimSimple16
-// to see the price of having the hooks at all.
+// to see the price of having the hooks at all. The prebound pair times
+// the set the observed workload attaches: the analyzer, the coverage
+// collector and metrics through one trace.Fanout, which share one
+// trace.Counters, against the same engine detached.
 func BenchmarkObserverOverhead(b *testing.B) {
 	m := loadMachine(b, "simple16")
+	cm := cover.NewMap(m.Model)
 	for _, v := range []struct {
 		name string
-		obs  func() trace.Observer
+		mode golisa.Mode
+		obs  func(s *golisa.Simulator) trace.Observer
 	}{
-		{"detached", func() trace.Observer { return nil }},
-		{"metrics", func() trace.Observer { return trace.NewMetrics() }},
+		{"detached", golisa.Compiled, func(*golisa.Simulator) trace.Observer { return nil }},
+		{"metrics", golisa.Compiled, func(*golisa.Simulator) trace.Observer { return trace.NewMetrics() }},
+		{"prebound-detached", golisa.CompiledPrebound, func(*golisa.Simulator) trace.Observer { return nil }},
+		{"prebound-observed", golisa.CompiledPrebound, func(s *golisa.Simulator) trace.Observer {
+			col := cover.NewCollector(cm)
+			s.OnDecoded = col.MarkDecoded
+			return trace.Fanout(analyze.New(), col, trace.NewMetrics())
+		}},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			s, reload := prepSim(b, m, dotKernel, golisa.Compiled)
+			s, reload := prepSim(b, m, dotKernel, v.mode)
 			var cycles uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				reload()
-				s.SetObserver(v.obs())
+				s.SetObserver(v.obs(s))
 				b.StartTimer()
 				cycles = runToHalt(b, s, 1_000_000)
 			}
 			b.ReportMetric(float64(cycles), "cycles/run")
 			b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(cycles)*float64(b.N)), "ns/cycle")
 		})
 	}
 }

@@ -106,39 +106,40 @@ func share(n, total uint64) float64 {
 	return float64(n) / float64(total)
 }
 
-// Report snapshots the analyzer's current state.
+// Report snapshots the analyzer's current counts.
 func (a *Analyzer) Report() *Report {
+	c, topo := a.Counters, a.Topo
 	r := &Report{
-		Model:       a.topo.Model,
-		Steps:       a.steps,
-		IssueCycles: a.issue,
-		IdleCycles:  a.idle,
-		Dispatches:  a.dispatches,
+		Model:       topo.Model,
+		Steps:       c.Steps,
+		IssueCycles: c.Issue,
+		IdleCycles:  c.Idle,
+		Dispatches:  c.Dispatches,
 	}
-	if a.issue > 0 {
-		r.CPI = float64(a.steps) / float64(a.issue)
+	if c.Issue > 0 {
+		r.CPI = float64(c.Steps) / float64(c.Issue)
 	}
 
 	// CPI breakdown: issue, one bucket per hazard cause, unattributed
 	// penalty ("other"), idle. Sums to Steps by construction.
-	r.Breakdown = append(r.Breakdown, Bucket{"issue", a.issue, share(a.issue, a.steps)})
-	for _, c := range trace.Causes {
-		r.Breakdown = append(r.Breakdown, Bucket{c.String(), a.penalty[c], share(a.penalty[c], a.steps)})
+	r.Breakdown = append(r.Breakdown, Bucket{"issue", c.Issue, share(c.Issue, c.Steps)})
+	for _, cause := range trace.Causes {
+		r.Breakdown = append(r.Breakdown, Bucket{cause.String(), c.Penalty[cause], share(c.Penalty[cause], c.Steps)})
 	}
 	r.Breakdown = append(r.Breakdown,
-		Bucket{"other", a.penalty[trace.CauseNone], share(a.penalty[trace.CauseNone], a.steps)},
-		Bucket{"idle", a.idle, share(a.idle, a.steps)})
+		Bucket{"other", c.Penalty[trace.CauseNone], share(c.Penalty[trace.CauseNone], c.Steps)},
+		Bucket{"idle", c.Idle, share(c.Idle, c.Steps)})
 
-	for c := trace.Cause(0); c < trace.NumCauses; c++ {
-		if a.stallEvents[c] == 0 && a.flushEvents[c] == 0 {
+	for cause := trace.Cause(0); cause < trace.NumCauses; cause++ {
+		if c.StallEvents[cause] == 0 && c.FlushEvents[cause] == 0 {
 			continue
 		}
-		r.Events = append(r.Events, CauseCount{c.String(), a.stallEvents[c], a.flushEvents[c]})
+		r.Events = append(r.Events, CauseCount{cause.String(), c.StallEvents[cause], c.FlushEvents[cause]})
 	}
 
-	for id, n := range a.byResource {
+	for id, n := range c.ByResource {
 		if n > 0 {
-			r.Resources = append(r.Resources, ResourceCount{a.topo.Resource(id), n})
+			r.Resources = append(r.Resources, ResourceCount{topo.Resource(id), n})
 		}
 	}
 	sort.Slice(r.Resources, func(i, j int) bool {
@@ -148,9 +149,9 @@ func (a *Analyzer) Report() *Report {
 		return r.Resources[i].Resource < r.Resources[j].Resource
 	})
 
-	for id, n := range a.bySource {
+	for id, n := range c.BySource {
 		if n > 0 {
-			r.Sources = append(r.Sources, SourceCount{a.topo.Op(id), n})
+			r.Sources = append(r.Sources, SourceCount{topo.Op(id), n})
 		}
 	}
 	sort.Slice(r.Sources, func(i, j int) bool {
@@ -160,8 +161,8 @@ func (a *Analyzer) Report() *Report {
 		return r.Sources[i].Op < r.Sources[j].Op
 	})
 
-	for _, p := range a.pairs {
-		r.Pairs = append(r.Pairs, PairCount{a.topo.Op(p.source), a.topo.Op(p.victim), p.stalls})
+	for _, p := range c.Pairs {
+		r.Pairs = append(r.Pairs, PairCount{topo.Op(p.Source), topo.Op(p.Victim), p.Stalls})
 	}
 	sort.Slice(r.Pairs, func(i, j int) bool {
 		if r.Pairs[i].Stalls != r.Pairs[j].Stalls {
@@ -173,49 +174,50 @@ func (a *Analyzer) Report() *Report {
 		return r.Pairs[i].Victim < r.Pairs[j].Victim
 	})
 
-	for pi, row := range a.stages {
-		for si, st := range row {
+	for pi, p := range c.Pipes {
+		for si := range p.Stages {
+			st := &p.Stages[si]
 			sr := StageReport{
-				Pipe:     a.topo.Pipes[pi].Name,
-				Stage:    a.topo.Pipes[pi].Stages[si],
-				Occupied: st.occupied,
-				Stalls:   st.stallTotal(),
-				Flushes:  st.flushes,
+				Pipe:     topo.Pipes[pi].Name,
+				Stage:    topo.Pipes[pi].Stages[si],
+				Occupied: st.Occupied,
+				Stalls:   st.StallCycles(),
+				Flushes:  st.Flushes,
 			}
-			for _, c := range trace.Causes {
-				if n := st.stallCycles[c]; n > 0 {
-					sr.ByCause = append(sr.ByCause, Bucket{c.String(), n, share(n, sr.Stalls)})
+			for _, cause := range trace.Causes {
+				if n := st.Stalls[cause]; n > 0 {
+					sr.ByCause = append(sr.ByCause, Bucket{cause.String(), n, share(n, sr.Stalls)})
 				}
 			}
-			if n := st.stallCycles[trace.CauseNone]; n > 0 {
+			if n := st.Stalls[trace.CauseNone]; n > 0 {
 				sr.ByCause = append(sr.ByCause, Bucket{"other", n, share(n, sr.Stalls)})
 			}
 			r.Stages = append(r.Stages, sr)
 		}
 	}
 
-	for i, t := range a.lines {
+	for i, p := range c.Pipes {
 		r.Timelines = append(r.Timelines, TimelineReport{
-			Pipe:           a.topo.Pipes[i].Name,
-			Stages:         t.stages,
-			StepsPerBucket: t.width,
-			Occupied:       append([]uint64{}, t.occ...),
-			Stalled:        append([]uint64{}, t.stall...),
+			Pipe:           topo.Pipes[i].Name,
+			Stages:         len(p.Stages),
+			StepsPerBucket: p.Timeline.Width,
+			Occupied:       append([]uint64{}, p.Timeline.Occupied...),
+			Stalled:        append([]uint64{}, p.Timeline.Stalled...),
 		})
 	}
 
-	for _, c := range trace.Causes {
-		p := a.penalty[c]
+	for _, cause := range trace.Causes {
+		p := c.Penalty[cause]
 		if p == 0 {
 			continue
 		}
-		est := a.steps - p
-		e := WhatIfEntry{Cause: c.String(), Penalty: p, EstSteps: est}
-		if a.issue > 0 {
-			e.EstCPI = float64(est) / float64(a.issue)
+		est := c.Steps - p
+		e := WhatIfEntry{Cause: cause.String(), Penalty: p, EstSteps: est}
+		if c.Issue > 0 {
+			e.EstCPI = float64(est) / float64(c.Issue)
 		}
 		if est > 0 {
-			e.Speedup = float64(a.steps) / float64(est)
+			e.Speedup = float64(c.Steps) / float64(est)
 		}
 		r.WhatIf = append(r.WhatIf, e)
 	}

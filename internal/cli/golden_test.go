@@ -37,11 +37,7 @@ import (
 // in a tool's process. A missing golden file is written and the test
 // fails, so deleting a golden and re-running the test regenerates it.
 func TestObserverOutputsGolden(t *testing.T) {
-	progs := []struct{ name, model, path string }{
-		{"hazard16", "../models/testdata/hazard16.lisa", "../models/testdata/hazard16.s"},
-		{"simd16vec", "simd16", "../replay/testdata/simd16vec.s"},
-		{"c62xloop", "c62x", "testdata/golden/c62xloop.s"},
-	}
+	progs := observerProgs
 	outputs := []string{"report.json", "cov.json", "metrics.txt", "metrics.json",
 		"flight.txt", "folded.txt", "trace.json", "run.lrec"}
 	if env := os.Getenv(goldenEnv); env != "" {
@@ -72,6 +68,13 @@ func TestObserverOutputsGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// observerProgs are the programs whose observer outputs are pinned.
+var observerProgs = []struct{ name, model, path string }{
+	{"hazard16", "../models/testdata/hazard16.lisa", "../models/testdata/hazard16.s"},
+	{"simd16vec", "simd16", "../replay/testdata/simd16vec.s"},
+	{"c62xloop", "c62x", "testdata/golden/c62xloop.s"},
 }
 
 const goldenEnv = "GOLISA_CLI_TEST_GOLDEN"

@@ -61,13 +61,6 @@ func (b Bitset) Equal(o Bitset) bool {
 // Clone returns an independent copy.
 func (b Bitset) Clone() Bitset { return append(Bitset(nil), b...) }
 
-// Clear zeroes every bit in place.
-func (b Bitset) Clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // MarshalJSON implements json.Marshaler (hex words, word 0 first).
 func (b Bitset) MarshalJSON() ([]byte, error) {
 	buf := make([]byte, 0, len(b)*16+2)

@@ -1,8 +1,6 @@
 package cover
 
 import (
-	"sync"
-
 	"golisa/internal/model"
 	"golisa/internal/trace"
 )
@@ -13,84 +11,54 @@ import (
 // run instead of the model.
 const memoCap = 4096
 
-// Collector is a trace.Observer accumulating model coverage: executed
-// operations, activation edges (source, target) and hazard causes come
-// from the observer events; decode coverage comes through
+// Collector exports a trace.Counters as model coverage: executed
+// operations, activation edges (source, target) and hazard causes are
+// read from the counts; decode coverage comes through
 // sim.Simulator.OnDecoded (the OnDecode event cannot carry the selected
-// leaves).
+// leaves), wired to MarkDecoded, which marks the Counters too.
 //
-// Every event costs one lookup in the map's id-indexed bit tables plus
-// one bit-set. OnAttach resets the bits, so re-attaching (a replay seek,
-// a fresh run) starts a fresh measurement. A Collector is not safe for
-// concurrent use; fleet runs give each job its own and merge the
-// snapshots.
+// Attached alone it counts into its own Counters, sized for the map's
+// model at construction; in a trace.Fanout it shares one. OnAttach
+// starts the counts afresh, so re-attaching (a replay seek, a fresh run)
+// starts a fresh measurement. A Collector is not safe for concurrent
+// use; fleet runs give each job its own and merge the snapshots.
 type Collector struct {
-	trace.Nop
-	cm   *Map
-	bits [NumDomains]Bitset
-	memo map[*model.Instance]struct{}
+	*trace.Counters
+	cm *Map
 
-	// mu guards Snapshot against a live /coverage reader only; the
-	// simulator's event path never contends with itself.
-	mu sync.Mutex
+	// memo holds the instance trees whose operations the Counters'
+	// Decoded bits hold: those marked since their attach count was memoAt.
+	memo   map[*model.Instance]struct{}
+	memoAt uint64
 }
 
 // NewCollector creates a collector over the map.
 func NewCollector(cm *Map) *Collector {
-	c := &Collector{cm: cm, memo: make(map[*model.Instance]struct{})}
-	for d := 0; d < NumDomains; d++ {
-		c.bits[d] = NewBitset(len(cm.Items[d]))
-	}
+	c := &Collector{Counters: trace.NewCounters(), cm: cm, memo: make(map[*model.Instance]struct{})}
+	c.OnAttach(&trace.Topology{Model: cm.Model, Ops: make([]string, len(cm.opBit))})
 	return c
+}
+
+// Share implements trace.Sink.
+func (c *Collector) Share(k *trace.Counters) trace.Observer {
+	c.Counters = k
+	clear(c.memo)
+	c.memoAt = k.Attaches
+	return nil
 }
 
 // Map returns the enumeration the collector indexes into.
 func (c *Collector) Map() *Map { return c.cm }
 
-// OnAttach implements trace.Observer: attaching starts a fresh run, so
-// all coverage state resets.
-func (c *Collector) OnAttach(*trace.Topology) {
-	c.mu.Lock()
-	for d := 0; d < NumDomains; d++ {
-		c.bits[d].Clear()
-	}
-	c.memo = make(map[*model.Instance]struct{})
-	c.mu.Unlock()
-}
-
-// OnExec implements trace.Observer: one executed-operation bit.
-func (c *Collector) OnExec(op, pipe, stage int, packet uint64) {
-	if op >= 0 && op < len(c.cm.opBit) {
-		c.bits[DomainOps].Set(int(c.cm.opBit[op]))
-	}
-}
-
-// OnActivate implements trace.Observer: one activation-edge bit.
-func (c *Collector) OnActivate(source, target int, delay uint64) {
-	if n := len(c.cm.opBit); source >= 0 && source < n && target >= 0 && target < n {
-		c.bits[DomainEdges].Set(int(c.cm.edgeBit[source*n+target]))
-	}
-}
-
-// OnStall implements trace.Observer: one hazard-cause bit.
-func (c *Collector) OnStall(info trace.StallInfo) { c.cause(info.Cause) }
-
-// OnFlush implements trace.Observer.
-func (c *Collector) OnFlush(info trace.StallInfo) { c.cause(info.Cause) }
-
-// cause sets a hazard-cause bit: the causes domain lists trace.Causes
-// in order, from CauseData.
-func (c *Collector) cause(cause trace.Cause) {
-	if cause != trace.CauseNone && cause < trace.NumCauses {
-		c.bits[DomainCauses].Set(int(cause - trace.CauseData))
-	}
-}
-
-// MarkDecoded records every operation of a decoded instance tree as a
+// MarkDecoded marks every operation of a decoded instance tree as a
 // covered coding leaf. Wire it to sim.Simulator.OnDecoded. Cached
 // instances are memoized by pointer so the steady state of a compiled
-// run marks nothing.
+// run marks nothing; the memo starts afresh with the counts.
 func (c *Collector) MarkDecoded(in *model.Instance) {
+	if c.memoAt != c.Attaches {
+		clear(c.memo)
+		c.memoAt = c.Attaches
+	}
 	if _, ok := c.memo[in]; ok {
 		return
 	}
@@ -101,31 +69,51 @@ func (c *Collector) MarkDecoded(in *model.Instance) {
 }
 
 func (c *Collector) markTree(in *model.Instance) {
-	if in.Op.Index < len(c.cm.leafBit) {
-		c.bits[DomainLeaves].Set(int(c.cm.leafBit[in.Op.Index]))
-	}
+	c.Counters.MarkDecoded(in.Op.Index)
 	for _, child := range in.Bindings {
 		c.markTree(child)
 	}
 }
 
-// Snapshot copies the current coverage state. Safe to call from another
-// goroutine only when the simulator is quiescent at a step boundary
-// (the debug server's ctrl.Do seam); the internal lock orders Snapshot
-// against OnAttach resets, not against the unsynchronized event path.
+// Snapshot builds the coverage bits from the current counts. Call it on
+// the simulation goroutine, or while the simulator is quiescent at a step
+// boundary (the debug server's ctrl.Do seam).
 func (c *Collector) Snapshot() *Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	cm, k := c.cm, c.Counters
+	var bits [NumDomains]Bitset
+	for d := range bits {
+		bits[d] = NewBitset(len(cm.Items[d]))
+	}
+	for op := range min(len(k.Ops), len(cm.opBit)) {
+		if k.Ops[op].Execs > 0 {
+			bits[DomainOps].Set(int(cm.opBit[op]))
+		}
+		if k.Decoded[op] {
+			bits[DomainLeaves].Set(int(cm.leafBit[op]))
+		}
+	}
+	if len(k.Ops) == len(cm.opBit) {
+		for i, b := range cm.edgeBit {
+			if b >= 0 && k.Edges[i] {
+				bits[DomainEdges].Set(int(b))
+			}
+		}
+	}
+	for i, cause := range trace.Causes {
+		if k.StallEvents[cause]+k.FlushEvents[cause] > 0 {
+			bits[DomainCauses].Set(i)
+		}
+	}
 	s := &Snapshot{
-		Model:       c.cm.Model,
-		Fingerprint: FingerprintString(c.cm.Fingerprint),
+		Model:       cm.Model,
+		Fingerprint: FingerprintString(cm.Fingerprint),
 	}
 	for d := 0; d < NumDomains; d++ {
 		s.Domains = append(s.Domains, DomainSnap{
 			Name:    DomainNames[d],
-			Total:   len(c.cm.Items[d]),
-			Covered: c.bits[d].Count(),
-			Bits:    c.bits[d].Clone(),
+			Total:   len(cm.Items[d]),
+			Covered: bits[d].Count(),
+			Bits:    bits[d],
 		})
 	}
 	return s

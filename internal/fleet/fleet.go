@@ -16,7 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"golisa/internal/analyze"
 	"golisa/internal/asm"
 	"golisa/internal/core"
 	"golisa/internal/cover"
@@ -500,9 +499,9 @@ func jobLabel(i int, j Job) string {
 
 // runJob executes one simulation off the shared artifact and fills res.
 // Each job is fully isolated: its own state, pipelines, profile and (when
-// analyzing) observer. maxPrints > 0 caps the captured print lines
-// (negative = unlimited) so a print-looping program cannot exhaust the
-// host's memory. ct, when non-nil, records the job's per-cycle Chrome
+// analyzing or measuring coverage) counters. maxPrints > 0 caps the
+// captured print lines (negative = unlimited) so a print-looping program
+// cannot exhaust the host's memory. ct, when non-nil, records the job's per-cycle Chrome
 // trace for the merged batch timeline.
 func runJob(art *sim.Artifact, pm string, prog *asm.Program, maxSteps uint64, maxPrints int, doAnalyze bool, covMap *cover.Map, ct *trace.ChromeTracer, res *Result) {
 	s := sim.NewFromArtifact(art)
@@ -521,11 +520,13 @@ func runJob(art *sim.Artifact, pm string, prog *asm.Program, maxSteps uint64, ma
 		}
 		res.Prints = append(res.Prints, msg)
 	}
-	var an *analyze.Analyzer
+	// The job's one Counters: its penalty cycles and its coverage are
+	// read off it.
 	var obs []trace.Observer
-	if doAnalyze {
-		an = analyze.New()
-		obs = append(obs, an)
+	var counts *trace.Counters
+	if doAnalyze || covMap != nil {
+		counts = trace.NewCounters()
+		obs = append(obs, counts)
 	}
 	var col *cover.Collector
 	if covMap != nil {
@@ -546,11 +547,11 @@ func runJob(art *sim.Artifact, pm string, prog *asm.Program, maxSteps uint64, ma
 	if err != nil {
 		res.Err = err.Error()
 	}
-	if an != nil {
+	if doAnalyze {
 		res.Penalty = map[string]uint64{}
-		for c := trace.Cause(0); c < trace.NumCauses; c++ {
-			if p := an.PenaltyCycles(c); p > 0 {
-				res.Penalty[c.String()] = p
+		for c, p := range counts.Penalty {
+			if p > 0 {
+				res.Penalty[trace.Cause(c).String()] = p
 			}
 		}
 	}

@@ -86,17 +86,18 @@ func Measure(mc *core.Machine, mode sim.Mode, progName, src string, opt MeasureO
 		Time:        stamp,
 	})
 
-	// Counter pass: analyzer + collector attached before Reset.
+	// Counter pass: analyzer + collector, sharing one Counters, attached
+	// before Reset.
 	az := analyze.New()
+	obs := []trace.Observer{az}
 	var col *cover.Collector
-	obs := trace.Observer(az)
 	s := sim.New(mc.Model, mode)
 	if !opt.NoCover {
 		col = cover.NewCollector(cover.NewMap(mc.Model))
 		s.OnDecoded = col.MarkDecoded
-		obs = trace.Multi{az, col}
+		obs = append(obs, col)
 	}
-	s.SetObserver(obs)
+	s.SetObserver(trace.Fanout(obs...))
 	s.OnPrint = func(string) {} // target prints are measurement noise
 	if err := s.Reset(); err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func (p *Profiler) pprofBytes() []byte {
 		frames = append(frames, frame{name: "<stall>"})
 		stallLoc = uint64(len(frames))
 	}
-	if p.idleCycles > 0 {
+	if p.c.Idle > 0 {
 		frames = append(frames, frame{name: "<idle>"})
 		idleLoc = uint64(len(frames))
 	}
@@ -105,8 +105,8 @@ func (p *Profiler) pprofBytes() []byte {
 			sample(s.PenaltyCycles, stallLoc, siteLoc[s])
 		}
 	}
-	if p.idleCycles > 0 {
-		sample(p.idleCycles, idleLoc)
+	if p.c.Idle > 0 {
+		sample(p.c.Idle, idleLoc)
 	}
 
 	// One mapping covering the program address range.

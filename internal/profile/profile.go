@@ -28,8 +28,8 @@
 // Sites are keyed by instruction word, resolved to program addresses via
 // the loaded image; a word stored at several addresses is reported as one
 // merged site (all its addresses listed). Per-operation stage cycles (one
-// per OnExec) are collected globally and — where the packet carrying an
-// instruction can be linked to its dispatch — per site.
+// per OnExec) come from the run's trace.Counters and — where the packet
+// carrying an instruction can be linked to its dispatch — per site.
 package profile
 
 import (
@@ -102,20 +102,22 @@ type Options struct {
 	Dis *asm.Disassembler
 }
 
-// Profiler is a trace.Observer that builds a cycle-attribution profile of
-// the simulated target program.
+// Profiler builds a cycle-attribution profile of the simulated target
+// program. Its steps, idle cycles and per-operation cycles are read from
+// a trace.Counters; the profiler itself observes only its word-keyed site
+// table and the packet-to-site link, which OnAttach empties. It is a
+// trace.Sink: trace.Fanout (and so sim.Simulator.SetObserver) attaches
+// its Counters beside it.
 type Profiler struct {
 	trace.Nop
 
 	opts  Options
+	c     *trace.Counters
 	addrs map[uint64][]uint64 // word -> program addresses
 
 	sites      map[uint64]*Site // keyed by instruction word
-	ops        []OpStat         // by operation id, sized at attach
 	packetSite map[uint64]*Site // live pipeline packet -> dispatching site
-
-	steps      uint64
-	idleCycles uint64
+	ops        int              // operations in the attached topology
 
 	last      *Site // most recently dispatched site
 	decoded   bool  // a dispatch happened this step
@@ -126,6 +128,7 @@ type Profiler struct {
 func New(opts Options) *Profiler {
 	p := &Profiler{
 		opts:       opts,
+		c:          trace.NewCounters(),
 		addrs:      make(map[uint64][]uint64, len(opts.Words)),
 		sites:      map[uint64]*Site{},
 		packetSite: map[uint64]*Site{},
@@ -136,17 +139,26 @@ func New(opts Options) *Profiler {
 	return p
 }
 
+// Counts implements trace.Sink.
+func (p *Profiler) Counts() *trace.Counters { return p.c }
+
+// Share implements trace.Sink: the site table still needs the events.
+func (p *Profiler) Share(c *trace.Counters) trace.Observer {
+	p.c = c
+	return p
+}
+
 // Steps returns the number of profiled control steps.
-func (p *Profiler) Steps() uint64 { return p.steps }
+func (p *Profiler) Steps() uint64 { return p.c.Steps }
 
 // IdleCycles returns the steps charged to no site (a dispatch-free prefix
 // of the run).
-func (p *Profiler) IdleCycles() uint64 { return p.idleCycles }
+func (p *Profiler) IdleCycles() uint64 { return p.c.Idle }
 
 // TotalCycles returns the sum of all attributed cycles; it always equals
 // Steps().
 func (p *Profiler) TotalCycles() uint64 {
-	total := p.idleCycles
+	total := p.c.Idle
 	for _, s := range p.sites {
 		total += s.Cycles()
 	}
@@ -167,17 +179,12 @@ func (p *Profiler) site(word uint64) *Site {
 	return s
 }
 
-// OnAttach implements trace.Observer: it sizes the per-operation
-// counters by the operation table. A re-attach to the same model keeps
-// them.
+// OnAttach implements trace.Observer: the site table starts afresh.
 func (p *Profiler) OnAttach(t *trace.Topology) {
-	if len(p.ops) == len(t.Ops) {
-		return
-	}
-	p.ops = make([]OpStat, len(t.Ops))
-	for i, name := range t.Ops {
-		p.ops[i].Name = name
-	}
+	clear(p.sites)
+	clear(p.packetSite)
+	p.ops = len(t.Ops)
+	p.last, p.decoded, p.awaitLink = nil, false, nil
 }
 
 // OnStepBegin implements trace.Observer.
@@ -189,14 +196,8 @@ func (p *Profiler) OnStepBegin(step uint64) {
 // OnStepEnd implements trace.Observer. Steps without a dispatch are
 // penalty cycles of the last dispatched site.
 func (p *Profiler) OnStepEnd(uint64) {
-	p.steps++
-	if p.decoded {
-		return
-	}
-	if p.last != nil {
+	if !p.decoded && p.last != nil {
 		p.last.PenaltyCycles++
-	} else {
-		p.idleCycles++
 	}
 }
 
@@ -225,17 +226,14 @@ func (p *Profiler) OnExec(op, pipe, stage int, packet uint64) {
 		p.awaitLink = nil
 		return // the root's own execution is bookkeeping, not program work
 	}
-	if op < 0 || op >= len(p.ops) {
+	if op < 0 || op >= p.ops || packet == 0 {
 		return
 	}
-	p.ops[op].Cycles++
-	if packet != 0 {
-		if s := p.packetSite[packet]; s != nil {
-			if s.Ops == nil {
-				s.Ops = make([]uint64, len(p.ops))
-			}
-			s.Ops[op]++
+	if s := p.packetSite[packet]; s != nil {
+		if s.Ops == nil {
+			s.Ops = make([]uint64, p.ops)
 		}
+		s.Ops[op]++
 	}
 }
 
@@ -298,12 +296,13 @@ func (p *Profiler) Sites() []*Site {
 	return sites
 }
 
-// OpStats returns per-operation cycle totals sorted by cycles, descending.
+// OpStats returns per-operation cycle totals sorted by cycles, descending:
+// every execution but a decoded coding root's own.
 func (p *Profiler) OpStats() []*OpStat {
 	var ops []*OpStat
-	for i := range p.ops {
-		if p.ops[i].Cycles > 0 {
-			ops = append(ops, &p.ops[i])
+	for id, o := range p.c.Ops {
+		if n := o.Execs - o.RootExecs; n > 0 {
+			ops = append(ops, &OpStat{Name: p.c.Topo.Op(id), Cycles: n})
 		}
 	}
 	sort.Slice(ops, func(i, j int) bool {
@@ -329,12 +328,12 @@ func (p *Profiler) writeReport(w io.Writer, limit int) error {
 		sites = sites[:limit]
 	}
 	fmt.Fprintf(ew, "# golisa profile: %s on %s, %d control steps\n",
-		nonEmpty(p.opts.Source, "<program>"), nonEmpty(p.opts.Model, "<model>"), p.steps)
+		nonEmpty(p.opts.Source, "<program>"), nonEmpty(p.opts.Model, "<model>"), p.c.Steps)
 	fmt.Fprintf(ew, "# step-cycle attribution (issue + penalty == steps)\n")
 	fmt.Fprintf(ew, "%8s %6s %6s %8s %8s %7s %6s %6s  %s\n",
 		"CYCLES", "%", "CUM%", "ISSUE", "PENALTY", "DISP", "STALL", "FLUSH", "SITE")
 	var cum uint64
-	total := p.steps
+	total := p.c.Steps
 	if total == 0 {
 		total = 1
 	}
@@ -347,9 +346,9 @@ func (p *Profiler) writeReport(w io.Writer, limit int) error {
 			s.IssueCycles, s.PenaltyCycles, s.Dispatches,
 			s.StallEvents, s.FlushEvents, s.Label(), causeSuffix(s))
 	}
-	if p.idleCycles > 0 {
+	if idle := p.c.Idle; idle > 0 {
 		fmt.Fprintf(ew, "%8d %5.1f%%                                            <idle>\n",
-			p.idleCycles, 100*float64(p.idleCycles)/float64(total))
+			idle, 100*float64(idle)/float64(total))
 	}
 	ops := p.OpStats()
 	if len(ops) > 0 {
@@ -377,8 +376,8 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 			fmt.Fprintf(ew, "%s;%s;<stall> %d\n", root, label, s.PenaltyCycles)
 		}
 	}
-	if p.idleCycles > 0 {
-		fmt.Fprintf(ew, "%s;<idle> %d\n", root, p.idleCycles)
+	if p.c.Idle > 0 {
+		fmt.Fprintf(ew, "%s;<idle> %d\n", root, p.c.Idle)
 	}
 	return ew.err
 }

@@ -244,10 +244,12 @@ func (s *Simulator) Mode() Mode { return s.mode }
 
 // SetObserver attaches a trace.Observer to the simulator, the pipelines,
 // the behavior engine and the machine state, or detaches everything when
-// o is nil. The observer receives OnAttach with the model's topology and
-// name tables immediately. With no observer attached every hook site
-// costs one nil check.
+// o is nil. o goes through trace.Fanout, so a lone trace.Sink attaches
+// with its Counters. The observer receives OnAttach with the model's
+// topology and name tables immediately. With no observer attached every
+// hook site costs one nil check.
 func (s *Simulator) SetObserver(o trace.Observer) {
+	o = trace.Fanout(o)
 	s.SwapObserver(o)
 	if o == nil {
 		return

@@ -5,9 +5,12 @@
 //
 // Concrete observers shipped here:
 //
+//   - Counters: the one observer that counts events, into dense tables
+//     every counting sink exports (see Sink and Fanout).
 //   - Metrics: per-stage pipeline counters (occupancy, stall cycles,
 //     flushes, retire throughput) and per-operation execution/cycle
-//     attribution, exportable as Prometheus-exposition-style text or JSON.
+//     attribution, exported from a Counters as Prometheus-exposition-style
+//     text or JSON.
 //   - ChromeTracer: a Chrome trace-event (chrome://tracing / Perfetto)
 //     exporter rendering each pipeline stage as a track and each
 //     instruction packet as a flow.
@@ -17,7 +20,7 @@
 // Event payloads are dense ids and words, never names: operations are
 // keyed by model.Operation.Index, resources by their position in
 // Model.Resources, and -1 means none. OnAttach delivers the name tables
-// once, so a sink counts into slices sized at attach and only its
+// once, so Counters counts into slices sized at attach and only the
 // exporters turn ids back into names. The package sits below every
 // other simulation package in the import graph.
 package trace
@@ -137,19 +140,36 @@ func (Nop) OnMemWrite(int, uint64, uint64) {}
 type Multi []Observer
 
 // Fanout combines observers, flattening nested Multis and dropping nils.
-// It returns nil when no observer remains and the sole observer when only
-// one does, preserving the simulator's nil fast path.
+// Every Sink among them reads the Counters of the first one, which joins
+// the fan-out once in that sink's place; a sink's other observer, if it
+// has one, joins after it. Fanout returns nil when no observer remains
+// and the sole observer when only one does, preserving the simulator's
+// nil fast path.
 func Fanout(obs ...Observer) Observer {
 	var m Multi
-	for _, o := range obs {
+	var shared *Counters
+	var add func(o Observer)
+	add = func(o Observer) {
 		switch v := o.(type) {
 		case nil:
-			continue
 		case Multi:
-			m = append(m, v...)
+			for _, o := range v {
+				add(o)
+			}
+		case Sink:
+			if shared == nil {
+				shared = v.Counts()
+				m = append(m, shared)
+			}
+			if rest := v.Share(shared); rest != nil {
+				m = append(m, rest)
+			}
 		default:
 			m = append(m, o)
 		}
+	}
+	for _, o := range obs {
+		add(o)
 	}
 	switch len(m) {
 	case 0:

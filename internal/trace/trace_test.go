@@ -86,19 +86,28 @@ func TestFanout(t *testing.T) {
 	if Fanout(nil, nil) != nil {
 		t.Error("Fanout(nil, nil) should be nil")
 	}
-	m := NewMetrics()
-	if got := Fanout(nil, m); got != Observer(m) {
+	f := NewFlight(8)
+	if got := Fanout(nil, f); got != Observer(f) {
 		t.Errorf("Fanout with one live observer should return it unwrapped, got %T", got)
 	}
-	f := NewFlight(8)
+	m := NewMetrics()
+	if got := Fanout(nil, m); got != Observer(m.Counters) {
+		t.Errorf("Fanout with one sink should return its Counters, got %T", got)
+	}
+	// Every sink of one fan-out reads the first one's Counters, which
+	// joins the fan-out once.
+	m2 := NewMetrics()
 	a, b := &capture{}, &capture{}
-	combined := Fanout(m, nil, Fanout(f, a), b)
+	combined := Fanout(m, nil, Fanout(f, a), m2, b)
 	multi, ok := combined.(Multi)
 	if !ok {
-		t.Fatalf("Fanout of 4 observers = %T, want Multi", combined)
+		t.Fatalf("Fanout of 5 observers = %T, want Multi", combined)
 	}
-	if len(multi) != 4 {
-		t.Errorf("nested Multi not flattened: len = %d, want 4", len(multi))
+	if len(multi) != 4 || multi[0] != Observer(m.Counters) {
+		t.Errorf("nested Multi not flattened or sinks not shared: %T", multi)
+	}
+	if m2.Counters != m.Counters {
+		t.Error("the second sink does not read the first one's Counters")
 	}
 	// Events must reach every member.
 	feed(combined)
@@ -166,9 +175,9 @@ func (c *capture) OnStall(info StallInfo) { c.stalls = append(c.stalls, info) }
 func (c *capture) OnFlush(info StallInfo) { c.flushes = append(c.flushes, info) }
 
 func TestMetricsCounters(t *testing.T) {
-	m := NewMetrics()
-	feed(m)
-	m.fill()
+	met := NewMetrics()
+	feed(met)
+	m := met.view()
 
 	if m.Model != "m" {
 		t.Errorf("Model = %q, want m", m.Model)
@@ -273,12 +282,12 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	var back Metrics
+	var back metricsView
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
 	if back.Steps != m.Steps || back.Decodes != m.Decodes || len(back.Pipes) != len(m.Pipes) {
-		t.Errorf("round trip mismatch: %+v vs %+v", back, m)
+		t.Errorf("round trip mismatch: %+v vs %+v", back, m.view())
 	}
 	if back.Ops["fetch"] == nil || back.Ops["fetch"].Statements != 3 {
 		t.Errorf("op metrics lost in round trip: %+v", back.Ops)
