@@ -1,0 +1,39 @@
+//go:build !race
+
+package asm
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestAssembleStatementAllocFree checks that a statement assembles with no
+// heap allocation: AssembleStatement of every upper-case statement of the
+// statements golden that assembles, on every stock model, performs zero
+// allocations. (The race runtime allocates on its own, hence the build
+// constraint.)
+func TestAssembleStatementAllocFree(t *testing.T) {
+	for _, name := range []string{"simple16", "simd16", "c62x"} {
+		a, _ := stockAssembler(t, name)
+		data, err := os.ReadFile(filepath.Join("testdata", "statements", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, line := range strings.Split(string(data), "\n") {
+			text, want, _ := strings.Cut(line, "\t")
+			if !strings.HasPrefix(want, "0x") || strings.Contains(text, definedSym) || hasLower(text) {
+				continue
+			}
+			if n := testing.AllocsPerRun(5, func() { _, _ = a.AssembleStatement(text) }); n != 0 {
+				t.Errorf("%s %q: %.1f allocations, want 0", name, text, n)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("%s: no upper-case statement assembles", name)
+		}
+	}
+}

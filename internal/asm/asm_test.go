@@ -1,7 +1,10 @@
 package asm
 
 import (
+	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -516,4 +519,166 @@ func TestSymbolOffsetOverflowRejected(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "overflows 64 bits") {
 		t.Errorf("symbol offset overflow err = %v, want overflow error", err)
 	}
+}
+
+// rulesISA exercises the matching rules one operation each: a group
+// referenced twice in one syntax, a variant tried after one that failed
+// part way, guards that pin a group or reject a variant, a label written
+// twice, fixed bits inside a field, a label repeated in one CODING, at
+// one width and at two, codings that a match leaves unbound, and an
+// operand error before a later match.
+const rulesISA = `
+RESOURCE { CONTROL_REGISTER bit[16] ir; }
+OPERATION decode {
+  DECLARE { GROUP Insn = { twice; pin; neg; relabel; fixed; rep; mixed; pinlab; pinref; unbound; nocode; narrow; wide }; }
+  CODING { ir == Insn }
+}
+OPERATION ra { DECLARE { LABEL i; } CODING { 0b0 i:0bx[3] } SYNTAX { "A" i:#u } }
+OPERATION rb { DECLARE { LABEL i; } CODING { 0b1 i:0bx[3] } SYNTAX { "B" i:#u } }
+OPERATION twice {
+  DECLARE { GROUP R = { ra; rb }; }
+  CODING { 0b0001 R 0bx[8] }
+  SYNTAX { "TWICE" R "," R }
+}
+OPERATION m0 { CODING { 0b0 } SYNTAX { "M0" } }
+OPERATION m1 { CODING { 0b1 } SYNTAX { "M1" } }
+OPERATION pin {
+  DECLARE { GROUP M = { m0; m1 }; }
+  CODING { 0b0010 M 0bx[11] }
+  SWITCH (M) {
+    CASE m0: { SYNTAX { "PIN" "0" } }
+    CASE m1: { SYNTAX { "PIN" "1" } }
+  }
+}
+OPERATION neg {
+  DECLARE { GROUP M = { m0; m1 }; }
+  CODING { 0b0011 M 0bx[11] }
+  IF (M == m1) { SYNTAX { "NEG" "." M } } ELSE { SYNTAX { "NEG" } }
+}
+OPERATION relabel {
+  DECLARE { LABEL v; }
+  CODING { 0b0100 v:0bx[12] }
+  SYNTAX { "RELABEL" v:#u "," v:#u }
+}
+OPERATION fixed {
+  DECLARE { LABEL f; }
+  CODING { 0b0101 f:0b1x0xxxxxxxxx }
+  SYNTAX { "FIXED" f:#u }
+}
+OPERATION rep {
+  DECLARE { LABEL r; }
+  CODING { 0b0110 r:0bx[4] 0b0000 r:0bx[4] }
+  SYNTAX { "REP" r:#u }
+}
+OPERATION mixed {
+  DECLARE { LABEL r; }
+  CODING { 0b1101 r:0bx[2] r:0bx[10] }
+  SYNTAX { "MIXED" r:#s }
+}
+OPERATION pl0 { DECLARE { LABEL k; } CODING { k:0bx[1] } SYNTAX { "PL" k:#u } }
+OPERATION pinlab {
+  DECLARE { GROUP P = { pl0 }; }
+  CODING { 0b0111 P 0bx[11] }
+  SWITCH (P) { CASE pl0: { SYNTAX { "PINLAB" } } }
+}
+OPERATION pr0 { DECLARE { GROUP Q = { m0; m1 }; } CODING { Q } SYNTAX { "PR" Q } }
+OPERATION pinref {
+  DECLARE { GROUP P = { pr0 }; }
+  CODING { 0b1000 P 0bx[11] }
+  SWITCH (P) { CASE pr0: { SYNTAX { "PINREF" } } }
+}
+OPERATION unbound {
+  DECLARE { LABEL u; }
+  CODING { 0b1001 u:0bx[12] }
+  SYNTAX { "UNBOUND" }
+}
+OPERATION nc { SYNTAX { "NC" } }
+OPERATION nocode {
+  DECLARE { GROUP N = { nc }; }
+  CODING { 0b1010 N 0bx[12] }
+  SYNTAX { "NOCODE" N }
+}
+OPERATION narrow {
+  DECLARE { LABEL v; }
+  CODING { 0b1011 v:0bx[2] 0bx[10] }
+  SYNTAX { "WIDTH" v:#u }
+}
+OPERATION wide {
+  DECLARE { LABEL v; }
+  CODING { 0b1100 v:0bx[12] }
+  SYNTAX { "WIDTH" v:#u }
+}
+`
+
+// TestMatchRules pins the word or error of statements that exercise each
+// matching rule of rulesISA.
+func TestMatchRules(t *testing.T) {
+	a, _ := newTools(t, rulesISA)
+	for _, c := range []struct {
+		text string
+		word uint64
+		err  string
+	}{
+		{"TWICE A1, A2", 0x1200, ""},
+		{"TWICE B1, B7", 0x1f00, ""},
+		{"TWICE A1, B2", 0, `no instruction matches "TWICE A1, B2"`},
+		{"PIN0", 0x2000, ""},
+		{"PIN1", 0x2800, ""},
+		{"NEG.M1", 0x3800, ""},
+		{"NEG.M0", 0, `no instruction matches "NEG.M0"`},
+		{"NEG", 0, `no instruction matches "NEG"`},
+		{"RELABEL 1, 2", 0x4002, ""},
+		{"RELABEL 9, 4096", 0, "relabel: operand v value 4096 does not fit in 12 bits"},
+		{"FIXED 0", 0x5800, ""},
+		{"FIXED 1", 0x5801, ""},
+		{"FIXED 4095", 0x5dff, ""},
+		{"REP 5", 0x6505, ""},
+		{"REP 16", 0, "rep: operand r value 16 does not fit in 4 bits"},
+		{"MIXED 1", 0xd401, ""},
+		{"MIXED -1", 0xdc03, ""},
+		{"MIXED 2", 0, "mixed: operand r value 2 does not fit in 2 signed bits"},
+		{"PINLAB", 0, "operation pl0: label k unbound"},
+		{"PINREF", 0, "operation pr0: reference Q unbound"},
+		{"UNBOUND", 0, "operation unbound: label u unbound"},
+		{"NOCODE NC", 0, "operation nc has no coding"},
+		{"WIDTH 3", 0xbc00, ""},
+		{"WIDTH 100", 0xc064, ""},
+		{"WIDTH x", 0, `undefined symbol "x"`},
+		{"WIDTH 5000", 0, "narrow: operand v value 5000 does not fit in 2 bits"},
+	} {
+		w, err := a.AssembleStatement(c.text)
+		if got := errText(err); got != c.err || (err == nil && w != c.word) {
+			t.Errorf("%q = %#x, %q; want %#x, %q", c.text, w, got, c.word, c.err)
+		}
+	}
+}
+
+// TestAssemblerConcurrent assembles one program from several goroutines
+// through one Assembler, which nothing writes after NewAssembler: each
+// gets the words a lone run gives.
+func TestAssemblerConcurrent(t *testing.T) {
+	a, _ := stockAssembler(t, "c62x")
+	src, err := os.ReadFile("../cli/testdata/golden/c62xloop.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				p, err := a.Assemble(string(src))
+				if err != nil || !slices.Equal(p.Words, want.Words) {
+					t.Errorf("concurrent Assemble: %v, words differ", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"golisa/internal/ast"
 	"golisa/internal/coding"
 	"golisa/internal/model"
 )
@@ -27,18 +26,13 @@ type Program struct {
 const maxImageWords = 1 << 20
 
 // Assembler is the retargetable two-pass assembler generated from a model.
-// NewAssembler fills it and nothing writes it afterwards.
+// NewAssembler fills it and nothing writes it afterwards, so one assembler
+// serves concurrent callers.
 type Assembler struct {
-	m    *model.Model
-	root *model.Operation
-	// instruction candidates in declaration order: the members of the
-	// coding root's group closure that carry syntax.
-	candidates []*model.Operation
-	// literals[i][j] holds the trimmed, non-empty ASCII literals of the
-	// j-th syntax variant of candidates[i], upper-cased. A variant matches
-	// only statements that contain each of them (see mayMatch).
-	literals [][][]string
-	enc      *coding.Encoder
+	// candidates are the instruction operations in declaration order: the
+	// members of the coding root's groups, each compiled for assembly.
+	candidates []*opPlan
+	width      int // instruction word width in bits
 	// end is the address the location counter may not pass: the end of
 	// the program memory, or maxImageWords; endName names it in errors.
 	end     uint64
@@ -46,7 +40,9 @@ type Assembler struct {
 }
 
 // NewAssembler builds an assembler from the model's coding root. When the
-// model has several coding roots the first declared is used.
+// model has several coding roots the first declared is used. It compiles
+// the syntax of every operation over the bit layout of its CODING, which
+// coding.Decoder's plans hold.
 func NewAssembler(m *model.Model) (*Assembler, error) {
 	var root *model.Operation
 	for _, op := range m.OpList {
@@ -58,35 +54,28 @@ func NewAssembler(m *model.Model) (*Assembler, error) {
 	if root == nil {
 		return nil, fmt.Errorf("model %s has no coding root; cannot derive an instruction set", m.Name)
 	}
-	a := &Assembler{m: m, root: root, enc: coding.NewEncoder(m)}
+	a := &Assembler{width: 32}
+	if root.RootResource != nil {
+		a.width = root.RootResource.Width
+	}
 	names := make([]string, 0, len(root.Groups))
 	for name := range root.Groups {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	n := len(m.OpList)
+	b := &builder{m: m, dec: coding.NewDecoder(m), plans: make([]opPlan, n),
+		variants: make([]variant, 0, n), steps: make([]step, 0, 4*n), places: make([]place, 0, 2*n)}
+	for _, op := range m.OpList {
+		b.compile(op)
+	}
 	for _, name := range names {
-		a.candidates = append(a.candidates, root.Groups[name].Members...)
+		for _, op := range root.Groups[name].Members {
+			a.candidates = append(a.candidates, &b.plans[op.Index])
+		}
 	}
 	if len(a.candidates) == 0 {
 		return nil, fmt.Errorf("coding root %s has no instruction group", root.Name)
-	}
-	for _, op := range a.candidates {
-		var variants [][]string
-		for _, v := range op.Variants {
-			if v.Syntax == nil {
-				continue
-			}
-			var lits []string
-			for _, e := range v.Syntax.Elems {
-				if el, ok := e.(*ast.SyntaxString); ok {
-					if lit := strings.TrimSpace(el.Text); lit != "" && isASCII(lit) {
-						lits = append(lits, asciiUpper(lit))
-					}
-				}
-			}
-			variants = append(variants, lits)
-		}
-		a.literals = append(a.literals, variants)
 	}
 	a.end, a.endName = maxImageWords, "the image"
 	if pm := m.ProgramMemory(); pm != nil {
@@ -94,12 +83,6 @@ func NewAssembler(m *model.Model) (*Assembler, error) {
 	}
 	return a, nil
 }
-
-// Root returns the coding-root operation the instruction set derives from.
-func (a *Assembler) Root() *model.Operation { return a.root }
-
-// Candidates returns the assemblable instruction operations.
-func (a *Assembler) Candidates() []*model.Operation { return a.candidates }
 
 // stripComment removes ';' and '//' comments.
 func stripComment(line string) string {
@@ -123,7 +106,7 @@ type stmt struct {
 // the symbol table.
 func (a *Assembler) Assemble(src string) (*Program, error) {
 	lines := strings.Split(src, "\n")
-	var stmts []stmt
+	stmts := make([]stmt, 0, len(lines))
 	for i, raw := range lines {
 		line := stripComment(raw)
 		if line == "" {
@@ -150,8 +133,6 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 		stmts = append(stmts, s)
 	}
 
-	width := a.wordWidth()
-
 	// Pass 1: addresses and symbols.
 	symbols := map[string]uint64{}
 	origin := uint64(0)
@@ -168,16 +149,18 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 			continue
 		}
 		// .equ name value defines a symbol without emitting words.
-		if fields := strings.Fields(s.text); len(fields) == 3 && fields[0] == ".equ" {
-			v, err := parseNum(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %v", s.lineNo, err)
+		if strings.HasPrefix(s.text, ".equ") {
+			if fields := strings.Fields(s.text); len(fields) == 3 && fields[0] == ".equ" {
+				v, err := parseNum(fields[2])
+				if err != nil {
+					return nil, fmt.Errorf("line %d: %v", s.lineNo, err)
+				}
+				if _, dup := symbols[fields[1]]; dup {
+					return nil, fmt.Errorf("line %d: duplicate symbol %q", s.lineNo, fields[1])
+				}
+				symbols[fields[1]] = v
+				continue
 			}
-			if _, dup := symbols[fields[1]]; dup {
-				return nil, fmt.Errorf("line %d: duplicate symbol %q", s.lineNo, fields[1])
-			}
-			symbols[fields[1]] = v
-			continue
 		}
 		n, newAddr, err := a.sizeOf(s, addr)
 		if err != nil {
@@ -208,7 +191,10 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 	}
 
 	// Pass 2: encode.
-	prog := &Program{Origin: origin, Width: width, Symbols: symbols}
+	prog := &Program{Origin: origin, Width: a.width, Symbols: symbols}
+	if n := addr - origin; n > 0 {
+		prog.Words, prog.Lines = make([]uint64, 0, n), make([]int, 0, n)
+	}
 	addr = origin
 	emit := func(w uint64, lineNo int) {
 		prog.Words = append(prog.Words, w)
@@ -225,15 +211,11 @@ func (a *Assembler) Assemble(src string) (*Program, error) {
 			}
 			continue
 		}
-		in, err := a.MatchStatement(s.text, symbols)
+		word, err := a.statement(s.text, symbols)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", s.lineNo, err)
 		}
-		word, err := a.enc.Encode(in)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", s.lineNo, err)
-		}
-		emit(word.Uint(), s.lineNo)
+		emit(word, s.lineNo)
 	}
 	return prog, nil
 }
@@ -318,11 +300,11 @@ func (a *Assembler) directive(s stmt, addr *uint64, emit func(uint64, int)) erro
 	return fmt.Errorf("line %d: unknown directive %s", s.lineNo, fields[0])
 }
 
-// MatchStatement matches one instruction statement and returns its bound
-// instance. symbols may be nil when no symbolic operands occur.
-func (a *Assembler) MatchStatement(text string, symbols map[string]uint64) (*model.Instance, error) {
-	if in, err := a.match(text, symbols, true); err == nil {
-		return in, nil
+// statement assembles one instruction statement to its word. symbols
+// may be nil when no symbolic operands occur.
+func (a *Assembler) statement(text string, symbols map[string]uint64) (uint64, error) {
+	if w, err := a.match(text, symbols, true); err == nil {
+		return w, nil
 	}
 	// The literal filter skips only candidates that cannot match, but a
 	// skipped candidate may fail with an error of its own before it gets
@@ -331,74 +313,57 @@ func (a *Assembler) MatchStatement(text string, symbols map[string]uint64) (*mod
 	return a.match(text, symbols, false)
 }
 
-// match tries the candidates in declaration order and returns the first
-// that matches the whole statement; with filter set it skips the
-// candidates mayMatch rules out.
-func (a *Assembler) match(text string, symbols map[string]uint64, filter bool) (*model.Instance, error) {
-	mt := &matcher{m: a.m, symbols: symbols}
+// match assembles text by the first candidate, in declaration order, that
+// matches all of it; with filter set it skips the candidates mayMatch
+// rules out. When none matches, the error is the first a candidate gave.
+func (a *Assembler) match(text string, symbols map[string]uint64, filter bool) (uint64, error) {
+	var st matchState
+	st.text, st.symbols, st.errs = text, symbols, !filter
 	var upper string
+	var bytes uint64
 	if filter {
-		upper = asciiUpper(text)
+		upper = text
+		if hasLower(text) {
+			var buf [64]byte
+			upper = string(appendUpper(buf[:0], text)) // on the stack when short
+		}
+		bytes = byteSet(upper)
 	}
-	var firstErr error
-	for i, op := range a.candidates {
-		if filter && !a.mayMatch(i, upper) {
+	for _, c := range a.candidates {
+		if filter && (c.bytes&^bytes != 0 || !c.mayMatch(upper, bytes)) {
 			continue
 		}
-		st := &matchState{text: text}
-		in, ok, err := mt.matchOperation(op, st)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if ok && st.atEnd() {
-			return in, nil
+		st.pos, st.failed = 0, false
+		if w, ok, err := st.op(c); ok && st.atEnd() {
+			return w, err
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if st.err != nil {
+		return 0, st.err
 	}
-	return nil, fmt.Errorf("no instruction matches %q", text)
+	return 0, fmt.Errorf("no instruction matches %q", text)
 }
 
-// mayMatch reports whether some syntax variant of candidates[i] has all its
-// literals in upper, the statement with its ASCII letters upper-cased.
-// matchLiteral compares a literal with an equal-length window of the
-// statement by strings.EqualFold, which for an ASCII literal holds only on
-// an ASCII window equal up to ASCII case, so a variant with a literal upper
-// lacks cannot match.
-func (a *Assembler) mayMatch(i int, upper string) bool {
-variants:
-	for _, lits := range a.literals[i] {
-		for _, lit := range lits {
-			if !strings.Contains(upper, lit) {
-				continue variants
-			}
+func hasLower(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 'a' && s[i] <= 'z' {
+			return true
 		}
-		return true
 	}
 	return false
 }
 
-// asciiUpper upper-cases the ASCII letters of s and leaves every other
-// byte as it is.
-func asciiUpper(s string) string {
-	i := 0
-	for i < len(s) && (s[i] < 'a' || s[i] > 'z') {
-		i++
-	}
-	if i == len(s) {
-		return s
-	}
-	b := []byte(s)
-	for ; i < len(b); i++ {
-		if c := b[i]; c >= 'a' && c <= 'z' {
-			b[i] = c - 'a' + 'A'
+// appendUpper appends s to b with its ASCII letters upper-cased and every
+// other byte as it is.
+func appendUpper(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= 'a' && c <= 'z' {
+			c -= 'a' - 'A'
 		}
+		b = append(b, c)
 	}
-	return string(b)
+	return b
 }
 
 func isASCII(s string) bool {
@@ -412,23 +377,7 @@ func isASCII(s string) bool {
 
 // AssembleStatement assembles one statement directly to a word.
 func (a *Assembler) AssembleStatement(text string) (uint64, error) {
-	in, err := a.MatchStatement(text, nil)
-	if err != nil {
-		return 0, err
-	}
-	w, err := a.enc.Encode(in)
-	if err != nil {
-		return 0, err
-	}
-	return w.Uint(), nil
-}
-
-// wordWidth returns the instruction width implied by the root resource.
-func (a *Assembler) wordWidth() int {
-	if a.root.RootResource != nil {
-		return a.root.RootResource.Width
-	}
-	return 32
+	return a.statement(text, nil)
 }
 
 func isIdent(s string) bool {
@@ -447,10 +396,10 @@ func isIdent(s string) bool {
 }
 
 func parseNum(s string) (uint64, error) {
-	st := &matchState{text: s}
-	v, ok, err := st.number(true)
-	if err != nil {
-		return 0, err
+	st := &scan{text: s}
+	v, ok, big := st.number(true)
+	if big != "" {
+		return 0, tooBig(big)
 	}
 	if !ok || !st.atEnd() {
 		return 0, fmt.Errorf("bad number %q", s)

@@ -151,17 +151,17 @@ func stockAssembler(t *testing.T, name string) (*Assembler, *model.Model) {
 	return a, m
 }
 
-// sameMatch fails the test unless MatchStatement and the unfiltered trial
-// over every candidate agree on text: the same instance tree, or the same
+// sameMatch fails the test unless AssembleStatement and the unfiltered
+// trial over every candidate agree on text: the same word, or the same
 // error text.
 func sameMatch(t *testing.T, name string, a *Assembler, text string) {
 	t.Helper()
-	in, err := a.MatchStatement(text, nil)
+	w, err := a.AssembleStatement(text)
 	want, wantErr := a.match(text, nil, false)
 	if errText(err) != errText(wantErr) {
 		t.Errorf("%s %q: error %q, trial gives %q", name, text, errText(err), errText(wantErr))
-	} else if err == nil && in.String() != want.String() {
-		t.Errorf("%s %q: instance %s, trial gives %s", name, text, in, want)
+	} else if err == nil && w != want {
+		t.Errorf("%s %q: word %#x, trial gives %#x", name, text, w, want)
 	}
 }
 

@@ -2,10 +2,24 @@ package asm
 
 import (
 	"os"
+	"strings"
 	"testing"
 
+	"golisa/internal/bitvec"
+	"golisa/internal/coding"
 	"golisa/internal/models"
 )
+
+// fuzzPrograms are the programs the assembler fuzz targets start from:
+// fir.s and the programs the other packages' tests assemble.
+var fuzzPrograms = []string{
+	"../../examples/fir/prog/fir.s",
+	"../perf/testdata/dot64.s",
+	"../perf/testdata/fir_slow.s",
+	"../replay/testdata/simd16vec.s",
+	"../cli/testdata/golden/c62xloop.s",
+	"../models/testdata/hazard16.s",
+}
 
 // FuzzAssemble feeds assembly text to a stock model's assembler. Any
 // text gives a program or an error: never a panic, a hang or unbounded
@@ -20,14 +34,7 @@ func FuzzAssemble(f *testing.F) {
 		}
 		asms = append(asms, a)
 	}
-	for _, path := range []string{
-		"../../examples/fir/prog/fir.s",
-		"../perf/testdata/dot64.s",
-		"../perf/testdata/fir_slow.s",
-		"../replay/testdata/simd16vec.s",
-		"../cli/testdata/golden/c62xloop.s",
-		"../models/testdata/hazard16.s",
-	} {
+	for _, path := range fuzzPrograms {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -38,5 +45,70 @@ func FuzzAssemble(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, model uint8, src string) {
 		_, _ = asms[int(model)%len(asms)].Assemble(src)
+	})
+}
+
+// FuzzAssembleRoundTrip disassembles a word on a stock model: when it
+// disassembles, the text, as written and lower-cased, assembles to what
+// coding.Encoder gives for the instruction of the word's DecodeRoot tree.
+// The seeds are the words the stock models assemble fuzzPrograms to.
+func FuzzAssembleRoundTrip(f *testing.F) {
+	type tools struct {
+		a   *Assembler
+		d   *Disassembler
+		enc *coding.Encoder
+	}
+	var cases []tools
+	for _, name := range []string{"simple16", "simd16", "c62x"} {
+		m := build(f, models.All[name])
+		a, err := NewAssembler(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		d, err := NewDisassembler(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cases = append(cases, tools{a, d, coding.NewEncoder(m)})
+	}
+	for _, path := range fuzzPrograms {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, c := range cases {
+			if p, err := c.a.Assemble(string(src)); err == nil {
+				for _, w := range p.Words {
+					f.Add(uint8(i), uint32(w))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, model uint8, word uint32) {
+		c := cases[int(model)%len(cases)]
+		text, err := c.d.Disassemble(uint64(word))
+		if err != nil {
+			return
+		}
+		in, err := c.d.dec.DecodeRoot(c.d.root, bitvec.New(uint64(word), c.d.wordWidth()))
+		if err != nil {
+			t.Fatalf("%#x disassembles to %q but does not decode: %v", word, text, err)
+		}
+		var want uint64
+		for _, name := range c.d.refs {
+			if child := in.Bindings[name]; child != nil && child.Variant != nil && child.Variant.Syntax != nil {
+				w, err := c.enc.Encode(child)
+				if err != nil {
+					t.Fatalf("%#x (%s): %v", word, in, err)
+				}
+				want = w.Uint()
+				break
+			}
+		}
+		for _, stmt := range []string{text, strings.ToLower(text)} {
+			if got, err := c.a.AssembleStatement(stmt); err != nil || got != want {
+				t.Fatalf("%#x disassembles to %q, which assembles to %#x, %v; want %#x", word, stmt, got, err, want)
+			}
+		}
 	})
 }

@@ -30,7 +30,7 @@ func TestLeafAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, dec := a.Root(), coding.NewDecoder(m)
+	root, dec := codingRoot(m), coding.NewDecoder(m)
 	_, n, err := dec.Leaves(root)
 	if err != nil {
 		t.Fatal(err)

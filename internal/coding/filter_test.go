@@ -33,6 +33,17 @@ func loadModel(t testing.TB, name, src string) *model.Model {
 	return m
 }
 
+// codingRoot returns m's first coding root, the one the assembler and
+// the disassembler derive from.
+func codingRoot(m *model.Model) *model.Operation {
+	for _, op := range m.OpList {
+		if op.IsCodingRoot {
+			return op
+		}
+	}
+	return nil
+}
+
 // exampleSources returns the assembly of the examples: every .s file under
 // examples/, and every Go string literal in the examples' sources, whole
 // and line by line (the c62x examples build their programs from
@@ -114,7 +125,7 @@ func decodeMatchesTrial(t *testing.T, name, src string, progs []string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := a.Root()
+	root := codingRoot(m)
 	width := root.RootResource.Width
 	var assembled []uint64
 	for _, s := range progs {

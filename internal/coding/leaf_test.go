@@ -25,13 +25,7 @@ type leafCase struct {
 
 func newLeafCase(t testing.TB, name, src string) leafCase {
 	m := loadModel(t, name, src)
-	c := leafCase{name: name, dec: coding.NewDecoder(m), trial: coding.NewTrialDecoder(m)}
-	for _, op := range m.OpList {
-		if op.IsCodingRoot {
-			c.root = op
-			break
-		}
-	}
+	c := leafCase{name: name, root: codingRoot(m), dec: coding.NewDecoder(m), trial: coding.NewTrialDecoder(m)}
 	var err error
 	if _, c.fields, err = c.dec.Leaves(c.root); err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -186,17 +180,13 @@ func TestLeavesRoundTrip(t *testing.T) {
 	listed := map[string][]string{}
 	for _, name := range []string{"simple16", "simd16", "c62x"} {
 		m := loadModel(t, name, models.All[name])
-		a, err := asm.NewAssembler(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		root := a.Root()
+		root := codingRoot(m)
 		sec := coding.RootCoding(root)
 		if len(sec.Elems) != 1 {
 			t.Fatalf("%s: root coding has %d elements, the test encodes one reference", name, len(sec.Elems))
 		}
 		ref := sec.Elems[0].(*ast.CodingRef).Name
-		unreachable := coding.UnreachableSet(m)
+		unreachable := coding.UnreachableSet(m, coding.FindUnreachable(m))
 		for op := range unreachable {
 			listed[name] = append(listed[name], op)
 		}

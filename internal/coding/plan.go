@@ -27,8 +27,9 @@ const (
 // digit: the order in which first match tries the leaves.
 type plan struct {
 	op          *model.Operation
-	elems       []elem // LABEL fields and references, in coding order
-	mask, value uint64 // fixed bits, the coding's lowest bit at bit 0
+	elems       []elem  // LABEL fields and references, in coding order
+	places      []Place // every LABEL field and reference, in coding order
+	mask, value uint64  // fixed bits, the coding's lowest bit at bit 0
 	width       int
 	leaves      int // product of the references' radices
 	fields      int // most LABEL fields of any leaf
@@ -50,15 +51,16 @@ type elem struct {
 	radix, weight int32        // a reference's leaves, and its digit's place value
 }
 
-// builder carves a decoder's plans and elements out of one array each,
-// sized by counting the model's codings first: retargeting builds two
-// decoders for every edit of a model, so a decoder costs a few
-// allocations.
+// builder carves a decoder's plans, elements and places out of one
+// array each, sized by counting the model's codings first: retargeting
+// builds three decoders for every edit of a model, so a decoder costs a
+// few allocations.
 type builder struct {
-	d     *Decoder
-	plans []plan
-	elems []elem
-	sel   map[string]*model.Operation // reused by compileVariants
+	d      *Decoder
+	plans  []plan
+	elems  []elem
+	places []Place
+	sel    map[string]*model.Operation // reused by compileVariants
 }
 
 // compiling stands in d.plans for an operation whose plan is being
@@ -77,7 +79,7 @@ func (d *Decoder) compilePlans() {
 			}
 		}
 	}
-	b := &builder{d: d, plans: make([]plan, 0, nPlans), elems: make([]elem, 0, nElems)}
+	b := &builder{d: d, plans: make([]plan, 0, nPlans), elems: make([]elem, 0, nElems), places: make([]Place, 0, nElems)}
 	d.plans = make([]*plan, len(d.m.OpList))
 	for _, op := range d.m.OpList {
 		b.opPlan(op)
@@ -123,9 +125,9 @@ func (b *builder) compile(op *model.Operation, sec *ast.CodingSec, width int) *p
 	if width > bitvec.MaxWidth {
 		return fail("coding width %d exceeds the %d-bit instruction word limit", width, bitvec.MaxWidth)
 	}
-	lo := len(b.elems)
-	b.elems = b.elems[:lo+elemCount(sec)]
-	b.plans = append(b.plans, plan{op: op, elems: b.elems[lo:lo:len(b.elems)], width: width, leaves: 1})
+	lo, n := len(b.elems), elemCount(sec)
+	b.elems, b.places = b.elems[:lo+n], b.places[:lo+n]
+	b.plans = append(b.plans, plan{op: op, elems: b.elems[lo : lo : lo+n], places: b.places[lo : lo : lo+n], width: width, leaves: 1})
 	p := &b.plans[len(b.plans)-1]
 	cursor := width
 	for _, e := range sec.Elems {
@@ -141,6 +143,7 @@ func (b *builder) compile(op *model.Operation, sec *ast.CodingSec, width int) *p
 			} else {
 				p.elems = append(p.elems, f)
 			}
+			p.places = append(p.places, Place{Name: el.Label, Shift: int(f.shift), Width: len(bits)})
 		case *ast.CodingRef:
 			p.elems = p.elems[:len(p.elems)+1]
 			r := &p.elems[len(p.elems)-1]
@@ -149,6 +152,7 @@ func (b *builder) compile(op *model.Operation, sec *ast.CodingSec, width int) *p
 			}
 			cursor -= int(r.width)
 			r.shift = int32(cursor)
+			p.places = append(p.places, Place{Name: el.Name, Ref: true, Shift: cursor, Width: int(r.width)})
 		}
 		if cursor -= len(bits); cursor < 0 {
 			return fail("coding elements span more than its %d bits", width)
@@ -435,4 +439,39 @@ func (d *Decoder) Shape(root *model.Operation, leaf int) (*model.Instance, []Fie
 		return nil, nil, fmt.Errorf("leaf %d of coding root %s selects no variant", leaf, root.Name)
 	}
 	return in, fields, nil
+}
+
+// Layout is the bit layout of an operation's CODING as its plan holds
+// it, the coding's lowest bit at bit 0. An encoding of the operation is
+// Value with the bits of each place filled in, except those Mask marks
+// fixed.
+type Layout struct {
+	Mask, Value uint64 // the fixed bits of its patterns and LABEL fields
+	// Places lists the LABEL fields and references in coding order; a
+	// label repeated in the CODING has a place at each of its fields.
+	Places []Place
+}
+
+// Place is one LABEL field or reference of a CODING.
+type Place struct {
+	Name         string // the field's label, or the referenced group or operation
+	Ref          bool   // a reference, not a field
+	Shift, Width int
+}
+
+// Layout returns the bit layout of op's CODING. For an operation without
+// a CODING the error is Encoder's; for one whose CODING has no plan it
+// says why.
+func (d *Decoder) Layout(op *model.Operation) (Layout, error) {
+	if op.Index >= len(d.plans) || d.m.OpList[op.Index] != op {
+		return Layout{}, fmt.Errorf("operation %s is not in model %s", op.Name, d.m.Name)
+	}
+	switch p := d.plans[op.Index]; {
+	case p == nil:
+		return Layout{}, fmt.Errorf("operation %s has no coding", op.Name)
+	case p.err != nil:
+		return Layout{}, p.err
+	default:
+		return Layout{Mask: p.mask, Value: p.value, Places: p.places}, nil
+	}
 }

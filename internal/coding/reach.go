@@ -114,9 +114,10 @@ func (d *Decoder) total(p *plan) bool {
 
 // UnreachableSet names the operations that are globally dead in the
 // coding tree: every group appearance is shadowed and no coding refers
-// to the operation directly by name. Operations outside the coding tree
-// are not reported — absence from every group is not shadowing.
-func UnreachableSet(m *model.Model) map[string]bool {
+// to the operation directly by name. found is FindUnreachable(m).
+// Operations outside the coding tree are not reported — absence from
+// every group is not shadowing.
+func UnreachableSet(m *model.Model, found []Unreachable) map[string]bool {
 	shadowed := map[string]int{} // op -> shadowed appearances
 	appears := map[string]int{}  // op -> group appearances
 	for _, op := range m.OpList {
@@ -129,7 +130,7 @@ func UnreachableSet(m *model.Model) map[string]bool {
 			}
 		}
 	}
-	for _, u := range FindUnreachable(m) {
+	for _, u := range found {
 		shadowed[u.Op]++
 	}
 	direct := map[string]bool{} // named directly by some CodingRef

@@ -38,7 +38,7 @@ func TestFindUnreachableShadowing(t *testing.T) {
 			t.Errorf("%s: empty source position", u.Op)
 		}
 	}
-	set := UnreachableSet(m)
+	set := UnreachableSet(m, FindUnreachable(m))
 	for _, name := range []string{"dup", "narrow"} {
 		if !set[name] {
 			t.Errorf("UnreachableSet misses %s", name)
@@ -114,7 +114,7 @@ func TestFindUnreachableTotalShadower(t *testing.T) {
 	if len(got) != 1 || got[0].Op != "alias" || got[0].ShadowedBy != "any" {
 		t.Fatalf("FindUnreachable = %+v, want alias shadowed by any", got)
 	}
-	if set := UnreachableSet(m); !set["alias"] || set["after"] {
+	if set := UnreachableSet(m, FindUnreachable(m)); !set["alias"] || set["after"] {
 		t.Fatalf("UnreachableSet = %v, want alias alone", set)
 	}
 }
@@ -124,7 +124,7 @@ func TestFindUnreachableMiniISAClean(t *testing.T) {
 	if got := FindUnreachable(m); len(got) != 0 {
 		t.Fatalf("miniISA has no dead leaves, got %+v", got)
 	}
-	if set := UnreachableSet(m); len(set) != 0 {
+	if set := UnreachableSet(m, FindUnreachable(m)); len(set) != 0 {
 		t.Fatalf("UnreachableSet = %v, want empty", set)
 	}
 }
@@ -160,7 +160,7 @@ func TestUnreachableSetDirectReference(t *testing.T) {
 	}
 	// The group appearance is dead, but insn2's direct reference keeps the
 	// leaf alive, so the set (which feeds coverage denominators) omits it.
-	if set := UnreachableSet(m); set["opnd_b"] {
+	if set := UnreachableSet(m, FindUnreachable(m)); set["opnd_b"] {
 		t.Fatal("opnd_b has a direct coding reference; it must stay in the denominators")
 	}
 }

@@ -93,9 +93,9 @@ func (c *Collector) Snapshot() *Snapshot {
 		}
 	}
 	if len(k.Ops) == len(cm.opBit) {
-		for i, b := range cm.edgeBit {
-			if b >= 0 && k.Edges[i] {
-				bits[DomainEdges].Set(int(b))
+		for i, at := range cm.edgeAt {
+			if k.Edges[at] {
+				bits[DomainEdges].Set(i)
 			}
 		}
 	}

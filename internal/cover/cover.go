@@ -84,10 +84,10 @@ type Map struct {
 	// each (coding.FindUnreachable).
 	Excluded []coding.Unreachable
 
-	// The event path's bit tables, by model.Operation.Index (-1: not an
-	// item): leafBit and opBit for one operation, edgeBit for a (source,
-	// target) pair at source*len(opBit)+target.
-	leafBit, opBit, edgeBit []int32
+	// The event path's bit tables: leafBit and opBit by
+	// model.Operation.Index (-1: not an item), and for each edge bit its
+	// (source, target) pair as source*len(opBit)+target.
+	leafBit, opBit, edgeAt []int32
 }
 
 // NewMap enumerates the coverage domains of a model. The enumeration is
@@ -95,8 +95,9 @@ type Map struct {
 // group-member and activation-item order within each.
 func NewMap(m *model.Model) *Map {
 	cm := &Map{Model: m.Name}
-	dead := coding.UnreachableSet(m)
-	for _, u := range coding.FindUnreachable(m) {
+	found := coding.FindUnreachable(m)
+	dead := coding.UnreachableSet(m, found)
+	for _, u := range found {
 		if dead[u.Op] {
 			cm.Excluded = append(cm.Excluded, u)
 		}
@@ -124,16 +125,13 @@ func NewMap(m *model.Model) *Map {
 	cm.Fingerprint = h.Sum64()
 
 	n := len(m.OpList)
-	cm.leafBit, cm.opBit, cm.edgeBit = make([]int32, n), make([]int32, n), make([]int32, n*n)
+	cm.leafBit, cm.opBit, cm.edgeAt = make([]int32, n), make([]int32, n), make([]int32, len(edges))
 	for _, op := range m.OpList {
 		cm.leafBit[op.Index] = int32(cm.Index(DomainLeaves, op.Name))
 		cm.opBit[op.Index] = int32(cm.Index(DomainOps, op.Name))
 	}
-	for i := range cm.edgeBit {
-		cm.edgeBit[i] = -1
-	}
 	for i, e := range edges {
-		cm.edgeBit[e[0].Index*n+e[1].Index] = int32(i)
+		cm.edgeAt[i] = int32(e[0].Index*n + e[1].Index)
 	}
 	return cm
 }
