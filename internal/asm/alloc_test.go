@@ -37,3 +37,38 @@ func TestAssembleStatementAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestDisassembleOneAlloc checks that a word that disassembles allocates
+// only its text: Disassemble of every such word of the disassembly
+// golden, on every model of the golden, performs at most one allocation.
+func TestDisassembleOneAlloc(t *testing.T) {
+	models := leafModels(t)
+	for _, name := range goldenModels {
+		d, err := NewDisassembler(models[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join("testdata", "disassembly", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+			word, want, _ := strings.Cut(line, "\t")
+			if strings.HasPrefix(want, "error: ") {
+				continue
+			}
+			w, err := parseNum(word)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := testing.AllocsPerRun(5, func() { _, _ = d.Disassemble(w) }); n > 1 {
+				t.Errorf("%s %#x (%s): %.1f allocations, want at most 1", name, w, want, n)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("%s: no word disassembles", name)
+		}
+	}
+}

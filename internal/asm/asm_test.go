@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -303,6 +304,29 @@ func TestDirectives(t *testing.T) {
 	for i, w := range want {
 		if prog.Words[i] != w {
 			t.Errorf("word %d = %#x, want %#x", i, prog.Words[i], w)
+		}
+	}
+}
+
+// TestWordMustFitWidth: a .word value must fit the 16-bit instruction
+// width by the rule operands follow, or the line is an error; a negative
+// value that fits is stored masked to the width.
+func TestWordMustFitWidth(t *testing.T) {
+	a, _ := newTools(t, tinyASM)
+	prog, err := a.Assemble(".word 0xffff -1 -0x8000, 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%#x", prog.Words); got != "[0xffff 0xffff 0x8000 0x0]" {
+		t.Errorf("words = %s", got)
+	}
+	for src, want := range map[string]string{
+		"HALT\n.word 0x10000": "line 2: .word value 0x10000 does not fit in 16 bits",
+		".word 1, -0x8001":    "line 1: .word value -0x8001 does not fit in 16 bits",
+		".word 0x12345":       "line 1: .word value 0x12345 does not fit in 16 bits",
+	} {
+		if _, err := a.Assemble(src); err == nil || err.Error() != want {
+			t.Errorf("%q: %v, want %s", src, err, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"golisa/internal/bitvec"
 	"golisa/internal/coding"
 	"golisa/internal/model"
 )
@@ -42,7 +43,7 @@ type Assembler struct {
 // NewAssembler builds an assembler from the model's coding root. When the
 // model has several coding roots the first declared is used. It compiles
 // the syntax of every operation over the bit layout of its CODING, which
-// coding.Decoder's plans hold.
+// the plans of the model's decoder (coding.For) hold.
 func NewAssembler(m *model.Model) (*Assembler, error) {
 	var root *model.Operation
 	for _, op := range m.OpList {
@@ -64,7 +65,7 @@ func NewAssembler(m *model.Model) (*Assembler, error) {
 	}
 	sort.Strings(names)
 	n := len(m.OpList)
-	b := &builder{m: m, dec: coding.NewDecoder(m), plans: make([]opPlan, n),
+	b := &builder{m: m, dec: coding.For(m), plans: make([]opPlan, n),
 		variants: make([]variant, 0, n), steps: make([]step, 0, 4*n), places: make([]place, 0, 2*n)}
 	for _, op := range m.OpList {
 		b.compile(op)
@@ -278,11 +279,15 @@ func (a *Assembler) directive(s stmt, addr *uint64, emit func(uint64, int)) erro
 		return nil
 	case ".word":
 		for _, f := range fields[1:] {
-			v, err := parseNum(strings.TrimSuffix(f, ","))
+			f = strings.TrimSuffix(f, ",")
+			v, err := parseNum(f)
 			if err != nil {
 				return fmt.Errorf("line %d: %v", s.lineNo, err)
 			}
-			emit(v, s.lineNo)
+			if !fits(v, a.width, false) {
+				return fmt.Errorf("line %d: .word value %s does not fit in %d bits", s.lineNo, f, a.width)
+			}
+			emit(v&bitvec.Mask(a.width), s.lineNo)
 		}
 		return nil
 	case ".space":

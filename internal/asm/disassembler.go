@@ -2,7 +2,7 @@ package asm
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
@@ -13,11 +13,12 @@ import (
 // Disassembler renders instruction words back to assembly text using the
 // same syntax trees the assembler matches against (the paper's "during
 // disassembly, the same pattern is used to generate the respective assembly
-// statement").
+// statement"). It reads each word's coding leaf through the model's
+// decoder (coding.Node) and builds no instance tree.
 type Disassembler struct {
-	m    *model.Model
-	root *model.Operation
-	dec  *coding.Decoder
+	root  *model.Operation
+	dec   *coding.Decoder
+	width int // instruction word width in bits
 	// refs names the root coding's references in coding order.
 	refs []string
 }
@@ -34,7 +35,10 @@ func NewDisassembler(m *model.Model) (*Disassembler, error) {
 	if root == nil {
 		return nil, fmt.Errorf("model %s has no coding root", m.Name)
 	}
-	d := &Disassembler{m: m, root: root, dec: coding.NewDecoder(m)}
+	d := &Disassembler{root: root, dec: coding.For(m), width: 32}
+	if root.RootResource != nil {
+		d.width = root.RootResource.Width
+	}
 	if sec := coding.RootCoding(root); sec != nil {
 		for _, e := range sec.Elems {
 			if ref, ok := e.(*ast.CodingRef); ok {
@@ -47,97 +51,74 @@ func NewDisassembler(m *model.Model) (*Disassembler, error) {
 
 // Disassemble decodes one instruction word and renders it. Because group
 // members are tried in declaration order and aliases are declared after the
-// real instruction, the disassembler never chooses an alias.
+// real instruction, the disassembler never chooses an alias. A word with
+// bits above the instruction width is an error.
 func (d *Disassembler) Disassemble(word uint64) (string, error) {
-	width := 32
-	if d.root.RootResource != nil {
-		width = d.root.RootResource.Width
+	if word&^bitvec.Mask(d.width) != 0 {
+		return "", fmt.Errorf("word %#x is wider than the %d-bit instruction", word, d.width)
 	}
-	in, err := d.dec.DecodeRoot(d.root, bitvec.New(word, width))
+	n, err := d.dec.Node(d.root, bitvec.New(word, d.width))
 	if err != nil {
 		return "", err
 	}
-	// The root instance binds the instruction group(s); render the first
-	// bound child, in coding order, that has syntax.
+	// The root binds the instruction group(s); render the first bound
+	// member, in coding order, that has syntax.
 	for _, name := range d.refs {
-		if child := in.Bindings[name]; child != nil && child.Variant != nil && child.Variant.Syntax != nil {
-			return d.Render(child)
+		if c, ok := n.Ref(name); ok {
+			if v := c.Variant(); v != nil && v.Syntax != nil {
+				var buf [64]byte
+				b, err := render(buf[:0], c, v)
+				if err != nil {
+					return "", err
+				}
+				return string(b), nil
+			}
 		}
 	}
 	return "", fmt.Errorf("decoded word %#x has no renderable syntax", word)
 }
 
-// Render renders a bound instance to assembly text.
-func (d *Disassembler) Render(in *model.Instance) (string, error) {
-	if in.Variant == nil {
-		if err := in.ResolveVariant(); err != nil {
-			return "", err
-		}
-	}
-	v := in.Variant
-	if v.Syntax == nil {
-		return "", fmt.Errorf("operation %s has no syntax", in.Op.Name)
-	}
-	var sb strings.Builder
-	if err := d.render(in, v, &sb); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
-}
-
-func (d *Disassembler) render(in *model.Instance, v *model.Variant, sb *strings.Builder) error {
+// render appends the text of node n, whose variant is v, to b.
+func render(b []byte, n coding.Node, v *model.Variant) ([]byte, error) {
 	for _, e := range v.Syntax.Elems {
 		switch el := e.(type) {
 		case *ast.SyntaxString:
-			sb.WriteString(el.Text)
+			b = append(b, el.Text...)
 		case *ast.SyntaxRef:
-			if lv, isLabel := in.Labels[el.Name]; isLabel {
+			if lv, isLabel := n.Label(el.Name); isLabel {
 				// Labels concatenate directly to the preceding literal:
 				// SYNTAX { "A" index } renders A15 (paper Example 4).
 				switch el.Format {
 				case "#s":
-					fmt.Fprintf(sb, "%d", lv.Int())
+					b = strconv.AppendInt(b, lv.Int(), 10)
 				case "#x":
-					fmt.Fprintf(sb, "0x%x", lv.Uint())
+					b = strconv.AppendUint(append(b, "0x"...), lv.Uint(), 16)
 				default:
-					fmt.Fprintf(sb, "%d", lv.Uint())
+					b = strconv.AppendUint(b, lv.Uint(), 10)
 				}
 				continue
 			}
-			child := in.Bindings[el.Name]
-			if child == nil {
-				return fmt.Errorf("operation %s: syntax reference %s unbound", in.Op.Name, el.Name)
+			c, ok := n.Ref(el.Name)
+			if !ok {
+				return b, fmt.Errorf("operation %s: syntax reference %s unbound", n.Op().Name, el.Name)
 			}
-			if child.Variant == nil {
-				if err := child.ResolveVariant(); err != nil {
-					return err
-				}
+			cv := c.Variant()
+			if cv == nil || cv.Syntax == nil {
+				return b, fmt.Errorf("operation %s has no syntax", c.Op().Name)
 			}
-			if child.Variant.Syntax == nil {
-				return fmt.Errorf("operation %s has no syntax", child.Op.Name)
+			// An operand is separated from what precedes it unless that
+			// ends in whitespace; literal strings concatenate directly
+			// ("ADD" ".D" → ADD.D), as in the paper's "ADD.D A4, A3, A15".
+			if len(b) > 0 && b[len(b)-1] != ' ' && b[len(b)-1] != '\t' {
+				b = append(b, ' ')
 			}
-			spaceBeforeOperand(sb)
-			if err := d.render(child, child.Variant, sb); err != nil {
-				return err
+			var err error
+			if b, err = render(b, c, cv); err != nil {
+				return b, err
 			}
 		}
 	}
-	return nil
-}
-
-// spaceBeforeOperand inserts a separating space before an operand unless the
-// output already ends in whitespace or is empty. Literal strings concatenate
-// directly ("ADD" ".D" → ADD.D), matching the paper's example rendering
-// "ADD.D A4, A3, A15".
-func spaceBeforeOperand(sb *strings.Builder) {
-	s := sb.String()
-	if s == "" {
-		return
-	}
-	last := s[len(s)-1]
-	if last != ' ' && last != '\t' {
-		sb.WriteByte(' ')
-	}
+	return b, nil
 }
 
 // Listing disassembles a whole program image with addresses.
@@ -148,14 +129,7 @@ func (d *Disassembler) Listing(origin uint64, words []uint64) []string {
 		if err != nil {
 			text = fmt.Sprintf(".word 0x%x", w)
 		}
-		out = append(out, fmt.Sprintf("%04x: %0*x  %s", origin+uint64(i), (d.wordWidth()+3)/4, w, text))
+		out = append(out, fmt.Sprintf("%04x: %0*x  %s", origin+uint64(i), (d.width+3)/4, w, text))
 	}
 	return out
-}
-
-func (d *Disassembler) wordWidth() int {
-	if d.root.RootResource != nil {
-		return d.root.RootResource.Width
-	}
-	return 32
 }

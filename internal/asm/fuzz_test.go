@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"golisa/internal/bitvec"
 	"golisa/internal/coding"
 	"golisa/internal/models"
 )
@@ -50,13 +49,15 @@ func FuzzAssemble(f *testing.F) {
 
 // FuzzAssembleRoundTrip disassembles a word on a stock model: when it
 // disassembles, the text, as written and lower-cased, assembles to what
-// coding.Encoder gives for the instruction of the word's DecodeRoot tree.
-// The seeds are the words the stock models assemble fuzzPrograms to.
+// coding.Encoder gives for the instruction of the word's DecodeRoot tree
+// (render_test.go). The seeds are the words the stock models assemble
+// fuzzPrograms to.
 func FuzzAssembleRoundTrip(f *testing.F) {
 	type tools struct {
-		a   *Assembler
-		d   *Disassembler
-		enc *coding.Encoder
+		a    *Assembler
+		d    *Disassembler
+		tree *treeDisassembler
+		enc  *coding.Encoder
 	}
 	var cases []tools
 	for _, name := range []string{"simple16", "simd16", "c62x"} {
@@ -69,7 +70,7 @@ func FuzzAssembleRoundTrip(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		cases = append(cases, tools{a, d, coding.NewEncoder(m)})
+		cases = append(cases, tools{a, d, newTreeDisassembler(f, m), coding.NewEncoder(m)})
 	}
 	for _, path := range fuzzPrograms {
 		src, err := os.ReadFile(path)
@@ -90,21 +91,15 @@ func FuzzAssembleRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		in, err := c.d.dec.DecodeRoot(c.d.root, bitvec.New(uint64(word), c.d.wordWidth()))
+		in, err := c.tree.insn(uint64(word))
 		if err != nil {
 			t.Fatalf("%#x disassembles to %q but does not decode: %v", word, text, err)
 		}
-		var want uint64
-		for _, name := range c.d.refs {
-			if child := in.Bindings[name]; child != nil && child.Variant != nil && child.Variant.Syntax != nil {
-				w, err := c.enc.Encode(child)
-				if err != nil {
-					t.Fatalf("%#x (%s): %v", word, in, err)
-				}
-				want = w.Uint()
-				break
-			}
+		w, err := c.enc.Encode(in)
+		if err != nil {
+			t.Fatalf("%#x (%s): %v", word, in, err)
 		}
+		want := w.Uint()
 		for _, stmt := range []string{text, strings.ToLower(text)} {
 			if got, err := c.a.AssembleStatement(stmt); err != nil || got != want {
 				t.Fatalf("%#x disassembles to %q, which assembles to %#x, %v; want %#x", word, stmt, got, err, want)

@@ -95,6 +95,7 @@ func statementCorpus(t *testing.T, m *model.Model) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := newTreeDisassembler(t, m)
 	var out []string
 	seen := map[string]bool{}
 	add := func(s string) {
@@ -122,16 +123,9 @@ func statementCorpus(t *testing.T, m *model.Model) []string {
 			add(strings.TrimSpace(text[:i]))
 			add(text + text[i:i+1] + text[i+1:])
 		}
-		in, err := d.dec.DecodeRoot(d.root, bitvec.New(word, d.wordWidth()))
+		insn, err := tree.insn(word)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var insn *model.Instance
-		for _, name := range d.refs {
-			if c := in.Bindings[name]; c != nil && c.Variant != nil && c.Variant.Syntax != nil {
-				insn = c
-				break
-			}
 		}
 		for _, o := range operands(insn, nil) {
 			width := o.in.Labels[o.label].Width()
@@ -140,10 +134,10 @@ func statementCorpus(t *testing.T, m *model.Model) []string {
 				if o.format == "#s" {
 					wide >>= 1
 				}
-				add(replaceOperand(t, d, insn, o, formatNum(wide, o.format)))
+				add(replaceOperand(t, insn, o, formatNum(wide, o.format)))
 			}
-			add(replaceOperand(t, d, insn, o, undefinedSym))
-			add(replaceOperand(t, d, insn, o, definedSym+"+4"))
+			add(replaceOperand(t, insn, o, undefinedSym))
+			add(replaceOperand(t, insn, o, definedSym+"+4"))
 		}
 	}
 	return out
@@ -174,11 +168,11 @@ func operands(in *model.Instance, out []operand) []operand {
 }
 
 // replaceOperand renders insn with operand o written as with.
-func replaceOperand(t *testing.T, d *Disassembler, insn *model.Instance, o operand, with string) string {
+func replaceOperand(t *testing.T, insn *model.Instance, o operand, with string) string {
 	const sentinel = 0x5eb7a1
 	old := o.in.Labels[o.label]
 	o.in.Labels[o.label] = bitvec.New(sentinel, 64)
-	text, err := d.Render(insn)
+	text, err := renderTree(insn)
 	o.in.Labels[o.label] = old
 	if err != nil {
 		t.Fatal(err)

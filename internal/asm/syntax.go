@@ -1,10 +1,11 @@
 // Package asm implements the retargetable assembler and disassembler that
 // LISA generates from the SYNTAX and CODING sections of a model: assembly
 // statements are matched against syntax plans, which fill in the coding
-// layout of each matched operation to give the instruction word, and
-// decoded instances are rendered back to assembly text. The coding↔syntax
-// label links form the translation rules the paper describes
-// (§3.2.1–§3.2.2).
+// layout of each matched operation to give the instruction word, and a
+// word's coding leaf is rendered back to assembly text, node by node over
+// each variant's SYNTAX. Both read the model's one decoder (coding.For).
+// The coding↔syntax label links form the translation rules the paper
+// describes (§3.2.1–§3.2.2).
 package asm
 
 import (

@@ -236,15 +236,30 @@ OPERATION op {
 	}
 }
 
+// TestDecodeNonRootDirect reads a non-root operation's sub-tree of a
+// decoded word straight from the plans, through the Node view.
 func TestDecodeNonRootDirect(t *testing.T) {
 	m := build(t, miniISA)
 	d := NewDecoder(m)
-	in, err := d.Decode(m.Ops["register"], bitvec.New(0b10111, 5))
+	n, err := d.Node(m.Ops["decode"], bitvec.New(encodeADD(0b10111, 0, 0, 0b0000010000), 32))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if in.Bindings["Side"].Op.Name != "side2" || in.Labels["index"].Uint() != 7 {
-		t.Errorf("register decode: %v", in)
+	insn, _ := n.Ref("Instruction")
+	reg, ok := insn.Ref("Dest")
+	if !ok || reg.Op().Name != "register" {
+		t.Fatalf("Dest: %v, %v", reg.Op(), ok)
+	}
+	side, _ := reg.Ref("Side")
+	index, _ := reg.Label("index")
+	if side.Op().Name != "side2" || index != bitvec.New(7, 4) || reg.Variant() != m.Ops["register"].Variants[1] {
+		t.Errorf("register decode: side %s, index %v", side.Op().Name, index)
+	}
+	if _, ok := reg.Label("Side"); ok {
+		t.Error("a reference reads as a label")
+	}
+	if _, ok := reg.Ref("index"); ok {
+		t.Error("a label reads as a reference")
 	}
 }
 
@@ -334,8 +349,12 @@ func TestDecodeRejectsOver64BitCoding(t *testing.T) {
 	if err := m.AddOperation(fat); err != nil {
 		t.Fatal(err)
 	}
-	_, err = d.Decode(fat, bitvec.New(0, 64))
+	d = NewDecoder(m)
+	_, err = d.Layout(fat)
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 64-bit instruction word limit") {
-		t.Fatalf("Decode error = %v, want 64-bit word limit error", err)
+		t.Fatalf("Layout error = %v, want 64-bit word limit error", err)
+	}
+	if err := d.Check(); err == nil || !strings.Contains(err.Error(), "exceeds the 64-bit instruction word limit") {
+		t.Fatalf("Check error = %v, want 64-bit word limit error", err)
 	}
 }

@@ -83,11 +83,11 @@ func exampleSources(t testing.TB) []string {
 	return srcs
 }
 
-// TestDecodeMatchesTrial checks that skipping members by their fixed bits
-// leaves DecodeRoot's results unchanged: on every stock model and
-// hazard16, for fixed-seed random words, every word the model's assembler
-// produces for the examples and those words with random bits flipped, the
-// decoder and the plain first-match trial give the same instance tree or
+// TestDecodeMatchesTrial checks that decoding by the plans gives the
+// walk's results: on every stock model and hazard16, for fixed-seed
+// random words, every word the model's assembler produces for the
+// examples and those words with random bits flipped, the decoder and the
+// plain first-match trial (walk_test.go) give the same instance tree or
 // the same error text.
 func TestDecodeMatchesTrial(t *testing.T) {
 	hazard16, err := os.ReadFile("../models/testdata/hazard16.lisa")
@@ -136,7 +136,7 @@ func decodeMatchesTrial(t *testing.T, name, src string, progs []string) {
 	if len(assembled) == 0 {
 		t.Errorf("%s: no example assembles", name)
 	}
-	dec, trial := coding.NewDecoder(m), coding.NewTrialDecoder(m)
+	dec, trial := coding.NewDecoder(m), coding.NewTrial(m)
 	rng := rand.New(rand.NewSource(14))
 	words := append([]uint64(nil), assembled...)
 	for _, w := range assembled {
@@ -157,7 +157,7 @@ func decodeMatchesTrial(t *testing.T, name, src string, progs []string) {
 // sameDecode fails the test unless dec and the plain first-match trial
 // give word the same instance tree or the same error text, and reports
 // whether it decodes.
-func sameDecode(t *testing.T, name string, root *model.Operation, dec, trial *coding.Decoder, word bitvec.Value) bool {
+func sameDecode(t *testing.T, name string, root *model.Operation, dec *coding.Decoder, trial *coding.Trial, word bitvec.Value) bool {
 	t.Helper()
 	got, gotErr := dec.DecodeRoot(root, word)
 	want, wantErr := trial.DecodeRoot(root, word)
@@ -201,7 +201,7 @@ OPERATION indirect { CODING { 0b11 } }
 func TestDecodeMatchesTrialExhaustive(t *testing.T) {
 	m := loadModel(t, "nested", nestedISA)
 	root := m.Ops["decode"]
-	dec, trial := coding.NewDecoder(m), coding.NewTrialDecoder(m)
+	dec, trial := coding.NewDecoder(m), coding.NewTrial(m)
 	for w := uint64(0); w < 1<<6; w++ {
 		sameDecode(t, "nested", root, dec, trial, bitvec.New(w, 6))
 	}

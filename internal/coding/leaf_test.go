@@ -17,15 +17,16 @@ import (
 // leafCase is one model whose coding root FuzzDecode decodes words
 // against.
 type leafCase struct {
-	name       string
-	root       *model.Operation
-	dec, trial *coding.Decoder
-	fields     int
+	name   string
+	root   *model.Operation
+	dec    *coding.Decoder
+	trial  *coding.Trial
+	fields int
 }
 
 func newLeafCase(t testing.TB, name, src string) leafCase {
 	m := loadModel(t, name, src)
-	c := leafCase{name: name, root: codingRoot(m), dec: coding.NewDecoder(m), trial: coding.NewTrialDecoder(m)}
+	c := leafCase{name: name, root: codingRoot(m), dec: coding.NewDecoder(m), trial: coding.NewTrial(m)}
 	var err error
 	if _, c.fields, err = c.dec.Leaves(c.root); err != nil {
 		t.Fatalf("%s: %v", name, err)

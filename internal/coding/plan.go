@@ -13,8 +13,8 @@ import (
 // operation's CODING once into a plan, and a word decodes by walking the
 // plans to its leaf id and LABEL field values.
 
-// Bounds on a plan. A tree past them has no plan: the walk decodes it,
-// and Leaves reports why.
+// Bounds on a plan. A tree past them has no plan, and a model that has
+// one fails to load (Check).
 const (
 	maxLeaves     = 1 << 30 // leaves below one operation, so that ids fit an int32
 	maxSelections = 1 << 12 // member combinations a variant table covers
@@ -27,6 +27,7 @@ const (
 // digit: the order in which first match tries the leaves.
 type plan struct {
 	op          *model.Operation
+	sec         *ast.CodingSec
 	elems       []elem  // LABEL fields and references, in coding order
 	places      []Place // every LABEL field and reference, in coding order
 	mask, value uint64  // fixed bits, the coding's lowest bit at bit 0
@@ -38,7 +39,21 @@ type plan struct {
 	// variant has no guard holds that one alone.
 	variants []*model.Variant
 	gaps     bool  // some member choice selects no variant
-	err      error // why op has no plan
+	err      error // why op has no plan, a *planError
+}
+
+// planError says why an operation's CODING has no plan. An operation
+// whose coding refers to one without a plan has the same error, so op is
+// the operation compiling stopped at.
+type planError struct {
+	op  *model.Operation
+	msg string
+}
+
+func (e *planError) Error() string { return e.msg }
+
+func errorf(op *model.Operation, format string, args ...any) error {
+	return &planError{op, fmt.Sprintf(format, args...)}
 }
 
 // elem is a LABEL field or a reference at bit shift of its plan's coding.
@@ -53,8 +68,8 @@ type elem struct {
 
 // builder carves a decoder's plans, elements and places out of one
 // array each, sized by counting the model's codings first: retargeting
-// builds three decoders for every edit of a model, so a decoder costs a
-// few allocations.
+// builds a decoder for every edit of a model, so a decoder costs a few
+// allocations.
 type builder struct {
 	d      *Decoder
 	plans  []plan
@@ -89,7 +104,7 @@ func (d *Decoder) compilePlans() {
 		if sec := RootCoding(op); sec != nil {
 			d.roots = append(d.roots, b.compile(op, sec, d.elemsWidth(op, sec.Elems)))
 		} else {
-			d.roots = append(d.roots, &plan{op: op, err: fmt.Errorf("coding root %s has no root coding section", op.Name)})
+			d.roots = append(d.roots, &plan{op: op, err: errorf(op, "coding root %s has no root coding section", op.Name)})
 		}
 	}
 }
@@ -98,11 +113,11 @@ func (d *Decoder) compilePlans() {
 func (b *builder) opPlan(op *model.Operation) *plan {
 	d := b.d
 	if op.Index >= len(d.plans) || d.m.OpList[op.Index] != op {
-		return &plan{op: op, err: fmt.Errorf("operation %s is not in model %s", op.Name, d.m.Name)}
+		return &plan{op: op, err: errorf(op, "operation %s is not in model %s", op.Name, d.m.Name)}
 	}
 	switch p := d.plans[op.Index]; p {
 	case compiling:
-		return &plan{op: op, err: fmt.Errorf("recursive coding through %s", op.Name)}
+		return &plan{op: op, err: errorf(op, "recursive coding through %s", op.Name)}
 	case nil:
 	default:
 		return p
@@ -120,14 +135,14 @@ func (b *builder) opPlan(op *model.Operation) *plan {
 // compile compiles op's coding section sec, which spans width bits.
 func (b *builder) compile(op *model.Operation, sec *ast.CodingSec, width int) *plan {
 	fail := func(format string, args ...any) *plan {
-		return &plan{op: op, err: fmt.Errorf("operation %s: "+format, append([]any{op.Name}, args...)...)}
+		return &plan{op: op, err: errorf(op, "operation %s: "+format, append([]any{op.Name}, args...)...)}
 	}
 	if width > bitvec.MaxWidth {
 		return fail("coding width %d exceeds the %d-bit instruction word limit", width, bitvec.MaxWidth)
 	}
 	lo, n := len(b.elems), elemCount(sec)
 	b.elems, b.places = b.elems[:lo+n], b.places[:lo+n]
-	b.plans = append(b.plans, plan{op: op, elems: b.elems[lo : lo : lo+n], places: b.places[lo : lo : lo+n], width: width, leaves: 1})
+	b.plans = append(b.plans, plan{op: op, sec: sec, elems: b.elems[lo : lo : lo+n], places: b.places[lo : lo : lo+n], width: width, leaves: 1})
 	p := &b.plans[len(b.plans)-1]
 	cursor := width
 	for _, e := range sec.Elems {
@@ -210,7 +225,8 @@ func (p *plan) field(label string) int {
 }
 
 // compileRef compiles op's reference to name into r, with its members'
-// plans. Its width is the bits it takes, as the walk takes them.
+// plans. Its width is the bits it takes: a group's first member's coding
+// width.
 func (b *builder) compileRef(r *elem, op *model.Operation, name string) error {
 	r.name = name
 	if g, ok := op.Groups[name]; ok {
@@ -218,7 +234,7 @@ func (b *builder) compileRef(r *elem, op *model.Operation, name string) error {
 	} else if m := b.d.m.Ops[name]; m != nil {
 		r.group, r.width = &model.Group{Name: name, Owner: op, Members: []*model.Operation{m}}, int32(m.CodingWidth)
 	} else {
-		return fmt.Errorf("operation %s: unknown coding reference %s", op.Name, name)
+		return errorf(op, "operation %s: unknown coding reference %s", op.Name, name)
 	}
 	for _, mem := range r.group.Members {
 		switch mp := b.opPlan(mem); {
@@ -226,9 +242,9 @@ func (b *builder) compileRef(r *elem, op *model.Operation, name string) error {
 		case mp.err != nil:
 			return mp.err
 		case mp.width > int(r.width):
-			return fmt.Errorf("operation %s: member %s is wider than its %d bits", op.Name, mem.Name, r.width)
+			return errorf(op, "operation %s: member %s is wider than its %d bits", op.Name, mem.Name, r.width)
 		case int(r.radix) > maxLeaves-mp.leaves:
-			return fmt.Errorf("operation %s: more than %d coding leaves below %s", op.Name, maxLeaves, name)
+			return errorf(op, "operation %s: more than %d coding leaves below %s", op.Name, maxLeaves, name)
 		default:
 			r.radix += int32(mp.leaves)
 		}
@@ -237,7 +253,7 @@ func (b *builder) compileRef(r *elem, op *model.Operation, name string) error {
 }
 
 // compileVariants fills p's variant table. A later reference of a
-// repeated name overrides an earlier one, as in the walk's bindings.
+// repeated name overrides an earlier one, as in DecodeRoot's bindings.
 func (b *builder) compileVariants(p *plan) error {
 	vs := p.op.Variants
 	if len(vs) == 0 || len(vs[0].Guards) == 0 {
@@ -248,7 +264,7 @@ func (b *builder) compileVariants(p *plan) error {
 	for _, e := range p.elems {
 		if e.group != nil {
 			if n *= len(e.group.Members); n > maxSelections {
-				return fmt.Errorf("operation %s: more than %d member combinations select its variant", p.op.Name, maxSelections)
+				return errorf(p.op, "operation %s: more than %d member combinations select its variant", p.op.Name, maxSelections)
 			}
 		}
 	}
@@ -291,8 +307,9 @@ func (p *plan) variant(sel int) *model.Variant {
 	return p.variants[sel]
 }
 
-// match matches x, whose low bits hold p's coding, by the walk's nested
-// first match. On a match it returns the leaf, and the index after the
+// match matches x, whose low bits hold p's coding, by nested first match:
+// at every reference the first member, in declaration order, whose own
+// coding matches (the paper's selection rule). On a match it returns the leaf, and the index after the
 // LABEL field values it wrote to fields from n on; fields may be nil. A
 // member that fails may leave values past n.
 func (d *Decoder) match(p *plan, x uint64, fields []uint64, n int) (leaf, next int, ok bool) {
@@ -349,21 +366,89 @@ func (d *Decoder) instance(p *plan, x uint64, leaf int, shape *[]Field) (in *mod
 			}
 			continue
 		}
-		digit, members := leaf/int(e.weight)%int(e.radix), e.group.Members
-		j, mp := 0, d.plans[members[0].Index]
-		for mp == nil || digit >= mp.leaves {
-			if mp != nil {
-				digit -= mp.leaves
-			}
-			j++
-			mp = d.plans[members[j].Index]
-		}
-		sel = sel*len(members) + j
-		child, childOK := d.instance(mp, x>>uint(e.shift), digit, shape)
+		j, mp, below := d.member(e, leaf)
+		sel = sel*len(e.group.Members) + j
+		child, childOK := d.instance(mp, x>>uint(e.shift), below, shape)
 		in.Bindings[e.name], ok = child, ok && childOK
 	}
 	in.Variant = p.variant(sel)
 	return in, ok && in.Variant != nil
+}
+
+// member returns the member that leaf, a leaf id of e's plan, binds at
+// reference e: its index among e's members, its plan and its own leaf id.
+func (d *Decoder) member(e *elem, leaf int) (j int, mp *plan, below int) {
+	below, members := leaf/int(e.weight)%int(e.radix), e.group.Members
+	for mp = d.plans[members[0].Index]; mp == nil || below >= mp.leaves; mp = d.plans[members[j].Index] {
+		if mp != nil {
+			below -= mp.leaves
+		}
+		j++
+	}
+	return j, mp, below
+}
+
+// explain says why x, whose low bits hold p's coding, matches no leaf of
+// p: the first element of p's CODING, most significant first, that x
+// fails, or else the variant its members select. A group whose members
+// all fail wraps its first member's explanation.
+func (d *Decoder) explain(p *plan, x uint64) error {
+	cursor, ref, sel := p.width, 0, 0
+	for _, el := range p.sec.Elems {
+		switch el := el.(type) {
+		case *ast.CodingPattern:
+			cursor -= len(el.Bits)
+			if v := x >> uint(cursor) & bitvec.Mask(len(el.Bits)); v&patternCareMask(el.Bits) != patternValue(el.Bits) {
+				return fmt.Errorf("operation %s: pattern %s does not match %s", p.op.Name, el.Bits, bitvec.New(v, len(el.Bits)).BinString())
+			}
+		case *ast.CodingField:
+			cursor -= len(el.Bits)
+			if x>>uint(cursor)&patternCareMask(el.Bits) != patternValue(el.Bits) {
+				return fmt.Errorf("operation %s: field %s fixed bits do not match", p.op.Name, el.Label)
+			}
+		case *ast.CodingRef:
+			for p.elems[ref].group == nil {
+				ref++
+			}
+			e, members := &p.elems[ref], p.elems[ref].group.Members
+			ref++
+			cursor = int(e.shift)
+			xr := x >> uint(e.shift) & bitvec.Mask(int(e.width))
+			if j := d.first(e, xr); j >= 0 {
+				sel = sel*len(members) + j
+				continue
+			}
+			why := fmt.Errorf("group has no members")
+			if len(members) > 0 {
+				why = fmt.Errorf("operation %s has no coding", members[0].Name)
+				if mp := d.plans[members[0].Index]; mp != nil {
+					why = d.explain(mp, xr)
+				}
+			}
+			if _, isGroup := p.op.Groups[e.name]; !isGroup {
+				return why // a reference to one operation by name
+			}
+			return fmt.Errorf("operation %s, group %s: no member matches %s: %w",
+				p.op.Name, e.name, bitvec.New(xr, int(e.width)).BinString(), why)
+		}
+	}
+	if p.variant(sel) == nil {
+		return fmt.Errorf("operation %s: no variant matches binding", p.op.Name)
+	}
+	return fmt.Errorf("operation %s: %#x matches", p.op.Name, x) // not reached on a miss
+}
+
+// first returns the index of the member that x, the bits of reference
+// e, selects by first match, or -1.
+func (d *Decoder) first(e *elem, x uint64) int {
+	for j, mem := range e.group.Members {
+		if mp := d.plans[mem.Index]; mp != nil {
+			if _, _, ok := d.match(mp, x, nil, 0); ok {
+				return j
+			}
+		}
+	}
+	return -1
 }
 
 // Field is one LABEL field of a coding leaf: the node of the leaf's
@@ -388,8 +473,8 @@ func (d *Decoder) rootPlan(root *model.Operation) (*plan, error) {
 }
 
 // Leaves returns the number of coding leaves below root, and the most
-// LABEL fields any one of them has. Leaf ids run from 0 in the order the
-// walk's first match tries the leaves. A leaf whose members select no
+// LABEL fields any one of them has. Leaf ids run from 0 in the order
+// first match tries the leaves. A leaf whose members select no
 // variant is a gap: no word decodes to it, and Shape reports it.
 func (d *Decoder) Leaves(root *model.Operation) (leaves, fields int, err error) {
 	p, err := d.rootPlan(root)
@@ -411,15 +496,13 @@ func (d *Decoder) Leaf(root *model.Operation, word bitvec.Value, fields []uint64
 	if len(fields) < p.fields {
 		return 0, fmt.Errorf("coding root %s: %d field values for leaves of up to %d fields", root.Name, len(fields), p.fields)
 	}
-	if leaf, n, ok := d.match(p, word.Uint()&bitvec.Mask(p.width), fields, 0); ok {
+	x := word.Uint() & bitvec.Mask(p.width)
+	if leaf, n, ok := d.match(p, x, fields, 0); ok {
 		clear(fields[n:p.fields])
 		return leaf, nil
 	}
 	clear(fields[:p.fields])
-	if _, err := d.walkRoot(root, word); err != nil {
-		return 0, err
-	}
-	return 0, fmt.Errorf("coding root %s: word %#x decodes by the walk but not by its plan", root.Name, word.Uint())
+	return 0, d.explain(p, x)
 }
 
 // Shape returns the instance tree of root's leaf, with its variants
@@ -474,4 +557,30 @@ func (d *Decoder) Layout(op *model.Operation) (Layout, error) {
 	default:
 		return Layout{Mask: p.mask, Value: p.value, Places: p.places}, nil
 	}
+}
+
+// Check returns an error for the first operation, in declaration order,
+// whose CODING has no plan, at the source position of the operation
+// compiling stopped at: a tree past the plans' bounds, or one the
+// decoder cannot walk at all.
+func (d *Decoder) Check() error {
+	for _, op := range d.m.OpList {
+		if p := d.plans[op.Index]; p != nil && p.err != nil {
+			return positioned(p.err)
+		}
+	}
+	for _, p := range d.roots {
+		if p.err != nil {
+			return positioned(p.err)
+		}
+	}
+	return nil
+}
+
+// positioned prefixes a plan error with its operation's source position.
+func positioned(err error) error {
+	if pe, ok := err.(*planError); ok && pe.op.Src != nil {
+		return fmt.Errorf("%s: %w", pe.op.Src.Pos, err)
+	}
+	return err
 }

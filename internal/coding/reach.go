@@ -9,9 +9,10 @@ import (
 
 // Unreachable reports one coding-group member no instruction word can
 // select: an earlier member of the same group matches every word the
-// later one would, and the paper's first-match selection rule
-// (decodeGroup) never reaches it. Such encodings are dead space of the
-// coding tree and are excluded from coverage denominators.
+// later one would, and the paper's first-match selection rule, which the
+// decoder's plans apply at every reference, never reaches it. Such
+// encodings are dead space of the coding tree and are excluded from
+// coverage denominators.
 type Unreachable struct {
 	Op         string `json:"op"`          // the shadowed member
 	Group      string `json:"group"`       // group it can never be selected from
@@ -27,7 +28,7 @@ type Unreachable struct {
 // returns E. The result is deterministic: declaration order of the owning
 // operation, group name, member order.
 func FindUnreachable(m *model.Model) []Unreachable {
-	d := NewDecoder(m)
+	d := For(m)
 	var out []Unreachable
 	for _, op := range m.OpList {
 		names := make([]string, 0, len(op.Groups))
@@ -97,16 +98,10 @@ func (d *Decoder) total(p *plan) bool {
 		if e.width > maxTotalBits {
 			return false
 		}
-	values:
 		for x := uint64(0); x < 1<<uint(e.width); x++ {
-			for _, mem := range e.group.Members {
-				if mp := d.plans[mem.Index]; mp != nil && x&mp.mask == mp.value {
-					if _, _, ok := d.match(mp, x, nil, 0); ok {
-						continue values
-					}
-				}
+			if d.first(e, x) < 0 {
+				return false
 			}
-			return false
 		}
 	}
 	return true

@@ -8,9 +8,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"golisa/internal/asm"
+	"golisa/internal/coding"
 	"golisa/internal/model"
 	"golisa/internal/models"
 	"golisa/internal/parser"
@@ -22,32 +22,12 @@ import (
 type Machine struct {
 	Model  *model.Model
 	Source string
-
-	memo sync.Map // Memo's entries, by key
-}
-
-// Memo returns what build returns for key, calling build only the first
-// time key is asked for on this machine; concurrent callers wait for that
-// one call. A tool that derives a per-model artifact from the machine
-// (gosim's leaf handlers) keeps it here, so the artifact lives exactly as
-// long as the machine does.
-func (mc *Machine) Memo(key any, build func() any) any {
-	e, ok := mc.memo.Load(key)
-	if !ok {
-		e, _ = mc.memo.LoadOrStore(key, &memoEntry{})
-	}
-	me := e.(*memoEntry)
-	me.once.Do(func() { me.v = build() })
-	return me.v
-}
-
-type memoEntry struct {
-	once sync.Once
-	v    any
 }
 
 // LoadMachine parses and analyzes LISA source text. The name is used for
-// diagnostics and statistics.
+// diagnostics and statistics. A coding tree the decoder's plans cannot
+// hold fails the load, with the operation where it stops; the decoder
+// built for that check is the one the model's tools share (coding.For).
 func LoadMachine(name, src string) (*Machine, error) {
 	d, perrs := parser.Parse(src, name+".lisa")
 	if len(perrs) > 0 {
@@ -56,6 +36,9 @@ func LoadMachine(name, src string) (*Machine, error) {
 	m, serrs := sema.Build(name, d)
 	if len(serrs) > 0 {
 		return nil, fmt.Errorf("analyze %s: %w (and %d more)", name, serrs[0], len(serrs)-1)
+	}
+	if err := coding.For(m).Check(); err != nil {
+		return nil, fmt.Errorf("analyze %s: %w", name, err)
 	}
 	m.SourceLines = sema.CountSourceLines(src)
 	return &Machine{Model: m, Source: src}, nil

@@ -196,9 +196,11 @@ type modelResult struct {
 	err error
 }
 
-// modelOf returns the machine's model IR, compiling it on first use.
+// modelOf returns the model IR of mc's model, compiling it on first use
+// and keeping it with the model (model.Model.Memo); its runner key hashes
+// mc.Source, which every Machine of one model shares.
 func modelOf(mc *core.Machine) (*modelIR, error) {
-	r := mc.Memo(modelMemo{}, func() any {
+	r := mc.Model.Memo(modelMemo{}, func() any {
 		mir, err := compileModel(mc)
 		return modelResult{mir, err}
 	}).(modelResult)
@@ -321,7 +323,7 @@ func compileModel(mc *core.Machine) (*modelIR, error) {
 		if err := p.checkDispatchSafety(b.writes); err != nil {
 			return nil, err
 		}
-		p.dec = coding.NewDecoder(m)
+		p.dec = coding.For(m)
 		if err := p.buildLeaves(b); err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"golisa/internal/ast"
 	"golisa/internal/bitvec"
@@ -38,6 +39,29 @@ type Model struct {
 	// SourceLines is the number of non-blank source lines of the parsed
 	// description, recorded for the paper's model-statistics experiment.
 	SourceLines int
+
+	memo sync.Map // Memo's entries, by key
+}
+
+// Memo returns what build returns for key, calling build only the first
+// time key is asked for on this model; concurrent callers wait for that
+// one call. A tool that derives a per-model artifact from the database
+// (the coding decoder, gosim's model IR) keeps it here, so the artifact
+// lives exactly as long as the model does. What build returns must not
+// change afterwards: the model's tools share it across goroutines.
+func (m *Model) Memo(key any, build func() any) any {
+	e, ok := m.memo.Load(key)
+	if !ok {
+		e, _ = m.memo.LoadOrStore(key, &memoEntry{})
+	}
+	me := e.(*memoEntry)
+	me.once.Do(func() { me.v = build() })
+	return me.v
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
 }
 
 // NewModel creates an empty database.

@@ -33,7 +33,6 @@ type Artifact struct {
 	M *model.Model
 
 	mode   Mode
-	dec    *coding.Decoder
 	static map[*model.Operation]*model.Instance
 	decode map[decodeKey]*model.Instance
 	shared *behavior.CompiledSet
@@ -48,7 +47,7 @@ type Artifact struct {
 }
 
 // NewArtifact compiles the shareable simulator state for the model in the
-// given mode: the decoder, a static (unbound) instance for every operation
+// given mode: a static (unbound) instance for every operation
 // whose variant resolves without bindings, and — in prebound mode — the
 // compiled behavior closures and activation expressions of those
 // instances. Call Prewarm to also pre-decode known instruction words, then
@@ -57,7 +56,6 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 	a := &Artifact{
 		M:      m,
 		mode:   mode,
-		dec:    coding.NewDecoder(m),
 		static: map[*model.Operation]*model.Instance{},
 		decode: map[decodeKey]*model.Instance{},
 	}
@@ -110,6 +108,7 @@ func (a *Artifact) Prewarm(words []uint64) error {
 	// word from the instruction register before the first fetch lands;
 	// include it so fully pre-warmed jobs really perform zero decodes.
 	words = append([]uint64{0}, words...)
+	dec := coding.For(a.M)
 	for _, op := range a.M.OpList {
 		if !op.IsCodingRoot || op.RootResource == nil {
 			continue
@@ -121,7 +120,7 @@ func (a *Artifact) Prewarm(words []uint64) error {
 			if _, ok := a.decode[key]; ok {
 				continue
 			}
-			in, err := a.dec.DecodeRoot(op, word)
+			in, err := dec.DecodeRoot(op, word)
 			if err != nil {
 				continue
 			}

@@ -205,8 +205,8 @@ func New(m *model.Model, mode Mode) *Simulator {
 }
 
 // newSimulator builds the per-run state; a non-nil artifact contributes
-// the shared decoder, static instances, decode cache and compiled
-// closures.
+// the shared static instances, decode cache and compiled closures. The
+// decoder is the model's (coding.For).
 func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 	s := &Simulator{
 		M:            m,
@@ -215,17 +215,15 @@ func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 		ResetOp:      "reset",
 		HaltResource: "halt",
 		mode:         mode,
+		dec:          coding.For(m),
 		decodeCache:  map[decodeKey]*model.Instance{},
 		staticInst:   map[*model.Operation]*model.Instance{},
 		execs:        make([]uint64, len(m.OpList)),
 		runQ:         make([]runItem, 0, 64),
 	}
 	if a != nil {
-		s.dec = a.dec
 		s.sharedDecode = a.decode
 		s.sharedStatic = a.static
-	} else {
-		s.dec = coding.NewDecoder(m)
 	}
 	s.wheel = make([][]runItem, wheelSpan(m))
 	for _, pd := range m.Pipelines {
