@@ -2,7 +2,7 @@
 // for the experiment index E1..E8 and the paper-vs-measured record):
 //
 //	E1  BenchmarkModelStats        — §4 model complexity table
-//	E2  BenchmarkGenerate*         — §4.1 tool-generation time (paper: 30 s)
+//	E2  BenchmarkGenerate*, BenchmarkParse — §4.1 tool-generation time (paper: 30 s)
 //	E3  BenchmarkSim*              — compiled vs interpretive simulation
 //	E5  BenchmarkSwitch*           — SWITCH/CASE compile-time flattening ablation
 //	E6  BenchmarkPipelineOps       — stall/flush/shift mechanism cost
@@ -18,6 +18,7 @@ package golisa_test
 
 import (
 	"io"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,8 @@ import (
 	"golisa/internal/analyze"
 	"golisa/internal/cosim"
 	"golisa/internal/cover"
+	"golisa/internal/models"
+	"golisa/internal/parser"
 	"golisa/internal/replay"
 	"golisa/internal/trace"
 )
@@ -349,6 +352,30 @@ func BenchmarkGenerateC62x(b *testing.B) {
 		if _, err := golisa.LoadBuiltin("c62x"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkParse times the front end alone: parser.Parse of each stock
+// model and of hazard16, with the source size as the bytes per op.
+func BenchmarkParse(b *testing.B) {
+	hazard16, err := os.ReadFile("internal/models/testdata/hazard16.lisa")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, name := range []string{"simple16", "simd16", "c62x", "hazard16"} {
+		src, ok := models.All[name]
+		if !ok {
+			src = string(hazard16)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, errs := parser.Parse(src, name+".lisa"); len(errs) > 0 {
+					b.Fatal(errs[0])
+				}
+			}
+		})
 	}
 }
 

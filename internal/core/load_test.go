@@ -65,12 +65,15 @@ func TestBrokenCodings(t *testing.T) {
 // FuzzLoadMachine feeds LISA sources to the loader and, when one loads,
 // to the assembler and disassembler generators. Each must return an
 // error or a result: never panic, never hang. The seeds are the stock
-// models, hazard16, and sema's and this package's broken fixtures.
+// models, hazard16, and the parser's, sema's and this package's broken
+// fixtures.
 func FuzzLoadMachine(f *testing.F) {
 	for _, src := range models.All {
 		f.Add(src)
 	}
 	seeds, _ := filepath.Glob("../sema/testdata/broken/*.lisa")
+	parsing, _ := filepath.Glob("../parser/testdata/broken/*.lisa")
+	seeds = append(seeds, parsing...)
 	seeds = append(seeds, "../models/testdata/hazard16.lisa")
 	broken, _ := filepath.Glob("testdata/broken/*.lisa")
 	seeds = append(seeds, broken...)

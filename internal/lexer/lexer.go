@@ -15,6 +15,16 @@ var puncts = []string{
 	"+", "-", "*", "/", "%", "<", ">", "=", "&", "|", "^", "~", "!", "#", "@",
 }
 
+// punctsByFirst holds the lexemes of puncts that start with each byte,
+// still longest-first.
+var punctsByFirst [256][]string
+
+func init() {
+	for _, pt := range puncts {
+		punctsByFirst[pt[0]] = append(punctsByFirst[pt[0]], pt)
+	}
+}
+
 // Lexer scans LISA source text.
 type Lexer struct {
 	src  string
@@ -72,9 +82,11 @@ func (l *Lexer) skipSpaceAndComments() {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			l.advance()
 		case c == '/' && l.peekAt(1) == '/':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
+			n := strings.IndexByte(l.src[l.off:], '\n')
+			if n < 0 {
+				n = len(l.src) - l.off
 			}
+			l.off, l.col = l.off+n, l.col+n
 		case c == '/' && l.peekAt(1) == '*':
 			p := l.pos()
 			l.advance()
@@ -113,45 +125,46 @@ func isHexDigit(c byte) bool {
 // Next returns the next token. At end of input it returns an EOF token
 // (repeatedly, if called again).
 func (l *Lexer) Next() Token {
-	l.skipSpaceAndComments()
-	p := l.pos()
-	if l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: p}
-	}
-	c := l.peek()
-
-	switch {
-	case isIdentStart(c):
-		start := l.off
-		for l.off < len(l.src) && isIdentPart(l.peek()) {
-			l.advance()
+	for {
+		l.skipSpaceAndComments()
+		p := l.pos()
+		if l.off >= len(l.src) {
+			return Token{Kind: EOF, Pos: p}
 		}
-		return Token{Kind: IDENT, Text: l.src[start:l.off], Pos: p}
+		c := l.peek()
 
-	case isDigit(c):
-		return l.scanNumber(p)
-
-	case c == '"':
-		return l.scanString(p)
-
-	case c == '\'':
-		return l.scanChar(p)
-	}
-
-	// punctuation, maximal munch
-	rest := l.src[l.off:]
-	for _, pt := range puncts {
-		if strings.HasPrefix(rest, pt) {
-			for range pt {
-				l.advance()
+		switch {
+		case isIdentStart(c):
+			start := l.off
+			for l.off < len(l.src) && isIdentPart(l.src[l.off]) {
+				l.off++
 			}
-			return Token{Kind: PUNCT, Text: pt, Pos: p}
-		}
-	}
+			l.col += l.off - start
+			return Token{Kind: IDENT, Text: l.src[start:l.off], Pos: p}
 
-	l.errorf(p, "unexpected character %q", string(c))
-	l.advance()
-	return l.Next()
+		case isDigit(c):
+			return l.scanNumber(p)
+
+		case c == '"':
+			return l.scanString(p)
+
+		case c == '\'':
+			return l.scanChar(p)
+		}
+
+		// punctuation, maximal munch
+		rest := l.src[l.off:]
+		for _, pt := range punctsByFirst[c] {
+			if strings.HasPrefix(rest, pt) {
+				l.off += len(pt)
+				l.col += len(pt)
+				return Token{Kind: PUNCT, Text: pt, Pos: p}
+			}
+		}
+
+		l.errorf(p, "unexpected character %q", string(c))
+		l.advance()
+	}
 }
 
 // scanNumber handles decimal, hex (0x), and binary coding patterns (0b with
@@ -279,16 +292,4 @@ func (l *Lexer) scanChar(p Pos) Token {
 		l.errorf(p, "unterminated character constant")
 	}
 	return Token{Kind: NUMBER, Text: fmt.Sprintf("'%c'", rune(v)), Val: v, Pos: p}
-}
-
-// All scans the entire input and returns every token up to and including EOF.
-func (l *Lexer) All() []Token {
-	var ts []Token
-	for {
-		t := l.Next()
-		ts = append(ts, t)
-		if t.Kind == EOF {
-			return ts
-		}
-	}
 }

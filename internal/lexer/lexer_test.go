@@ -5,10 +5,23 @@ import (
 	"testing"
 )
 
+// tokens scans the whole of l's input and returns every token up to and
+// including EOF.
+func tokens(l *Lexer) []Token {
+	var ts []Token
+	for {
+		tok := l.Next()
+		ts = append(ts, tok)
+		if tok.Kind == EOF {
+			return ts
+		}
+	}
+}
+
 func lexAll(t *testing.T, src string) []Token {
 	t.Helper()
 	l := New(src, "test.lisa")
-	ts := l.All()
+	ts := tokens(l)
 	for _, err := range l.Errors() {
 		t.Fatalf("unexpected lex error: %v", err)
 	}
@@ -145,7 +158,7 @@ func TestErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		l := New(c.src, "t")
-		l.All()
+		tokens(l)
 		errs := l.Errors()
 		if len(errs) == 0 {
 			t.Errorf("lex(%q): expected error containing %q", c.src, c.substr)

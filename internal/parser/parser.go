@@ -6,45 +6,53 @@ package parser
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"golisa/internal/ast"
 	"golisa/internal/lexer"
 )
 
-// Parser holds the token stream and accumulated diagnostics.
+// Parser pulls tokens from the lexer on demand: the grammar never looks
+// more than one token past the current one.
 type Parser struct {
-	toks []lexer.Token
-	pos  int
-	errs []error
+	lex    *lexer.Lexer
+	tok    lexer.Token // the current token
+	ahead  lexer.Token // the token after tok, once peek has read it
+	peeked bool
+	errs   []error
 }
 
 type bailout struct{}
 
 // Parse parses a complete LISA description from src. It returns the AST and
-// all diagnostics (lexical and syntactic); the AST is usable only when the
-// error slice is empty.
+// all diagnostics, lexical before syntactic; the AST is usable only when
+// the error slice is empty.
 func Parse(src, file string) (*ast.Description, []error) {
 	l := lexer.New(src, file)
-	toks := l.All()
-	p := &Parser{toks: toks}
-	p.errs = append(p.errs, l.Errors()...)
+	p := &Parser{lex: l, tok: l.Next()}
 	d := p.parseDescription()
-	return d, p.errs
+	return d, append(l.Errors(), p.errs...)
 }
 
-func (p *Parser) cur() lexer.Token { return p.toks[p.pos] }
-func (p *Parser) at(i int) lexer.Token {
-	if p.pos+i >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+func (p *Parser) cur() lexer.Token { return p.tok }
+
+// peek returns the token after the current one.
+func (p *Parser) peek() lexer.Token {
+	if !p.peeked {
+		p.ahead, p.peeked = p.lex.Next(), true
 	}
-	return p.toks[p.pos+i]
+	return p.ahead
 }
 
 func (p *Parser) next() lexer.Token {
-	t := p.toks[p.pos]
-	if t.Kind != lexer.EOF {
-		p.pos++
+	t := p.tok
+	switch {
+	case t.Kind == lexer.EOF:
+	case p.peeked:
+		p.tok, p.peeked = p.ahead, false
+	default:
+		p.tok = p.lex.Next()
 	}
 	return t
 }
@@ -84,12 +92,22 @@ func (p *Parser) expectNumber() lexer.Token {
 			v = v<<1 | uint64(c-'0')
 		}
 		p.next()
-		return lexer.Token{Kind: lexer.NUMBER, Text: t.Text, Val: v, Pos: t.Pos}
+		return lexer.Token{Kind: lexer.NUMBER, Text: "0b" + t.Text, Val: v, Pos: t.Pos}
 	}
 	if t.Kind != lexer.NUMBER {
 		p.fail(t, "expected number, found %s", t)
 	}
 	return p.next()
+}
+
+// bounded returns n's value when it lies in [lo,hi]. Otherwise it reports
+// the number as written and returns hi.
+func (p *Parser) bounded(n lexer.Token, what string, lo, hi uint64) int {
+	if n.Val < lo || n.Val > hi {
+		p.errorf(n, "%s %s out of range [%d,%d]", what, n.Text, lo, hi)
+		return int(hi)
+	}
+	return int(n.Val)
 }
 
 func (p *Parser) acceptPunct(s string) bool {
@@ -233,12 +251,8 @@ func (p *Parser) parseType() (ast.TypeSpec, bool) {
 		width := 1
 		if p.acceptPunct("[") {
 			n := p.expectNumber()
-			width = int(n.Val)
 			p.expectPunct("]")
-			if width < 1 || width > 64 {
-				p.errorf(n, "bit width %d out of range [1,64]", width)
-				width = 64
-			}
+			width = p.bounded(n, "bit width", 1, 64)
 		}
 		return ast.TypeSpec{Kind: ast.TypeBit, Width: width}, true
 	}
@@ -279,7 +293,7 @@ func (p *Parser) parseResourceDecl() *ast.ResourceDecl {
 			n := p.expectNumber()
 			p.expectPunct("]")
 			p.expectPunct(")")
-			r.Banks = int(r.Size)
+			r.Banks = p.bounded(lo, "bank count", 0, math.MaxInt)
 			r.Size = n.Val
 		}
 	}
@@ -287,7 +301,7 @@ func (p *Parser) parseResourceDecl() *ast.ResourceDecl {
 	for {
 		switch {
 		case p.acceptIdent("WAIT"):
-			r.Wait = int(p.expectNumber().Val)
+			r.Wait = p.bounded(p.expectNumber(), "WAIT", 0, math.MaxInt)
 		case p.acceptIdent("LATCH"):
 			r.Latch = true
 		case p.acceptIdent("ALIAS"):
@@ -298,7 +312,7 @@ func (p *Parser) parseResourceDecl() *ast.ResourceDecl {
 			p.expectPunct("..")
 			lo := p.expectNumber()
 			p.expectPunct("]")
-			r.AliasHi, r.AliasLo = int(hi.Val), int(lo.Val)
+			r.AliasHi, r.AliasLo = p.bounded(hi, "alias bit", 0, 63), p.bounded(lo, "alias bit", 0, 63)
 			if r.AliasHi < r.AliasLo {
 				r.AliasHi, r.AliasLo = r.AliasLo, r.AliasHi
 			}
@@ -377,7 +391,7 @@ func (p *Parser) parseSection() ast.Section {
 		return p.parseIfSec()
 	default:
 		// User-defined section (e.g. POWER): raw capture.
-		if p.at(1).Is("{") {
+		if p.peek().Is("{") {
 			sec := p.parseRawSec(t.Text)
 			return sec
 		}
@@ -447,7 +461,7 @@ func (p *Parser) parseCodingSec() *ast.CodingSec {
 	p.expectPunct("{")
 	cs := &ast.CodingSec{Pos: start.Pos}
 	// Coding root: resource == elems
-	if p.cur().Kind == lexer.IDENT && p.at(1).Is("==") {
+	if p.cur().Kind == lexer.IDENT && p.peek().Is("==") {
 		cs.CompareTo = p.next().Text
 		p.next() // ==
 	}
@@ -467,13 +481,7 @@ func (p *Parser) parseCodingElem() ast.CodingElem {
 	switch t.Kind {
 	case lexer.BINPAT:
 		p.next()
-		bits := t.Text
-		if p.acceptPunct("[") {
-			n := p.expectNumber()
-			p.expectPunct("]")
-			bits = strings.Repeat(bits, int(n.Val))
-		}
-		return &ast.CodingPattern{Pos: t.Pos, Bits: bits}
+		return &ast.CodingPattern{Pos: t.Pos, Bits: p.parseRepeat(t.Text)}
 	case lexer.IDENT:
 		p.next()
 		if p.acceptPunct(":") {
@@ -482,19 +490,29 @@ func (p *Parser) parseCodingElem() ast.CodingElem {
 				p.fail(pt, "expected binary pattern after '%s:', found %s", t.Text, pt)
 			}
 			p.next()
-			bits := pt.Text
-			if p.acceptPunct("[") {
-				n := p.expectNumber()
-				p.expectPunct("]")
-				bits = strings.Repeat(bits, int(n.Val))
-			}
-			return &ast.CodingField{Pos: t.Pos, Label: t.Text, Bits: bits}
+			return &ast.CodingField{Pos: t.Pos, Label: t.Text, Bits: p.parseRepeat(pt.Text)}
 		}
 		return &ast.CodingRef{Pos: t.Pos, Name: t.Text}
 	default:
 		p.fail(t, "expected coding element, found %s", t)
 		return nil
 	}
+}
+
+// parseRepeat parses the optional repeat count after a binary pattern,
+// as in 0bx[4], and returns the pattern repeated. No coding is wider
+// than 64 bits, so neither may a repeated pattern be.
+func (p *Parser) parseRepeat(bits string) string {
+	if !p.acceptPunct("[") {
+		return bits
+	}
+	n := p.expectNumber()
+	p.expectPunct("]")
+	if n.Val > 64 || len(bits)*int(n.Val) > 64 {
+		p.errorf(n, "pattern 0b%s repeated %s times is wider than 64 bits", bits, n.Text)
+		return bits
+	}
+	return strings.Repeat(bits, int(n.Val))
 }
 
 func (p *Parser) parseSyntaxSec() *ast.SyntaxSec {

@@ -59,7 +59,7 @@ func NewArtifact(m *model.Model, mode Mode) *Artifact {
 		static: map[*model.Operation]*model.Instance{},
 		decode: map[decodeKey]*model.Instance{},
 	}
-	a.buildX = &behavior.Exec{M: m, S: model.NewState(m), Static: func(op *model.Operation) *model.Instance { return a.static[op] }}
+	a.buildX = &behavior.Exec{M: m, Static: func(op *model.Operation) *model.Instance { return a.static[op] }}
 	// Pre-bind the operations reachable without operand bindings (main,
 	// reset, stage controllers, ...). Operations whose variants are all
 	// guarded on group members cannot resolve unbound and keep using the
