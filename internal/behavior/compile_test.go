@@ -52,27 +52,30 @@ RESOURCE {
 }
 `
 
+// basicsBodies are TestCompiledMatchesInterpreterBasics's bodies, over
+// compileRegs.
+var basicsBodies = []string{
+	`r0 = 1 + 2 * 3;`,
+	`int i; for (i = 0; i < 10; i++) { r0 += i; } r1 = r0 >> 1;`,
+	`r0 = -5; r1 = r0 / 2; r2 = r0 % 3; r3 = abs(r0);`,
+	`small = 250; small += 10; r0 = small;`,
+	`wide = 0xffffffffff; wide = wide + 1; r0 = wide == 0;`,
+	`int i = 0; while (i < 8) { mem[i] = i * i; i++; } r0 = mem[7];`,
+	`int i = 0; do { i++; if (i == 3) continue; if (i > 6) break; r0 += i; } while (1);`,
+	`switch (4) { case 1: r0 = 1; case 4, 5: r0 = 45; break; default: r0 = 9; }`,
+	`r0 = 0xabcd; r1 = r0[15..8]; r0[7..0] = 0x12;`,
+	`r0 = saturate(300, 8); r1 = sign_extend(0x80, 8); r2 = zero_extend(0xfff, 8);`,
+	`r0 = min(3, max(7, 2)); r1 = addsat(0x7fffffff, 1); r2 = subsat(-2147483647, 100);`,
+	`r0 = (1 == 1) && (2 > 1) || (3 < 2); r1 = !r0; r2 = ~0;`,
+	`r0 = 7; r0 <<= 2; r0 |= 1; r0 ^= 0xf; r0 &= 0xff; r0 >>= 1;`,
+	`r0 = bits(0xdeadbeef, 15, 8);`,
+	`r0 = 1 ? 10 : 20; r1 = 0 ? 10 : 20;`,
+	`if (r0 == 0) { r1 = 1; } else { r1 = 2; }`,
+	`return; r0 = 99;`,
+}
+
 func TestCompiledMatchesInterpreterBasics(t *testing.T) {
-	bodies := []string{
-		`r0 = 1 + 2 * 3;`,
-		`int i; for (i = 0; i < 10; i++) { r0 += i; } r1 = r0 >> 1;`,
-		`r0 = -5; r1 = r0 / 2; r2 = r0 % 3; r3 = abs(r0);`,
-		`small = 250; small += 10; r0 = small;`,
-		`wide = 0xffffffffff; wide = wide + 1; r0 = wide == 0;`,
-		`int i = 0; while (i < 8) { mem[i] = i * i; i++; } r0 = mem[7];`,
-		`int i = 0; do { i++; if (i == 3) continue; if (i > 6) break; r0 += i; } while (1);`,
-		`switch (4) { case 1: r0 = 1; case 4, 5: r0 = 45; break; default: r0 = 9; }`,
-		`r0 = 0xabcd; r1 = r0[15..8]; r0[7..0] = 0x12;`,
-		`r0 = saturate(300, 8); r1 = sign_extend(0x80, 8); r2 = zero_extend(0xfff, 8);`,
-		`r0 = min(3, max(7, 2)); r1 = addsat(0x7fffffff, 1); r2 = subsat(-2147483647, 100);`,
-		`r0 = (1 == 1) && (2 > 1) || (3 < 2); r1 = !r0; r2 = ~0;`,
-		`r0 = 7; r0 <<= 2; r0 |= 1; r0 ^= 0xf; r0 &= 0xff; r0 >>= 1;`,
-		`r0 = bits(0xdeadbeef, 15, 8);`,
-		`r0 = 1 ? 10 : 20; r1 = 0 ? 10 : 20;`,
-		`if (r0 == 0) { r1 = 1; } else { r1 = 2; }`,
-		`return; r0 = 99;`,
-	}
-	for i, body := range bodies {
+	for i, body := range basicsBodies {
 		t.Run(fmt.Sprintf("body%d", i), func(t *testing.T) {
 			runBoth(t, compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "op")
 		})
@@ -285,52 +288,58 @@ func TestCompiledRunawayBudget(t *testing.T) {
 // saturation and extension builtins at their boundary widths, and
 // read-modify-write slice lvalues on sub-word registers.
 func TestCompiledMatchesInterpreterSignedness(t *testing.T) {
-	bodies := []string{
-		// Mixed signed/unsigned comparison, top bit set: bit[8] 0xff is
-		// 255, int -1 sign-extends; they must never compare equal.
-		`small = 0xff; r0 = 0 - 1; r1 = small > r0; r2 = r0 < small; r3 = small == r0;`,
-		// Unsigned/unsigned comparison stays unsigned even at top-bit.
-		`unsigned a = 0x80000000; unsigned b = 1; r0 = a > b; r1 = a < b; r2 = min(a, b); r3 = max(a, b);`,
-		// Shift counts at and beyond the operand width; the dialect masks
-		// the count with &63, so x << 64 is x << 0.
-		`small = 0x80; r0 = small >> 9; r1 = small << 8; r2 = small >> 7;`,
-		`r0 = 1; r1 = r0 << 64; r2 = r0 >> 64; r3 = r0 << 63;`,
-		// Arithmetic right shift must sign-fill, including full-width counts.
-		`r0 = 0 - 8; r1 = r0 >> 1; r2 = r0 >> 63; r3 = r0 >> 31;`,
-		// Assignment truncation: wide values chopped into narrow registers,
-		// then read back with the register's own signedness.
-		`r0 = 0x12345; small = r0; r1 = small; wide = 0xffffffffff; r2 = wide; r3 = wide >> 32;`,
-		// Signed division/remainder edges: MinInt/-1 and divide-by-zero in
-		// both signedness worlds.
-		`r0 = 1 << 31; r1 = 0 - 1; r2 = r0 / r1; r3 = r0 % r1;`,
-		`r0 = 5 / 0; r1 = (0 - 5) / 0; r2 = 5 % 0; r3 = (0 - 5) % 0;`,
-		`unsigned u = 7; unsigned z = 0; r0 = u / z; r1 = u % z;`,
-		// Saturation and extension builtins at boundary widths.
-		`r0 = saturate(0 - 300, 8); r1 = saturate(127, 8); r2 = saturate(128, 8); r3 = saturate(0 - 128, 8);`,
-		`r0 = sign_extend(0xff, 8); r1 = sign_extend(0x7f, 8); r2 = zero_extend(0xffffffff, 16); r3 = sign_extend(0x8000, 16);`,
-		`small = 200; r0 = addsat(small, small); r1 = subsat(small, 0xff); wide = 0x7fffffffff; r2 = addsat(wide, 1);`,
-		// min/max compare the raw operand widths: bit[8] 0x80 against a
-		// negative int exercises the signed-compare path without widening.
-		`small = 0x80; r0 = 0 - 1; r1 = min(small, r0); r2 = max(small, r0); r3 = min(small, small);`,
-		// Unary negate/complement inside a narrow register wrap at its width.
-		`small = 1; small = 0 - small; r0 = small; small = ~small; r1 = small;`,
-		// Compound shifts truncate at the register width on every step.
-		`small = 0xf0; small <<= 4; r0 = small; small = 0x80; small >>= 1; r1 = small;`,
-		// Slice lvalue read-modify-write on a sub-word register.
-		`small = 0; small[7..4] = 0xf; r0 = small; small[3..0] = small[7..4]; r1 = small;`,
-		// bits() is an unsigned field extract regardless of source sign.
-		`r0 = 0 - 1; r1 = bits(r0, 31, 24); r2 = bits(0xdeadbeef, 31, 28); r3 = bits(0xff, 3, 3);`,
-		// Narrow locals: declaration initializers truncate like assignments.
-		`bit[4] n = 0xff; r0 = n; int s = n - 16; r1 = s; bool b2 = 5; r2 = b2;`,
-		// 64-bit long edges: overflow wrap and full-width saturating ops.
-		`long l = 1; l <<= 62; l *= 2; r0 = l < 0; l = addsat(l, 0 - 1); r1 = l < 0;`,
-		// Mixed-width multiply then narrow store: high bits must drop the
-		// same way in both engines.
-		`wide = 0xfffffffff; r0 = wide * wide; small = wide * 3; r1 = small;`,
-	}
-	for i, body := range bodies {
+	for i, body := range signednessBodies {
 		t.Run(fmt.Sprintf("adv%d", i), func(t *testing.T) {
 			runBoth(t, compileRegs+"\nOPERATION op { BEHAVIOR { "+body+" } }", "op")
 		})
 	}
+}
+
+// signednessBodies are TestCompiledMatchesInterpreterSignedness's bodies,
+// over compileRegs.
+var signednessBodies = []string{
+	// Mixed signed/unsigned comparison, top bit set: bit[8] 0xff is
+	// 255, int -1 sign-extends; they must never compare equal.
+	`small = 0xff; r0 = 0 - 1; r1 = small > r0; r2 = r0 < small; r3 = small == r0;`,
+	// Unsigned/unsigned comparison stays unsigned even at top-bit.
+	`unsigned a = 0x80000000; unsigned b = 1; r0 = a > b; r1 = a < b; r2 = min(a, b); r3 = max(a, b);`,
+	// Shift counts at and beyond the operand width; the dialect masks
+	// the count with &63, so x << 64 is x << 0.
+	`small = 0x80; r0 = small >> 9; r1 = small << 8; r2 = small >> 7;`,
+	`r0 = 1; r1 = r0 << 64; r2 = r0 >> 64; r3 = r0 << 63;`,
+	// Arithmetic right shift must sign-fill, including full-width counts.
+	`r0 = 0 - 8; r1 = r0 >> 1; r2 = r0 >> 63; r3 = r0 >> 31;`,
+	// Assignment truncation: wide values chopped into narrow registers,
+	// then read back with the register's own signedness.
+	`r0 = 0x12345; small = r0; r1 = small; wide = 0xffffffffff; r2 = wide; r3 = wide >> 32;`,
+	// Signed division/remainder edges: MinInt/-1 and divide-by-zero in
+	// both signedness worlds.
+	`r0 = 1 << 31; r1 = 0 - 1; r2 = r0 / r1; r3 = r0 % r1;`,
+	`r0 = 5 / 0; r1 = (0 - 5) / 0; r2 = 5 % 0; r3 = (0 - 5) % 0;`,
+	`unsigned u = 7; unsigned z = 0; r0 = u / z; r1 = u % z;`,
+	// Saturation and extension builtins at boundary widths.
+	`r0 = saturate(0 - 300, 8); r1 = saturate(127, 8); r2 = saturate(128, 8); r3 = saturate(0 - 128, 8);`,
+	`r0 = sign_extend(0xff, 8); r1 = sign_extend(0x7f, 8); r2 = zero_extend(0xffffffff, 16); r3 = sign_extend(0x8000, 16);`,
+	`small = 200; r0 = addsat(small, small); r1 = subsat(small, 0xff); wide = 0x7fffffffff; r2 = addsat(wide, 1);`,
+	// min/max compare the raw operand widths: bit[8] 0x80 against a
+	// negative int exercises the signed-compare path without widening.
+	`small = 0x80; r0 = 0 - 1; r1 = min(small, r0); r2 = max(small, r0); r3 = min(small, small);`,
+	// Unary negate/complement inside a narrow register wrap at its width.
+	`small = 1; small = 0 - small; r0 = small; small = ~small; r1 = small;`,
+	// Compound shifts truncate at the register width on every step.
+	`small = 0xf0; small <<= 4; r0 = small; small = 0x80; small >>= 1; r1 = small;`,
+	// Slice lvalue read-modify-write on a sub-word register.
+	`small = 0; small[7..4] = 0xf; r0 = small; small[3..0] = small[7..4]; r1 = small;`,
+	// bits() is an unsigned field extract regardless of source sign.
+	`r0 = 0 - 1; r1 = bits(r0, 31, 24); r2 = bits(0xdeadbeef, 31, 28); r3 = bits(0xff, 3, 3);`,
+	// Narrow locals: declaration initializers truncate like assignments.
+	`bit[4] n = 0xff; r0 = n; int s = n - 16; r1 = s; bool b2 = 5; r2 = b2;`,
+	// 64-bit long edges: overflow wrap and full-width saturating ops.
+	`long l = 1; l <<= 62; l *= 2; r0 = l < 0; l = addsat(l, 0 - 1); r1 = l < 0;`,
+	// Mixed-width multiply then narrow store: high bits must drop the
+	// same way in both engines.
+	`wide = 0xfffffffff; r0 = wide * wide; small = wide * 3; r1 = small;`,
+	// switch compares its tag and case values as == does: a long -1
+	// tag matches the 32-bit case value -1.
+	`long q = 0 - 1; switch (q) { case -1: r1 = 1; break; default: r1 = 2; }`,
 }

@@ -64,11 +64,11 @@ type Exec struct {
 	// (OnBehavior) for cycle attribution. Nil costs one comparison per Run.
 	Obs trace.Observer
 
-	// Shared, when non-nil, is a read-only set of behavior closures
-	// pre-compiled at artifact build time (see sim.Artifact). Lookups
-	// consult it before the per-engine lazy caches; the lazy caches only
-	// ever hold entries the shared set lacks, so engines sharing one set
-	// never write to shared memory.
+	// Shared, when non-nil, is the read-only set of behavior closures
+	// pre-compiled at artifact build time (see sim.Artifact), which hang
+	// off the artifact's instances. The engine then never writes to an
+	// instance: what the set lacks compiles into a private cache, so
+	// engines sharing one set never write to shared memory.
 	Shared *CompiledSet
 
 	// Compiles counts closures compiled by this engine at run time.
@@ -283,7 +283,7 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 			}
 		}
 	case *ast.SwitchStmt:
-		tag := x.eval(f, st.Tag).v.Uint()
+		tag := x.eval(f, st.Tag)
 		var deflt *ast.SwitchCase
 		for i := range st.Cases {
 			c := &st.Cases[i]
@@ -292,7 +292,7 @@ func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
 				continue
 			}
 			for _, ve := range c.Vals {
-				if x.eval(f, ve).v.Uint() == tag {
+				if equal(tag, x.eval(f, ve)) {
 					return x.guarded(st.Guard, func() error { return x.execCaseBody(f, c) })
 				}
 			}

@@ -121,7 +121,10 @@ func (x *Exec) execExpr(f *frame, e ast.Expr) error {
 			return x.pipeOp(ex)
 		case ast.RefPrint:
 			if x.Ctx != nil {
-				x.Ctx.Print(formatPrint(ex.Args, func(i int) val { return x.eval(f, ex.Args[i]) }))
+				x.Ctx.Print(formatPrint(ex.Args, func(i int) string {
+					v := x.eval(f, ex.Args[i])
+					return decimal(v.v.Uint(), v.v.Width(), v.signed)
+				}))
 			}
 			return nil
 		}
@@ -274,21 +277,25 @@ func builtinFor(fn ast.Builtin) func(a [3]val) val {
 }
 
 // formatPrint renders print() arguments: string literals verbatim, values
-// as decimal, space-separated; value(i) evaluates argument i.
-func formatPrint(args []ast.Expr, value func(i int) val) string {
+// as decimal, space-separated; value(i) renders argument i.
+func formatPrint(args []ast.Expr, value func(i int) string) string {
 	parts := make([]string, len(args))
 	for i, a := range args {
 		if s, ok := a.(*ast.StrLit); ok {
 			parts[i] = s.Val
 			continue
 		}
-		if v := value(i); v.signed {
-			parts[i] = fmt.Sprintf("%d", v.v.Int())
-		} else {
-			parts[i] = fmt.Sprintf("%d", v.v.Uint())
-		}
+		parts[i] = value(i)
 	}
 	return strings.Join(parts, " ")
+}
+
+// decimal renders the payload of a w-bit value, signed or unsigned.
+func decimal(v uint64, w int, signed bool) string {
+	if signed {
+		return fmt.Sprintf("%d", bitvec.Sext(v, w))
+	}
+	return fmt.Sprintf("%d", v)
 }
 
 // --- operators ----------------------------------------------------------------
@@ -328,6 +335,13 @@ func widen(l, r val) (bitvec.Value, bitvec.Value, int) {
 		b = b.Resize(w)
 	}
 	return a, b, w
+}
+
+// equal reports whether two operands are equal once widened: == and
+// switch's case match.
+func equal(l, r val) bool {
+	a, b, _ := widen(l, r)
+	return a.Uint() == b.Uint()
 }
 
 // compare orders two operands, signed when either one is.
@@ -389,9 +403,9 @@ func binopFor(op string) func(l, r val) val {
 			return val{bitvec.ShrU(l.v, uint(r.v.Uint()&63)), false}
 		}
 	case "==":
-		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() == b.Uint()) }
+		return func(l, r val) val { return boolVal(equal(l, r)) }
 	case "!=":
-		return func(l, r val) val { a, b, _ := widen(l, r); return boolVal(a.Uint() != b.Uint()) }
+		return func(l, r val) val { return boolVal(!equal(l, r)) }
 	case "<":
 		return func(l, r val) val { return boolVal(compare(l, r) < 0) }
 	case "<=":

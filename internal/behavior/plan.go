@@ -2,7 +2,6 @@ package behavior
 
 import (
 	"golisa/internal/ast"
-	"golisa/internal/bitvec"
 	"golisa/internal/model"
 	"golisa/internal/pipeline"
 )
@@ -49,8 +48,9 @@ type actCase struct {
 	items []ActStep
 }
 
-// actExpr is an activation expression; f, its compiled closure, is nil in
-// the engines that interpret behavior.
+// actExpr is an activation expression. f, its compiled closure, is nil
+// in the engines that interpret behavior, and for an expression with a
+// node of no static type. A switch's case value compiles to tag == value.
 type actExpr struct {
 	e ast.Expr
 	f cexpr
@@ -91,11 +91,11 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 			st.Pipe, st.Stage, st.PipeOp = it.Ref.Pipe, it.Ref.Stage, pipeline.Op(it.Ref.Op)
 		case *ast.ActIf:
 			st.Kind, st.guard = ActIf, it.Guard
-			st.cond = c.bindExpr(it.Cond)
+			st.cond = c.bindExpr(it.Cond, nil)
 			st.Then, st.Else = bindActs(x, in, it.Then, c), bindActs(x, in, it.Else, c)
 		case *ast.ActSwitch:
 			st.Kind, st.guard = ActSwitch, it.Guard
-			st.cond = c.bindExpr(it.Tag)
+			st.cond = c.bindExpr(it.Tag, nil)
 			for j := range it.Cases {
 				ac := &it.Cases[j]
 				items := bindActs(x, in, ac.Items, c)
@@ -105,7 +105,7 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 				}
 				cc := actCase{items: items}
 				for _, v := range ac.Vals {
-					cc.vals = append(cc.vals, c.bindExpr(v))
+					cc.vals = append(cc.vals, c.bindExpr(v, it.Tag))
 				}
 				st.cases = append(st.cases, cc)
 			}
@@ -114,28 +114,48 @@ func bindActs(x *Exec, in *model.Instance, items []ast.ActItem, c *compiler) []A
 	return steps
 }
 
-// bindExpr compiles an activation expression; a nil compiler (the
-// interpreting engines) compiles nothing.
-func (c *compiler) bindExpr(e ast.Expr) actExpr {
+// bindExpr compiles an activation expression, or, given a switch's tag,
+// the case value e as tag == e; a nil compiler (the interpreting engines)
+// compiles nothing.
+func (c *compiler) bindExpr(e, tag ast.Expr) actExpr {
 	if c == nil {
 		return actExpr{e: e}
 	}
 	c.acts++
-	return actExpr{e, c.compileExpr(e)}
+	c.untyped = false
+	v := c.compileExpr(e)
+	if tag != nil {
+		v = binary("==", c.compileExpr(tag), v)
+	}
+	if c.untyped {
+		return actExpr{e: e}
+	}
+	return actExpr{e, v.fn()}
 }
 
 // ActCond evaluates an ActIf step's condition in the context of in.
 func (x *Exec) ActCond(in *model.Instance, st *ActStep) bool {
-	return x.evalAct(in, st.cond).Bool()
+	return x.evalAct(in, st.cond) != 0
 }
 
 // ActChoose evaluates an ActSwitch step: the items of the first case with
-// a value equal to the tag, else the default's (nil when there is none).
+// a value equal to the tag (as == compares them), else the default's (nil
+// when there is none).
 func (x *Exec) ActChoose(in *model.Instance, st *ActStep) []ActStep {
-	tag := x.evalAct(in, st.cond).Uint()
+	var tag val // the interpreted tag, evaluated at most once
+	tagged := false
 	for _, c := range st.cases {
 		for _, ae := range c.vals {
-			if x.evalAct(in, ae).Uint() == tag {
+			if ae.f != nil {
+				if x.evalAct(in, ae) != 0 {
+					return c.items
+				}
+				continue
+			}
+			if !tagged {
+				tag, tagged = x.eval(&frame{inst: in}, st.cond.e), true
+			}
+			if equal(tag, x.eval(&frame{inst: in}, ae.e)) {
 				return c.items
 			}
 		}
@@ -143,11 +163,13 @@ func (x *Exec) ActChoose(in *model.Instance, st *ActStep) []ActStep {
 	return st.deflt
 }
 
-func (x *Exec) evalAct(in *model.Instance, ae actExpr) bitvec.Value {
+// evalAct evaluates a compiled activation expression's payload, or an
+// interpreted one's truth.
+func (x *Exec) evalAct(in *model.Instance, ae actExpr) uint64 {
 	if ae.f == nil {
-		return x.eval(&frame{inst: in}, ae.e).v
+		return b2u(x.eval(&frame{inst: in}, ae.e).bool())
 	}
 	// Activation expressions declare no locals, so one frame serves all.
 	x.actFrame.x = x
-	return ae.f(&x.actFrame).v
+	return ae.f(&x.actFrame)
 }

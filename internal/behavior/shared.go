@@ -12,16 +12,16 @@ import "golisa/internal/model"
 // Population (Precompile) must happen before the set is shared; after
 // Freeze the set rejects further writes by panicking, which turns a
 // build-order bug into a loud failure instead of a data race.
+//
+// The set's closures hang off its instances (model.Instance.Code), so an
+// engine reaches an instance's compiled form without a lookup.
 type CompiledSet struct {
-	behaviors map[*model.Instance]*compiledBehavior
-	compiles  uint64
-	frozen    bool
+	compiles uint64
+	frozen   bool
 }
 
 // NewCompiledSet returns an empty, unfrozen set.
-func NewCompiledSet() *CompiledSet {
-	return &CompiledSet{behaviors: map[*model.Instance]*compiledBehavior{}}
-}
+func NewCompiledSet() *CompiledSet { return &CompiledSet{} }
 
 // Freeze marks the set read-only. Call once, before handing the set to a
 // second goroutine.
@@ -42,25 +42,22 @@ func (cs *CompiledSet) Precompile(x *Exec, in *model.Instance) {
 	if cs.frozen {
 		panic("behavior: Precompile on frozen CompiledSet")
 	}
-	cs.precompile(x, in, map[*model.Instance]bool{})
+	cs.precompile(x, in)
 }
 
-func (cs *CompiledSet) precompile(x *Exec, in *model.Instance, seen map[*model.Instance]bool) {
-	if in == nil || seen[in] {
+func (cs *CompiledSet) precompile(x *Exec, in *model.Instance) {
+	if in == nil || in.Code != nil {
 		return
 	}
-	seen[in] = true
 	if in.Variant == nil {
 		if err := in.ResolveVariant(); err != nil {
 			return
 		}
 	}
-	if _, done := cs.behaviors[in]; !done {
-		cb, n := compileInstance(x, in)
-		cs.behaviors[in] = cb
-		cs.compiles += n
-	}
+	cb, n := compileInstance(x, in)
+	in.Code = cb
+	cs.compiles += n
 	for _, child := range in.Bindings {
-		cs.precompile(x, child, seen)
+		cs.precompile(x, child)
 	}
 }

@@ -488,6 +488,11 @@ type Instance struct {
 
 	// Bindings maps group names and reference names to child instances.
 	Bindings map[string]*Instance
+
+	// Code is an execution engine's compiled form of the instance, set
+	// once: before the instance is shared, or by the one engine that
+	// owns it.
+	Code any
 }
 
 // NewInstance creates an instance of op with its variant left unselected.

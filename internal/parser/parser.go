@@ -100,6 +100,11 @@ func (p *Parser) expectNumber() lexer.Token {
 	return p.next()
 }
 
+// maxElems bounds the elements of one memory, banks included, so that a
+// description cannot make the simulator's state ask for more than a few
+// hundred megabytes.
+const maxElems = 1 << 24
+
 // bounded returns n's value when it lies in [lo,hi]. Otherwise it reports
 // the number as written and returns hi.
 func (p *Parser) bounded(n lexer.Token, what string, lo, hi uint64) int {
@@ -274,27 +279,36 @@ func (p *Parser) parseResourceDecl() *ast.ResourceDecl {
 	r.Name = p.expectIdent().Text
 
 	// Extent: [N], [lo..hi], or banked [B]([N]) — paper Example 1 shows
-	// data_mem2[4]([0x20000]).
+	// data_mem2[4]([0x20000]). A memory holds 1 to maxElems elements, banks
+	// included.
 	if p.acceptPunct("[") {
 		lo := p.expectNumber()
-		if p.acceptPunct("..") {
+		ranged := p.acceptPunct("..")
+		if ranged {
 			hi := p.expectNumber()
 			r.HasRange = true
 			r.RangeLo, r.RangeHi = lo.Val, hi.Val
 			if hi.Val < lo.Val {
 				p.errorf(hi, "memory range upper bound %#x below lower bound %#x", hi.Val, lo.Val)
+			} else if hi.Val-lo.Val >= maxElems {
+				p.errorf(lo, "memory range %s..%s out of range [1,%d] elements", lo.Text, hi.Text, maxElems)
 			}
-		} else {
-			r.Size = lo.Val
 		}
 		p.expectPunct("]")
-		if p.acceptPunct("(") {
+		switch {
+		case p.acceptPunct("("):
 			p.expectPunct("[")
 			n := p.expectNumber()
 			p.expectPunct("]")
 			p.expectPunct(")")
+			nerrs := len(p.errs)
 			r.Banks = p.bounded(lo, "bank count", 0, math.MaxInt)
-			r.Size = n.Val
+			r.Size = uint64(p.bounded(n, "memory size", 1, maxElems))
+			if len(p.errs) == nerrs && (r.Banks == 0 || uint64(r.Banks) > maxElems/r.Size) {
+				p.errorf(lo, "memory of %s banks of %s elements out of range [1,%d] elements", lo.Text, n.Text, maxElems)
+			}
+		case !ranged:
+			r.Size = uint64(p.bounded(lo, "memory size", 1, maxElems))
 		}
 	}
 

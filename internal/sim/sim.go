@@ -107,18 +107,13 @@ type runItem struct {
 	stage  int
 	packet *pipeline.Packet
 
-	// pipeOp, when set, is a deferred operation on pipe/stage instead of
-	// an instance execution.
-	pipeOp pipeOpSpec
-}
-
-type pipeOpSpec struct {
-	op pipeline.Op
-
-	// info is the hazard attribution captured at request time (the
-	// requesting operation's guards and packet are gone by the time a
-	// delayed pipe op fires from the time wheel).
-	info trace.StallInfo
+	// pipeOp, when set, makes the item a delayed operation on pipe/stage
+	// instead of an instance execution. info indexes the hazard
+	// attribution captured at request time in the wheel slot's infos (the
+	// requesting operation's guards and packet are gone by the time the
+	// item fires), or is -1: unattributed.
+	pipeOp pipeline.Op
+	info   int32
 }
 
 // Simulator executes a LISA model cycle by cycle.
@@ -157,8 +152,11 @@ type Simulator struct {
 	pipes []*pipeline.Pipe // by model.Pipeline.Index
 
 	// wheel is the delayed-activation ring: the items due at step t sit in
-	// wheel[t%len(wheel)], which spans the model's longest delay.
+	// wheel[t%len(wheel)], which spans the model's longest delay. infos
+	// holds, slot by slot, the attribution of the delayed pipeline
+	// operations there (observed runs only).
 	wheel    [][]runItem
+	infos    [][]trace.StallInfo
 	runQ     []runItem
 	runHead  int
 	readyBuf []pipeline.ReadyEntry
@@ -226,6 +224,7 @@ func newSimulator(m *model.Model, mode Mode, a *Artifact) *Simulator {
 		s.sharedStatic = a.static
 	}
 	s.wheel = make([][]runItem, wheelSpan(m))
+	s.infos = make([][]trace.StallInfo, len(s.wheel))
 	for _, pd := range m.Pipelines {
 		s.pipes = append(s.pipes, pipeline.New(pd))
 	}
@@ -336,9 +335,7 @@ func (s *Simulator) Reset() error {
 	for _, p := range s.pipes {
 		p.Reset()
 	}
-	for i := range s.wheel {
-		s.wheel[i] = s.wheel[i][:0]
-	}
+	s.clearWheel()
 	s.runQ = s.runQ[:0]
 	s.runHead = 0
 	s.actGuards = s.actGuards[:0]
@@ -406,10 +403,13 @@ func (s *Simulator) RunStep() error {
 	}
 
 	// 2. Time-wheel entries due this step (delayed activations).
-	if due := &s.wheel[s.step%uint64(len(s.wheel))]; len(*due) > 0 {
+	slot := s.step % uint64(len(s.wheel))
+	if due := &s.wheel[slot]; len(*due) > 0 {
 		s.runQ = append(s.runQ, *due...)
 		*due = (*due)[:0]
-		if err := s.drain(); err != nil {
+		err := s.drain()
+		s.infos[slot] = s.infos[slot][:0]
+		if err != nil {
 			return err
 		}
 	}
@@ -476,6 +476,13 @@ func (s *Simulator) addDelayed(step uint64, it runItem) {
 	*slot = append(*slot, it)
 }
 
+// clearWheel drops every delayed item.
+func (s *Simulator) clearWheel() {
+	for i := range s.wheel {
+		s.wheel[i], s.infos[i] = s.wheel[i][:0], s.infos[i][:0]
+	}
+}
+
 // wheelSpan is the number of steps the delayed-activation ring covers: an
 // activation lands at most the deepest pipeline's stage distance plus the
 // longest ';' delay ahead.
@@ -491,8 +498,13 @@ func (s *Simulator) drain() error {
 	for s.runHead < len(s.runQ) {
 		it := s.runQ[s.runHead]
 		s.runHead++
-		if it.pipeOp.op != 0 {
-			it.pipe.Apply(it.pipeOp.op, it.stage, it.pipeOp.info)
+		if it.pipeOp != 0 {
+			// Pipeline operations queue only from the wheel slot due now.
+			info := unattributed
+			if it.info >= 0 {
+				info = s.infos[s.step%uint64(len(s.wheel))][it.info]
+			}
+			it.pipe.Apply(it.pipeOp, it.stage, info)
 			continue
 		}
 		if err := s.execute(it); err != nil {
@@ -653,16 +665,20 @@ func (s *Simulator) processActivation(in *model.Instance, steps []behavior.ActSt
 			}
 			s.activate(in, target, st.Delay, ctx)
 		case behavior.ActPipe:
-			p := s.pipes[st.Pipe]
-			spec := pipeOpSpec{op: st.PipeOp, info: unattributed}
+			p, info := s.pipes[st.Pipe], unattributed
 			if s.obs != nil {
-				spec.info = s.pipeOpInfo(st.PipeOp, false)
+				info = s.pipeOpInfo(st.PipeOp, false)
 			}
-			if st.Delay > 0 {
-				s.schedule(s.step+uint64(st.Delay), runItem{pipe: p, stage: st.Stage, pipeOp: spec})
-			} else {
-				p.Apply(spec.op, st.Stage, spec.info)
+			if st.Delay == 0 {
+				p.Apply(st.PipeOp, st.Stage, info)
+				continue
 			}
+			step, it := s.step+uint64(st.Delay), runItem{pipe: p, stage: st.Stage, pipeOp: st.PipeOp, info: -1}
+			if s.obs != nil {
+				infos := &s.infos[step%uint64(len(s.wheel))]
+				it.info, *infos = int32(len(*infos)), append(*infos, info)
+			}
+			s.schedule(step, it)
 		case behavior.ActIf:
 			branch := st.Then
 			if !s.x.ActCond(in, st) {

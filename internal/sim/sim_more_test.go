@@ -314,3 +314,47 @@ OPERATION main {
 		t.Errorf("other ran %d times", p.Execs["other"])
 	}
 }
+
+// TestUntypedBehaviorRunsInterpreted: a behavior with a node of no static
+// type, a ?: whose branches differ in width and signedness, runs through
+// the interpreter on the prebound engine and ends in the interpretive
+// engine's state.
+func TestUntypedBehaviorRunsInterpreted(t *testing.T) {
+	src := `
+RESOURCE {
+  REGISTER int n; REGISTER bit[8] small; REGISTER long out; REGISTER bit halt;
+}
+OPERATION main {
+  BEHAVIOR {
+    n = n + 1;
+    small = small - 3;
+    out = out * 3 + (n > 2 ? small : n - 8);
+    if (n == 5) { halt = 1; }
+  }
+}
+`
+	m := buildModel(t, src)
+	var want *Simulator
+	for _, mode := range []Mode{Interpretive, CompiledPrebound} {
+		s := New(m, mode)
+		if err := s.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(100); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = s
+			continue
+		}
+		if eq, diff := want.S.Equal(s.S); !eq {
+			t.Errorf("%v differs from %v at %s", mode, want.Mode(), diff)
+		}
+		if p := s.Profile(); p.Compiles == 0 {
+			t.Errorf("%v compiled nothing", mode)
+		}
+	}
+	if out, _ := want.Scalar("out"); out.Int() == 0 {
+		t.Error("out = 0: the behavior did not run")
+	}
+}

@@ -176,9 +176,9 @@ func snapPacket(pkt *pipeline.Packet) *PacketSnap {
 }
 
 func snapWheelItem(it runItem) WheelItemSnap {
-	if it.pipeOp.op != 0 {
+	if it.pipeOp != 0 {
 		return WheelItemSnap{
-			Pipe: -1, PipeOp: it.pipeOp.op.String(),
+			Pipe: -1, PipeOp: it.pipeOp.String(),
 			PipeOpPipe: it.pipe.Def.Index, PipeOpStage: it.stage,
 		}
 	}
@@ -264,9 +264,7 @@ func (s *Simulator) Restore(snap *Snapshot) error {
 	pipeline.EnsurePacketSeq(maxPkt)
 	// Run position and time wheel.
 	s.step = snap.Step
-	for i := range s.wheel {
-		s.wheel[i] = s.wheel[i][:0]
-	}
+	s.clearWheel()
 	for _, ws := range snap.Wheel {
 		if ws.Step < snap.Step || ws.Step-snap.Step >= uint64(len(s.wheel)) {
 			return fmt.Errorf("snapshot at step %d has activations due at step %d, beyond the model's delays", snap.Step, ws.Step)
@@ -326,7 +324,7 @@ func (s *Simulator) restoreWheelItem(w WheelItemSnap) (runItem, error) {
 		if !ok {
 			return runItem{}, fmt.Errorf("snapshot has unknown pipe-op %q", w.PipeOp)
 		}
-		return runItem{pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, pipeOp: pipeOpSpec{op: op, info: unattributed}}, nil
+		return runItem{pipe: s.pipes[w.PipeOpPipe], stage: w.PipeOpStage, pipeOp: op, info: -1}, nil
 	}
 	in, err := s.restoreInst(w.Inst)
 	if err != nil {
