@@ -3,7 +3,7 @@
 //
 //	E1  BenchmarkModelStats        — §4 model complexity table
 //	E2  BenchmarkGenerate*, BenchmarkParse — §4.1 tool-generation time (paper: 30 s)
-//	E3  BenchmarkSim*              — compiled vs interpretive simulation
+//	E3  BenchmarkSim*              — compiled vs interpretive simulation (simple16 adds the IR and the native runner)
 //	E5  BenchmarkSwitch*           — SWITCH/CASE compile-time flattening ablation
 //	E6  BenchmarkPipelineOps       — stall/flush/shift mechanism cost
 //	E7  BenchmarkCosim             — co-simulation with devices attached
@@ -19,7 +19,9 @@ package golisa_test
 import (
 	"io"
 	"os"
+	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -27,6 +29,7 @@ import (
 	"golisa/internal/analyze"
 	"golisa/internal/cosim"
 	"golisa/internal/cover"
+	"golisa/internal/gosim"
 	"golisa/internal/models"
 	"golisa/internal/parser"
 	"golisa/internal/replay"
@@ -408,7 +411,91 @@ func BenchmarkSimSimple16(b *testing.B) {
 				b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 			})
 		}
+		b.Run(k.name+"/ir", func(b *testing.B) { benchGenerated(b, m, k.src, gosim.ForceIR) })
+		b.Run(k.name+"/native", func(b *testing.B) { benchGenerated(b, m, k.src, gosim.ForceNative) })
 	}
+}
+
+// e3Runners is the process's one runner cache: every native
+// sub-benchmark shares the simple16 runner it builds once. TestMain
+// removes it.
+var e3Runners struct {
+	once  sync.Once
+	dir   string
+	cache *gosim.Cache
+	err   error
+}
+
+func runnerCache() (*gosim.Cache, error) {
+	e3Runners.once.Do(func() {
+		e3Runners.dir, e3Runners.err = os.MkdirTemp("", "golisa-e3-")
+		if e3Runners.err == nil {
+			e3Runners.cache = gosim.NewCache(e3Runners.dir)
+		}
+	})
+	return e3Runners.cache, e3Runners.err
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if e3Runners.cache != nil {
+		e3Runners.cache.Close()
+		os.RemoveAll(e3Runners.dir)
+	}
+	os.Exit(code)
+}
+
+// benchGenerated runs a kernel on the generated tier: on the in-process IR
+// interpreter, or on the model's native runner, built and started before
+// the timer runs. Data memory starts zeroed here, where the classic modes
+// preload it; no kernel's control flow reads it, so the cycle counts
+// agree. loop_ns/cycle is the step loop alone (Result.RunNs); Mcycles/s
+// includes each run's exchange with the runner.
+func benchGenerated(b *testing.B, m *golisa.Machine, src string, backend gosim.Backend) {
+	a, err := m.NewAssembler()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := a.Assemble(src)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := gosim.Compile(m, prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cache *gosim.Cache
+	if backend == gosim.ForceNative {
+		if _, err := exec.LookPath("go"); err != nil {
+			b.Skip("go toolchain not on PATH")
+		}
+		if cache, err = runnerCache(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	eng := gosim.NewEngine(p, cache, gosim.Options{Backend: backend})
+	var cycles uint64
+	var loopNs int64
+	run := func() {
+		res, err := eng.Run(1_000_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Halted {
+			b.Fatal("kernel did not halt within 1000000 steps")
+		}
+		cycles = res.Steps
+		loopNs += res.RunNs
+	}
+	run() // builds or finds the runner, and starts its process
+	loopNs = 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(cycles), "cycles/run")
+	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
+	b.ReportMetric(float64(loopNs)/float64(cycles*uint64(b.N)), "loop_ns/cycle")
 }
 
 func BenchmarkSimC62x(b *testing.B) {

@@ -31,17 +31,26 @@ type Machine struct {
 func LoadMachine(name, src string) (*Machine, error) {
 	d, perrs := parser.Parse(src, name+".lisa")
 	if len(perrs) > 0 {
-		return nil, fmt.Errorf("parse %s: %w (and %d more)", name, perrs[0], len(perrs)-1)
+		return nil, firstOf("parse", name, perrs)
 	}
 	m, serrs := sema.Build(name, d)
 	if len(serrs) > 0 {
-		return nil, fmt.Errorf("analyze %s: %w (and %d more)", name, serrs[0], len(serrs)-1)
+		return nil, firstOf("analyze", name, serrs)
 	}
 	if err := coding.For(m).Check(); err != nil {
 		return nil, fmt.Errorf("analyze %s: %w", name, err)
 	}
 	m.SourceLines = sema.CountSourceLines(src)
 	return &Machine{Model: m, Source: src}, nil
+}
+
+// firstOf reports the first of a load phase's errors, and how many more
+// follow when there are more.
+func firstOf(phase, name string, errs []error) error {
+	if len(errs) > 1 {
+		return fmt.Errorf("%s %s: %w (and %d more)", phase, name, errs[0], len(errs)-1)
+	}
+	return fmt.Errorf("%s %s: %w", phase, name, errs[0])
 }
 
 // LoadBuiltin loads one of the embedded models ("simple16", "c62x").

@@ -23,6 +23,30 @@ func TestUnknownNameFailsAtLoad(t *testing.T) {
 	}
 }
 
+// TestLoadErrorCount: a load that fails on one parse error reports that
+// error alone, and one that fails on more says how many more follow.
+func TestLoadErrorCount(t *testing.T) {
+	for _, tc := range []struct{ fixture, more string }{
+		{"memory_huge", ""},
+		{"bit_width", " (and 1 more)"},
+	} {
+		path := "../parser/testdata/broken/" + tc.fixture
+		src, err := os.ReadFile(path + ".lisa")
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs, err := os.ReadFile(path + ".err")
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(string(errs), "\n")
+		_, err = LoadMachine(tc.fixture, string(src))
+		if msg := "parse " + tc.fixture + ": " + first + tc.more; err == nil || err.Error() != msg {
+			t.Errorf("%s: %v\nwant %s", tc.fixture, err, msg)
+		}
+	}
+}
+
 // TestBrokenCodings loads each model in testdata/broken, one per bound of
 // the decoder's plans, and wants exactly the message in its .err file:
 // the operation compiling stopped at, with its source position. The

@@ -570,7 +570,8 @@ func (p *modelIR) compileLeaf(b *build, l *leaf, in *model.Instance) error {
 // included), because program memory is never written and every
 // assignment to the register copies a program-memory element verbatim.
 // The same proof lets the native runner leave program memory out of the
-// state it reports.
+// state it reports, and dispatch a word by the address it was copied
+// from, each address of the image decoded once.
 func (p *modelIR) checkDispatchSafety(writes []writeRec) error {
 	// Notes: a latched dispatch register stays safe (decode reads the
 	// committed value, which still only ever holds program words), and a

@@ -20,13 +20,13 @@ var kernelSrc string
 // EmitSource returns the model's runner: a self-contained single-file Go
 // main package that serves any program of the model. Architectural state
 // becomes package-level variables (s_<name> scalars, m_<name> memories),
-// every pipeline stage becomes one function that switches on the leaf of
-// the word in the stage and runs that leaf's work there over its LABEL
-// fields, and step() runs main's items and then every stage, all over the
+// and each control step of step(n) runs main's items and then, for every
+// pipeline stage, a switch on the leaf of the word in the stage that runs
+// that leaf's work there over its LABEL fields, all over the
 // model-independent kernel (kernel.go).
 // The runner reads each run's program image and decode table from stdin,
-// resets all of its state, self-times its step loop, and replies over
-// the runner protocol (proto.go).
+// resets all of its state, decodes every image address once, self-times
+// its step loop, and replies over the runner protocol (proto.go).
 //
 // The source depends on the model alone: it is emitted once per model
 // and shared by every Program of it.
@@ -120,7 +120,7 @@ func (g *gen) file() {
 	g.memHelpers()
 	g.stateDump()
 	g.resetFn()
-	g.stageFns()
+	g.handledFn()
 	g.dispatchFn()
 	g.stepFn()
 	g.mainFn()
@@ -137,6 +137,9 @@ func (g *gen) state() {
 		if r != nil {
 			g.pf("\ts_%s uint64 // %d bits", r.Name, r.Width)
 		}
+		if r != nil && r == p.rootRes {
+			g.pf("\ta_%s uint64 // the program address s_%s was copied from; not architectural", r.Name, r.Name)
+		}
 	}
 	for _, r := range p.arrays {
 		if r != nil {
@@ -149,6 +152,9 @@ func (g *gen) state() {
 	for _, r := range p.latches {
 		g.pf("\tpv_%s uint64", r.Name)
 		g.pf("\tps_%s bool", r.Name)
+		if r == p.rootRes {
+			g.pf("\tpa_%s uint64", r.Name)
+		}
 	}
 	if p.nLoc > 0 {
 		g.pf("\tloc [%d]uint64", p.nLoc)
@@ -171,8 +177,17 @@ var (
 	tab    table // their dispatch keys
 	out    *bufio.Writer
 	line   []byte
-)
-
+)`)
+	if p.root != nil {
+		g.raw(`
+// The image's addresses, decoded once: at[a-org] is the word a fetch
+// from address a dispatches, nil where dispatch() must decide.
+var (
+	org uint64
+	at  []*dw
+)`)
+	}
+	g.raw(`
 func fail(msg string) {
 	if runErr == "" {
 		runErr = fmt.Sprintf("cycle %d: %s", cycle, msg)
@@ -258,6 +273,9 @@ func (g *gen) stateDump() {
 		for _, r := range p.latches {
 			g.pf("\tif ps_%s {", r.Name)
 			g.pf("\t\ts_%s = pv_%s", r.Name, r.Name)
+			if r == p.rootRes {
+				g.pf("\t\ta_%s = pa_%s", r.Name, r.Name)
+			}
 			g.pf("\t\tps_%s = false", r.Name)
 			g.pf("\t}")
 		}
@@ -303,27 +321,9 @@ func (g *gen) resetFn() {
 	g.pf("}")
 }
 
-// stageFns emits one function per pipeline stage with work: a switch on
-// the leaf of the word in the stage, each case that leaf's work there.
-// It also emits handled, which is false for the leaves the IR cannot
+// handledFn emits handled, which is false for the leaves the IR cannot
 // compile: no request names them.
-func (g *gen) stageFns() {
-	for s := range g.p.depth {
-		staged := g.staged(s)
-		if len(staged) == 0 {
-			continue
-		}
-		g.pf("")
-		g.pf("// stage%d runs the stage-%d work of pipe[%d], the word dispatched %d cycles ago.", s, s, s, s)
-		g.pf("func stage%d(d *dw) {", s)
-		g.pf("\tswitch d.leaf {")
-		for _, l := range staged {
-			g.pf("\tcase %d: // %s", l.id, l.name)
-			g.stmts(l.work[s], 2)
-		}
-		g.pf("\t}")
-		g.pf("}")
-	}
+func (g *gen) handledFn() {
 	var unhandled []string
 	for _, l := range g.p.leaves {
 		if l.err != nil {
@@ -344,7 +344,8 @@ func (g *gen) stageFns() {
 }
 
 // dispatchFn emits the decode-table lookup of the dispatch register,
-// which puts the word in stage 0.
+// which puts the word in stage 0: the path of a dispatch that the
+// image's index does not answer.
 func (g *gen) dispatchFn() {
 	p := g.p
 	if p.root == nil {
@@ -363,39 +364,50 @@ func (g *gen) dispatchFn() {
 }`)
 }
 
-// stepFn emits one control step: the main behavior, main's activation
-// items (every condition first, then the items that hold), the work of
-// the word in each stage (stage-ascending, stage 0 being the word the
-// items dispatched), the latch commit, and the pipeline shift.
+// stepFn emits the step loop, step(n): up to n control steps, each the
+// main behavior, main's activation items (every condition first, then the
+// items that hold), the work of the word in each stage (stage-ascending,
+// stage 0 being the word the items dispatched), the latch commit, and the
+// pipeline shift. A stage's work is a switch on the leaf of the word in
+// it, each case that leaf's work there. The loop stops early at halt or
+// a run error; an untraced run is one call.
 func (g *gen) stepFn() {
 	p := g.p
 	g.pf("")
-	g.pf("func step() {")
-	g.stmts(p.mainB, 1)
+	g.pf("func step(n uint64) (steps uint64) {")
+	g.pf("\tfor ; %s; steps++ {", g.running("n"))
+	g.stmts(p.mainB, 2)
 	for i, it := range p.items {
 		if it.cond != nil {
-			g.pf("\tc%d := (%s) != 0", i, g.expr(it.cond))
+			g.pf("\t\tc%d := (%s) != 0", i, g.expr(it.cond))
 		}
 	}
 	for i, it := range p.items {
 		if it.cond != nil {
-			g.pf("\tif c%d { // main -> %s", i, it.opName)
-			g.stmts(it.body, 2)
-			g.pf("\t}")
+			g.pf("\t\tif c%d { // main -> %s", i, it.opName)
+			g.stmts(it.body, 3)
+			g.pf("\t\t}")
 		} else {
-			g.pf("\t// main -> %s", it.opName)
-			g.stmts(it.body, 1)
+			g.pf("\t\t// main -> %s", it.opName)
+			g.stmts(it.body, 2)
 		}
 	}
 	for s := range p.depth {
-		if len(g.staged(s)) > 0 {
-			g.pf("\tif pipe[%d] != nil {", s)
-			g.pf("\t\tstage%d(pipe[%d])", s, s)
-			g.pf("\t}")
+		staged := g.staged(s)
+		if len(staged) == 0 {
+			continue
 		}
+		g.pf("\t\tif d := pipe[%d]; d != nil { // dispatched %d cycles ago", s, s)
+		g.pf("\t\t\tswitch d.leaf {")
+		for _, l := range staged {
+			g.pf("\t\t\tcase %d: // %s", l.id, l.name)
+			g.stmts(l.work[s], 4)
+		}
+		g.pf("\t\t\t}")
+		g.pf("\t\t}")
 	}
 	if c := g.commitCall(); c != "" {
-		g.pf("\t%s", c)
+		g.pf("\t\t%s", c)
 	}
 	// The shift is one assignment: copy would move the pointers through
 	// the runtime.
@@ -404,9 +416,23 @@ func (g *gen) stepFn() {
 		dst = append(dst, fmt.Sprintf("pipe[%d]", s))
 		src = append(src, fmt.Sprintf("pipe[%d]", s-1))
 	}
-	g.pf("\t%s = %s", strings.Join(dst, ", "), strings.Join(src, ", "))
-	g.pf("\tcycle++")
-	g.pf("}")
+	g.pf("\t\t%s = %s", strings.Join(dst, ", "), strings.Join(src, ", "))
+	g.pf("\t\tcycle++")
+	g.raw(`		if runErr != "" {
+			return
+		}
+	}
+	return
+}`)
+}
+
+// running is the condition under which the run goes on for at most
+// limit steps.
+func (g *gen) running(limit string) string {
+	if h := g.p.halt; h != nil {
+		return fmt.Sprintf("steps < %s && s_%s == 0", limit, h.Name)
+	}
+	return "steps < " + limit
 }
 
 // mainFn emits the protocol loop (proto.go): the handshake, then one run
@@ -438,30 +464,41 @@ func load(l string) (request, bool) {
 			d.leaf = int(q.leaves[i])
 			copy(d.f[:], q.fields[i*nField:])
 		}
+	}`)
+	if r := p.rootRes; r != nil {
+		// Program memory holds the image from here on: no behavior writes
+		// it (checkDispatchSafety).
+		g.pf(`	clear(at) // the last request's words go unreferenced
+	org, at = q.origin, at[:0]
+	for i := range q.image {
+		var d *dw
+		if j := tab.get(rd_%s(org+uint64(i)) & %#x); j >= 0 && words[j].err == "" {
+			d = &words[j]
+		}
+		at = append(at, d)
 	}
-	return q, true
+	a_%s = org - 1 // outside the image: the first dispatch reads the table`, p.progMem.Name, mask(p.dispW), r.Name)
+	}
+	g.pf(`	return q, true
 }
 
 func run(q request) {
 	var steps uint64
 	start := time.Now()
-	for steps < q.max {`)
-	if p.halt != nil {
-		g.pf("\t\tif s_%s != 0 {", p.halt.Name)
-		g.pf("\t\t\tbreak")
-		g.pf("\t\t}")
-	}
-	g.raw(`		step()
-		if q.trace != 0 {
+	if q.trace != 0 {
+		for %s {
+			step(1)
 			line = append(appendState(appendNum(append(line[:0], 'c'), cycle), scalars(), memDelta()), '\n')
 			out.Write(line)
+			if runErr != "" {
+				break
+			}
+			steps++
 		}
-		if runErr != "" {
-			break
-		}
-		steps++
-	}
-	wall := uint64(time.Since(start).Nanoseconds())
+	} else {
+		steps = step(q.max)
+	}`, g.running("q.max"))
+	g.raw(`	wall := uint64(time.Since(start).Nanoseconds())
 	line = appendState(appendNum(appendNum(append(line[:0], 'r'), steps), wall), scalars(), memDump())
 	line = append(appendStr(line, runErr), '\n')
 	out.Write(line)
@@ -506,7 +543,11 @@ func (g *gen) stmts(list []*stmt, depth int) {
 		case sPrint:
 			g.pf("%semitP(%s)", ind, g.printArg(s.parts))
 		case sDispatch:
-			g.pf("%sdispatch()", ind)
+			g.pf("%sif i := a_%s - org; i < uint64(len(at)) && at[i] != nil {", ind, g.p.rootRes.Name)
+			g.pf("%s\tpipe[0] = at[i]", ind)
+			g.pf("%s} else {", ind)
+			g.pf("%s\tdispatch()", ind)
+			g.pf("%s}", ind)
 		}
 	}
 }
@@ -539,6 +580,15 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 		return fmt.Sprintf("loc[%d] = %s", lhs.local.idx, fit(rs, rhs.w, lw))
 	case lScalar:
 		r := lhs.res
+		if r == g.p.rootRes {
+			// The value is a program-memory element (checkDispatchSafety):
+			// its address goes along.
+			v, a := fit(rs, rhs.w, r.Width), g.expr(rhs.idx)
+			if r.Latch {
+				return fmt.Sprintf("pv_%s, ps_%s, pa_%s = %s, true, %s", r.Name, r.Name, r.Name, v, a)
+			}
+			return fmt.Sprintf("s_%s, a_%s = %s, %s", r.Name, r.Name, v, a)
+		}
 		if r.Latch {
 			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, fit(rs, rhs.w, r.Width))
 		}

@@ -1,6 +1,7 @@
 package gosim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os/exec"
@@ -333,10 +334,89 @@ const schedProg = `
         HALT
 `
 
+// schedNop is schedModel with an instruction for the all-zeros word, so
+// that a fetch from unloaded program memory dispatches a NOP.
+var schedNop = strings.Replace(schedModel, "i_wb; i_halt }", "i_wb; i_halt; i_nop }", 1) + `
+OPERATION i_nop {
+  CODING { 0b0000 0bx[12] }
+  SYNTAX { "NOP" }
+  BEHAVIOR { }
+}
+`
+
+// dispatchCases drive the runner's dispatch by program address through
+// its edges; the IR interpreter dispatches every word through the
+// decode table.
+var dispatchCases = []struct {
+	label, model, lisa, prog string
+	edit                     func(*asm.Program) // applied to the assembled image
+	max                      uint64             // 0: 10,000 steps
+	wantErr                  string             // part of the error both backends must stop with
+	lockstep                 bool               // the interpretive engine runs it too
+}{
+	// A LATCH dispatch register: each fetched word dispatches a cycle
+	// late, and the dispatch before the first commit reads the reset
+	// value 0, not the word at address 0.
+	{label: "latch-ir", model: "schedtest", lisa: strings.Replace(schedNop, "bit[16] ir;", "bit[16] ir LATCH;", 1), prog: schedProg, lockstep: true},
+	// Program memory at 0x100..0x1ff.
+	{label: "based", model: "schedtest",
+		lisa: strings.NewReplacer("prog_mem[0x100]", "prog_mem[0x100..0x1ff]", "pc = 0;", "pc = 0x100;").Replace(schedModel),
+		prog: ".org 0x100\n" + schedProg, lockstep: true},
+	// An 8-bit dispatch register over 16-bit program words with their
+	// high bytes set: a word dispatches by its low byte.
+	{label: "narrow-ir", model: "schedtest",
+		lisa: strings.NewReplacer("bit[16] ir;", "bit[8] ir;", "0bx[12]", "0bx[4]").Replace(schedModel),
+		prog: schedProg,
+		edit: func(p *asm.Program) {
+			p.Width = 16
+			for i := range p.Words {
+				p.Words[i] |= uint64(0x5a00 + i<<8)
+			}
+		}, lockstep: true},
+	// Off the end of the image, memory holds zero words: NOPs.
+	{label: "past-image", model: "simple16", prog: "LDI A1, 5\nADD A2, A1, A1\n", max: 64, lockstep: true},
+	// An undecodable word inside the image.
+	{label: "undecodable", model: "simple16", prog: "NOP\n.word 0x84000000\nNOP\nNOP\nNOP\n", wantErr: "cycle 1: word 0x84000000 does not decode"},
+	// The image's last eleven words, HALT among them, lie past the end of
+	// program memory, which drops them: fetches there read zero words.
+	// The interpretive engine refuses to load such an image.
+	{label: "past-memory", model: "schedtest", lisa: strings.Replace(schedNop, "pc = 0;", "pc = 0xfc;", 1), prog: schedProg,
+		edit: func(p *asm.Program) { p.Origin = 0xfc }, max: 100},
+	// A model that never dispatches: its runner has no address to record.
+	{label: "no-root", model: "noroot", lisa: noRootModel, prog: "", lockstep: true},
+}
+
+// noRootModel counts to five and halts without fetching a word.
+const noRootModel = `
+RESOURCE {
+  PROGRAM_COUNTER int pc;
+  REGISTER int acc;
+  REGISTER bit halt;
+  PROGRAM_MEMORY bit[16] prog_mem[0x10];
+}
+
+OPERATION reset {
+  BEHAVIOR { pc = 0; halt = 0; }
+}
+
+OPERATION main {
+  BEHAVIOR { acc = acc + 1; if (acc == 5) { halt = 1; } }
+}
+`
+
 // loadPair compiles src for the model (builtin name, or inline LISA when
 // lisaSrc is non-empty) into a gosim Program plus the pieces the tests
 // wire against.
 func loadPair(t testing.TB, name, lisaSrc, progSrc string) (*core.Machine, *asm.Program, *Program) {
+	t.Helper()
+	return loadEdited(t, name, lisaSrc, progSrc, nil)
+}
+
+// loadEdited is loadPair with the assembled program passed through edit,
+// when non-nil, before it compiles: the way to build an image the
+// assembler refuses. An empty progSrc is an empty image, which a model
+// without instructions, and so without an assembler, can run.
+func loadEdited(t testing.TB, name, lisaSrc, progSrc string, edit func(*asm.Program)) (*core.Machine, *asm.Program, *Program) {
 	t.Helper()
 	var mc *core.Machine
 	var err error
@@ -348,13 +428,18 @@ func loadPair(t testing.TB, name, lisaSrc, progSrc string) (*core.Machine, *asm.
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := mc.NewAssembler()
-	if err != nil {
-		t.Fatal(err)
+	prog := &asm.Program{}
+	if progSrc != "" {
+		a, err := mc.NewAssembler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog, err = a.Assemble(progSrc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	prog, err := a.Assemble(progSrc)
-	if err != nil {
-		t.Fatal(err)
+	if edit != nil {
+		edit(prog)
 	}
 	p, err := Compile(mc, prog)
 	if err != nil {
@@ -516,30 +601,45 @@ func logged(o Options, snaps *[]snap, events *[]string) Options {
 // byte for byte within the step that made it.
 func TestNativeMatchesIR(t *testing.T) {
 	needGo(t)
-	cases := []struct{ name, lisa, prog string }{
-		{"simple16", "", progOps},
-		{"opstest", opsModel, opsProg},
-		{"opstest-bytes", strings.Replace(opsModel, `"state"`, "\"caf\xe9\"", 1), opsProg},
+	type nativeCase struct {
+		name, lisa, prog string
+		label            string // the subtest's name, if not name
+		edit             func(*asm.Program)
+		max              uint64
+		wantErr          string
+	}
+	cases := []nativeCase{
+		{name: "simple16", prog: progOps},
+		{name: "opstest", lisa: opsModel, prog: opsProg},
+		{name: "opstest-bytes", lisa: strings.Replace(opsModel, `"state"`, "\"caf\xe9\"", 1), prog: opsProg},
 		// A 64-bit signed right shift of a negative value fills with ones.
-		{"opstest-long-shift", strings.Replace(opsModel, "    wide = p;\n", "    p = p - 1000000;\n    wide = p >> 30;\n", 1), opsProg},
+		{name: "opstest-long-shift", lisa: strings.Replace(opsModel, "    wide = p;\n", "    p = p - 1000000;\n    wide = p >> 30;\n", 1), prog: opsProg},
 		// A reset behavior's print reaches no one: it runs before the run.
-		{"opstest-reset-print", strings.Replace(opsModel, "pc = 0; halt = 0;", `pc = 0; halt = 0; print("boot");`, 1), opsProg},
-		{"schedtest", schedModel, schedProg},
+		{name: "opstest-reset-print", lisa: strings.Replace(opsModel, "pc = 0; halt = 0;", `pc = 0; halt = 0; print("boot");`, 1), prog: opsProg},
+		{name: "schedtest", lisa: schedModel, prog: schedProg},
+	}
+	for _, dc := range dispatchCases {
+		cases = append(cases, nativeCase{dc.model, dc.lisa, dc.prog, dc.label, dc.edit, dc.max, dc.wantErr})
 	}
 	cache := NewCache(t.TempDir())
 	defer cache.Close()
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, p := loadPair(t, tc.name, tc.lisa, tc.prog)
+		t.Run(cmp.Or(tc.label, tc.name), func(t *testing.T) {
+			_, _, p := loadEdited(t, tc.name, tc.lisa, tc.prog, tc.edit)
+			max := cmp.Or(tc.max, 10_000)
 			var irSnaps, natSnaps []snap
 			var irEvents, natEvents []string
-			ir, err := NewEngine(p, nil, logged(Options{Backend: ForceIR}, &irSnaps, &irEvents)).Run(10_000)
-			if err != nil {
-				t.Fatalf("IR run: %v", err)
+			ir, irErr := NewEngine(p, nil, logged(Options{Backend: ForceIR}, &irSnaps, &irEvents)).Run(max)
+			nat, natErr := NewEngine(p, cache, logged(Options{Backend: ForceNative}, &natSnaps, &natEvents)).Run(max)
+			// The host names the runner as the source of a simulation error.
+			if a, b := fmt.Sprint(irErr), strings.TrimPrefix(fmt.Sprint(natErr), "gosim: runner: "); a != b {
+				t.Fatalf("error divergence:\nIR:     %s\nnative: %s", a, b)
 			}
-			nat, err := NewEngine(p, cache, logged(Options{Backend: ForceNative}, &natSnaps, &natEvents)).Run(10_000)
-			if err != nil {
-				t.Fatalf("native run: %v", err)
+			if tc.wantErr == "" && irErr != nil {
+				t.Fatalf("run: %v", irErr)
+			}
+			if tc.wantErr != "" && (irErr == nil || !strings.Contains(irErr.Error(), tc.wantErr)) {
+				t.Fatalf("run error %v, want one containing %q", irErr, tc.wantErr)
 			}
 			if !nat.Native {
 				t.Fatal("native run did not report Native")
@@ -599,15 +699,26 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 	needGo(t)
 	cache := NewCache(t.TempDir())
 	defer cache.Close()
-	cases := []struct{ label, model, lisa, prog string }{
-		{"simple16-loop", "simple16", "", progLoop},
-		{"simple16-ops", "simple16", "", progOps},
-		{"opstest", "opstest", opsModel, opsProg},
-		{"schedtest", "schedtest", schedModel, schedProg},
+	type lockCase struct {
+		label, model, lisa, prog string
+		edit                     func(*asm.Program)
+		max                      uint64
+	}
+	cases := []lockCase{
+		{"simple16-loop", "simple16", "", progLoop, nil, 0},
+		{"simple16-ops", "simple16", "", progOps, nil, 0},
+		{"opstest", "opstest", opsModel, opsProg, nil, 0},
+		{"schedtest", "schedtest", schedModel, schedProg, nil, 0},
+	}
+	for _, dc := range dispatchCases {
+		if dc.lockstep {
+			cases = append(cases, lockCase{dc.label, dc.model, dc.lisa, dc.prog, dc.edit, dc.max})
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.label, func(t *testing.T) {
-			mc, prog, p := loadPair(t, tc.model, tc.lisa, tc.prog)
+			mc, prog, p := loadEdited(t, tc.model, tc.lisa, tc.prog, tc.edit)
+			max := cmp.Or(tc.max, 10_000)
 			ref := refSim(t, mc, prog)
 			var cur snap
 			ls := cosim.NewLockstepState(func() *model.State {
@@ -619,14 +730,15 @@ func TestLockstepNativeVsInterpretive(t *testing.T) {
 					cur = snap{n: n, sc: sc, arr: arr}
 					ls.Tick(n)
 				},
-			}).Run(10_000)
+			}).Run(max)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ls.Diverged {
 				t.Fatalf("lockstep divergence at cycle %d: %s", ls.Cycle, ls.Detail)
 			}
-			if !res.Halted || !ref.Halted() {
+			// A case with a step limit of its own runs to it.
+			if res.Halted != ref.Halted() || res.Halted != (tc.max == 0) {
 				t.Fatalf("halt disagreement: native %v, interpretive %v", res.Halted, ref.Halted())
 			}
 		})
