@@ -166,6 +166,34 @@ loop:   LD  A6, A4, 0
         HALT
 `
 
+// dot1024x12: a 1024-element dot product, run 12 times: about 111k
+// cycles, enough that the per-run exchange with a native runner does not
+// bound its end-to-end rate.
+const dotLongKernel = `
+        LDI B1, 1
+        LDI A9, 12        ; repetitions
+outer:  LDI A8, 1024      ; count
+        LDI A4, 0         ; &a
+        LDI A5, 2048      ; &b
+        CLRACC
+loop:   LD  A6, A4, 0
+        LD  A7, A5, 0
+        ADD A4, A4, B1
+        MAC A6, A7
+        ADD A5, A5, B1
+        SUB A8, A8, B1
+        BNZ A8, loop
+        NOP
+        NOP
+        SAT A0
+        ST  A0, A9, 200
+        SUB A9, A9, B1
+        BNZ A9, outer
+        NOP
+        NOP
+        HALT
+`
+
 var simple16Kernels = []struct {
 	name string
 	src  string
@@ -175,6 +203,7 @@ var simple16Kernels = []struct {
 	{"biquad32", biquadKernel},
 	{"memcpy64", memcpyKernel},
 	{"sumsq48", sumsqKernel},
+	{"dot1024x12", dotLongKernel},
 }
 
 // --- kernels (c62x) ---------------------------------------------------------------
@@ -445,57 +474,70 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// generatedEngine compiles a kernel for the generated tier: an engine on
+// the in-process IR interpreter, or on the model's native runner from the
+// process's one runner cache (runnerCache).
+func generatedEngine(tb testing.TB, m *golisa.Machine, src string, backend gosim.Backend) *gosim.Engine {
+	tb.Helper()
+	a, err := m.NewAssembler()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prog, err := a.Assemble(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := gosim.Compile(m, prog)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var cache *gosim.Cache
+	if backend == gosim.ForceNative {
+		if cache, err = runnerCache(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return gosim.NewEngine(p, cache, gosim.Options{Backend: backend})
+}
+
+// runGenerated runs a kernel to halt on a generated-tier engine.
+func runGenerated(tb testing.TB, eng *gosim.Engine) *gosim.Result {
+	tb.Helper()
+	res, err := eng.Run(1_000_000)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !res.Halted {
+		tb.Fatal("kernel did not halt within 1000000 steps")
+	}
+	return res
+}
+
 // benchGenerated runs a kernel on the generated tier: on the in-process IR
 // interpreter, or on the model's native runner, built and started before
 // the timer runs. Data memory starts zeroed here, where the classic modes
 // preload it; no kernel's control flow reads it, so the cycle counts
 // agree. loop_ns/cycle is the step loop alone (Result.RunNs); Mcycles/s
-// includes each run's exchange with the runner.
+// includes each run's exchange with the runner, which exchange_us/run
+// gives apart: the time per run outside the step loop.
 func benchGenerated(b *testing.B, m *golisa.Machine, src string, backend gosim.Backend) {
-	a, err := m.NewAssembler()
-	if err != nil {
-		b.Fatal(err)
+	if _, err := exec.LookPath("go"); err != nil && backend == gosim.ForceNative {
+		b.Skip("go toolchain not on PATH")
 	}
-	prog, err := a.Assemble(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := gosim.Compile(m, prog)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cache *gosim.Cache
-	if backend == gosim.ForceNative {
-		if _, err := exec.LookPath("go"); err != nil {
-			b.Skip("go toolchain not on PATH")
-		}
-		if cache, err = runnerCache(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	eng := gosim.NewEngine(p, cache, gosim.Options{Backend: backend})
+	eng := generatedEngine(b, m, src, backend)
+	runGenerated(b, eng) // builds or finds the runner, and starts its process
 	var cycles uint64
 	var loopNs int64
-	run := func() {
-		res, err := eng.Run(1_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Halted {
-			b.Fatal("kernel did not halt within 1000000 steps")
-		}
-		cycles = res.Steps
-		loopNs += res.RunNs
-	}
-	run() // builds or finds the runner, and starts its process
-	loopNs = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run()
+		res := runGenerated(b, eng)
+		cycles = res.Steps
+		loopNs += res.RunNs
 	}
 	b.ReportMetric(float64(cycles), "cycles/run")
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcycles/s")
 	b.ReportMetric(float64(loopNs)/float64(cycles*uint64(b.N)), "loop_ns/cycle")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds()-loopNs)/float64(b.N)/1e3, "exchange_us/run")
 }
 
 func BenchmarkSimC62x(b *testing.B) {
@@ -519,38 +561,56 @@ func BenchmarkSimC62x(b *testing.B) {
 	}
 }
 
-// TestSpeedupShape asserts the paper's qualitative result: the compiled
-// simulation technique is strictly faster than the interpretive one on
-// every kernel, and pre-binding is at least as fast as decode-caching
-// alone (E3's "who wins" shape; see EXPERIMENTS.md for factors).
+// TestSpeedupShape asserts E3's ladder on every simple16 kernel: each
+// engine is faster per cycle than the one before it, interpretive <
+// compiled < prebound < IR < native. The classic engines are timed over
+// whole runs, the IR and the native runner by their self-timed step loops
+// (Result.RunNs), as E3 reports them. Without a Go toolchain the ladder
+// ends at the IR.
 func TestSpeedupShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison skipped in -short mode")
 	}
+	const minCycles = 20_000 // per engine and kernel
 	m := loadMachine(t, "simple16")
-	perMode := map[string]float64{} // seconds per simulated cycle
-	const rounds = 30
-	for _, md := range simModes {
-		s, reload := prepSim(t, m, dotKernel, md.mode)
-		var cycles uint64
-		start := nowSeconds()
-		for i := 0; i < rounds; i++ {
-			reload()
-			cycles += runToHalt(t, s, 1_000_000)
-		}
-		perMode[md.name] = (nowSeconds() - start) / float64(cycles)
+	rungs := []string{"interpretive", "compiled", "prebound", "ir", "native"}
+	backends := []gosim.Backend{gosim.ForceIR, gosim.ForceNative}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Log("go toolchain not on PATH: no native rung")
+		rungs, backends = rungs[:4], backends[:1]
 	}
-	t.Logf("seconds/cycle: interpretive=%.3g compiled=%.3g prebound=%.3g — speedup compiled=%.1fx prebound=%.1fx",
-		perMode["interpretive"], perMode["compiled"], perMode["prebound"],
-		perMode["interpretive"]/perMode["compiled"],
-		perMode["interpretive"]/perMode["prebound"])
-	if perMode["compiled"] >= perMode["interpretive"] {
-		t.Errorf("compiled simulation (%.3g s/cycle) not faster than interpretive (%.3g)",
-			perMode["compiled"], perMode["interpretive"])
-	}
-	if perMode["prebound"] >= perMode["interpretive"] {
-		t.Errorf("prebound simulation (%.3g s/cycle) not faster than interpretive (%.3g)",
-			perMode["prebound"], perMode["interpretive"])
+	for _, k := range simple16Kernels {
+		t.Run(k.name, func(t *testing.T) {
+			var ns []float64 // per cycle, by rung
+			for _, md := range simModes {
+				s, reload := prepSim(t, m, k.src, md.mode)
+				var cycles uint64
+				start := nowSeconds()
+				for cycles < minCycles {
+					reload()
+					cycles += runToHalt(t, s, 1_000_000)
+				}
+				ns = append(ns, (nowSeconds()-start)*1e9/float64(cycles))
+			}
+			for _, backend := range backends {
+				eng := generatedEngine(t, m, k.src, backend)
+				var cycles uint64
+				var loopNs int64
+				for cycles < minCycles {
+					res := runGenerated(t, eng)
+					cycles += res.Steps
+					loopNs += res.RunNs
+				}
+				ns = append(ns, float64(loopNs)/float64(cycles))
+			}
+			t.Logf("ns/cycle: %s %.3g", rungs[0], ns[0])
+			for i := 1; i < len(ns); i++ {
+				t.Logf("ns/cycle: %s %.3g (%.1fx the %s)", rungs[i], ns[i], ns[i-1]/ns[i], rungs[i-1])
+				if ns[i] >= ns[i-1] {
+					t.Errorf("%s (%.3g ns/cycle) not faster than %s (%.3g)", rungs[i], ns[i], rungs[i-1], ns[i-1])
+				}
+			}
+		})
 	}
 }
 

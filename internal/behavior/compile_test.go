@@ -1,6 +1,7 @@
 package behavior
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -246,6 +247,31 @@ func TestCompiledBudgetPerCall(t *testing.T) {
 		}
 		if err := x.Run(in); err != nil {
 			t.Fatalf("interpreted call %d: %v", i, err)
+		}
+	}
+}
+
+// TestBudgetCountsLoopIterations: the interpreter and the compiled
+// closures charge the budget by one rule, one unit per loop iteration, so
+// a loop of 12 iterations in 3 statements runs within a budget of 40 on
+// both, and a runaway loop fails on both with the same error.
+func TestBudgetCountsLoopIterations(t *testing.T) {
+	for _, tc := range []struct{ body, wantErr string }{
+		{"int i; for (i = 0; i < 12; i++) { r0 += i; }", ""},
+		{"while (1) { r0 = r0; }", "behavior execution exceeded 40 loop iterations (runaway loop?)"},
+	} {
+		d, _ := parser.Parse(compileRegs+"OPERATION op { BEHAVIOR { "+tc.body+" } }", "t")
+		m, errs := sema.Build("t", d)
+		if len(errs) > 0 {
+			t.Fatal(errs[0])
+		}
+		in := model.NewInstance(m.Ops["op"])
+		interp := (&Exec{M: m, S: model.NewState(m), Budget: 40}).Run(in)
+		_, compiled := RunCompiled(&Exec{M: m, S: model.NewState(m), Budget: 40}, in)
+		for _, err := range []error{interp, compiled} {
+			if fmt.Sprint(err) != cmp.Or(tc.wantErr, "<nil>") {
+				t.Errorf("%s: interpreter %v, compiled %v, want %q", tc.body, interp, compiled, tc.wantErr)
+			}
 		}
 	}
 }

@@ -55,9 +55,10 @@ type Exec struct {
 	S   *model.State
 	Ctx Context
 
-	// Budget bounds the number of statements executed per Run call to turn
-	// runaway model loops into errors instead of hangs. Zero means the
-	// default of 1<<22.
+	// Budget bounds the loop iterations executed per Run call to turn
+	// runaway model loops into errors instead of hangs: every pass of a
+	// while, do or for loop counts, in the interpreter and in the
+	// compiled closures alike. Zero means the default of 1<<22.
 	Budget int
 
 	// Obs, when non-nil, receives per-operation behavior statement counts
@@ -81,7 +82,7 @@ type Exec struct {
 	// activation plans bind named (non-operand) targets through it.
 	Static func(*model.Operation) *model.Instance
 
-	steps    int
+	steps    int    // loop iterations this Run charged against Budget
 	stmts    uint64 // monotonically increasing statement counter (tracing)
 	compiled map[*model.Instance]*compiledBehavior
 
@@ -169,6 +170,7 @@ func (x *Exec) runBehavior(in *model.Instance) error {
 	return err
 }
 
+// budget charges one loop iteration against the budget.
 func (x *Exec) budget() error {
 	x.steps++
 	x.stmts++
@@ -177,7 +179,7 @@ func (x *Exec) budget() error {
 		limit = 1 << 22
 	}
 	if x.steps > limit {
-		return fmt.Errorf("behavior execution exceeded %d statements (runaway loop?)", limit)
+		return fmt.Errorf("behavior execution exceeded %d loop iterations (runaway loop?)", limit)
 	}
 	return nil
 }
@@ -192,9 +194,7 @@ func (x *Exec) execBlock(f *frame, b *ast.Block) error {
 }
 
 func (x *Exec) execStmt(f *frame, s ast.Stmt) error {
-	if err := x.budget(); err != nil {
-		return err
-	}
+	x.stmts++
 	switch st := s.(type) {
 	case *ast.Block:
 		return x.execBlock(f, st)

@@ -66,18 +66,11 @@ func runEngine(m *model.Model, op string, budget int, compiled bool) engineRun {
 }
 
 // divergence runs op through the interpreter and the compiler and
-// describes the first difference, or returns "". The interpreter counts
-// every statement against the budget and the compiler only loop
-// iterations, so a run the interpreter cuts short is compared no further:
-// the compiler may finish it.
+// describes the first difference, or returns "". Both charge the budget
+// one unit per loop iteration, so a run the budget cuts short is compared
+// like any other, up to the fault.
 func divergence(m *model.Model, op string, budget int) string {
 	i, c := runEngine(m, op, budget, false), runEngine(m, op, budget, true)
-	if i.err != nil && strings.Contains(i.err.Error(), "exceeded") {
-		if c.err != nil && c.err.Error() != i.err.Error() {
-			return fmt.Sprintf("errors: interp %v, compiled %v", i.err, c.err)
-		}
-		return ""
-	}
 	if fmt.Sprint(i.err) != fmt.Sprint(c.err) {
 		return fmt.Sprintf("errors: interp %v, compiled %v", i.err, c.err)
 	}
@@ -120,8 +113,11 @@ func FuzzCompiledMatchesInterpreter(f *testing.F) {
 				return
 			}
 		}
-		if diff := divergence(m, "op", 1<<14); diff != "" {
-			t.Fatalf("%s\nbehavior:\n%s\n%s", diff, body, genBehavior(prog))
+		// The small budget cuts runs with a few loops short.
+		for _, budget := range []int{1 << 14, 5} {
+			if diff := divergence(m, "op", budget); diff != "" {
+				t.Fatalf("budget %d: %s\nbehavior:\n%s\n%s", budget, diff, body, genBehavior(prog))
+			}
 		}
 	})
 }

@@ -128,10 +128,15 @@ const maxLeaves = 4096
 // the statically schedulable class (multiple pipelines, data-dependent
 // activation delays, stalls/flushes), and programs with a word that
 // decodes to a leaf the IR cannot express, return an error wrapping
-// ErrUnsupported; callers fall back to the interpretive simulator.
+// ErrUnsupported; callers fall back to the interpretive simulator. An
+// image that does not fit program memory is refused with the error the
+// simulator's LoadProgram raises, which does not wrap ErrUnsupported.
 func Compile(mc *core.Machine, prog *asm.Program) (*Program, error) {
 	mir, err := modelOf(mc)
 	if err != nil {
+		return nil, err
+	}
+	if err := mir.progMem.CheckSpan(prog.Origin, len(prog.Words)); err != nil {
 		return nil, err
 	}
 	p := &Program{

@@ -20,10 +20,10 @@ var kernelSrc string
 // EmitSource returns the model's runner: a self-contained single-file Go
 // main package that serves any program of the model. Architectural state
 // becomes package-level variables (s_<name> scalars, m_<name> memories),
-// and each control step of step(n) runs main's items and then, for every
-// pipeline stage, a switch on the leaf of the word in the stage that runs
-// that leaf's work there over its LABEL fields, all over the
-// model-independent kernel (kernel.go).
+// which step(n) copies into locals while it runs, and each control step
+// runs main's items and then, for every pipeline stage, a switch on the
+// leaf of the word in the stage that runs that leaf's work there over its
+// LABEL fields, all over the model-independent kernel (kernel.go).
 // The runner reads each run's program image and decode table from stdin,
 // resets all of its state, decodes every image address once, self-times
 // its step loop, and replies over the runner protocol (proto.go).
@@ -41,6 +41,7 @@ func (p *Program) EmitSource() ([]byte, error) {
 func (p *modelIR) source() ([]byte, string, error) {
 	p.srcOnce.Do(func() {
 		g := &gen{p: p}
+		g.tested = g.testedStages()
 		g.file()
 		body, err := format.Source([]byte(g.b.String()))
 		if err != nil {
@@ -56,6 +57,10 @@ func (p *modelIR) source() ([]byte, string, error) {
 type gen struct {
 	p *modelIR
 	b strings.Builder
+	// local is set while step() is emitted: state names resolve to the
+	// locals it runs on.
+	local  bool
+	tested uint64 // the stages whose switch tests a word's bit (testedStages)
 }
 
 func (g *gen) pf(format string, args ...interface{}) {
@@ -78,6 +83,77 @@ func (g *gen) staged(s int) []*leaf {
 		}
 	}
 	return out
+}
+
+// testedStages returns, as bits, the stages whose switch the step loop
+// enters only for a word with work there: where at most half of the
+// leaves have work, as in simple16's WB, which only LD uses. Where most
+// have work, as in its EX, the test costs more than the switch it skips.
+func (g *gen) testedStages() (bits uint64) {
+	handled := 0
+	for _, l := range g.p.leaves {
+		if l.err == nil {
+			handled++
+		}
+	}
+	for s := range min(g.p.depth, 64) {
+		if n := len(g.staged(s)); n > 0 && 2*n <= handled {
+			bits |= 1 << s
+		}
+	}
+	return bits
+}
+
+// sv names scalar r's variable of a kind: "s" its value, and "pv" and
+// "ps" a latch's pending value and flag. The dispatch register holds a
+// program address instead of its value, in a_<name> and pa_<name>. In
+// step() sv names the local copy.
+func (g *gen) sv(kind string, r *model.Resource) string {
+	if r == g.p.rootRes {
+		switch kind {
+		case "s":
+			kind = "a"
+		case "pv":
+			kind = "pa"
+		}
+	}
+	if g.local {
+		return "l" + kind + "_" + r.Name
+	}
+	return kind + "_" + r.Name
+}
+
+// read emits a read of scalar r. The dispatch register always holds
+// program memory's element at its address (checkDispatchSafety), fitted
+// to its width.
+func (g *gen) read(r *model.Resource) string {
+	if r == g.p.rootRes {
+		pm := g.p.progMem
+		return fit(fmt.Sprintf("rd_%s(%s)", pm.Name, g.sv("s", r)), pm.Width, r.Width)
+	}
+	return g.sv("s", r)
+}
+
+// stateVars names the state step() runs on, as g.local resolves it:
+// every scalar, the latches' pending writes, the stage slots and the
+// cycle count.
+func (g *gen) stateVars() (vs []string) {
+	for _, r := range g.p.scalars {
+		if r != nil {
+			vs = append(vs, g.sv("s", r))
+		}
+	}
+	for _, r := range g.p.latches {
+		vs = append(vs, g.sv("pv", r), g.sv("ps", r))
+	}
+	slot, cycle := "pipe[%d]", "cycle"
+	if g.local {
+		slot, cycle = "p%d", "cyc"
+	}
+	for s := range g.p.depth {
+		vs = append(vs, fmt.Sprintf(slot, s))
+	}
+	return append(vs, cycle)
 }
 
 // traced reports whether the protocol reports a memory's state: every
@@ -134,11 +210,11 @@ func (g *gen) state() {
 	g.pf("// architectural state, slot-flattened")
 	g.pf("var (")
 	for _, r := range p.scalars {
-		if r != nil {
+		switch {
+		case r == p.rootRes:
+			g.pf("\ta_%s uint64 // %s is %s[a_%s], in %d bits", r.Name, r.Name, p.progMem.Name, r.Name, r.Width)
+		case r != nil:
 			g.pf("\ts_%s uint64 // %d bits", r.Name, r.Width)
-		}
-		if r != nil && r == p.rootRes {
-			g.pf("\ta_%s uint64 // the program address s_%s was copied from; not architectural", r.Name, r.Name)
 		}
 	}
 	for _, r := range p.arrays {
@@ -150,11 +226,8 @@ func (g *gen) state() {
 		}
 	}
 	for _, r := range p.latches {
-		g.pf("\tpv_%s uint64", r.Name)
+		g.pf("\t%s uint64", g.sv("pv", r))
 		g.pf("\tps_%s bool", r.Name)
-		if r == p.rootRes {
-			g.pf("\tpa_%s uint64", r.Name)
-		}
 	}
 	if p.nLoc > 0 {
 		g.pf("\tloc [%d]uint64", p.nLoc)
@@ -167,8 +240,23 @@ type dw struct {
 	f    [nField]uint64
 	leaf int
 	err  string
-}
-
+	st   uint64 // bit s: the leaf has work in stage s, where tested
+}`)
+	if g.tested != 0 {
+		bits := make([]string, len(p.leaves))
+		for i, l := range p.leaves {
+			var m uint64
+			for s := range p.depth {
+				if g.tested&(1<<s) != 0 && len(l.work[s]) > 0 {
+					m |= 1 << s
+				}
+			}
+			bits[i] = fmt.Sprintf("%#x", m)
+		}
+		g.pf("\n// stageWork holds each leaf's bits of dw.st.")
+		g.pf("var stageWork = [%d]uint64{%s}", len(bits), strings.Join(bits, ", "))
+	}
+	g.raw(`
 var (
 	pipe   [depth]*dw // by stage: the word whose work there runs this cycle
 	cycle  uint64
@@ -245,7 +333,7 @@ func (g *gen) stateDump() {
 		if r == nil {
 			parts[i] = "0"
 		} else {
-			parts[i] = "s_" + r.Name
+			parts[i] = g.read(r)
 		}
 	}
 	g.pf("\treturn []uint64{%s}", strings.Join(parts, ", "))
@@ -267,27 +355,18 @@ func (g *gen) stateDump() {
 	g.pf("func memDelta() [][]uint64 {")
 	g.pf("\treturn [][]uint64{%s}", strings.Join(delta, ", "))
 	g.pf("}")
-	if len(p.latches) > 0 {
-		g.pf("")
-		g.pf("func commit() {")
-		for _, r := range p.latches {
-			g.pf("\tif ps_%s {", r.Name)
-			g.pf("\t\ts_%s = pv_%s", r.Name, r.Name)
-			if r == p.rootRes {
-				g.pf("\t\ta_%s = pa_%s", r.Name, r.Name)
-			}
-			g.pf("\t\tps_%s = false", r.Name)
-			g.pf("\t}")
-		}
-		g.pf("}")
-	}
 }
 
-func (g *gen) commitCall() string {
-	if len(g.p.latches) > 0 {
-		return "commit()"
+// commit emits the latch commit at the given indentation: every pending
+// write takes effect.
+func (g *gen) commit(depth int) {
+	ind := strings.Repeat("\t", depth)
+	for _, r := range g.p.latches {
+		g.pf("%sif %s {", ind, g.sv("ps", r))
+		g.pf("%s\t%s = %s", ind, g.sv("s", r), g.sv("pv", r))
+		g.pf("%s\t%s = false", ind, g.sv("ps", r))
+		g.pf("%s}", ind)
 	}
-	return ""
 }
 
 // resetFn emits the per-run reset: every variable back to zero, then
@@ -297,7 +376,7 @@ func (g *gen) resetFn() {
 	g.pf("")
 	g.pf("func resetSim() {")
 	for _, r := range p.scalars {
-		if r != nil {
+		if r != nil && r != p.rootRes {
 			g.pf("\ts_%s = 0", r.Name)
 		}
 	}
@@ -315,9 +394,7 @@ func (g *gen) resetFn() {
 	g.pf("\tpipe = [depth]*dw{}")
 	g.pf("\tcycle, runErr = 0, \"\"")
 	g.stmts(p.resetB, 1)
-	if c := g.commitCall(); c != "" {
-		g.pf("\t%s", c)
-	}
+	g.commit(1)
 	g.pf("}")
 }
 
@@ -343,24 +420,23 @@ func (g *gen) handledFn() {
 	g.pf("}")
 }
 
-// dispatchFn emits the decode-table lookup of the dispatch register,
-// which puts the word in stage 0: the path of a dispatch that the
-// image's index does not answer.
+// dispatchFn emits the decode-table lookup of a dispatch key, which
+// returns the word that enters stage 0, or nil when the dispatch fails:
+// the path of a dispatch that the image's index does not answer.
 func (g *gen) dispatchFn() {
-	p := g.p
-	if p.root == nil {
+	if g.p.root == nil {
 		return
 	}
-	g.pf("")
-	g.pf("func dispatch() {")
-	g.pf("\tk := s_%s & %#x", p.rootRes.Name, mask(p.dispW))
-	g.raw(`	if i := tab.get(k); i < 0 {
+	g.raw(`
+func dispatch(k uint64) *dw {
+	if i := tab.get(k); i < 0 {
 		fail(fmt.Sprintf("dispatch of unknown word %#x", k))
 	} else if d := &words[i]; d.err != "" {
 		fail(d.err)
 	} else {
-		pipe[0] = d
+		return d
 	}
+	return nil
 }`)
 }
 
@@ -369,12 +445,25 @@ func (g *gen) dispatchFn() {
 // items that hold), the work of the word in each stage (stage-ascending,
 // stage 0 being the word the items dispatched), the latch commit, and the
 // pipeline shift. A stage's work is a switch on the leaf of the word in
-// it, each case that leaf's work there. The loop stops early at halt or
-// a run error; an untraced run is one call.
+// it, each case that leaf's work there, entered only when the word's
+// stage bit says it has work there (tested). The loop stops early at halt
+// or a run error; an untraced run is one call.
+//
+// The loop runs on locals: every scalar, the dispatch address, the
+// latches' pending writes, the stage slots (p0, p1, ...) and the cycle
+// count (cyc) are copied in when step starts and written back after the
+// loop, whether it ends at halt, at the step limit or on a run error.
+// The one call that reads them, fail() through dispatch(), reads the
+// cycle count, which is written back before it.
 func (g *gen) stepFn() {
 	p := g.p
+	pkg := g.stateVars()
+	g.local = true
+	loc := g.stateVars()
+	slots := loc[len(loc)-1-p.depth : len(loc)-1]
 	g.pf("")
 	g.pf("func step(n uint64) (steps uint64) {")
+	g.pf("\t%s := %s", strings.Join(loc, ", "), strings.Join(pkg, ", "))
 	g.pf("\tfor ; %s; steps++ {", g.running("n"))
 	g.stmts(p.mainB, 2)
 	for i, it := range p.items {
@@ -397,7 +486,11 @@ func (g *gen) stepFn() {
 		if len(staged) == 0 {
 			continue
 		}
-		g.pf("\t\tif d := pipe[%d]; d != nil { // dispatched %d cycles ago", s, s)
+		test := ""
+		if bit := g.tested & (1 << s); bit != 0 {
+			test = fmt.Sprintf(" && d.st&%#x != 0", bit)
+		}
+		g.pf("\t\tif d := p%d; d != nil%s { // dispatched %d cycles ago", s, test, s)
 		g.pf("\t\t\tswitch d.leaf {")
 		for _, l := range staged {
 			g.pf("\t\t\tcase %d: // %s", l.id, l.name)
@@ -406,31 +499,24 @@ func (g *gen) stepFn() {
 		g.pf("\t\t\t}")
 		g.pf("\t\t}")
 	}
-	if c := g.commitCall(); c != "" {
-		g.pf("\t\t%s", c)
-	}
-	// The shift is one assignment: copy would move the pointers through
-	// the runtime.
-	dst, src := []string{"pipe[0]"}, []string{"nil"}
-	for s := 1; s < p.depth; s++ {
-		dst = append(dst, fmt.Sprintf("pipe[%d]", s))
-		src = append(src, fmt.Sprintf("pipe[%d]", s-1))
-	}
-	g.pf("\t\t%s = %s", strings.Join(dst, ", "), strings.Join(src, ", "))
-	g.pf("\t\tcycle++")
+	g.commit(2)
+	g.pf("\t\t%s = %s", strings.Join(slots, ", "), strings.Join(append([]string{"nil"}, slots[:len(slots)-1]...), ", "))
+	g.pf("\t\tcyc++")
 	g.raw(`		if runErr != "" {
-			return
+			break
 		}
-	}
-	return
-}`)
+	}`)
+	g.pf("\t%s = %s", strings.Join(pkg, ", "), strings.Join(loc, ", "))
+	g.pf("\treturn")
+	g.pf("}")
+	g.local = false
 }
 
 // running is the condition under which the run goes on for at most
 // limit steps.
 func (g *gen) running(limit string) string {
 	if h := g.p.halt; h != nil {
-		return fmt.Sprintf("steps < %s && s_%s == 0", limit, h.Name)
+		return fmt.Sprintf("steps < %s && %s == 0", limit, g.read(h))
 	}
 	return "steps < " + limit
 }
@@ -462,8 +548,11 @@ func load(l string) (request, bool) {
 				return q, false
 			}
 			d.leaf = int(q.leaves[i])
-			copy(d.f[:], q.fields[i*nField:])
-		}
+			copy(d.f[:], q.fields[i*nField:])`)
+	if g.tested != 0 {
+		g.raw("\t\t\td.st = stageWork[d.leaf]")
+	}
+	g.raw(`		}
 	}`)
 	if r := p.rootRes; r != nil {
 		// Program memory holds the image from here on: no behavior writes
@@ -477,7 +566,10 @@ func load(l string) (request, bool) {
 		}
 		at = append(at, d)
 	}
-	a_%s = org - 1 // outside the image: the first dispatch reads the table`, p.progMem.Name, mask(p.dispW), r.Name)
+	// The register as reset: org-1 lies outside the image, where program
+	// memory reads 0, the register's value after reset, and the first
+	// dispatch from it reads the table.
+	a_%s = org - 1`, p.progMem.Name, mask(p.dispW), r.Name)
 	}
 	g.pf(`	return q, true
 }
@@ -543,10 +635,12 @@ func (g *gen) stmts(list []*stmt, depth int) {
 		case sPrint:
 			g.pf("%semitP(%s)", ind, g.printArg(s.parts))
 		case sDispatch:
-			g.pf("%sif i := a_%s - org; i < uint64(len(at)) && at[i] != nil {", ind, g.p.rootRes.Name)
-			g.pf("%s\tpipe[0] = at[i]", ind)
+			pm, a := g.p.progMem, g.sv("s", g.p.rootRes)
+			g.pf("%sif i := %s - org; i < uint64(len(at)) && at[i] != nil {", ind, a)
+			g.pf("%s\tp0 = at[i]", ind)
 			g.pf("%s} else {", ind)
-			g.pf("%s\tdispatch()", ind)
+			g.pf("%s\tcycle = cyc", ind)
+			g.pf("%s\tp0 = dispatch(%s)", ind, fit(fmt.Sprintf("rd_%s(%s)", pm.Name, a), pm.Width, g.p.dispW))
 			g.pf("%s}", ind)
 		}
 	}
@@ -582,26 +676,15 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 		r := lhs.res
 		if r == g.p.rootRes {
 			// The value is a program-memory element (checkDispatchSafety):
-			// its address goes along.
-			v, a := fit(rs, rhs.w, r.Width), g.expr(rhs.idx)
-			if r.Latch {
-				return fmt.Sprintf("pv_%s, ps_%s, pa_%s = %s, true, %s", r.Name, r.Name, r.Name, v, a)
-			}
-			return fmt.Sprintf("s_%s, a_%s = %s, %s", r.Name, r.Name, v, a)
+			// the register keeps only its address.
+			return g.store(r, g.expr(rhs.idx))
 		}
-		if r.Latch {
-			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, fit(rs, rhs.w, r.Width))
-		}
-		return fmt.Sprintf("s_%s = %s", r.Name, fit(rs, rhs.w, r.Width))
+		return g.store(r, fit(rs, rhs.w, r.Width))
 	case lSlice:
 		r := lhs.res
 		mm := mask(lhs.hi-lhs.lo+1) << uint(lhs.lo)
-		merged := fmt.Sprintf("(s_%s &^ %#x) | (((%s) << %d) & %#x)", r.Name, mm, rs, lhs.lo, mm)
-		merged = fit(merged, lhs.hi+1, r.Width)
-		if r.Latch {
-			return fmt.Sprintf("pv_%s, ps_%s = %s, true", r.Name, r.Name, merged)
-		}
-		return fmt.Sprintf("s_%s = %s", r.Name, merged)
+		merged := fmt.Sprintf("(%s &^ %#x) | (((%s) << %d) & %#x)", g.sv("s", r), mm, rs, lhs.lo, mm)
+		return g.store(r, fit(merged, lhs.hi+1, r.Width))
 	case lElem:
 		if inRange(lhs.res, lhs.idx) {
 			return fmt.Sprintf("m_%s[%s&%#x] = %s", lhs.res.Name, g.expr(lhs.idx), mask(lhs.idx.w), fit(rs, rhs.w, lhs.res.Width))
@@ -609,6 +692,15 @@ func (g *gen) assign(lhs *lval, rhs *expr) string {
 		return fmt.Sprintf("wr_%s(%s, %s)", lhs.res.Name, g.expr(lhs.idx), rs)
 	}
 	panic("gosim: unknown lvalue kind")
+}
+
+// store emits a write of v to scalar r, pending until the commit if r
+// is a latch.
+func (g *gen) store(r *model.Resource, v string) string {
+	if r.Latch {
+		return fmt.Sprintf("%s, %s = %s, true", g.sv("pv", r), g.sv("ps", r), v)
+	}
+	return fmt.Sprintf("%s = %s", g.sv("s", r), v)
 }
 
 // fit emits s, a payload of width from, for a store of width to. The IR
@@ -663,7 +755,7 @@ func (g *gen) expr(e *expr) string {
 	case eField:
 		return fmt.Sprintf("d.f[%d]", e.n)
 	case eScalar:
-		return "s_" + e.res.Name
+		return g.read(e.res)
 	case eElem:
 		if inRange(e.res, e.idx) {
 			return fmt.Sprintf("m_%s[%s&%#x]", e.res.Name, g.expr(e.idx), mask(e.idx.w))

@@ -377,13 +377,62 @@ var dispatchCases = []struct {
 	{label: "past-image", model: "simple16", prog: "LDI A1, 5\nADD A2, A1, A1\n", max: 64, lockstep: true},
 	// An undecodable word inside the image.
 	{label: "undecodable", model: "simple16", prog: "NOP\n.word 0x84000000\nNOP\nNOP\nNOP\n", wantErr: "cycle 1: word 0x84000000 does not decode"},
-	// The image's last eleven words, HALT among them, lie past the end of
-	// program memory, which drops them: fetches there read zero words.
-	// The interpretive engine refuses to load such an image.
-	{label: "past-memory", model: "schedtest", lisa: strings.Replace(schedNop, "pc = 0;", "pc = 0xfc;", 1), prog: schedProg,
-		edit: func(p *asm.Program) { p.Origin = 0xfc }, max: 100},
 	// A model that never dispatches: its runner has no address to record.
 	{label: "no-root", model: "noroot", lisa: noRootModel, prog: "", lockstep: true},
+	// A behavior reads the dispatch register, an 8-bit LATCH over 16-bit
+	// words with their high bytes set: the read derives the committed
+	// value from the address, fitted to the register.
+	{label: "ir-read", model: "schedtest",
+		lisa: strings.NewReplacer("bit[16] ir;", "bit[8] ir LATCH;", "0bx[12]", "0bx[4]", "trail = trail * 3 + 2;", "trail = trail * 3 + ir;").Replace(schedNop),
+		prog: schedProg,
+		edit: func(p *asm.Program) {
+			p.Width = 16
+			for i := range p.Words {
+				p.Words[i] |= uint64(0x5a00 + i<<8)
+			}
+		}, lockstep: true},
+	// The run halts before its first fetch: the result reads the dispatch
+	// register as reset, 0, through the address below the image, which
+	// lies inside program memory.
+	{label: "reset-halt", model: "opstest", lisa: strings.Replace(opsModel, "halt = 0;", "halt = 1;", 1), prog: ".org 1\n" + opsProg, lockstep: true},
+}
+
+// TestImagePastProgramMemory: an image that runs past the end of program
+// memory is refused with the same error by gosim's Compile as by the
+// simulator's LoadProgram, before either writes or compiles anything.
+func TestImagePastProgramMemory(t *testing.T) {
+	mc, err := core.LoadMachine("schedtest", schedNop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := mc.NewAssembler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := a.Assemble(schedProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image's last eleven words lie past the memory's 0x100 words.
+	prog.Origin = 0xfc
+	const want = "prog_mem: address 0x100 out of range (size 0x100, base 0x0)"
+	if _, err := Compile(mc, prog); err == nil || err.Error() != want {
+		t.Fatalf("Compile: error %v, want %q", err, want)
+	} else if errors.Is(err, ErrUnsupported) {
+		t.Fatal("Compile's refusal wraps ErrUnsupported: the image is wrong, not the engine")
+	}
+	s, err := mc.NewSimulator(sim.Interpretive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadProgram("prog_mem", prog.Origin, prog.Words); err == nil || err.Error() != want {
+		t.Fatalf("LoadProgram: error %v, want %q", err, want)
+	}
+	for i, v := range s.S.Arrays[mc.Model.Resource("prog_mem").Slot] {
+		if v.Uint() != 0 {
+			t.Fatalf("LoadProgram wrote prog_mem[%d] before refusing", i)
+		}
+	}
 }
 
 // noRootModel counts to five and halts without fetching a word.
@@ -598,7 +647,9 @@ func logged(o Options, snaps *[]snap, events *[]string) Options {
 // TestNativeMatchesIR builds the real runner and demands that the native
 // subprocess reports the identical per-cycle state stream, prints, and
 // final result as the in-process IR interpreter, and reports each print
-// byte for byte within the step that made it.
+// byte for byte within the step that made it. Each case also runs
+// untraced on both backends, which takes the runner's step loop through
+// one call to each of its exits: halt, the step limit and a run error.
 func TestNativeMatchesIR(t *testing.T) {
 	needGo(t)
 	type nativeCase struct {
@@ -664,6 +715,9 @@ func TestNativeMatchesIR(t *testing.T) {
 			if a, b := strings.Join(irEvents, "\n"), strings.Join(natEvents, "\n"); a != b {
 				t.Fatalf("event order divergence:\nIR:\n%s\nnative:\n%s", a, b)
 			}
+			ir, irErr = NewEngine(p, nil, Options{Backend: ForceIR}).Run(max)
+			nat, natErr = NewEngine(p, cache, Options{Backend: ForceNative}).Run(max)
+			sameRun(t, "untraced", ir, nat, irErr, natErr)
 		})
 	}
 }

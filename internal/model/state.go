@@ -169,6 +169,20 @@ func (r *Resource) elemIndex(addr uint64) (uint64, error) {
 	return i, nil
 }
 
+// CheckSpan reports the error an access to the first of the n
+// addresses from addr that lies outside memory r raises, or nil when all
+// of them lie inside: an image of n words loaded at addr fits.
+func (r *Resource) CheckSpan(addr uint64, n int) error {
+	if n == 0 {
+		return nil
+	}
+	i, err := r.elemIndex(addr)
+	if err == nil && r.Size-i < uint64(n) {
+		_, err = r.elemIndex(r.Base + r.Size)
+	}
+	return err
+}
+
 // ReadElem reads memory element at addr (bank 0 for banked memories).
 func (s *State) ReadElem(r *Resource, addr uint64) (bitvec.Value, error) {
 	i, err := r.elemIndex(addr)

@@ -868,11 +868,16 @@ func (s *Simulator) Mem(name string, addr uint64) (bitvec.Value, error) {
 	return s.S.ReadElem(r, addr)
 }
 
-// LoadProgram writes words into the named program memory starting at origin.
+// LoadProgram writes words into the named program memory starting at
+// origin. An image that does not fit the memory is refused before any
+// word is written.
 func (s *Simulator) LoadProgram(memName string, origin uint64, words []uint64) error {
 	r := s.M.Resource(memName)
 	if r == nil || !r.IsMemory() {
 		return fmt.Errorf("no memory resource %s", memName)
+	}
+	if err := r.CheckSpan(origin, len(words)); err != nil {
+		return err
 	}
 	for i, w := range words {
 		if err := s.S.WriteElem(r, origin+uint64(i), bitvec.New(w, r.Width)); err != nil {
