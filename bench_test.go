@@ -2,7 +2,7 @@
 // for the experiment index E1..E8 and the paper-vs-measured record):
 //
 //	E1  BenchmarkModelStats        — §4 model complexity table
-//	E2  BenchmarkGenerate*, BenchmarkParse — §4.1 tool-generation time (paper: 30 s)
+//	E2  BenchmarkGenerate*, BenchmarkParse — §4.1 tool-generation time (paper: 30 s; GenerateNative to a built native runner)
 //	E3  BenchmarkSim*              — compiled vs interpretive simulation (simple16 adds the IR and the native runner)
 //	E5  BenchmarkSwitch*           — SWITCH/CASE compile-time flattening ablation
 //	E6  BenchmarkPipelineOps       — stall/flush/shift mechanism cost
@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -407,6 +408,90 @@ func BenchmarkParse(b *testing.B) {
 					b.Fatal(errs[0])
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkGenerateNative times E2 on the native tier: the whole path
+// from a LISA description to a native simulator that has run a program.
+// Each iteration parses and checks simple16's source, assembles dot64 with
+// the generated assembler, compiles the pair for the generated tier,
+// emits the model's runner, builds it with `go build` into a fresh runner
+// cache, and runs dot64 once on it. c62x, the paper's model, falls back
+// to the prebound engine on this tier (docs/compiled.md). warm builds
+// with the process's Go build cache, which holds the standard library
+// once one build ran, as each `generated` benchmark set-up does; cold
+// gives every build an empty Go build cache. Each phase is reported per
+// iteration; ns/op is their sum.
+func BenchmarkGenerateNative(b *testing.B) {
+	if _, err := exec.LookPath("go"); err != nil {
+		b.Skip("go toolchain not on PATH")
+	}
+	src := models.All["simple16"]
+	for _, cold := range []bool{false, true} {
+		name := "warm"
+		if cold {
+			name = "cold"
+		}
+		b.Run(name, func(b *testing.B) {
+			var load, assemble, compile, emit, build, run time.Duration
+			lap := func(d *time.Duration, t0 time.Time) time.Time {
+				t1 := time.Now()
+				*d += t1.Sub(t0)
+				return t1
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := b.TempDir()
+				if cold {
+					b.Setenv("GOCACHE", filepath.Join(dir, "gocache"))
+				}
+				b.StartTimer()
+				t := time.Now()
+				m, err := golisa.LoadMachine("simple16", src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t = lap(&load, t)
+				a, err := m.NewAssembler()
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog, err := a.Assemble(dotKernel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t = lap(&assemble, t)
+				p, err := gosim.Compile(m, prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t = lap(&compile, t)
+				if _, err := p.EmitSource(); err != nil {
+					b.Fatal(err)
+				}
+				t = lap(&emit, t)
+				cache := gosim.NewCache(filepath.Join(dir, "runners"))
+				if _, hit, err := cache.Runner(p); err != nil || hit {
+					b.Fatalf("runner build: hit=%v, err=%v", hit, err)
+				}
+				t = lap(&build, t)
+				res, err := gosim.NewEngine(p, cache, gosim.Options{Backend: gosim.ForceNative}).Run(1_000_000)
+				if err != nil || !res.Halted {
+					b.Fatalf("first run: halted=%v, err=%v", res != nil && res.Halted, err)
+				}
+				lap(&run, t)
+				b.StopTimer()
+				cache.Close()
+				b.StartTimer()
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(load.Microseconds())/n/1e3, "load_ms")
+			b.ReportMetric(float64(assemble.Microseconds())/n/1e3, "asm_ms")
+			b.ReportMetric(float64(compile.Microseconds())/n/1e3, "compile_ms")
+			b.ReportMetric(float64(emit.Microseconds())/n/1e3, "emit_ms")
+			b.ReportMetric(build.Seconds()/n, "build_s")
+			b.ReportMetric(float64(run.Microseconds())/n/1e3, "run_ms")
 		})
 	}
 }

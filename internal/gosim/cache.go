@@ -29,6 +29,8 @@ type Cache struct {
 	// Dir is the cache root.
 	Dir string
 
+	goPath string // the go command, looked up once; "" when PATH has none
+
 	mu      sync.Mutex
 	entries map[string]*entry
 	closed  bool
@@ -61,9 +63,23 @@ type proc struct {
 
 var errClosed = errors.New("gosim: runner cache closed")
 
+// noToolchain is the reason a Cache without a go command gives.
+const noToolchain = "go toolchain not found in PATH"
+
+// buildArgs is the runner's `go build` command line, less its output. -s
+// -w leave out the symbol table and DWARF, which nothing reads: a panic
+// still names its function, file and line. -buildvcs=false keeps the
+// revision of a repository around the cache directory out of a binary
+// that depends on the model alone, and skips the git commands that read
+// it. Neither changes how a package compiles, so the standard library
+// stays cached. The emitted source names the command (gen.file), so the
+// runner key, its hash, covers it.
+var buildArgs = []string{"build", "-ldflags=-s -w", "-buildvcs=false"}
+
 // NewCache opens (or lazily creates) a runner cache rooted at dir. An
 // empty dir selects the user cache directory (falling back to the system
-// temp directory).
+// temp directory). It looks up the go command on PATH now, once for the
+// Cache's life.
 func NewCache(dir string) *Cache {
 	if dir == "" {
 		if base, err := os.UserCacheDir(); err == nil {
@@ -72,7 +88,8 @@ func NewCache(dir string) *Cache {
 			dir = filepath.Join(os.TempDir(), "golisa-gosim")
 		}
 	}
-	return &Cache{Dir: dir, entries: map[string]*entry{}}
+	goPath, _ := exec.LookPath("go")
+	return &Cache{Dir: dir, goPath: goPath, entries: map[string]*entry{}}
 }
 
 // Builds reports how many `go build` invocations this Cache has run —
@@ -159,6 +176,9 @@ func (c *Cache) build(key string, src []byte) (string, bool, error) {
 	if fi, err := os.Stat(bin); err == nil && !fi.IsDir() {
 		return bin, true, nil
 	}
+	if c.goPath == "" {
+		return "", false, errors.New("gosim: " + noToolchain)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", false, fmt.Errorf("gosim: create cache dir: %w", err)
 	}
@@ -172,7 +192,7 @@ func (c *Cache) build(key string, src []byte) (string, bool, error) {
 	// Unique temp name + rename keeps concurrent processes from clobbering
 	// each other's half-written binaries.
 	tmp := fmt.Sprintf("%s.tmp.%d", bin, os.Getpid())
-	cmd := exec.Command("go", "build", "-o", tmp, ".")
+	cmd := exec.Command(c.goPath, append(buildArgs, "-o", tmp, ".")...)
 	cmd.Dir = dir
 	// Insulate the build from the invoking environment's module knobs.
 	cmd.Env = append(os.Environ(), "GOFLAGS=", "GOWORK=off", "GO111MODULE=on")

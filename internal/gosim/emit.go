@@ -166,6 +166,15 @@ func (g *gen) file() {
 	g.pf("//")
 	g.pf("// runner for model hash %s: %d coding leaves, pipeline depth %d", p.hash, len(p.leaves), p.depth)
 	g.pf("//")
+	cmd := []string{"go"}
+	for _, a := range buildArgs {
+		if strings.Contains(a, " ") {
+			a = strconv.Quote(a)
+		}
+		cmd = append(cmd, a)
+	}
+	g.pf("// built by: %s -o runner .", strings.Join(cmd, " "))
+	g.pf("//")
 	g.pf("// leaves (id: instruction, LABEL fields):")
 	for _, l := range p.leaves {
 		switch {
@@ -178,10 +187,10 @@ func (g *gen) file() {
 	g.pf("package main")
 	g.pf("")
 	// The glue's imports, then the kernel's: Go refuses a package imported
-	// twice, so the two sets must stay apart.
+	// twice, so the two sets must stay apart. The runner links no fmt: the
+	// kernel renders its texts.
 	g.raw(`import (
 	"bufio"
-	"fmt"
 	"os"
 	"time"
 )
@@ -191,6 +200,8 @@ func (g *gen) file() {
 	g.pf("\tmodelHash = %q", p.hash)
 	g.pf("\tnField    = %d", p.nField)
 	g.pf("\tdepth     = %d", p.depth)
+	g.pf("\tprogBase  = %#x // program memory's first address", p.progMem.Base)
+	g.pf("\tprogSize  = %d // and its words", p.progMem.Size)
 	g.pf(")")
 	g.state()
 	g.memHelpers()
@@ -278,7 +289,7 @@ var (
 	g.raw(`
 func fail(msg string) {
 	if runErr == "" {
-		runErr = fmt.Sprintf("cycle %d: %s", cycle, msg)
+		runErr = atCycle(cycle, msg)
 	}
 }
 
@@ -430,7 +441,7 @@ func (g *gen) dispatchFn() {
 	g.raw(`
 func dispatch(k uint64) *dw {
 	if i := tab.get(k); i < 0 {
-		fail(fmt.Sprintf("dispatch of unknown word %#x", k))
+		fail(unknownWord(k))
 	} else if d := &words[i]; d.err != "" {
 		fail(d.err)
 	} else {
@@ -529,9 +540,10 @@ func (g *gen) mainFn() {
 	g.pf("")
 	g.raw(`// load resets the machine and installs a request's program: the image
 // in program memory and the decode table of its distinct words. A request
-// that is malformed, or names a leaf without a handler, is refused.
+// that is malformed, whose image runs past program memory, or that names a
+// leaf without a handler, is refused.
 func load(l string) (request, bool) {
-	q, ok := readRequest(l, nField)
+	q, ok := readRequest(l, nField, progBase, progSize)
 	if !ok {
 		return q, false
 	}

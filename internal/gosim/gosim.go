@@ -25,7 +25,6 @@ package gosim
 import (
 	"errors"
 	"fmt"
-	"os/exec"
 	"time"
 )
 
@@ -147,8 +146,8 @@ func (e *Engine) nativeObstacle() string {
 	if e.Opt.Backend == Auto && len(e.P.Words) < DefaultMinBuildWords {
 		return fmt.Sprintf("program has %d words, below the %d-word runner threshold", len(e.P.Words), DefaultMinBuildWords)
 	}
-	if _, err := exec.LookPath("go"); err != nil {
-		return "go toolchain not found in PATH"
+	if e.Cache.goPath == "" {
+		return noToolchain
 	}
 	return ""
 }

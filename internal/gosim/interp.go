@@ -1,7 +1,7 @@
 package gosim
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 
 	"golisa/internal/bitvec"
@@ -222,14 +222,8 @@ func (p *Program) StateFrom(sc []uint64, arr [][]uint64) *model.State {
 		}
 	}
 	for _, r := range p.arrays {
-		if r == nil || r.Slot >= len(arr) {
-			continue
-		}
-		dst := st.Arrays[r.Slot]
-		for i, v := range arr[r.Slot] {
-			if i < len(dst) {
-				dst[i] = bitvec.New(v, r.Width)
-			}
+		if r != nil && r.Slot < len(arr) {
+			st.SetMemory(r, arr[r.Slot])
 		}
 	}
 	return st
@@ -324,12 +318,12 @@ func compileStmtFn(p *modelIR, s *stmt) sfn {
 			key := m.sc[rrSlot] & dmask
 			i := m.p.tab.get(key)
 			if i < 0 {
-				m.err = fmt.Errorf("cycle %d: dispatch of unknown word %#x", m.cycle, key)
+				m.err = errors.New(atCycle(m.cycle, unknownWord(key)))
 				return
 			}
 			d := &m.p.words[i]
 			if d.errMsg != "" {
-				m.err = fmt.Errorf("cycle %d: %s", m.cycle, d.errMsg)
+				m.err = errors.New(atCycle(m.cycle, d.errMsg))
 				return
 			}
 			m.pipe[0] = d

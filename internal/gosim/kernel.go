@@ -142,6 +142,16 @@ func fmtS(v uint64, w int) string { return strconv.FormatInt(int64(sx(v, w)), 10
 
 func fmtU(v uint64) string { return strconv.FormatUint(v, 10) }
 
+// atCycle and unknownWord render a run error raised at a cycle and the
+// dispatch of a word the decode table lacks, byte for byte as fmt's
+// "cycle %d: %s" and "dispatch of unknown word %#x" do, so that a runner
+// need not link fmt.
+func atCycle(cycle uint64, msg string) string {
+	return "cycle " + strconv.FormatUint(cycle, 10) + ": " + msg
+}
+
+func unknownWord(k uint64) string { return "dispatch of unknown word 0x" + strconv.FormatUint(k, 16) }
+
 // table maps a program's dispatch keys to the indices of their decoded
 // words by open addressing. It is at most half full, so a lookup costs a
 // multiply and about one probe.
@@ -298,11 +308,16 @@ type request struct {
 	tab                table    // the words' dispatch keys
 }
 
-// readRequest parses a request line whose words carry nField fields. ok
-// is false for a malformed line.
-func readRequest(line string, nField int) (q request, ok bool) {
+// readRequest parses a request line whose words carry nField fields, for
+// a program memory of size words from address base. ok is false for a
+// malformed line, and for an image that runs past program memory, which
+// is refused before its decode table is read.
+func readRequest(line string, nField int, base, size uint64) (q request, ok bool) {
 	tag, r := readLine(strings.TrimSuffix(line, "\n"))
 	q.max, q.trace, q.origin, q.image = r.num(), r.num(), r.num(), r.list()
+	if n := uint64(len(q.image)); n > 0 && (q.origin < base || n > size || q.origin-base > size-n) {
+		return q, false
+	}
 	n := r.count(3 + nField)
 	q.leaves, q.fields, q.errs, q.tab = make([]uint64, n), make([]uint64, n*nField), make([]string, n), newTable(n)
 	for i := range n {

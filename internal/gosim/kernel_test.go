@@ -14,6 +14,7 @@ import (
 
 	"golisa/internal/bitvec"
 	"golisa/internal/core"
+	"golisa/internal/model"
 )
 
 // TestKernelStandsAlone type-checks kernel.go as a package of its own,
@@ -86,6 +87,9 @@ func checkKernel(t *testing.T, a, b uint64, w, to int) {
 	if got, want := fmtS(a, w), fmt.Sprintf("%d", A.Int()); got != want {
 		bad = append(bad, fmt.Sprintf("fmtS: got %s, want %s", got, want))
 	}
+	if got, want := atCycle(a, unknownWord(b)), fmt.Sprintf("cycle %d: dispatch of unknown word %#x", a, b); got != want {
+		bad = append(bad, fmt.Sprintf("atCycle, unknownWord: got %q, want %q", got, want))
+	}
 	if bad != nil {
 		t.Helper()
 		t.Fatalf("a %#x, b %#x, width %d, to %d:\n%s", a, b, w, to, strings.Join(bad, "\n"))
@@ -119,10 +123,13 @@ func FuzzKernel(f *testing.F) {
 	})
 }
 
-// FuzzRunnerRequest feeds arbitrary lines to the runner's request reader:
-// a line ends in a loaded run or a rejection, never a panic, and what a
-// loaded run holds stays in proportion to the line. The seeds are the
-// requests of the test programs.
+// FuzzRunnerRequest feeds arbitrary lines to the runner's request reader,
+// for a program memory of any base and size: a line ends in a loaded run
+// or a rejection, never a panic, what a loaded run holds stays in
+// proportion to the line, and an image that model.Resource.CheckSpan
+// finds past program memory is never loaded. The seeds are the requests
+// of the test programs, and one of them moved to run past the end of
+// program memory.
 func FuzzRunnerRequest(f *testing.F) {
 	for _, m := range []struct {
 		name, lisa string
@@ -154,12 +161,18 @@ func FuzzRunnerRequest(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
-			f.Add(string(p.request(10_000, i == 0)), uint8(p.nField))
+			f.Add(string(p.request(10_000, i == 0)), uint8(p.nField), p.progMem.Base, p.progMem.Size)
 		}
 	}
-	f.Fuzz(func(t *testing.T, line string, nField uint8) {
+	_, _, p := loadPair(f, "simple16", "", progLoop)
+	f.Add(string(pastMemory(p)), uint8(p.nField), p.progMem.Base, p.progMem.Size)
+	f.Fuzz(func(t *testing.T, line string, nField uint8, base, size uint64) {
 		nf := int(nField % 16)
-		q, ok := readRequest(line, nf)
+		q, ok := readRequest(line, nf, base, size)
+		pm := &model.Resource{Name: "prog_mem", Base: base, Size: size}
+		if err := pm.CheckSpan(q.origin, len(q.image)); err != nil && ok {
+			t.Fatalf("loaded %d words at %#x: %v", len(q.image), q.origin, err)
+		}
 		if !ok {
 			return
 		}
@@ -176,4 +189,14 @@ func FuzzRunnerRequest(f *testing.F) {
 			t.Fatalf("a %d-byte line holds %d bytes", len(line), size)
 		}
 	})
+}
+
+// pastMemory returns a request for p's program with its image moved to
+// end one word past program memory: a line a runner must refuse, as
+// Compile and sim.Simulator.LoadProgram refuse such an image.
+func pastMemory(p *Program) []byte {
+	p.request(0, false) // encodes p.req: " origin image words\n"
+	moved := p.progMem.Base + p.progMem.Size + 1 - uint64(len(p.Words))
+	rest := p.req[len(appendNum(nil, p.Origin)):]
+	return append(appendNum(appendNum(appendNum([]byte{'r'}, 10_000), 0), moved), rest...)
 }

@@ -2,9 +2,16 @@ package gosim
 
 import (
 	"bytes"
+	"debug/buildinfo"
+	"debug/elf"
+	"errors"
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -188,6 +195,96 @@ func TestKilledRunnerIsReplaced(t *testing.T) {
 	idle, live := procsOf(t, c, done)
 	if len(idle) != 1 || live != 1 || idle[0] == victim {
 		t.Fatalf("after the kill: %d idle of %d live processes, want one fresh process", len(idle), live)
+	}
+}
+
+// TestRunnerRefusesImagePastMemory sends a runner a request whose image
+// ends one word past program memory. The runner exits 2 without a reply,
+// as it does for any malformed request, before it writes a word: it does
+// not drop the words past the end and run over zeros.
+func TestRunnerRefusesImagePastMemory(t *testing.T) {
+	needGo(t)
+	_, _, p := loadPair(t, "simple16", "", progLoop)
+	line := pastMemory(p)
+	if _, ok := readRequest(string(line), p.nField, p.progMem.Base, p.progMem.Size+1); !ok {
+		t.Fatal("the request does not read with one more word of program memory either")
+	}
+	path, _, err := NewCache(t.TempDir()).Runner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(path)
+	cmd.Stdin = bytes.NewReader(line)
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("runner ended with %v, want exit status 2", err)
+	}
+	if !bytes.HasPrefix(out, []byte("h ")) || bytes.Count(out, []byte("\n")) != 1 {
+		t.Fatalf("runner wrote %q, want its handshake alone", out)
+	}
+}
+
+// TestRunnerBuiltLean builds a runner inside a git repository and reads
+// it back: its build info records -ldflags "-s -w" and no VCS stamp, the
+// binary holds no DWARF and no symbol table, and its source imports no
+// fmt.
+func TestRunnerBuiltLean(t *testing.T) {
+	needGo(t)
+	_, _, p := loadPair(t, "simple16", "", progLoop)
+	src, err := p.EmitSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", src, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"fmt"` {
+			t.Error("the runner's source imports fmt")
+		}
+	}
+	dir := t.TempDir()
+	// Inside a repository, a build without -buildvcs=false stamps its
+	// state, or fails while the repository has no commit.
+	if git, err := exec.LookPath("git"); err == nil {
+		if out, err := exec.Command(git, "init", "-q", dir).CombinedOutput(); err != nil {
+			t.Fatalf("git init: %v\n%s", err, out)
+		}
+	}
+	path, _, err := NewCache(dir).Runner(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := buildinfo.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ldflags := false
+	for _, s := range info.Settings {
+		switch {
+		case s.Key == "-ldflags":
+			ldflags = s.Value == "-s -w"
+		case strings.HasPrefix(s.Key, "vcs"):
+			t.Errorf("the runner is stamped %s=%s", s.Key, s.Value)
+		}
+	}
+	if !ldflags {
+		t.Errorf("the runner's build settings %v lack -ldflags=\"-s -w\"", info.Settings)
+	}
+	if runtime.GOOS != "linux" {
+		return
+	}
+	bin, err := elf.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bin.Close()
+	for _, name := range []string{".debug_info", ".symtab"} {
+		if bin.Section(name) != nil {
+			t.Errorf("the runner has a %s section", name)
+		}
 	}
 }
 

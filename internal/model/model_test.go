@@ -103,6 +103,38 @@ func TestStateMemoryBounds(t *testing.T) {
 	}
 }
 
+// TestResetClearsWrittenMemory writes a memory of a fresh state through
+// each way in, resets the state and compares it with a new one: every
+// way in marks the memories for Reset to clear.
+func TestResetClearsWrittenMemory(t *testing.T) {
+	m := newTestModel(t)
+	lat := &Resource{Name: "lmem", Width: 16, Size: 4, Latch: true, Type: ast.TypeSpec{Kind: ast.TypeBit, Width: 16}}
+	if err := m.AddResource(lat); err != nil {
+		t.Fatal(err)
+	}
+	m.AssignSlots()
+	mem, bank := m.Resource("mem"), m.Resource("bank")
+	for _, c := range []struct {
+		name  string
+		write func(s *State)
+	}{
+		{"WriteElem", func(s *State) { _ = s.WriteElem(mem, 3, bitvec.New(7, 32)) }},
+		{"WriteBanked", func(s *State) { _ = s.WriteBanked(bank, 1, 3, bitvec.New(9, 8)) }},
+		{"Commit", func(s *State) { _ = s.WriteElem(lat, 2, bitvec.New(5, 16)); s.Commit() }},
+		{"SetMemory", func(s *State) { s.SetMemory(mem, []uint64{1, 2, 3}) }},
+	} {
+		s := NewState(m)
+		c.write(s)
+		if eq, _ := s.Equal(NewState(m)); eq {
+			t.Fatalf("%s wrote nothing", c.name)
+		}
+		s.Reset()
+		if eq, diff := s.Equal(NewState(m)); !eq {
+			t.Errorf("after %s and Reset, %s is not zero", c.name, diff)
+		}
+	}
+}
+
 func TestStateCloneIsDeep(t *testing.T) {
 	m := newTestModel(t)
 	s := NewState(m)

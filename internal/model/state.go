@@ -12,7 +12,12 @@ import (
 type State struct {
 	m       *Model
 	Scalars []bitvec.Value
-	Arrays  [][]bitvec.Value
+	// Arrays holds the memories. An element nothing wrote is the zero
+	// Value; ReadElem and ReadBanked return it at the memory's width.
+	Arrays [][]bitvec.Value
+	// written is set once a memory may hold a nonzero element, so that
+	// Reset clears memories only then.
+	written bool
 
 	// Pending non-blocking writes to latch resources, applied in order by
 	// Commit at the end of each control step (last write wins).
@@ -58,7 +63,8 @@ func (m *Model) AssignSlots() {
 	}
 }
 
-// NewState allocates zeroed state for the model.
+// NewState allocates zeroed state for the model. Its memories are left
+// as the allocator zeroed them.
 func NewState(m *Model) *State {
 	s := &State{m: m}
 	for _, r := range m.Resources {
@@ -66,12 +72,7 @@ func NewState(m *Model) *State {
 			continue
 		}
 		if r.IsMemory() {
-			arr := make([]bitvec.Value, r.Total())
-			zero := bitvec.New(0, r.Width)
-			for i := range arr {
-				arr[i] = zero
-			}
-			s.Arrays = append(s.Arrays, arr)
+			s.Arrays = append(s.Arrays, make([]bitvec.Value, r.Total()))
 		} else {
 			s.Scalars = append(s.Scalars, bitvec.New(0, r.Width))
 		}
@@ -82,22 +83,19 @@ func NewState(m *Model) *State {
 // Model returns the model this state belongs to.
 func (s *State) Model() *Model { return s.m }
 
-// Reset zeroes all resources and drops pending latch writes.
+// Reset zeroes all resources and drops pending latch writes. It clears
+// the memories only if one was written since they were last zero.
 func (s *State) Reset() {
 	s.pendingScalars = s.pendingScalars[:0]
 	s.pendingElems = s.pendingElems[:0]
-	for i, r := range s.m.Resources {
-		_ = i
-		if r.IsAlias {
-			continue
+	if s.written {
+		for _, arr := range s.Arrays {
+			clear(arr)
 		}
-		if r.IsMemory() {
-			zero := bitvec.New(0, r.Width)
-			arr := s.Arrays[r.Slot]
-			for j := range arr {
-				arr[j] = zero
-			}
-		} else {
+		s.written = false
+	}
+	for _, r := range s.m.Resources {
+		if !r.IsAlias && !r.IsMemory() {
 			s.Scalars[r.Slot] = bitvec.New(0, r.Width)
 		}
 	}
@@ -152,6 +150,7 @@ func (s *State) Commit() {
 	for _, p := range s.pendingElems {
 		if i, err := p.r.elemIndex(p.addr); err == nil {
 			s.Arrays[p.r.Slot][i] = p.v
+			s.written = true
 		}
 	}
 	s.pendingElems = s.pendingElems[:0]
@@ -189,7 +188,7 @@ func (s *State) ReadElem(r *Resource, addr uint64) (bitvec.Value, error) {
 	if err != nil {
 		return bitvec.Value{}, err
 	}
-	return s.Arrays[r.Slot][i], nil
+	return s.Arrays[r.Slot][i].Resize(r.Width), nil
 }
 
 // WriteElem writes memory element at addr. Writes to LATCH memories are
@@ -207,6 +206,7 @@ func (s *State) WriteElem(r *Resource, addr uint64, v bitvec.Value) error {
 		return nil
 	}
 	s.Arrays[r.Slot][i] = v.Resize(r.Width)
+	s.written = true
 	return nil
 }
 
@@ -222,7 +222,7 @@ func (s *State) ReadBanked(r *Resource, bank, addr uint64) (bitvec.Value, error)
 	if err != nil {
 		return bitvec.Value{}, err
 	}
-	return s.Arrays[r.Slot][bank*r.Size+i], nil
+	return s.Arrays[r.Slot][bank*r.Size+i].Resize(r.Width), nil
 }
 
 // WriteBanked writes element addr of the given bank of a banked memory.
@@ -242,13 +242,25 @@ func (s *State) WriteBanked(r *Resource, bank, addr uint64, v bitvec.Value) erro
 		s.OnWriteElem(r, bank*r.Size+addr, v.Resize(r.Width))
 	}
 	s.Arrays[r.Slot][bank*r.Size+i] = v.Resize(r.Width)
+	s.written = true
 	return nil
+}
+
+// SetMemory writes raw values into memory r at its width from its first
+// element on, as far as both reach, with no latching and no OnWriteElem:
+// the whole-memory write of a snapshot restore.
+func (s *State) SetMemory(r *Resource, vals []uint64) {
+	arr := s.Arrays[r.Slot]
+	for i, v := range vals[:min(len(vals), len(arr))] {
+		arr[i] = bitvec.New(v, r.Width)
+	}
+	s.written = true
 }
 
 // Clone deep-copies the state (used by the cross-simulator equivalence
 // experiment).
 func (s *State) Clone() *State {
-	c := &State{m: s.m}
+	c := &State{m: s.m, written: s.written}
 	c.Scalars = append([]bitvec.Value(nil), s.Scalars...)
 	c.Arrays = make([][]bitvec.Value, len(s.Arrays))
 	for i, a := range s.Arrays {

@@ -227,13 +227,10 @@ func (s *Simulator) Restore(snap *Snapshot) error {
 		}
 		if r.IsMemory() {
 			row := snap.Arrays[r.Slot]
-			arr := s.S.Arrays[r.Slot]
-			if len(row) != len(arr) {
-				return fmt.Errorf("snapshot memory %s has %d elements, model has %d", r.Name, len(row), len(arr))
+			if uint64(len(row)) != r.Total() {
+				return fmt.Errorf("snapshot memory %s has %d elements, model has %d", r.Name, len(row), r.Total())
 			}
-			for j, v := range row {
-				arr[j] = bitvec.New(v, r.Width)
-			}
+			s.S.SetMemory(r, row)
 		} else {
 			s.S.Scalars[r.Slot] = bitvec.New(snap.Scalars[r.Slot], r.Width)
 		}

@@ -294,6 +294,43 @@ func TestSnapshotIdempotent(t *testing.T) {
 	}
 }
 
+// TestResetClearsRestoredMemory restores a snapshot, whose program memory
+// holds the kernel, into a simulator that never wrote a memory, and
+// resets it: every element reads zero again, at its memory's width.
+func TestResetClearsRestoredMemory(t *testing.T) {
+	c := snapCases()[0]
+	src := newSnapSim(t, c, sim.Compiled)
+	runTo(t, src, 9)
+	m := loadCase(t, c)
+	s, err := m.NewSimulator(sim.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := s.Mem("prog_mem", 0); err != nil || w.IsZero() {
+		t.Fatalf("restored prog_mem[0] = %v, %v; want the kernel's first word", w, err)
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range m.Model.Resources {
+		if !r.IsMemory() || r.IsAlias {
+			continue
+		}
+		for i := range r.Size {
+			v, err := s.S.ReadElem(r, r.Base+i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.IsZero() || v.Width() != r.Width {
+				t.Fatalf("after reset %s[%#x] = %#x in %d bits, want 0 in %d", r.Name, r.Base+i, v.Uint(), v.Width(), r.Width)
+			}
+		}
+	}
+}
+
 // TestRestoreRejectsWrongModel checks the model guard.
 func TestRestoreRejectsWrongModel(t *testing.T) {
 	c := snapCases()[0]
